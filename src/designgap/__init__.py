@@ -11,7 +11,7 @@ discrimination experiments.
 
 __version__ = "0.1.0"
 
-from .errors import BudgetError, ValidationError
+from .errors import BudgetError, InvariantError, ValidationError
 from .pauli import PauliString, from_text, identity, majorana, to_text
 from .cgraph import GeneratorSet, census, component, diameter, n_ball, r_fraction
 from .groups import GroupSpec, bilinear_form, group_spec, sample_haar, sample_shallow
@@ -27,6 +27,7 @@ from .experiments import (
 __all__ = [
     "__version__",
     "BudgetError",
+    "InvariantError",
     "ValidationError",
     "PauliString",
     "from_text",

@@ -6,7 +6,8 @@ goes to stderr so that stdout stays byte-identical for a fixed seed and flag
 set regardless of wall time or worker count.
 
 Exit codes: 0 success, 1 validation problems (including unknown flags),
-2 exceeded resource budgets.
+2 exceeded resource budgets, 3 a broken invariant (a failed self-check, which
+points at the code rather than the input).
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from fractions import Fraction
 import numpy as np
 
 from . import __version__, bounds, cgraph, experiments, groups, moments, pauli
-from .errors import BudgetError, ValidationError
+from .errors import BudgetError, InvariantError, ValidationError
 
 CLI_GROUPS = ("matchgate", "orthogonal", "symplectic", "unitary", "mixed_unitary", "clifford")
 
@@ -300,7 +301,12 @@ def _bound_inputs(args) -> dict:
         if value is None:
             continue
         name = {"dL": "d_L"}.get(dest, dest)
-        provided[name] = Fraction(value) if dest == "r" else value
+        if dest == "r":
+            try:
+                value = Fraction(value)
+            except (ValueError, ZeroDivisionError) as exc:
+                raise ValidationError(f"--r expects a rational like 5/14, got {value!r}") from exc
+        provided[name] = value
     return provided
 
 
@@ -311,8 +317,13 @@ def _cmd_bounds(args) -> list[dict]:
         parts = args.sweep.split(":")
         if len(parts) not in (2, 3):
             raise ValidationError(f"--sweep expects MIN:MAX[:STEP], got {args.sweep!r}")
-        lo, hi = int(parts[0]), int(parts[1])
-        step = int(parts[2]) if len(parts) == 3 else 2
+        try:
+            lo, hi = int(parts[0]), int(parts[1])
+            step = int(parts[2]) if len(parts) == 3 else 2
+        except ValueError as exc:
+            raise ValidationError(f"--sweep expects integers MIN:MAX[:STEP], got {args.sweep!r}") from exc
+        if step < 1:
+            raise ValidationError(f"--sweep step must be >= 1, got {args.sweep!r}")
         records = []
         for n in range(lo, hi + 1, step):
             rep = bounds.bound_report("matchgate-depth", n=n)
@@ -1059,6 +1070,8 @@ def main(argv=None) -> int:
     try:
         _apply_config_file(parser, argv)
         args = parser.parse_args(argv)
+        if not isinstance(args.threads, int) or args.threads < 1:
+            raise ValidationError(f"--threads must be an integer >= 1, got {args.threads!r}")
         records = args.func(args)
         _emit(records, args.format, args.out)
         _manifest(args, time.perf_counter() - started)
@@ -1071,6 +1084,9 @@ def main(argv=None) -> int:
     except BudgetError as exc:
         print(f"designgap: budget exceeded: {exc}", file=sys.stderr)
         return 2
+    except InvariantError as exc:
+        print(f"designgap: invariant violated: {exc}", file=sys.stderr)
+        return 3
 
 
 if __name__ == "__main__":

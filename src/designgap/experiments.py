@@ -10,17 +10,32 @@ Monte Carlo estimates into quantitative design-failure certificates.
 A shallow sample whose conjugation lightcone stays inside the measured region
 must retain probability 1 exactly; the runners assert that per sample rather
 than on average, so a miscoded ensemble fails loudly instead of washing out.
+
+Matchgate samples are evaluated on their Majorana rotation R in SO(2n)
+(U c_a U^dag = sum_b R[b, a] c_b) whenever the input allows it: in the depth
+experiment when every adjacency edge is (i, i+1) and the region is a prefix
+0..m-1, which holds exactly the Majoranas 1..2m; in the gate-count
+experiment when the generator set is the full bilinear set.  With K the
+Majorana indices of the perturbation, the retained probability is then
+det(R[in, K]^T R[in, K]) (Cauchy-Binet over the k x k minors that conjugation
+produces), and the N-ball mass is the sum of the t^0..t^N coefficients of
+prod_i (lambda_i + t (1 - lambda_i)) over the eigenvalues lambda_i of
+R[K, K]^T R[K, K].  Each costs O(n^3) per sample with no 2^n factor.  Every
+other input runs the dense two-copy evaluation, which also stays as the
+reference that the tests compare the rotation evaluation against, sample by
+sample on the same streams.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 
 import numpy as np
 
 from . import bounds, cgraph, densesim, groups, moments, pauli, rng
-from .errors import BudgetError, ValidationError
+from .errors import BudgetError, InvariantError, ValidationError
 
 SHALLOW_EXACTNESS_TOL = 1e-9
 SHALLOW_FAILURE_TOL = 1e-6
@@ -197,7 +212,7 @@ def _check_shallow_exactness(p: float, confined: bool) -> float:
         return 0.0
     dev = abs(p - 1.0)
     if dev > SHALLOW_FAILURE_TOL:
-        raise RuntimeError(
+        raise InvariantError(
             f"confined shallow sample retained probability {p!r}; "
             "the lightcone bookkeeping or the ensemble is wrong"
         )
@@ -242,6 +257,62 @@ def _depth_analytic(config: ExperimentConfig):
     return None, None
 
 
+def _depth_dense(config: ExperimentConfig, adj: groups.Adjacency):
+    """Per-sample retained probabilities (shallow, haar) on the dense two-copy state."""
+    G = config.group
+    n = config.n
+    eye = np.eye(1 << n, dtype=np.complex128)
+    Vd = pauli.to_dense(pauli.hermitian_representative(config.perturbation))
+    Om, Om_inv = G.form.dense(), G.form.inverse_dense()
+    psi0 = densesim.apply_two_copy(Vd, Om, densesim.bell_state(n))
+    depth = config.ensemble.depth
+
+    def born(U):
+        psi = densesim.apply_two_copy(U, U, psi0)
+        psi = densesim.apply_two_copy(eye, Om_inv, psi)
+        return _born_probability(psi, config.region, n)
+
+    def shallow_p(stream):
+        return born(groups.sample_shallow(G, depth, adj, stream).unitary)
+
+    def haar_p(stream):
+        return born(groups.sample_haar(G, stream))
+
+    return shallow_p, haar_p
+
+
+def _depth_uses_rotations(config: ExperimentConfig, adj: groups.Adjacency) -> bool:
+    return (
+        config.group.kind == "matchgate"
+        and adj.joins_line_neighbors
+        and config.region == tuple(range(len(config.region)))
+    )
+
+
+def _depth_rotation(config: ExperimentConfig, adj: groups.Adjacency):
+    """Per-sample retained probabilities (shallow, haar) on the Majorana rotation.
+
+    Conjugating c_K gives sum_S det(R[S, K]) c_S over |S| = k; the mass on
+    monomials inside the prefix region is det(R[in, K]^T R[in, K]).
+    """
+    G = config.group
+    K = [a - 1 for a in pauli.majorana_decomposition(config.perturbation)]
+    inside = 2 * len(config.region)
+    depth = config.ensemble.depth
+
+    def retained(R):
+        B = R[:inside, K]
+        return float(np.linalg.det(B.T @ B))
+
+    def shallow_p(stream):
+        return retained(groups.sample_shallow_rotation(G, depth, adj, stream))
+
+    def haar_p(stream):
+        return retained(groups.sample_haar_rotation(G, stream))
+
+    return shallow_p, haar_p
+
+
 def run_depth_discrimination(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
     """Invariant-state experiment separating brickwork depth from group Haar.
 
@@ -249,7 +320,8 @@ def run_depth_discrimination(config: ExperimentConfig, threads: int = 1) -> Expe
     unwound on the second copy, and the POVM keeps the Bell projector on the
     region complement.  For group members this equals
     Tr[M^dag M]/(d d_C) with M the complement-traced UVU^dag, which is the
-    cross-check route used by the tests.
+    cross-check route used by the tests.  Matchgate chains with a prefix
+    region evaluate the same probability on the Majorana rotation.
     """
     G = config.group
     if G.form is None:
@@ -259,30 +331,19 @@ def run_depth_discrimination(config: ExperimentConfig, threads: int = 1) -> Expe
     n = config.n
     if 2 * n > densesim.STATE_QUBIT_CAP:
         raise BudgetError(f"two-copy states need 2n <= {densesim.STATE_QUBIT_CAP}")
-    d = 1 << n
-    eye = np.eye(d, dtype=np.complex128)
-    Vd = pauli.to_dense(pauli.hermitian_representative(config.perturbation))
-    Om, Om_inv = G.form.dense(), G.form.inverse_dense()
-    psi0 = densesim.apply_two_copy(Vd, Om, densesim.bell_state(n))
     adj = groups.parse_adjacency(config.ensemble.adjacency, n)
-    depth = config.ensemble.depth
-    cone = groups.lightcone(pauli.support(config.perturbation), depth, adj)
+    cone = groups.lightcone(pauli.support(config.perturbation), config.ensemble.depth, adj)
     confined = set(cone) <= set(config.region)
-
-    def born(U):
-        psi = densesim.apply_two_copy(U, U, psi0)
-        psi = densesim.apply_two_copy(eye, Om_inv, psi)
-        return _born_probability(psi, config.region, n)
+    build = _depth_rotation if _depth_uses_rotations(config, adj) else _depth_dense
+    shallow_p, haar_p = build(config, adj)
 
     def shallow_one(stream):
-        circ = groups.sample_shallow(G, depth, adj, stream)
-        p = born(circ.unitary)
+        p = shallow_p(stream)
         dev = _check_shallow_exactness(p, confined)
         return np.array([_finalize(p, stream, config.shot_mode), dev])
 
     def haar_one(stream):
-        p = born(groups.sample_haar(G, stream))
-        return _finalize(p, stream, config.shot_mode)
+        return _finalize(haar_p(stream), stream, config.shot_mode)
 
     p_sh, p_ha, max_dev = _run_two_sided(shallow_one, haar_one, config, threads)
     analytic, ref = _depth_analytic(config)
@@ -365,12 +426,77 @@ def pauli_spread_mass(U: np.ndarray, P: pauli.PauliString, vertex_set) -> float:
 def _gate_sequence_unitary(S_words, n: int, N: int, stream) -> np.ndarray:
     d = 1 << n
     U = np.eye(d, dtype=np.complex128)
-    for _ in range(N):
-        g = S_words[int(stream.integers(len(S_words)))]
-        theta = float(stream.uniform(0.0, 2.0 * np.pi))
-        P = pauli.to_dense(g)
+    for g, theta in groups.draw_factors(len(S_words), N, stream):
+        P = pauli.to_dense(S_words[g])
         U = (np.cos(theta) * np.eye(d) + 1j * np.sin(theta) * P) @ U
     return U
+
+
+def _gate_sequence_rotation(planes, n: int, N: int, stream) -> np.ndarray:
+    factors = groups.draw_factors(len(planes), N, stream)
+    # each drawn gate multiplies on the left, so the product runs in reverse draw order
+    return groups.rotate_by_exponentials(planes, factors[::-1], 2 * n)
+
+
+def _gatecount_dense(config: ExperimentConfig, S: cgraph.GeneratorSet, ball):
+    """Per-sample ball masses (shallow, haar) on dense unitaries."""
+    G = config.group
+    n, N = config.n, config.ensemble.gates
+    P = pauli.hermitian_representative(config.perturbation)
+    S_words = [pauli.hermitian_representative(g) for g in S.generators]
+
+    def shallow_p(stream):
+        return pauli_spread_mass(_gate_sequence_unitary(S_words, n, N, stream), P, ball)
+
+    def haar_p(stream):
+        return pauli_spread_mass(groups.sample_haar(G, stream), P, ball)
+
+    return shallow_p, haar_p
+
+
+def _gatecount_uses_rotations(config: ExperimentConfig, S: cgraph.GeneratorSet) -> bool:
+    if config.group.kind != "matchgate":
+        return False
+    full = groups.matchgate_full_set(config.n).generators
+    return {pauli.to_key(g) for g in S.generators} == {pauli.to_key(g) for g in full}
+
+
+def _gatecount_rotation(config: ExperimentConfig, S: cgraph.GeneratorSet, ball):
+    """Per-sample ball masses (shallow, haar) on the Majorana rotation.
+
+    Under the full bilinear set the N-ball of c_K is every c_S with |S| = k
+    and |S \\ K| <= N.  By Cauchy-Binet the mass sum_S det(R[S, K])^2
+    t^{|S \\ K|} is det(M + t (I - M)) with M = R[K, K]^T R[K, K], so the ball
+    mass is the t^0..t^N part of prod_i (lambda_i + t (1 - lambda_i)).
+    """
+    G = config.group
+    n, N = config.n, config.ensemble.gates
+    K = [a - 1 for a in pauli.majorana_decomposition(config.perturbation)]
+    k = len(K)
+    expected = sum(math.comb(k, j) * math.comb(2 * n - k, j) for j in range(N + 1))
+    if len(ball) != expected:
+        raise InvariantError(
+            f"the {N}-ball of a weight-{k} monomial has {len(ball)} vertices, not {expected}"
+        )
+    planes = [groups.bilinear_plane(g) for g in S.generators]
+    block = np.ix_(K, K)
+
+    def ball_mass(R):
+        A = R[block]
+        coeffs = [1.0] + [0.0] * N  # t^0..t^N of the running product
+        for lam in np.linalg.eigvalsh(A.T @ A).tolist():
+            coeffs = [lam * c + (1.0 - lam) * c_lower for c, c_lower in zip(coeffs, [0.0] + coeffs)]
+        return sum(coeffs)
+
+    def shallow_p(stream):
+        R = _gate_sequence_rotation(planes, n, N, stream)
+        groups.check_rotation(R, f"{N}-gate sequence")
+        return ball_mass(R)
+
+    def haar_p(stream):
+        return ball_mass(groups.sample_haar_rotation(G, stream))
+
+    return shallow_p, haar_p
 
 
 def run_gatecount_discrimination(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
@@ -378,7 +504,8 @@ def run_gatecount_discrimination(config: ExperimentConfig, threads: int = 1) -> 
 
     Shallow circuits are random products of N generator exponentials, whose
     conjugation provably cannot leave the ball; Haar group elements spread the
-    Pauli uniformly over its whole component.
+    Pauli uniformly over its whole component.  Matchgate runs over the full
+    bilinear set evaluate the mass on the Majorana rotation.
     """
     if config.ensemble.kind != "gate_count":
         raise ValidationError("gate-count experiment takes a gate_count ensemble")
@@ -386,21 +513,20 @@ def run_gatecount_discrimination(config: ExperimentConfig, threads: int = 1) -> 
     S = config.ensemble.allowed or G.generator_set
     if S is None:
         raise ValidationError("gate-count experiment needs a generator set")
-    n = config.n
-    N = config.ensemble.gates
+    if config.n > pauli.DENSE_QUBIT_CAP:
+        raise BudgetError(f"spread mass needs n <= {pauli.DENSE_QUBIT_CAP}")
     P = pauli.hermitian_representative(config.perturbation)
-    ball = sorted(cgraph.n_ball(P, S, N))
-    S_words = [pauli.hermitian_representative(g) for g in S.generators]
+    ball = sorted(cgraph.n_ball(P, S, config.ensemble.gates))
+    build = _gatecount_rotation if _gatecount_uses_rotations(config, S) else _gatecount_dense
+    shallow_p, haar_p = build(config, S, ball)
 
     def shallow_one(stream):
-        U = _gate_sequence_unitary(S_words, n, N, stream)
-        p = pauli_spread_mass(U, P, ball)
+        p = shallow_p(stream)
         dev = _check_shallow_exactness(p, True)
         return np.array([_finalize(p, stream, config.shot_mode), dev])
 
     def haar_one(stream):
-        U = groups.sample_haar(G, stream)
-        return _finalize(pauli_spread_mass(U, P, ball), stream, config.shot_mode)
+        return _finalize(haar_p(stream), stream, config.shot_mode)
 
     p_sh, p_ha, max_dev = _run_two_sided(shallow_one, haar_one, config, threads)
     comp = cgraph.component(P, S)

@@ -16,6 +16,17 @@ global sign, which no estimated quantity is sensitive to.
 Shallow ensembles are brickwork circuits of 2-local group gates over a
 declared adjacency; the conjugation lightcone is computed conservatively as
 one adjacency expansion per layer.
+
+Matchgates also have a free-fermion picture: a matchgate U acts on the
+Majorana operators by a rotation R in SO(2n), U c_a U^dag = sum_b R[b, a] c_b.
+``sample_haar_rotation`` and ``sample_shallow_rotation`` return that rotation
+directly, at O(n^2) memory instead of 2^n x 2^n, for Haar draws and for
+brickwork circuits on a chain (every edge (i, i+1), so each local gate acts
+on Majoranas 2i+1..2i+4).  They consume each sample's stream exactly as the
+dense ``sample_haar`` and ``sample_shallow`` do, through the shared
+``haar_special_orthogonal`` draw and the shared ``draw_factors`` helper, so
+both pictures see the same group element for the same stream; the dense
+samplers stay as the reference the tests compare against.
 """
 
 from __future__ import annotations
@@ -27,7 +38,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import cgraph, densesim, pauli
-from .errors import BudgetError, ValidationError
+from .errors import BudgetError, InvariantError, ValidationError
 
 GROUP_KINDS = (
     "matchgate",
@@ -221,6 +232,11 @@ class Adjacency:
     edges: tuple[tuple[int, int], ...]
     layer_classes: tuple[tuple[tuple[int, int], ...], ...]
     name: str = "custom"
+
+    @property
+    def joins_line_neighbors(self) -> bool:
+        """True when every edge is (i, i+1): a chain or a part of one."""
+        return all(b == a + 1 for a, b in self.edges)
 
     def neighbor_map(self) -> dict[int, tuple[int, ...]]:
         nbrs: dict[int, set[int]] = {q: set() for q in range(self.n)}
@@ -568,7 +584,7 @@ def sample_haar(G: GroupSpec, rng: np.random.Generator) -> np.ndarray:
         Om = G.form.dense()
         drift = float(np.max(np.abs(U.T @ Om @ U - Om)))
         if drift > SAMPLER_SELF_CHECK_TOL:
-            raise RuntimeError(f"{G.kind} sampler drifted off the form by {drift:.2e}")
+            raise InvariantError(f"{G.kind} sampler drifted off the form by {drift:.2e}")
     return U
 
 
@@ -589,13 +605,25 @@ class ShallowCircuit:
 _LOCAL_MATCHGATE_GENS = ("ZI", "IZ", "XX", "XY", "YX", "YY")
 
 
+def draw_factors(choices: int, count: int, rng: np.random.Generator) -> list[tuple[int, float]]:
+    """count draws of (generator index, angle) for products of exp(i theta P).
+
+    Every product-of-exponentials sampler, dense or rotation, takes its
+    factors from here, so the two pictures consume a stream identically.
+    """
+    out = []
+    for _ in range(count):
+        g = int(rng.integers(choices))
+        theta = float(rng.uniform(0.0, 2.0 * math.pi))
+        out.append((g, theta))
+    return out
+
+
 def _local_gate(kind: str, pair: tuple[int, int], n: int, rng: np.random.Generator) -> np.ndarray:
     if kind == "matchgate":
         U = np.eye(4, dtype=np.complex128)
-        for _ in range(MATCHGATE_LOCAL_FACTORS):
-            g = _LOCAL_MATCHGATE_GENS[int(rng.integers(len(_LOCAL_MATCHGATE_GENS)))]
-            theta = float(rng.uniform(0.0, 2.0 * math.pi))
-            P = pauli.to_dense(pauli.from_text(g))
+        for g, theta in draw_factors(len(_LOCAL_MATCHGATE_GENS), MATCHGATE_LOCAL_FACTORS, rng):
+            P = pauli.to_dense(pauli.from_text(_LOCAL_MATCHGATE_GENS[g]))
             U = U @ (math.cos(theta) * np.eye(4) + 1j * math.sin(theta) * P)
         return U
     if kind == "orthogonal":
@@ -641,8 +669,98 @@ def sample_shallow(
         Om = G.form.dense()
         drift = float(np.max(np.abs(U.T @ Om @ U - Om)))
         if drift > SAMPLER_SELF_CHECK_TOL:
-            raise RuntimeError(f"shallow {G.kind} circuit drifted off the form by {drift:.2e}")
+            raise InvariantError(f"shallow {G.kind} circuit drifted off the form by {drift:.2e}")
     return ShallowCircuit(U, L, adj, tuple(layers))
+
+
+# ---------------------------------------------------------------------------
+# matchgates as Majorana rotations
+
+
+def bilinear_plane(P: pauli.PauliString) -> tuple[int, int, int]:
+    """(a, b, sigma), 0-based a < b, with the Hermitian word of P equal to
+    sigma * i * c_{a+1} c_{b+1}.
+
+    Then exp(i theta P) = exp(-sigma theta c_{a+1} c_{b+1}), whose conjugation
+    rotates the Majoranas by G(a, b, -2 sigma theta) in the convention of
+    ``givens_decompose``.
+    """
+    K = pauli.majorana_decomposition(P)
+    if len(K) != 2:
+        raise ValidationError(f"{pauli.to_text(P)} is not a Majorana bilinear")
+    # c_a c_b = i^k W with k odd, so W = i^{-k} c_a c_b
+    k = pauli.majorana_product(K, P.n).phase_exp
+    return K[0] - 1, K[1] - 1, 1 if k == 3 else -1
+
+
+def rotate_by_exponentials(planes, factors, m: int) -> np.ndarray:
+    """The m x m Majorana rotation of exp(i t_1 P_{g_1}) exp(i t_2 P_{g_2}) ...
+
+    ``factors`` lists (g, t) in operator-product order and ``planes[g]`` is
+    ``bilinear_plane(P_g)``.  Rows are updated as Python lists: the matrices
+    are small and a numpy call per plane would cost more than its arithmetic.
+    """
+    rows = [[1.0 if i == j else 0.0 for j in range(m)] for i in range(m)]
+    # the product's rotation is G_1 G_2 ... G_k; left-multiply from the right end
+    for g, theta in reversed(factors):
+        a, b, sigma = planes[g]
+        c, s = math.cos(2.0 * theta), sigma * math.sin(2.0 * theta)
+        ra, rb = rows[a], rows[b]
+        rows[a] = [c * x - s * y for x, y in zip(ra, rb)]
+        rows[b] = [s * x + c * y for x, y in zip(ra, rb)]
+    return np.array(rows)
+
+
+@functools.lru_cache(maxsize=None)
+def _local_matchgate_planes() -> tuple[tuple[int, int, int], ...]:
+    # a local generator on qubits (i, i+1) is the same bilinear of Majoranas
+    # 2i+1..2i+4 for every i: the Jordan-Wigner Z strings cancel
+    return tuple(bilinear_plane(pauli.from_text(g)) for g in _LOCAL_MATCHGATE_GENS)
+
+
+def check_rotation(R: np.ndarray, what: str) -> None:
+    """Raise InvariantError unless R^T R = I to SAMPLER_SELF_CHECK_TOL."""
+    drift = float(np.max(np.abs(R.T @ R - np.eye(R.shape[0]))))
+    if drift > SAMPLER_SELF_CHECK_TOL:
+        raise InvariantError(f"{what} rotation is not orthogonal: max|R^T R - I| = {drift:.2e}")
+
+
+def sample_haar_rotation(G: GroupSpec, rng: np.random.Generator) -> np.ndarray:
+    """The Majorana rotation of ``sample_haar(G, rng)`` for a matchgate group.
+
+    It is the Haar SO(2n) draw that ``haar_matchgate`` lifts.
+    """
+    if G.kind != "matchgate":
+        raise ValidationError(f"Majorana rotations need the matchgate group, got {G.kind!r}")
+    R = haar_special_orthogonal(2 * G.n, rng)
+    check_rotation(R, "matchgate Haar")
+    return R
+
+
+def sample_shallow_rotation(
+    G: GroupSpec, L: int, adjacency, rng: np.random.Generator
+) -> np.ndarray:
+    """The Majorana rotation of ``sample_shallow(G, L, adjacency, rng).unitary``.
+
+    Needs the matchgate group and an adjacency whose edges are all (i, i+1).
+    """
+    if G.kind != "matchgate":
+        raise ValidationError(f"Majorana rotations need the matchgate group, got {G.kind!r}")
+    if L < 0:
+        raise ValidationError(f"negative depth {L}")
+    adj = parse_adjacency(adjacency, G.n)
+    if not adj.joins_line_neighbors:
+        raise ValidationError("Majorana rotations of local gates need chain edges (i, i+1)")
+    planes = _local_matchgate_planes()
+    R = np.eye(2 * G.n)
+    for layer_index in range(L):
+        cls = adj.layer_classes[layer_index % len(adj.layer_classes)] if adj.layer_classes else ()
+        for i, _ in cls:
+            factors = draw_factors(len(planes), MATCHGATE_LOCAL_FACTORS, rng)
+            block = slice(2 * i, 2 * i + 4)
+            R[block] = rotate_by_exponentials(planes, factors, 4) @ R[block]
+    check_rotation(R, f"shallow {G.kind}")
+    return R
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,10 @@ import json
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from designgap import cli
+from designgap import cli, groups
 
 
 def run_cli(capsys, argv):
@@ -48,6 +49,43 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, ["bounds", "--formula", "matchgate-depth", "--n", "5"])
         assert code == 1
         assert "even n" in err
+
+    @pytest.mark.parametrize(
+        "argv,flag",
+        [
+            (["bounds", "--formula", "pauli-compatible", "--r", "abc"], "--r"),
+            (["bounds", "--formula", "pauli-compatible", "--r", "1/0"], "--r"),
+            (["bounds", "--formula", "matchgate-depth", "--sweep", "2:x"], "--sweep"),
+            (["bounds", "--formula", "matchgate-depth", "--sweep", "2:8:0"], "--sweep"),
+            (["bounds", "--formula", "matchgate-depth", "--n", "4", "--threads", "0"], "--threads"),
+            (["discriminate", "--experiment", "depth", "--group", "orthogonal", "--n", "3",
+              "--samples", "10", "--threads", "-3"], "--threads"),
+        ],
+    )
+    def test_malformed_values_name_their_flag(self, capsys, argv, flag):
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert flag in err
+        assert "Traceback" not in err
+
+    @pytest.mark.parametrize(
+        "sampler,drifted,argv",
+        [
+            ("haar_symplectic", lambda n, rng: 1j * np.eye(1 << n), ["--group", "symplectic", "--n", "2"]),
+            ("haar_special_orthogonal", lambda d, rng: 1.01 * np.eye(d), ["--group", "matchgate", "--n", "4"]),
+        ],
+    )
+    def test_broken_invariant_is_exit_three(self, capsys, monkeypatch, sampler, drifted, argv):
+        # a sampler that leaves its group must stop the run with a diagnosis
+        monkeypatch.setattr(groups, sampler, drifted)
+        code, out, err = run_cli(
+            capsys, ["discriminate", "--experiment", "depth", *argv, "--samples", "4"]
+        )
+        assert code == 3
+        assert out == ""
+        assert err.startswith("designgap: invariant violated: ")
+        assert len(err.strip().splitlines()) == 1
 
 
 class TestRecordSchema:

@@ -3,8 +3,8 @@
 import numpy as np
 import pytest
 
-from designgap import bounds, cgraph, densesim, experiments, groups, moments, pauli
-from designgap.errors import ValidationError
+from designgap import bounds, cgraph, densesim, experiments, groups, moments, pauli, rng
+from designgap.errors import InvariantError, ValidationError
 
 
 class TestEnsembleSpec:
@@ -262,3 +262,97 @@ class TestGatecountExperiment:
         b = experiments.run_gatecount_discrimination(cfg, threads=4)
         assert a.p_haar.mean == b.p_haar.mean
         assert a.p_shallow.mean == b.p_shallow.mean
+
+
+def _max_gap(dense, rotation, shot_mode, M=4, seed=3):
+    """Largest per-sample difference between two (shallow, haar) evaluator
+    pairs, each sample finalized as the runner does, on the runner's streams:
+    shallow [0, M), Haar [M, 2M).  Both must leave each stream at the same
+    position, so that they drew the same group element."""
+    gap = 0.0
+    for i in range(M):
+        for side, offset in ((0, 0), (1, M)):
+            values, states = [], []
+            for evaluate in (dense[side], rotation[side]):
+                stream = rng.sample_stream(seed, offset + i)
+                p = evaluate(stream)
+                states.append(repr(stream.bit_generator.state))
+                values.append(experiments._finalize(p, stream, shot_mode))
+            assert states[0] == states[1]
+            gap = max(gap, abs(values[0] - values[1]))
+    return gap
+
+
+class TestRotationEvaluation:
+    """The Majorana-rotation evaluation against the dense reference, per sample."""
+
+    @pytest.mark.parametrize("shot_mode", [False, True])
+    @pytest.mark.parametrize("geometry", ["default", "depth2", "identity"])
+    @pytest.mark.parametrize("n", [2, 4, 6])
+    def test_depth_matches_dense(self, n, geometry, shot_mode):
+        extra = {"depth2": {"depth": 2}, "identity": {"perturbation": pauli.identity(n)}}.get(geometry, {})
+        cfg = experiments.depth_config("matchgate", n, samples=4, seed=3, **extra)
+        adj = groups.parse_adjacency("chain", n)
+        assert experiments._depth_uses_rotations(cfg, adj)
+        dense = experiments._depth_dense(cfg, adj)
+        rotation = experiments._depth_rotation(cfg, adj)
+        assert _max_gap(dense, rotation, shot_mode) < 1e-12
+
+    @pytest.mark.parametrize("shot_mode", [False, True])
+    @pytest.mark.parametrize("gates", [0, 1, 2])
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_gatecount_matches_dense(self, n, gates, shot_mode):
+        cfg = experiments.gatecount_config(n, samples=6, seed=3, gates=gates)
+        S = cfg.ensemble.allowed
+        assert experiments._gatecount_uses_rotations(cfg, S)
+        ball = sorted(cgraph.n_ball(cfg.perturbation, S, gates))
+        dense = experiments._gatecount_dense(cfg, S, ball)
+        rotation = experiments._gatecount_rotation(cfg, S, ball)
+        assert _max_gap(dense, rotation, shot_mode, M=6) < 1e-12
+
+    def test_gate_sequence_rotation_is_the_adjoint_of_the_unitary(self):
+        # p is 1 on the shallow side whatever the order, so check the product itself
+        n, N = 3, 4
+        S = groups.matchgate_full_set(n).generators
+        planes = [groups.bilinear_plane(g) for g in S]
+        for i in range(3):
+            U = experiments._gate_sequence_unitary(S, n, N, rng.sample_stream(5, i))
+            O, _ = groups.adjoint_majorana_matrix(U, n)
+            R = experiments._gate_sequence_rotation(planes, n, N, rng.sample_stream(5, i))
+            assert np.max(np.abs(R - O)) < 1e-12
+
+    def test_path_follows_the_input(self):
+        n = 4
+        chain = groups.parse_adjacency("chain", n)
+        assert experiments._depth_uses_rotations(experiments.depth_config("matchgate", n, 1, 0), chain)
+        not_prefix = experiments.depth_config("matchgate", n, 1, 0, region=(1, 2, 3))
+        assert not experiments._depth_uses_rotations(not_prefix, chain)
+        grid = experiments.depth_config("matchgate", n, 1, 0, adjacency="grid 2x2")
+        assert not experiments._depth_uses_rotations(grid, groups.parse_adjacency("grid 2x2", n))
+        orth = experiments.depth_config("orthogonal", 3, 1, 0)
+        assert not experiments._depth_uses_rotations(orth, groups.parse_adjacency("chain", 3))
+        standard = groups.matchgate_standard_set(n)
+        assert not experiments._gatecount_uses_rotations(
+            experiments.gatecount_config(n, 1, 0, allowed=standard), standard
+        )
+
+    def test_dense_path_serves_a_non_prefix_region(self):
+        cfg = experiments.depth_config(
+            "matchgate", 4, samples=150, seed=8, region=(1, 2, 3), perturbation=pauli.from_text("IIXI")
+        )
+        res = experiments.run_depth_discrimination(cfg)
+        r, _ = cgraph.r_fraction(cfg.perturbation, groups.matchgate_full_set(4), (1, 2, 3))
+        assert res.lightcone_confined
+        assert abs(res.p_shallow.mean - 1.0) < 1e-12
+        assert abs(res.p_haar.mean - float(r)) <= 5 * res.p_haar.stderr
+
+    def test_drifting_rotation_is_an_invariant_error(self, monkeypatch):
+        monkeypatch.setattr(groups, "haar_special_orthogonal", lambda d, stream: 1.001 * np.eye(d))
+        with pytest.raises(InvariantError):
+            experiments.run_depth_discrimination(experiments.depth_config("matchgate", 4, 2, 0))
+
+    def test_wrong_ball_size_is_an_invariant_error(self, monkeypatch):
+        real = cgraph.n_ball
+        monkeypatch.setattr(cgraph, "n_ball", lambda P, S, N: real(P, S, N + 1))
+        with pytest.raises(InvariantError):
+            experiments.run_gatecount_discrimination(experiments.gatecount_config(3, 2, 0, gates=1))

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from designgap import cgraph, densesim, groups, pauli, rng as dgrng
-from designgap.errors import BudgetError, ValidationError
+from designgap.errors import BudgetError, InvariantError, ValidationError
 
 from conftest import kron_chain
 
@@ -332,6 +332,71 @@ class TestShallowCircuits:
         G = groups.group_spec("unitary", 2)
         with pytest.raises(ValidationError):
             groups.sample_shallow(G, -1, "chain", stream())
+
+
+def _dense_exponential(letters: str, theta: float) -> np.ndarray:
+    P = kron_chain(letters)
+    return math.cos(theta) * np.eye(P.shape[0]) + 1j * math.sin(theta) * P
+
+
+class TestMajoranaRotations:
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_local_generator_planes_on_every_chain_pair(self, n):
+        planes = groups._local_matchgate_planes()
+        for i in range(n - 1):
+            for g, word in enumerate(groups._LOCAL_MATCHGATE_GENS):
+                theta = 0.37 + 0.5 * g + 0.11 * i
+                U = _dense_exponential("I" * i + word + "I" * (n - i - 2), theta)
+                O, resid = groups.adjoint_majorana_matrix(U, n)
+                assert resid < 1e-12
+                R = np.eye(2 * n)
+                R[2 * i:2 * i + 4, 2 * i:2 * i + 4] = groups.rotate_by_exponentials(planes, [(g, theta)], 4)
+                assert np.max(np.abs(R - O)) < 1e-12, (n, i, word)
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_every_full_set_bilinear(self, n):
+        for j, P in enumerate(groups.matchgate_full_set(n).generators):
+            theta = 0.29 + 0.23 * j
+            O, _ = groups.adjoint_majorana_matrix(_dense_exponential(pauli.to_text(P), theta), n)
+            R = groups.rotate_by_exponentials([groups.bilinear_plane(P)], [(0, theta)], 2 * n)
+            assert np.max(np.abs(R - O)) < 1e-12, pauli.to_text(P)
+
+    def test_factors_compose_in_operator_order(self):
+        n = 3
+        S = groups.matchgate_full_set(n).generators
+        planes = [groups.bilinear_plane(P) for P in S]
+        factors = [(4, 0.3), (11, 1.7), (0, 2.9)]
+        U = np.eye(1 << n, dtype=np.complex128)
+        for g, theta in factors:
+            U = U @ _dense_exponential(pauli.to_text(S[g]), theta)
+        O, _ = groups.adjoint_majorana_matrix(U, n)
+        assert np.max(np.abs(groups.rotate_by_exponentials(planes, factors, 2 * n) - O)) < 1e-12
+
+    def test_non_bilinear_rejected(self):
+        with pytest.raises(ValidationError):
+            groups.bilinear_plane(pauli.from_text("XI"))
+
+    @pytest.mark.parametrize("n", [2, 4])
+    def test_samplers_match_the_dense_samplers_on_one_stream(self, n):
+        G = groups.group_spec("matchgate", n)
+        for i in range(3):
+            U = groups.sample_shallow(G, 2, "chain", stream(i)).unitary
+            O, _ = groups.adjoint_majorana_matrix(U, n)
+            R = groups.sample_shallow_rotation(G, 2, "chain", stream(i))
+            assert np.max(np.abs(R - O)) < 1e-12
+            O, _ = groups.adjoint_majorana_matrix(groups.sample_haar(G, stream(i)), n)
+            assert np.max(np.abs(groups.sample_haar_rotation(G, stream(i)) - O)) < 1e-12
+
+    def test_rotation_samplers_reject_other_inputs(self):
+        with pytest.raises(ValidationError):
+            groups.sample_shallow_rotation(groups.group_spec("matchgate", 4), 1, "grid 2x2", stream())
+        with pytest.raises(ValidationError):
+            groups.sample_haar_rotation(groups.group_spec("orthogonal", 2), stream())
+
+    def test_rotation_check_raises_invariant_error(self):
+        groups.check_rotation(groups.haar_special_orthogonal(6, stream()), "test")
+        with pytest.raises(InvariantError):
+            groups.check_rotation(1.01 * np.eye(4), "test")
 
 
 class TestMembership:
