@@ -14,14 +14,10 @@ shortcuts (``complement_bell_overlap``) instead of materialized projectors.
 
 from __future__ import annotations
 
-import logging
-
 import numpy as np
 
 from . import pauli
 from .errors import BudgetError, ValidationError
-
-logger = logging.getLogger(__name__)
 
 STATE_QUBIT_CAP = 16  # total qubits in any state vector
 TWO_COPY_OPERATOR_CAP = 5  # per-copy qubits for materialized two-copy operators
@@ -118,33 +114,14 @@ def swap_region(region: tuple[int, ...], n: int) -> np.ndarray:
     return M
 
 
-def bell_projector_on_complement(region: tuple[int, ...], n: int) -> np.ndarray:
-    """Identity on both region factors, Bell projector on the complements."""
-    _require_qubits(n, TWO_COPY_OPERATOR_CAP, "dense two-copy projector")
-    d = 1 << n
-    lm = 0
-    for q in set(region):
-        if not 0 <= q < n:
-            raise ValidationError(f"region qubit {q} outside 0..{n - 1}")
-        lm |= 1 << (n - 1 - q)
-    cm = (d - 1) ^ lm
-    d_comp = 1 << (n - len(set(region)))
-    idx = np.arange(d * d, dtype=np.int64)
-    a, b = idx >> n, idx & (d - 1)
-    aligned = (a & cm) == (b & cm)
-    aL, bL = a & lm, b & lm
-    match = (aL[:, None] == aL[None, :]) & (bL[:, None] == bL[None, :])
-    weightmat = (aligned[:, None] & aligned[None, :]) & match
-    return weightmat.astype(np.complex128) / d_comp
-
-
 def complement_bell_overlap(
     psi: np.ndarray, region: tuple[int, ...], n: int
 ) -> np.ndarray:
     """Partial inner product of a two-copy state with the complement Bell pair.
 
     Returns the matrix T (indexed by the two region factors) such that the
-    Born probability of ``bell_projector_on_complement`` is ||T||_F^2.  This
+    Born probability of the projector that is the identity on both region
+    factors and the Bell projector on the two complements is ||T||_F^2.  This
     avoids materializing the projector and works up to the state-vector cap.
     """
     _require_qubits(2 * n, STATE_QUBIT_CAP, "two-copy state")
@@ -167,14 +144,3 @@ def pauli_coefficients(A: np.ndarray) -> dict[pauli.PauliString, complex]:
         T = pauli.from_key(key, n)
         out[T] = pauli.trace_with(T, A) / d
     return out
-
-
-def povm_probability(psi: np.ndarray, Pi: np.ndarray) -> float:
-    """Born probability <psi|Pi|psi>, clamped to [0, 1]."""
-    if not np.allclose(Pi, Pi.conj().T, atol=1e-9):
-        raise ValidationError("POVM element is not Hermitian")
-    value = float(np.real(np.vdot(psi, Pi @ psi)))
-    clamped = min(1.0, max(0.0, value))
-    if abs(clamped - value) > 1e-9:
-        logger.warning("clamped Born probability %.3e beyond 1e-9", value)
-    return clamped

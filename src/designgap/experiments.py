@@ -196,17 +196,6 @@ def _finalize(p: float, stream, shot_mode: bool):
     return clamped
 
 
-def _run_two_sided(shallow_fn, haar_fn, config: ExperimentConfig, threads: int):
-    """Shallow samples use stream indices [0, M); Haar samples [M, 2M)."""
-    M = config.samples
-    rows = rng.sample_vectors(shallow_fn, M, config.seed, 2, threads)
-    p_sh = moments.MomentEstimate(*rng.mean_and_stderr(rows[:, 0]), M, config.seed)
-    max_dev = float(np.max(rows[:, 1]))
-    vals = rng.sample_array(haar_fn, M, config.seed, threads, index_offset=M)
-    p_ha = moments.MomentEstimate(*rng.mean_and_stderr(vals), M, config.seed)
-    return p_sh, p_ha, max_dev
-
-
 def _check_shallow_exactness(p: float, confined: bool) -> float:
     if not confined:
         return 0.0
@@ -219,7 +208,20 @@ def _check_shallow_exactness(p: float, confined: bool) -> float:
     return dev
 
 
-def _result(config, p_sh, p_ha, max_dev, confined, analytic, ref) -> ExperimentResult:
+def _shallow_row(p: float, stream, confined: bool, shot_mode: bool) -> np.ndarray:
+    """One shallow sample as (finalized p, deviation from exact retention)."""
+    dev = _check_shallow_exactness(p, confined)
+    return np.array([_finalize(p, stream, shot_mode), dev])
+
+
+def _run_two_sided(config, shallow_one, haar_one, confined, analytic, ref) -> ExperimentResult:
+    """Shallow samples use stream indices [0, M); Haar samples [M, 2M)."""
+    M = config.samples
+    rows = rng.sample_array(shallow_one, M, config.seed)
+    p_sh = moments.MomentEstimate(*rng.mean_and_stderr(rows[:, 0]), M, config.seed)
+    max_dev = float(np.max(rows[:, 1]))
+    vals = rng.sample_array(haar_one, M, config.seed, index_offset=M)
+    p_ha = moments.MomentEstimate(*rng.mean_and_stderr(vals), M, config.seed)
     mc = bounds.discrimination_bound(
         min(1.0, max(0.0, p_sh.mean)), min(1.0, max(0.0, p_ha.mean))
     )
@@ -227,21 +229,25 @@ def _result(config, p_sh, p_ha, max_dev, confined, analytic, ref) -> ExperimentR
 
 
 # ---------------------------------------------------------------------------
-# depth experiment
+# brickwork experiments: invariant form (depth) and conjugate copy (mixed unitary)
 
 
-def _depth_analytic(config: ExperimentConfig):
+def _depth_analytic(config: ExperimentConfig, conjugate: bool = False):
     G = config.group
     n, d = config.n, 1 << config.n
     d_L = 1 << len(config.region)
     V = config.perturbation
+    single_z = V.x_bits == 0 and V.z_bits.bit_count() == 1
+    if conjugate:
+        if not single_z:
+            return None, None
+        return float(bounds.mixed_unitary_bound(d, d_L)), "depth-bound/mixed-unitary"
     if G.kind == "matchgate":
         try:
             r, _ = cgraph.r_fraction(V, groups.matchgate_full_set(n), config.region)
         except (ValidationError, BudgetError):
             return None, None
         return float(bounds.pauli_compatible_bound(r)), "region-ratio-bound/matchgate"
-    single_z = V.x_bits == 0 and V.z_bits.bit_count() == 1
     if not single_z:
         return None, None
     if G.kind == "orthogonal":
@@ -257,26 +263,38 @@ def _depth_analytic(config: ExperimentConfig):
     return None, None
 
 
-def _depth_dense(config: ExperimentConfig, adj: groups.Adjacency):
-    """Per-sample retained probabilities (shallow, haar) on the dense two-copy state."""
+def _depth_dense(config: ExperimentConfig, adj: groups.Adjacency, conjugate: bool = False):
+    """Per-sample retained probabilities (shallow, haar) on the dense two-copy state.
+
+    With a form the state (V x Omega)|Phi> evolves under U x U and the form is
+    unwound on the second copy; the conjugate-copy state (V x 1)|Phi> evolves
+    under U x conj(U), which leaves |Phi> itself invariant.
+    """
     G = config.group
     n = config.n
     eye = np.eye(1 << n, dtype=np.complex128)
     Vd = pauli.to_dense(pauli.hermitian_representative(config.perturbation))
-    Om, Om_inv = G.form.dense(), G.form.inverse_dense()
-    psi0 = densesim.apply_two_copy(Vd, Om, densesim.bell_state(n))
     depth = config.ensemble.depth
+    if conjugate:
+        psi0 = densesim.apply_two_copy(Vd, eye, densesim.bell_state(n))
 
-    def born(U):
-        psi = densesim.apply_two_copy(U, U, psi0)
-        psi = densesim.apply_two_copy(eye, Om_inv, psi)
-        return _born_probability(psi, config.region, n)
+        def evolve(U):
+            return densesim.apply_two_copy(U, U.conj(), psi0)
+
+    else:
+        Om, Om_inv = G.form.dense(), G.form.inverse_dense()
+        psi0 = densesim.apply_two_copy(Vd, Om, densesim.bell_state(n))
+
+        def evolve(U):
+            psi = densesim.apply_two_copy(U, U, psi0)
+            return densesim.apply_two_copy(eye, Om_inv, psi)
 
     def shallow_p(stream):
-        return born(groups.sample_shallow(G, depth, adj, stream).unitary)
+        U = groups.sample_shallow(G, depth, adj, stream).unitary
+        return _born_probability(evolve(U), config.region, n)
 
     def haar_p(stream):
-        return born(groups.sample_haar(G, stream))
+        return _born_probability(evolve(groups.sample_haar(G, stream)), config.region, n)
 
     return shallow_p, haar_p
 
@@ -313,7 +331,29 @@ def _depth_rotation(config: ExperimentConfig, adj: groups.Adjacency):
     return shallow_p, haar_p
 
 
-def run_depth_discrimination(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
+def _brickwork(config: ExperimentConfig, conjugate: bool):
+    """The shared body of both brickwork experiments.
+
+    Returns the per-sample evaluators (shallow, haar), whether the shallow
+    lightcone stays inside the region, and the analytic reference.
+    """
+    if config.ensemble.kind != "brickwork":
+        raise ValidationError("brickwork experiments take a brickwork ensemble")
+    n = config.n
+    if 2 * n > densesim.STATE_QUBIT_CAP:
+        raise BudgetError(f"two-copy states need 2n <= {densesim.STATE_QUBIT_CAP}")
+    adj = groups.parse_adjacency(config.ensemble.adjacency, n)
+    cone = groups.lightcone(pauli.support(config.perturbation), config.ensemble.depth, adj)
+    confined = set(cone) <= set(config.region)
+    if not conjugate and _depth_uses_rotations(config, adj):
+        shallow_p, haar_p = _depth_rotation(config, adj)
+    else:
+        shallow_p, haar_p = _depth_dense(config, adj, conjugate)
+    analytic, ref = _depth_analytic(config, conjugate)
+    return shallow_p, haar_p, confined, analytic, ref
+
+
+def run_depth_discrimination(config: ExperimentConfig) -> ExperimentResult:
     """Invariant-state experiment separating brickwork depth from group Haar.
 
     Per sample the state (V x Omega)|Phi> evolves under U x U, the form is
@@ -323,82 +363,40 @@ def run_depth_discrimination(config: ExperimentConfig, threads: int = 1) -> Expe
     cross-check route used by the tests.  Matchgate chains with a prefix
     region evaluate the same probability on the Majorana rotation.
     """
-    G = config.group
-    if G.form is None:
-        raise ValidationError(f"depth experiment needs an invariant form; kind {G.kind!r} has none")
-    if config.ensemble.kind != "brickwork":
-        raise ValidationError("depth experiment takes a brickwork ensemble")
-    n = config.n
-    if 2 * n > densesim.STATE_QUBIT_CAP:
-        raise BudgetError(f"two-copy states need 2n <= {densesim.STATE_QUBIT_CAP}")
-    adj = groups.parse_adjacency(config.ensemble.adjacency, n)
-    cone = groups.lightcone(pauli.support(config.perturbation), config.ensemble.depth, adj)
-    confined = set(cone) <= set(config.region)
-    build = _depth_rotation if _depth_uses_rotations(config, adj) else _depth_dense
-    shallow_p, haar_p = build(config, adj)
+    if config.group.form is None:
+        raise ValidationError(
+            f"depth experiment needs an invariant form; kind {config.group.kind!r} has none"
+        )
+    shallow_p, haar_p, confined, analytic, ref = _brickwork(config, conjugate=False)
 
     def shallow_one(stream):
-        p = shallow_p(stream)
-        dev = _check_shallow_exactness(p, confined)
-        return np.array([_finalize(p, stream, config.shot_mode), dev])
+        return _shallow_row(shallow_p(stream), stream, confined, config.shot_mode)
 
     def haar_one(stream):
         return _finalize(haar_p(stream), stream, config.shot_mode)
 
-    p_sh, p_ha, max_dev = _run_two_sided(shallow_one, haar_one, config, threads)
-    analytic, ref = _depth_analytic(config)
-    return _result(config, p_sh, p_ha, max_dev, confined, analytic, ref)
+    return _run_two_sided(config, shallow_one, haar_one, confined, analytic, ref)
 
 
-# ---------------------------------------------------------------------------
-# mixed-unitary (conjugate-copy) experiment
-
-
-def run_mixed_unitary_discrimination(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
+def run_mixed_unitary_discrimination(config: ExperimentConfig) -> ExperimentResult:
     """Conjugate-copy experiment: state (Z_0 x 1)|Phi>, evolution U x conj(U).
 
     The maximally entangled state is invariant under U x conj(U), so only the
     perturbation moves; a Haar unitary spreads it by the 2-design twirl and
     the retained probability drops to d_L(d d_L - d_C)/(d(d^2 - 1)).
     """
-    if config.ensemble.kind != "brickwork":
-        raise ValidationError("mixed-unitary experiment takes a brickwork ensemble")
-    G = config.group
-    if G.kind not in ("mixed_unitary", "unitary"):
-        raise ValidationError(f"mixed-unitary experiment needs a unitary-kind group, got {G.kind!r}")
-    n = config.n
-    if 2 * n > densesim.STATE_QUBIT_CAP:
-        raise BudgetError(f"two-copy states need 2n <= {densesim.STATE_QUBIT_CAP}")
-    Vd = pauli.to_dense(pauli.hermitian_representative(config.perturbation))
-    psi0 = densesim.apply_two_copy(Vd, np.eye(1 << n, dtype=np.complex128), densesim.bell_state(n))
-    adj = groups.parse_adjacency(config.ensemble.adjacency, n)
-    depth = config.ensemble.depth
-    cone = groups.lightcone(pauli.support(config.perturbation), depth, adj)
-    confined = set(cone) <= set(config.region)
-
-    def born(U):
-        psi = densesim.apply_two_copy(U, U.conj(), psi0)
-        return _born_probability(psi, config.region, n)
+    kind = config.group.kind
+    if kind not in ("mixed_unitary", "unitary"):
+        raise ValidationError(f"mixed-unitary experiment needs a unitary-kind group, got {kind!r}")
+    shallow_p, haar_p, confined, analytic, ref = _brickwork(config, conjugate=True)
 
     def shallow_one(stream):
-        circ = groups.sample_shallow(G, depth, adj, stream)
-        p = born(circ.unitary)
-        dev = _check_shallow_exactness(p, confined)
-        return np.array([_finalize(p, stream, config.shot_mode), dev])
+        return _shallow_row(shallow_p(stream), stream, confined, config.shot_mode)
 
     def haar_one(stream):
-        p = born(groups.haar_unitary(1 << n, stream))
-        return _finalize(p, stream, config.shot_mode)
+        return _finalize(haar_p(stream), stream, config.shot_mode)
 
-    p_sh, p_ha, max_dev = _run_two_sided(shallow_one, haar_one, config, threads)
-    d, d_L = 1 << n, 1 << len(config.region)
-    single_z = config.perturbation.x_bits == 0 and config.perturbation.z_bits.bit_count() == 1
-    if single_z:
-        analytic = float(bounds.mixed_unitary_bound(d, d_L))
-        ref = "depth-bound/mixed-unitary"
-    else:
-        analytic, ref = None, None
-    return _result(config, p_sh, p_ha, max_dev, confined, analytic, ref)
+    return _run_two_sided(config, shallow_one, haar_one, confined, analytic, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -499,7 +497,7 @@ def _gatecount_rotation(config: ExperimentConfig, S: cgraph.GeneratorSet, ball):
     return shallow_p, haar_p
 
 
-def run_gatecount_discrimination(config: ExperimentConfig, threads: int = 1) -> ExperimentResult:
+def run_gatecount_discrimination(config: ExperimentConfig) -> ExperimentResult:
     """Gate-budget experiment: mass retained inside the N-ball of the start.
 
     Shallow circuits are random products of N generator exponentials, whose
@@ -521,14 +519,11 @@ def run_gatecount_discrimination(config: ExperimentConfig, threads: int = 1) -> 
     shallow_p, haar_p = build(config, S, ball)
 
     def shallow_one(stream):
-        p = shallow_p(stream)
-        dev = _check_shallow_exactness(p, True)
-        return np.array([_finalize(p, stream, config.shot_mode), dev])
+        return _shallow_row(shallow_p(stream), stream, True, config.shot_mode)
 
     def haar_one(stream):
         return _finalize(haar_p(stream), stream, config.shot_mode)
 
-    p_sh, p_ha, max_dev = _run_two_sided(shallow_one, haar_one, config, threads)
     comp = cgraph.component(P, S)
     analytic = float(bounds.neighborhood_ratio_bound(len(ball), len(comp.members)))
-    return _result(config, p_sh, p_ha, max_dev, True, analytic, "gate-count-bound/ball-ratio")
+    return _run_two_sided(config, shallow_one, haar_one, True, analytic, "gate-count-bound/ball-ratio")

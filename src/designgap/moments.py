@@ -115,7 +115,7 @@ def second_moment_closed_form(kind: str, n: int) -> np.ndarray:
     return float(alpha) * eye2 + float(beta) * swap + float(gamma) * form_insertion_dense(form, n)
 
 
-def mc_second_moment_matrix(G: groups.GroupSpec, V, M: int, seed: int, threads: int = 1):
+def mc_second_moment_matrix(G: groups.GroupSpec, V, M: int, seed: int):
     """Entrywise Monte Carlo mean and stderr of (U V U^dag)^{x2}."""
     n = G.n
     d = 1 << n
@@ -128,7 +128,7 @@ def mc_second_moment_matrix(G: groups.GroupSpec, V, M: int, seed: int, threads: 
         A = U @ Vd @ U.conj().T
         return np.kron(A, A)
 
-    total, total_sq = rng.accumulate_moments(one, (d * d, d * d), M, seed, threads)
+    total, total_sq = rng.accumulate_moments(one, (d * d, d * d), M, seed)
     return rng.mean_and_stderr_from_sums(total, total_sq, M)
 
 
@@ -136,9 +136,7 @@ def mc_second_moment_matrix(G: groups.GroupSpec, V, M: int, seed: int, threads: 
 # second-moment traces
 
 
-def mc_second_moment_trace(
-    G: groups.GroupSpec, V, O, M: int, seed: int, threads: int = 1
-) -> MomentEstimate:
+def mc_second_moment_trace(G: groups.GroupSpec, V, O, M: int, seed: int) -> MomentEstimate:
     """Estimate E_U Tr[(U V U^dag)^{x2} O] from M Haar samples.
 
     O may be a SwapRegionTag, in which case each sample reduces to the square
@@ -172,7 +170,7 @@ def mc_second_moment_trace(
             A = U @ Vd @ U.conj().T
             return float(np.trace(np.kron(A, A) @ Od).real)
 
-    values = rng.sample_array(one, M, seed, threads)
+    values = rng.sample_array(one, M, seed)
     return _estimate(values, seed)
 
 
@@ -246,7 +244,7 @@ def symmetry_gram_report(basis, tol: float = 1e-12) -> dict:
 
 
 def commutant_overlap_estimates(
-    G: groups.GroupSpec, P: pauli.PauliString, basis, M: int, seed: int, threads: int = 1
+    G: groups.GroupSpec, P: pauli.PauliString, basis, M: int, seed: int
 ):
     """MC overlaps <Q, E (U P U^dag)^{x2}> for each commutant basis element."""
     n = G.n
@@ -260,7 +258,7 @@ def commutant_overlap_estimates(
         AA = np.kron(A, A)
         return np.array([np.trace(Qh @ AA) for Qh in mats])
 
-    total, total_sq = rng.accumulate_moments(one, (len(mats),), M, seed, threads)
+    total, total_sq = rng.accumulate_moments(one, (len(mats),), M, seed)
     return rng.mean_and_stderr_from_sums(total, total_sq, M)
 
 
@@ -282,7 +280,7 @@ class SpreadReport:
 
 
 def haar_spread_uniformity(
-    G: groups.GroupSpec, P: pauli.PauliString, M: int, seed: int, threads: int = 1
+    G: groups.GroupSpec, P: pauli.PauliString, M: int, seed: int
 ) -> SpreadReport:
     """Sampled mass table over component(P) plus the leaked mass.
 
@@ -303,7 +301,7 @@ def haar_spread_uniformity(
         masses = np.array([abs(pauli.trace_with(T, A) / d) ** 2 for T in verts])
         return np.append(masses, 1.0 - masses.sum())
 
-    rows = rng.sample_vectors(one, M, seed, len(keys) + 1, threads)
+    rows = rng.sample_array(one, M, seed)
     ests = []
     for c in range(len(keys)):
         mean, err = rng.mean_and_stderr(rows[:, c])
@@ -333,7 +331,6 @@ def frobenius_schur(
     subspace_projector: np.ndarray | None = None,
     M: int = 2000,
     seed: int = 0,
-    threads: int = 1,
 ) -> MomentEstimate:
     """Estimate E_U Tr[Pi U^2]: +1 real, -1 quaternionic, 0 complex type."""
     d = G.dense_dimension
@@ -345,10 +342,10 @@ def frobenius_schur(
         U = groups.sample_haar(G, stream)
         return float(np.trace(Pi @ U @ U).real)
 
-    return _estimate(rng.sample_array(one, M, seed, threads), seed)
+    return _estimate(rng.sample_array(one, M, seed), seed)
 
 
-def mixed_unitary_fs(d: int, M: int, seed: int, threads: int = 1) -> MomentEstimate:
+def mixed_unitary_fs(d: int, M: int, seed: int) -> MomentEstimate:
     """Estimate E |Tr U^2|^2 over Haar unitaries; the exact value is 2."""
     if d < 2:
         raise ValidationError(f"need d >= 2, got {d}")
@@ -357,7 +354,7 @@ def mixed_unitary_fs(d: int, M: int, seed: int, threads: int = 1) -> MomentEstim
         U = groups.haar_unitary(d, stream)
         return abs(np.trace(U @ U)) ** 2
 
-    return _estimate(rng.sample_array(one, M, seed, threads), seed)
+    return _estimate(rng.sample_array(one, M, seed), seed)
 
 
 def mixed_unitary_commutant_dimension(
@@ -366,7 +363,6 @@ def mixed_unitary_commutant_dimension(
     n: int | None = None,
     M: int | None = None,
     seed: int | None = None,
-    threads: int = 1,
 ) -> MomentEstimate:
     """Commutant dimension sum_lambda m_lambda^2 of U x conj(U), as E|Tr U|^4.
 
@@ -382,7 +378,7 @@ def mixed_unitary_commutant_dimension(
         def one(stream):
             return abs(np.trace(groups.haar_unitary(d, stream))) ** 4
 
-        return _estimate(rng.sample_array(one, M, seed, threads), seed)
+        return _estimate(rng.sample_array(one, M, seed), seed)
     if source == "clifford_enumeration":
         if n is None:
             raise ValidationError("clifford_enumeration source needs n")

@@ -2,7 +2,9 @@
 
 The dense oracle builds Pauli matrices by explicit Kronecker chains with its
 own phase bookkeeping, independent of the bit-packed implementation, so the
-two can check each other.
+two can check each other.  The complement Bell projector and the Born
+probability against a materialized POVM element are the dense references that
+``densesim.complement_bell_overlap`` is checked against.
 """
 
 import numpy as np
@@ -29,6 +31,39 @@ def dense_oracle(P) -> np.ndarray:
     from designgap import pauli
 
     return (1j ** P.phase_exp) * kron_chain(pauli.to_text(pauli.PauliString(P.n, P.x_bits, P.z_bits)))
+
+
+def bell_projector_on_complement(region: tuple[int, ...], n: int) -> np.ndarray:
+    """Identity on both region factors, Bell projector on the complements."""
+    from designgap import densesim
+    from designgap.errors import ValidationError
+
+    densesim._require_qubits(n, densesim.TWO_COPY_OPERATOR_CAP, "dense two-copy projector")
+    d = 1 << n
+    lm = 0
+    for q in set(region):
+        if not 0 <= q < n:
+            raise ValidationError(f"region qubit {q} outside 0..{n - 1}")
+        lm |= 1 << (n - 1 - q)
+    cm = (d - 1) ^ lm
+    d_comp = 1 << (n - len(set(region)))
+    idx = np.arange(d * d, dtype=np.int64)
+    a, b = idx >> n, idx & (d - 1)
+    aligned = (a & cm) == (b & cm)
+    aL, bL = a & lm, b & lm
+    match = (aL[:, None] == aL[None, :]) & (bL[:, None] == bL[None, :])
+    weightmat = (aligned[:, None] & aligned[None, :]) & match
+    return weightmat.astype(np.complex128) / d_comp
+
+
+def povm_probability(psi: np.ndarray, Pi: np.ndarray) -> float:
+    """Born probability <psi|Pi|psi>, clamped to [0, 1]."""
+    from designgap.errors import ValidationError
+
+    if not np.allclose(Pi, Pi.conj().T, atol=1e-9):
+        raise ValidationError("POVM element is not Hermitian")
+    value = float(np.real(np.vdot(psi, Pi @ psi)))
+    return min(1.0, max(0.0, value))
 
 
 @pytest.fixture

@@ -36,7 +36,7 @@ def _within(value, target, stderr, factor=5, floor=1e-12):
 def test_criterion_01_matchgate_depth_experiment():
     t0 = time.perf_counter()
     cfg = experiments.depth_config("matchgate", 4, samples=20000, seed=7)
-    res = experiments.run_depth_discrimination(cfg, threads=1)
+    res = experiments.run_depth_discrimination(cfg)
     elapsed = time.perf_counter() - t0
     assert res.lightcone_confined
     assert res.shallow_max_deviation < 1e-9
@@ -52,7 +52,7 @@ def test_criterion_01_matchgate_depth_experiment():
 def test_criterion_02_orthogonal_experiment():
     cfg = experiments.depth_config("orthogonal", 3, samples=4000, seed=19)
     assert cfg.region == (0, 1)
-    res = experiments.run_depth_discrimination(cfg, threads=1)
+    res = experiments.run_depth_discrimination(cfg)
     assert _within(res.p_haar.mean, 9 / 35, res.p_haar.stderr)
     assert res.analytic_bound == float(Fraction(52, 35))
     p = bounds.exact_haar_povm_probability("orthogonal", 8, 4)
@@ -63,7 +63,7 @@ def test_criterion_02_orthogonal_experiment():
 
 def test_criterion_03_symplectic_experiment_and_weingarten():
     cfg = experiments.depth_config("symplectic", 3, samples=4000, seed=23)
-    res = experiments.run_depth_discrimination(cfg, threads=1)
+    res = experiments.run_depth_discrimination(cfg)
     assert _within(res.p_haar.mean, 5 / 27, res.p_haar.stderr)
     assert res.analytic_bound == float(Fraction(44, 27))
     assert bounds.exact_haar_povm_probability("symplectic", 8, 4) == Fraction(5, 27)
@@ -115,7 +115,7 @@ def test_criterion_05_johnson_graph_structure():
 
 def test_criterion_06_theorem_two_experiment():
     cfg = experiments.gatecount_config(3, samples=3000, seed=2, gates=1)
-    res = experiments.run_gatecount_discrimination(cfg, threads=1)
+    res = experiments.run_gatecount_discrimination(cfg)
     assert res.shallow_max_deviation < 1e-9
     assert abs(res.p_shallow.mean - 1.0) < 1e-9
     assert _within(res.p_haar.mean, 0.5, res.p_haar.stderr)
@@ -158,7 +158,7 @@ def test_criterion_08_mixed_unitary():
     cfg = experiments.ExperimentConfig(
         G, 2, pauli.PauliString(2, 0, 1), (0,), experiments.brickwork(0), 2500, 8
     )
-    res = experiments.run_mixed_unitary_discrimination(cfg, threads=1)
+    res = experiments.run_mixed_unitary_discrimination(cfg)
     assert _within(res.p_haar.mean, 0.2, res.p_haar.stderr)
     fourth = moments.mixed_unitary_fs(4, 3000, seed=8)
     assert _within(fourth.mean, 2.0, fourth.stderr)

@@ -60,6 +60,12 @@ class TestExitCodes:
             (["bounds", "--formula", "matchgate-depth", "--n", "4", "--threads", "0"], "--threads"),
             (["discriminate", "--experiment", "depth", "--group", "orthogonal", "--n", "3",
               "--samples", "10", "--threads", "-3"], "--threads"),
+            (["bounds", "--formula", "matchgate-depth", "--sweep", "8:2"], "--sweep"),
+            (["graph", "--group", "matchgate", "--n", "3", "--r-region", "0,a"], "--r-region"),
+            (["moments", "--quantity", "second-moment-trace", "--n", "3", "--samples", "5",
+              "--region", ""], "--region"),
+            (["discriminate", "--experiment", "depth", "--group", "orthogonal", "--n", "3",
+              "--samples", "5", "--region", ","], "--region"),
         ],
     )
     def test_malformed_values_name_their_flag(self, capsys, argv, flag):
@@ -204,6 +210,35 @@ class TestConfigFile:
         code, _, err = run_cli(capsys, ["bounds", "--config", str(cfg)])
         assert code == 1
         assert "bogus" in err
+
+    @pytest.mark.parametrize(
+        "values,flag",
+        [
+            ({"samples": [3]}, "--samples"),
+            ({"samples": 2.5}, "--samples"),
+            ({"shot_mode": "yes"}, "--shot-mode"),
+            ({"group": "nonesuch"}, "--group"),
+        ],
+    )
+    def test_config_values_checked_like_flags(self, capsys, tmp_path, values, flag):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps(values))
+        argv = ["discriminate", "--experiment", "depth", "--group", "orthogonal", "--n", "3",
+                "--config", str(cfg)]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert flag in err
+        assert "Traceback" not in err
+
+    def test_config_values_take_flag_types(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"samples": "20", "shot_mode": True, "seed": 4}))
+        base = ["discriminate", "--experiment", "depth", "--group", "orthogonal", "--n", "3"]
+        code, out, _ = run_cli(capsys, base + ["--config", str(cfg)])
+        assert code == 0
+        _, want, _ = run_cli(capsys, base + ["--samples", "20", "--shot-mode", "--seed", "4"])
+        assert out == want
 
     def test_malformed_config_rejected(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

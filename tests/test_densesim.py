@@ -6,7 +6,7 @@ import pytest
 from designgap import densesim, pauli
 from designgap.errors import BudgetError, ValidationError
 
-from conftest import kron_chain
+from conftest import bell_projector_on_complement, kron_chain, povm_probability
 
 
 def random_state(rng, dim):
@@ -159,14 +159,14 @@ class TestSwapRegion:
 
 class TestComplementBellProjector:
     def test_projector_properties(self):
-        Pi = densesim.bell_projector_on_complement((0,), 2)
+        Pi = bell_projector_on_complement((0,), 2)
         assert np.allclose(Pi, Pi.conj().T)
         assert np.allclose(Pi @ Pi, Pi)
 
     def test_overlap_route_matches_projector_route(self, rng):
         n = 3
         for region in [(0,), (0, 1), (1, 2), (0, 2)]:
-            Pi = densesim.bell_projector_on_complement(region, n)
+            Pi = bell_projector_on_complement(region, n)
             for _ in range(3):
                 psi = random_state(rng, 1 << (2 * n))
                 T = densesim.complement_bell_overlap(psi, region, n)
@@ -207,15 +207,15 @@ class TestPovmProbability:
     def test_requires_hermitian(self, rng):
         psi = random_state(rng, 4)
         with pytest.raises(ValidationError):
-            densesim.povm_probability(psi, random_op(rng, 4))
+            povm_probability(psi, random_op(rng, 4))
 
     def test_projector_probability(self, rng):
         psi = random_state(rng, 4)
         Pi = np.zeros((4, 4), dtype=np.complex128)
         Pi[0, 0] = 1.0
-        assert densesim.povm_probability(psi, Pi) == pytest.approx(abs(psi[0]) ** 2)
+        assert povm_probability(psi, Pi) == pytest.approx(abs(psi[0]) ** 2)
 
     def test_tiny_negative_clamped(self):
         psi = np.array([1.0, 0.0], dtype=np.complex128)
         Pi = np.diag([-1e-13, 1.0]).astype(np.complex128)
-        assert densesim.povm_probability(psi, Pi) == 0.0
+        assert povm_probability(psi, Pi) == 0.0

@@ -149,13 +149,6 @@ class TestDepthExperiment:
         assert not res.lightcone_confined
         assert res.p_shallow.mean < 1.0
 
-    def test_threads_do_not_change_estimates(self):
-        cfg = experiments.depth_config("matchgate", 2, samples=64, seed=31)
-        a = experiments.run_depth_discrimination(cfg, threads=1)
-        b = experiments.run_depth_discrimination(cfg, threads=3)
-        assert a.p_shallow.mean == b.p_shallow.mean
-        assert a.p_haar.mean == b.p_haar.mean
-
     def test_shot_mode_agrees_with_exact_mode(self):
         exact = experiments.run_depth_discrimination(
             experiments.depth_config("matchgate", 2, samples=800, seed=13)
@@ -255,13 +248,6 @@ class TestGatecountExperiment:
         cfg = experiments.depth_config("matchgate", 2, samples=2, seed=0)
         with pytest.raises(ValidationError):
             experiments.run_gatecount_discrimination(cfg)
-
-    def test_threads_do_not_change_estimates(self):
-        cfg = experiments.gatecount_config(2, samples=48, seed=17)
-        a = experiments.run_gatecount_discrimination(cfg, threads=1)
-        b = experiments.run_gatecount_discrimination(cfg, threads=4)
-        assert a.p_haar.mean == b.p_haar.mean
-        assert a.p_shallow.mean == b.p_shallow.mean
 
 
 def _max_gap(dense, rotation, shot_mode, M=4, seed=3):

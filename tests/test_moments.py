@@ -84,13 +84,6 @@ class TestClosedFormTwirl:
         dev = np.abs(mean - closed)
         assert bool((dev <= np.maximum(5 * stderr, 1e-12)).all())
 
-    def test_thread_count_does_not_change_bytes(self):
-        G = groups.group_spec("orthogonal", 2)
-        V = pauli.PauliString(2, 0, 1)
-        m1, s1 = moments.mc_second_moment_matrix(G, V, 300, 3, threads=1)
-        m4, s4 = moments.mc_second_moment_matrix(G, V, 300, 3, threads=4)
-        assert np.array_equal(m1, m4) and np.array_equal(s1, s4)
-
 
 class TestSecondMomentTrace:
     def test_swap_tag_matches_dense_route(self):
