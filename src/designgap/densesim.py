@@ -7,12 +7,20 @@ copy 1 on qubits 0..n-1 and copy 2 on qubits n..2n-1; region bookkeeping is
 done by basis-index permutations, never by physically reordering amplitudes
 twice.
 
+The index maps are cached: ``basis_permutation`` is memoized per (order, n)
+and returned read-only, and ``embed`` places an operator's entries into the
+n-qubit matrix through scatter indices cached per (qubits, n), with no
+Kronecker product and no gather.  The placed entries are the operator's own,
+so the result equals the Kronecker-product-then-permute construction.
+
 Budgets: state vectors up to 2^16 amplitudes, dense two-copy operators only up
 to n = 5 per copy.  Above that, callers must use the partial-inner-product
 shortcuts (``complement_bell_overlap``) instead of materialized projectors.
 """
 
 from __future__ import annotations
+
+import functools
 
 import numpy as np
 
@@ -36,12 +44,13 @@ def _qubit_count(dim: int) -> int:
     return m
 
 
+@functools.lru_cache(maxsize=None)
 def basis_permutation(order: tuple[int, ...], n: int) -> np.ndarray:
     """Index map sigma with sigma[c] = index of c when qubits are reordered.
 
     ``order`` lists the qubits that become positions 0, 1, ... (leftmost
     first); omitted qubits follow in ascending order.  Permuting a state is
-    ``psi_new[sigma[c]] = psi[c]``.
+    ``psi_new[sigma[c]] = psi[c]``.  The map is cached and read-only.
     """
     rest = tuple(q for q in range(n) if q not in order)
     full = order + rest
@@ -51,6 +60,7 @@ def basis_permutation(order: tuple[int, ...], n: int) -> np.ndarray:
     sigma = np.zeros(1 << n, dtype=np.int64)
     for pos, q in enumerate(full):
         sigma |= ((cols >> (n - 1 - q)) & 1) << (n - 1 - pos)
+    sigma.setflags(write=False)
     return sigma
 
 
@@ -62,15 +72,33 @@ def permute_state(psi: np.ndarray, order: tuple[int, ...], n: int) -> np.ndarray
     return out
 
 
+@functools.lru_cache(maxsize=None)
+def _embed_scatter(qubits: tuple[int, ...], n: int) -> np.ndarray:
+    """Flat indices idx[a, b, r] of op[a, b] in the n-qubit matrix, one per rest state r.
+
+    Entry (i, j) of the embedding is op[a, b] when i and j carry a and b on
+    the listed qubits and agree on the rest; every other entry is zero.
+    """
+    sigma = basis_permutation(qubits, n)
+    inv = np.empty_like(sigma)
+    inv[sigma] = np.arange(sigma.size)
+    dk, dr = 1 << len(qubits), 1 << (n - len(qubits))
+    rows = inv.reshape(dk, dr)  # rows[a, r]: the index with a on the qubits, r elsewhere
+    idx = rows[:, None, :] * (1 << n) + rows[None, :, :]
+    idx.setflags(write=False)
+    return idx
+
+
 def embed(op: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
     """Extend an operator acting on the listed qubits (in order) to n qubits."""
     k = _qubit_count(op.shape[0])
     if k != len(qubits):
         raise ValidationError(f"operator acts on {k} qubits, got {len(qubits)} targets")
     _require_qubits(n, pauli.DENSE_QUBIT_CAP, "dense embedding")
-    sigma = basis_permutation(tuple(qubits), n)
-    big = np.kron(op, np.eye(1 << (n - k), dtype=np.complex128))
-    return big[np.ix_(sigma, sigma)]
+    idx = _embed_scatter(tuple(qubits), n)
+    out = np.zeros(1 << (2 * n), dtype=np.complex128)
+    out[idx] = op[:, :, None]
+    return out.reshape(1 << n, 1 << n)
 
 
 def partial_trace(A: np.ndarray, keep: tuple[int, ...], n: int) -> np.ndarray:

@@ -6,16 +6,24 @@ sets.  Each form-bearing kind carries an invariant bilinear form Omega with
 U^T Omega U = Omega for every group element; the form certifies the two-copy
 invariant state (1 x Omega)|Phi>.
 
-Haar samplers: QR of Ginibre ensembles for the unitary and orthogonal groups;
-a Gram-Schmidt construction compatible with the quaternionic structure
-T(v) = Omega conj(v) for the compact symplectic group; and, for the matchgate
-group, a Haar SO(2n) rotation decomposed into Givens planes and lifted
-factor-by-factor through exp(theta/2 c_a c_b).  Lifts are unique only up to a
-global sign, which no estimated quantity is sensitive to.
+Haar samplers: QR of Ginibre ensembles, with the Mezzadri phase fix
+(math-ph/0609050), for the unitary and orthogonal groups; a Gram-Schmidt
+construction compatible with the quaternionic structure T(v) = Omega conj(v)
+for the compact symplectic group, which orthogonalizes each new column against
+the matrix of all previous columns and their T-images in two block passes;
+and, for the matchgate group, a Haar SO(2n) rotation decomposed into Givens
+planes and lifted factor-by-factor through exp(theta/2 c_a c_b).  Lifts are
+unique only up to a global sign, which no estimated quantity is sensitive to.
 
 Shallow ensembles are brickwork circuits of 2-local group gates over a
 declared adjacency; the conjugation lightcone is computed conservatively as
-one adjacency expansion per layer.
+one adjacency expansion per layer.  Orthogonal, symplectic and unitary layers
+draw all their Gaussians in one call and take one stacked QR per layer; the
+draws come off the stream in the order per-gate draws would take them, and a
+stacked QR is the per-matrix QR, so the gates are the same bit for bit.  The
+constant matrices of the dense path (forms, the canonical J, qubit-swap
+indices, local matchgate generators, small Majorana bilinears) are cached
+read-only.
 
 Matchgates also have a free-fermion picture: a matchgate U acts on the
 Majorana operators by a rotation R in SO(2n), U c_a U^dag = sum_b R[b, a] c_b.
@@ -55,6 +63,17 @@ SAMPLER_SELF_CHECK_TOL = 1e-8
 MATCHGATE_LOCAL_FACTORS = 12
 
 
+def _read_only(M: np.ndarray) -> np.ndarray:
+    """Mark a cached array read-only, so no caller can change it for the next."""
+    M.setflags(write=False)
+    return M
+
+
+@functools.lru_cache(maxsize=None)
+def _identity(d: int, dtype=np.complex128) -> np.ndarray:
+    return _read_only(np.eye(d, dtype=dtype))
+
+
 # ---------------------------------------------------------------------------
 # bilinear forms
 
@@ -77,9 +96,14 @@ class BilinearForm:
         return self.representation.shape[0].bit_length() - 1
 
     def dense(self) -> np.ndarray:
+        """The form as a dense matrix, built once and read-only."""
+        return self._dense
+
+    @functools.cached_property
+    def _dense(self) -> np.ndarray:
         if self.is_pauli:
-            return pauli.to_dense(self.representation)
-        return np.array(self.representation, dtype=np.complex128)
+            return _read_only(pauli.to_dense(self.representation))
+        return _read_only(np.array(self.representation, dtype=np.complex128))
 
     def inverse_dense(self) -> np.ndarray:
         if self.is_pauli:
@@ -379,19 +403,27 @@ def group_spec(kind: str, n: int, generator_set=None, form=None) -> GroupSpec:
 # Haar samplers
 
 
+def _unitary_from_ginibre(Z: np.ndarray) -> np.ndarray:
+    """Q of Z = QR with the phase fix Q diag(R_ii/|R_ii|), per matrix of a stack."""
+    Q, R = np.linalg.qr(Z)
+    diag = np.diagonal(R, axis1=-2, axis2=-1)
+    return Q * (diag / np.abs(diag))[..., None, :]
+
+
+def _orthogonal_from_ginibre(Z: np.ndarray) -> np.ndarray:
+    """Q of real Z = QR with the sign fix Q diag(sign R_ii), per matrix of a stack."""
+    Q, R = np.linalg.qr(Z)
+    return (Q * np.sign(np.diagonal(R, axis1=-2, axis2=-1))[..., None, :]).astype(np.complex128)
+
+
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar U(d) via QR of a complex Ginibre matrix with phase fix."""
-    Z = rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d))
-    Q, R = np.linalg.qr(Z)
-    diag = np.diagonal(R)
-    return Q * (diag / np.abs(diag))
+    return _unitary_from_ginibre(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
 
 
 def haar_orthogonal(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar O(d) via QR of a real Ginibre matrix with sign fix."""
-    Z = rng.normal(size=(d, d))
-    Q, R = np.linalg.qr(Z)
-    return (Q * np.sign(np.diagonal(R))).astype(np.complex128)
+    return _orthogonal_from_ginibre(rng.normal(size=(d, d)))
 
 
 def haar_special_orthogonal(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -403,59 +435,64 @@ def haar_special_orthogonal(d: int, rng: np.random.Generator) -> np.ndarray:
     return Q
 
 
+@functools.lru_cache(maxsize=None)
 def _canonical_symplectic_j(d: int) -> np.ndarray:
     iy = np.array([[0.0, 1.0], [-1.0, 0.0]])
-    return np.kron(iy, np.eye(d // 2)).astype(np.complex128)
+    return _read_only(np.kron(iy, np.eye(d // 2)).astype(np.complex128))
+
+
+def _symplectic_columns(Z: np.ndarray) -> np.ndarray:
+    """The canonical-form symplectic unitary built from Gaussian draws Z.
+
+    Z has shape (d/2, 2, d): the real and imaginary parts of one complex
+    Gaussian column per row, in stream order.  Each column is orthogonalized
+    against the pool of previous columns and their images under the antilinear
+    map T(v) = J conj(v), in two block passes v -= P^T (conj(P) v) over the
+    pool matrix P, then normalized; the second block of columns is -T of the
+    first.  Equivariance of T under left multiplication by symplectic
+    unitaries makes the law left-invariant, hence Haar.
+    """
+    half, _, d = Z.shape
+    J = _canonical_symplectic_j(d)
+    pool = np.empty((d, d), dtype=np.complex128)  # rows u_0, T u_0, u_1, T u_1, ...
+    for j in range(half):
+        v = Z[j, 0] + 1j * Z[j, 1]
+        P = pool[: 2 * j]
+        for _ in range(2):  # two passes for numerical orthogonality
+            v = v - P.T @ (P.conj() @ v)
+        u = v / np.linalg.norm(v)
+        pool[2 * j] = u
+        pool[2 * j + 1] = J @ u.conj()
+    return np.hstack([pool[0::2].T, -pool[1::2].T])
 
 
 def _haar_symplectic_canonical(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar on the compact symplectic group preserving the block form J.
-
-    Columns are built by Gram-Schmidt against both previous columns and their
-    images under the antilinear map T(v) = J conj(v); the second block of
-    columns is -T of the first.  Equivariance of T under left multiplication
-    by symplectic unitaries makes the law left-invariant, hence Haar.
-    """
+    """Haar on the compact symplectic group preserving the block form J."""
     if d % 2:
         raise ValidationError(f"symplectic dimension must be even, got {d}")
-    J = _canonical_symplectic_j(d)
-    us: list[np.ndarray] = []
-    pool: list[np.ndarray] = []
-    for _ in range(d // 2):
-        v = rng.normal(size=d) + 1j * rng.normal(size=d)
-        for _ in range(2):  # two passes for numerical orthogonality
-            for w in pool:
-                v = v - w * np.vdot(w, v)
-        u = v / np.linalg.norm(v)
-        us.append(u)
-        pool.append(u)
-        pool.append(J @ u.conj())
-    U = np.column_stack(us + [-(J @ u.conj()) for u in us])
-    return U
+    return _symplectic_columns(rng.normal(size=(d // 2, 2, d)))
 
 
-def _swap_qubit_permutation(a: int, b: int, n: int) -> np.ndarray:
-    """Dense permutation exchanging two qubits."""
-    d = 1 << n
-    idx = np.arange(d, dtype=np.int64)
+@functools.lru_cache(maxsize=None)
+def _qubit_swap_index(a: int, b: int, n: int) -> np.ndarray:
+    """Basis index map exchanging qubits a and b (an involution), read-only."""
+    idx = np.arange(1 << n, dtype=np.int64)
     pa, pb = n - 1 - a, n - 1 - b
-    bit_a = (idx >> pa) & 1
-    bit_b = (idx >> pb) & 1
-    swapped = idx ^ ((bit_a ^ bit_b) << pa) ^ ((bit_a ^ bit_b) << pb)
-    M = np.zeros((d, d), dtype=np.complex128)
-    M[swapped, idx] = 1.0
-    return M
+    flip = ((idx >> pa) ^ (idx >> pb)) & 1
+    return _read_only(idx ^ (flip << pa) ^ (flip << pb))
+
+
+def _swap_qubits(U: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
+    """P U P for the permutation P exchanging qubits a and b, as one gather."""
+    s = _qubit_swap_index(a, b, n)
+    return U[np.ix_(s, s)]
 
 
 def haar_symplectic(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar element of the compact symplectic group for the shipped form."""
-    d = 1 << n
-    U = _haar_symplectic_canonical(d, rng)
+    U = _haar_symplectic_canonical(1 << n, rng)
     fq = symplectic_form_qubit(n)
-    if fq != 0:
-        P = _swap_qubit_permutation(0, fq, n)
-        U = P @ U @ P
-    return U
+    return _swap_qubits(U, 0, fq, n) if fq != 0 else U
 
 
 @functools.lru_cache(maxsize=None)
@@ -463,11 +500,23 @@ def _majorana_bilinear(n: int, a: int, b: int) -> pauli.PauliString:
     return pauli.majorana_product((a, b), n)
 
 
+# dense bilinears are cached up to this n, where all n(2n-1) of them take 4 MB;
+# above it the d^3 product of the lifts dominates the cost of building them
+LIFT_CACHE_QUBITS = 6
+
+
+@functools.lru_cache(maxsize=None)
+def _majorana_bilinear_dense(n: int, a: int, b: int) -> np.ndarray:
+    return _read_only(pauli.to_dense(_majorana_bilinear(n, a, b)))
+
+
 def _lift_rotation(a: int, b: int, theta: float, n: int) -> np.ndarray:
     """Dense exp(theta/2 c_a c_b); conjugation rotates the (a, b) plane."""
-    cab = pauli.to_dense(_majorana_bilinear(n, a, b))
-    d = 1 << n
-    return math.cos(theta / 2) * np.eye(d, dtype=np.complex128) + math.sin(theta / 2) * cab
+    if n <= LIFT_CACHE_QUBITS:
+        eye, cab = _identity(1 << n), _majorana_bilinear_dense(n, a, b)
+    else:
+        eye, cab = np.eye(1 << n, dtype=np.complex128), pauli.to_dense(_majorana_bilinear(n, a, b))
+    return math.cos(theta / 2) * eye + math.sin(theta / 2) * cab
 
 
 def givens_decompose(R: np.ndarray) -> list[tuple[int, int, float]]:
@@ -605,6 +654,11 @@ class ShallowCircuit:
 _LOCAL_MATCHGATE_GENS = ("ZI", "IZ", "XX", "XY", "YX", "YY")
 
 
+@functools.lru_cache(maxsize=None)
+def _local_matchgate_dense() -> tuple[np.ndarray, ...]:
+    return tuple(_read_only(pauli.to_dense(pauli.from_text(g))) for g in _LOCAL_MATCHGATE_GENS)
+
+
 def draw_factors(choices: int, count: int, rng: np.random.Generator) -> list[tuple[int, float]]:
     """count draws of (generator index, angle) for products of exp(i theta P).
 
@@ -619,29 +673,45 @@ def draw_factors(choices: int, count: int, rng: np.random.Generator) -> list[tup
     return out
 
 
-def _local_gate(kind: str, pair: tuple[int, int], n: int, rng: np.random.Generator) -> np.ndarray:
-    if kind == "matchgate":
-        U = np.eye(4, dtype=np.complex128)
-        for g, theta in draw_factors(len(_LOCAL_MATCHGATE_GENS), MATCHGATE_LOCAL_FACTORS, rng):
-            P = pauli.to_dense(pauli.from_text(_LOCAL_MATCHGATE_GENS[g]))
-            U = U @ (math.cos(theta) * np.eye(4) + 1j * math.sin(theta) * P)
-        return U
+def _matchgate_local(rng: np.random.Generator) -> np.ndarray:
+    U = np.eye(4, dtype=np.complex128)
+    eye, gens = _identity(4, np.float64), _local_matchgate_dense()
+    for g, theta in draw_factors(len(gens), MATCHGATE_LOCAL_FACTORS, rng):
+        U = U @ (math.cos(theta) * eye + 1j * math.sin(theta) * gens[g])
+    return U
+
+
+def _layer_gates(kind: str, cls, n: int, rng: np.random.Generator) -> list[np.ndarray]:
+    """The 2-local gates of one brickwork layer, one per pair of ``cls``.
+
+    Orthogonal, symplectic and unitary layers draw every Gaussian of the layer
+    in one call, in the order per-gate draws would take them, and
+    orthogonalize with one stacked QR.  A symplectic gate on the form qubit
+    reads its 16 normals as the two complex columns of a canonical draw, and
+    an orthogonal gate reads them as a 4 x 4 matrix.
+    """
+    g = len(cls)
+    if g == 0:
+        return []
     if kind == "orthogonal":
-        return haar_orthogonal(4, rng)
+        return list(_orthogonal_from_ginibre(rng.normal(size=(g, 4, 4))))
     if kind in ("unitary", "mixed_unitary"):
-        return haar_unitary(4, rng)
+        Z = rng.normal(size=(g, 2, 4, 4))
+        return list(_unitary_from_ginibre(Z[:, 0] + 1j * Z[:, 1]))
     if kind == "symplectic":
+        Z = rng.normal(size=(g, 4, 4))
+        gates = list(_orthogonal_from_ginibre(Z))
         fq = symplectic_form_qubit(n)
-        if fq in pair:
-            local = _haar_symplectic_canonical(4, rng)
-            if pair.index(fq) != 0:
-                P = _swap_qubit_permutation(0, 1, 2)
-                local = P @ local @ P
-            return local
-        return haar_orthogonal(4, rng)
+        for i, pair in enumerate(cls):
+            if fq in pair:
+                local = _symplectic_columns(Z[i].reshape(2, 2, 4))
+                gates[i] = local if pair.index(fq) == 0 else _swap_qubits(local, 0, 1, 2)
+        return gates
+    if kind == "matchgate":
+        return [_matchgate_local(rng) for _ in cls]
     if kind == "clifford":
         table = enumerate_clifford(2)
-        return np.array(table[int(rng.integers(len(table)))])
+        return [np.array(table[int(rng.integers(len(table)))]) for _ in cls]
     raise ValidationError(f"no 2-local gate factory for kind {kind!r}")
 
 
@@ -657,13 +727,11 @@ def sample_shallow(
     layers = []
     for layer_index in range(L):
         cls = adj.layer_classes[layer_index % len(adj.layer_classes)] if adj.layer_classes else ()
-        layer = []
+        layer = tuple(zip(cls, _layer_gates(G.kind, cls, G.n, rng)))
         layer_u = np.eye(d, dtype=np.complex128)
-        for pair in cls:
-            gate = _local_gate(G.kind, pair, G.n, rng)
-            layer.append((pair, gate))
+        for pair, gate in layer:
             layer_u = densesim.embed(gate, pair, G.n) @ layer_u
-        layers.append(tuple(layer))
+        layers.append(layer)
         U = layer_u @ U
     if G.form is not None and L > 0:
         Om = G.form.dense()

@@ -24,6 +24,10 @@ from .errors import BudgetError, ValidationError
 
 logger = logging.getLogger(__name__)
 
+# largest estimated cost of a Frobenius-Schur run, in complex multiply-adds
+# (d^3 per d x d product): 20 s to 2 min on one core of a 2-core x86 machine
+FS_COST_CAP = 1e11
+
 
 @dataclass(frozen=True)
 class MomentEstimate:
@@ -332,11 +336,22 @@ def frobenius_schur(
     M: int = 2000,
     seed: int = 0,
 ) -> MomentEstimate:
-    """Estimate E_U Tr[Pi U^2]: +1 real, -1 quaternionic, 0 complex type."""
+    """Estimate E_U Tr[Pi U^2]: +1 real, -1 quaternionic, 0 complex type.
+
+    Before the first draw the run's cost is estimated as M draws of d^3 each,
+    or n(2n-1) d^3 for a matchgate draw (one d x d product per Givens lift);
+    above ``FS_COST_CAP`` it raises BudgetError.
+    """
     d = G.dense_dimension
     Pi = np.eye(d, dtype=np.complex128) if subspace_projector is None else np.asarray(subspace_projector)
     if Pi.shape != (d, d):
         raise ValidationError(f"projector shape {Pi.shape} does not match d={d}")
+    per_draw = float(d) ** 3 * (G.n * (2 * G.n - 1) if G.kind == "matchgate" else 1)
+    if M * per_draw > FS_COST_CAP:
+        raise BudgetError(
+            f"Frobenius-Schur estimate for {G.kind} n={G.n} with {M} samples costs about "
+            f"{M * per_draw:.2e} multiply-adds ({per_draw:.2e} per draw), cap is {FS_COST_CAP:.0e}"
+        )
 
     def one(stream):
         U = groups.sample_haar(G, stream)

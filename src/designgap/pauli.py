@@ -100,16 +100,6 @@ def y_count(P: PauliString) -> int:
     return (P.x_bits & P.z_bits).bit_count()
 
 
-def phase_factor(P: PauliString) -> complex:
-    """The scalar i**phase_exp."""
-    return _PHASES[P.phase_exp]
-
-
-def is_hermitian(P: PauliString) -> bool:
-    """True when the stored phase makes the dense matrix Hermitian (+/- W)."""
-    return P.phase_exp % 2 == 0
-
-
 def hermitian_representative(P: PauliString) -> PauliString:
     """The same projective Pauli with canonical phase 0."""
     return PauliString(P.n, P.x_bits, P.z_bits, 0)

@@ -5,6 +5,12 @@ own phase bookkeeping, independent of the bit-packed implementation, so the
 two can check each other.  The complement Bell projector and the Born
 probability against a materialized POVM element are the dense references that
 ``densesim.complement_bell_overlap`` is checked against.
+
+The sampler references are the straightforward forms of the library's cached
+and batched kernels: ``embed`` as a Kronecker product with the identity
+followed by a permutation gather, ``sample_shallow`` as a loop in which every
+gate draws its own Gaussians and takes its own QR, and the symplectic Haar
+draw as modified Gram-Schmidt, one vector at a time.
 """
 
 import numpy as np
@@ -64,6 +70,89 @@ def povm_probability(psi: np.ndarray, Pi: np.ndarray) -> float:
         raise ValidationError("POVM element is not Hermitian")
     value = float(np.real(np.vdot(psi, Pi @ psi)))
     return min(1.0, max(0.0, value))
+
+
+def embed_reference(op: np.ndarray, qubits, n: int) -> np.ndarray:
+    """op on the listed qubits: kron(op, 1), then both indices permuted."""
+    from designgap import densesim
+
+    sigma = densesim.basis_permutation(tuple(qubits), n)
+    big = np.kron(op, np.eye(1 << (n - len(qubits)), dtype=np.complex128))
+    return big[np.ix_(sigma, sigma)]
+
+
+def swap_qubit_permutation(a: int, b: int, n: int) -> np.ndarray:
+    """Dense permutation matrix exchanging two qubits."""
+    d = 1 << n
+    idx = np.arange(d, dtype=np.int64)
+    pa, pb = n - 1 - a, n - 1 - b
+    bit_a = (idx >> pa) & 1
+    bit_b = (idx >> pb) & 1
+    swapped = idx ^ ((bit_a ^ bit_b) << pa) ^ ((bit_a ^ bit_b) << pb)
+    M = np.zeros((d, d), dtype=np.complex128)
+    M[swapped, idx] = 1.0
+    return M
+
+
+def haar_symplectic_mgs(d: int, rng) -> np.ndarray:
+    """Canonical-form symplectic Haar draw by modified Gram-Schmidt.
+
+    Each column is orthogonalized one pool vector at a time, twice, against
+    the previous columns and their images under T(v) = J conj(v); the second
+    block of columns is -T of the first.
+    """
+    from designgap import groups
+
+    J = groups._canonical_symplectic_j(d)
+    us, pool = [], []
+    for _ in range(d // 2):
+        v = rng.normal(size=d) + 1j * rng.normal(size=d)
+        for _ in range(2):
+            for w in pool:
+                v = v - w * np.vdot(w, v)
+        u = v / np.linalg.norm(v)
+        us.append(u)
+        pool.append(u)
+        pool.append(J @ u.conj())
+    return np.column_stack(us + [-(J @ u.conj()) for u in us])
+
+
+def _local_gate_reference(kind: str, pair, n: int, rng) -> np.ndarray:
+    from designgap import groups
+
+    fq = groups.symplectic_form_qubit(n)
+    if kind == "symplectic" and fq in pair:
+        local = groups._haar_symplectic_canonical(4, rng)
+        if pair.index(fq) != 0:
+            P = swap_qubit_permutation(0, 1, 2)
+            local = P @ local @ P
+        return local
+    if kind in ("orthogonal", "symplectic"):
+        Q, R = np.linalg.qr(rng.normal(size=(4, 4)))
+        return (Q * np.sign(np.diagonal(R))).astype(np.complex128)
+    if kind in ("unitary", "mixed_unitary"):
+        Z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
+        Q, R = np.linalg.qr(Z)
+        diag = np.diagonal(R)
+        return Q * (diag / np.abs(diag))
+    raise ValueError(f"no reference gate for kind {kind!r}")
+
+
+def sample_shallow_reference(G, L: int, adjacency, rng) -> np.ndarray:
+    """Brickwork unitary with one draw and one QR per gate, kron-embedded."""
+    from designgap import groups
+
+    adj = groups.parse_adjacency(adjacency, G.n)
+    d = 1 << G.n
+    U = np.eye(d, dtype=np.complex128)
+    for layer_index in range(L):
+        cls = adj.layer_classes[layer_index % len(adj.layer_classes)] if adj.layer_classes else ()
+        layer_u = np.eye(d, dtype=np.complex128)
+        for pair in cls:
+            gate = _local_gate_reference(G.kind, pair, G.n, rng)
+            layer_u = embed_reference(gate, pair, G.n) @ layer_u
+        U = layer_u @ U
+    return U
 
 
 @pytest.fixture

@@ -5,6 +5,7 @@ import io
 import json
 import subprocess
 import sys
+import time
 
 import numpy as np
 import pytest
@@ -44,6 +45,15 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, ["graph", "--group", "matchgate", "--n", "14", "--census"])
         assert code == 2
         assert "budget" in err
+
+    def test_costly_fs_indicator_is_refused_before_sampling(self, capsys):
+        # one dense matchgate draw at n=10 multiplies 190 lifts of 1024 x 1024
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, ["fs-indicator", "--group", "matchgate", "--n", "10", "--samples", "1"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert "budget" in err and "2.04e+11" in err
 
     def test_validation_failure_is_exit_one(self, capsys):
         code, _, err = run_cli(capsys, ["bounds", "--formula", "matchgate-depth", "--n", "5"])

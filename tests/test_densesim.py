@@ -6,7 +6,7 @@ import pytest
 from designgap import densesim, pauli
 from designgap.errors import BudgetError, ValidationError
 
-from conftest import bell_projector_on_complement, kron_chain, povm_probability
+from conftest import bell_projector_on_complement, embed_reference, kron_chain, povm_probability
 
 
 def random_state(rng, dim):
@@ -65,6 +65,30 @@ class TestEmbed:
     def test_wrong_target_count(self, rng):
         with pytest.raises(ValidationError):
             densesim.embed(random_op(rng, 4), (0,), 3)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6])
+    def test_matches_kron_reference_bit_for_bit(self, rng, n):
+        # every single qubit and every ordered pair, so reversed pairs too
+        targets = [(q,) for q in range(n)]
+        targets += [(a, b) for a in range(n) for b in range(n) if a != b]
+        for qubits in targets:
+            op = random_op(rng, 1 << len(qubits))
+            got = densesim.embed(op, qubits, n)
+            assert got.dtype == np.complex128
+            assert np.array_equal(got, embed_reference(op, qubits, n)), qubits
+
+    def test_result_is_a_fresh_writable_matrix(self, rng):
+        op = random_op(rng, 4)
+        first = densesim.embed(op, (0, 2), 3)
+        first[0, 0] = 99.0
+        assert np.array_equal(densesim.embed(op, (0, 2), 3), embed_reference(op, (0, 2), 3))
+
+    def test_cached_index_maps_are_read_only(self):
+        sigma = densesim.basis_permutation((2, 0), 3)
+        idx = densesim._embed_scatter((2, 0), 3)
+        for cached in (sigma, idx):
+            with pytest.raises(ValueError):
+                cached[0] = 1
 
 
 class TestPartialTrace:

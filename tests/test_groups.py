@@ -8,7 +8,7 @@ import pytest
 from designgap import cgraph, densesim, groups, pauli, rng as dgrng
 from designgap.errors import BudgetError, InvariantError, ValidationError
 
-from conftest import kron_chain
+from conftest import haar_symplectic_mgs, kron_chain, sample_shallow_reference, swap_qubit_permutation
 
 
 def stream(i=0):
@@ -263,6 +263,61 @@ class TestHaarSamplers:
             assert groups.verify_group_membership(U, G, tol=1e-8)
 
 
+class TestSymplecticSampler:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_block_gram_schmidt_matches_modified_gram_schmidt(self, n):
+        d = 1 << n
+        for i in range(6):
+            a, b = stream(i), stream(i)
+            got = groups._haar_symplectic_canonical(d, a)
+            want = haar_symplectic_mgs(d, b)
+            assert np.max(np.abs(got - want)) <= 1e-13
+            assert a.random() == b.random()
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_columns_orthonormal_and_form_preserved(self, n):
+        d = 1 << n
+        J = groups._canonical_symplectic_j(d)
+        for i in range(6):
+            U = groups._haar_symplectic_canonical(d, stream(i))
+            assert np.max(np.abs(U.conj().T @ U - np.eye(d))) <= 1e-12
+            assert np.max(np.abs(U.T @ J @ U - J)) <= 1e-12
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_form_qubit_swap_is_the_permutation_product(self, n):
+        P = swap_qubit_permutation(0, groups.symplectic_form_qubit(n), n)
+        for i in range(4):
+            canonical = groups._haar_symplectic_canonical(1 << n, stream(i))
+            assert np.array_equal(groups.haar_symplectic(n, stream(i)), P @ canonical @ P)
+
+
+class TestCachedKernels:
+    def test_cached_arrays_are_read_only(self):
+        cached = [
+            groups.symplectic_form(3).dense(),
+            groups.BilinearForm(np.eye(4, dtype=np.complex128), "symmetric").dense(),
+            groups._canonical_symplectic_j(8),
+            groups._qubit_swap_index(0, 1, 3),
+            groups._identity(4),
+            groups._majorana_bilinear_dense(3, 1, 4),
+            *groups._local_matchgate_dense(),
+        ]
+        for M in cached:
+            with pytest.raises(ValueError):
+                M[0] = 0
+
+    def test_local_matchgate_generators(self):
+        for M, word in zip(groups._local_matchgate_dense(), groups._LOCAL_MATCHGATE_GENS):
+            assert np.array_equal(M, kron_chain(word))
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_cached_lifts_equal_uncached_lifts(self, monkeypatch, n):
+        cached = [groups.haar_matchgate(n, stream(i)) for i in range(3)]
+        monkeypatch.setattr(groups, "LIFT_CACHE_QUBITS", 0)
+        for i, U in enumerate(cached):
+            assert np.array_equal(U, groups.haar_matchgate(n, stream(i)))
+
+
 class TestAdjacency:
     def test_chain_layout(self):
         adj = groups.chain_adjacency(4)
@@ -326,7 +381,20 @@ class TestShallowCircuits:
             for pair, gate in layer:
                 layer_u = densesim.embed(gate, pair, 3) @ layer_u
             U = layer_u @ U
-        assert np.max(np.abs(U - circ.unitary)) < 1e-12
+        assert np.array_equal(U, circ.unitary)
+
+    @pytest.mark.parametrize("kind", ["orthogonal", "symplectic", "unitary", "mixed_unitary"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_matches_per_gate_reference_bit_for_bit(self, kind, n):
+        # on the chain the symplectic form qubit 1 is the second qubit of
+        # (0, 1), the first of (1, 2) and outside (2, 3) and (3, 4)
+        G = groups.group_spec(kind, n)
+        for L in range(5):
+            for i in range(3):
+                a, b = stream(i), stream(i)
+                got = groups.sample_shallow(G, L, "chain", a).unitary
+                assert np.array_equal(got, sample_shallow_reference(G, L, "chain", b)), (L, i)
+                assert a.random() == b.random()  # same stream position afterwards
 
     def test_negative_depth_rejected(self):
         G = groups.group_spec("unitary", 2)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from designgap import cgraph, densesim, groups, moments, pauli
-from designgap.errors import ValidationError
+from designgap.errors import BudgetError, ValidationError
 
 
 class TestWeingartenCoefficients:
@@ -214,6 +214,17 @@ class TestIndicators:
         G = groups.group_spec(kind, 2)
         est = moments.frobenius_schur(G, None, 3000, 41)
         assert abs(est.mean - want) <= 5 * max(est.stderr, 1e-12)
+
+    def test_cost_budget_counts_lifts_per_draw(self, monkeypatch):
+        # a matchgate draw at n=3 multiplies n(2n-1) = 15 lifts of 8 x 8
+        G = groups.group_spec("matchgate", 3)
+        monkeypatch.setattr(moments, "FS_COST_CAP", 10 * 15 * 8**3)
+        assert moments.frobenius_schur(G, None, 10, 0).samples == 10
+        with pytest.raises(BudgetError):
+            moments.frobenius_schur(G, None, 11, 0)
+        # other kinds cost d^3 per draw: 76800 / 16^3 = 18.75 draws at n=4
+        with pytest.raises(BudgetError):
+            moments.frobenius_schur(groups.group_spec("orthogonal", 4), None, 19, 0)
 
     def test_matchgate_parity_sector(self):
         G2 = groups.group_spec("matchgate", 2)
