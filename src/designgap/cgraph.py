@@ -5,13 +5,21 @@ Vertices are the 4^n phaseless Pauli strings, encoded as 2n-bit integers
 exactly when H and P anticommute, so a neighbor step is a pure XOR of bit
 words plus a parity test; no edge lists are ever built.  Components, N-balls,
 diameters, and region fractions all run on these integer keys.
+
+The one breadth-first search behind them is level-synchronous over numpy
+int64 arrays: each step takes the parity of (vx & gz) ^ (vz & gx) for the
+whole frontier against every generator in one broadcast, XORs the
+anticommuting pairs, and dedupes the candidates by sorting.  The graph is
+undirected, so the next level is the candidates found in neither of the last
+two levels; no 4^n visited set is kept.  int64 keys hold n <= KEY_QUBIT_CAP.
 """
 
 from __future__ import annotations
 
-from collections import deque
 from dataclasses import dataclass
 from fractions import Fraction
+
+import numpy as np
 
 from . import pauli
 from .errors import BudgetError, ValidationError
@@ -19,6 +27,8 @@ from .errors import BudgetError, ValidationError
 COMPONENT_SIZE_CAP = 5_000_000
 CENSUS_QUBIT_CAP = 10
 DIAMETER_EXACT_LIMIT = 100_000
+KEY_QUBIT_CAP = 31  # 2n-bit keys in a signed 64-bit word
+CANDIDATE_CHUNK = 1 << 20  # vertex-generator pairs expanded per numpy pass
 
 
 @dataclass(frozen=True)
@@ -58,92 +68,140 @@ class DiameterResult:
     mode: str  # "exact" or "lower-bound"
 
 
-def _gen_words(S: GeneratorSet) -> list[tuple[int, int, int]]:
-    out = []
-    for g in S.generators:
-        out.append((pauli.to_key(g), g.x_bits, g.z_bits))
-    return out
+def _gen_words(S: GeneratorSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Generator key, x and z words as int64 arrays."""
+    if S.n > KEY_QUBIT_CAP:
+        raise BudgetError(
+            f"commutator-graph vertices are 2n-bit int64 keys, so n <= {KEY_QUBIT_CAP}; got n={S.n}"
+        )
+    words = [(pauli.to_key(g), g.x_bits, g.z_bits) for g in S.generators]
+    keys, xs, zs = np.array(words, dtype=np.int64).reshape(-1, 3).T
+    return keys, xs, zs
 
 
-def _anticommutes(vx: int, vz: int, gx: int, gz: int) -> bool:
-    return ((vx & gz).bit_count() + (vz & gx).bit_count()) % 2 == 1
+def _parity(a: np.ndarray, n: int) -> np.ndarray:
+    """Bit parity of each entry of a (all below 2**n), XOR-folded in place."""
+    shift = 1
+    while shift < n:
+        shift <<= 1
+    while shift > 1:
+        shift >>= 1
+        a ^= a >> shift
+    return a & 1
 
 
-def neighbors(P: pauli.PauliString, S: GeneratorSet) -> tuple[pauli.PauliString, ...]:
-    """Distinct projective products HP over anticommuting generators H."""
-    if P.n != S.n:
-        raise ValidationError(f"size mismatch: {P.n} vs {S.n} qubits")
-    v = pauli.to_key(P)
-    keys = set()
-    for gkey, gx, gz in _gen_words(S):
-        if _anticommutes(P.x_bits, P.z_bits, gx, gz):
-            keys.add(v ^ gkey)
-    return tuple(pauli.from_key(k, P.n) for k in sorted(keys))
+def _sorted_unique(a: np.ndarray) -> np.ndarray:
+    """The distinct entries of a, ascending, by one sort.
+
+    numpy 2's np.unique hashes integer input, which on millions of these
+    keys is over ten times slower than sorting.
+    """
+    a = np.sort(a)
+    keep = np.empty(a.size, dtype=bool)
+    keep[:1] = True
+    np.not_equal(a[1:], a[:-1], out=keep[1:])
+    return a[keep]
+
+
+def _neighbor_keys(level: np.ndarray, words, n: int, cap: int) -> np.ndarray:
+    """Sorted distinct neighbors of the vertices in level.
+
+    The level is expanded CANDIDATE_CHUNK vertex-generator pairs at a time.
+    Once more than cap distinct keys are found it returns them early, so a
+    level past the size budget is never materialized in full.
+    """
+    keys, xs, zs = words
+    mask = (1 << n) - 1
+    rows = max(1, CANDIDATE_CHUNK // max(1, keys.size))
+    found = np.empty(0, dtype=np.int64)
+    pending: list[np.ndarray] = []
+    pending_size = 0
+    for lo in range(0, level.size, rows):
+        v = level[lo : lo + rows, None]
+        odd = _parity(((v >> n) & zs) ^ ((v & mask) & xs), n).astype(bool)
+        pending.append((v ^ keys)[odd])
+        pending_size += pending[-1].size
+        if pending_size > max(found.size, CANDIDATE_CHUNK):
+            found = _sorted_unique(np.concatenate([found, *pending]))
+            pending, pending_size = [], 0
+            if found.size > cap:
+                return found
+    return _sorted_unique(np.concatenate([found, *pending]))
+
+
+def _absent(keys: np.ndarray, level: np.ndarray) -> np.ndarray:
+    """Mask of the keys not in level; both arrays are sorted."""
+    if level.size == 0:
+        return np.ones(keys.size, dtype=bool)
+    at = np.minimum(np.searchsorted(level, keys), level.size - 1)
+    return level[at] != keys
 
 
 def _bfs(
     start_key: int,
-    words: list[tuple[int, int, int]],
+    words,
     n: int,
     max_dist: int | None = None,
     max_size: int = COMPONENT_SIZE_CAP,
-) -> dict[int, int]:
-    """Distances from start_key, optionally truncated at max_dist."""
-    mask = (1 << n) - 1
-    dist = {start_key: 0}
-    frontier = deque([start_key])
-    while frontier:
-        v = frontier.popleft()
-        dv = dist[v]
-        if max_dist is not None and dv >= max_dist:
-            continue
-        vx, vz = v >> n, v & mask
-        for gkey, gx, gz in words:
-            if _anticommutes(vx, vz, gx, gz):
-                w = v ^ gkey
-                if w not in dist:
-                    if len(dist) >= max_size:
-                        raise BudgetError(f"component exceeds {max_size} vertices")
-                    dist[w] = dv + 1
-                    frontier.append(w)
-    return dist
+) -> list[np.ndarray]:
+    """BFS levels from start_key, optionally truncated at max_dist.
+
+    Level d is the sorted int64 array of the keys at distance d.  A neighbor
+    of level d lies in level d-1, d or d+1, so the next level is the
+    neighbors found in neither of the last two.  BudgetError is raised when
+    more than max_size vertices are reached.
+    """
+    levels = [np.array([start_key], dtype=np.int64)]
+    prev = np.empty(0, dtype=np.int64)
+    size = 1
+    while max_dist is None or len(levels) <= max_dist:
+        cur = levels[-1]
+        # more than this many neighbors leaves more than max_size - size new ones
+        found = _neighbor_keys(cur, words, n, max_size - size + cur.size + prev.size)
+        new = found[_absent(found, cur) & _absent(found, prev)]
+        if new.size == 0:
+            break
+        size += new.size
+        if size > max_size:
+            raise BudgetError(f"component exceeds {max_size} vertices")
+        levels.append(new)
+        prev = cur
+    return levels
+
+
+def _summary(levels: list[np.ndarray], n: int, representative: pauli.PauliString) -> ComponentSummary:
+    dist: dict[int, int] = {}
+    for d, level in enumerate(levels):
+        dist.update(dict.fromkeys(level.tolist(), d))
+    return ComponentSummary(
+        n=n,
+        size=len(dist),
+        representative=representative,
+        members=frozenset(dist),
+        distances=dist,
+    )
 
 
 def component(P: pauli.PauliString, S: GeneratorSet) -> ComponentSummary:
     """BFS closure of P under neighbor steps; representative is P itself."""
     if P.n != S.n:
         raise ValidationError(f"size mismatch: {P.n} vs {S.n} qubits")
-    dist = _bfs(pauli.to_key(P), _gen_words(S), S.n)
-    return ComponentSummary(
-        n=S.n,
-        size=len(dist),
-        representative=pauli.hermitian_representative(P),
-        members=frozenset(dist),
-        distances=dist,
-    )
+    levels = _bfs(pauli.to_key(P), _gen_words(S), S.n)
+    return _summary(levels, S.n, pauli.hermitian_representative(P))
 
 
 def n_ball(P: pauli.PauliString, S: GeneratorSet, N: int) -> frozenset[int]:
     """Vertex keys within graph distance N of P."""
     if N < 0:
         raise ValidationError(f"negative radius {N}")
-    dist = _bfs(pauli.to_key(P), _gen_words(S), S.n, max_dist=N)
-    return frozenset(dist)
+    levels = _bfs(pauli.to_key(P), _gen_words(S), S.n, max_dist=N)
+    return frozenset(np.concatenate(levels).tolist())
 
 
 def ball_sizes(P: pauli.PauliString, S: GeneratorSet, up_to: int | None = None) -> list[int]:
     """Cumulative ball sizes |B_0|, |B_1|, ... out to up_to or saturation."""
-    dist = _bfs(pauli.to_key(P), _gen_words(S), S.n, max_dist=up_to)
-    radius = max(dist.values())
-    counts = [0] * (radius + 1)
-    for d in dist.values():
-        counts[d] += 1
-    sizes = []
-    running = 0
-    for c in counts:
-        running += c
-        sizes.append(running)
-    return sizes
+    levels = _bfs(pauli.to_key(P), _gen_words(S), S.n, max_dist=up_to)
+    return np.cumsum([level.size for level in levels]).tolist()
 
 
 def r_fraction(
@@ -158,13 +216,10 @@ def r_fraction(
     region_bits = 0
     for q in reg:
         region_bits |= 1 << q
-    comp = component(P, S)
+    keys = np.concatenate(_bfs(pauli.to_key(P), _gen_words(S), S.n))
     mask = (1 << S.n) - 1
-    inside = 0
-    for key in comp.members:
-        if ((key >> S.n) | (key & mask)) & ~region_bits == 0:
-            inside += 1
-    frac = Fraction(inside, comp.size)
+    outside = ((keys >> S.n) | (keys & mask)) & ~region_bits
+    frac = Fraction(int(np.count_nonzero(outside == 0)), keys.size)
     return frac, float(frac)
 
 
@@ -186,14 +241,11 @@ def diameter(
     if run_exact:
         best = 0
         for key in C.members:
-            dist = _bfs(key, words, C.n)
-            best = max(best, max(dist.values()))
+            best = max(best, len(_bfs(key, words, C.n)) - 1)
         return DiameterResult(best, "exact")
-    start = pauli.to_key(C.representative)
-    first = _bfs(start, words, C.n)
-    far = max(first, key=lambda k: (first[k], k))
-    second = _bfs(far, words, C.n)
-    return DiameterResult(max(second.values()), "lower-bound")
+    # the far end of the sweep is the largest key at the largest distance
+    far = int(_bfs(pauli.to_key(C.representative), words, C.n)[-1][-1])
+    return DiameterResult(len(_bfs(far, words, C.n)) - 1, "lower-bound")
 
 
 def majorana_count(P: pauli.PauliString) -> int:
@@ -206,22 +258,14 @@ def census(S: GeneratorSet) -> list[ComponentSummary]:
     if S.n > CENSUS_QUBIT_CAP:
         raise BudgetError(f"census over 4^{S.n} Paulis exceeds cap n={CENSUS_QUBIT_CAP}")
     words = _gen_words(S)
-    total = 1 << (2 * S.n)
-    visited = bytearray(total)
+    visited = np.zeros(1 << (2 * S.n), dtype=bool)
     out = []
-    for key in range(total):
+    key = 0
+    while True:
+        levels = _bfs(key, words, S.n)
+        for level in levels:
+            visited[level] = True
+        out.append(_summary(levels, S.n, pauli.from_key(key, S.n)))
+        key += int(np.argmin(visited[key:]))
         if visited[key]:
-            continue
-        dist = _bfs(key, words, S.n)
-        for k in dist:
-            visited[k] = 1
-        out.append(
-            ComponentSummary(
-                n=S.n,
-                size=len(dist),
-                representative=pauli.from_key(key, S.n),
-                members=frozenset(dist),
-                distances=dist,
-            )
-        )
-    return out
+            return out

@@ -581,6 +581,12 @@ def _cmd_discriminate(args) -> list[dict]:
         adjacency=args.adjacency,
         shot_mode=args.shot_mode,
     )
+    try:
+        adj = groups.parse_adjacency(args.adjacency, n)
+        if group == "matchgate":
+            groups.check_matchgate_edges(adj)
+    except ValidationError as exc:
+        raise ValidationError(f"--adjacency {args.adjacency!r}: {exc}") from exc
     return [_result_record(args.experiment, group, run(cfg))]
 
 

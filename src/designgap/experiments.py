@@ -263,6 +263,12 @@ def _depth_analytic(config: ExperimentConfig, conjugate: bool = False):
     return None, None
 
 
+def _check_dense_matchgate_cost(config: ExperimentConfig) -> None:
+    """Budget the dense matchgate Haar side, n(2n-1) lifts of d x d per draw."""
+    if config.group.kind == "matchgate":
+        moments.check_draw_cost(config.group, config.samples, "dense matchgate Haar side")
+
+
 def _depth_dense(config: ExperimentConfig, adj: groups.Adjacency, conjugate: bool = False):
     """Per-sample retained probabilities (shallow, haar) on the dense two-copy state.
 
@@ -272,6 +278,7 @@ def _depth_dense(config: ExperimentConfig, adj: groups.Adjacency, conjugate: boo
     """
     G = config.group
     n = config.n
+    _check_dense_matchgate_cost(config)
     eye = np.eye(1 << n, dtype=np.complex128)
     Vd = pauli.to_dense(pauli.hermitian_representative(config.perturbation))
     depth = config.ensemble.depth
@@ -439,6 +446,7 @@ def _gate_sequence_rotation(planes, n: int, N: int, stream) -> np.ndarray:
 def _gatecount_dense(config: ExperimentConfig, S: cgraph.GeneratorSet, ball):
     """Per-sample ball masses (shallow, haar) on dense unitaries."""
     G = config.group
+    _check_dense_matchgate_cost(config)
     n, N = config.n, config.ensemble.gates
     P = pauli.hermitian_representative(config.perturbation)
     S_words = [pauli.hermitian_representative(g) for g in S.generators]

@@ -23,7 +23,11 @@ draws come off the stream in the order per-gate draws would take them, and a
 stacked QR is the per-matrix QR, so the gates are the same bit for bit.  The
 constant matrices of the dense path (forms, the canonical J, qubit-swap
 indices, local matchgate generators, small Majorana bilinears) are cached
-read-only.
+read-only.  The finite Clifford group is enumerated by a breadth-first
+closure that multiplies a whole level by every generator in one stacked
+matmul and keys the products in one pass, in the order a one-at-a-time FIFO
+closure would find them.  Matchgates are 2-local only on Jordan-Wigner
+neighbors (i, i+1); brickwork on any other edge is rejected.
 
 Matchgates also have a free-fermion picture: a matchgate U acts on the
 Majorana operators by a rotation R in SO(2n), U c_a U^dag = sum_b R[b, a] c_b.
@@ -268,6 +272,20 @@ class Adjacency:
             nbrs[a].add(b)
             nbrs[b].add(a)
         return {q: tuple(sorted(v)) for q, v in nbrs.items()}
+
+
+def check_matchgate_edges(adj: Adjacency) -> None:
+    """Raise unless every edge is a Jordan-Wigner neighbor pair (i, i+1).
+
+    A local XX on any other pair is not a Majorana bilinear, so a 2-local
+    gate there is no matchgate.
+    """
+    for a, b in adj.edges:
+        if b != a + 1:
+            raise ValidationError(
+                f"matchgates act only on Jordan-Wigner neighbors (i, i+1); "
+                f"adjacency {adj.name!r} has edge ({a}, {b})"
+            )
 
 
 def _greedy_classes(edges, n):
@@ -571,28 +589,33 @@ def enumerate_clifford(n: int) -> tuple[np.ndarray, ...]:
         gens.append(densesim.embed(S, (q,), n))
     if n == 2:
         gens.append(np.diag([1.0, 1.0, 1.0, -1.0]).astype(np.complex128))  # CZ
+    gens = np.stack(gens)
 
-    def canonical_key(M: np.ndarray) -> bytes:
-        flat = M.reshape(-1)
-        pivot = flat[np.argmax(np.abs(flat) > 1e-8)]
-        normalized = M / (pivot / abs(pivot))
+    def canonical_keys(stack: np.ndarray) -> list[bytes]:
+        """Per matrix: divide out the phase of the first nonzero entry, round."""
+        flat = stack.reshape(len(stack), -1)
+        pivot = flat[np.arange(len(flat)), np.argmax(np.abs(flat) > 1e-8, axis=1)]
+        normalized = stack / (pivot / np.abs(pivot))[:, None, None]
         # adding 0.0 collapses -0.0 to +0.0, which tobytes would distinguish
-        return (np.round(normalized, 8) + 0.0).tobytes()
+        rounded = np.round(normalized, 8) + 0.0
+        return [M.tobytes() for M in rounded]
 
     start = np.eye(1 << n, dtype=np.complex128)
-    seen = {canonical_key(start)}
+    start.setflags(write=False)
+    seen = set(canonical_keys(start[None]))
     order = [start]
-    queue = [start]
-    while queue:
-        current = queue.pop(0)
-        for g in gens:
-            candidate = g @ current
-            key = canonical_key(candidate)
+    frontier = start[None]
+    while len(frontier):
+        # level by level, current-major and generator-minor: the FIFO order
+        candidates = (gens[None] @ frontier[:, None]).reshape(-1, *start.shape)
+        fresh = []
+        for i, key in enumerate(canonical_keys(candidates)):
             if key not in seen:
                 seen.add(key)
-                candidate.setflags(write=False)
-                order.append(candidate)
-                queue.append(candidate)
+                fresh.append(i)
+        frontier = candidates[fresh]
+        frontier.setflags(write=False)
+        order.extend(frontier)
     return tuple(order)
 
 
@@ -722,6 +745,8 @@ def sample_shallow(
     if L < 0:
         raise ValidationError(f"negative depth {L}")
     adj = parse_adjacency(adjacency, G.n)
+    if G.kind == "matchgate":
+        check_matchgate_edges(adj)
     d = G.dense_dimension
     U = np.eye(d, dtype=np.complex128)
     layers = []
@@ -817,8 +842,7 @@ def sample_shallow_rotation(
     if L < 0:
         raise ValidationError(f"negative depth {L}")
     adj = parse_adjacency(adjacency, G.n)
-    if not adj.joins_line_neighbors:
-        raise ValidationError("Majorana rotations of local gates need chain edges (i, i+1)")
+    check_matchgate_edges(adj)
     planes = _local_matchgate_planes()
     R = np.eye(2 * G.n)
     for layer_index in range(L):

@@ -24,8 +24,10 @@ from .errors import BudgetError, ValidationError
 
 logger = logging.getLogger(__name__)
 
-# largest estimated cost of a Frobenius-Schur run, in complex multiply-adds
-# (d^3 per d x d product): 20 s to 2 min on one core of a 2-core x86 machine
+# largest estimated cost of a run of dense Haar draws (a Frobenius-Schur
+# estimate, the dense matchgate side of an experiment), in complex
+# multiply-adds (d^3 per d x d product): 20 s to 2 min on one core of a
+# 2-core x86 machine
 FS_COST_CAP = 1e11
 
 
@@ -330,6 +332,20 @@ def even_parity_projector(n: int) -> np.ndarray:
     return np.diag((parity == 0).astype(np.complex128))
 
 
+def check_draw_cost(G: groups.GroupSpec, M: int, what: str) -> None:
+    """Raise BudgetError when M dense Haar draws of G cost more than FS_COST_CAP.
+
+    A draw costs d^3 complex multiply-adds, or n(2n-1) d^3 for a matchgate
+    (one d x d product per Givens lift).
+    """
+    per_draw = float(G.dense_dimension) ** 3 * (G.n * (2 * G.n - 1) if G.kind == "matchgate" else 1)
+    if M * per_draw > FS_COST_CAP:
+        raise BudgetError(
+            f"{what} for {G.kind} n={G.n} with {M} samples costs about "
+            f"{M * per_draw:.2e} multiply-adds ({per_draw:.2e} per draw), cap is {FS_COST_CAP:.0e}"
+        )
+
+
 def frobenius_schur(
     G: groups.GroupSpec,
     subspace_projector: np.ndarray | None = None,
@@ -338,20 +354,13 @@ def frobenius_schur(
 ) -> MomentEstimate:
     """Estimate E_U Tr[Pi U^2]: +1 real, -1 quaternionic, 0 complex type.
 
-    Before the first draw the run's cost is estimated as M draws of d^3 each,
-    or n(2n-1) d^3 for a matchgate draw (one d x d product per Givens lift);
-    above ``FS_COST_CAP`` it raises BudgetError.
+    Before the first draw ``check_draw_cost`` budgets the M Haar draws.
     """
     d = G.dense_dimension
     Pi = np.eye(d, dtype=np.complex128) if subspace_projector is None else np.asarray(subspace_projector)
     if Pi.shape != (d, d):
         raise ValidationError(f"projector shape {Pi.shape} does not match d={d}")
-    per_draw = float(d) ** 3 * (G.n * (2 * G.n - 1) if G.kind == "matchgate" else 1)
-    if M * per_draw > FS_COST_CAP:
-        raise BudgetError(
-            f"Frobenius-Schur estimate for {G.kind} n={G.n} with {M} samples costs about "
-            f"{M * per_draw:.2e} multiply-adds ({per_draw:.2e} per draw), cap is {FS_COST_CAP:.0e}"
-        )
+    check_draw_cost(G, M, "Frobenius-Schur estimate")
 
     def one(stream):
         U = groups.sample_haar(G, stream)

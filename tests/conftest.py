@@ -11,7 +11,13 @@ and batched kernels: ``embed`` as a Kronecker product with the identity
 followed by a permutation gather, ``sample_shallow`` as a loop in which every
 gate draws its own Gaussians and takes its own QR, and the symplectic Haar
 draw as modified Gram-Schmidt, one vector at a time.
+
+The commutator-graph references are the per-vertex forms of the numpy
+closures: ``neighbors`` of one Pauli, a deque BFS over Python-int keys, and
+the Clifford closure that multiplies and keys one matrix at a time.
 """
+
+from collections import deque
 
 import numpy as np
 import pytest
@@ -153,6 +159,88 @@ def sample_shallow_reference(G, L: int, adjacency, rng) -> np.ndarray:
             layer_u = embed_reference(gate, pair, G.n) @ layer_u
         U = layer_u @ U
     return U
+
+
+def _anticommutes(vx: int, vz: int, gx: int, gz: int) -> bool:
+    return ((vx & gz).bit_count() + (vz & gx).bit_count()) % 2 == 1
+
+
+def neighbors(P, S):
+    """Distinct projective products HP over anticommuting generators H."""
+    from designgap import pauli
+    from designgap.errors import ValidationError
+
+    if P.n != S.n:
+        raise ValidationError(f"size mismatch: {P.n} vs {S.n} qubits")
+    v = pauli.to_key(P)
+    keys = set()
+    for g in S.generators:
+        if _anticommutes(P.x_bits, P.z_bits, g.x_bits, g.z_bits):
+            keys.add(v ^ pauli.to_key(g))
+    return tuple(pauli.from_key(k, P.n) for k in sorted(keys))
+
+
+def bfs_reference(start_key: int, S, max_dist=None, max_size=None) -> dict:
+    """Distances from start_key by a deque BFS, one vertex at a time."""
+    from designgap import cgraph, pauli
+    from designgap.errors import BudgetError
+
+    max_size = cgraph.COMPONENT_SIZE_CAP if max_size is None else max_size
+    n = S.n
+    words = [(pauli.to_key(g), g.x_bits, g.z_bits) for g in S.generators]
+    mask = (1 << n) - 1
+    dist = {start_key: 0}
+    frontier = deque([start_key])
+    while frontier:
+        v = frontier.popleft()
+        dv = dist[v]
+        if max_dist is not None and dv >= max_dist:
+            continue
+        vx, vz = v >> n, v & mask
+        for gkey, gx, gz in words:
+            if _anticommutes(vx, vz, gx, gz):
+                w = v ^ gkey
+                if w not in dist:
+                    if len(dist) >= max_size:
+                        raise BudgetError(f"component exceeds {max_size} vertices")
+                    dist[w] = dv + 1
+                    frontier.append(w)
+    return dist
+
+
+def enumerate_clifford_reference(n: int) -> tuple:
+    """All projective n-qubit Cliffords by a FIFO closure, one product at a time."""
+    from designgap import densesim
+
+    H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
+    S = np.diag([1.0, 1.0j]).astype(np.complex128)
+    gens = []
+    for q in range(n):
+        gens.append(densesim.embed(H, (q,), n))
+        gens.append(densesim.embed(S, (q,), n))
+    if n == 2:
+        gens.append(np.diag([1.0, 1.0, 1.0, -1.0]).astype(np.complex128))  # CZ
+
+    def canonical_key(M):
+        flat = M.reshape(-1)
+        pivot = flat[np.argmax(np.abs(flat) > 1e-8)]
+        normalized = M / (pivot / abs(pivot))
+        return (np.round(normalized, 8) + 0.0).tobytes()
+
+    start = np.eye(1 << n, dtype=np.complex128)
+    seen = {canonical_key(start)}
+    order = [start]
+    queue = deque([start])
+    while queue:
+        current = queue.popleft()
+        for g in gens:
+            candidate = g @ current
+            key = canonical_key(candidate)
+            if key not in seen:
+                seen.add(key)
+                order.append(candidate)
+                queue.append(candidate)
+    return tuple(order)
 
 
 @pytest.fixture

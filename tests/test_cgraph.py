@@ -1,12 +1,14 @@
 """Implicit commutator-graph BFS: censuses, balls, ratios, diameters."""
 
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conftest import bfs_reference, neighbors
 from designgap import cgraph, groups, pauli
 from designgap.errors import BudgetError, ValidationError
 
@@ -41,7 +43,7 @@ class TestNeighbors:
     def test_neighbors_are_anticommuting_products(self):
         S = standard_set(2)
         P = pauli.from_text("XI")
-        got = {pauli.to_key(Q) for Q in cgraph.neighbors(P, S)}
+        got = {pauli.to_key(Q) for Q in neighbors(P, S)}
         want = set()
         for g in S.generators:
             if not pauli.commutes(P, g):
@@ -55,14 +57,14 @@ class TestNeighbors:
         n = 4
         S = standard_set(n)
         P = pauli.PauliString(n, xk & 15, zk & 15)
-        for Q in cgraph.neighbors(P, S):
-            back = {pauli.to_key(R) for R in cgraph.neighbors(Q, S)}
+        for Q in neighbors(P, S):
+            back = {pauli.to_key(R) for R in neighbors(Q, S)}
             assert pauli.to_key(P) in back
 
     def test_commuting_generator_gives_no_edge(self):
         S = cgraph.GeneratorSet(2, (pauli.from_text("ZI"),))
-        assert cgraph.neighbors(pauli.from_text("ZI"), S) == ()
-        assert len(cgraph.neighbors(pauli.from_text("XI"), S)) == 1
+        assert neighbors(pauli.from_text("ZI"), S) == ()
+        assert len(neighbors(pauli.from_text("XI"), S)) == 1
 
 
 class TestComponents:
@@ -220,3 +222,93 @@ class TestMidpointBallProperty:
         N = n * n // 2 - 1
         ball = cgraph.n_ball(P, S, N)
         assert len(ball) < comp.size / 2
+
+
+def _level_distances(levels):
+    return {k: d for d, level in enumerate(levels) for k in level.tolist()}
+
+
+class TestAgainstDequeOracle:
+    """The level-synchronous BFS against the per-vertex deque BFS."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 6, 7])
+    @pytest.mark.parametrize("which", ["standard", "full"])
+    def test_census_distances_match(self, n, which):
+        S = standard_set(n) if which == "standard" else full_set(n)
+        comps = cgraph.census(S)
+        assert sum(c.size for c in comps) == 4**n
+        for comp in comps:
+            want = bfs_reference(pauli.to_key(comp.representative), S)
+            assert comp.distances == want
+            assert comp.members == frozenset(want)
+            assert comp.size == len(want)
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    @pytest.mark.parametrize("which", ["standard", "full"])
+    def test_truncation_at_every_radius(self, n, which):
+        S = standard_set(n) if which == "standard" else full_set(n)
+        P = pauli.hermitian_representative(pauli.majorana_product(tuple(range(1, n + 1)), n))
+        key = pauli.to_key(P)
+        radius = max(bfs_reference(key, S).values())
+        for N in range(radius + 2):
+            want = bfs_reference(key, S, max_dist=N)
+            assert _level_distances(cgraph._bfs(key, cgraph._gen_words(S), n, max_dist=N)) == want
+            assert cgraph.n_ball(P, S, N) == frozenset(want)
+            assert cgraph.ball_sizes(P, S, up_to=N)[-1] == len(want)
+
+    @pytest.mark.parametrize("max_dist", [None, 1, 2, 3])
+    def test_budget_raised_at_the_same_size(self, max_dist):
+        n = 5
+        S = full_set(n)
+        key = pauli.to_key(pauli.hermitian_representative(pauli.majorana_product((1, 2, 3, 4, 5), n)))
+        size = len(bfs_reference(key, S, max_dist=max_dist))
+        words = cgraph._gen_words(S)
+        for cap in (size - 1, size // 2, 1):
+            with pytest.raises(BudgetError):
+                bfs_reference(key, S, max_dist=max_dist, max_size=cap)
+            with pytest.raises(BudgetError, match=f"exceeds {cap} vertices"):
+                cgraph._bfs(key, words, n, max_dist=max_dist, max_size=cap)
+        got = cgraph._bfs(key, words, n, max_dist=max_dist, max_size=size)
+        assert _level_distances(got) == bfs_reference(key, S, max_dist=max_dist, max_size=size)
+
+    def test_chunked_expansion_matches(self, monkeypatch):
+        # a tiny chunk forces the multi-pass merge and the early budget exit
+        monkeypatch.setattr(cgraph, "CANDIDATE_CHUNK", 7)
+        n = 4
+        S = full_set(n)
+        for comp in cgraph.census(S):
+            assert comp.distances == bfs_reference(pauli.to_key(comp.representative), S)
+        key = pauli.to_key(pauli.hermitian_representative(pauli.majorana_product((1, 2, 3, 4), n)))
+        size = math.comb(2 * n, n)
+        words = cgraph._gen_words(S)
+        with pytest.raises(BudgetError):
+            cgraph._bfs(key, words, n, max_size=size - 1)
+        assert sum(level.size for level in cgraph._bfs(key, words, n, max_size=size)) == size
+
+    @pytest.mark.parametrize("n", [3, 4])
+    def test_region_fraction_matches_member_count(self, n):
+        S = standard_set(n)
+        P = pauli.from_text("X" + "I" * (n - 1))
+        region = tuple(range(n - 1))
+        members = bfs_reference(pauli.to_key(P), S)
+        inside = sum(1 for k in members if set(pauli.support(pauli.from_key(k, n))) <= set(region))
+        exact, _ = cgraph.r_fraction(P, S, region)
+        assert exact == Fraction(inside, len(members))
+
+
+class TestKeyWidth:
+    def test_wide_keys_rejected(self):
+        # 2n-bit keys fit in int64 only up to n = 31
+        n = cgraph.KEY_QUBIT_CAP + 1
+        S = standard_set(n)
+        with pytest.raises(BudgetError, match=f"n <= {cgraph.KEY_QUBIT_CAP}"):
+            cgraph.component(pauli.PauliString(n, 1, 0), S)
+        with pytest.raises(BudgetError, match=f"n <= {cgraph.KEY_QUBIT_CAP}"):
+            cgraph.n_ball(pauli.PauliString(n, 1, 0), S, 1)
+
+    def test_widest_keys_accepted(self):
+        n = cgraph.KEY_QUBIT_CAP
+        S = full_set(n)
+        P = pauli.PauliString(n, 1 << (n - 1), 0)
+        sizes = cgraph.ball_sizes(P, S, up_to=1)
+        assert sizes == [1, 1 + 2 * n - 1]

@@ -55,6 +55,24 @@ class TestExitCodes:
         assert out == ""
         assert "budget" in err and "2.04e+11" in err
 
+    def test_costly_dense_matchgate_experiment_is_refused_before_sampling(self, capsys):
+        # a non-prefix region takes the dense path: 20000 draws of 120 lifts of 256 x 256
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, [
+            "discriminate", "--experiment", "depth", "--group", "matchgate", "--n", "8",
+            "--region", "1,2,3", "--vertex", "IIXIIIII",
+        ])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert "budget" in err and "4.03e+13" in err
+
+    def test_graph_keys_wider_than_int64_are_refused(self, capsys):
+        code, out, err = run_cli(capsys, ["graph", "--group", "matchgate", "--n", "40", "--balls"])
+        assert code == 2
+        assert out == ""
+        assert "budget" in err and "n <= 31" in err
+
     def test_validation_failure_is_exit_one(self, capsys):
         code, _, err = run_cli(capsys, ["bounds", "--formula", "matchgate-depth", "--n", "5"])
         assert code == 1
@@ -76,6 +94,13 @@ class TestExitCodes:
               "--region", ""], "--region"),
             (["discriminate", "--experiment", "depth", "--group", "orthogonal", "--n", "3",
               "--samples", "5", "--region", ","], "--region"),
+            (["discriminate", "--experiment", "depth", "--group", "orthogonal", "--n", "4",
+              "--samples", "5", "--adjacency", "ring"], "--adjacency"),
+            # (0, 2) and (1, 3) are not Jordan-Wigner neighbors; depth 1 uses only (0, 1), (2, 3)
+            (["discriminate", "--experiment", "depth", "--group", "matchgate", "--n", "4",
+              "--adjacency", "grid 2x2", "--depth", "1"], "--adjacency"),
+            (["discriminate", "--experiment", "depth", "--group", "matchgate", "--n", "4",
+              "--adjacency", "grid 2x2", "--depth", "2"], "--adjacency"),
         ],
     )
     def test_malformed_values_name_their_flag(self, capsys, argv, flag):

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from designgap import bounds, cgraph, densesim, experiments, groups, moments, pauli, rng
-from designgap.errors import InvariantError, ValidationError
+from designgap.errors import BudgetError, InvariantError, ValidationError
 
 
 class TestEnsembleSpec:
@@ -342,3 +342,33 @@ class TestRotationEvaluation:
         monkeypatch.setattr(cgraph, "n_ball", lambda P, S, N: real(P, S, N + 1))
         with pytest.raises(InvariantError):
             experiments.run_gatecount_discrimination(experiments.gatecount_config(3, 2, 0, gates=1))
+
+
+class TestDenseMatchgateSide:
+    def test_cost_budget_counts_lifts_per_draw(self, monkeypatch):
+        # a dense matchgate draw at n=4 multiplies n(2n-1) = 28 lifts of 16 x 16
+        monkeypatch.setattr(moments, "FS_COST_CAP", 10 * 28 * 16**3)
+        chain = groups.parse_adjacency("chain", 4)
+
+        def config(kind, samples):
+            return experiments.depth_config(
+                kind, 4, samples=samples, seed=0, region=(1, 2, 3), perturbation=pauli.from_text("IIXI")
+            )
+
+        experiments._depth_dense(config("matchgate", 10), chain)
+        with pytest.raises(BudgetError, match="dense matchgate Haar side"):
+            experiments._depth_dense(config("matchgate", 11), chain)
+        # other kinds draw one d x d matrix, not 28 lifts, and are not budgeted here
+        experiments._depth_dense(config("orthogonal", 11), chain)
+        # the gate count over a non-full set takes the same dense Haar side
+        standard = groups.matchgate_standard_set(4)
+        with pytest.raises(BudgetError):
+            experiments.run_gatecount_discrimination(
+                experiments.gatecount_config(4, 11, 0, allowed=standard)
+            )
+
+    @pytest.mark.parametrize("depth", [1, 2])
+    def test_matchgates_need_jordan_wigner_edges(self, depth):
+        cfg = experiments.depth_config("matchgate", 4, 2, 0, depth=depth, adjacency="grid 2x2")
+        with pytest.raises(ValidationError, match=r"has edge \(0, 2\)"):
+            experiments.run_depth_discrimination(cfg)

@@ -8,7 +8,13 @@ import pytest
 from designgap import cgraph, densesim, groups, pauli, rng as dgrng
 from designgap.errors import BudgetError, InvariantError, ValidationError
 
-from conftest import haar_symplectic_mgs, kron_chain, sample_shallow_reference, swap_qubit_permutation
+from conftest import (
+    enumerate_clifford_reference,
+    haar_symplectic_mgs,
+    kron_chain,
+    sample_shallow_reference,
+    swap_qubit_permutation,
+)
 
 
 def stream(i=0):
@@ -232,6 +238,17 @@ class TestHaarSamplers:
     def test_clifford_sizes(self):
         assert len(groups.enumerate_clifford(1)) == 24
         assert len(groups.enumerate_clifford(2)) == 11520
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_clifford_enumeration_matches_reference(self, n):
+        # same matrices, byte for byte, in the same order: samplers index by position
+        got = groups.enumerate_clifford(n)
+        want = enumerate_clifford_reference(n)
+        assert len(got) == len(want)
+        for A, B in zip(got, want):
+            assert A.shape == B.shape
+            assert A.tobytes() == B.tobytes()
+            assert not A.flags.writeable
 
     def test_clifford_elements_are_projectively_distinct(self):
         mats = groups.enumerate_clifford(1)
