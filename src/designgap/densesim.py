@@ -102,14 +102,17 @@ def embed(op: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
 
 
 def partial_trace(A: np.ndarray, keep: tuple[int, ...], n: int) -> np.ndarray:
-    """Trace out all qubits not in ``keep`` (result ordered as ``keep``)."""
+    """Trace out all qubits not in ``keep`` (result ordered as ``keep``).
+
+    A may carry leading stack axes; each matrix is reduced on its own.
+    """
     sigma = basis_permutation(tuple(keep), n)
     inv = np.empty_like(sigma)
     inv[sigma] = np.arange(sigma.size)
     dK = 1 << len(keep)
     dR = (1 << n) // dK
-    B = A[np.ix_(inv, inv)].reshape(dK, dR, dK, dR)
-    return np.einsum("arbr->ab", B)
+    B = A[..., inv[:, None], inv].reshape(*A.shape[:-2], dK, dR, dK, dR)
+    return np.einsum("...arbr->...ab", B)
 
 
 def bell_state(m: int) -> np.ndarray:

@@ -434,14 +434,34 @@ def _orthogonal_from_ginibre(Z: np.ndarray) -> np.ndarray:
     return (Q * np.sign(np.diagonal(R, axis1=-2, axis2=-1))[..., None, :]).astype(np.complex128)
 
 
+def _normals(streams, shape) -> np.ndarray:
+    """Each stream's normals of the given shape, in one call per stream, stacked."""
+    if len(streams) == 1:
+        return streams[0].normal(size=shape)[None]
+    return np.stack([stream.normal(size=shape) for stream in streams])
+
+
+def haar_unitary_stack(d: int, streams) -> np.ndarray:
+    """One Haar U(d) per stream, stacked: QR of complex Ginibre matrices with phase fix.
+
+    Each stream gives the real then the imaginary part of its d x d draw.
+    """
+    Z = _normals(streams, (2, d, d))
+    return _unitary_from_ginibre(Z[:, 0] + 1j * Z[:, 1])
+
+
 def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar U(d) via QR of a complex Ginibre matrix with phase fix."""
-    return _unitary_from_ginibre(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+    return haar_unitary_stack(d, [rng])[0]
+
+
+def _haar_orthogonal_stack(d: int, streams) -> np.ndarray:
+    return _orthogonal_from_ginibre(_normals(streams, (d, d)))
 
 
 def haar_orthogonal(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar O(d) via QR of a real Ginibre matrix with sign fix."""
-    return _orthogonal_from_ginibre(rng.normal(size=(d, d)))
+    return _haar_orthogonal_stack(d, [rng])[0]
 
 
 def haar_special_orthogonal(d: int, rng: np.random.Generator) -> np.ndarray:
@@ -460,35 +480,42 @@ def _canonical_symplectic_j(d: int) -> np.ndarray:
 
 
 def _symplectic_columns(Z: np.ndarray) -> np.ndarray:
-    """The canonical-form symplectic unitary built from Gaussian draws Z.
+    """The canonical-form symplectic unitaries built from Gaussian draws Z.
 
-    Z has shape (d/2, 2, d): the real and imaginary parts of one complex
-    Gaussian column per row, in stream order.  Each column is orthogonalized
-    against the pool of previous columns and their images under the antilinear
-    map T(v) = J conj(v), in two block passes v -= P^T (conj(P) v) over the
-    pool matrix P, then normalized; the second block of columns is -T of the
-    first.  Equivariance of T under left multiplication by symplectic
-    unitaries makes the law left-invariant, hence Haar.
+    Z has shape (B, d/2, 2, d): per draw, the real and imaginary parts of one
+    complex Gaussian column per row, in stream order.  Each column is
+    orthogonalized against the pool of previous columns and their images
+    under the antilinear map T(v) = J conj(v), in two block passes
+    v -= P^T (conj(P) v) over the pool matrix P, then normalized; the second
+    block of columns is -T of the first.  Equivariance of T under left
+    multiplication by symplectic unitaries makes the law left-invariant,
+    hence Haar.  Every step is a per-draw matrix-vector product over the
+    stack, and the norm is sqrt(re.re + im.im) by matmul, so each draw of a
+    stack is bit for bit the draw made alone.
     """
-    half, _, d = Z.shape
+    B, half, _, d = Z.shape
     J = _canonical_symplectic_j(d)
-    pool = np.empty((d, d), dtype=np.complex128)  # rows u_0, T u_0, u_1, T u_1, ...
+    pool = np.empty((B, d, d), dtype=np.complex128)  # rows u_0, T u_0, u_1, T u_1, ...
+    pool_t = pool.transpose(0, 2, 1)
+    columns = (Z[:, :, 0] + 1j * Z[:, :, 1])[..., None]
     for j in range(half):
-        v = Z[j, 0] + 1j * Z[j, 1]
-        P = pool[: 2 * j]
+        v = columns[:, j]
+        P, PT = pool[:, : 2 * j], pool_t[:, :, : 2 * j]
+        Pc = P.conj()
         for _ in range(2):  # two passes for numerical orthogonality
-            v = v - P.T @ (P.conj() @ v)
-        u = v / np.linalg.norm(v)
-        pool[2 * j] = u
-        pool[2 * j + 1] = J @ u.conj()
-    return np.hstack([pool[0::2].T, -pool[1::2].T])
+            v = v - PT @ (Pc @ v)
+        re, im = v.real, v.imag
+        u = v / np.sqrt(re.transpose(0, 2, 1) @ re + im.transpose(0, 2, 1) @ im)
+        pool[:, 2 * j] = u[..., 0]
+        pool[:, 2 * j + 1] = (J @ u.conj())[..., 0]
+    return np.concatenate([pool_t[:, :, 0::2], -pool_t[:, :, 1::2]], axis=2)
 
 
 def _haar_symplectic_canonical(d: int, rng: np.random.Generator) -> np.ndarray:
     """Haar on the compact symplectic group preserving the block form J."""
     if d % 2:
         raise ValidationError(f"symplectic dimension must be even, got {d}")
-    return _symplectic_columns(rng.normal(size=(d // 2, 2, d)))
+    return _symplectic_columns(_normals([rng], (d // 2, 2, d)))[0]
 
 
 @functools.lru_cache(maxsize=None)
@@ -506,11 +533,18 @@ def _swap_qubits(U: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
     return U[np.ix_(s, s)]
 
 
+def _haar_symplectic_stack(n: int, streams) -> np.ndarray:
+    U = _symplectic_columns(_normals(streams, (1 << (n - 1), 2, 1 << n)))
+    fq = symplectic_form_qubit(n)
+    if fq == 0:
+        return U
+    s = _qubit_swap_index(0, fq, n)
+    return U[:, s[:, None], s]
+
+
 def haar_symplectic(n: int, rng: np.random.Generator) -> np.ndarray:
     """Haar element of the compact symplectic group for the shipped form."""
-    U = _haar_symplectic_canonical(1 << n, rng)
-    fq = symplectic_form_qubit(n)
-    return _swap_qubits(U, 0, fq, n) if fq != 0 else U
+    return _haar_symplectic_stack(n, [rng])[0]
 
 
 @functools.lru_cache(maxsize=None)
@@ -634,11 +668,27 @@ def adjoint_majorana_matrix(U: np.ndarray, n: int) -> tuple[np.ndarray, float]:
     return O, resid
 
 
-def sample_haar(G: GroupSpec, rng: np.random.Generator) -> np.ndarray:
-    """One Haar draw from the group, self-checked against its form."""
-    d = G.dense_dimension
+def _check_form(G: GroupSpec, U: np.ndarray, what: str) -> None:
+    """Raise InvariantError when a draw, or any draw of a stack, leaves the form."""
+    Om = G.form.dense()
+    drift = float(np.max(np.abs(np.swapaxes(U, -1, -2) @ Om @ U - Om)))
+    if drift > SAMPLER_SELF_CHECK_TOL:
+        raise InvariantError(f"{what} drifted off the form by {drift:.2e}")
+
+
+def _check_dense_sampling(G: GroupSpec) -> None:
     if G.n > pauli.DENSE_QUBIT_CAP:
         raise BudgetError(f"dense sampling for n={G.n} exceeds cap {pauli.DENSE_QUBIT_CAP}")
+
+
+def sample_haar(G: GroupSpec, rng: np.random.Generator) -> np.ndarray:
+    """One Haar draw from the group, self-checked against its form.
+
+    For the unitary, orthogonal and symplectic kinds this is the stack of one
+    of ``sample_haar_stack``.
+    """
+    d = G.dense_dimension
+    _check_dense_sampling(G)
     if G.kind in ("unitary", "mixed_unitary"):
         return haar_unitary(d, rng)
     if G.kind == "orthogonal":
@@ -653,10 +703,30 @@ def sample_haar(G: GroupSpec, rng: np.random.Generator) -> np.ndarray:
     else:
         raise ValidationError(f"no Haar sampler for kind {G.kind!r}")
     if G.form is not None:
-        Om = G.form.dense()
-        drift = float(np.max(np.abs(U.T @ Om @ U - Om)))
-        if drift > SAMPLER_SELF_CHECK_TOL:
-            raise InvariantError(f"{G.kind} sampler drifted off the form by {drift:.2e}")
+        _check_form(G, U, f"{G.kind} sampler")
+    return U
+
+
+def sample_haar_stack(G: GroupSpec, streams) -> np.ndarray:
+    """One Haar draw per stream, stacked to shape (len(streams), d, d).
+
+    Unitary, orthogonal and symplectic stacks take each stream's normals in
+    the shape and order ``sample_haar`` takes them, orthogonalize the whole
+    stack in one QR or one Gram-Schmidt, and run the form self-check once
+    over the stack, so row i is ``sample_haar(G, streams[i])`` bit for bit.
+    Matchgate and Clifford draws are stacked single draws.
+    """
+    d = G.dense_dimension
+    _check_dense_sampling(G)
+    if G.kind in ("unitary", "mixed_unitary"):
+        return haar_unitary_stack(d, streams)
+    if G.kind == "orthogonal":
+        return _haar_orthogonal_stack(d, streams)
+    if G.kind != "symplectic":
+        return np.stack([sample_haar(G, stream) for stream in streams])
+    U = _haar_symplectic_stack(G.n, streams)
+    if G.form is not None:
+        _check_form(G, U, f"{G.kind} sampler")
     return U
 
 
@@ -727,7 +797,7 @@ def _layer_gates(kind: str, cls, n: int, rng: np.random.Generator) -> list[np.nd
         fq = symplectic_form_qubit(n)
         for i, pair in enumerate(cls):
             if fq in pair:
-                local = _symplectic_columns(Z[i].reshape(2, 2, 4))
+                local = _symplectic_columns(Z[i].reshape(1, 2, 2, 4))[0]
                 gates[i] = local if pair.index(fq) == 0 else _swap_qubits(local, 0, 1, 2)
         return gates
     if kind == "matchgate":
@@ -759,10 +829,7 @@ def sample_shallow(
         layers.append(layer)
         U = layer_u @ U
     if G.form is not None and L > 0:
-        Om = G.form.dense()
-        drift = float(np.max(np.abs(U.T @ Om @ U - Om)))
-        if drift > SAMPLER_SELF_CHECK_TOL:
-            raise InvariantError(f"shallow {G.kind} circuit drifted off the form by {drift:.2e}")
+        _check_form(G, U, f"shallow {G.kind} circuit")
     return ShallowCircuit(U, L, adj, tuple(layers))
 
 

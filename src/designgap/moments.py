@@ -13,7 +13,6 @@ sample costs a few dense multiplications at dimension 2^n.
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -21,8 +20,6 @@ import numpy as np
 
 from . import cgraph, densesim, groups, pauli, rng
 from .errors import BudgetError, ValidationError
-
-logger = logging.getLogger(__name__)
 
 # largest estimated cost of a run of dense Haar draws (a Frobenius-Schur
 # estimate, the dense matchgate side of an experiment), in complex
@@ -112,8 +109,7 @@ def second_moment_closed_form(kind: str, n: int) -> np.ndarray:
     qubit; the three coefficients do not depend on which qubit that is.
     """
     d = 1 << n
-    if 2 * n > densesim.STATE_QUBIT_CAP:
-        raise BudgetError(f"two-copy closed form needs 2n <= {densesim.STATE_QUBIT_CAP}")
+    _check_two_copy_operator(n, "two-copy closed form")
     alpha, beta, gamma = weingarten_coefficients(kind, d)
     form = groups.orthogonal_form(n) if kind == "orthogonal" else groups.symplectic_form(n)
     eye2 = np.eye(d * d, dtype=np.complex128)
@@ -121,20 +117,38 @@ def second_moment_closed_form(kind: str, n: int) -> np.ndarray:
     return float(alpha) * eye2 + float(beta) * swap + float(gamma) * form_insertion_dense(form, n)
 
 
+def _check_two_copy_operator(n: int, what: str) -> None:
+    if n > densesim.TWO_COPY_OPERATOR_CAP:
+        raise BudgetError(f"{what} builds (d^2, d^2) operators, capped at n <= {densesim.TWO_COPY_OPERATOR_CAP}")
+
+
+def _conjugated(G: groups.GroupSpec, Vd: np.ndarray, streams) -> np.ndarray:
+    """U V U^dag for one Haar draw U per stream, stacked."""
+    U = groups.sample_haar_stack(G, streams)
+    return U @ Vd @ U.conj().transpose(0, 2, 1)
+
+
+def _matrix_row_bytes(d: int) -> int:
+    return np.dtype(np.complex128).itemsize * d * d
+
+
 def mc_second_moment_matrix(G: groups.GroupSpec, V, M: int, seed: int):
-    """Entrywise Monte Carlo mean and stderr of (U V U^dag)^{x2}."""
+    """Entrywise Monte Carlo mean and stderr of (U V U^dag)^{x2}.
+
+    Each block of draws builds its Kronecker squares A x A by broadcasting,
+    at most ``rng.STACK_BYTES`` of them at once.
+    """
     n = G.n
     d = 1 << n
-    if 2 * n > densesim.STATE_QUBIT_CAP:
-        raise BudgetError(f"dense two-copy average needs 2n <= {densesim.STATE_QUBIT_CAP}")
+    _check_two_copy_operator(n, "dense two-copy average")
     Vd = _as_dense_v(V, n)
 
-    def one(stream):
-        U = groups.sample_haar(G, stream)
-        A = U @ Vd @ U.conj().T
-        return np.kron(A, A)
+    def rows(streams):
+        A = _conjugated(G, Vd, streams)
+        # kron(A, A)[i d + k, j d + l] = A[i, j] A[k, l]
+        return (A[:, :, None, :, None] * A[:, None, :, None, :]).reshape(len(A), d * d, d * d)
 
-    total, total_sq = rng.accumulate_moments(one, (d * d, d * d), M, seed)
+    total, total_sq = rng.accumulate_rows(rows, (d * d, d * d), M, seed, _matrix_row_bytes(d * d))
     return rng.mean_and_stderr_from_sums(total, total_sq, M)
 
 
@@ -146,126 +160,35 @@ def mc_second_moment_trace(G: groups.GroupSpec, V, O, M: int, seed: int) -> Mome
     """Estimate E_U Tr[(U V U^dag)^{x2} O] from M Haar samples.
 
     O may be a SwapRegionTag, in which case each sample reduces to the square
-    of the region-restricted partial trace and only d x d matrices appear; a
-    dense O of shape (d^2, d^2) forces the explicit Kronecker route and is
-    budget-capped.
+    of the region-restricted partial trace, only d x d matrices appear, and a
+    chunk of draws is evaluated as one stack; a dense O of shape (d^2, d^2)
+    forces the explicit per-sample Kronecker route and is budget-capped.
     """
     n = G.n
     Vd = _as_dense_v(V, n)
+    d = 1 << n
     if isinstance(O, SwapRegionTag):
         region = tuple(sorted(O.region))
         if not region or any(q < 0 or q >= n for q in region):
             raise ValidationError(f"bad region {O.region} for n={n}")
 
-        def one(stream):
-            U = groups.sample_haar(G, stream)
-            A = U @ Vd @ U.conj().T
-            Mred = densesim.partial_trace(A, region, n)
-            return float(np.trace(Mred @ Mred).real)
+        def rows(streams):
+            Mred = densesim.partial_trace(_conjugated(G, Vd, streams), region, n)
+            return np.trace(Mred @ Mred, axis1=1, axis2=2).real
 
-    else:
-        Od = np.asarray(O, dtype=np.complex128)
-        d = 1 << n
-        if Od.shape != (d * d, d * d):
-            raise ValidationError(f"observable shape {Od.shape}, expected {(d * d, d * d)}")
-        if n > densesim.TWO_COPY_OPERATOR_CAP:
-            raise BudgetError(f"dense two-copy route capped at n <= {densesim.TWO_COPY_OPERATOR_CAP}")
+        return _estimate(rng.sample_rows(rows, M, seed, row_bytes=_matrix_row_bytes(d)), seed)
 
-        def one(stream):
-            U = groups.sample_haar(G, stream)
-            A = U @ Vd @ U.conj().T
-            return float(np.trace(np.kron(A, A) @ Od).real)
-
-    values = rng.sample_array(one, M, seed)
-    return _estimate(values, seed)
-
-
-# ---------------------------------------------------------------------------
-# commutant basis from component structure
-
-
-@dataclass(frozen=True, eq=False)
-class QuadraticSymmetry:
-    """Label (j, kappa) for one commutant basis element Q built from a
-    component: Q = 1/(d sqrt(|C|)) sum_{T in C} T x (L_j T)."""
-
-    j: int
-    linear: pauli.PauliString
-    kappa: int
-    component: cgraph.ComponentSummary
-
-    def dense(self) -> np.ndarray:
-        n = self.component.n
-        if n > densesim.TWO_COPY_OPERATOR_CAP:
-            raise BudgetError(f"dense commutant basis capped at n <= {densesim.TWO_COPY_OPERATOR_CAP}")
-        d = 1 << n
-        out = np.zeros((d * d, d * d), dtype=np.complex128)
-        for key in sorted(self.component.members):
-            T = pauli.from_key(key, n)
-            out += np.kron(pauli.to_dense(T), pauli.to_dense(pauli.multiply(self.linear, T)))
-        return out / (d * np.sqrt(len(self.component.members)))
-
-
-def quadratic_symmetry_basis(
-    S: cgraph.GeneratorSet, linear_syms
-) -> list[QuadraticSymmetry]:
-    """One basis label per (linear symmetry, commutator-graph component).
-
-    kappa records the Majorana weight of the component representative; for
-    generator sets that do not preserve that grading it is only a name.
-    """
-    syms = list(linear_syms)
-    if not syms:
-        raise ValidationError("need at least one linear symmetry")
-    for i, L in enumerate(syms):
-        for L2 in syms[i + 1 :]:
-            if pauli.same_projective(L, L2):
-                raise ValidationError("linear symmetries must be projectively distinct")
-    out = []
-    for comp in cgraph.census(S):
-        kappa = pauli.majorana_count(comp.representative)
-        for j, L in enumerate(syms):
-            out.append(QuadraticSymmetry(j, L, kappa, comp))
-    return out
-
-
-def symmetry_gram_report(basis, tol: float = 1e-12) -> dict:
-    """Hilbert-Schmidt Gram matrix of the basis with collision diagnostics."""
-    mats = [q.dense() for q in basis]
-    k = len(mats)
-    gram = np.zeros((k, k), dtype=np.complex128)
-    for a in range(k):
-        for b in range(k):
-            gram[a, b] = np.trace(mats[a].conj().T @ mats[b])
-    deviation = float(np.max(np.abs(gram - np.eye(k))))
-    collisions = [
-        ((basis[a].j, basis[a].kappa), (basis[b].j, basis[b].kappa))
-        for a in range(k)
-        for b in range(a + 1, k)
-        if abs(gram[a, b]) > tol
-    ]
-    if collisions:
-        logger.warning("degenerate commutant labels: %s", collisions)
-    return {"gram": gram, "max_deviation": deviation, "collisions": collisions}
-
-
-def commutant_overlap_estimates(
-    G: groups.GroupSpec, P: pauli.PauliString, basis, M: int, seed: int
-):
-    """MC overlaps <Q, E (U P U^dag)^{x2}> for each commutant basis element."""
-    n = G.n
-    d = 1 << n
-    Pd = pauli.to_dense(pauli.hermitian_representative(P))
-    mats = [q.dense().conj().T for q in basis]
+    Od = np.asarray(O, dtype=np.complex128)
+    if Od.shape != (d * d, d * d):
+        raise ValidationError(f"observable shape {Od.shape}, expected {(d * d, d * d)}")
+    _check_two_copy_operator(n, "dense two-copy route")
 
     def one(stream):
         U = groups.sample_haar(G, stream)
-        A = U @ Pd @ U.conj().T
-        AA = np.kron(A, A)
-        return np.array([np.trace(Qh @ AA) for Qh in mats])
+        A = U @ Vd @ U.conj().T
+        return float(np.trace(np.kron(A, A) @ Od).real)
 
-    total, total_sq = rng.accumulate_moments(one, (len(mats),), M, seed)
-    return rng.mean_and_stderr_from_sums(total, total_sq, M)
+    return _estimate(rng.sample_array(one, M, seed), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -332,16 +255,21 @@ def even_parity_projector(n: int) -> np.ndarray:
     return np.diag((parity == 0).astype(np.complex128))
 
 
-def check_draw_cost(G: groups.GroupSpec, M: int, what: str) -> None:
-    """Raise BudgetError when M dense Haar draws of G cost more than FS_COST_CAP.
+def check_draw_cost(G: groups.GroupSpec | int, M: int, what: str) -> None:
+    """Raise BudgetError when M dense Haar draws cost more than FS_COST_CAP.
 
-    A draw costs d^3 complex multiply-adds, or n(2n-1) d^3 for a matchgate
-    (one d x d product per Givens lift).
+    G is a group, or the dimension d of a Haar unitary draw.  A draw costs
+    d^3 complex multiply-adds, or n(2n-1) d^3 for a matchgate (one d x d
+    product per Givens lift).
     """
-    per_draw = float(G.dense_dimension) ** 3 * (G.n * (2 * G.n - 1) if G.kind == "matchgate" else 1)
+    if isinstance(G, groups.GroupSpec):
+        d, lifts, name = G.dense_dimension, G.n * (2 * G.n - 1) if G.kind == "matchgate" else 1, f"{G.kind} n={G.n}"
+    else:
+        d, lifts, name = G, 1, f"U({G})"
+    per_draw = float(d) ** 3 * lifts
     if M * per_draw > FS_COST_CAP:
         raise BudgetError(
-            f"{what} for {G.kind} n={G.n} with {M} samples costs about "
+            f"{what} for {name} with {M} samples costs about "
             f"{M * per_draw:.2e} multiply-adds ({per_draw:.2e} per draw), cap is {FS_COST_CAP:.0e}"
         )
 
@@ -362,23 +290,28 @@ def frobenius_schur(
         raise ValidationError(f"projector shape {Pi.shape} does not match d={d}")
     check_draw_cost(G, M, "Frobenius-Schur estimate")
 
-    def one(stream):
-        U = groups.sample_haar(G, stream)
-        return float(np.trace(Pi @ U @ U).real)
+    def rows(streams):
+        U = groups.sample_haar_stack(G, streams)
+        return np.trace(Pi @ U @ U, axis1=1, axis2=2).real
 
-    return _estimate(rng.sample_array(one, M, seed), seed)
+    return _estimate(rng.sample_rows(rows, M, seed, row_bytes=_matrix_row_bytes(d)), seed)
 
 
 def mixed_unitary_fs(d: int, M: int, seed: int) -> MomentEstimate:
-    """Estimate E |Tr U^2|^2 over Haar unitaries; the exact value is 2."""
+    """Estimate E |Tr U^2|^2 over Haar unitaries; the exact value is 2.
+
+    Budgeted by ``check_draw_cost`` before the first draw.
+    """
     if d < 2:
         raise ValidationError(f"need d >= 2, got {d}")
+    check_draw_cost(d, M, "mixed-unitary Frobenius-Schur estimate")
 
-    def one(stream):
-        U = groups.haar_unitary(d, stream)
-        return abs(np.trace(U @ U)) ** 2
+    def rows(streams):
+        U = groups.haar_unitary_stack(d, streams)
+        # the modulus and power stay per-sample scalar operations
+        return [abs(t) ** 2 for t in np.trace(U @ U, axis1=1, axis2=2)]
 
-    return _estimate(rng.sample_array(one, M, seed), seed)
+    return _estimate(rng.sample_rows(rows, M, seed, row_bytes=_matrix_row_bytes(d)), seed)
 
 
 def mixed_unitary_commutant_dimension(
@@ -398,11 +331,13 @@ def mixed_unitary_commutant_dimension(
     if source == "haar_unitary":
         if d is None or M is None or seed is None:
             raise ValidationError("haar_unitary source needs d, M, and seed")
+        check_draw_cost(d, M, "Haar commutant estimate")
 
-        def one(stream):
-            return abs(np.trace(groups.haar_unitary(d, stream))) ** 4
+        def rows(streams):
+            traces = np.trace(groups.haar_unitary_stack(d, streams), axis1=1, axis2=2)
+            return [abs(t) ** 4 for t in traces]
 
-        return _estimate(rng.sample_array(one, M, seed), seed)
+        return _estimate(rng.sample_rows(rows, M, seed, row_bytes=_matrix_row_bytes(d)), seed)
     if source == "clifford_enumeration":
         if n is None:
             raise ValidationError("clifford_enumeration source needs n")

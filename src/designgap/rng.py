@@ -4,9 +4,18 @@ Every Monte Carlo sample i draws from its own Philox generator keyed by
 (master_seed, i), so the value of a sample never depends on how many samples
 ran before it, and any single sample can be replayed in isolation.  Sampling
 is serial: the per-sample work holds the GIL, and a thread pool ran these
-loops 1.0-1.9x slower at two threads than at one on a 2-core machine.  ``accumulate_moments`` reduces
-in fixed 64-sample chunks, which fixes its output bits and keeps the partial
-sums of large matrices streaming.
+loops 1.0-1.9x slower at two threads than at one on a 2-core machine.
+
+One loop walks the samples in fixed 64-sample chunks of streams.  A
+chunk-valued function maps a list of streams to one row per stream, so an
+estimator can draw and evaluate a whole chunk with stacked array operations;
+``sample_array`` and ``accumulate_moments`` take a per-sample function and
+wrap it as a chunk-valued one.  A caller that declares ``row_bytes``, the
+size of its largest per-sample intermediate, gets its chunks in blocks of at
+most ``STACK_BYTES`` of such rows, so no stack grows with the chunk past that
+bound.  ``accumulate_rows`` sums each chunk on its own, in sample order, and
+adds the chunk sums in order, which fixes its output bits for every block
+size and keeps the partial sums of large matrices streaming.
 """
 
 from __future__ import annotations
@@ -16,6 +25,8 @@ import numpy as np
 from .errors import ValidationError
 
 CHUNK_SIZE = 64
+# largest stacked per-block intermediate that a declared row size may build
+STACK_BYTES = 1 << 24
 
 
 def sample_stream(seed: int, index: int) -> np.random.Generator:
@@ -26,39 +37,95 @@ def sample_stream(seed: int, index: int) -> np.random.Generator:
     return np.random.Generator(np.random.Philox(key=key))
 
 
+def _chunks(samples: int, seed: int, index_offset: int, row_bytes: int):
+    """Per 64-sample chunk, the blocks of its streams in sample order.
+
+    Each stream is made once, when its chunk starts.  A block holds at most
+    STACK_BYTES // row_bytes streams (at least one).
+    """
+    if samples < 1:
+        raise ValidationError(f"need at least one sample, got {samples}")
+    step = max(1, STACK_BYTES // row_bytes) if row_bytes > 0 else CHUNK_SIZE
+    for lo in range(0, samples, CHUNK_SIZE):
+        hi = min(lo + CHUNK_SIZE, samples)
+        streams = [sample_stream(seed, index_offset + i) for i in range(lo, hi)]
+        yield [streams[b : b + step] for b in range(0, len(streams), step)]
+
+
+def per_sample(fn):
+    """The chunk-valued form of a per-sample function: fn of each stream."""
+    return lambda streams: [fn(stream) for stream in streams]
+
+
+def sample_rows(fn_chunk, samples: int, seed: int, index_offset: int = 0, row_bytes: int = 0) -> np.ndarray:
+    """values[i] = row i of fn_chunk over the streams offset+i, stacked.
+
+    fn_chunk maps a list of streams to one scalar or one length-w vector per
+    stream, giving shape (samples,) or (samples, w).
+    """
+    rows = [
+        np.asarray(fn_chunk(block), dtype=np.float64)
+        for blocks in _chunks(samples, seed, index_offset, row_bytes)
+        for block in blocks
+    ]
+    return np.concatenate(rows)
+
+
 def sample_array(fn, samples: int, seed: int, index_offset: int = 0) -> np.ndarray:
     """values[i] = fn(stream_{offset+i}) for i in range(samples), stacked.
 
     A scalar fn gives shape (samples,); a length-w vector fn gives (samples, w).
     """
-    if samples < 1:
-        raise ValidationError(f"need at least one sample, got {samples}")
-    return np.array(
-        [fn(sample_stream(seed, index_offset + i)) for i in range(samples)], dtype=np.float64
-    )
+    return sample_rows(per_sample(fn), samples, seed, index_offset)
+
+
+def _add_rows(acc: np.ndarray, rows: np.ndarray, fresh: bool) -> np.ndarray:
+    """acc + rows[0] + rows[1] + ..., added in that order.
+
+    On a fresh (all-zero) accumulator with rows of more than one entry this
+    is one reduce over the leading axis: numpy adds the rows of a C-contiguous
+    stack in order, starting from zero, as the sequential loop does.  A
+    one-entry row would be summed pairwise, so it and any continued
+    accumulator are added row by row.
+    """
+    if fresh and acc.size > 1:
+        return np.add.reduce(np.ascontiguousarray(rows), axis=0)
+    for row in rows:
+        acc += row
+    return acc
+
+
+def accumulate_rows(fn_chunk, shape, samples: int, seed: int, row_bytes: int = 0):
+    """Elementwise sum and sum of squared moduli of the rows of fn_chunk.
+
+    fn_chunk maps a list of streams to a stack of shape (len(streams),
+    *shape).  Returns (total, total_sq) where total is complex and total_sq
+    real.  Each 64-sample chunk is summed on its own in sample order and the
+    chunk sums are added in order, so the result bits do not depend on how
+    a chunk is split into blocks.
+    """
+    total = np.zeros(shape, dtype=np.complex128)
+    total_sq = np.zeros(shape, dtype=np.float64)
+    for blocks in _chunks(samples, seed, 0, row_bytes):
+        s = np.zeros(shape, dtype=np.complex128)
+        q = np.zeros(shape, dtype=np.float64)
+        for b, block in enumerate(blocks):
+            v = np.asarray(fn_chunk(block), dtype=np.complex128)
+            s = _add_rows(s, v, b == 0)
+            q = _add_rows(q, np.abs(v) ** 2, b == 0)
+        total += s
+        total_sq += q
+    return total, total_sq
 
 
 def accumulate_moments(fn, shape, samples: int, seed: int):
     """Elementwise sum and sum of squared moduli of fn(stream_i).
 
-    Returns (total, total_sq) where total is complex and total_sq real.  Each
-    64-sample chunk is summed on its own and the chunk sums are added in
-    order, so the result bits do not depend on how the loop is scheduled.
+    The per-sample form of ``accumulate_rows``, with the same chunk order;
+    each block stacks at most STACK_BYTES of values.
     """
-    if samples < 1:
-        raise ValidationError(f"need at least one sample, got {samples}")
-    total = np.zeros(shape, dtype=np.complex128)
-    total_sq = np.zeros(shape, dtype=np.float64)
-    for lo in range(0, samples, CHUNK_SIZE):
-        s = np.zeros(shape, dtype=np.complex128)
-        q = np.zeros(shape, dtype=np.float64)
-        for i in range(lo, min(lo + CHUNK_SIZE, samples)):
-            v = fn(sample_stream(seed, i))
-            s += v
-            q += np.abs(v) ** 2
-        total += s
-        total_sq += q
-    return total, total_sq
+    row_bytes = np.dtype(np.complex128).itemsize * int(np.prod(shape))
+    return accumulate_rows(lambda streams: np.stack(per_sample(fn)(streams)), shape, samples, seed, row_bytes)
 
 
 def mean_and_stderr_from_sums(total, total_sq, samples: int):

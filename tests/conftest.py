@@ -15,9 +15,17 @@ draw as modified Gram-Schmidt, one vector at a time.
 The commutator-graph references are the per-vertex forms of the numpy
 closures: ``neighbors`` of one Pauli, a deque BFS over Python-int keys, and
 the Clifford closure that multiplies and keys one matrix at a time.
+
+The moment references are the per-sample forms of the chunk-stacked
+estimators in ``moments``: one stream, one ``sample_haar`` draw and one
+evaluation at a time, with sums taken in the documented 64-sample chunk
+order.  The commutant basis built from commutator-graph components, with its
+Gram report and its Monte Carlo overlaps, lives here because only the tests
+use it.
 """
 
 from collections import deque
+from dataclasses import dataclass
 
 import numpy as np
 import pytest
@@ -241,6 +249,190 @@ def enumerate_clifford_reference(n: int) -> tuple:
                 order.append(candidate)
                 queue.append(candidate)
     return tuple(order)
+
+
+def _stream_values(fn, M: int, seed: int) -> np.ndarray:
+    from designgap import rng
+
+    return np.array([fn(rng.sample_stream(seed, i)) for i in range(M)], dtype=np.float64)
+
+
+def _estimate(values: np.ndarray, seed: int):
+    from designgap import moments, rng
+
+    mean, err = rng.mean_and_stderr(values)
+    return moments.MomentEstimate(mean, err, int(values.size), seed)
+
+
+def accumulate_reference(fn, shape, M: int, seed: int):
+    """Sum and sum of squared moduli of fn(stream_i): each chunk of
+    rng.CHUNK_SIZE samples added one sample at a time, then the chunk sums in
+    order."""
+    from designgap import rng
+
+    chunk = rng.CHUNK_SIZE
+    total = np.zeros(shape, dtype=np.complex128)
+    total_sq = np.zeros(shape, dtype=np.float64)
+    for lo in range(0, M, chunk):
+        s = np.zeros(shape, dtype=np.complex128)
+        q = np.zeros(shape, dtype=np.float64)
+        for i in range(lo, min(lo + chunk, M)):
+            v = fn(rng.sample_stream(seed, i))
+            s += v
+            q += np.abs(v) ** 2
+        total += s
+        total_sq += q
+    return total, total_sq
+
+
+def second_moment_matrix_reference(G, V, M: int, seed: int):
+    """Per-sample mean and stderr of (U V U^dag)^{x2} by np.kron."""
+    from designgap import moments, rng
+
+    d = 1 << G.n
+    Vd = moments._as_dense_v(V, G.n)
+
+    def one(stream):
+        from designgap import groups
+
+        U = groups.sample_haar(G, stream)
+        A = U @ Vd @ U.conj().T
+        return np.kron(A, A)
+
+    total, total_sq = accumulate_reference(one, (d * d, d * d), M, seed)
+    return rng.mean_and_stderr_from_sums(total, total_sq, M)
+
+
+def swap_trace_reference(G, V, region, M: int, seed: int):
+    """Per-sample E Tr[(U V U^dag)^{x2} swap_region] by partial traces."""
+    from designgap import densesim, groups, moments
+
+    Vd = moments._as_dense_v(V, G.n)
+    region = tuple(sorted(region))
+
+    def one(stream):
+        U = groups.sample_haar(G, stream)
+        A = U @ Vd @ U.conj().T
+        Mred = densesim.partial_trace(A, region, G.n)
+        return float(np.trace(Mred @ Mred).real)
+
+    return _estimate(_stream_values(one, M, seed), seed)
+
+
+def frobenius_schur_reference(G, Pi, M: int, seed: int):
+    """Per-sample E Tr[Pi U^2]."""
+    from designgap import groups
+
+    d = 1 << G.n
+    Pi = np.eye(d, dtype=np.complex128) if Pi is None else np.asarray(Pi)
+
+    def one(stream):
+        U = groups.sample_haar(G, stream)
+        return float(np.trace(Pi @ U @ U).real)
+
+    return _estimate(_stream_values(one, M, seed), seed)
+
+
+def mixed_unitary_fs_reference(d: int, M: int, seed: int):
+    """Per-sample E |Tr U^2|^2 over Haar U(d)."""
+    from designgap import groups
+
+    def one(stream):
+        U = groups.haar_unitary(d, stream)
+        return abs(np.trace(U @ U)) ** 2
+
+    return _estimate(_stream_values(one, M, seed), seed)
+
+
+def haar_commutant_reference(d: int, M: int, seed: int):
+    """Per-sample E |Tr U|^4 over Haar U(d)."""
+    from designgap import groups
+
+    return _estimate(_stream_values(lambda s: abs(np.trace(groups.haar_unitary(d, s))) ** 4, M, seed), seed)
+
+
+@dataclass(frozen=True, eq=False)
+class QuadraticSymmetry:
+    """Label (j, kappa) for one commutant basis element Q built from a
+    component: Q = 1/(d sqrt(|C|)) sum_{T in C} T x (L_j T)."""
+
+    j: int
+    linear: object  # pauli.PauliString
+    kappa: int
+    component: object  # cgraph.ComponentSummary
+
+    def dense(self) -> np.ndarray:
+        from designgap import densesim, pauli
+        from designgap.errors import BudgetError
+
+        n = self.component.n
+        if n > densesim.TWO_COPY_OPERATOR_CAP:
+            raise BudgetError(f"dense commutant basis capped at n <= {densesim.TWO_COPY_OPERATOR_CAP}")
+        d = 1 << n
+        out = np.zeros((d * d, d * d), dtype=np.complex128)
+        for key in sorted(self.component.members):
+            T = pauli.from_key(key, n)
+            out += np.kron(pauli.to_dense(T), pauli.to_dense(pauli.multiply(self.linear, T)))
+        return out / (d * np.sqrt(len(self.component.members)))
+
+
+def quadratic_symmetry_basis(S, linear_syms) -> list:
+    """One basis label per (linear symmetry, commutator-graph component).
+
+    kappa records the Majorana weight of the component representative; for
+    generator sets that do not preserve that grading it is only a name.
+    """
+    from designgap import cgraph, pauli
+    from designgap.errors import ValidationError
+
+    syms = list(linear_syms)
+    if not syms:
+        raise ValidationError("need at least one linear symmetry")
+    for i, L in enumerate(syms):
+        for L2 in syms[i + 1 :]:
+            if pauli.same_projective(L, L2):
+                raise ValidationError("linear symmetries must be projectively distinct")
+    out = []
+    for comp in cgraph.census(S):
+        kappa = pauli.majorana_count(comp.representative)
+        for j, L in enumerate(syms):
+            out.append(QuadraticSymmetry(j, L, kappa, comp))
+    return out
+
+
+def symmetry_gram_report(basis, tol: float = 1e-12) -> dict:
+    """Hilbert-Schmidt Gram matrix of the basis with collision diagnostics."""
+    mats = [q.dense() for q in basis]
+    k = len(mats)
+    gram = np.zeros((k, k), dtype=np.complex128)
+    for a in range(k):
+        for b in range(k):
+            gram[a, b] = np.trace(mats[a].conj().T @ mats[b])
+    deviation = float(np.max(np.abs(gram - np.eye(k))))
+    collisions = [
+        ((basis[a].j, basis[a].kappa), (basis[b].j, basis[b].kappa))
+        for a in range(k)
+        for b in range(a + 1, k)
+        if abs(gram[a, b]) > tol
+    ]
+    return {"gram": gram, "max_deviation": deviation, "collisions": collisions}
+
+
+def commutant_overlap_estimates(G, P, basis, M: int, seed: int):
+    """MC overlaps <Q, E (U P U^dag)^{x2}> for each commutant basis element."""
+    from designgap import groups, pauli, rng
+
+    Pd = pauli.to_dense(pauli.hermitian_representative(P))
+    mats = [q.dense().conj().T for q in basis]
+
+    def one(stream):
+        U = groups.sample_haar(G, stream)
+        A = U @ Pd @ U.conj().T
+        AA = np.kron(A, A)
+        return np.array([np.trace(Qh @ AA) for Qh in mats])
+
+    total, total_sq = rng.accumulate_moments(one, (len(mats),), M, seed)
+    return rng.mean_and_stderr_from_sums(total, total_sq, M)
 
 
 @pytest.fixture

@@ -280,6 +280,51 @@ class TestHaarSamplers:
             assert groups.verify_group_membership(U, G, tol=1e-8)
 
 
+class TestSampleHaarStack:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
+    @pytest.mark.parametrize("kind", ["unitary", "mixed_unitary", "orthogonal", "symplectic"])
+    def test_rows_are_the_single_draws(self, kind, n):
+        G = groups.group_spec(kind, n)
+        streams = [dgrng.sample_stream(31, i) for i in range(5)]
+        stack = groups.sample_haar_stack(G, streams)
+        assert stack.shape == (5, 1 << n, 1 << n)
+        for i in range(5):
+            single = dgrng.sample_stream(31, i)
+            assert stack[i].tobytes() == groups.sample_haar(G, single).tobytes()
+            # both consumed the same draws from the stream
+            assert streams[i].random() == single.random()
+
+    @pytest.mark.parametrize("kind,n", [("matchgate", 2), ("clifford", 1)])
+    def test_other_kinds_stack_single_draws(self, kind, n):
+        G = groups.group_spec(kind, n)
+        stack = groups.sample_haar_stack(G, [dgrng.sample_stream(4, i) for i in range(3)])
+        for i in range(3):
+            assert np.array_equal(stack[i], groups.sample_haar(G, dgrng.sample_stream(4, i)))
+
+    def test_unitary_stack_of_any_dimension(self):
+        stack = groups.haar_unitary_stack(3, [stream(i) for i in range(4)])
+        for i in range(4):
+            assert stack[i].tobytes() == groups.haar_unitary(3, stream(i)).tobytes()
+
+    def test_self_check_covers_every_draw(self, monkeypatch):
+        real = groups._haar_symplectic_stack
+
+        def one_drifted(n, streams):
+            U = real(n, streams)
+            U[-1] *= 1j
+            return U
+
+        monkeypatch.setattr(groups, "_haar_symplectic_stack", one_drifted)
+        G = groups.group_spec("symplectic", 2)
+        with pytest.raises(InvariantError, match="symplectic sampler drifted"):
+            groups.sample_haar_stack(G, [stream(i) for i in range(3)])
+
+    def test_dense_cap(self):
+        G = groups.group_spec("orthogonal", pauli.DENSE_QUBIT_CAP + 1)
+        with pytest.raises(BudgetError):
+            groups.sample_haar_stack(G, [stream()])
+
+
 class TestSymplecticSampler:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_block_gram_schmidt_matches_modified_gram_schmidt(self, n):

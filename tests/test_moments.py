@@ -8,6 +8,17 @@ import pytest
 from designgap import cgraph, densesim, groups, moments, pauli
 from designgap.errors import BudgetError, ValidationError
 
+from conftest import (
+    commutant_overlap_estimates,
+    frobenius_schur_reference,
+    haar_commutant_reference,
+    mixed_unitary_fs_reference,
+    quadratic_symmetry_basis,
+    second_moment_matrix_reference,
+    swap_trace_reference,
+    symmetry_gram_report,
+)
+
 
 class TestWeingartenCoefficients:
     def test_orthogonal_values(self):
@@ -112,15 +123,15 @@ class TestQuadraticSymmetries:
     def test_basis_is_orthonormal(self):
         S = groups.matchgate_full_set(2)
         syms = [groups.matchgate_form_1(2).representation, groups.matchgate_form_2(2).representation]
-        basis = moments.quadratic_symmetry_basis(S, syms)
-        report = moments.symmetry_gram_report(basis)
+        basis = quadratic_symmetry_basis(S, syms)
+        report = symmetry_gram_report(basis)
         gram = report["gram"]
         assert np.max(np.abs(gram - np.eye(gram.shape[0]))) < 1e-10
         assert report["collisions"] == []
 
     def test_kappa_labels_match_components(self):
         S = groups.matchgate_full_set(2)
-        basis = moments.quadratic_symmetry_basis(S, [groups.matchgate_form_1(2).representation])
+        basis = quadratic_symmetry_basis(S, [groups.matchgate_form_1(2).representation])
         kappas = sorted({q.kappa for q in basis})
         assert kappas == [0, 1, 2, 3, 4]
 
@@ -128,7 +139,7 @@ class TestQuadraticSymmetries:
         S = groups.matchgate_full_set(2)
         L = groups.matchgate_form_1(2).representation
         with pytest.raises(ValidationError):
-            moments.quadratic_symmetry_basis(S, [L, L])
+            quadratic_symmetry_basis(S, [L, L])
 
     def test_elements_commute_with_two_copy_action(self):
         # Q_L commutes with U x U exactly when L itself commutes with the
@@ -139,7 +150,7 @@ class TestQuadraticSymmetries:
         G = groups.group_spec("matchgate", 2)
         S = groups.matchgate_full_set(2)
         syms = [pauli.identity(2), pauli.from_text("ZZ")]
-        basis = moments.quadratic_symmetry_basis(S, syms)
+        basis = quadratic_symmetry_basis(S, syms)
         assert len(basis) == 2 * len(cgraph.census(S))
         for k in range(3):
             U = groups.sample_haar(G, sample_stream(5, k))
@@ -154,9 +165,9 @@ class TestQuadraticSymmetries:
         G = groups.group_spec("matchgate", 2)
         S = groups.matchgate_full_set(2)
         syms = [pauli.identity(2), pauli.from_text("ZZ")]
-        basis = moments.quadratic_symmetry_basis(S, syms)
+        basis = quadratic_symmetry_basis(S, syms)
         P = pauli.from_text("ZI")
-        mean, err = moments.commutant_overlap_estimates(G, P, basis, 200, seed=23)
+        mean, err = commutant_overlap_estimates(G, P, basis, 200, seed=23)
         hit = pauli.majorana_count(P)
         for q, m, e in zip(basis, mean, err):
             if q.j == 0 and q.kappa == hit:
@@ -172,7 +183,7 @@ class TestQuadraticSymmetries:
 
         G = groups.group_spec("matchgate", 2)
         S = groups.matchgate_full_set(2)
-        basis = moments.quadratic_symmetry_basis(S, [groups.matchgate_form_1(2).representation])
+        basis = quadratic_symmetry_basis(S, [groups.matchgate_form_1(2).representation])
         U = groups.sample_haar(G, sample_stream(5, 0))
         W = np.kron(U, U)
         worst = max(np.max(np.abs(W @ q.dense() - q.dense() @ W)) for q in basis)
@@ -260,3 +271,68 @@ class TestMixedCommutant:
             moments.mixed_unitary_commutant_dimension("haar_unitary", d=4)
         with pytest.raises(ValidationError):
             moments.mixed_unitary_commutant_dimension("clifford_enumeration")
+
+
+class TestStackedEstimators:
+    """Each chunk-stacked estimator equals its per-sample reference bit for bit."""
+
+    COUNTS = (1, 63, 64, 65, 130)
+
+    @staticmethod
+    def same(a, b):
+        return a.tobytes() == b.tobytes()
+
+    def check_all(self):
+        V = pauli.PauliString(2, 0, 1)
+        for kind in ("orthogonal", "symplectic"):
+            G = groups.group_spec(kind, 2)
+            for M in self.COUNTS:
+                got = moments.mc_second_moment_matrix(G, V, M, 3)
+                want = second_moment_matrix_reference(G, V, M, 3)
+                assert self.same(got[0], want[0]) and self.same(got[1], want[1]), (kind, M)
+        for kind, n in (("orthogonal", 3), ("symplectic", 3), ("unitary", 2), ("matchgate", 2)):
+            G = groups.group_spec(kind, n)
+            V = pauli.PauliString(n, 0, 1)
+            for M in self.COUNTS:
+                assert moments.frobenius_schur(G, None, M, 5) == frobenius_schur_reference(G, None, M, 5)
+                tag = moments.SwapRegionTag((0,))
+                assert moments.mc_second_moment_trace(G, V, tag, M, 7) == swap_trace_reference(G, V, (0,), M, 7)
+        Pi = moments.even_parity_projector(3)
+        G = groups.group_spec("orthogonal", 3)
+        assert moments.frobenius_schur(G, Pi, 65, 9) == frobenius_schur_reference(G, Pi, 65, 9)
+        for d in (3, 4):
+            for M in self.COUNTS:
+                assert moments.mixed_unitary_fs(d, M, 11) == mixed_unitary_fs_reference(d, M, 11)
+                got = moments.mixed_unitary_commutant_dimension("haar_unitary", d=d, M=M, seed=13)
+                assert got == haar_commutant_reference(d, M, 13)
+
+    def test_default_chunks(self):
+        self.check_all()
+
+    def test_odd_chunk_size(self, monkeypatch):
+        # the references sum in chunks of rng.CHUNK_SIZE too
+        monkeypatch.setattr(moments.rng, "CHUNK_SIZE", 7)
+        self.check_all()
+
+    def test_small_stack_bound(self, monkeypatch):
+        # blocks of three draws: sums continue row by row across blocks
+        monkeypatch.setattr(moments.rng, "STACK_BYTES", 3 * 16 * 256)
+        self.check_all()
+
+    def test_stack_bound_holds_at_five_qubits(self, monkeypatch):
+        # a (64, d^2, d^2) Kronecker stack at n = 5 would take 1 GiB
+        seen = []
+        real = moments.rng.accumulate_rows
+
+        def spy(fn_chunk, shape, M, seed, row_bytes=0):
+            def checked(streams):
+                out = fn_chunk(streams)
+                seen.append(out.nbytes)
+                return out
+
+            return real(checked, shape, M, seed, row_bytes)
+
+        monkeypatch.setattr(moments.rng, "accumulate_rows", spy)
+        G = groups.group_spec("orthogonal", 5)
+        moments.mc_second_moment_matrix(G, pauli.PauliString(5, 0, 1), 3, 1)
+        assert seen and max(seen) <= moments.rng.STACK_BYTES

@@ -100,6 +100,70 @@ class TestAccumulateMoments:
         assert np.array_equal(total_sq, want_sq)
 
 
+class TestChunkLoop:
+    @staticmethod
+    def complex_rows(shape):
+        def fn_chunk(streams):
+            return np.stack([s.normal(size=shape) + 1j * s.normal(size=shape) for s in streams])
+
+        return fn_chunk
+
+    @pytest.mark.parametrize("shape", [(1,), (2,), (3,), (4, 4), (2, 1, 3)])
+    @pytest.mark.parametrize("samples", [1, 63, 64, 65, 130])
+    @pytest.mark.parametrize("per_block", [None, 1, 3])
+    def test_stacked_sums_are_the_sequential_sums(self, monkeypatch, shape, samples, per_block):
+        from conftest import accumulate_reference
+
+        row_bytes = 0
+        if per_block is not None:
+            row_bytes = 16 * int(np.prod(shape))
+            monkeypatch.setattr(rng, "STACK_BYTES", per_block * row_bytes)
+        fn_chunk = self.complex_rows(shape)
+        total, total_sq = rng.accumulate_rows(fn_chunk, shape, samples, 8, row_bytes)
+        want, want_sq = accumulate_reference(lambda s: fn_chunk([s])[0], shape, samples, 8)
+        assert total.tobytes() == want.tobytes()
+        assert total_sq.tobytes() == want_sq.tobytes()
+
+    @pytest.mark.parametrize("chunk", [7, 64])
+    def test_blocks_respect_the_byte_bound(self, monkeypatch, chunk):
+        monkeypatch.setattr(rng, "CHUNK_SIZE", chunk)
+        monkeypatch.setattr(rng, "STACK_BYTES", 5 * 100)
+        sizes = []
+
+        def fn_chunk(streams):
+            sizes.append(len(streams))
+            return [s.normal() for s in streams]
+
+        values = rng.sample_rows(fn_chunk, 130, 2, row_bytes=100)
+        assert max(sizes) == 5 and sum(sizes) == 130
+        assert np.array_equal(values, rng.sample_array(scalar_fn, 130, 2))
+
+    def test_one_stream_per_sample(self, monkeypatch):
+        calls = []
+        real = rng.sample_stream
+
+        def counted(seed, index):
+            calls.append(index)
+            return real(seed, index)
+
+        monkeypatch.setattr(rng, "sample_stream", counted)
+        rng.sample_rows(lambda streams: [s.normal() for s in streams], 130, 1, index_offset=5)
+        assert calls == list(range(5, 135))
+        calls.clear()
+        rng.accumulate_rows(self.complex_rows((2,)), (2,), 70, 1, row_bytes=32)
+        assert calls == list(range(70))
+
+    def test_per_sample_wrapper(self):
+        rows = rng.per_sample(vector_fn)([rng.sample_stream(9, i) for i in range(3)])
+        assert all(np.array_equal(r, rng.sample_stream(9, i).normal(size=3)) for i, r in enumerate(rows))
+
+    def test_needs_positive_samples(self):
+        with pytest.raises(ValidationError):
+            rng.sample_rows(lambda streams: [0.0] * len(streams), 0, 5)
+        with pytest.raises(ValidationError):
+            rng.accumulate_rows(self.complex_rows((2,)), (2,), 0, 5)
+
+
 class TestStatistics:
     def test_mean_and_stderr_against_numpy(self):
         values = rng.sample_array(scalar_fn, 500, 2)
