@@ -133,6 +133,8 @@ def simple_gatecount_bound(S_size: int, N: int, component: int) -> Fraction:
     """max(0, 2(1 - |S|^N / component)), the crude gate-count bound."""
     if S_size < 1 or component < 1 or N < 0:
         raise ValidationError("need S_size >= 1, component >= 1, N >= 0")
+    if S_size > 1 and N * (S_size.bit_length() - 1) >= component.bit_length():
+        return Fraction(0)  # |S|^N >= 2^bits(component) > component, without the power
     raw = 2 * (1 - Fraction(S_size**N, component))
     return max(Fraction(0), raw)
 

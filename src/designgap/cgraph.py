@@ -26,7 +26,9 @@ from .errors import BudgetError, ValidationError
 
 COMPONENT_SIZE_CAP = 5_000_000
 CENSUS_QUBIT_CAP = 10
-DIAMETER_EXACT_LIMIT = 100_000
+# exact diameters run a BFS from every vertex: |C|^2 |S| vertex-generator
+# tests, at 0.6e7-3e7 a second on one core of a 2-core x86 machine
+DIAMETER_EXACT_COST = 100_000_000
 KEY_QUBIT_CAP = 31  # 2n-bit keys in a signed 64-bit word
 CANDIDATE_CHUNK = 1 << 20  # vertex-generator pairs expanded per numpy pass
 
@@ -227,17 +229,19 @@ def diameter(
     C: ComponentSummary,
     S: GeneratorSet,
     mode: str = "auto",
-    exact_limit: int = DIAMETER_EXACT_LIMIT,
+    exact_cost: int = DIAMETER_EXACT_COST,
 ) -> DiameterResult:
     """Largest eccentricity in the component.
 
     Exact mode runs a BFS from every vertex; lower-bound mode does a double
     sweep (BFS to the farthest vertex, then BFS from it) and can undershoot.
+    Auto mode is exact when the all-sources search, |C|^2 |S| tests of a
+    vertex against a generator, costs at most ``exact_cost``.
     """
     words = _gen_words(S)
     if mode not in ("auto", "exact", "lower-bound"):
         raise ValidationError(f"unknown diameter mode {mode!r}")
-    run_exact = mode == "exact" or (mode == "auto" and C.size <= exact_limit)
+    run_exact = mode == "exact" or (mode == "auto" and C.size**2 * len(S.generators) <= exact_cost)
     if run_exact:
         best = 0
         for key in C.members:

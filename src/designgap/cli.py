@@ -168,6 +168,7 @@ def _parse_vertex(text: str | None, n: int):
 
 
 def _generator_set(group: str, n: int, which: str) -> cgraph.GeneratorSet:
+    groups.check_group_qubits(n)
     if which == "full":
         if group != "matchgate":
             raise ValidationError("--generator-set full applies to the matchgate group only")
@@ -960,6 +961,8 @@ def main(argv=None) -> int:
         args = parser.parse_args(argv)
         if not isinstance(args.threads, int) or args.threads < 1:
             raise ValidationError(f"--threads must be an integer >= 1, got {args.threads!r}")
+        if args.seed is not None and not 0 <= args.seed < 2**63:
+            raise ValidationError(f"--seed must be a nonnegative 63-bit integer, got {args.seed}")
         records = args.func(args)
         _emit(records, args.format, args.out)
         _manifest(args, time.perf_counter() - started)

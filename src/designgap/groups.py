@@ -14,6 +14,12 @@ the matrix of all previous columns and their T-images in two block passes;
 and, for the matchgate group, a Haar SO(2n) rotation decomposed into Givens
 planes and lifted factor-by-factor through exp(theta/2 c_a c_b).  Lifts are
 unique only up to a global sign, which no estimated quantity is sensitive to.
+The unitary, orthogonal and symplectic samplers have one body that takes a
+stack of streams: ``sample_haar_stack`` draws each stream's normals as a
+single draw would and orthogonalizes the whole stack at once, and a single
+draw is the stack of one, so the two cannot diverge.  ``group_spec`` and the
+n(2n-1)-element ``matchgate_full_set`` build groups only up to
+``cgraph.KEY_QUBIT_CAP`` qubits, the largest graph the BFS can key.
 
 Shallow ensembles are brickwork circuits of 2-local group gates over a
 declared adjacency; the conjugation lightcone is computed conservatively as
@@ -206,6 +212,7 @@ def matchgate_standard_set(n: int) -> cgraph.GeneratorSet:
 
 def matchgate_full_set(n: int) -> cgraph.GeneratorSet:
     """All n(2n-1) Majorana bilinears c_a c_b with a < b."""
+    check_group_qubits(n)
     gens = []
     for a in range(1, 2 * n + 1):
         for b in range(a + 1, 2 * n + 1):
@@ -339,7 +346,7 @@ def parse_adjacency(spec, n: int) -> Adjacency:
                 rows, cols = (int(v) for v in text[4:].replace(" ", "").split("x"))
             except Exception as exc:
                 raise ValidationError(f"bad grid spec {spec!r}, expected 'grid RxC'") from exc
-            if rows * cols != n:
+            if rows < 1 or cols < 1 or rows * cols != n:
                 raise ValidationError(f"grid {rows}x{cols} does not match n={n}")
             return grid_adjacency(rows, cols)
         raise ValidationError(f"unknown adjacency {spec!r}")
@@ -396,8 +403,25 @@ class GroupSpec:
                 raise ValidationError(f"{self.kind} generators do not preserve the form")
 
 
+def check_group_qubits(n: int) -> None:
+    """Refuse n outside 1..KEY_QUBIT_CAP before any Pauli of a group is built.
+
+    Every use of a shipped group needs at most that many qubits: commutator
+    graphs key their vertices in int64, and dense and brickwork evaluations
+    stop far below.  A generator set at n = 10^6 would take hours and
+    hundreds of GB to build.
+    """
+    if n < 1:
+        raise ValidationError(f"need n >= 1, got {n}")
+    if n > cgraph.KEY_QUBIT_CAP:
+        raise BudgetError(
+            f"groups are built on commutator-graph keys of 2n bits in an int64, so n <= {cgraph.KEY_QUBIT_CAP}; got n={n}"
+        )
+
+
 def group_spec(kind: str, n: int, generator_set=None, form=None) -> GroupSpec:
     """Construct a GroupSpec with the shipped defaults for each kind."""
+    check_group_qubits(n)
     if kind == "matchgate":
         return GroupSpec(kind, n, generator_set or matchgate_standard_set(n), form or matchgate_form_1(n))
     if kind == "orthogonal":

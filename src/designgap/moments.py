@@ -8,12 +8,21 @@ estimates reconstruct it entrywise.  Frobenius-Schur indicators and commutant
 dimensions distinguish real, complex, and quaternionic representation types.
 
 All estimators reduce the two-copy trace to d x d matrix products, so one
-sample costs a few dense multiplications at dimension 2^n.
+sample costs a few dense multiplications at dimension 2^n.  The twirl, the
+regional-swap trace, the Frobenius-Schur indicators and the Haar commutant
+dimension evaluate one 64-sample chunk at a time: ``groups.sample_haar_stack``
+draws the chunk with one stacked QR or Gram-Schmidt, stacked products
+evaluate it, and ``rng`` sums it in sample order, so every value and every
+sum is byte-identical to a one-sample-at-a-time loop (the per-sample
+references live in ``tests/conftest.py``).  A stacked intermediate never
+exceeds ``rng.STACK_BYTES``: at n = 5 the twirl takes its 1024 x 1024
+Kronecker squares a few at a time.  The spread estimator stays per sample.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -245,6 +254,8 @@ def haar_spread_uniformity(
 
 def even_parity_projector(n: int) -> np.ndarray:
     """Projector onto computational basis states of even bit parity."""
+    if n > pauli.DENSE_QUBIT_CAP:
+        raise BudgetError(f"dense parity projector for n={n} exceeds cap {pauli.DENSE_QUBIT_CAP}")
     d = 1 << n
     bits = np.arange(d)
     parity = np.zeros(d, dtype=np.int64)
@@ -266,11 +277,11 @@ def check_draw_cost(G: groups.GroupSpec | int, M: int, what: str) -> None:
         d, lifts, name = G.dense_dimension, G.n * (2 * G.n - 1) if G.kind == "matchgate" else 1, f"{G.kind} n={G.n}"
     else:
         d, lifts, name = G, 1, f"U({G})"
-    per_draw = float(d) ** 3 * lifts
+    per_draw = d**3 * lifts  # exact integers: no d overflows the estimate
     if M * per_draw > FS_COST_CAP:
         raise BudgetError(
             f"{what} for {name} with {M} samples costs about "
-            f"{M * per_draw:.2e} multiply-adds ({per_draw:.2e} per draw), cap is {FS_COST_CAP:.0e}"
+            f"{Decimal(M * per_draw):.2e} multiply-adds ({Decimal(per_draw):.2e} per draw), cap is {FS_COST_CAP:.0e}"
         )
 
 
@@ -285,10 +296,10 @@ def frobenius_schur(
     Before the first draw ``check_draw_cost`` budgets the M Haar draws.
     """
     d = G.dense_dimension
+    check_draw_cost(G, M, "Frobenius-Schur estimate")
     Pi = np.eye(d, dtype=np.complex128) if subspace_projector is None else np.asarray(subspace_projector)
     if Pi.shape != (d, d):
         raise ValidationError(f"projector shape {Pi.shape} does not match d={d}")
-    check_draw_cost(G, M, "Frobenius-Schur estimate")
 
     def rows(streams):
         U = groups.sample_haar_stack(G, streams)
@@ -331,6 +342,8 @@ def mixed_unitary_commutant_dimension(
     if source == "haar_unitary":
         if d is None or M is None or seed is None:
             raise ValidationError("haar_unitary source needs d, M, and seed")
+        if d < 2:
+            raise ValidationError(f"need d >= 2, got {d}")
         check_draw_cost(d, M, "Haar commutant estimate")
 
         def rows(streams):

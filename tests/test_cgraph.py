@@ -203,6 +203,14 @@ class TestDiameter:
         assert lower.mode == "lower-bound"
         assert lower.value <= exact
 
+    def test_auto_mode_chooses_by_search_cost(self):
+        # exact when |C|^2 |S| vertex-generator tests fit in the cost cap
+        S = standard_set(3)
+        comp = cgraph.component(pauli.from_text("XZI"), S)
+        cost = comp.size**2 * len(S.generators)
+        assert cgraph.diameter(comp, S, exact_cost=cost).mode == "exact"
+        assert cgraph.diameter(comp, S, exact_cost=cost - 1).mode == "lower-bound"
+
     def test_unknown_mode_rejected(self):
         S = standard_set(2)
         comp = cgraph.component(pauli.from_text("ZI"), S)

@@ -67,6 +67,28 @@ class TestExitCodes:
         assert out == ""
         assert "budget" in err and "4.03e+13" in err
 
+    @pytest.mark.parametrize(
+        "argv",
+        [
+            # (d^2, d^2) operators at n = 8 would take 64 GiB each
+            ["moments", "--quantity", "weingarten-check", "--group", "orthogonal", "--n", "8", "--samples", "1"],
+            ["moments", "--quantity", "weingarten-check", "--group", "symplectic", "--n", "6", "--samples", "50"],
+            # one 100000 x 100000 Haar unitary would take 149 GiB
+            ["moments", "--quantity", "mixed-commutant", "--source", "haar_unitary", "--d", "100000",
+             "--samples", "1"],
+            ["fs-indicator", "--group", "mixed_unitary", "--n", "400", "--samples", "1"],
+            ["fs-indicator", "--group", "orthogonal", "--n", "40", "--samples", "1", "--parity-sector", "even"],
+        ],
+    )
+    def test_dense_moments_are_budgeted_before_sampling(self, capsys, argv):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert err.startswith("designgap: budget exceeded: ")
+        assert "Traceback" not in err
+
     def test_graph_keys_wider_than_int64_are_refused(self, capsys):
         code, out, err = run_cli(capsys, ["graph", "--group", "matchgate", "--n", "40", "--balls"])
         assert code == 2
