@@ -460,7 +460,7 @@ def _orthogonal_from_ginibre(Z: np.ndarray) -> np.ndarray:
 
 def _normals(streams, shape) -> np.ndarray:
     """Each stream's normals of the given shape, in one call per stream, stacked."""
-    if len(streams) == 1:
+    if len(streams) == 1:  # a view, not np.stack's copy: single draws stay as cheap as before
         return streams[0].normal(size=shape)[None]
     return np.stack([stream.normal(size=shape) for stream in streams])
 

@@ -52,7 +52,7 @@ def _chunks(samples: int, seed: int, index_offset: int, row_bytes: int):
         yield [streams[b : b + step] for b in range(0, len(streams), step)]
 
 
-def per_sample(fn):
+def _per_sample(fn):
     """The chunk-valued form of a per-sample function: fn of each stream."""
     return lambda streams: [fn(stream) for stream in streams]
 
@@ -76,7 +76,7 @@ def sample_array(fn, samples: int, seed: int, index_offset: int = 0) -> np.ndarr
 
     A scalar fn gives shape (samples,); a length-w vector fn gives (samples, w).
     """
-    return sample_rows(per_sample(fn), samples, seed, index_offset)
+    return sample_rows(_per_sample(fn), samples, seed, index_offset)
 
 
 def _add_rows(acc: np.ndarray, rows: np.ndarray, fresh: bool) -> np.ndarray:
@@ -125,7 +125,7 @@ def accumulate_moments(fn, shape, samples: int, seed: int):
     each block stacks at most STACK_BYTES of values.
     """
     row_bytes = np.dtype(np.complex128).itemsize * int(np.prod(shape))
-    return accumulate_rows(lambda streams: np.stack(per_sample(fn)(streams)), shape, samples, seed, row_bytes)
+    return accumulate_rows(lambda streams: np.stack(_per_sample(fn)(streams)), shape, samples, seed, row_bytes)
 
 
 def mean_and_stderr_from_sums(total, total_sq, samples: int):

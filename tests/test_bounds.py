@@ -153,6 +153,15 @@ class TestSimpleGatecountBound:
         assert bounds.simple_gatecount_bound(5, 3, 100) == 0
         assert bounds.simple_gatecount_bound(2, 0, 1) == 0
 
+    def test_huge_budget_clamps_without_the_power(self):
+        # 4^(10^17) has 2 * 10^17 bits; the bound is 0 long before that
+        assert bounds.simple_gatecount_bound(4, 10**17, 10) == 0
+        for S_size in range(1, 6):
+            for N in range(6):
+                for component in (1, 7, 64, 65, 1000):
+                    direct = max(Fraction(0), 2 * (1 - Fraction(S_size**N, component)))
+                    assert bounds.simple_gatecount_bound(S_size, N, component) == direct
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             bounds.simple_gatecount_bound(0, 2, 100)

@@ -141,6 +141,17 @@ class TestGroupSpec:
         with pytest.raises(BudgetError):
             groups.group_spec("clifford", 3)
 
+    @pytest.mark.parametrize("kind", ["matchgate", "orthogonal", "symplectic", "unitary"])
+    def test_qubit_range_checked_before_building(self, kind):
+        # a generator set at n = 10^6 would take hours; refused at once
+        with pytest.raises(BudgetError, match=f"n <= {cgraph.KEY_QUBIT_CAP}"):
+            groups.group_spec(kind, 10**6)
+        with pytest.raises(ValidationError):
+            groups.group_spec(kind, 0)
+        assert groups.group_spec(kind, cgraph.KEY_QUBIT_CAP).n == cgraph.KEY_QUBIT_CAP
+        with pytest.raises(BudgetError):
+            groups.matchgate_full_set(10**6)
+
     def test_custom_needs_generators(self):
         with pytest.raises(ValidationError):
             groups.group_spec("custom_pauli_compatible", 2)

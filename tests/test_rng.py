@@ -153,10 +153,6 @@ class TestChunkLoop:
         rng.accumulate_rows(self.complex_rows((2,)), (2,), 70, 1, row_bytes=32)
         assert calls == list(range(70))
 
-    def test_per_sample_wrapper(self):
-        rows = rng.per_sample(vector_fn)([rng.sample_stream(9, i) for i in range(3)])
-        assert all(np.array_equal(r, rng.sample_stream(9, i).normal(size=3)) for i, r in enumerate(rows))
-
     def test_needs_positive_samples(self):
         with pytest.raises(ValidationError):
             rng.sample_rows(lambda streams: [0.0] * len(streams), 0, 5)
