@@ -535,13 +535,6 @@ def _symplectic_columns(Z: np.ndarray) -> np.ndarray:
     return np.concatenate([pool_t[:, :, 0::2], -pool_t[:, :, 1::2]], axis=2)
 
 
-def _haar_symplectic_canonical(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar on the compact symplectic group preserving the block form J."""
-    if d % 2:
-        raise ValidationError(f"symplectic dimension must be even, got {d}")
-    return _symplectic_columns(_normals([rng], (d // 2, 2, d)))[0]
-
-
 @functools.lru_cache(maxsize=None)
 def _qubit_swap_index(a: int, b: int, n: int) -> np.ndarray:
     """Basis index map exchanging qubits a and b (an involution), read-only."""

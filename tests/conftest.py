@@ -108,6 +108,13 @@ def swap_qubit_permutation(a: int, b: int, n: int) -> np.ndarray:
     return M
 
 
+def symplectic_canonical(d: int, rng) -> np.ndarray:
+    """The library's block Gram-Schmidt draw in the canonical form J, unswapped."""
+    from designgap import groups
+
+    return groups._symplectic_columns(rng.normal(size=(1, d // 2, 2, d)))[0]
+
+
 def haar_symplectic_mgs(d: int, rng) -> np.ndarray:
     """Canonical-form symplectic Haar draw by modified Gram-Schmidt.
 
@@ -136,7 +143,7 @@ def _local_gate_reference(kind: str, pair, n: int, rng) -> np.ndarray:
 
     fq = groups.symplectic_form_qubit(n)
     if kind == "symplectic" and fq in pair:
-        local = groups._haar_symplectic_canonical(4, rng)
+        local = symplectic_canonical(4, rng)
         if pair.index(fq) != 0:
             P = swap_qubit_permutation(0, 1, 2)
             local = P @ local @ P

@@ -14,6 +14,7 @@ from conftest import (
     kron_chain,
     sample_shallow_reference,
     swap_qubit_permutation,
+    symplectic_canonical,
 )
 
 
@@ -342,7 +343,7 @@ class TestSymplecticSampler:
         d = 1 << n
         for i in range(6):
             a, b = stream(i), stream(i)
-            got = groups._haar_symplectic_canonical(d, a)
+            got = symplectic_canonical(d, a)
             want = haar_symplectic_mgs(d, b)
             assert np.max(np.abs(got - want)) <= 1e-13
             assert a.random() == b.random()
@@ -352,7 +353,7 @@ class TestSymplecticSampler:
         d = 1 << n
         J = groups._canonical_symplectic_j(d)
         for i in range(6):
-            U = groups._haar_symplectic_canonical(d, stream(i))
+            U = symplectic_canonical(d, stream(i))
             assert np.max(np.abs(U.conj().T @ U - np.eye(d))) <= 1e-12
             assert np.max(np.abs(U.T @ J @ U - J)) <= 1e-12
 
@@ -360,7 +361,7 @@ class TestSymplecticSampler:
     def test_form_qubit_swap_is_the_permutation_product(self, n):
         P = swap_qubit_permutation(0, groups.symplectic_form_qubit(n), n)
         for i in range(4):
-            canonical = groups._haar_symplectic_canonical(1 << n, stream(i))
+            canonical = symplectic_canonical(1 << n, stream(i))
             assert np.array_equal(groups.haar_symplectic(n, stream(i)), P @ canonical @ P)
 
 
