@@ -13,7 +13,7 @@ __version__ = "0.1.0"
 
 from .errors import BudgetError, InvariantError, ValidationError
 from .pauli import PauliString, from_text, identity, majorana, to_text
-from .cgraph import GeneratorSet, census, component, diameter, n_ball, r_fraction
+from .cgraph import Component, GeneratorSet, census, component, diameter, r_fraction
 from .groups import GroupSpec, bilinear_form, group_spec, sample_haar, sample_shallow
 from .bounds import bound_report, discrimination_bound
 from .experiments import (
@@ -34,11 +34,11 @@ __all__ = [
     "identity",
     "majorana",
     "to_text",
+    "Component",
     "GeneratorSet",
     "census",
     "component",
     "diameter",
-    "n_ball",
     "r_fraction",
     "GroupSpec",
     "bilinear_form",

@@ -185,11 +185,16 @@ def envelope_threshold(c, up_to: int) -> int:
     return holds_from
 
 
-def johnson_ball_size(n: int, N: int) -> int:
-    """sum_{k<=N} C(n,k)^2: the N-ball in the Johnson graph J(2n, n)."""
-    if n < 1 or N < 0:
-        raise ValidationError("need n >= 1 and N >= 0")
-    return sum(math.comb(n, k) ** 2 for k in range(min(N, n) + 1))
+def johnson_ball_size(n: int, N: int, k: int | None = None) -> int:
+    """sum_{j<=N} C(k,j) C(2n-k,j): the N-ball in the Johnson graph J(2n, k).
+
+    Under the full bilinear set these are the Majorana monomials of weight k
+    that differ from a given one in at most N modes; k defaults to n.
+    """
+    k = n if k is None else k
+    if n < 1 or N < 0 or not 0 <= k <= 2 * n:
+        raise ValidationError("need n >= 1, N >= 0 and 0 <= k <= 2n")
+    return sum(math.comb(k, j) * math.comb(2 * n - k, j) for j in range(min(N, k, 2 * n - k) + 1))
 
 
 _FORMULAS = {

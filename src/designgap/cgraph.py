@@ -16,7 +16,7 @@ two levels; no 4^n visited set is kept.  int64 keys hold n <= KEY_QUBIT_CAP.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from fractions import Fraction
 
 import numpy as np
@@ -53,15 +53,29 @@ class GeneratorSet:
             seen.add(key)
 
 
-@dataclass(frozen=True)
-class ComponentSummary:
-    """A BFS component: size, membership keys, and distances from the root."""
+@dataclass(frozen=True, eq=False)
+class Component:
+    """A BFS component or ball: the keys at each distance from the root.
+
+    levels[d] is the sorted int64 array of the keys at distance d from the
+    representative's key; keys is all of them, sorted.  Every array is
+    read-only, and no vertex is held as a Python object.
+    """
 
     n: int
-    size: int
     representative: pauli.PauliString
-    members: frozenset[int]
-    distances: dict[int, int]
+    levels: tuple[np.ndarray, ...]
+    size: int = field(init=False)
+    keys: np.ndarray = field(init=False, repr=False)
+
+    def __post_init__(self):
+        for level in self.levels:
+            level.flags.writeable = False
+        keys = np.concatenate(self.levels)
+        keys.sort()
+        keys.flags.writeable = False
+        object.__setattr__(self, "size", keys.size)
+        object.__setattr__(self, "keys", keys)
 
 
 @dataclass(frozen=True)
@@ -171,39 +185,17 @@ def _bfs(
     return levels
 
 
-def _summary(levels: list[np.ndarray], n: int, representative: pauli.PauliString) -> ComponentSummary:
-    dist: dict[int, int] = {}
-    for d, level in enumerate(levels):
-        dist.update(dict.fromkeys(level.tolist(), d))
-    return ComponentSummary(
-        n=n,
-        size=len(dist),
-        representative=representative,
-        members=frozenset(dist),
-        distances=dist,
-    )
+def component(P: pauli.PauliString, S: GeneratorSet, radius: int | None = None) -> Component:
+    """BFS closure of P under neighbor steps, or its ball of the given radius.
 
-
-def component(P: pauli.PauliString, S: GeneratorSet) -> ComponentSummary:
-    """BFS closure of P under neighbor steps; representative is P itself."""
+    The representative is P itself; a ball's levels stop at distance radius.
+    """
     if P.n != S.n:
         raise ValidationError(f"size mismatch: {P.n} vs {S.n} qubits")
-    levels = _bfs(pauli.to_key(P), _gen_words(S), S.n)
-    return _summary(levels, S.n, pauli.hermitian_representative(P))
-
-
-def n_ball(P: pauli.PauliString, S: GeneratorSet, N: int) -> frozenset[int]:
-    """Vertex keys within graph distance N of P."""
-    if N < 0:
-        raise ValidationError(f"negative radius {N}")
-    levels = _bfs(pauli.to_key(P), _gen_words(S), S.n, max_dist=N)
-    return frozenset(np.concatenate(levels).tolist())
-
-
-def ball_sizes(P: pauli.PauliString, S: GeneratorSet, up_to: int | None = None) -> list[int]:
-    """Cumulative ball sizes |B_0|, |B_1|, ... out to up_to or saturation."""
-    levels = _bfs(pauli.to_key(P), _gen_words(S), S.n, max_dist=up_to)
-    return np.cumsum([level.size for level in levels]).tolist()
+    if radius is not None and radius < 0:
+        raise ValidationError(f"negative radius {radius}")
+    levels = _bfs(pauli.to_key(P), _gen_words(S), S.n, max_dist=radius)
+    return Component(S.n, pauli.hermitian_representative(P), tuple(levels))
 
 
 def r_fraction(
@@ -218,46 +210,36 @@ def r_fraction(
     region_bits = 0
     for q in reg:
         region_bits |= 1 << q
-    keys = np.concatenate(_bfs(pauli.to_key(P), _gen_words(S), S.n))
+    keys = component(P, S).keys
     mask = (1 << S.n) - 1
     outside = ((keys >> S.n) | (keys & mask)) & ~region_bits
     frac = Fraction(int(np.count_nonzero(outside == 0)), keys.size)
     return frac, float(frac)
 
 
-def diameter(
-    C: ComponentSummary,
-    S: GeneratorSet,
-    mode: str = "auto",
-    exact_cost: int = DIAMETER_EXACT_COST,
-) -> DiameterResult:
-    """Largest eccentricity in the component.
+def diameter(C: Component, S: GeneratorSet, mode: str = "auto") -> DiameterResult:
+    """Largest eccentricity in the whole component C.
 
     Exact mode runs a BFS from every vertex; lower-bound mode does a double
     sweep (BFS to the farthest vertex, then BFS from it) and can undershoot.
     Auto mode is exact when the all-sources search, |C|^2 |S| tests of a
-    vertex against a generator, costs at most ``exact_cost``.
+    vertex against a generator, costs at most DIAMETER_EXACT_COST.
     """
     words = _gen_words(S)
     if mode not in ("auto", "exact", "lower-bound"):
         raise ValidationError(f"unknown diameter mode {mode!r}")
-    run_exact = mode == "exact" or (mode == "auto" and C.size**2 * len(S.generators) <= exact_cost)
+    run_exact = mode == "exact" or (mode == "auto" and C.size**2 * len(S.generators) <= DIAMETER_EXACT_COST)
     if run_exact:
         best = 0
-        for key in C.members:
+        for key in C.keys.tolist():
             best = max(best, len(_bfs(key, words, C.n)) - 1)
         return DiameterResult(best, "exact")
     # the far end of the sweep is the largest key at the largest distance
-    far = int(_bfs(pauli.to_key(C.representative), words, C.n)[-1][-1])
+    far = int(C.levels[-1][-1])
     return DiameterResult(len(_bfs(far, words, C.n)) - 1, "lower-bound")
 
 
-def majorana_count(P: pauli.PauliString) -> int:
-    """Majorana monomial length; constant on matchgate components."""
-    return pauli.majorana_count(P)
-
-
-def census(S: GeneratorSet) -> list[ComponentSummary]:
+def census(S: GeneratorSet) -> list[Component]:
     """All components of the graph, in ascending order of their smallest key."""
     if S.n > CENSUS_QUBIT_CAP:
         raise BudgetError(f"census over 4^{S.n} Paulis exceeds cap n={CENSUS_QUBIT_CAP}")
@@ -269,7 +251,7 @@ def census(S: GeneratorSet) -> list[ComponentSummary]:
         levels = _bfs(key, words, S.n)
         for level in levels:
             visited[level] = True
-        out.append(_summary(levels, S.n, pauli.from_key(key, S.n)))
+        out.append(Component(S.n, pauli.from_key(key, S.n), tuple(levels)))
         key += int(np.argmin(visited[key:]))
         if visited[key]:
             return out

@@ -208,7 +208,7 @@ def _cmd_graph(args) -> list[dict]:
     if args.census:
         did_something = True
         comps = cgraph.census(S)
-        comps = sorted(comps, key=lambda c: (pauli.majorana_count(c.representative), min(c.members)))
+        comps = sorted(comps, key=lambda c: (pauli.majorana_count(c.representative), int(c.keys[0])))
         for i, comp in enumerate(comps):
             records.append(
                 _record(
@@ -216,7 +216,7 @@ def _cmd_graph(args) -> list[dict]:
                     group=args.group,
                     n=n,
                     component_id=i,
-                    size=len(comp.members),
+                    size=comp.size,
                     representative=pauli.to_text(comp.representative),
                     majorana_count=pauli.majorana_count(comp.representative),
                     reference="component-census",
@@ -227,7 +227,7 @@ def _cmd_graph(args) -> list[dict]:
         vertex = experiments.gatecount_perturbation(n)
     if args.balls:
         did_something = True
-        sizes = cgraph.ball_sizes(vertex, S)
+        sizes = np.cumsum([level.size for level in cgraph.component(vertex, S).levels]).tolist()
         for N, ball_size in enumerate(sizes):
             records.append(
                 _record(
@@ -270,7 +270,7 @@ def _cmd_graph(args) -> list[dict]:
                 vertex=pauli.to_text(vertex),
                 value=result.value,
                 mode=result.mode,
-                component_size=len(comp.members),
+                component_size=comp.size,
                 reference="component-diameter",
             )
         )
@@ -284,6 +284,8 @@ def _cmd_graph(args) -> list[dict]:
 
 
 _BOUND_FLAG_DESTS = ("d", "dL", "n", "p_shallow", "p_haar", "r", "ball", "component", "S_size", "N")
+# a sweep of this many records takes about half a second on one core
+SWEEP_RECORD_CAP = 10_000
 
 
 def _bound_inputs(args) -> dict:
@@ -318,8 +320,11 @@ def _cmd_bounds(args) -> list[dict]:
             raise ValidationError(f"--sweep step must be >= 1, got {args.sweep!r}")
         if lo > hi:
             raise ValidationError(f"--sweep MIN must not exceed MAX, got {args.sweep!r}")
+        sweep = range(lo, hi + 1, step)
+        if len(sweep) > SWEEP_RECORD_CAP:
+            raise BudgetError(f"--sweep {args.sweep} gives {len(sweep)} records, over the cap of {SWEEP_RECORD_CAP}")
         records = []
-        for n in range(lo, hi + 1, step):
+        for n in sweep:
             rep = bounds.bound_report("matchgate-depth", n=n)
             records.append(
                 _record(
@@ -663,7 +668,7 @@ def _rep_cor4(seed):
     recs = []
     for n in (2, 3, 4):
         comps = cgraph.census(groups.matchgate_standard_set(n))
-        sizes = sorted(len(c.members) for c in comps)
+        sizes = sorted(c.size for c in comps)
         expected = sorted(math.comb(2 * n, k) for k in range(2 * n + 1))
         recs.append(
             _check("cor4", f"census-sizes-n{n}", 1.0, float(sizes == expected), 0.0, reference="component-census")

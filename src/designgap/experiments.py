@@ -28,7 +28,6 @@ sample on the same streams.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
 
@@ -479,7 +478,7 @@ def _gatecount_rotation(config: ExperimentConfig, S: cgraph.GeneratorSet, ball):
     n, N = config.n, config.ensemble.gates
     K = [a - 1 for a in pauli.majorana_decomposition(config.perturbation)]
     k = len(K)
-    expected = sum(math.comb(k, j) * math.comb(2 * n - k, j) for j in range(N + 1))
+    expected = bounds.johnson_ball_size(n, N, k)
     if len(ball) != expected:
         raise InvariantError(
             f"the {N}-ball of a weight-{k} monomial has {len(ball)} vertices, not {expected}"
@@ -522,7 +521,9 @@ def run_gatecount_discrimination(config: ExperimentConfig) -> ExperimentResult:
     if config.n > pauli.DENSE_QUBIT_CAP:
         raise BudgetError(f"spread mass needs n <= {pauli.DENSE_QUBIT_CAP}")
     P = pauli.hermitian_representative(config.perturbation)
-    ball = sorted(cgraph.n_ball(P, S, config.ensemble.gates))
+    comp = cgraph.component(P, S)
+    # the N-ball is the first N + 1 levels; ascending Python-int keys, as the dense mass sums them
+    ball = np.sort(np.concatenate(comp.levels[: config.ensemble.gates + 1])).tolist()
     build = _gatecount_rotation if _gatecount_uses_rotations(config, S) else _gatecount_dense
     shallow_p, haar_p = build(config, S, ball)
 
@@ -532,6 +533,5 @@ def run_gatecount_discrimination(config: ExperimentConfig) -> ExperimentResult:
     def haar_one(stream):
         return _finalize(haar_p(stream), stream, config.shot_mode)
 
-    comp = cgraph.component(P, S)
-    analytic = float(bounds.neighborhood_ratio_bound(len(ball), len(comp.members)))
+    analytic = float(bounds.neighborhood_ratio_bound(len(ball), comp.size))
     return _run_two_sided(config, shallow_one, haar_one, True, analytic, "gate-count-bound/ball-ratio")

@@ -229,8 +229,7 @@ def haar_spread_uniformity(
         raise ValidationError(f"kind {G.kind!r} has no generator set to spread over")
     n = G.n
     d = 1 << n
-    comp = cgraph.component(P, G.generator_set)
-    keys = tuple(sorted(comp.members))
+    keys = tuple(cgraph.component(P, G.generator_set).keys.tolist())
     verts = [pauli.from_key(k, n) for k in keys]
 
     def one(stream):

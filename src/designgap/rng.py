@@ -9,8 +9,8 @@ loops 1.0-1.9x slower at two threads than at one on a 2-core machine.
 One loop walks the samples in fixed 64-sample chunks of streams.  A
 chunk-valued function maps a list of streams to one row per stream, so an
 estimator can draw and evaluate a whole chunk with stacked array operations;
-``sample_array`` and ``accumulate_moments`` take a per-sample function and
-wrap it as a chunk-valued one.  A caller that declares ``row_bytes``, the
+``sample_array`` takes a per-sample function and wraps it as a chunk-valued
+one.  A caller that declares ``row_bytes``, the
 size of its largest per-sample intermediate, gets its chunks in blocks of at
 most ``STACK_BYTES`` of such rows, so no stack grows with the chunk past that
 bound.  ``accumulate_rows`` sums each chunk on its own, in sample order, and
@@ -52,11 +52,6 @@ def _chunks(samples: int, seed: int, index_offset: int, row_bytes: int):
         yield [streams[b : b + step] for b in range(0, len(streams), step)]
 
 
-def _per_sample(fn):
-    """The chunk-valued form of a per-sample function: fn of each stream."""
-    return lambda streams: [fn(stream) for stream in streams]
-
-
 def sample_rows(fn_chunk, samples: int, seed: int, index_offset: int = 0, row_bytes: int = 0) -> np.ndarray:
     """values[i] = row i of fn_chunk over the streams offset+i, stacked.
 
@@ -76,7 +71,7 @@ def sample_array(fn, samples: int, seed: int, index_offset: int = 0) -> np.ndarr
 
     A scalar fn gives shape (samples,); a length-w vector fn gives (samples, w).
     """
-    return sample_rows(_per_sample(fn), samples, seed, index_offset)
+    return sample_rows(lambda streams: [fn(stream) for stream in streams], samples, seed, index_offset)
 
 
 def _add_rows(acc: np.ndarray, rows: np.ndarray, fresh: bool) -> np.ndarray:
@@ -118,18 +113,8 @@ def accumulate_rows(fn_chunk, shape, samples: int, seed: int, row_bytes: int = 0
     return total, total_sq
 
 
-def accumulate_moments(fn, shape, samples: int, seed: int):
-    """Elementwise sum and sum of squared moduli of fn(stream_i).
-
-    The per-sample form of ``accumulate_rows``, with the same chunk order;
-    each block stacks at most STACK_BYTES of values.
-    """
-    row_bytes = np.dtype(np.complex128).itemsize * int(np.prod(shape))
-    return accumulate_rows(lambda streams: np.stack(_per_sample(fn)(streams)), shape, samples, seed, row_bytes)
-
-
 def mean_and_stderr_from_sums(total, total_sq, samples: int):
-    """Elementwise mean and standard error from accumulate_moments output."""
+    """Elementwise mean and standard error from accumulate_rows output."""
     mean = total / samples
     if samples < 2:
         return mean, np.zeros_like(total_sq)

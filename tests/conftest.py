@@ -292,6 +292,15 @@ def accumulate_reference(fn, shape, M: int, seed: int):
     return total, total_sq
 
 
+def accumulate_moments(fn, shape, M: int, seed: int):
+    """Sum and sum of squared moduli of fn(stream_i) through rng.accumulate_rows,
+    with each block stacking at most rng.STACK_BYTES of values."""
+    from designgap import rng
+
+    row_bytes = np.dtype(np.complex128).itemsize * int(np.prod(shape))
+    return rng.accumulate_rows(lambda streams: np.stack([fn(s) for s in streams]), shape, M, seed, row_bytes)
+
+
 def second_moment_matrix_reference(G, V, M: int, seed: int):
     """Per-sample mean and stderr of (U V U^dag)^{x2} by np.kron."""
     from designgap import moments, rng
@@ -366,7 +375,7 @@ class QuadraticSymmetry:
     j: int
     linear: object  # pauli.PauliString
     kappa: int
-    component: object  # cgraph.ComponentSummary
+    component: object  # cgraph.Component
 
     def dense(self) -> np.ndarray:
         from designgap import densesim, pauli
@@ -377,10 +386,10 @@ class QuadraticSymmetry:
             raise BudgetError(f"dense commutant basis capped at n <= {densesim.TWO_COPY_OPERATOR_CAP}")
         d = 1 << n
         out = np.zeros((d * d, d * d), dtype=np.complex128)
-        for key in sorted(self.component.members):
+        for key in self.component.keys.tolist():
             T = pauli.from_key(key, n)
             out += np.kron(pauli.to_dense(T), pauli.to_dense(pauli.multiply(self.linear, T)))
-        return out / (d * np.sqrt(len(self.component.members)))
+        return out / (d * np.sqrt(self.component.size))
 
 
 def quadratic_symmetry_basis(S, linear_syms) -> list:
@@ -438,7 +447,7 @@ def commutant_overlap_estimates(G, P, basis, M: int, seed: int):
         AA = np.kron(A, A)
         return np.array([np.trace(Qh @ AA) for Qh in mats])
 
-    total, total_sq = rng.accumulate_moments(one, (len(mats),), M, seed)
+    total, total_sq = accumulate_moments(one, (len(mats),), M, seed)
     return rng.mean_and_stderr_from_sums(total, total_sq, M)
 
 

@@ -99,7 +99,7 @@ def test_criterion_05_johnson_graph_structure():
     for n in (3, 4):
         P = experiments.gatecount_perturbation(n)
         S = groups.matchgate_full_set(n)
-        sizes = cgraph.ball_sizes(P, S)
+        sizes = np.cumsum([level.size for level in cgraph.component(P, S).levels]).tolist()
         assert sizes == [bounds.johnson_ball_size(n, N) for N in range(len(sizes))]
         assert sizes[-1] == math.comb(2 * n, n)
     for n in (2, 3):
@@ -140,7 +140,7 @@ def test_criterion_07_gate_count_formulas():
     for n in (2, 3):
         P = experiments.gatecount_perturbation(n)
         S = groups.matchgate_standard_set(n)
-        ball = len(cgraph.n_ball(P, S, n * n // 2 - 1))
+        ball = cgraph.component(P, S, radius=n * n // 2 - 1).size
         comp = cgraph.component(P, S).size
         assert 2 * ball < comp
         halves[n] = f"{ball}/{comp}"

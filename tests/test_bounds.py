@@ -227,11 +227,27 @@ class TestJohnsonBallSize:
     def test_saturates_past_n(self):
         assert bounds.johnson_ball_size(3, 50) == bounds.johnson_ball_size(3, 3)
 
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_weight_k_balls_match_the_bfs(self, n):
+        # around a weight-k Majorana monomial the full bilinear set swaps one mode in and one out
+        from designgap import pauli
+
+        S = groups.matchgate_full_set(n)
+        for k in range(1, 2 * n):
+            P = pauli.majorana_product(tuple(range(1, k + 1)), n)
+            levels = cgraph.component(P, S).levels
+            sizes = [sum(level.size for level in levels[: N + 1]) for N in range(len(levels) + 1)]
+            assert sizes == [bounds.johnson_ball_size(n, N, k) for N in range(len(levels) + 1)]
+            assert bounds.johnson_ball_size(n, 10**18, k) == math.comb(2 * n, k)
+
     def test_validation(self):
         with pytest.raises(ValidationError):
             bounds.johnson_ball_size(0, 1)
         with pytest.raises(ValidationError):
             bounds.johnson_ball_size(3, -1)
+        for k in (-1, 7):
+            with pytest.raises(ValidationError):
+                bounds.johnson_ball_size(3, 1, k)
 
 
 class TestFormulaRegistry:

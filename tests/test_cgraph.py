@@ -21,6 +21,14 @@ def full_set(n):
     return groups.matchgate_full_set(n)
 
 
+def _level_distances(levels):
+    return {k: d for d, level in enumerate(levels) for k in level.tolist()}
+
+
+def _ball_sizes(levels):
+    return np.cumsum([level.size for level in levels]).tolist()
+
+
 class TestGeneratorSet:
     def test_mixed_sizes_rejected(self):
         with pytest.raises(ValidationError):
@@ -71,35 +79,48 @@ class TestComponents:
     def test_single_qubit_component(self):
         S = cgraph.GeneratorSet(1, (pauli.from_text("Z"),))
         comp = cgraph.component(pauli.from_text("X"), S)
-        texts = {pauli.to_text(pauli.from_key(k, 1)) for k in comp.members}
+        texts = {pauli.to_text(pauli.from_key(k, 1)) for k in comp.keys.tolist()}
         assert texts == {"X", "Y"}
         assert comp.size == 2
 
     def test_distances_start_at_zero(self):
         comp = cgraph.component(pauli.from_text("ZII"), standard_set(3))
-        assert comp.distances[pauli.to_key(pauli.from_text("ZII"))] == 0
-        assert max(comp.distances.values()) >= 1
+        distances = _level_distances(comp.levels)
+        assert distances[pauli.to_key(pauli.from_text("ZII"))] == 0
+        assert max(distances.values()) >= 1
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_census_partitions_everything(self, n):
         comps = cgraph.census(standard_set(n))
-        seen = [k for c in comps for k in c.members]
+        seen = [k for c in comps for k in c.keys.tolist()]
         assert len(seen) == 4**n
         assert len(set(seen)) == 4**n
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_matchgate_component_sizes_are_binomials(self, n):
         comps = cgraph.census(standard_set(n))
-        sizes = sorted(len(c.members) for c in comps)
+        sizes = sorted(c.size for c in comps)
         assert sizes == sorted(math.comb(2 * n, k) for k in range(2 * n + 1))
 
     @pytest.mark.parametrize("n", [2, 3])
     def test_majorana_count_constant_on_components(self, n):
         for comp in cgraph.census(standard_set(n)):
             kappas = {
-                pauli.majorana_count(pauli.from_key(k, n)) for k in comp.members
+                pauli.majorana_count(pauli.from_key(k, n)) for k in comp.keys.tolist()
             }
             assert len(kappas) == 1
+
+    @pytest.mark.parametrize("n", [2, 3, 4])
+    def test_census_levels_are_read_only_int64_partitioning_everything(self, n):
+        comps = cgraph.census(standard_set(n))
+        for comp in comps:
+            for a in (*comp.levels, comp.keys):
+                assert a.dtype == np.int64
+                assert not a.flags.writeable
+            assert comp.keys.tolist() == sorted(k for level in comp.levels for k in level.tolist())
+            assert type(comp.size) is int and comp.size == comp.keys.size
+        seen = np.concatenate([c.keys for c in comps])
+        assert np.array_equal(np.sort(seen), np.arange(4**n))
 
     def test_census_cap(self):
         with pytest.raises(BudgetError):
@@ -109,12 +130,12 @@ class TestComponents:
 class TestBalls:
     def test_radius_zero_is_the_vertex(self):
         P = pauli.from_text("ZII")
-        ball = cgraph.n_ball(P, standard_set(3), 0)
-        assert ball == frozenset({pauli.to_key(P)})
+        ball = cgraph.component(P, standard_set(3), radius=0)
+        assert ball.keys.tolist() == [pauli.to_key(P)]
 
     def test_negative_radius_rejected(self):
         with pytest.raises(ValidationError):
-            cgraph.n_ball(pauli.from_text("Z"), standard_set(1), -1)
+            cgraph.component(pauli.from_text("Z"), standard_set(1), radius=-1)
 
     @pytest.mark.parametrize("n", [3, 4])
     def test_full_set_balls_match_johnson_counts(self, n):
@@ -122,7 +143,7 @@ class TestBalls:
         # n-subsets of the 2n Majorana modes: shell k holds C(n,k)^2 vertices
         P = pauli.majorana_product(tuple(range(1, n + 1)), n)
         P = pauli.hermitian_representative(P)
-        sizes = cgraph.ball_sizes(P, full_set(n))
+        sizes = _ball_sizes(cgraph.component(P, full_set(n)).levels)
         want = []
         running = 0
         for k in range(n + 1):
@@ -134,7 +155,7 @@ class TestBalls:
     def test_ball_sizes_monotone_and_saturating(self):
         P = pauli.from_text("XZI")
         S = standard_set(3)
-        sizes = cgraph.ball_sizes(P, S)
+        sizes = _ball_sizes(cgraph.component(P, S).levels)
         assert all(a < b for a, b in zip(sizes, sizes[1:]))
         assert sizes[-1] == cgraph.component(P, S).size
 
@@ -143,8 +164,8 @@ class TestBalls:
         S = standard_set(3)
         comp = cgraph.component(P, S)
         for N in (0, 1, 2, 3):
-            want = {k for k, d in comp.distances.items() if d <= N}
-            assert cgraph.n_ball(P, S, N) == frozenset(want)
+            want = {k for k, d in _level_distances(comp.levels).items() if d <= N}
+            assert set(cgraph.component(P, S, radius=N).keys.tolist()) == want
 
 
 class TestRegionFraction:
@@ -203,13 +224,15 @@ class TestDiameter:
         assert lower.mode == "lower-bound"
         assert lower.value <= exact
 
-    def test_auto_mode_chooses_by_search_cost(self):
+    def test_auto_mode_chooses_by_search_cost(self, monkeypatch):
         # exact when |C|^2 |S| vertex-generator tests fit in the cost cap
         S = standard_set(3)
         comp = cgraph.component(pauli.from_text("XZI"), S)
         cost = comp.size**2 * len(S.generators)
-        assert cgraph.diameter(comp, S, exact_cost=cost).mode == "exact"
-        assert cgraph.diameter(comp, S, exact_cost=cost - 1).mode == "lower-bound"
+        monkeypatch.setattr(cgraph, "DIAMETER_EXACT_COST", cost)
+        assert cgraph.diameter(comp, S).mode == "exact"
+        monkeypatch.setattr(cgraph, "DIAMETER_EXACT_COST", cost - 1)
+        assert cgraph.diameter(comp, S).mode == "lower-bound"
 
     def test_unknown_mode_rejected(self):
         S = standard_set(2)
@@ -228,12 +251,8 @@ class TestMidpointBallProperty:
         P = pauli.hermitian_representative(P)
         comp = cgraph.component(P, S)
         N = n * n // 2 - 1
-        ball = cgraph.n_ball(P, S, N)
-        assert len(ball) < comp.size / 2
-
-
-def _level_distances(levels):
-    return {k: d for d, level in enumerate(levels) for k in level.tolist()}
+        ball = cgraph.component(P, S, radius=N)
+        assert ball.size < comp.size / 2
 
 
 class TestAgainstDequeOracle:
@@ -247,8 +266,8 @@ class TestAgainstDequeOracle:
         assert sum(c.size for c in comps) == 4**n
         for comp in comps:
             want = bfs_reference(pauli.to_key(comp.representative), S)
-            assert comp.distances == want
-            assert comp.members == frozenset(want)
+            assert _level_distances(comp.levels) == want
+            assert comp.keys.tolist() == sorted(want)
             assert comp.size == len(want)
 
     @pytest.mark.parametrize("n", [3, 4, 5])
@@ -261,8 +280,10 @@ class TestAgainstDequeOracle:
         for N in range(radius + 2):
             want = bfs_reference(key, S, max_dist=N)
             assert _level_distances(cgraph._bfs(key, cgraph._gen_words(S), n, max_dist=N)) == want
-            assert cgraph.n_ball(P, S, N) == frozenset(want)
-            assert cgraph.ball_sizes(P, S, up_to=N)[-1] == len(want)
+            ball = cgraph.component(P, S, radius=N)
+            assert _level_distances(ball.levels) == want
+            assert ball.keys.tolist() == sorted(want)
+            assert _ball_sizes(ball.levels)[-1] == len(want)
 
     @pytest.mark.parametrize("max_dist", [None, 1, 2, 3])
     def test_budget_raised_at_the_same_size(self, max_dist):
@@ -285,7 +306,7 @@ class TestAgainstDequeOracle:
         n = 4
         S = full_set(n)
         for comp in cgraph.census(S):
-            assert comp.distances == bfs_reference(pauli.to_key(comp.representative), S)
+            assert _level_distances(comp.levels) == bfs_reference(pauli.to_key(comp.representative), S)
         key = pauli.to_key(pauli.hermitian_representative(pauli.majorana_product((1, 2, 3, 4), n)))
         size = math.comb(2 * n, n)
         words = cgraph._gen_words(S)
@@ -312,11 +333,11 @@ class TestKeyWidth:
         with pytest.raises(BudgetError, match=f"n <= {cgraph.KEY_QUBIT_CAP}"):
             cgraph.component(pauli.PauliString(n, 1, 0), S)
         with pytest.raises(BudgetError, match=f"n <= {cgraph.KEY_QUBIT_CAP}"):
-            cgraph.n_ball(pauli.PauliString(n, 1, 0), S, 1)
+            cgraph.component(pauli.PauliString(n, 1, 0), S, radius=1)
 
     def test_widest_keys_accepted(self):
         n = cgraph.KEY_QUBIT_CAP
         S = full_set(n)
         P = pauli.PauliString(n, 1 << (n - 1), 0)
-        sizes = cgraph.ball_sizes(P, S, up_to=1)
+        sizes = _ball_sizes(cgraph.component(P, S, radius=1).levels)
         assert sizes == [1, 1 + 2 * n - 1]

@@ -89,6 +89,19 @@ class TestExitCodes:
         assert err.startswith("designgap: budget exceeded: ")
         assert "Traceback" not in err
 
+    def test_long_sweep_is_refused_before_the_first_record(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, ["bounds", "--formula", "matchgate-depth", "--sweep", "2:100000000"])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert err.startswith("designgap: budget exceeded: --sweep")
+        # the cap itself still runs
+        top = 2 * cli.SWEEP_RECORD_CAP
+        code, out, _ = run_cli(capsys, ["bounds", "--formula", "matchgate-depth", "--sweep", f"2:{top}"])
+        assert code == 0
+        assert len(records(out)) == cli.SWEEP_RECORD_CAP
+
     def test_graph_keys_wider_than_int64_are_refused(self, capsys):
         code, out, err = run_cli(capsys, ["graph", "--group", "matchgate", "--n", "40", "--balls"])
         assert code == 2

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import bfs_reference
 from designgap import bounds, cgraph, densesim, experiments, groups, moments, pauli, rng
 from designgap.errors import BudgetError, InvariantError, ValidationError
 
@@ -221,7 +222,7 @@ class TestSpreadMass:
         comp = cgraph.component(P, groups.matchgate_full_set(2))
         for k in range(5):
             U = groups.sample_haar(G, sample_stream(99, k))
-            mass = experiments.pauli_spread_mass(U, P, sorted(comp.members))
+            mass = experiments.pauli_spread_mass(U, P, comp.keys.tolist())
             assert mass == pytest.approx(1.0, abs=1e-10)
 
 
@@ -291,7 +292,7 @@ class TestRotationEvaluation:
         cfg = experiments.gatecount_config(n, samples=6, seed=3, gates=gates)
         S = cfg.ensemble.allowed
         assert experiments._gatecount_uses_rotations(cfg, S)
-        ball = sorted(cgraph.n_ball(cfg.perturbation, S, gates))
+        ball = cgraph.component(cfg.perturbation, S, radius=gates).keys.tolist()
         dense = experiments._gatecount_dense(cfg, S, ball)
         rotation = experiments._gatecount_rotation(cfg, S, ball)
         assert _max_gap(dense, rotation, shot_mode, M=6) < 1e-12
@@ -338,10 +339,35 @@ class TestRotationEvaluation:
             experiments.run_depth_discrimination(experiments.depth_config("matchgate", 4, 2, 0))
 
     def test_wrong_ball_size_is_an_invariant_error(self, monkeypatch):
-        real = cgraph.n_ball
-        monkeypatch.setattr(cgraph, "n_ball", lambda P, S, N: real(P, S, N + 1))
+        real = cgraph.component
+
+        def merged(P, S, radius=None):
+            # levels 0 and 1 merged: the N-ball read from the prefix is the (N + 1)-ball
+            c = real(P, S, radius)
+            return cgraph.Component(c.n, c.representative, (np.concatenate(c.levels[:2]), *c.levels[2:]))
+
+        monkeypatch.setattr(cgraph, "component", merged)
         with pytest.raises(InvariantError):
             experiments.run_gatecount_discrimination(experiments.gatecount_config(3, 2, 0, gates=1))
+
+    @pytest.mark.parametrize("allowed", [None, "standard"])
+    def test_one_search_gives_ball_and_component(self, monkeypatch, allowed):
+        real = cgraph._bfs
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cgraph, "_bfs", counted)
+        S = groups.matchgate_standard_set(3) if allowed else None
+        res = experiments.run_gatecount_discrimination(experiments.gatecount_config(3, 4, 0, gates=1, allowed=S))
+        assert len(calls) == 1
+        # the analytic ratio still divides the 1-ball by the whole component
+        key = pauli.to_key(experiments.gatecount_perturbation(3))
+        S = S or groups.matchgate_full_set(3)
+        ball, comp = len(bfs_reference(key, S, max_dist=1)), len(bfs_reference(key, S))
+        assert res.analytic_bound == float(bounds.neighborhood_ratio_bound(ball, comp))
 
 
 class TestDenseMatchgateSide:

