@@ -10,12 +10,12 @@ One loop walks the samples in fixed 64-sample chunks of streams.  A
 chunk-valued function maps a list of streams to one row per stream, so an
 estimator can draw and evaluate a whole chunk with stacked array operations;
 ``sample_array`` takes a per-sample function and wraps it as a chunk-valued
-one.  A caller that declares ``row_bytes``, the
-size of its largest per-sample intermediate, gets its chunks in blocks of at
-most ``STACK_BYTES`` of such rows, so no stack grows with the chunk past that
-bound.  ``accumulate_rows`` sums each chunk on its own, in sample order, and
-adds the chunk sums in order, which fixes its output bits for every block
-size and keeps the partial sums of large matrices streaming.
+one.  A caller that declares ``row_bytes``, the size of its largest
+per-sample intermediate, gets its chunks in blocks of at most ``STACK_BYTES``
+of such rows, so no stack grows with the chunk past that bound.
+``accumulate_rows`` sums each chunk on its own, in sample order, and adds the
+chunk sums in order, which fixes its output bits for every block size and
+keeps the partial sums of large matrices streaming.
 """
 
 from __future__ import annotations

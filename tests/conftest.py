@@ -19,7 +19,8 @@ the Clifford closure that multiplies and keys one matrix at a time.
 The moment references are the per-sample forms of the chunk-stacked
 estimators in ``moments``: one stream, one ``sample_haar`` draw and one
 evaluation at a time, with sums taken in the documented 64-sample chunk
-order.  The commutant basis built from commutator-graph components, with its
+order; ``accumulate_moments`` is the per-sample form of
+``rng.accumulate_rows``.  The commutant basis built from commutator-graph components, with its
 Gram report and its Monte Carlo overlaps, lives here because only the tests
 use it.
 """
