@@ -20,9 +20,9 @@ The moment references are the per-sample forms of the chunk-stacked
 estimators in ``moments``: one stream, one ``sample_haar`` draw and one
 evaluation at a time, with sums taken in the documented 64-sample chunk
 order; ``accumulate_moments`` is the per-sample form of
-``rng.accumulate_rows``.  The commutant basis built from commutator-graph components, with its
-Gram report and its Monte Carlo overlaps, lives here because only the tests
-use it.
+``rng.accumulate_rows``.  The commutant basis built from commutator-graph
+components, with its Gram report and its Monte Carlo overlaps, lives here
+because only the tests use it.
 """
 
 from collections import deque

@@ -89,9 +89,16 @@ class TestComponents:
         assert distances[pauli.to_key(pauli.from_text("ZII"))] == 0
         assert max(distances.values()) >= 1
 
-    @pytest.mark.parametrize("n", [2, 3])
+    @pytest.mark.parametrize("n", [2, 3, 4])
     def test_census_partitions_everything(self, n):
+        # each component holds read-only int64 levels and their sorted keys
         comps = cgraph.census(standard_set(n))
+        for comp in comps:
+            for a in (*comp.levels, comp.keys):
+                assert a.dtype == np.int64
+                assert not a.flags.writeable
+            assert comp.keys.tolist() == sorted(k for level in comp.levels for k in level.tolist())
+            assert type(comp.size) is int and comp.size == comp.keys.size
         seen = [k for c in comps for k in c.keys.tolist()]
         assert len(seen) == 4**n
         assert len(set(seen)) == 4**n
@@ -109,18 +116,6 @@ class TestComponents:
                 pauli.majorana_count(pauli.from_key(k, n)) for k in comp.keys.tolist()
             }
             assert len(kappas) == 1
-
-    @pytest.mark.parametrize("n", [2, 3, 4])
-    def test_census_levels_are_read_only_int64_partitioning_everything(self, n):
-        comps = cgraph.census(standard_set(n))
-        for comp in comps:
-            for a in (*comp.levels, comp.keys):
-                assert a.dtype == np.int64
-                assert not a.flags.writeable
-            assert comp.keys.tolist() == sorted(k for level in comp.levels for k in level.tolist())
-            assert type(comp.size) is int and comp.size == comp.keys.size
-        seen = np.concatenate([c.keys for c in comps])
-        assert np.array_equal(np.sort(seen), np.arange(4**n))
 
     def test_census_cap(self):
         with pytest.raises(BudgetError):
