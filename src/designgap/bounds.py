@@ -167,24 +167,6 @@ def matchgate_gatecount_ratio(n: int, c) -> tuple[Fraction, float]:
     return Fraction(num, math.comb(2 * n, n)), gatecount_rate(c)
 
 
-def envelope_threshold(c, up_to: int) -> int:
-    """Smallest multiple of c from which exact <= envelope holds up to the cap."""
-    if c <= 2 or int(c) != c:
-        raise ValidationError(f"threshold scan needs an integer c > 2, got {c}")
-    c = int(c)
-    holds_from = None
-    for n in range(c, up_to + 1, c):
-        exact, _ = matchgate_gatecount_ratio(n, c)
-        if float(exact) <= gatecount_envelope(n, c):
-            if holds_from is None:
-                holds_from = n
-        else:
-            holds_from = None
-    if holds_from is None:
-        raise ValidationError(f"envelope never dominates the exact ratio up to n={up_to}")
-    return holds_from
-
-
 def johnson_ball_size(n: int, N: int, k: int | None = None) -> int:
     """sum_{j<=N} C(k,j) C(2n-k,j): the N-ball in the Johnson graph J(2n, k).
 

@@ -223,11 +223,22 @@ def diameter(C: Component, S: GeneratorSet, mode: str = "auto") -> DiameterResul
     Exact mode runs a BFS from every vertex; lower-bound mode does a double
     sweep (BFS to the farthest vertex, then BFS from it) and can undershoot.
     Auto mode is exact when the all-sources search, |C|^2 |S| tests of a
-    vertex against a generator, costs at most DIAMETER_EXACT_COST.
+    vertex against a generator, costs at most DIAMETER_EXACT_COST.  C must be
+    a whole component under S: a ball that stops short of it, one whose last
+    level has a neighbor outside C, raises ValidationError, since neither
+    mode would give the diameter of the component.
     """
     words = _gen_words(S)
     if mode not in ("auto", "exact", "lower-bound"):
         raise ValidationError(f"unknown diameter mode {mode!r}")
+    if C.n != S.n:
+        raise ValidationError(f"size mismatch: {C.n} vs {S.n} qubits")
+    beyond = _neighbor_keys(C.levels[-1], words, C.n, COMPONENT_SIZE_CAP)
+    if _absent(beyond, C.keys).any():
+        raise ValidationError(
+            f"diameter needs a whole component; this one stops at distance {len(C.levels) - 1} "
+            "and has neighbors outside it (a ball of smaller radius)"
+        )
     run_exact = mode == "exact" or (mode == "auto" and C.size**2 * len(S.generators) <= DIAMETER_EXACT_COST)
     if run_exact:
         best = 0

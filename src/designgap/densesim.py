@@ -13,6 +13,12 @@ n-qubit matrix through scatter indices cached per (qubits, n), with no
 Kronecker product and no gather.  The placed entries are the operator's own,
 so the result equals the Kronecker-product-then-permute construction.
 
+``embed``, ``permute_state``, ``apply_two_copy``, ``complement_bell_overlap``
+and ``partial_trace`` take operators and states with leading stack axes, so
+one body serves a single sample and a stacked chunk of samples.  Each matrix
+of a stack goes through the same index maps and the same per-matrix products
+as it would alone, so a stacked result is the single result bit for bit.
+
 Budgets: state vectors up to 2^16 amplitudes, dense two-copy operators only up
 to n = 5 per copy.  Above that, callers must use the partial-inner-product
 shortcuts (``complement_bell_overlap``) instead of materialized projectors.
@@ -65,10 +71,13 @@ def basis_permutation(order: tuple[int, ...], n: int) -> np.ndarray:
 
 
 def permute_state(psi: np.ndarray, order: tuple[int, ...], n: int) -> np.ndarray:
-    """State in the basis where ``order`` lists the leading qubits."""
+    """State in the basis where ``order`` lists the leading qubits.
+
+    psi may carry leading stack axes; each state is permuted on its own.
+    """
     sigma = basis_permutation(order, n)
     out = np.empty_like(psi)
-    out[sigma] = psi
+    out[..., sigma] = psi
     return out
 
 
@@ -90,15 +99,19 @@ def _embed_scatter(qubits: tuple[int, ...], n: int) -> np.ndarray:
 
 
 def embed(op: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
-    """Extend an operator acting on the listed qubits (in order) to n qubits."""
-    k = _qubit_count(op.shape[0])
+    """Extend an operator acting on the listed qubits (in order) to n qubits.
+
+    op may carry leading stack axes; each matrix is placed on its own.
+    """
+    k = _qubit_count(op.shape[-1])
     if k != len(qubits):
         raise ValidationError(f"operator acts on {k} qubits, got {len(qubits)} targets")
     _require_qubits(n, pauli.DENSE_QUBIT_CAP, "dense embedding")
     idx = _embed_scatter(tuple(qubits), n)
-    out = np.zeros(1 << (2 * n), dtype=np.complex128)
-    out[idx] = op[:, :, None]
-    return out.reshape(1 << n, 1 << n)
+    lead = op.shape[:-2]
+    out = np.zeros((*lead, 1 << (2 * n)), dtype=np.complex128)
+    out[..., idx] = op[..., None]
+    return out.reshape(*lead, 1 << n, 1 << n)
 
 
 def partial_trace(A: np.ndarray, keep: tuple[int, ...], n: int) -> np.ndarray:
@@ -123,9 +136,13 @@ def bell_state(m: int) -> np.ndarray:
 
 
 def apply_two_copy(A: np.ndarray, B: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """(A tensor B) applied to a two-copy state, via one reshape."""
-    d = A.shape[0]
-    return (A @ psi.reshape(d, d) @ B.T).reshape(-1)
+    """(A tensor B) applied to a two-copy state, via one reshape.
+
+    A, B and psi may carry leading stack axes, which broadcast.
+    """
+    d = A.shape[-1]
+    out = A @ psi.reshape(*psi.shape[:-1], d, d) @ np.swapaxes(B, -1, -2)
+    return out.reshape(*out.shape[:-2], d * d)
 
 
 def swap_region(region: tuple[int, ...], n: int) -> np.ndarray:
@@ -154,6 +171,7 @@ def complement_bell_overlap(
     Born probability of the projector that is the identity on both region
     factors and the Bell projector on the two complements is ||T||_F^2.  This
     avoids materializing the projector and works up to the state-vector cap.
+    psi may carry leading stack axes, giving one T per state.
     """
     _require_qubits(2 * n, STATE_QUBIT_CAP, "two-copy state")
     reg = tuple(sorted(set(region)))
@@ -161,7 +179,7 @@ def complement_bell_overlap(
     order = reg + comp + tuple(n + q for q in reg) + tuple(n + q for q in comp)
     chi = permute_state(psi, order, 2 * n)
     dL, dC = 1 << len(reg), 1 << len(comp)
-    T = np.einsum("axbx->ab", chi.reshape(dL, dC, dL, dC))
+    T = np.einsum("...axbx->...ab", chi.reshape(*psi.shape[:-1], dL, dC, dL, dC))
     return T / np.sqrt(dC)
 
 

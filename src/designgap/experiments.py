@@ -24,11 +24,27 @@ R[K, K]^T R[K, K].  Each costs O(n^3) per sample with no 2^n factor.  Every
 other input runs the dense two-copy evaluation, which also stays as the
 reference that the tests compare the rotation evaluation against, sample by
 sample on the same streams.
+
+Every evaluation is a pair of chunk evaluators, each mapping a block of
+streams to their probabilities, and one runner draws the shallow side on
+streams [0, M) and the Haar side on [M, 2M) through ``rng.sample_rows``.  The
+dense brickwork experiments (depth and mixed unitary) evaluate a whole block
+at once: ``groups.sample_shallow_stack`` or ``groups.sample_haar_stack``
+draws it, and the two-copy evolution and the complement-Bell overlap run on
+the stack, in blocks of at most ``rng.STACK_BYTES`` of d x d matrices.  The
+rotation and gate-count evaluators take their streams one at a time.  Each
+sample is then finalized on its own, in the per-sample closures of the
+runner: the shallow-exactness check, the clamp to [0, 1] and, in shot mode,
+the shot drawn from the sample's own stream after p.  Each stacked row is
+the single-sample value bit for bit, so the output bytes are those of a
+one-sample-at-a-time loop.  A dense brickwork run estimates its cost in d x d
+products before its first draw and exits 2 above ``moments.FS_COST_CAP``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
@@ -183,11 +199,6 @@ def gatecount_config(
 # shared machinery
 
 
-def _born_probability(psi: np.ndarray, region, n: int) -> float:
-    T = densesim.complement_bell_overlap(psi, region, n)
-    return float(np.sum(np.abs(T) ** 2).real)
-
-
 def _finalize(p: float, stream, shot_mode: bool):
     clamped = min(1.0, max(0.0, p))
     if shot_mode:
@@ -213,13 +224,21 @@ def _shallow_row(p: float, stream, confined: bool, shot_mode: bool) -> np.ndarra
     return np.array([_finalize(p, stream, shot_mode), dev])
 
 
-def _run_two_sided(config, shallow_one, haar_one, confined, analytic, ref) -> ExperimentResult:
-    """Shallow samples use stream indices [0, M); Haar samples [M, 2M)."""
+def _run_two_sided(config, shallow_p, haar_p, shallow_one, haar_one, confined, analytic, ref) -> ExperimentResult:
+    """Shallow samples use stream indices [0, M); Haar samples [M, 2M).
+
+    shallow_p and haar_p map a block of streams to their retained
+    probabilities; shallow_one and haar_one then finalize each sample, p and
+    its own stream, one at a time.  A block stacks at most rng.STACK_BYTES of
+    d x d complex matrices, the largest per-sample intermediate of the dense
+    evaluation.
+    """
     M = config.samples
-    rows = rng.sample_array(shallow_one, M, config.seed)
+    row_bytes = np.dtype(np.complex128).itemsize << (2 * config.n)
+    rows = rng.sample_rows(shallow_p, M, config.seed, 0, row_bytes, shallow_one)
     p_sh = moments.MomentEstimate(*rng.mean_and_stderr(rows[:, 0]), M, config.seed)
     max_dev = float(np.max(rows[:, 1]))
-    vals = rng.sample_array(haar_one, M, config.seed, index_offset=M)
+    vals = rng.sample_rows(haar_p, M, config.seed, M, row_bytes, haar_one)
     p_ha = moments.MomentEstimate(*rng.mean_and_stderr(vals), M, config.seed)
     mc = bounds.discrimination_bound(
         min(1.0, max(0.0, p_sh.mean)), min(1.0, max(0.0, p_ha.mean))
@@ -262,22 +281,50 @@ def _depth_analytic(config: ExperimentConfig, conjugate: bool = False):
     return None, None
 
 
-def _check_dense_matchgate_cost(config: ExperimentConfig) -> None:
-    """Budget the dense matchgate Haar side, n(2n-1) lifts of d x d per draw."""
-    if config.group.kind == "matchgate":
-        moments.check_draw_cost(config.group, config.samples, "dense matchgate Haar side")
+def _check_brickwork_cost(config: ExperimentConfig, adj: groups.Adjacency, conjugate: bool) -> None:
+    """Raise BudgetError when a dense brickwork run costs more than moments.FS_COST_CAP.
+
+    Each sample pays, in d x d products of d^3 complex multiply-adds: its Haar
+    draw (``moments.draw_products``: n(2n-1) Givens lifts for a matchgate),
+    one product per shallow gate and one per layer, and the two-copy
+    evolutions of both sides (two products per side, and two more to unwind
+    a form).  The estimate is exact integer arithmetic, so no depth or sample
+    count overflows it, and it is checked before the first draw.
+    """
+    G, M, L = config.group, config.samples, config.ensemble.depth
+    classes = adj.layer_classes
+    gates = 0
+    if classes:
+        cycles, rest = divmod(L, len(classes))
+        gates = cycles * sum(map(len, classes)) + sum(map(len, classes[:rest]))
+    products = {
+        "Haar draws": moments.draw_products(G),
+        "shallow circuits": gates + L,
+        "two-copy evolutions": 4 if conjugate else 8,
+    }
+    d3 = G.dense_dimension**3
+    total = M * sum(products.values()) * d3
+    if total > moments.FS_COST_CAP:
+        parts = ", ".join(f"{name} {Decimal(M * k * d3):.2e}" for name, k in products.items())
+        raise BudgetError(
+            f"dense brickwork experiment for {G.kind} n={G.n} with {M} samples costs about "
+            f"{Decimal(total):.2e} multiply-adds ({parts}), cap is {moments.FS_COST_CAP:.0e}"
+        )
 
 
 def _depth_dense(config: ExperimentConfig, adj: groups.Adjacency, conjugate: bool = False):
-    """Per-sample retained probabilities (shallow, haar) on the dense two-copy state.
+    """Chunk evaluators (shallow, haar) of the retained probability on the dense two-copy state.
 
-    With a form the state (V x Omega)|Phi> evolves under U x U and the form is
-    unwound on the second copy; the conjugate-copy state (V x 1)|Phi> evolves
-    under U x conj(U), which leaves |Phi> itself invariant.
+    Each maps a block of streams to their probabilities: one stacked draw
+    (``groups.sample_shallow_stack`` or ``groups.sample_haar_stack``), one
+    stacked evolution and one stacked overlap.  With a form the state
+    (V x Omega)|Phi> evolves under U x U and the form is unwound on the
+    second copy; the conjugate-copy state (V x 1)|Phi> evolves under
+    U x conj(U), which leaves |Phi> itself invariant.
     """
     G = config.group
     n = config.n
-    _check_dense_matchgate_cost(config)
+    _check_brickwork_cost(config, adj, conjugate)
     eye = np.eye(1 << n, dtype=np.complex128)
     Vd = pauli.to_dense(pauli.hermitian_representative(config.perturbation))
     depth = config.ensemble.depth
@@ -295,12 +342,15 @@ def _depth_dense(config: ExperimentConfig, adj: groups.Adjacency, conjugate: boo
             psi = densesim.apply_two_copy(U, U, psi0)
             return densesim.apply_two_copy(eye, Om_inv, psi)
 
-    def shallow_p(stream):
-        U = groups.sample_shallow(G, depth, adj, stream).unitary
-        return _born_probability(evolve(U), config.region, n)
+    def born(U):
+        T = densesim.complement_bell_overlap(evolve(U), config.region, n)
+        return np.sum(np.abs(T) ** 2, axis=(-2, -1))
 
-    def haar_p(stream):
-        return _born_probability(evolve(groups.sample_haar(G, stream)), config.region, n)
+    def shallow_p(streams):
+        return born(groups.sample_shallow_stack(G, depth, adj, streams))
+
+    def haar_p(streams):
+        return born(groups.sample_haar_stack(G, streams))
 
     return shallow_p, haar_p
 
@@ -314,7 +364,8 @@ def _depth_uses_rotations(config: ExperimentConfig, adj: groups.Adjacency) -> bo
 
 
 def _depth_rotation(config: ExperimentConfig, adj: groups.Adjacency):
-    """Per-sample retained probabilities (shallow, haar) on the Majorana rotation.
+    """Chunk evaluators (shallow, haar) of the retained probability on the Majorana rotation,
+    one stream at a time.
 
     Conjugating c_K gives sum_S det(R[S, K]) c_S over |S| = k; the mass on
     monomials inside the prefix region is det(R[in, K]^T R[in, K]).
@@ -328,11 +379,11 @@ def _depth_rotation(config: ExperimentConfig, adj: groups.Adjacency):
         B = R[:inside, K]
         return float(np.linalg.det(B.T @ B))
 
-    def shallow_p(stream):
-        return retained(groups.sample_shallow_rotation(G, depth, adj, stream))
+    def shallow_p(streams):
+        return [retained(groups.sample_shallow_rotation(G, depth, adj, stream)) for stream in streams]
 
-    def haar_p(stream):
-        return retained(groups.sample_haar_rotation(G, stream))
+    def haar_p(streams):
+        return [retained(groups.sample_haar_rotation(G, stream)) for stream in streams]
 
     return shallow_p, haar_p
 
@@ -340,7 +391,7 @@ def _depth_rotation(config: ExperimentConfig, adj: groups.Adjacency):
 def _brickwork(config: ExperimentConfig, conjugate: bool):
     """The shared body of both brickwork experiments.
 
-    Returns the per-sample evaluators (shallow, haar), whether the shallow
+    Returns the chunk evaluators (shallow, haar), whether the shallow
     lightcone stays inside the region, and the analytic reference.
     """
     if config.ensemble.kind != "brickwork":
@@ -375,13 +426,13 @@ def run_depth_discrimination(config: ExperimentConfig) -> ExperimentResult:
         )
     shallow_p, haar_p, confined, analytic, ref = _brickwork(config, conjugate=False)
 
-    def shallow_one(stream):
-        return _shallow_row(shallow_p(stream), stream, confined, config.shot_mode)
+    def shallow_one(p, stream):
+        return _shallow_row(p, stream, confined, config.shot_mode)
 
-    def haar_one(stream):
-        return _finalize(haar_p(stream), stream, config.shot_mode)
+    def haar_one(p, stream):
+        return _finalize(p, stream, config.shot_mode)
 
-    return _run_two_sided(config, shallow_one, haar_one, confined, analytic, ref)
+    return _run_two_sided(config, shallow_p, haar_p, shallow_one, haar_one, confined, analytic, ref)
 
 
 def run_mixed_unitary_discrimination(config: ExperimentConfig) -> ExperimentResult:
@@ -396,13 +447,13 @@ def run_mixed_unitary_discrimination(config: ExperimentConfig) -> ExperimentResu
         raise ValidationError(f"mixed-unitary experiment needs a unitary-kind group, got {kind!r}")
     shallow_p, haar_p, confined, analytic, ref = _brickwork(config, conjugate=True)
 
-    def shallow_one(stream):
-        return _shallow_row(shallow_p(stream), stream, confined, config.shot_mode)
+    def shallow_one(p, stream):
+        return _shallow_row(p, stream, confined, config.shot_mode)
 
-    def haar_one(stream):
-        return _finalize(haar_p(stream), stream, config.shot_mode)
+    def haar_one(p, stream):
+        return _finalize(p, stream, config.shot_mode)
 
-    return _run_two_sided(config, shallow_one, haar_one, confined, analytic, ref)
+    return _run_two_sided(config, shallow_p, haar_p, shallow_one, haar_one, confined, analytic, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -443,18 +494,22 @@ def _gate_sequence_rotation(planes, n: int, N: int, stream) -> np.ndarray:
 
 
 def _gatecount_dense(config: ExperimentConfig, S: cgraph.GeneratorSet, ball):
-    """Per-sample ball masses (shallow, haar) on dense unitaries."""
+    """Chunk evaluators (shallow, haar) of the ball mass on dense unitaries, one stream at a time.
+
+    The matchgate Haar side, n(2n-1) lifts of d x d per draw, is budgeted
+    before the first draw.
+    """
     G = config.group
-    _check_dense_matchgate_cost(config)
+    moments.check_draw_cost(G, config.samples, "dense matchgate Haar side")
     n, N = config.n, config.ensemble.gates
     P = pauli.hermitian_representative(config.perturbation)
     S_words = [pauli.hermitian_representative(g) for g in S.generators]
 
-    def shallow_p(stream):
-        return pauli_spread_mass(_gate_sequence_unitary(S_words, n, N, stream), P, ball)
+    def shallow_p(streams):
+        return [pauli_spread_mass(_gate_sequence_unitary(S_words, n, N, stream), P, ball) for stream in streams]
 
-    def haar_p(stream):
-        return pauli_spread_mass(groups.sample_haar(G, stream), P, ball)
+    def haar_p(streams):
+        return [pauli_spread_mass(groups.sample_haar(G, stream), P, ball) for stream in streams]
 
     return shallow_p, haar_p
 
@@ -467,7 +522,8 @@ def _gatecount_uses_rotations(config: ExperimentConfig, S: cgraph.GeneratorSet) 
 
 
 def _gatecount_rotation(config: ExperimentConfig, S: cgraph.GeneratorSet, ball):
-    """Per-sample ball masses (shallow, haar) on the Majorana rotation.
+    """Chunk evaluators (shallow, haar) of the ball mass on the Majorana rotation,
+    one stream at a time.
 
     Under the full bilinear set the N-ball of c_K is every c_S with |S| = k
     and |S \\ K| <= N.  By Cauchy-Binet the mass sum_S det(R[S, K])^2
@@ -493,13 +549,16 @@ def _gatecount_rotation(config: ExperimentConfig, S: cgraph.GeneratorSet, ball):
             coeffs = [lam * c + (1.0 - lam) * c_lower for c, c_lower in zip(coeffs, [0.0] + coeffs)]
         return sum(coeffs)
 
-    def shallow_p(stream):
+    def shallow_mass(stream):
         R = _gate_sequence_rotation(planes, n, N, stream)
         groups.check_rotation(R, f"{N}-gate sequence")
         return ball_mass(R)
 
-    def haar_p(stream):
-        return ball_mass(groups.sample_haar_rotation(G, stream))
+    def shallow_p(streams):
+        return [shallow_mass(stream) for stream in streams]
+
+    def haar_p(streams):
+        return [ball_mass(groups.sample_haar_rotation(G, stream)) for stream in streams]
 
     return shallow_p, haar_p
 
@@ -527,11 +586,13 @@ def run_gatecount_discrimination(config: ExperimentConfig) -> ExperimentResult:
     build = _gatecount_rotation if _gatecount_uses_rotations(config, S) else _gatecount_dense
     shallow_p, haar_p = build(config, S, ball)
 
-    def shallow_one(stream):
-        return _shallow_row(shallow_p(stream), stream, True, config.shot_mode)
+    def shallow_one(p, stream):
+        return _shallow_row(p, stream, True, config.shot_mode)
 
-    def haar_one(stream):
-        return _finalize(haar_p(stream), stream, config.shot_mode)
+    def haar_one(p, stream):
+        return _finalize(p, stream, config.shot_mode)
 
     analytic = float(bounds.neighborhood_ratio_bound(len(ball), comp.size))
-    return _run_two_sided(config, shallow_one, haar_one, True, analytic, "gate-count-bound/ball-ratio")
+    return _run_two_sided(
+        config, shallow_p, haar_p, shallow_one, haar_one, True, analytic, "gate-count-bound/ball-ratio"
+    )

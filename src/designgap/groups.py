@@ -23,10 +23,15 @@ n(2n-1)-element ``matchgate_full_set`` build groups only up to
 
 Shallow ensembles are brickwork circuits of 2-local group gates over a
 declared adjacency; the conjugation lightcone is computed conservatively as
-one adjacency expansion per layer.  Orthogonal, symplectic and unitary layers
-draw all their Gaussians in one call and take one stacked QR per layer; the
-draws come off the stream in the order per-gate draws would take them, and a
-stacked QR is the per-matrix QR, so the gates are the same bit for bit.  The
+one adjacency expansion per layer.  Like the Haar samplers, the brickwork
+sampler has one body that takes a stack of streams: ``sample_shallow_stack``
+draws each stream's Gaussians for a layer in one call, in the order per-gate
+draws would take them, orthogonalizes every gate of the stack in one stacked
+QR (one Gram-Schmidt per symplectic form-qubit pair), places the gates with
+one stacked ``densesim.embed`` per pair and multiplies the layer products as
+batched matmuls in the per-sample operand order.  A stacked QR and a batched
+matmul are the per-matrix ones, so each row is the per-gate circuit bit for
+bit, and ``sample_shallow`` is the stack of one.  The
 constant matrices of the dense path (forms, the canonical J, qubit-swap
 indices, local matchgate generators, small Majorana bilinears) are cached
 read-only.  The finite Clifford group is enumerated by a breadth-first
@@ -139,11 +144,6 @@ def bilinear_form(representation) -> BilinearForm:
 def matchgate_form_1(n: int) -> BilinearForm:
     """The alternating form XYXY... preserved by matchgate circuits."""
     return bilinear_form(pauli.from_text("XY" * (n // 2) + "X" * (n % 2)))
-
-
-def matchgate_form_2(n: int) -> BilinearForm:
-    """The complementary alternating form YXYX..."""
-    return bilinear_form(pauli.from_text("YX" * (n // 2) + "Y" * (n % 2)))
 
 
 def orthogonal_form(n: int) -> BilinearForm:
@@ -545,23 +545,26 @@ def _qubit_swap_index(a: int, b: int, n: int) -> np.ndarray:
 
 
 def _swap_qubits(U: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
-    """P U P for the permutation P exchanging qubits a and b, as one gather."""
+    """P U P for the permutation P exchanging qubits a and b, as one gather per matrix of a stack."""
     s = _qubit_swap_index(a, b, n)
-    return U[np.ix_(s, s)]
+    return U[..., s[:, None], s]
 
 
 def _haar_symplectic_stack(n: int, streams) -> np.ndarray:
     U = _symplectic_columns(_normals(streams, (1 << (n - 1), 2, 1 << n)))
     fq = symplectic_form_qubit(n)
-    if fq == 0:
-        return U
-    s = _qubit_swap_index(0, fq, n)
-    return U[:, s[:, None], s]
+    return U if fq == 0 else _swap_qubits(U, 0, fq, n)
 
 
-def haar_symplectic(n: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar element of the compact symplectic group for the shipped form."""
-    return _haar_symplectic_stack(n, [rng])[0]
+def haar_symplectic(n: int, rng) -> np.ndarray:
+    """Haar element of the compact symplectic group for the shipped form.
+
+    ``rng`` is one stream, or a list of streams for one draw per stream,
+    stacked; ``sample_haar_stack`` draws its symplectic stacks here.
+    """
+    if isinstance(rng, np.random.Generator):
+        return _haar_symplectic_stack(n, [rng])[0]
+    return _haar_symplectic_stack(n, rng)
 
 
 @functools.lru_cache(maxsize=None)
@@ -741,7 +744,7 @@ def sample_haar_stack(G: GroupSpec, streams) -> np.ndarray:
         return _haar_orthogonal_stack(d, streams)
     if G.kind != "symplectic":
         return np.stack([sample_haar(G, stream) for stream in streams])
-    U = _haar_symplectic_stack(G.n, streams)
+    U = haar_symplectic(G.n, streams)
     if G.form is not None:
         _check_form(G, U, f"{G.kind} sampler")
     return U
@@ -791,63 +794,86 @@ def _matchgate_local(rng: np.random.Generator) -> np.ndarray:
     return U
 
 
-def _layer_gates(kind: str, cls, n: int, rng: np.random.Generator) -> list[np.ndarray]:
-    """The 2-local gates of one brickwork layer, one per pair of ``cls``.
+def _layer_gates(kind: str, cls, n: int, streams) -> np.ndarray:
+    """The 2-local gates of one brickwork layer per stream, shape (len(streams), len(cls), 4, 4).
 
-    Orthogonal, symplectic and unitary layers draw every Gaussian of the layer
-    in one call, in the order per-gate draws would take them, and
-    orthogonalize with one stacked QR.  A symplectic gate on the form qubit
-    reads its 16 normals as the two complex columns of a canonical draw, and
-    an orthogonal gate reads them as a 4 x 4 matrix.
+    Orthogonal, symplectic and unitary layers draw each stream's Gaussians for
+    the layer in one call, in the order per-gate draws would take them, and
+    orthogonalize every gate of the stack with one stacked QR.  A symplectic
+    gate on the form qubit reads its 16 normals as the two complex columns of
+    a canonical draw, one Gram-Schmidt over the stack per such pair, and an
+    orthogonal gate reads them as a 4 x 4 matrix.  Matchgate and Clifford
+    gates are made one stream at a time.
     """
     g = len(cls)
     if g == 0:
-        return []
+        return np.empty((len(streams), 0, 4, 4), dtype=np.complex128)
     if kind == "orthogonal":
-        return list(_orthogonal_from_ginibre(rng.normal(size=(g, 4, 4))))
+        return _orthogonal_from_ginibre(_normals(streams, (g, 4, 4)))
     if kind in ("unitary", "mixed_unitary"):
-        Z = rng.normal(size=(g, 2, 4, 4))
-        return list(_unitary_from_ginibre(Z[:, 0] + 1j * Z[:, 1]))
+        Z = _normals(streams, (g, 2, 4, 4))
+        return _unitary_from_ginibre(Z[:, :, 0] + 1j * Z[:, :, 1])
     if kind == "symplectic":
-        Z = rng.normal(size=(g, 4, 4))
-        gates = list(_orthogonal_from_ginibre(Z))
+        Z = _normals(streams, (g, 4, 4))
+        gates = _orthogonal_from_ginibre(Z)
         fq = symplectic_form_qubit(n)
         for i, pair in enumerate(cls):
             if fq in pair:
-                local = _symplectic_columns(Z[i].reshape(1, 2, 2, 4))[0]
-                gates[i] = local if pair.index(fq) == 0 else _swap_qubits(local, 0, 1, 2)
+                local = _symplectic_columns(Z[:, i].reshape(-1, 2, 2, 4))
+                gates[:, i] = local if pair.index(fq) == 0 else _swap_qubits(local, 0, 1, 2)
         return gates
     if kind == "matchgate":
-        return [_matchgate_local(rng) for _ in cls]
+        return np.array([[_matchgate_local(rng) for _ in cls] for rng in streams])
     if kind == "clifford":
         table = enumerate_clifford(2)
-        return [np.array(table[int(rng.integers(len(table)))]) for _ in cls]
+        return np.array([[table[int(rng.integers(len(table)))] for _ in cls] for rng in streams])
     raise ValidationError(f"no 2-local gate factory for kind {kind!r}")
 
 
-def sample_shallow(
-    G: GroupSpec, L: int, adjacency, rng: np.random.Generator
-) -> ShallowCircuit:
-    """A depth-L brickwork circuit of 2-local group gates."""
+def _brickwork_stack(G: GroupSpec, L: int, adjacency, streams):
+    """The one brickwork body: (adjacency, unitaries (B, d, d), per layer (pairs, gates (B, g, 4, 4))).
+
+    Each layer multiplies the embedded gates onto an identity in pair order,
+    then the layer onto the running product, as one batched matmul per step
+    over the stack; the form self-check runs once over the stack.
+    """
     if L < 0:
         raise ValidationError(f"negative depth {L}")
     adj = parse_adjacency(adjacency, G.n)
     if G.kind == "matchgate":
         check_matchgate_edges(adj)
     d = G.dense_dimension
-    U = np.eye(d, dtype=np.complex128)
+    eyes = np.broadcast_to(_identity(d), (len(streams), d, d))
+    U = eyes.copy()
     layers = []
     for layer_index in range(L):
         cls = adj.layer_classes[layer_index % len(adj.layer_classes)] if adj.layer_classes else ()
-        layer = tuple(zip(cls, _layer_gates(G.kind, cls, G.n, rng)))
-        layer_u = np.eye(d, dtype=np.complex128)
-        for pair, gate in layer:
-            layer_u = densesim.embed(gate, pair, G.n) @ layer_u
-        layers.append(layer)
+        gates = _layer_gates(G.kind, cls, G.n, streams)
+        layer_u = eyes
+        for i, pair in enumerate(cls):
+            layer_u = densesim.embed(gates[:, i], pair, G.n) @ layer_u
+        layers.append((cls, gates))
         U = layer_u @ U
     if G.form is not None and L > 0:
         _check_form(G, U, f"shallow {G.kind} circuit")
-    return ShallowCircuit(U, L, adj, tuple(layers))
+    return adj, U, layers
+
+
+def sample_shallow_stack(G: GroupSpec, L: int, adjacency, streams) -> np.ndarray:
+    """One depth-L brickwork unitary per stream, stacked to shape (len(streams), d, d).
+
+    Row i is ``sample_shallow(G, L, adjacency, streams[i]).unitary`` bit for
+    bit, and each stream is left where that draw leaves it.
+    """
+    return _brickwork_stack(G, L, adjacency, streams)[1]
+
+
+def sample_shallow(
+    G: GroupSpec, L: int, adjacency, rng: np.random.Generator
+) -> ShallowCircuit:
+    """A depth-L brickwork circuit of 2-local group gates: the stack of one of ``sample_shallow_stack``."""
+    adj, U, layers = _brickwork_stack(G, L, adjacency, [rng])
+    return ShallowCircuit(U[0], L, adj, tuple(tuple(zip(cls, gates[0])) for cls, gates in layers))
 
 
 # ---------------------------------------------------------------------------
@@ -991,8 +1017,3 @@ def membership_failure(U: np.ndarray, G: GroupSpec, tol: float = 1e-10) -> str |
                 if abs(np.max(mass) - 1.0) > max(tol, 1e-9):
                     return f"conjugated {pauli.to_text(P)} is not a single Pauli"
     return None
-
-
-def verify_group_membership(U: np.ndarray, G: GroupSpec, tol: float = 1e-10) -> bool:
-    """True when all documented membership conditions hold at tolerance."""
-    return membership_failure(U, G, tol) is None

@@ -31,7 +31,7 @@ from . import cgraph, densesim, groups, pauli, rng
 from .errors import BudgetError, ValidationError
 
 # largest estimated cost of a run of dense Haar draws (a Frobenius-Schur
-# estimate, the dense matchgate side of an experiment), in complex
+# estimate, a dense brickwork or gate-count experiment), in complex
 # multiply-adds (d^3 per d x d product): 20 s to 2 min on one core of a
 # 2-core x86 machine
 FS_COST_CAP = 1e11
@@ -265,15 +265,19 @@ def even_parity_projector(n: int) -> np.ndarray:
     return np.diag((parity == 0).astype(np.complex128))
 
 
+def draw_products(G: groups.GroupSpec) -> int:
+    """d x d products in one dense Haar draw: n(2n-1) Givens lifts for a matchgate, else one."""
+    return G.n * (2 * G.n - 1) if G.kind == "matchgate" else 1
+
+
 def check_draw_cost(G: groups.GroupSpec | int, M: int, what: str) -> None:
     """Raise BudgetError when M dense Haar draws cost more than FS_COST_CAP.
 
     G is a group, or the dimension d of a Haar unitary draw.  A draw costs
-    d^3 complex multiply-adds, or n(2n-1) d^3 for a matchgate (one d x d
-    product per Givens lift).
+    ``draw_products(G)`` d^3 complex multiply-adds.
     """
     if isinstance(G, groups.GroupSpec):
-        d, lifts, name = G.dense_dimension, G.n * (2 * G.n - 1) if G.kind == "matchgate" else 1, f"{G.kind} n={G.n}"
+        d, lifts, name = G.dense_dimension, draw_products(G), f"{G.kind} n={G.n}"
     else:
         d, lifts, name = G, 1, f"U({G})"
     per_draw = d**3 * lifts  # exact integers: no d overflows the estimate

@@ -10,7 +10,8 @@ One loop walks the samples in fixed 64-sample chunks of streams.  A
 chunk-valued function maps a list of streams to one row per stream, so an
 estimator can draw and evaluate a whole chunk with stacked array operations;
 ``sample_array`` takes a per-sample function and wraps it as a chunk-valued
-one.  A caller that declares ``row_bytes``, the size of its largest
+one, and an optional per-sample ``finalize`` step runs on each value after
+its block.  A caller that declares ``row_bytes``, the size of its largest
 per-sample intermediate, gets its chunks in blocks of at most ``STACK_BYTES``
 of such rows, so no stack grows with the chunk past that bound.
 ``accumulate_rows`` sums each chunk on its own, in sample order, and adds the
@@ -52,18 +53,27 @@ def _chunks(samples: int, seed: int, index_offset: int, row_bytes: int):
         yield [streams[b : b + step] for b in range(0, len(streams), step)]
 
 
-def sample_rows(fn_chunk, samples: int, seed: int, index_offset: int = 0, row_bytes: int = 0) -> np.ndarray:
+def sample_rows(
+    fn_chunk, samples: int, seed: int, index_offset: int = 0, row_bytes: int = 0, finalize=None
+) -> np.ndarray:
     """values[i] = row i of fn_chunk over the streams offset+i, stacked.
 
     fn_chunk maps a list of streams to one scalar or one length-w vector per
-    stream, giving shape (samples,) or (samples, w).
+    stream, giving shape (samples,) or (samples, w).  With ``finalize``, a
+    block's scalars are then mapped one sample at a time, row i becoming
+    finalize(value_i, stream_i), so a per-sample step (a check, a draw off
+    the sample's own stream) follows the stacked evaluation.
     """
-    rows = [
-        np.asarray(fn_chunk(block), dtype=np.float64)
-        for blocks in _chunks(samples, seed, index_offset, row_bytes)
-        for block in blocks
-    ]
-    return np.concatenate(rows)
+
+    def block_rows(block):
+        values = fn_chunk(block)
+        if finalize is not None:
+            values = [finalize(v, stream) for v, stream in zip(np.asarray(values, dtype=np.float64).tolist(), block)]
+        return np.asarray(values, dtype=np.float64)
+
+    return np.concatenate(
+        [block_rows(block) for blocks in _chunks(samples, seed, index_offset, row_bytes) for block in blocks]
+    )
 
 
 def sample_array(fn, samples: int, seed: int, index_offset: int = 0) -> np.ndarray:

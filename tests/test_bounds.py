@@ -9,6 +9,8 @@ from hypothesis import given, strategies as st
 from designgap import bounds, cgraph, groups
 from designgap.errors import ValidationError
 
+from conftest import envelope_threshold
+
 
 class TestDiscriminationBound:
     def test_plain_difference(self):
@@ -197,7 +199,7 @@ class TestGatecountEnvelope:
             assert float(exact) <= bounds.gatecount_envelope(n, 3)
 
     def test_threshold_scan(self):
-        n0 = bounds.envelope_threshold(3, 60)
+        n0 = envelope_threshold(3, 60)
         assert n0 % 3 == 0
         for n in range(n0, 61, 3):
             exact, _ = bounds.matchgate_gatecount_ratio(n, 3)
@@ -216,7 +218,7 @@ class TestGatecountEnvelope:
         with pytest.raises(ValidationError):
             bounds.gatecount_envelope(0, 3)
         with pytest.raises(ValidationError):
-            bounds.envelope_threshold(2.5, 30)
+            envelope_threshold(2.5, 30)
 
 
 class TestJohnsonBallSize:

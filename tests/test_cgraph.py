@@ -235,6 +235,21 @@ class TestDiameter:
         with pytest.raises(ValidationError):
             cgraph.diameter(comp, S, mode="approximate")
 
+    @pytest.mark.parametrize("mode", ["auto", "exact", "lower-bound"])
+    def test_truncated_ball_is_refused(self, mode):
+        # the 1-ball of the weight-3 monomial IXI at n = 3: lower-bound mode gave 8,
+        # while the whole component's diameter is 9
+        S = standard_set(3)
+        P = pauli.from_text("IXI")
+        comp = cgraph.component(P, S)
+        assert cgraph.diameter(comp, S, mode).value == 9
+        for radius in (0, 1, len(comp.levels) - 2):
+            with pytest.raises(ValidationError, match="whole component"):
+                cgraph.diameter(cgraph.component(P, S, radius=radius), S, mode)
+        # a ball whose radius reaches the last level is the whole component
+        ball = cgraph.component(P, S, radius=len(comp.levels) - 1)
+        assert cgraph.diameter(ball, S, mode).value == 9
+
 
 class TestMidpointBallProperty:
     @pytest.mark.parametrize("n", [2, 3])

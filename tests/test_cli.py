@@ -68,6 +68,31 @@ class TestExitCodes:
         assert "budget" in err and "4.03e+13" in err
 
     @pytest.mark.parametrize(
+        "argv,cost",
+        [
+            (["--experiment", "depth", "--group", "orthogonal", "--n", "8", "--samples", "1000000000"], "6.04e+17"),
+            (["--experiment", "depth", "--group", "symplectic", "--n", "7", "--depth", "10000000000"], "1.68e+21"),
+            (["--experiment", "mixed-unitary", "--n", "8", "--samples", "3000"], "1.61e+12"),
+        ],
+    )
+    def test_costly_dense_brickwork_experiment_is_refused_before_sampling(self, capsys, argv, cost):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, ["discriminate", *argv])
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert "budget" in err and f"costs about {cost} multiply-adds" in err
+        assert "Traceback" not in err
+
+    def test_dense_brickwork_experiment_under_the_budget_runs(self, capsys):
+        # n = 8 with 30 samples costs 1.3e10 multiply-adds, under the 1e11 cap
+        code, out, _ = run_cli(
+            capsys, ["discriminate", "--experiment", "depth", "--group", "orthogonal", "--n", "8", "--samples", "30"]
+        )
+        assert code == 0
+        assert records(out)[0]["p_shallow"] == pytest.approx(1.0, abs=1e-9)
+
+    @pytest.mark.parametrize(
         "argv",
         [
             # (d^2, d^2) operators at n = 8 would take 64 GiB each

@@ -144,6 +144,43 @@ class TestApplyTwoCopy:
         assert np.allclose(got, np.kron(A, B) @ psi)
 
 
+class TestStackAxes:
+    """Every stacked kernel gives each matrix or state of a stack its single result, bit for bit."""
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_apply_two_copy_and_overlap(self, rng, n):
+        d, B = 1 << n, 5
+        A = np.stack([random_op(rng, d) for _ in range(B)])
+        C = np.stack([random_op(rng, d) for _ in range(B)])
+        psi = np.stack([random_state(rng, d * d) for _ in range(B)])
+        fixed = random_op(rng, d)
+        stacked = densesim.apply_two_copy(A, C, psi)
+        shared = densesim.apply_two_copy(A, C, psi[0])  # one state under a stack of operators
+        mixed = densesim.apply_two_copy(fixed, C, psi)  # one operator over a stack
+        for b in range(B):
+            assert stacked[b].tobytes() == densesim.apply_two_copy(A[b], C[b], psi[b]).tobytes()
+            assert shared[b].tobytes() == densesim.apply_two_copy(A[b], C[b], psi[0]).tobytes()
+            assert mixed[b].tobytes() == densesim.apply_two_copy(fixed, C[b], psi[b]).tobytes()
+        for region in [(0,), tuple(range(n - 1)), (n - 1,)]:
+            T = densesim.complement_bell_overlap(stacked, region, n)
+            for b in range(B):
+                one = densesim.complement_bell_overlap(stacked[b], region, n)
+                assert T[b].tobytes() == one.tobytes()
+                assert np.sum(np.abs(T) ** 2, axis=(-2, -1))[b] == np.sum(np.abs(one) ** 2)
+
+    def test_embed_and_permute(self, rng):
+        ops = np.stack([random_op(rng, 4) for _ in range(3)]).reshape(3, 1, 4, 4)
+        psi = np.stack([random_state(rng, 16) for _ in range(3)])
+        for qubits in [(0, 1), (2, 0), (1, 3)]:
+            got = densesim.embed(ops, qubits, 4)
+            assert got.shape == (3, 1, 16, 16)
+            for b in range(3):
+                assert np.array_equal(got[b, 0], embed_reference(ops[b, 0], qubits, 4))
+            moved = densesim.permute_state(psi, qubits, 4)
+            for b in range(3):
+                assert np.array_equal(moved[b], densesim.permute_state(psi[b], qubits, 4))
+
+
 class TestSwapRegion:
     def test_full_region_is_global_swap(self, rng):
         S = densesim.swap_region((0, 1), 2)

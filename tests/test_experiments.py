@@ -1,9 +1,11 @@
 """Discrimination experiments: geometry defaults, exactness gates, bounds."""
 
+import time
+
 import numpy as np
 import pytest
 
-from conftest import bfs_reference
+from conftest import bfs_reference, brickwork_rows_reference
 from designgap import bounds, cgraph, densesim, experiments, groups, moments, pauli, rng
 from designgap.errors import BudgetError, InvariantError, ValidationError
 
@@ -252,21 +254,23 @@ class TestGatecountExperiment:
 
 
 def _max_gap(dense, rotation, shot_mode, M=4, seed=3):
-    """Largest per-sample difference between two (shallow, haar) evaluator
-    pairs, each sample finalized as the runner does, on the runner's streams:
-    shallow [0, M), Haar [M, 2M).  Both must leave each stream at the same
+    """Largest per-sample difference between two (shallow, haar) pairs of
+    chunk evaluators, each evaluating one chunk of the runner's streams
+    (shallow [0, M), Haar [M, 2M)) and each sample then finalized as the
+    runner does.  Sample by sample, both must leave the stream at the same
     position, so that they drew the same group element."""
     gap = 0.0
-    for i in range(M):
-        for side, offset in ((0, 0), (1, M)):
-            values, states = [], []
-            for evaluate in (dense[side], rotation[side]):
-                stream = rng.sample_stream(seed, offset + i)
-                p = evaluate(stream)
-                states.append(repr(stream.bit_generator.state))
-                values.append(experiments._finalize(p, stream, shot_mode))
-            assert states[0] == states[1]
-            gap = max(gap, abs(values[0] - values[1]))
+    for side, offset in ((0, 0), (1, M)):
+        finalized, states = [], []
+        for evaluate in (dense[side], rotation[side]):
+            streams = [rng.sample_stream(seed, offset + i) for i in range(M)]
+            values = np.asarray(evaluate(streams), dtype=np.float64)
+            assert values.shape == (M,)
+            states.append([repr(stream.bit_generator.state) for stream in streams])
+            finalized.append([experiments._finalize(p, s, shot_mode) for p, s in zip(values.tolist(), streams)])
+        for i in range(M):
+            assert states[0][i] == states[1][i]
+            gap = max(gap, abs(finalized[0][i] - finalized[1][i]))
     return gap
 
 
@@ -372,8 +376,10 @@ class TestRotationEvaluation:
 
 class TestDenseMatchgateSide:
     def test_cost_budget_counts_lifts_per_draw(self, monkeypatch):
-        # a dense matchgate draw at n=4 multiplies n(2n-1) = 28 lifts of 16 x 16
-        monkeypatch.setattr(moments, "FS_COST_CAP", 10 * 28 * 16**3)
+        # per sample, in 16 x 16 products: a dense matchgate draw multiplies
+        # n(2n-1) = 28 lifts, the depth-1 shallow circuit 2 gates and 1 layer,
+        # and the two evolutions with the form unwound take 8
+        monkeypatch.setattr(moments, "FS_COST_CAP", 10 * (28 + 3 + 8) * 16**3)
         chain = groups.parse_adjacency("chain", 4)
 
         def config(kind, samples):
@@ -382,19 +388,124 @@ class TestDenseMatchgateSide:
             )
 
         experiments._depth_dense(config("matchgate", 10), chain)
-        with pytest.raises(BudgetError, match="dense matchgate Haar side"):
+        with pytest.raises(BudgetError, match=r"Haar draws 1\.26e\+6,"):
             experiments._depth_dense(config("matchgate", 11), chain)
-        # other kinds draw one d x d matrix, not 28 lifts, and are not budgeted here
+        # other kinds draw one d x d matrix, not 28 lifts: 11 (1 + 5 + 8) products fit
         experiments._depth_dense(config("orthogonal", 11), chain)
-        # the gate count over a non-full set takes the same dense Haar side
+        # the gate count over a non-full set budgets its dense Haar side alone
+        monkeypatch.setattr(moments, "FS_COST_CAP", 10 * 28 * 16**3)
         standard = groups.matchgate_standard_set(4)
+        experiments.run_gatecount_discrimination(experiments.gatecount_config(4, 10, 0, allowed=standard))
         with pytest.raises(BudgetError):
             experiments.run_gatecount_discrimination(
                 experiments.gatecount_config(4, 11, 0, allowed=standard)
             )
+
+    @pytest.mark.parametrize(
+        "kind,n,products",
+        [
+            # Haar draw + (gates + layers) + evolutions; at n = 3 the default depth 1 has one gate
+            ("orthogonal", 3, 1 + (1 + 1) + 8),
+            ("symplectic", 4, 1 + (3 + 2) + 8),
+            # the conjugate copy has no form to unwind: two products per side
+            ("mixed_unitary", 3, 1 + (1 + 1) + 4),
+            ("matchgate", 4, 28 + (2 + 1) + 8),
+        ],
+    )
+    def test_brickwork_budget_is_exact_at_the_cap(self, monkeypatch, kind, n, products):
+        region = (1, 2, 3) if kind == "matchgate" else None
+        V = pauli.from_text("IIXI") if kind == "matchgate" else None
+        cfg = experiments.depth_config(kind, n, samples=7, seed=0, region=region, perturbation=V)
+        adj = groups.parse_adjacency("chain", n)
+        conjugate = kind == "mixed_unitary"
+        monkeypatch.setattr(moments, "FS_COST_CAP", 7 * products * 8**n)
+        experiments._depth_dense(cfg, adj, conjugate)
+        monkeypatch.setattr(moments, "FS_COST_CAP", 7 * products * 8**n - 1)
+        with pytest.raises(BudgetError, match=f"dense brickwork experiment for {kind} n={n} with 7 samples"):
+            experiments._depth_dense(cfg, adj, conjugate)
+
+    def test_deep_circuits_are_budgeted_without_looping_over_layers(self):
+        start = time.perf_counter()
+        cfg = experiments.depth_config("orthogonal", 3, samples=1, seed=0, depth=10**15)
+        with pytest.raises(BudgetError, match="shallow circuits"):
+            experiments.run_depth_discrimination(cfg)
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize("depth", [1, 2])
     def test_matchgates_need_jordan_wigner_edges(self, depth):
         cfg = experiments.depth_config("matchgate", 4, 2, 0, depth=depth, adjacency="grid 2x2")
         with pytest.raises(ValidationError, match=r"has edge \(0, 2\)"):
             experiments.run_depth_discrimination(cfg)
+
+
+def _recorded_rows(monkeypatch, run, config):
+    """The rows that the runner's two rng.sample_rows calls return: (shallow, haar)."""
+    real, got = rng.sample_rows, []
+
+    def recording(*args, **kwargs):
+        got.append(real(*args, **kwargs))
+        return got[-1]
+
+    monkeypatch.setattr(rng, "sample_rows", recording)
+    result = run(config)
+    assert len(got) == 2
+    return result, got[0], got[1]
+
+
+class TestStackedBrickwork:
+    """The chunk-stacked dense brickwork runner against its per-sample form, by bytes."""
+
+    CASES = {
+        "orthogonal": dict(kind="orthogonal", n=4),
+        "symplectic": dict(kind="symplectic", n=4),
+        "mixed_unitary": dict(kind="mixed_unitary", n=3),
+        # a non-prefix region sends matchgates down the dense path
+        "matchgate": dict(kind="matchgate", n=4, region=(1, 2, 3), perturbation=pauli.from_text("IIXI")),
+    }
+
+    @pytest.mark.parametrize("shot_mode", [False, True])
+    @pytest.mark.parametrize("samples", [1, 64, 65, "split"])
+    @pytest.mark.parametrize("case", list(CASES))
+    def test_rows_match_the_per_sample_runner(self, monkeypatch, case, samples, shot_mode):
+        spec = dict(self.CASES[case])
+        kind, n = spec.pop("kind"), spec.pop("n")
+        if samples == "split":
+            # blocks of 3 streams: a 64-sample chunk splits into 22 blocks
+            monkeypatch.setattr(rng, "STACK_BYTES", 3 * 16 * 4**n)
+            samples = 70
+        cfg = experiments.depth_config(kind, n, samples, seed=9, shot_mode=shot_mode, **spec)
+        conjugate = kind == "mixed_unitary"
+        run = experiments.run_mixed_unitary_discrimination if conjugate else experiments.run_depth_discrimination
+        result, shallow, haar = _recorded_rows(monkeypatch, run, cfg)
+        want_shallow, want_haar = brickwork_rows_reference(cfg, conjugate)
+        assert shallow.tobytes() == want_shallow.tobytes()
+        assert haar.tobytes() == want_haar.tobytes()
+        assert result.shallow_max_deviation == float(np.max(want_shallow[:, 1]))
+        assert result.p_haar.mean == rng.mean_and_stderr(want_haar)[0]
+
+    def test_blocks_respect_the_stack_bound(self, monkeypatch):
+        sizes = []
+        real = groups.sample_shallow_stack
+
+        def recording(G, L, adjacency, streams):
+            sizes.append(len(streams))
+            return real(G, L, adjacency, streams)
+
+        monkeypatch.setattr(groups, "sample_shallow_stack", recording)
+        monkeypatch.setattr(rng, "STACK_BYTES", 5 * 16 * 4**3)
+        experiments.run_depth_discrimination(experiments.depth_config("orthogonal", 3, 70, seed=1))
+        assert sizes == [5] * 12 + [4] + [5, 1]
+
+    def test_a_confined_sample_that_leaks_fails_on_its_own(self, monkeypatch):
+        # one sample of a chunk retains less than 1: the per-sample exactness check stops the run
+        real = groups.sample_shallow_stack
+
+        def leaky(G, L, adjacency, streams):
+            U = real(G, L, adjacency, streams)
+            if len(streams) > 2:
+                U[2] = groups.haar_orthogonal(U.shape[-1], rng.sample_stream(0, 0))
+            return U
+
+        monkeypatch.setattr(groups, "sample_shallow_stack", leaky)
+        with pytest.raises(InvariantError, match="confined shallow sample"):
+            experiments.run_depth_discrimination(experiments.depth_config("orthogonal", 3, 10, seed=1))

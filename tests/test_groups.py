@@ -12,9 +12,11 @@ from conftest import (
     enumerate_clifford_reference,
     haar_symplectic_mgs,
     kron_chain,
+    matchgate_form_2,
     sample_shallow_reference,
     swap_qubit_permutation,
     symplectic_canonical,
+    verify_group_membership,
 )
 
 
@@ -25,7 +27,7 @@ def stream(i=0):
 class TestBilinearForms:
     def test_matchgate_form_words(self):
         assert pauli.to_text(groups.matchgate_form_1(4).representation) == "XYXY"
-        assert pauli.to_text(groups.matchgate_form_2(4).representation) == "YXYX"
+        assert pauli.to_text(matchgate_form_2(4).representation) == "YXYX"
         assert pauli.to_text(groups.matchgate_form_1(3).representation) == "XYX"
 
     def test_symmetry_detection(self):
@@ -79,7 +81,7 @@ class TestFormInvariance:
         pairs = [
             (groups.matchgate_form_1(n), groups.matchgate_standard_set(n)),
             (groups.matchgate_form_1(n), groups.matchgate_full_set(n)),
-            (groups.matchgate_form_2(n), groups.matchgate_standard_set(n)),
+            (matchgate_form_2(n), groups.matchgate_standard_set(n)),
             (groups.orthogonal_form(n), groups.orthogonal_local_set(n)),
             (groups.symplectic_form(n), groups.symplectic_local_set(n)),
         ]
@@ -243,7 +245,7 @@ class TestHaarSamplers:
     def test_matchgate_preserves_both_forms(self):
         n = 3
         U = groups.haar_matchgate(n, stream(4))
-        for form in (groups.matchgate_form_1(n), groups.matchgate_form_2(n)):
+        for form in (groups.matchgate_form_1(n), matchgate_form_2(n)):
             Om = form.dense()
             assert np.max(np.abs(U.T @ Om @ U - Om)) < 1e-8
 
@@ -289,7 +291,7 @@ class TestHaarSamplers:
         ]:
             G = groups.group_spec(kind, n)
             U = groups.sample_haar(G, stream(7))
-            assert groups.verify_group_membership(U, G, tol=1e-8)
+            assert verify_group_membership(U, G, tol=1e-8)
 
 
 class TestSampleHaarStack:
@@ -439,12 +441,12 @@ class TestShallowCircuits:
         G = groups.group_spec(kind, n)
         for i in range(4):
             circ = groups.sample_shallow(G, 2, "chain", stream(i))
-            assert groups.verify_group_membership(circ.unitary, G, tol=1e-8)
+            assert verify_group_membership(circ.unitary, G, tol=1e-8)
 
     def test_shallow_clifford_membership(self):
         G = groups.group_spec("clifford", 2)
         circ = groups.sample_shallow(G, 2, "chain", stream(2))
-        assert groups.verify_group_membership(circ.unitary, G, tol=1e-8)
+        assert verify_group_membership(circ.unitary, G, tol=1e-8)
 
     def test_layers_record_matches_unitary(self):
         G = groups.group_spec("unitary", 3)
@@ -474,6 +476,49 @@ class TestShallowCircuits:
         G = groups.group_spec("unitary", 2)
         with pytest.raises(ValidationError):
             groups.sample_shallow(G, -1, "chain", stream())
+        with pytest.raises(ValidationError):
+            groups.sample_shallow_stack(G, -1, "chain", [stream()])
+
+
+class TestSampleShallowStack:
+    """The stacked brickwork sampler against the per-gate reference, row by row."""
+
+    @pytest.mark.parametrize("kind", ["orthogonal", "symplectic", "unitary", "mixed_unitary", "matchgate", "clifford"])
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_rows_match_the_per_gate_reference(self, kind, n):
+        # Clifford brickwork needs only 2-qubit gates; the group spec is capped at n = 2
+        G = groups.GroupSpec("clifford", n) if kind == "clifford" else groups.group_spec(kind, n)
+        for L in range(5):
+            a = [stream(i) for i in range(3)]
+            b = [stream(i) for i in range(3)]
+            got = groups.sample_shallow_stack(G, L, "chain", a)
+            assert got.shape == (3, 1 << n, 1 << n)
+            for i in range(3):
+                assert np.array_equal(got[i], sample_shallow_reference(G, L, "chain", b[i])), (L, i)
+                assert a[i].random() == b[i].random()  # same stream position afterwards
+
+    @pytest.mark.parametrize("kind", ["orthogonal", "symplectic", "matchgate"])
+    def test_single_draw_is_the_stack_of_one(self, kind):
+        G = groups.group_spec(kind, 4)
+        stack = groups.sample_shallow_stack(G, 3, "chain", [stream(i) for i in range(5)])
+        for i in range(5):
+            assert stack[i].tobytes() == groups.sample_shallow(G, 3, "chain", stream(i)).unitary.tobytes()
+
+    def test_form_self_check_covers_every_row(self, monkeypatch):
+        # one drifted gate in the middle of a stack stops the whole draw
+        real = groups._orthogonal_from_ginibre
+
+        def drifted(Z):
+            Q = real(Z)
+            if Q.ndim == 4 and len(Q) > 1:
+                Q[1, 0] *= 1.01
+            return Q
+
+        monkeypatch.setattr(groups, "_orthogonal_from_ginibre", drifted)
+        G = groups.group_spec("orthogonal", 3)
+        with pytest.raises(InvariantError, match="shallow orthogonal circuit"):
+            groups.sample_shallow_stack(G, 1, "chain", [stream(i) for i in range(3)])
+        groups.sample_shallow_stack(G, 1, "chain", [stream(0)])
 
 
 def _dense_exponential(letters: str, theta: float) -> np.ndarray:
@@ -561,7 +606,7 @@ class TestMembership:
         G = groups.group_spec("mixed_unitary", 2)
         U = groups.haar_unitary(4, stream(3))
         W = np.kron(U, U.conj())
-        assert groups.verify_group_membership(W, G, tol=1e-8)
+        assert verify_group_membership(W, G, tol=1e-8)
 
     def test_mixed_unitary_wrong_partner_rejected(self):
         G = groups.group_spec("mixed_unitary", 2)

@@ -12,6 +12,7 @@ from conftest import (
     commutant_overlap_estimates,
     frobenius_schur_reference,
     haar_commutant_reference,
+    matchgate_form_2,
     mixed_unitary_fs_reference,
     quadratic_symmetry_basis,
     second_moment_matrix_reference,
@@ -122,7 +123,7 @@ class TestSecondMomentTrace:
 class TestQuadraticSymmetries:
     def test_basis_is_orthonormal(self):
         S = groups.matchgate_full_set(2)
-        syms = [groups.matchgate_form_1(2).representation, groups.matchgate_form_2(2).representation]
+        syms = [groups.matchgate_form_1(2).representation, matchgate_form_2(2).representation]
         basis = quadratic_symmetry_basis(S, syms)
         report = symmetry_gram_report(basis)
         gram = report["gram"]
