@@ -25,27 +25,33 @@ other input runs the dense two-copy evaluation, which also stays as the
 reference that the tests compare the rotation evaluation against, sample by
 sample on the same streams.
 
-Every evaluation is a pair of chunk evaluators, each mapping a block of
-streams to their probabilities, and one runner draws the shallow side on
-streams [0, M) and the Haar side on [M, 2M) through ``rng.sample_rows``.  The
-dense brickwork experiments (depth and mixed unitary) evaluate a whole block
-at once: ``groups.sample_shallow_stack`` or ``groups.sample_haar_stack``
-draws it, and the two-copy evolution and the complement-Bell overlap run on
-the stack, in blocks of at most ``rng.STACK_BYTES`` of d x d matrices.  The
-rotation and gate-count evaluators take their streams one at a time.  Each
-sample is then finalized on its own, in the per-sample closures of the
-runner: the shallow-exactness check, the clamp to [0, 1] and, in shot mode,
-the shot drawn from the sample's own stream after p.  Each stacked row is
-the single-sample value bit for bit, so the output bytes are those of a
-one-sample-at-a-time loop.  A dense brickwork run estimates its cost in d x d
-products before its first draw and exits 2 above ``moments.FS_COST_CAP``.
+Every evaluation is a pair of chunk evaluators (``Evaluators``), each
+mapping a block of streams to their probabilities, and one runner draws the
+shallow side on streams [0, M) and the Haar side on [M, 2M) through
+``rng.sample_rows``.  The dense brickwork experiments (depth and mixed
+unitary) evaluate a whole block at once: ``groups.sample_shallow_stack`` or
+``groups.sample_haar_stack`` draws it, and the two-copy evolution and the
+complement-Bell overlap run on the stack.  The rotation evaluators do the
+same on Majorana rotations: ``groups.sample_shallow_rotation_stack``, the
+stacked N-gate sequences or ``groups.sample_haar_rotation_stack`` draw a
+block, and one stacked det (depth) or eigvalsh (gate count) evaluates it.
+The dense gate-count evaluators, for generator sets other than the full
+bilinear set, take their streams one at a time.  Each pair declares the
+bytes that one sample holds in stacked intermediates at once, so a block
+stays within ``rng.STACK_BYTES``.  Each sample is then finalized on its own,
+in the per-sample closures of the runner: the shallow-exactness check, the
+clamp to [0, 1] and, in shot mode, the shot drawn from the sample's own
+stream after p.  Each stacked row is the single-sample value bit for bit, so
+the output bytes are those of a one-sample-at-a-time loop.  Before its first
+draw a dense brickwork run estimates its cost in d x d products, and a
+rotation run in 2n x 2n products, and exits 2 above ``moments.FS_COST_CAP``.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from decimal import Decimal
 from fractions import Fraction
+from typing import Callable, NamedTuple
 
 import numpy as np
 
@@ -54,6 +60,13 @@ from .errors import BudgetError, InvariantError, ValidationError
 
 SHALLOW_EXACTNESS_TOL = 1e-9
 SHALLOW_FAILURE_TOL = 1e-6
+# stacked intermediates alive at once per sample at the peak of a block's
+# evaluation, as tracemalloc measures it: up to 5.6 d x d complex matrices on
+# the dense brickwork path (running and layer products, embedded gate, matmul
+# result, two-copy state), up to 6.8 2n x 2n real matrices on the rotation
+# path (Ginibre draw, its QR, the complex and real Q, the rotation stack)
+DENSE_LIVE_STACKS = 6
+ROTATION_LIVE_STACKS = 7
 
 
 @dataclass(frozen=True, eq=False)
@@ -224,21 +237,33 @@ def _shallow_row(p: float, stream, confined: bool, shot_mode: bool) -> np.ndarra
     return np.array([_finalize(p, stream, shot_mode), dev])
 
 
-def _run_two_sided(config, shallow_p, haar_p, shallow_one, haar_one, confined, analytic, ref) -> ExperimentResult:
+class Evaluators(NamedTuple):
+    """The chunk evaluators of one experiment path.
+
+    ``shallow`` and ``haar`` map a block of streams to their retained
+    probabilities; ``row_bytes`` is what one sample of a block holds at
+    once in stacked intermediates (0 for evaluators that take their streams
+    one at a time), so that a block stays within ``rng.STACK_BYTES``.
+    """
+
+    shallow: Callable
+    haar: Callable
+    row_bytes: int
+
+
+def _run_two_sided(config, evaluators: Evaluators, shallow_one, haar_one, confined, analytic, ref) -> ExperimentResult:
     """Shallow samples use stream indices [0, M); Haar samples [M, 2M).
 
-    shallow_p and haar_p map a block of streams to their retained
-    probabilities; shallow_one and haar_one then finalize each sample, p and
-    its own stream, one at a time.  A block stacks at most rng.STACK_BYTES of
-    d x d complex matrices, the largest per-sample intermediate of the dense
-    evaluation.
+    The evaluators map each block of streams to their probabilities;
+    shallow_one and haar_one then finalize each sample, p and its own
+    stream, one at a time.
     """
     M = config.samples
-    row_bytes = np.dtype(np.complex128).itemsize << (2 * config.n)
-    rows = rng.sample_rows(shallow_p, M, config.seed, 0, row_bytes, shallow_one)
+    row_bytes = evaluators.row_bytes
+    rows = rng.sample_rows(evaluators.shallow, M, config.seed, 0, row_bytes, shallow_one)
     p_sh = moments.MomentEstimate(*rng.mean_and_stderr(rows[:, 0]), M, config.seed)
     max_dev = float(np.max(rows[:, 1]))
-    vals = rng.sample_rows(haar_p, M, config.seed, M, row_bytes, haar_one)
+    vals = rng.sample_rows(evaluators.haar, M, config.seed, M, row_bytes, haar_one)
     p_ha = moments.MomentEstimate(*rng.mean_and_stderr(vals), M, config.seed)
     mc = bounds.discrimination_bound(
         min(1.0, max(0.0, p_sh.mean)), min(1.0, max(0.0, p_ha.mean))
@@ -281,6 +306,15 @@ def _depth_analytic(config: ExperimentConfig, conjugate: bool = False):
     return None, None
 
 
+def _brickwork_gates(adj: groups.Adjacency, L: int) -> int:
+    """The number of local gates in L brickwork layers, without looping over the layers."""
+    classes = adj.layer_classes
+    if not classes:
+        return 0
+    cycles, rest = divmod(L, len(classes))
+    return cycles * sum(map(len, classes)) + sum(map(len, classes[:rest]))
+
+
 def _check_brickwork_cost(config: ExperimentConfig, adj: groups.Adjacency, conjugate: bool) -> None:
     """Raise BudgetError when a dense brickwork run costs more than moments.FS_COST_CAP.
 
@@ -291,25 +325,44 @@ def _check_brickwork_cost(config: ExperimentConfig, adj: groups.Adjacency, conju
     a form).  The estimate is exact integer arithmetic, so no depth or sample
     count overflows it, and it is checked before the first draw.
     """
-    G, M, L = config.group, config.samples, config.ensemble.depth
-    classes = adj.layer_classes
-    gates = 0
-    if classes:
-        cycles, rest = divmod(L, len(classes))
-        gates = cycles * sum(map(len, classes)) + sum(map(len, classes[:rest]))
+    G, L = config.group, config.ensemble.depth
     products = {
         "Haar draws": moments.draw_products(G),
-        "shallow circuits": gates + L,
+        "shallow circuits": _brickwork_gates(adj, L) + L,
         "two-copy evolutions": 4 if conjugate else 8,
     }
     d3 = G.dense_dimension**3
-    total = M * sum(products.values()) * d3
-    if total > moments.FS_COST_CAP:
-        parts = ", ".join(f"{name} {Decimal(M * k * d3):.2e}" for name, k in products.items())
-        raise BudgetError(
-            f"dense brickwork experiment for {G.kind} n={G.n} with {M} samples costs about "
-            f"{Decimal(total):.2e} multiply-adds ({parts}), cap is {moments.FS_COST_CAP:.0e}"
-        )
+    moments.check_cost(
+        f"dense brickwork experiment for {G.kind} n={G.n}",
+        config.samples,
+        {name: k * d3 for name, k in products.items()},
+    )
+
+
+def _check_rotation_cost(config: ExperimentConfig, experiment: str, gates: int) -> None:
+    """Raise BudgetError when a rotation-path run costs more than moments.FS_COST_CAP.
+
+    Each sample pays, in 2n x 2n products of (2n)^3 multiply-adds: the QR of
+    its Haar draw, one product per shallow gate, and the det or eigvalsh of
+    both sides.  Checked before the first draw, in exact integers.
+    """
+    m3 = (2 * config.n) ** 3
+    products = {"Haar draws": 1, "shallow circuits": gates, "evaluations": 2}
+    moments.check_cost(
+        f"matchgate {experiment} experiment on Majorana rotations for n={config.n}",
+        config.samples,
+        {name: k * m3 for name, k in products.items()},
+    )
+
+
+def _dense_row_bytes(n: int) -> int:
+    """Bytes per sample of the dense brickwork stacks alive at once."""
+    return DENSE_LIVE_STACKS * (np.dtype(np.complex128).itemsize << (2 * n))
+
+
+def _rotation_row_bytes(n: int) -> int:
+    """Bytes per sample of the rotation-path stacks alive at once."""
+    return ROTATION_LIVE_STACKS * np.dtype(np.float64).itemsize * (2 * n) ** 2
 
 
 def _depth_dense(config: ExperimentConfig, adj: groups.Adjacency, conjugate: bool = False):
@@ -352,7 +405,7 @@ def _depth_dense(config: ExperimentConfig, adj: groups.Adjacency, conjugate: boo
     def haar_p(streams):
         return born(groups.sample_haar_stack(G, streams))
 
-    return shallow_p, haar_p
+    return Evaluators(shallow_p, haar_p, _dense_row_bytes(n))
 
 
 def _depth_uses_rotations(config: ExperimentConfig, adj: groups.Adjacency) -> bool:
@@ -363,36 +416,37 @@ def _depth_uses_rotations(config: ExperimentConfig, adj: groups.Adjacency) -> bo
     )
 
 
-def _depth_rotation(config: ExperimentConfig, adj: groups.Adjacency):
-    """Chunk evaluators (shallow, haar) of the retained probability on the Majorana rotation,
-    one stream at a time.
+def _depth_rotation(config: ExperimentConfig, adj: groups.Adjacency) -> Evaluators:
+    """Chunk evaluators of the retained probability on the Majorana rotations of a block.
 
     Conjugating c_K gives sum_S det(R[S, K]) c_S over |S| = k; the mass on
-    monomials inside the prefix region is det(R[in, K]^T R[in, K]).
+    monomials inside the prefix region is det(R[in, K]^T R[in, K]), taken
+    as one stacked det over the block.
     """
     G = config.group
     K = [a - 1 for a in pauli.majorana_decomposition(config.perturbation)]
     inside = 2 * len(config.region)
     depth = config.ensemble.depth
+    _check_rotation_cost(config, "depth", _brickwork_gates(adj, depth))
 
     def retained(R):
-        B = R[:inside, K]
-        return float(np.linalg.det(B.T @ B))
+        B = R[:, :inside, K]
+        return np.linalg.det(np.swapaxes(B, -1, -2) @ B)
 
     def shallow_p(streams):
-        return [retained(groups.sample_shallow_rotation(G, depth, adj, stream)) for stream in streams]
+        return retained(groups.sample_shallow_rotation_stack(G, depth, adj, streams))
 
     def haar_p(streams):
-        return [retained(groups.sample_haar_rotation(G, stream)) for stream in streams]
+        return retained(groups.sample_haar_rotation_stack(G, streams))
 
-    return shallow_p, haar_p
+    return Evaluators(shallow_p, haar_p, _rotation_row_bytes(config.n))
 
 
 def _brickwork(config: ExperimentConfig, conjugate: bool):
     """The shared body of both brickwork experiments.
 
-    Returns the chunk evaluators (shallow, haar), whether the shallow
-    lightcone stays inside the region, and the analytic reference.
+    Returns the evaluators, whether the shallow lightcone stays inside the
+    region, and the analytic reference.
     """
     if config.ensemble.kind != "brickwork":
         raise ValidationError("brickwork experiments take a brickwork ensemble")
@@ -403,11 +457,11 @@ def _brickwork(config: ExperimentConfig, conjugate: bool):
     cone = groups.lightcone(pauli.support(config.perturbation), config.ensemble.depth, adj)
     confined = set(cone) <= set(config.region)
     if not conjugate and _depth_uses_rotations(config, adj):
-        shallow_p, haar_p = _depth_rotation(config, adj)
+        evaluators = _depth_rotation(config, adj)
     else:
-        shallow_p, haar_p = _depth_dense(config, adj, conjugate)
+        evaluators = _depth_dense(config, adj, conjugate)
     analytic, ref = _depth_analytic(config, conjugate)
-    return shallow_p, haar_p, confined, analytic, ref
+    return evaluators, confined, analytic, ref
 
 
 def run_depth_discrimination(config: ExperimentConfig) -> ExperimentResult:
@@ -424,7 +478,7 @@ def run_depth_discrimination(config: ExperimentConfig) -> ExperimentResult:
         raise ValidationError(
             f"depth experiment needs an invariant form; kind {config.group.kind!r} has none"
         )
-    shallow_p, haar_p, confined, analytic, ref = _brickwork(config, conjugate=False)
+    evaluators, confined, analytic, ref = _brickwork(config, conjugate=False)
 
     def shallow_one(p, stream):
         return _shallow_row(p, stream, confined, config.shot_mode)
@@ -432,7 +486,7 @@ def run_depth_discrimination(config: ExperimentConfig) -> ExperimentResult:
     def haar_one(p, stream):
         return _finalize(p, stream, config.shot_mode)
 
-    return _run_two_sided(config, shallow_p, haar_p, shallow_one, haar_one, confined, analytic, ref)
+    return _run_two_sided(config, evaluators, shallow_one, haar_one, confined, analytic, ref)
 
 
 def run_mixed_unitary_discrimination(config: ExperimentConfig) -> ExperimentResult:
@@ -445,7 +499,7 @@ def run_mixed_unitary_discrimination(config: ExperimentConfig) -> ExperimentResu
     kind = config.group.kind
     if kind not in ("mixed_unitary", "unitary"):
         raise ValidationError(f"mixed-unitary experiment needs a unitary-kind group, got {kind!r}")
-    shallow_p, haar_p, confined, analytic, ref = _brickwork(config, conjugate=True)
+    evaluators, confined, analytic, ref = _brickwork(config, conjugate=True)
 
     def shallow_one(p, stream):
         return _shallow_row(p, stream, confined, config.shot_mode)
@@ -453,7 +507,7 @@ def run_mixed_unitary_discrimination(config: ExperimentConfig) -> ExperimentResu
     def haar_one(p, stream):
         return _finalize(p, stream, config.shot_mode)
 
-    return _run_two_sided(config, shallow_p, haar_p, shallow_one, haar_one, confined, analytic, ref)
+    return _run_two_sided(config, evaluators, shallow_one, haar_one, confined, analytic, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -487,14 +541,15 @@ def _gate_sequence_unitary(S_words, n: int, N: int, stream) -> np.ndarray:
     return U
 
 
-def _gate_sequence_rotation(planes, n: int, N: int, stream) -> np.ndarray:
-    factors = groups.draw_factors(len(planes), N, stream)
+def _gate_sequence_rotation(planes, n: int, N: int, streams) -> np.ndarray:
+    """The Majorana rotations of N-gate sequences, one per stream, stacked."""
     # each drawn gate multiplies on the left, so the product runs in reverse draw order
-    return groups.rotate_by_exponentials(planes, factors[::-1], 2 * n)
+    factors = [groups.draw_factors(len(planes), N, stream)[::-1] for stream in streams]
+    return groups.rotate_by_exponentials(planes, factors, 2 * n)
 
 
-def _gatecount_dense(config: ExperimentConfig, S: cgraph.GeneratorSet, ball):
-    """Chunk evaluators (shallow, haar) of the ball mass on dense unitaries, one stream at a time.
+def _gatecount_dense(config: ExperimentConfig, S: cgraph.GeneratorSet, ball) -> Evaluators:
+    """Chunk evaluators of the ball mass on dense unitaries, one stream at a time.
 
     The matchgate Haar side, n(2n-1) lifts of d x d per draw, is budgeted
     before the first draw.
@@ -511,7 +566,7 @@ def _gatecount_dense(config: ExperimentConfig, S: cgraph.GeneratorSet, ball):
     def haar_p(streams):
         return [pauli_spread_mass(groups.sample_haar(G, stream), P, ball) for stream in streams]
 
-    return shallow_p, haar_p
+    return Evaluators(shallow_p, haar_p, 0)
 
 
 def _gatecount_uses_rotations(config: ExperimentConfig, S: cgraph.GeneratorSet) -> bool:
@@ -521,14 +576,15 @@ def _gatecount_uses_rotations(config: ExperimentConfig, S: cgraph.GeneratorSet) 
     return {pauli.to_key(g) for g in S.generators} == {pauli.to_key(g) for g in full}
 
 
-def _gatecount_rotation(config: ExperimentConfig, S: cgraph.GeneratorSet, ball):
-    """Chunk evaluators (shallow, haar) of the ball mass on the Majorana rotation,
-    one stream at a time.
+def _gatecount_rotation(config: ExperimentConfig, S: cgraph.GeneratorSet, ball) -> Evaluators:
+    """Chunk evaluators of the ball mass on the Majorana rotations of a block.
 
     Under the full bilinear set the N-ball of c_K is every c_S with |S| = k
     and |S \\ K| <= N.  By Cauchy-Binet the mass sum_S det(R[S, K])^2
     t^{|S \\ K|} is det(M + t (I - M)) with M = R[K, K]^T R[K, K], so the ball
-    mass is the t^0..t^N part of prod_i (lambda_i + t (1 - lambda_i)).
+    mass is the t^0..t^N part of prod_i (lambda_i + t (1 - lambda_i)).  The
+    eigenvalues come from one stacked eigvalsh, and the product and the sum
+    of its coefficients run over the block in the one-sample order.
     """
     G = config.group
     n, N = config.n, config.ensemble.gates
@@ -540,27 +596,31 @@ def _gatecount_rotation(config: ExperimentConfig, S: cgraph.GeneratorSet, ball):
             f"the {N}-ball of a weight-{k} monomial has {len(ball)} vertices, not {expected}"
         )
     planes = [groups.bilinear_plane(g) for g in S.generators]
-    block = np.ix_(K, K)
+    rows, cols = np.ix_(K, K)
 
     def ball_mass(R):
-        A = R[block]
-        coeffs = [1.0] + [0.0] * N  # t^0..t^N of the running product
-        for lam in np.linalg.eigvalsh(A.T @ A).tolist():
-            coeffs = [lam * c + (1.0 - lam) * c_lower for c, c_lower in zip(coeffs, [0.0] + coeffs)]
-        return sum(coeffs)
+        A = R[:, rows, cols]
+        lams = np.linalg.eigvalsh(np.swapaxes(A, -1, -2) @ A)
+        coeffs = np.zeros((len(R), N + 1))  # t^0..t^N of the running product
+        coeffs[:, 0] = 1.0
+        for lam in lams.T[:, :, None]:
+            lower = np.zeros_like(coeffs)
+            lower[:, 1:] = coeffs[:, :-1]
+            coeffs = lam * coeffs + (1.0 - lam) * lower
+        mass = np.zeros(len(R))
+        for c in coeffs.T:  # left to right, as sum() adds a list
+            mass = mass + c
+        return mass
 
-    def shallow_mass(stream):
-        R = _gate_sequence_rotation(planes, n, N, stream)
+    def shallow_p(streams):
+        R = _gate_sequence_rotation(planes, n, N, streams)
         groups.check_rotation(R, f"{N}-gate sequence")
         return ball_mass(R)
 
-    def shallow_p(streams):
-        return [shallow_mass(stream) for stream in streams]
-
     def haar_p(streams):
-        return [ball_mass(groups.sample_haar_rotation(G, stream)) for stream in streams]
+        return ball_mass(groups.sample_haar_rotation_stack(G, streams))
 
-    return shallow_p, haar_p
+    return Evaluators(shallow_p, haar_p, _rotation_row_bytes(n))
 
 
 def run_gatecount_discrimination(config: ExperimentConfig) -> ExperimentResult:
@@ -579,12 +639,14 @@ def run_gatecount_discrimination(config: ExperimentConfig) -> ExperimentResult:
         raise ValidationError("gate-count experiment needs a generator set")
     if config.n > pauli.DENSE_QUBIT_CAP:
         raise BudgetError(f"spread mass needs n <= {pauli.DENSE_QUBIT_CAP}")
+    rotations = _gatecount_uses_rotations(config, S)
+    if rotations:  # before the component search, whose C(2n, n) vertices dominate at large n
+        _check_rotation_cost(config, "gate-count", config.ensemble.gates)
     P = pauli.hermitian_representative(config.perturbation)
     comp = cgraph.component(P, S)
     # the N-ball is the first N + 1 levels; ascending Python-int keys, as the dense mass sums them
     ball = np.sort(np.concatenate(comp.levels[: config.ensemble.gates + 1])).tolist()
-    build = _gatecount_rotation if _gatecount_uses_rotations(config, S) else _gatecount_dense
-    shallow_p, haar_p = build(config, S, ball)
+    evaluators = (_gatecount_rotation if rotations else _gatecount_dense)(config, S, ball)
 
     def shallow_one(p, stream):
         return _shallow_row(p, stream, True, config.shot_mode)
@@ -594,5 +656,5 @@ def run_gatecount_discrimination(config: ExperimentConfig) -> ExperimentResult:
 
     analytic = float(bounds.neighborhood_ratio_bound(len(ball), comp.size))
     return _run_two_sided(
-        config, shallow_p, haar_p, shallow_one, haar_one, True, analytic, "gate-count-bound/ball-ratio"
+        config, evaluators, shallow_one, haar_one, True, analytic, "gate-count-bound/ball-ratio"
     )

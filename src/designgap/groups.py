@@ -42,14 +42,22 @@ neighbors (i, i+1); brickwork on any other edge is rejected.
 
 Matchgates also have a free-fermion picture: a matchgate U acts on the
 Majorana operators by a rotation R in SO(2n), U c_a U^dag = sum_b R[b, a] c_b.
-``sample_haar_rotation`` and ``sample_shallow_rotation`` return that rotation
-directly, at O(n^2) memory instead of 2^n x 2^n, for Haar draws and for
-brickwork circuits on a chain (every edge (i, i+1), so each local gate acts
-on Majoranas 2i+1..2i+4).  They consume each sample's stream exactly as the
-dense ``sample_haar`` and ``sample_shallow`` do, through the shared
-``haar_special_orthogonal`` draw and the shared ``draw_factors`` helper, so
-both pictures see the same group element for the same stream; the dense
-samplers stay as the reference the tests compare against.
+``sample_haar_rotation_stack`` and ``sample_shallow_rotation_stack`` return
+that rotation directly for a stack of streams, at O(n^2) memory per sample
+instead of 2^n x 2^n, for Haar draws and for brickwork circuits on a chain
+(every edge (i, i+1), so each local gate acts on Majoranas 2i+1..2i+4).  The
+Haar stack is one stacked QR and one stacked det (``haar_special_orthogonal``
+on a list of streams); a brickwork stack draws each local gate's factors
+stream by stream, builds the 4 x 4 rotations with ``rotate_by_exponentials``
+one factor position at a time over the stack, and applies them as one
+batched (B, 4, 4) @ (B, 4, 2n) product; ``check_rotation`` runs once over the
+stack.  Each row is the single draw of its stream bit for bit, and
+``sample_haar_rotation`` and ``sample_shallow_rotation`` are the stacks of
+one.  They consume each stream exactly as the dense ``sample_haar`` and
+``sample_shallow`` do, through the shared ``haar_special_orthogonal`` draw and
+the shared ``draw_factors`` helper, so both pictures see the same group
+element for the same stream; the dense samplers stay as the reference the
+tests compare against.
 """
 
 from __future__ import annotations
@@ -488,13 +496,23 @@ def haar_orthogonal(d: int, rng: np.random.Generator) -> np.ndarray:
     return _haar_orthogonal_stack(d, [rng])[0]
 
 
-def haar_special_orthogonal(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar SO(d): an O(d) draw with a column reflection on negative det."""
-    Q = haar_orthogonal(d, rng).real
-    if np.linalg.det(Q) < 0:
-        Q = Q.copy()
-        Q[:, -1] = -Q[:, -1]
+def _haar_special_orthogonal_stack(d: int, streams) -> np.ndarray:
+    Q = _haar_orthogonal_stack(d, streams).real
+    flip = np.linalg.det(Q) < 0
+    Q[flip, :, -1] = -Q[flip, :, -1]
     return Q
+
+
+def haar_special_orthogonal(d: int, rng) -> np.ndarray:
+    """Haar SO(d): an O(d) draw with its last column negated on negative det.
+
+    ``rng`` is one stream, or a list of streams for one draw per stream,
+    stacked from one QR and one det; ``sample_haar_rotation_stack`` draws
+    its stacks here.
+    """
+    if isinstance(rng, np.random.Generator):
+        return _haar_special_orthogonal_stack(d, [rng])[0]
+    return _haar_special_orthogonal_stack(d, rng)
 
 
 @functools.lru_cache(maxsize=None)
@@ -776,13 +794,14 @@ def draw_factors(choices: int, count: int, rng: np.random.Generator) -> list[tup
     """count draws of (generator index, angle) for products of exp(i theta P).
 
     Every product-of-exponentials sampler, dense or rotation, takes its
-    factors from here, so the two pictures consume a stream identically.
+    factors from here, so the two pictures consume a stream identically.  The
+    angle 2 pi u is ``rng.uniform(0, 2 pi)`` bit for bit (numpy draws it as
+    0 + 2 pi u from the same double u) at a third of the cost.
     """
     out = []
     for _ in range(count):
         g = int(rng.integers(choices))
-        theta = float(rng.uniform(0.0, 2.0 * math.pi))
-        out.append((g, theta))
+        out.append((g, 2.0 * math.pi * rng.random()))
     return out
 
 
@@ -897,21 +916,31 @@ def bilinear_plane(P: pauli.PauliString) -> tuple[int, int, int]:
 
 
 def rotate_by_exponentials(planes, factors, m: int) -> np.ndarray:
-    """The m x m Majorana rotation of exp(i t_1 P_{g_1}) exp(i t_2 P_{g_2}) ...
+    """The m x m Majorana rotations of exp(i t_1 P_{g_1}) exp(i t_2 P_{g_2}) ...,
+    one per list of factors, stacked to shape (len(factors), m, m).
 
-    ``factors`` lists (g, t) in operator-product order and ``planes[g]`` is
-    ``bilinear_plane(P_g)``.  Rows are updated as Python lists: the matrices
-    are small and a numpy call per plane would cost more than its arithmetic.
+    ``factors`` holds one list of (g, t) per rotation, in operator-product
+    order and all of one length, and ``planes[g]`` is ``bilinear_plane(P_g)``.
+    The product's rotation is G_1 G_2 ... G_k, so rows are updated from the
+    right end, one factor position at a time over the whole stack: rows a and
+    b of every matrix are gathered, rotated and put back.  cos and sin are
+    taken from ``math`` per factor, and every entry takes the products and
+    the sum of the one-matrix row update, so each matrix is the same bits
+    whatever the stack.
     """
-    rows = [[1.0 if i == j else 0.0 for j in range(m)] for i in range(m)]
-    # the product's rotation is G_1 G_2 ... G_k; left-multiply from the right end
-    for g, theta in reversed(factors):
-        a, b, sigma = planes[g]
-        c, s = math.cos(2.0 * theta), sigma * math.sin(2.0 * theta)
-        ra, rb = rows[a], rows[b]
-        rows[a] = [c * x - s * y for x, y in zip(ra, rb)]
-        rows[b] = [s * x + c * y for x, y in zip(ra, rb)]
-    return np.array(rows)
+    R = np.tile(np.eye(m), (len(factors), 1, 1))
+    table = np.array(planes, dtype=np.int64)
+    g = np.array([[g for g, _ in f] for f in factors], dtype=np.int64)
+    a, b, sigma = table[g, 0], table[g, 1], table[g, 2]
+    cos = np.array([[math.cos(2.0 * t) for _, t in f] for f in factors], dtype=np.float64)
+    sin = sigma * np.array([[math.sin(2.0 * t) for _, t in f] for f in factors], dtype=np.float64)
+    rows = np.arange(len(factors))
+    for j in reversed(range(g.shape[1])):
+        c, s = cos[:, j, None], sin[:, j, None]
+        ra, rb = R[rows, a[:, j]], R[rows, b[:, j]]
+        R[rows, a[:, j]] = c * ra - s * rb
+        R[rows, b[:, j]] = s * ra + c * rb
+    return R
 
 
 @functools.lru_cache(maxsize=None)
@@ -922,30 +951,39 @@ def _local_matchgate_planes() -> tuple[tuple[int, int, int], ...]:
 
 
 def check_rotation(R: np.ndarray, what: str) -> None:
-    """Raise InvariantError unless R^T R = I to SAMPLER_SELF_CHECK_TOL."""
-    drift = float(np.max(np.abs(R.T @ R - np.eye(R.shape[0]))))
+    """Raise InvariantError unless R^T R = I to SAMPLER_SELF_CHECK_TOL, for R
+    or every matrix of a stack."""
+    drift = float(np.max(np.abs(np.swapaxes(R, -1, -2) @ R - np.eye(R.shape[-1]))))
     if drift > SAMPLER_SELF_CHECK_TOL:
         raise InvariantError(f"{what} rotation is not orthogonal: max|R^T R - I| = {drift:.2e}")
 
 
-def sample_haar_rotation(G: GroupSpec, rng: np.random.Generator) -> np.ndarray:
-    """The Majorana rotation of ``sample_haar(G, rng)`` for a matchgate group.
+def sample_haar_rotation_stack(G: GroupSpec, streams) -> np.ndarray:
+    """The Majorana rotations of ``sample_haar(G, stream)`` per stream, stacked.
 
-    It is the Haar SO(2n) draw that ``haar_matchgate`` lifts.
+    They are the Haar SO(2n) draws that ``haar_matchgate`` lifts, checked
+    once over the stack.
     """
     if G.kind != "matchgate":
         raise ValidationError(f"Majorana rotations need the matchgate group, got {G.kind!r}")
-    R = haar_special_orthogonal(2 * G.n, rng)
+    R = haar_special_orthogonal(2 * G.n, streams)
     check_rotation(R, "matchgate Haar")
     return R
 
 
-def sample_shallow_rotation(
-    G: GroupSpec, L: int, adjacency, rng: np.random.Generator
-) -> np.ndarray:
-    """The Majorana rotation of ``sample_shallow(G, L, adjacency, rng).unitary``.
+def sample_haar_rotation(G: GroupSpec, rng: np.random.Generator) -> np.ndarray:
+    """The Majorana rotation of ``sample_haar(G, rng)``: the stack of one of ``sample_haar_rotation_stack``."""
+    return sample_haar_rotation_stack(G, [rng])[0]
+
+
+def sample_shallow_rotation_stack(G: GroupSpec, L: int, adjacency, streams) -> np.ndarray:
+    """The Majorana rotations of ``sample_shallow(G, L, adjacency, stream).unitary``
+    per stream, stacked.
 
     Needs the matchgate group and an adjacency whose edges are all (i, i+1).
+    Each local gate is drawn for every stream, in the per-stream order of
+    the dense sampler, and applied to rows 2i..2i+3 as one batched
+    (B, 4, 4) @ (B, 4, 2n) product; the check runs once over the stack.
     """
     if G.kind != "matchgate":
         raise ValidationError(f"Majorana rotations need the matchgate group, got {G.kind!r}")
@@ -954,15 +992,23 @@ def sample_shallow_rotation(
     adj = parse_adjacency(adjacency, G.n)
     check_matchgate_edges(adj)
     planes = _local_matchgate_planes()
-    R = np.eye(2 * G.n)
+    R = np.tile(np.eye(2 * G.n), (len(streams), 1, 1))
     for layer_index in range(L):
         cls = adj.layer_classes[layer_index % len(adj.layer_classes)] if adj.layer_classes else ()
         for i, _ in cls:
-            factors = draw_factors(len(planes), MATCHGATE_LOCAL_FACTORS, rng)
+            factors = [draw_factors(len(planes), MATCHGATE_LOCAL_FACTORS, rng) for rng in streams]
             block = slice(2 * i, 2 * i + 4)
-            R[block] = rotate_by_exponentials(planes, factors, 4) @ R[block]
+            R[:, block] = rotate_by_exponentials(planes, factors, 4) @ R[:, block]
     check_rotation(R, f"shallow {G.kind}")
     return R
+
+
+def sample_shallow_rotation(
+    G: GroupSpec, L: int, adjacency, rng: np.random.Generator
+) -> np.ndarray:
+    """The Majorana rotation of ``sample_shallow(G, L, adjacency, rng).unitary``:
+    the stack of one of ``sample_shallow_rotation_stack``."""
+    return sample_shallow_rotation_stack(G, L, adjacency, [rng])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -126,6 +126,22 @@ def second_moment_closed_form(kind: str, n: int) -> np.ndarray:
     return float(alpha) * eye2 + float(beta) * swap + float(gamma) * form_insertion_dense(form, n)
 
 
+def check_cost(what: str, M: int, costs: dict[str, int]) -> None:
+    """Raise BudgetError when M samples cost more than FS_COST_CAP multiply-adds.
+
+    ``costs`` maps each part of one sample's work to its multiply-adds; the
+    message names the total and each part over the M samples.  The estimate
+    is exact integer arithmetic, so no size or sample count overflows it.
+    """
+    total = M * sum(costs.values())
+    if total > FS_COST_CAP:
+        parts = ", ".join(f"{name} {Decimal(M * k):.2e}" for name, k in costs.items())
+        raise BudgetError(
+            f"{what} with {M} samples costs about {Decimal(total):.2e} multiply-adds ({parts}), "
+            f"cap is {FS_COST_CAP:.0e}"
+        )
+
+
 def _check_two_copy_operator(n: int, what: str) -> None:
     if n > densesim.TWO_COPY_OPERATOR_CAP:
         raise BudgetError(f"{what} builds (d^2, d^2) operators, capped at n <= {densesim.TWO_COPY_OPERATOR_CAP}")
@@ -145,11 +161,23 @@ def mc_second_moment_matrix(G: groups.GroupSpec, V, M: int, seed: int):
     """Entrywise Monte Carlo mean and stderr of (U V U^dag)^{x2}.
 
     Each block of draws builds its Kronecker squares A x A by broadcasting,
-    at most ``rng.STACK_BYTES`` of them at once.
+    at most ``rng.STACK_BYTES`` of them at once.  Before the first draw the
+    run is budgeted by cost: per sample the Haar draw, the two products of
+    the conjugation, and the d^4 entries of the Kronecker square and of its
+    two running sums.
     """
     n = G.n
     d = 1 << n
     _check_two_copy_operator(n, "dense two-copy average")
+    check_cost(
+        f"dense two-copy average for {G.kind} n={n}",
+        M,
+        {
+            "Haar draws": draw_products(G) * d**3,
+            "conjugations": 2 * d**3,
+            "Kronecker squares and sums": 3 * d**4,
+        },
+    )
     Vd = _as_dense_v(V, n)
 
     def rows(streams):

@@ -15,6 +15,12 @@ modified Gram-Schmidt, one vector at a time.  ``brickwork_rows_reference`` is
 the per-sample form of the chunk-stacked dense brickwork runner: one stream,
 one draw and one single-state evolution at a time.
 
+The Majorana-rotation references are the per-sample forms of the stacked
+rotation samplers and evaluators: factors drawn with ``rng.uniform``, the
+exponentials applied to rows kept as Python lists, one SO(2n) draw and one
+det or eigvalsh per stream; ``rotation_rows_reference`` runs the depth and
+gate-count experiments on them, one sample at a time.
+
 The commutator-graph references are the per-vertex forms of the numpy
 closures: ``neighbors`` of one Pauli, a deque BFS over Python-int keys, and
 the Clifford closure that multiplies and keys one matrix at a time.
@@ -269,6 +275,107 @@ def brickwork_rows_reference(config, conjugate: bool = False):
         stream = rng.sample_stream(config.seed, M + i)
         haar.append(experiments._finalize(born(groups.sample_haar(G, stream)), stream, config.shot_mode))
     return np.array(shallow), np.array(haar)
+
+
+def draw_factors_reference(choices: int, count: int, rng) -> list:
+    """count draws of (generator index, angle), the angle by ``rng.uniform``."""
+    return [(int(rng.integers(choices)), float(rng.uniform(0.0, 2.0 * math.pi))) for _ in range(count)]
+
+
+def rotate_by_exponentials_reference(planes, factors, m: int) -> np.ndarray:
+    """The m x m Majorana rotation of one factor list, rows updated as Python lists."""
+    rows = [[1.0 if i == j else 0.0 for j in range(m)] for i in range(m)]
+    # the product's rotation is G_1 G_2 ... G_k; left-multiply from the right end
+    for g, theta in reversed(factors):
+        a, b, sigma = planes[g]
+        c, s = math.cos(2.0 * theta), sigma * math.sin(2.0 * theta)
+        ra, rb = rows[a], rows[b]
+        rows[a] = [c * x - s * y for x, y in zip(ra, rb)]
+        rows[b] = [s * x + c * y for x, y in zip(ra, rb)]
+    return np.array(rows)
+
+
+def haar_special_orthogonal_reference(d: int, rng) -> np.ndarray:
+    """One Haar SO(d) draw: one QR, one det, the last column negated on negative det."""
+    from designgap import groups
+
+    Q = groups.haar_orthogonal(d, rng).real
+    if np.linalg.det(Q) < 0:
+        Q = Q.copy()
+        Q[:, -1] = -Q[:, -1]
+    return Q
+
+
+def sample_shallow_rotation_reference(G, L: int, adjacency, rng) -> np.ndarray:
+    """The Majorana rotation of one brickwork circuit, one local gate at a time."""
+    from designgap import groups
+
+    adj = groups.parse_adjacency(adjacency, G.n)
+    planes = groups._local_matchgate_planes()
+    R = np.eye(2 * G.n)
+    for layer_index in range(L):
+        cls = adj.layer_classes[layer_index % len(adj.layer_classes)] if adj.layer_classes else ()
+        for i, _ in cls:
+            factors = draw_factors_reference(len(planes), groups.MATCHGATE_LOCAL_FACTORS, rng)
+            block = slice(2 * i, 2 * i + 4)
+            R[block] = rotate_by_exponentials_reference(planes, factors, 4) @ R[block]
+    return R
+
+
+def gate_sequence_rotation_reference(planes, n: int, N: int, rng) -> np.ndarray:
+    """The Majorana rotation of one N-gate sequence, each gate multiplied on the left."""
+    factors = draw_factors_reference(len(planes), N, rng)
+    return rotate_by_exponentials_reference(planes, factors[::-1], 2 * n)
+
+
+def rotation_rows_reference(config):
+    """Per-sample rows of the rotation evaluation: (shallow rows, Haar values).
+
+    The depth experiment (chain, prefix region) keeps det(R[in, K]^T R[in, K])
+    and the gate-count experiment (full bilinear set) the t^0..t^N part of
+    prod_i (lambda_i + t (1 - lambda_i)), one stream, one rotation and one
+    det or eigvalsh at a time, finalized on the sample's own stream as the
+    runner does: shallow samples on streams [0, M), Haar samples on [M, 2M).
+    """
+    from designgap import experiments, groups, pauli, rng
+
+    G, n, M = config.group, config.n, config.samples
+    K = [a - 1 for a in pauli.majorana_decomposition(config.perturbation)]
+    if config.ensemble.kind == "brickwork":
+        L = config.ensemble.depth
+        adj = groups.parse_adjacency(config.ensemble.adjacency, n)
+        confined = set(groups.lightcone(pauli.support(config.perturbation), L, adj)) <= set(config.region)
+        inside = 2 * len(config.region)
+
+        def shallow(stream):
+            return sample_shallow_rotation_reference(G, L, adj, stream)
+
+        def value(R):
+            B = R[:inside, K]
+            return float(np.linalg.det(B.T @ B))
+
+    else:
+        N, confined = config.ensemble.gates, True
+        planes = [groups.bilinear_plane(g) for g in config.ensemble.allowed.generators]
+
+        def shallow(stream):
+            return gate_sequence_rotation_reference(planes, n, N, stream)
+
+        def value(R):
+            A = R[np.ix_(K, K)]
+            coeffs = [1.0] + [0.0] * N
+            for lam in np.linalg.eigvalsh(A.T @ A).tolist():
+                coeffs = [lam * c + (1.0 - lam) * c_lower for c, c_lower in zip(coeffs, [0.0] + coeffs)]
+            return sum(coeffs)
+
+    rows, haar = [], []
+    for i in range(M):
+        stream = rng.sample_stream(config.seed, i)
+        rows.append(experiments._shallow_row(value(shallow(stream)), stream, confined, config.shot_mode))
+        stream = rng.sample_stream(config.seed, M + i)
+        p = value(haar_special_orthogonal_reference(2 * n, stream))
+        haar.append(experiments._finalize(p, stream, config.shot_mode))
+    return np.array(rows), np.array(haar)
 
 
 def _anticommutes(vx: int, vz: int, gx: int, gz: int) -> bool:

@@ -84,6 +84,30 @@ class TestExitCodes:
         assert "budget" in err and f"costs about {cost} multiply-adds" in err
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize(
+        "argv,cost",
+        [
+            # per sample (2n)^3 = 512 for the Haar QR, each of the 2 gates at depth 1, and each side's det
+            (["discriminate", "--experiment", "depth", "--group", "matchgate", "--n", "4", "--samples", "1000000000"],
+             "2.56e+12"),
+            # the QR, the default single gate, and each side's eigvalsh
+            (["discriminate", "--experiment", "gate-count", "--n", "4", "--samples", "1000000000"], "2.05e+12"),
+            # refused before the C(24, 12)-vertex component search
+            (["discriminate", "--experiment", "gate-count", "--n", "12", "--samples", "1000000000"], "5.53e+13"),
+            # d^3 for the draw, 2 d^3 for the conjugation and 3 d^4 for the Kronecker square and its sums
+            (["moments", "--quantity", "weingarten-check", "--group", "orthogonal", "--n", "3",
+              "--samples", "1000000000"], "1.38e+13"),
+        ],
+    )
+    def test_costly_rotation_and_twirl_runs_are_refused_before_sampling(self, capsys, argv, cost):
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert "budget" in err and f"costs about {cost} multiply-adds" in err
+        assert "Traceback" not in err
+
     def test_dense_brickwork_experiment_under_the_budget_runs(self, capsys):
         # n = 8 with 30 samples costs 1.3e10 multiply-adds, under the 1e11 cap
         code, out, _ = run_cli(
@@ -174,7 +198,9 @@ class TestExitCodes:
         "sampler,drifted,argv",
         [
             ("haar_symplectic", lambda n, rng: 1j * np.eye(1 << n), ["--group", "symplectic", "--n", "2"]),
-            ("haar_special_orthogonal", lambda d, rng: 1.01 * np.eye(d), ["--group", "matchgate", "--n", "4"]),
+            # the matchgate Haar side draws its rotations a block of streams at a time
+            ("haar_special_orthogonal", lambda d, streams: np.stack([1.01 * np.eye(d)] * len(streams)),
+             ["--group", "matchgate", "--n", "4"]),
         ],
     )
     def test_broken_invariant_is_exit_three(self, capsys, monkeypatch, sampler, drifted, argv):

@@ -5,7 +5,14 @@ import time
 import numpy as np
 import pytest
 
-from conftest import bfs_reference, brickwork_rows_reference
+from conftest import (
+    bfs_reference,
+    brickwork_rows_reference,
+    gate_sequence_rotation_reference,
+    haar_special_orthogonal_reference,
+    rotation_rows_reference,
+    sample_shallow_rotation_reference,
+)
 from designgap import bounds, cgraph, densesim, experiments, groups, moments, pauli, rng
 from designgap.errors import BudgetError, InvariantError, ValidationError
 
@@ -309,7 +316,7 @@ class TestRotationEvaluation:
         for i in range(3):
             U = experiments._gate_sequence_unitary(S, n, N, rng.sample_stream(5, i))
             O, _ = groups.adjoint_majorana_matrix(U, n)
-            R = experiments._gate_sequence_rotation(planes, n, N, rng.sample_stream(5, i))
+            R = experiments._gate_sequence_rotation(planes, n, N, [rng.sample_stream(5, i)])[0]
             assert np.max(np.abs(R - O)) < 1e-12
 
     def test_path_follows_the_input(self):
@@ -338,7 +345,15 @@ class TestRotationEvaluation:
         assert abs(res.p_haar.mean - float(r)) <= 5 * res.p_haar.stderr
 
     def test_drifting_rotation_is_an_invariant_error(self, monkeypatch):
-        monkeypatch.setattr(groups, "haar_special_orthogonal", lambda d, stream: 1.001 * np.eye(d))
+        # the Haar side draws a block of rotations at once; its last one drifts
+        real = groups.haar_special_orthogonal
+
+        def drifting(d, streams):
+            R = real(d, streams)
+            R[-1] *= 1.001
+            return R
+
+        monkeypatch.setattr(groups, "haar_special_orthogonal", drifting)
         with pytest.raises(InvariantError):
             experiments.run_depth_discrimination(experiments.depth_config("matchgate", 4, 2, 0))
 
@@ -471,7 +486,7 @@ class TestStackedBrickwork:
         kind, n = spec.pop("kind"), spec.pop("n")
         if samples == "split":
             # blocks of 3 streams: a 64-sample chunk splits into 22 blocks
-            monkeypatch.setattr(rng, "STACK_BYTES", 3 * 16 * 4**n)
+            monkeypatch.setattr(rng, "STACK_BYTES", 3 * experiments._dense_row_bytes(n))
             samples = 70
         cfg = experiments.depth_config(kind, n, samples, seed=9, shot_mode=shot_mode, **spec)
         conjugate = kind == "mixed_unitary"
@@ -492,7 +507,7 @@ class TestStackedBrickwork:
             return real(G, L, adjacency, streams)
 
         monkeypatch.setattr(groups, "sample_shallow_stack", recording)
-        monkeypatch.setattr(rng, "STACK_BYTES", 5 * 16 * 4**3)
+        monkeypatch.setattr(rng, "STACK_BYTES", 5 * experiments._dense_row_bytes(3))
         experiments.run_depth_discrimination(experiments.depth_config("orthogonal", 3, 70, seed=1))
         assert sizes == [5] * 12 + [4] + [5, 1]
 
@@ -509,3 +524,124 @@ class TestStackedBrickwork:
         monkeypatch.setattr(groups, "sample_shallow_stack", leaky)
         with pytest.raises(InvariantError, match="confined shallow sample"):
             experiments.run_depth_discrimination(experiments.depth_config("orthogonal", 3, 10, seed=1))
+
+
+def _rotation_config(experiment, n, samples, shot_mode, depth=None, gates=None):
+    """A rotation-path configuration; odd n takes an X inside the prefix region."""
+    if experiment == "gate-count":
+        return experiments.gatecount_config(n, samples, seed=4, gates=gates, shot_mode=shot_mode)
+    V = None if n % 2 == 0 else pauli.PauliString(n, 1 << (n // 2), 0)
+    return experiments.depth_config(
+        "matchgate", n, samples, seed=4, depth=depth, perturbation=V, shot_mode=shot_mode
+    )
+
+
+class TestStackedRotation:
+    """The chunk-stacked rotation runner against its per-sample form, by bytes."""
+
+    RUN = {"depth": experiments.run_depth_discrimination, "gate-count": experiments.run_gatecount_discrimination}
+
+    def _check_rows(self, monkeypatch, config, run):
+        result, shallow, haar = _recorded_rows(monkeypatch, run, config)
+        want_shallow, want_haar = rotation_rows_reference(config)
+        assert shallow.tobytes() == want_shallow.tobytes()
+        assert haar.tobytes() == want_haar.tobytes()
+        assert result.shallow_max_deviation == float(np.max(want_shallow[:, 1]))
+
+    @pytest.mark.parametrize("shot_mode", [False, True])
+    @pytest.mark.parametrize("samples", [1, 63, 64, 65, 130])
+    @pytest.mark.parametrize("experiment", ["depth", "gate-count"])
+    def test_rows_match_the_per_sample_runner(self, monkeypatch, experiment, samples, shot_mode):
+        config = _rotation_config(experiment, 4, samples, shot_mode, gates=2)
+        self._check_rows(monkeypatch, config, self.RUN[experiment])
+
+    @pytest.mark.parametrize("depth", range(5))
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_depth_rows_at_every_n_and_depth(self, monkeypatch, n, depth):
+        config = _rotation_config("depth", n, 65, shot_mode=bool(depth % 2), depth=depth)
+        assert experiments._depth_uses_rotations(config, groups.parse_adjacency("chain", n))
+        self._check_rows(monkeypatch, config, experiments.run_depth_discrimination)
+
+    @pytest.mark.parametrize("gates", range(4))
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_gatecount_rows_at_every_n_and_gate_count(self, monkeypatch, n, gates):
+        config = _rotation_config("gate-count", n, 65, shot_mode=bool(gates % 2), gates=gates)
+        self._check_rows(monkeypatch, config, experiments.run_gatecount_discrimination)
+
+    @pytest.mark.parametrize("experiment", ["depth", "gate-count"])
+    def test_every_stream_is_left_where_the_per_sample_draw_leaves_it(self, experiment):
+        config = _rotation_config(experiment, 6, 70, False, depth=3, gates=3)
+        S = config.ensemble.allowed
+        if experiment == "depth":
+            evaluators = experiments._depth_rotation(config, groups.parse_adjacency("chain", 6))
+            L = config.ensemble.depth
+
+            def shallow_reference(stream):
+                sample_shallow_rotation_reference(config.group, L, "chain", stream)
+
+        else:
+            ball = cgraph.component(config.perturbation, S, radius=3).keys.tolist()
+            evaluators = experiments._gatecount_rotation(config, S, ball)
+            planes = [groups.bilinear_plane(g) for g in S.generators]
+
+            def shallow_reference(stream):
+                gate_sequence_rotation_reference(planes, 6, 3, stream)
+
+        for evaluate, reference in (
+            (evaluators.shallow, shallow_reference),
+            (evaluators.haar, lambda stream: haar_special_orthogonal_reference(12, stream)),
+        ):
+            stacked = [rng.sample_stream(2, i) for i in range(70)]
+            evaluate(stacked)
+            for i, stream in enumerate(stacked):
+                alone = rng.sample_stream(2, i)
+                reference(alone)
+                assert repr(stream.bit_generator.state) == repr(alone.bit_generator.state)
+
+    @pytest.mark.parametrize("experiment", ["depth", "gate-count"])
+    def test_one_drifting_sample_in_a_chunk_stops_the_run(self, monkeypatch, experiment):
+        real = groups.rotate_by_exponentials
+
+        def drifting(planes, factors, m):
+            R = real(planes, factors, m)
+            if len(R) > 5:
+                R[5] *= 1.0 + 1e-6
+            return R
+
+        monkeypatch.setattr(groups, "rotate_by_exponentials", drifting)
+        config = _rotation_config(experiment, 4, 64, False, gates=2)
+        with pytest.raises(InvariantError, match="rotation is not orthogonal"):
+            self.RUN[experiment](config)
+        # a block of five streams holds no drifting sample
+        self.RUN[experiment](_rotation_config(experiment, 4, 5, False, gates=2))
+
+    def test_blocks_are_whole_chunks(self, monkeypatch):
+        # at n = 8 a rotation sample holds a few 16 x 16 real matrices, not 256 x 256 complex ones
+        sizes = []
+        real = groups.sample_shallow_rotation_stack
+
+        def recording(G, L, adjacency, streams):
+            sizes.append(len(streams))
+            return real(G, L, adjacency, streams)
+
+        monkeypatch.setattr(groups, "sample_shallow_rotation_stack", recording)
+        experiments.run_depth_discrimination(experiments.depth_config("matchgate", 8, 130, seed=1))
+        assert sizes == [64, 64, 2]
+
+    @pytest.mark.parametrize(
+        "config,products",
+        [
+            # per sample, in 8 x 8 products: the Haar QR, 2 gates at depth 1, and both dets
+            (experiments.depth_config("matchgate", 4, 7, 0), 1 + 2 + 2),
+            (experiments.depth_config("matchgate", 4, 7, 0, depth=3), 1 + 5 + 2),
+            # the QR, 2 gates and both eigvalsh
+            (experiments.gatecount_config(4, 7, 0, gates=2), 1 + 2 + 2),
+        ],
+    )
+    def test_rotation_budget_is_exact_at_the_cap(self, monkeypatch, config, products):
+        run = self.RUN["depth" if config.ensemble.kind == "brickwork" else "gate-count"]
+        monkeypatch.setattr(moments, "FS_COST_CAP", 7 * products * 8**3)
+        run(config)
+        monkeypatch.setattr(moments, "FS_COST_CAP", 7 * products * 8**3 - 1)
+        with pytest.raises(BudgetError, match="on Majorana rotations for n=4 with 7 samples"):
+            run(config)

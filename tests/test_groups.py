@@ -9,11 +9,16 @@ from designgap import cgraph, densesim, groups, pauli, rng as dgrng
 from designgap.errors import BudgetError, InvariantError, ValidationError
 
 from conftest import (
+    draw_factors_reference,
     enumerate_clifford_reference,
+    gate_sequence_rotation_reference,
+    haar_special_orthogonal_reference,
     haar_symplectic_mgs,
     kron_chain,
     matchgate_form_2,
+    rotate_by_exponentials_reference,
     sample_shallow_reference,
+    sample_shallow_rotation_reference,
     swap_qubit_permutation,
     symplectic_canonical,
     verify_group_membership,
@@ -537,7 +542,7 @@ class TestMajoranaRotations:
                 O, resid = groups.adjoint_majorana_matrix(U, n)
                 assert resid < 1e-12
                 R = np.eye(2 * n)
-                R[2 * i:2 * i + 4, 2 * i:2 * i + 4] = groups.rotate_by_exponentials(planes, [(g, theta)], 4)
+                R[2 * i:2 * i + 4, 2 * i:2 * i + 4] = groups.rotate_by_exponentials(planes, [[(g, theta)]], 4)[0]
                 assert np.max(np.abs(R - O)) < 1e-12, (n, i, word)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -545,7 +550,7 @@ class TestMajoranaRotations:
         for j, P in enumerate(groups.matchgate_full_set(n).generators):
             theta = 0.29 + 0.23 * j
             O, _ = groups.adjoint_majorana_matrix(_dense_exponential(pauli.to_text(P), theta), n)
-            R = groups.rotate_by_exponentials([groups.bilinear_plane(P)], [(0, theta)], 2 * n)
+            R = groups.rotate_by_exponentials([groups.bilinear_plane(P)], [[(0, theta)]], 2 * n)[0]
             assert np.max(np.abs(R - O)) < 1e-12, pauli.to_text(P)
 
     def test_factors_compose_in_operator_order(self):
@@ -557,7 +562,7 @@ class TestMajoranaRotations:
         for g, theta in factors:
             U = U @ _dense_exponential(pauli.to_text(S[g]), theta)
         O, _ = groups.adjoint_majorana_matrix(U, n)
-        assert np.max(np.abs(groups.rotate_by_exponentials(planes, factors, 2 * n) - O)) < 1e-12
+        assert np.max(np.abs(groups.rotate_by_exponentials(planes, [factors], 2 * n)[0] - O)) < 1e-12
 
     def test_non_bilinear_rejected(self):
         with pytest.raises(ValidationError):
@@ -584,6 +589,69 @@ class TestMajoranaRotations:
         groups.check_rotation(groups.haar_special_orthogonal(6, stream()), "test")
         with pytest.raises(InvariantError):
             groups.check_rotation(1.01 * np.eye(4), "test")
+
+
+class TestStackedRotationSamplers:
+    """The stacked rotation samplers against their per-sample references, by bytes."""
+
+    @staticmethod
+    def _streams(count, offset=0):
+        return [stream(offset + i) for i in range(count)]
+
+    def test_angle_draw_is_the_uniform_draw(self):
+        # 2 pi u from random() is uniform(0, 2 pi) bit for bit, between integer draws too
+        for i in range(20):
+            a, b = stream(i), stream(i)
+            for _ in range(50):
+                assert int(a.integers(6)) == int(b.integers(6))
+                assert 2.0 * math.pi * a.random() == float(b.uniform(0.0, 2.0 * math.pi))
+            assert repr(a.bit_generator.state) == repr(b.bit_generator.state)
+        assert groups.draw_factors(120, 40, stream(3)) == draw_factors_reference(120, 40, stream(3))
+
+    @pytest.mark.parametrize("count", [1, 63, 64, 65, 130])
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_haar_rows_match_the_per_sample_draw(self, n, count):
+        G = groups.group_spec("matchgate", n)
+        stacked = self._streams(count)
+        R = groups.sample_haar_rotation_stack(G, stacked)
+        for i, s in enumerate(stacked):
+            alone = stream(i)
+            assert R[i].tobytes() == haar_special_orthogonal_reference(2 * n, alone).tobytes()
+            assert repr(s.bit_generator.state) == repr(alone.bit_generator.state)
+        assert groups.sample_haar_rotation(G, stream(0)).tobytes() == R[0].tobytes()
+
+    @pytest.mark.parametrize("depth", range(5))
+    @pytest.mark.parametrize("n", range(2, 9))
+    def test_shallow_rows_match_the_per_gate_draw(self, n, depth):
+        G = groups.group_spec("matchgate", n)
+        stacked = self._streams(65)
+        R = groups.sample_shallow_rotation_stack(G, depth, "chain", stacked)
+        for i, s in enumerate(stacked):
+            alone = stream(i)
+            assert R[i].tobytes() == sample_shallow_rotation_reference(G, depth, "chain", alone).tobytes()
+            assert repr(s.bit_generator.state) == repr(alone.bit_generator.state)
+        assert groups.sample_shallow_rotation(G, depth, "chain", stream(0)).tobytes() == R[0].tobytes()
+
+    @pytest.mark.parametrize("N", range(4))
+    @pytest.mark.parametrize("n", [2, 5, 8])
+    def test_gate_sequences_match_the_list_rotation(self, n, N):
+        from designgap import experiments
+
+        planes = [groups.bilinear_plane(g) for g in groups.matchgate_full_set(n).generators]
+        R = experiments._gate_sequence_rotation(planes, n, N, self._streams(65))
+        for i in range(65):
+            assert R[i].tobytes() == gate_sequence_rotation_reference(planes, n, N, stream(i)).tobytes()
+        factors = [draw_factors_reference(len(planes), N, stream(i)) for i in range(3)]
+        stack = groups.rotate_by_exponentials(planes, factors, 2 * n)
+        for i in range(3):
+            assert stack[i].tobytes() == rotate_by_exponentials_reference(planes, factors[i], 2 * n).tobytes()
+
+    def test_one_drifting_matrix_of_a_stack_is_an_invariant_error(self):
+        R = groups.sample_haar_rotation_stack(groups.group_spec("matchgate", 3), self._streams(64))
+        groups.check_rotation(R, "test")
+        R[37] *= 1.0 + 1e-6
+        with pytest.raises(InvariantError, match="test rotation is not orthogonal"):
+            groups.check_rotation(R, "test")
 
 
 class TestMembership:

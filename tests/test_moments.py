@@ -96,6 +96,14 @@ class TestClosedFormTwirl:
         dev = np.abs(mean - closed)
         assert bool((dev <= np.maximum(5 * stderr, 1e-12)).all())
 
+    def test_twirl_budget_is_exact_at_the_cap(self, monkeypatch):
+        # per sample at d = 4: the draw d^3, the conjugation 2 d^3, the Kronecker square and its sums 3 d^4
+        G, V = groups.group_spec("orthogonal", 2), pauli.PauliString(2, 0, 1)
+        monkeypatch.setattr(moments, "FS_COST_CAP", 5 * (64 + 128 + 768))
+        moments.mc_second_moment_matrix(G, V, 5, 0)
+        with pytest.raises(BudgetError, match=r"Kronecker squares and sums 4\.61e\+3"):
+            moments.mc_second_moment_matrix(G, V, 6, 0)
+
 
 class TestSecondMomentTrace:
     def test_swap_tag_matches_dense_route(self):
