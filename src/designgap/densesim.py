@@ -181,15 +181,3 @@ def complement_bell_overlap(
     dL, dC = 1 << len(reg), 1 << len(comp)
     T = np.einsum("...axbx->...ab", chi.reshape(*psi.shape[:-1], dL, dC, dL, dC))
     return T / np.sqrt(dC)
-
-
-def pauli_coefficients(A: np.ndarray) -> dict[pauli.PauliString, complex]:
-    """Coefficients a_T = Tr[T A]/d over all canonical Paulis T."""
-    n = _qubit_count(A.shape[0])
-    _require_qubits(n, PAULI_EXPANSION_CAP, "full Pauli expansion")
-    d = 1 << n
-    out = {}
-    for key in range(4**n):
-        T = pauli.from_key(key, n)
-        out[T] = pauli.trace_with(T, A) / d
-    return out

@@ -194,19 +194,6 @@ def invariant_form_check(form: BilinearForm, S: cgraph.GeneratorSet) -> bool:
     return True
 
 
-def invariant_state(form: BilinearForm, n: int) -> np.ndarray:
-    """The unit-norm two-copy state (1 x Omega)|Phi>."""
-    if form.n != n:
-        raise ValidationError(f"form on {form.n} qubits, requested n={n}")
-    psi = densesim.apply_two_copy(
-        np.eye(1 << n, dtype=np.complex128), form.dense(), densesim.bell_state(n)
-    )
-    norm = float(np.linalg.norm(psi))
-    if abs(norm - 1.0) > 1e-10:
-        psi = psi / norm
-    return psi
-
-
 # ---------------------------------------------------------------------------
 # generator sets
 
@@ -691,21 +678,6 @@ def enumerate_clifford(n: int) -> tuple[np.ndarray, ...]:
     return tuple(order)
 
 
-def adjoint_majorana_matrix(U: np.ndarray, n: int) -> tuple[np.ndarray, float]:
-    """The matrix O with U c_a U^dag = sum_b O[b, a] c_b, plus residual."""
-    d = 1 << n
-    cs = [pauli.to_dense(pauli.majorana(a, n)) for a in range(1, 2 * n + 1)]
-    O = np.zeros((2 * n, 2 * n))
-    resid = 0.0
-    for a in range(2 * n):
-        image = U @ cs[a] @ U.conj().T
-        coeffs = np.array([np.trace(c @ image) / d for c in cs])
-        O[:, a] = coeffs.real
-        recon = sum(coeffs.real[b] * cs[b] for b in range(2 * n))
-        resid = max(resid, float(np.max(np.abs(image - recon))))
-    return O, resid
-
-
 def _check_form(G: GroupSpec, U: np.ndarray, what: str) -> None:
     """Raise InvariantError when a draw, or any draw of a stack, leaves the form."""
     Om = G.form.dense()
@@ -1009,57 +981,3 @@ def sample_shallow_rotation(
     """The Majorana rotation of ``sample_shallow(G, L, adjacency, rng).unitary``:
     the stack of one of ``sample_shallow_rotation_stack``."""
     return sample_shallow_rotation_stack(G, L, adjacency, [rng])[0]
-
-
-# ---------------------------------------------------------------------------
-# membership checks
-
-
-def membership_failure(U: np.ndarray, G: GroupSpec, tol: float = 1e-10) -> str | None:
-    """The first failed membership condition, or None if all pass."""
-    d = G.dense_dimension
-    if G.kind == "mixed_unitary" and U.shape[0] == d * d:
-        # Kronecker rearrangement: A x B raveled this way is vec(A) vec(B)^T.
-        W = U.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
-        u, s, vh = np.linalg.svd(W)
-        if s.size > 1 and s[1] > max(tol, 1e-8) * max(1.0, s[0]):
-            return f"not a Kronecker product: second singular value {s[1]:.2e}"
-        A = (np.sqrt(d) * u[:, 0]).reshape(d, d)
-        B = (s[0] / np.sqrt(d) * vh[0]).reshape(d, d)
-        if np.max(np.abs(A @ A.conj().T - np.eye(d))) > 1e-8:
-            return "first Kronecker factor is not unitary"
-        inner = np.trace(A.T @ B)
-        phase = inner / abs(inner) if abs(inner) > tol else 1.0
-        if np.max(np.abs(B - phase * A.conj())) > 1e-8:
-            return "second factor is not the conjugate of the first"
-        return None
-    if U.shape != (d, d):
-        return f"dimension {U.shape} does not match d={d}"
-    unit = float(np.max(np.abs(U.conj().T @ U - np.eye(d))))
-    if unit > tol:
-        return f"not unitary: residual {unit:.2e}"
-    if G.kind == "orthogonal" and float(np.max(np.abs(U.imag))) > tol:
-        return f"not real: imaginary residual {float(np.max(np.abs(U.imag))):.2e}"
-    if G.form is not None:
-        Om = G.form.dense()
-        resid = float(np.max(np.abs(U.T @ Om @ U - Om)))
-        if resid > tol:
-            return f"form not preserved: residual {resid:.2e}"
-    if G.kind == "matchgate":
-        O, resid = adjoint_majorana_matrix(U, G.n)
-        if resid > max(tol, 1e-8):
-            return f"adjoint action leaves the Majorana span: residual {resid:.2e}"
-        ortho = float(np.max(np.abs(O.T @ O - np.eye(2 * G.n))))
-        if ortho > max(tol, 1e-8):
-            return f"adjoint action is not orthogonal: residual {ortho:.2e}"
-    if G.kind == "clifford":
-        if G.n > densesim.PAULI_EXPANSION_CAP:
-            raise BudgetError("clifford membership check needs a full Pauli expansion")
-        for q in range(G.n):
-            for P in (pauli.PauliString(G.n, 1 << q, 0), pauli.PauliString(G.n, 0, 1 << q)):
-                image = U @ pauli.to_dense(P) @ U.conj().T
-                coeffs = np.array(list(densesim.pauli_coefficients(image).values()))
-                mass = np.abs(coeffs) ** 2
-                if abs(np.max(mass) - 1.0) > max(tol, 1e-9):
-                    return f"conjugated {pauli.to_text(P)} is not a single Pauli"
-    return None

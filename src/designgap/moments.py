@@ -17,6 +17,10 @@ sum is byte-identical to a one-sample-at-a-time loop (the per-sample
 references live in ``tests/conftest.py``).  A stacked intermediate never
 exceeds ``rng.STACK_BYTES``: at n = 5 the twirl takes its 1024 x 1024
 Kronecker squares a few at a time.  The spread estimator stays per sample.
+The Clifford commutant takes the traces of the enumerated group in stacks of
+``TRACE_BLOCK``.  Every sampling estimator checks its cost against
+``FS_COST_CAP`` before the first draw (``check_cost``), counting each
+sample's products and its fixed cost ``SAMPLE_FIXED_COST``.
 """
 
 from __future__ import annotations
@@ -35,6 +39,14 @@ from .errors import BudgetError, ValidationError
 # multiply-adds (d^3 per d x d product): 20 s to 2 min on one core of a
 # 2-core x86 machine
 FS_COST_CAP = 1e11
+# the fixed cost of one sample, in multiply-adds taking the same time: its
+# stream, its finalize step and the Python dispatch of its evaluation.  A
+# sample whose products are negligible (n = 1) takes about 9 us on that
+# machine, which at the ~2e9 multiply-adds per second that put the cap near
+# one minute is 2e4 multiply-adds
+SAMPLE_FIXED_COST = 20_000
+# enumerated group elements whose traces are taken as one stack
+TRACE_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -129,10 +141,12 @@ def second_moment_closed_form(kind: str, n: int) -> np.ndarray:
 def check_cost(what: str, M: int, costs: dict[str, int]) -> None:
     """Raise BudgetError when M samples cost more than FS_COST_CAP multiply-adds.
 
-    ``costs`` maps each part of one sample's work to its multiply-adds; the
-    message names the total and each part over the M samples.  The estimate
-    is exact integer arithmetic, so no size or sample count overflows it.
+    ``costs`` maps each part of one sample's work to its multiply-adds, to
+    which every sample adds ``SAMPLE_FIXED_COST``; the message names the
+    total and each part over the M samples.  The estimate is exact integer
+    arithmetic, so no size or sample count overflows it.
     """
+    costs = {**costs, "per-sample fixed cost": SAMPLE_FIXED_COST}
     total = M * sum(costs.values())
     if total > FS_COST_CAP:
         parts = ", ".join(f"{name} {Decimal(M * k):.2e}" for name, k in costs.items())
@@ -200,14 +214,19 @@ def mc_second_moment_trace(G: groups.GroupSpec, V, O, M: int, seed: int) -> Mome
     of the region-restricted partial trace, only d x d matrices appear, and a
     chunk of draws is evaluated as one stack; a dense O of shape (d^2, d^2)
     forces the explicit per-sample Kronecker route and is budget-capped.
+    Either route is budgeted by cost before the first draw.
     """
     n = G.n
     Vd = _as_dense_v(V, n)
     d = 1 << n
+    what = f"second-moment trace for {G.kind} n={n}"
+    sample = {"Haar draws": draw_products(G) * d**3, "conjugations": 2 * d**3}
     if isinstance(O, SwapRegionTag):
         region = tuple(sorted(O.region))
         if not region or any(q < 0 or q >= n for q in region):
             raise ValidationError(f"bad region {O.region} for n={n}")
+        d_K = 1 << len(set(region))
+        check_cost(what, M, {**sample, "partial traces and squares": d**2 + d_K**3})
 
         def rows(streams):
             Mred = densesim.partial_trace(_conjugated(G, Vd, streams), region, n)
@@ -219,6 +238,7 @@ def mc_second_moment_trace(G: groups.GroupSpec, V, O, M: int, seed: int) -> Mome
     if Od.shape != (d * d, d * d):
         raise ValidationError(f"observable shape {Od.shape}, expected {(d * d, d * d)}")
     _check_two_copy_operator(n, "dense two-copy route")
+    check_cost(what, M, {**sample, "Kronecker squares and products with O": d**4 + d**6})
 
     def one(stream):
         U = groups.sample_haar(G, stream)
@@ -251,13 +271,24 @@ def haar_spread_uniformity(
     """Sampled mass table over component(P) plus the leaked mass.
 
     The last accumulated column is 1 minus the in-component total, which
-    Parseval makes the exact off-component mass for unitary P.
+    Parseval makes the exact off-component mass for unitary P.  Budgeted by
+    cost before the first draw: each sample takes one trace per component
+    vertex, a Python call of about 20 us, twice a sample's fixed cost.
     """
     if G.generator_set is None:
         raise ValidationError(f"kind {G.kind!r} has no generator set to spread over")
     n = G.n
     d = 1 << n
     keys = tuple(cgraph.component(P, G.generator_set).keys.tolist())
+    check_cost(
+        f"spread estimate for {G.kind} n={n}",
+        M,
+        {
+            "Haar draws": draw_products(G) * d**3,
+            "conjugations": 2 * d**3,
+            "Pauli traces": len(keys) * (d + 2 * SAMPLE_FIXED_COST),
+        },
+    )
     verts = [pauli.from_key(k, n) for k in keys]
 
     def one(stream):
@@ -302,18 +333,14 @@ def check_draw_cost(G: groups.GroupSpec | int, M: int, what: str) -> None:
     """Raise BudgetError when M dense Haar draws cost more than FS_COST_CAP.
 
     G is a group, or the dimension d of a Haar unitary draw.  A draw costs
-    ``draw_products(G)`` d^3 complex multiply-adds.
+    ``draw_products(G)`` d^3 complex multiply-adds, and ``check_cost`` adds
+    each sample's fixed cost.
     """
     if isinstance(G, groups.GroupSpec):
         d, lifts, name = G.dense_dimension, draw_products(G), f"{G.kind} n={G.n}"
     else:
         d, lifts, name = G, 1, f"U({G})"
-    per_draw = d**3 * lifts  # exact integers: no d overflows the estimate
-    if M * per_draw > FS_COST_CAP:
-        raise BudgetError(
-            f"{what} for {name} with {M} samples costs about "
-            f"{Decimal(M * per_draw):.2e} multiply-adds ({Decimal(per_draw):.2e} per draw), cap is {FS_COST_CAP:.0e}"
-        )
+    check_cost(f"{what} for {name}", M, {"Haar draws": d**3 * lifts})
 
 
 def frobenius_schur(
@@ -385,7 +412,12 @@ def mixed_unitary_commutant_dimension(
     if source == "clifford_enumeration":
         if n is None:
             raise ValidationError("clifford_enumeration source needs n")
-        values = np.array([abs(np.trace(U)) ** 4 for U in groups.enumerate_clifford(n)])
+        elements = groups.enumerate_clifford(n)
+        traces = []
+        for lo in range(0, len(elements), TRACE_BLOCK):
+            traces += np.trace(np.stack(elements[lo : lo + TRACE_BLOCK]), axis1=1, axis2=2).tolist()
+        # Python's complex abs: np.abs on the array can differ in the last bit
+        values = np.array([abs(t) ** 4 for t in traces])
         return MomentEstimate(float(values.mean()), 0.0, values.size, None)
     if source == "pauli_enumeration":
         if n is None:

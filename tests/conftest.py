@@ -25,6 +25,10 @@ The commutator-graph references are the per-vertex forms of the numpy
 closures: ``neighbors`` of one Pauli, a deque BFS over Python-int keys, and
 the Clifford closure that multiplies and keys one matrix at a time.
 
+Every per-sample reference draws from ``fresh_stream``, a generator built
+straight from ``np.random.Philox``, so the library's runs, which re-key
+recycled generators, are checked against new ones.
+
 The moment references are the per-sample forms of the chunk-stacked
 estimators in ``moments``: one stream, one ``sample_haar`` draw and one
 evaluation at a time, with sums taken in the documented 64-sample chunk
@@ -32,7 +36,10 @@ order; ``accumulate_moments`` is the per-sample form of
 ``rng.accumulate_rows``.  The commutant basis built from commutator-graph
 components, with its Gram report and its Monte Carlo overlaps, the second
 matchgate form, the group-membership predicate and the gate-count envelope
-threshold scan live here because only the tests use them.
+threshold scan live here because only the tests use them, as do the two-copy
+invariant state (1 x Omega)|Phi> of a form, the membership conditions of
+each group, the full Pauli expansion of a dense operator and the adjoint
+Majorana matrix of a unitary.
 """
 
 import math
@@ -206,11 +213,109 @@ def matchgate_form_2(n: int):
     return groups.bilinear_form(pauli.from_text("YX" * (n // 2) + "Y" * (n % 2)))
 
 
+def invariant_state(form, n: int) -> np.ndarray:
+    """The unit-norm two-copy state (1 x Omega)|Phi>."""
+    from designgap import densesim
+    from designgap.errors import ValidationError
+
+    if form.n != n:
+        raise ValidationError(f"form on {form.n} qubits, requested n={n}")
+    psi = densesim.apply_two_copy(
+        np.eye(1 << n, dtype=np.complex128), form.dense(), densesim.bell_state(n)
+    )
+    norm = float(np.linalg.norm(psi))
+    if abs(norm - 1.0) > 1e-10:
+        psi = psi / norm
+    return psi
+
+
+def pauli_coefficients(A: np.ndarray) -> dict:
+    """Coefficients a_T = Tr[T A]/d over all canonical Paulis T."""
+    from designgap import densesim, pauli
+
+    n = densesim._qubit_count(A.shape[0])
+    densesim._require_qubits(n, densesim.PAULI_EXPANSION_CAP, "full Pauli expansion")
+    d = 1 << n
+    out = {}
+    for key in range(4**n):
+        T = pauli.from_key(key, n)
+        out[T] = pauli.trace_with(T, A) / d
+    return out
+
+
+def adjoint_majorana_matrix(U: np.ndarray, n: int) -> tuple[np.ndarray, float]:
+    """The matrix O with U c_a U^dag = sum_b O[b, a] c_b, plus residual."""
+    from designgap import pauli
+
+    d = 1 << n
+    cs = [pauli.to_dense(pauli.majorana(a, n)) for a in range(1, 2 * n + 1)]
+    O = np.zeros((2 * n, 2 * n))
+    resid = 0.0
+    for a in range(2 * n):
+        image = U @ cs[a] @ U.conj().T
+        coeffs = np.array([np.trace(c @ image) / d for c in cs])
+        O[:, a] = coeffs.real
+        recon = sum(coeffs.real[b] * cs[b] for b in range(2 * n))
+        resid = max(resid, float(np.max(np.abs(image - recon))))
+    return O, resid
+
+
+def membership_failure(U: np.ndarray, G, tol: float = 1e-10) -> str | None:
+    """The first failed membership condition of U in G, or None if all pass."""
+    from designgap import densesim, pauli
+    from designgap.errors import BudgetError
+
+    d = G.dense_dimension
+    if G.kind == "mixed_unitary" and U.shape[0] == d * d:
+        # Kronecker rearrangement: A x B raveled this way is vec(A) vec(B)^T.
+        W = U.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+        u, s, vh = np.linalg.svd(W)
+        if s.size > 1 and s[1] > max(tol, 1e-8) * max(1.0, s[0]):
+            return f"not a Kronecker product: second singular value {s[1]:.2e}"
+        A = (np.sqrt(d) * u[:, 0]).reshape(d, d)
+        B = (s[0] / np.sqrt(d) * vh[0]).reshape(d, d)
+        if np.max(np.abs(A @ A.conj().T - np.eye(d))) > 1e-8:
+            return "first Kronecker factor is not unitary"
+        inner = np.trace(A.T @ B)
+        phase = inner / abs(inner) if abs(inner) > tol else 1.0
+        if np.max(np.abs(B - phase * A.conj())) > 1e-8:
+            return "second factor is not the conjugate of the first"
+        return None
+    if U.shape != (d, d):
+        return f"dimension {U.shape} does not match d={d}"
+    unit = float(np.max(np.abs(U.conj().T @ U - np.eye(d))))
+    if unit > tol:
+        return f"not unitary: residual {unit:.2e}"
+    if G.kind == "orthogonal" and float(np.max(np.abs(U.imag))) > tol:
+        return f"not real: imaginary residual {float(np.max(np.abs(U.imag))):.2e}"
+    if G.form is not None:
+        Om = G.form.dense()
+        resid = float(np.max(np.abs(U.T @ Om @ U - Om)))
+        if resid > tol:
+            return f"form not preserved: residual {resid:.2e}"
+    if G.kind == "matchgate":
+        O, resid = adjoint_majorana_matrix(U, G.n)
+        if resid > max(tol, 1e-8):
+            return f"adjoint action leaves the Majorana span: residual {resid:.2e}"
+        ortho = float(np.max(np.abs(O.T @ O - np.eye(2 * G.n))))
+        if ortho > max(tol, 1e-8):
+            return f"adjoint action is not orthogonal: residual {ortho:.2e}"
+    if G.kind == "clifford":
+        if G.n > densesim.PAULI_EXPANSION_CAP:
+            raise BudgetError("clifford membership check needs a full Pauli expansion")
+        for q in range(G.n):
+            for P in (pauli.PauliString(G.n, 1 << q, 0), pauli.PauliString(G.n, 0, 1 << q)):
+                image = U @ pauli.to_dense(P) @ U.conj().T
+                coeffs = np.array(list(pauli_coefficients(image).values()))
+                mass = np.abs(coeffs) ** 2
+                if abs(np.max(mass) - 1.0) > max(tol, 1e-9):
+                    return f"conjugated {pauli.to_text(P)} is not a single Pauli"
+    return None
+
+
 def verify_group_membership(U: np.ndarray, G, tol: float = 1e-10) -> bool:
     """True when all documented membership conditions hold at tolerance."""
-    from designgap import groups
-
-    return groups.membership_failure(U, G, tol) is None
+    return membership_failure(U, G, tol) is None
 
 
 def envelope_threshold(c, up_to: int) -> int:
@@ -243,7 +348,7 @@ def brickwork_rows_reference(config, conjugate: bool = False):
     stream as the runner does: shallow samples on streams [0, M), Haar
     samples on [M, 2M).
     """
-    from designgap import densesim, experiments, groups, pauli, rng
+    from designgap import densesim, experiments, groups, pauli
 
     G, n, M = config.group, config.n, config.samples
     adj = groups.parse_adjacency(config.ensemble.adjacency, n)
@@ -269,10 +374,10 @@ def brickwork_rows_reference(config, conjugate: bool = False):
 
     shallow, haar = [], []
     for i in range(M):
-        stream = rng.sample_stream(config.seed, i)
+        stream = fresh_stream(config.seed, i)
         p = born(sample_shallow_reference(G, L, adj, stream))
         shallow.append(experiments._shallow_row(p, stream, confined, config.shot_mode))
-        stream = rng.sample_stream(config.seed, M + i)
+        stream = fresh_stream(config.seed, M + i)
         haar.append(experiments._finalize(born(groups.sample_haar(G, stream)), stream, config.shot_mode))
     return np.array(shallow), np.array(haar)
 
@@ -337,7 +442,7 @@ def rotation_rows_reference(config):
     det or eigvalsh at a time, finalized on the sample's own stream as the
     runner does: shallow samples on streams [0, M), Haar samples on [M, 2M).
     """
-    from designgap import experiments, groups, pauli, rng
+    from designgap import experiments, groups, pauli
 
     G, n, M = config.group, config.n, config.samples
     K = [a - 1 for a in pauli.majorana_decomposition(config.perturbation)]
@@ -370,9 +475,9 @@ def rotation_rows_reference(config):
 
     rows, haar = [], []
     for i in range(M):
-        stream = rng.sample_stream(config.seed, i)
+        stream = fresh_stream(config.seed, i)
         rows.append(experiments._shallow_row(value(shallow(stream)), stream, confined, config.shot_mode))
-        stream = rng.sample_stream(config.seed, M + i)
+        stream = fresh_stream(config.seed, M + i)
         p = value(haar_special_orthogonal_reference(2 * n, stream))
         haar.append(experiments._finalize(p, stream, config.shot_mode))
     return np.array(rows), np.array(haar)
@@ -460,10 +565,14 @@ def enumerate_clifford_reference(n: int) -> tuple:
     return tuple(order)
 
 
-def _stream_values(fn, M: int, seed: int) -> np.ndarray:
-    from designgap import rng
+def fresh_stream(seed: int, index: int) -> np.random.Generator:
+    """Sample index's generator, built straight from Philox: the reference for
+    ``rng.sample_stream``, which may re-key a recycled generator instead."""
+    return np.random.Generator(np.random.Philox(key=np.array([seed, index], dtype=np.uint64)))
 
-    return np.array([fn(rng.sample_stream(seed, i)) for i in range(M)], dtype=np.float64)
+
+def _stream_values(fn, M: int, seed: int) -> np.ndarray:
+    return np.array([fn(fresh_stream(seed, i)) for i in range(M)], dtype=np.float64)
 
 
 def _estimate(values: np.ndarray, seed: int):
@@ -486,7 +595,7 @@ def accumulate_reference(fn, shape, M: int, seed: int):
         s = np.zeros(shape, dtype=np.complex128)
         q = np.zeros(shape, dtype=np.float64)
         for i in range(lo, min(lo + chunk, M)):
-            v = fn(rng.sample_stream(seed, i))
+            v = fn(fresh_stream(seed, i))
             s += v
             q += np.abs(v) ** 2
         total += s

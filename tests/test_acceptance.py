@@ -24,7 +24,7 @@ from designgap import (
 )
 from designgap.rng import sample_stream
 
-from conftest import envelope_threshold, matchgate_form_2
+from conftest import envelope_threshold, invariant_state, matchgate_form_2
 
 
 def _ok(k, msg):
@@ -196,7 +196,7 @@ def test_criterion_10_invariant_form_suite():
         ]
         for kind, form in checks:
             G = groups.group_spec(kind, n)
-            psi = groups.invariant_state(form, n)
+            psi = invariant_state(form, n)
             for k in range(100):
                 U = groups.sample_haar(G, sample_stream(1000 + n, k))
                 moved = densesim.apply_two_copy(U, U, psi)

@@ -87,16 +87,26 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv,cost",
         [
-            # per sample (2n)^3 = 512 for the Haar QR, each of the 2 gates at depth 1, and each side's det
+            # per sample (2n)^3 = 512 for the Haar QR, each of the 2 gates at depth 1, and each side's det,
+            # plus the fixed cost of 2e4 of every sample
             (["discriminate", "--experiment", "depth", "--group", "matchgate", "--n", "4", "--samples", "1000000000"],
-             "2.56e+12"),
+             "2.26e+13"),
             # the QR, the default single gate, and each side's eigvalsh
-            (["discriminate", "--experiment", "gate-count", "--n", "4", "--samples", "1000000000"], "2.05e+12"),
+            (["discriminate", "--experiment", "gate-count", "--n", "4", "--samples", "1000000000"], "2.20e+13"),
             # refused before the C(24, 12)-vertex component search
-            (["discriminate", "--experiment", "gate-count", "--n", "12", "--samples", "1000000000"], "5.53e+13"),
+            (["discriminate", "--experiment", "gate-count", "--n", "12", "--samples", "1000000000"], "7.53e+13"),
             # d^3 for the draw, 2 d^3 for the conjugation and 3 d^4 for the Kronecker square and its sums
             (["moments", "--quantity", "weingarten-check", "--group", "orthogonal", "--n", "3",
-              "--samples", "1000000000"], "1.38e+13"),
+              "--samples", "1000000000"], "3.38e+13"),
+            # at n = 1 the fixed cost is nearly all of it
+            (["moments", "--quantity", "weingarten-check", "--group", "orthogonal", "--n", "1",
+              "--samples", "1000000000"], "2.01e+13"),
+            # the draw, the conjugation, the partial trace d^2 and the square of the 2 x 2 reduction
+            (["moments", "--quantity", "second-moment-trace", "--group", "orthogonal", "--n", "2",
+              "--samples", "100000000"], "2.02e+12"),
+            # per vertex of the 35-vertex component one trace of d, a Python call of twice the fixed cost
+            (["moments", "--quantity", "spread-uniformity", "--group", "orthogonal", "--n", "3",
+              "--samples", "1000000000"], "1.42e+15"),
         ],
     )
     def test_costly_rotation_and_twirl_runs_are_refused_before_sampling(self, capsys, argv, cost):
@@ -425,3 +435,12 @@ class TestModuleEntryPoint:
         assert proc.returncode == 0
         assert all(json.loads(line).get("manifest") is None for line in proc.stdout.splitlines())
         assert json.loads(proc.stderr.strip().splitlines()[-1])["manifest"] is True
+
+    def test_start_up_leaves_numpy_random_unloaded(self):
+        # importing numpy.random takes about 14 ms; rng builds its first generator on first use
+        proc = subprocess.run(
+            [sys.executable, "-c", "import sys, designgap.cli; print('numpy.random' in sys.modules)"],
+            capture_output=True, text=True,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.strip() == "False"

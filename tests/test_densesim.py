@@ -6,7 +6,13 @@ import pytest
 from designgap import densesim, pauli
 from designgap.errors import BudgetError, ValidationError
 
-from conftest import bell_projector_on_complement, embed_reference, kron_chain, povm_probability
+from conftest import (
+    bell_projector_on_complement,
+    embed_reference,
+    kron_chain,
+    pauli_coefficients,
+    povm_probability,
+)
 
 
 def random_state(rng, dim):
@@ -253,13 +259,13 @@ class TestComplementBellProjector:
 class TestPauliExpansion:
     def test_round_trip(self, rng):
         A = random_op(rng, 4)
-        coeffs = densesim.pauli_coefficients(A)
+        coeffs = pauli_coefficients(A)
         rebuilt = sum(c * pauli.to_dense(P) for P, c in coeffs.items())
         assert np.allclose(rebuilt, A)
 
     def test_parseval(self, rng):
         A = random_op(rng, 4)
-        coeffs = densesim.pauli_coefficients(A)
+        coeffs = pauli_coefficients(A)
         mass = sum(abs(c) ** 2 for c in coeffs.values())
         assert mass * 4 == pytest.approx(np.linalg.norm(A) ** 2)
 

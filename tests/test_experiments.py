@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    adjoint_majorana_matrix,
     bfs_reference,
     brickwork_rows_reference,
     gate_sequence_rotation_reference,
@@ -315,7 +316,7 @@ class TestRotationEvaluation:
         planes = [groups.bilinear_plane(g) for g in S]
         for i in range(3):
             U = experiments._gate_sequence_unitary(S, n, N, rng.sample_stream(5, i))
-            O, _ = groups.adjoint_majorana_matrix(U, n)
+            O, _ = adjoint_majorana_matrix(U, n)
             R = experiments._gate_sequence_rotation(planes, n, N, [rng.sample_stream(5, i)])[0]
             assert np.max(np.abs(R - O)) < 1e-12
 
@@ -393,8 +394,9 @@ class TestDenseMatchgateSide:
     def test_cost_budget_counts_lifts_per_draw(self, monkeypatch):
         # per sample, in 16 x 16 products: a dense matchgate draw multiplies
         # n(2n-1) = 28 lifts, the depth-1 shallow circuit 2 gates and 1 layer,
-        # and the two evolutions with the form unwound take 8
-        monkeypatch.setattr(moments, "FS_COST_CAP", 10 * (28 + 3 + 8) * 16**3)
+        # and the two evolutions with the form unwound take 8; and the fixed cost
+        fixed = moments.SAMPLE_FIXED_COST
+        monkeypatch.setattr(moments, "FS_COST_CAP", 10 * ((28 + 3 + 8) * 16**3 + fixed))
         chain = groups.parse_adjacency("chain", 4)
 
         def config(kind, samples):
@@ -408,7 +410,7 @@ class TestDenseMatchgateSide:
         # other kinds draw one d x d matrix, not 28 lifts: 11 (1 + 5 + 8) products fit
         experiments._depth_dense(config("orthogonal", 11), chain)
         # the gate count over a non-full set budgets its dense Haar side alone
-        monkeypatch.setattr(moments, "FS_COST_CAP", 10 * 28 * 16**3)
+        monkeypatch.setattr(moments, "FS_COST_CAP", 10 * (28 * 16**3 + fixed))
         standard = groups.matchgate_standard_set(4)
         experiments.run_gatecount_discrimination(experiments.gatecount_config(4, 10, 0, allowed=standard))
         with pytest.raises(BudgetError):
@@ -433,9 +435,10 @@ class TestDenseMatchgateSide:
         cfg = experiments.depth_config(kind, n, samples=7, seed=0, region=region, perturbation=V)
         adj = groups.parse_adjacency("chain", n)
         conjugate = kind == "mixed_unitary"
-        monkeypatch.setattr(moments, "FS_COST_CAP", 7 * products * 8**n)
+        cap = 7 * (products * 8**n + moments.SAMPLE_FIXED_COST)
+        monkeypatch.setattr(moments, "FS_COST_CAP", cap)
         experiments._depth_dense(cfg, adj, conjugate)
-        monkeypatch.setattr(moments, "FS_COST_CAP", 7 * products * 8**n - 1)
+        monkeypatch.setattr(moments, "FS_COST_CAP", cap - 1)
         with pytest.raises(BudgetError, match=f"dense brickwork experiment for {kind} n={n} with 7 samples"):
             experiments._depth_dense(cfg, adj, conjugate)
 
@@ -640,8 +643,9 @@ class TestStackedRotation:
     )
     def test_rotation_budget_is_exact_at_the_cap(self, monkeypatch, config, products):
         run = self.RUN["depth" if config.ensemble.kind == "brickwork" else "gate-count"]
-        monkeypatch.setattr(moments, "FS_COST_CAP", 7 * products * 8**3)
+        cap = 7 * (products * 8**3 + moments.SAMPLE_FIXED_COST)
+        monkeypatch.setattr(moments, "FS_COST_CAP", cap)
         run(config)
-        monkeypatch.setattr(moments, "FS_COST_CAP", 7 * products * 8**3 - 1)
+        monkeypatch.setattr(moments, "FS_COST_CAP", cap - 1)
         with pytest.raises(BudgetError, match="on Majorana rotations for n=4 with 7 samples"):
             run(config)

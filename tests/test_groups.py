@@ -9,13 +9,17 @@ from designgap import cgraph, densesim, groups, pauli, rng as dgrng
 from designgap.errors import BudgetError, InvariantError, ValidationError
 
 from conftest import (
+    adjoint_majorana_matrix,
     draw_factors_reference,
     enumerate_clifford_reference,
     gate_sequence_rotation_reference,
     haar_special_orthogonal_reference,
     haar_symplectic_mgs,
+    invariant_state,
     kron_chain,
     matchgate_form_2,
+    membership_failure,
+    pauli_coefficients,
     rotate_by_exponentials_reference,
     sample_shallow_reference,
     sample_shallow_rotation_reference,
@@ -101,7 +105,7 @@ class TestFormInvariance:
     def test_invariant_state_is_fixed_by_samples(self):
         for kind, n in [("matchgate", 2), ("matchgate", 3), ("orthogonal", 2), ("symplectic", 2)]:
             G = groups.group_spec(kind, n)
-            psi = groups.invariant_state(G.form, n)
+            psi = invariant_state(G.form, n)
             assert np.linalg.norm(psi) == pytest.approx(1.0)
             for i in range(5):
                 U = groups.sample_haar(G, stream(i))
@@ -232,7 +236,7 @@ class TestHaarSamplers:
     def test_matchgate_adjoint_action_is_special_orthogonal(self, n):
         for i in range(6):
             U = groups.haar_matchgate(n, stream(i))
-            O, resid = groups.adjoint_majorana_matrix(U, n)
+            O, resid = adjoint_majorana_matrix(U, n)
             assert resid < 1e-9
             assert np.max(np.abs(O.T @ O - np.eye(2 * n))) < 1e-9
             assert np.linalg.det(O) == pytest.approx(1.0)
@@ -244,7 +248,7 @@ class TestHaarSamplers:
         for i in range(4):
             R = groups.haar_special_orthogonal(2 * n, stream(i))
             U = groups.haar_matchgate(n, stream(i))
-            O, _ = groups.adjoint_majorana_matrix(U, n)
+            O, _ = adjoint_majorana_matrix(U, n)
             assert np.max(np.abs(O - R)) < 1e-9
 
     def test_matchgate_preserves_both_forms(self):
@@ -281,7 +285,7 @@ class TestHaarSamplers:
         X = pauli.to_dense(pauli.from_text("X"))
         for U in mats[:10]:
             image = U @ X @ U.conj().T
-            coeffs = densesim.pauli_coefficients(image)
+            coeffs = pauli_coefficients(image)
             mass = sorted(abs(c) for c in coeffs.values())
             assert mass[-1] == pytest.approx(1.0)
             assert mass[-2] == pytest.approx(0.0, abs=1e-12)
@@ -539,7 +543,7 @@ class TestMajoranaRotations:
             for g, word in enumerate(groups._LOCAL_MATCHGATE_GENS):
                 theta = 0.37 + 0.5 * g + 0.11 * i
                 U = _dense_exponential("I" * i + word + "I" * (n - i - 2), theta)
-                O, resid = groups.adjoint_majorana_matrix(U, n)
+                O, resid = adjoint_majorana_matrix(U, n)
                 assert resid < 1e-12
                 R = np.eye(2 * n)
                 R[2 * i:2 * i + 4, 2 * i:2 * i + 4] = groups.rotate_by_exponentials(planes, [[(g, theta)]], 4)[0]
@@ -549,7 +553,7 @@ class TestMajoranaRotations:
     def test_every_full_set_bilinear(self, n):
         for j, P in enumerate(groups.matchgate_full_set(n).generators):
             theta = 0.29 + 0.23 * j
-            O, _ = groups.adjoint_majorana_matrix(_dense_exponential(pauli.to_text(P), theta), n)
+            O, _ = adjoint_majorana_matrix(_dense_exponential(pauli.to_text(P), theta), n)
             R = groups.rotate_by_exponentials([groups.bilinear_plane(P)], [[(0, theta)]], 2 * n)[0]
             assert np.max(np.abs(R - O)) < 1e-12, pauli.to_text(P)
 
@@ -561,7 +565,7 @@ class TestMajoranaRotations:
         U = np.eye(1 << n, dtype=np.complex128)
         for g, theta in factors:
             U = U @ _dense_exponential(pauli.to_text(S[g]), theta)
-        O, _ = groups.adjoint_majorana_matrix(U, n)
+        O, _ = adjoint_majorana_matrix(U, n)
         assert np.max(np.abs(groups.rotate_by_exponentials(planes, [factors], 2 * n)[0] - O)) < 1e-12
 
     def test_non_bilinear_rejected(self):
@@ -573,10 +577,10 @@ class TestMajoranaRotations:
         G = groups.group_spec("matchgate", n)
         for i in range(3):
             U = groups.sample_shallow(G, 2, "chain", stream(i)).unitary
-            O, _ = groups.adjoint_majorana_matrix(U, n)
+            O, _ = adjoint_majorana_matrix(U, n)
             R = groups.sample_shallow_rotation(G, 2, "chain", stream(i))
             assert np.max(np.abs(R - O)) < 1e-12
-            O, _ = groups.adjoint_majorana_matrix(groups.sample_haar(G, stream(i)), n)
+            O, _ = adjoint_majorana_matrix(groups.sample_haar(G, stream(i)), n)
             assert np.max(np.abs(groups.sample_haar_rotation(G, stream(i)) - O)) < 1e-12
 
     def test_rotation_samplers_reject_other_inputs(self):
@@ -658,16 +662,16 @@ class TestMembership:
     def test_random_unitary_is_not_matchgate(self):
         G = groups.group_spec("matchgate", 3)
         U = groups.haar_unitary(8, stream(9))
-        assert groups.membership_failure(U, G, tol=1e-8) is not None
+        assert membership_failure(U, G, tol=1e-8) is not None
 
     def test_non_unitary_detected(self):
         G = groups.group_spec("unitary", 2)
-        assert "unitary" in groups.membership_failure(np.eye(4) * 2.0, G)
+        assert "unitary" in membership_failure(np.eye(4) * 2.0, G)
 
     def test_complex_matrix_is_not_orthogonal(self):
         G = groups.group_spec("orthogonal", 2)
         U = groups.haar_unitary(4, stream(1))
-        msg = groups.membership_failure(U, G, tol=1e-8)
+        msg = membership_failure(U, G, tol=1e-8)
         assert msg is not None
 
     def test_mixed_unitary_conjugate_pair_accepted(self):
@@ -680,10 +684,10 @@ class TestMembership:
         G = groups.group_spec("mixed_unitary", 2)
         U = groups.haar_unitary(4, stream(3))
         V = groups.haar_unitary(4, stream(4))
-        assert groups.membership_failure(np.kron(U, V.conj()), G, tol=1e-8) is not None
+        assert membership_failure(np.kron(U, V.conj()), G, tol=1e-8) is not None
 
     def test_form_violation_reported(self):
         G = groups.group_spec("symplectic", 2)
         U = groups.haar_orthogonal(4, stream(5))
-        msg = groups.membership_failure(U, G, tol=1e-8)
+        msg = membership_failure(U, G, tol=1e-8)
         assert msg is not None and "form" in msg

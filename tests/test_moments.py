@@ -97,9 +97,10 @@ class TestClosedFormTwirl:
         assert bool((dev <= np.maximum(5 * stderr, 1e-12)).all())
 
     def test_twirl_budget_is_exact_at_the_cap(self, monkeypatch):
-        # per sample at d = 4: the draw d^3, the conjugation 2 d^3, the Kronecker square and its sums 3 d^4
+        # per sample at d = 4: the draw d^3, the conjugation 2 d^3, the Kronecker square and its sums 3 d^4,
+        # and the fixed cost
         G, V = groups.group_spec("orthogonal", 2), pauli.PauliString(2, 0, 1)
-        monkeypatch.setattr(moments, "FS_COST_CAP", 5 * (64 + 128 + 768))
+        monkeypatch.setattr(moments, "FS_COST_CAP", 5 * (64 + 128 + 768 + moments.SAMPLE_FIXED_COST))
         moments.mc_second_moment_matrix(G, V, 5, 0)
         with pytest.raises(BudgetError, match=r"Kronecker squares and sums 4\.61e\+3"):
             moments.mc_second_moment_matrix(G, V, 6, 0)
@@ -236,15 +237,17 @@ class TestIndicators:
         assert abs(est.mean - want) <= 5 * max(est.stderr, 1e-12)
 
     def test_cost_budget_counts_lifts_per_draw(self, monkeypatch):
-        # a matchgate draw at n=3 multiplies n(2n-1) = 15 lifts of 8 x 8
+        # a matchgate draw at n=3 multiplies n(2n-1) = 15 lifts of 8 x 8; every sample adds the fixed cost
         G = groups.group_spec("matchgate", 3)
-        monkeypatch.setattr(moments, "FS_COST_CAP", 10 * 15 * 8**3)
+        fixed = moments.SAMPLE_FIXED_COST
+        monkeypatch.setattr(moments, "FS_COST_CAP", 10 * (15 * 8**3 + fixed))
         assert moments.frobenius_schur(G, None, 10, 0).samples == 10
         with pytest.raises(BudgetError):
             moments.frobenius_schur(G, None, 11, 0)
-        # other kinds cost d^3 per draw: 76800 / 16^3 = 18.75 draws at n=4
+        # other kinds cost d^3 per draw: 276800 / (16^3 + 20000) = 11.5 samples at n=4
+        assert moments.frobenius_schur(groups.group_spec("orthogonal", 4), None, 11, 0).samples == 11
         with pytest.raises(BudgetError):
-            moments.frobenius_schur(groups.group_spec("orthogonal", 4), None, 19, 0)
+            moments.frobenius_schur(groups.group_spec("orthogonal", 4), None, 12, 0)
 
     def test_matchgate_parity_sector(self):
         G2 = groups.group_spec("matchgate", 2)

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import accumulate_moments
+from conftest import accumulate_moments, fresh_stream
 from designgap import rng
 from designgap.errors import ValidationError
 
@@ -37,6 +37,112 @@ class TestSampleStream:
             rng.sample_stream(-1, 0)
         with pytest.raises(ValidationError):
             rng.sample_stream(2**63, 0)
+
+
+DRAWS = {
+    "integers-int32": lambda g: g.integers(0, 1000, size=5, dtype=np.int32),
+    "integers-int64": lambda g: g.integers(0, 10**12, size=5, dtype=np.int64),
+    "random": lambda g: g.random(5),
+    "normal": lambda g: g.normal(1.0, 2.0, size=5),
+    "standard_normal": lambda g: g.standard_normal(5),
+    "uniform": lambda g: g.uniform(-1.0, 1.0, size=5),
+}
+# earlier lives of a generator: an odd number of 32-bit draws leaves a
+# buffered 32-bit half behind, a normal draw a partly used buffer
+PRIOR_USE = {
+    "unused": lambda g: None,
+    "odd-int32": lambda g: g.integers(0, 7, size=3, dtype=np.int32),
+    "normal": lambda g: g.normal(size=3),
+}
+
+
+def plain_state(state):
+    """A bit-generator state with its arrays as lists, comparable with ==."""
+    if isinstance(state, dict):
+        return {k: plain_state(v) for k, v in state.items()}
+    return state.tolist() if isinstance(state, np.ndarray) else state
+
+
+def recycled(monkeypatch, prior, seed, index):
+    """rng.sample_stream(seed, index) once a 1-sample run, which used its
+    stream as ``prior`` says, has left that stream as the only spare."""
+    monkeypatch.setattr(rng, "_spare", [])
+    used = []
+
+    def fn_chunk(streams):
+        for s in streams:
+            PRIOR_USE[prior](s)
+            used.append(s)
+        return [0.0] * len(streams)
+
+    rng.sample_rows(fn_chunk, 1, 99)
+    stream = rng.sample_stream(seed, index)
+    assert stream is used[0] and rng._spare == []
+    return stream
+
+
+class TestRecycling:
+    @pytest.mark.parametrize("prior", sorted(PRIOR_USE))
+    @pytest.mark.parametrize("draw", sorted(DRAWS))
+    def test_recycled_stream_draws_like_a_fresh_one(self, monkeypatch, prior, draw):
+        def values(g):
+            draws = [DRAWS[draw](g), g.integers(0, 9, dtype=np.int32), DRAWS[draw](g), g.random()]
+            return [np.asarray(v).tobytes() for v in draws]
+
+        assert values(recycled(monkeypatch, prior, 7, 130)) == values(fresh_stream(7, 130))
+
+    @pytest.mark.parametrize("prior", sorted(PRIOR_USE))
+    def test_recycled_state_is_a_fresh_state(self, monkeypatch, prior):
+        # the whole state dict: a new field or a new layout in numpy fails here
+        got = recycled(monkeypatch, prior, 2**63 - 1, 2**64 - 1)
+        want = fresh_stream(2**63 - 1, 2**64 - 1)
+        assert plain_state(got.bit_generator.state) == plain_state(want.bit_generator.state)
+
+    def test_seed_is_checked_before_a_spare_is_taken(self, monkeypatch):
+        spare = rng.sample_stream(0, 0)
+        monkeypatch.setattr(rng, "_spare", [spare])
+        with pytest.raises(ValidationError):
+            rng.sample_stream(-1, 0)
+        assert rng._spare == [spare]
+
+    def test_back_to_back_runs_match_fresh_rows(self):
+        for seed in (3, 4):
+            got = rng.sample_rows(lambda streams: [s.normal() for s in streams], 130, seed)
+            assert got.tolist() == [fresh_stream(seed, i).normal() for i in range(130)]
+
+    def test_nested_run_takes_no_running_stream(self):
+        inner_runs = []
+
+        def inner(streams):
+            return [s.random() for s in streams]
+
+        def outer(streams):
+            first = [s.normal() for s in streams]
+            inner_runs.append(rng.sample_rows(inner, 70, 9).tolist())
+            return [[a, s.normal()] for a, s in zip(first, streams)]
+
+        got = rng.sample_rows(outer, 130, 1)
+        want = []
+        for i in range(130):
+            g = fresh_stream(1, i)
+            want.append([g.normal(), g.normal()])
+        assert got.tolist() == want
+        assert inner_runs == [[fresh_stream(9, i).random() for i in range(70)]] * 3
+
+    def test_a_run_builds_at_most_one_chunk_of_generators(self, monkeypatch):
+        monkeypatch.setattr(rng, "_spare", [])
+        built = []
+        philox = np.random.Philox
+
+        def counted(*args, **kwargs):
+            built.append(1)
+            return philox(*args, **kwargs)
+
+        monkeypatch.setattr(np.random, "Philox", counted)
+        got = rng.sample_rows(lambda streams: [s.normal() for s in streams], 130, 6)
+        monkeypatch.setattr(np.random, "Philox", philox)
+        assert len(built) <= rng.CHUNK_SIZE
+        assert got.tolist() == [fresh_stream(6, i).normal() for i in range(130)]
 
 
 class TestSampleArray:
