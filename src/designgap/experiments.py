@@ -532,36 +532,44 @@ def pauli_spread_mass(U: np.ndarray, P: pauli.PauliString, vertex_set) -> float:
     return total
 
 
-def _gate_sequence_unitary(S_words, n: int, N: int, stream) -> np.ndarray:
+def _gate_sequence_unitary(S_words, n: int, g, theta) -> np.ndarray:
+    """The dense unitary of one row of ``groups.draw_factors`` gates, each multiplied on the left."""
     d = 1 << n
     U = np.eye(d, dtype=np.complex128)
-    for g, theta in groups.draw_factors(len(S_words), N, stream):
-        P = pauli.to_dense(S_words[g])
-        U = (np.cos(theta) * np.eye(d) + 1j * np.sin(theta) * P) @ U
+    for k, t in zip(g.tolist(), theta.tolist()):
+        P = pauli.to_dense(S_words[k])
+        U = (np.cos(t) * np.eye(d) + 1j * np.sin(t) * P) @ U
     return U
 
 
 def _gate_sequence_rotation(planes, n: int, N: int, streams) -> np.ndarray:
     """The Majorana rotations of N-gate sequences, one per stream, stacked."""
+    g, theta = groups.draw_factors(len(planes), N, streams)
     # each drawn gate multiplies on the left, so the product runs in reverse draw order
-    factors = [groups.draw_factors(len(planes), N, stream)[::-1] for stream in streams]
-    return groups.rotate_by_exponentials(planes, factors, 2 * n)
+    return groups.rotate_by_exponentials(planes, g[:, ::-1], theta[:, ::-1], 2 * n)
 
 
 def _gatecount_dense(config: ExperimentConfig, S: cgraph.GeneratorSet, ball) -> Evaluators:
     """Chunk evaluators of the ball mass on dense unitaries, one stream at a time.
 
-    The matchgate Haar side, n(2n-1) lifts of d x d per draw, is budgeted
-    before the first draw.
+    Both sides are budgeted before the first draw, in d x d products per
+    sample: n(2n-1) lifts per matchgate Haar draw and N gate products per
+    shallow sequence.
     """
     G = config.group
-    moments.check_draw_cost(G, config.samples, "dense matchgate Haar side")
     n, N = config.n, config.ensemble.gates
+    d3 = G.dense_dimension**3
+    moments.check_cost(
+        f"dense gate-count experiment for {G.kind} n={n}",
+        config.samples,
+        {"Haar draws": moments.draw_products(G) * d3, "gate products": N * d3},
+    )
     P = pauli.hermitian_representative(config.perturbation)
     S_words = [pauli.hermitian_representative(g) for g in S.generators]
 
     def shallow_p(streams):
-        return [pauli_spread_mass(_gate_sequence_unitary(S_words, n, N, stream), P, ball) for stream in streams]
+        gens, thetas = groups.draw_factors(len(S_words), N, streams)
+        return [pauli_spread_mass(_gate_sequence_unitary(S_words, n, g, t), P, ball) for g, t in zip(gens, thetas)]
 
     def haar_p(streams):
         return [pauli_spread_mass(groups.sample_haar(G, stream), P, ball) for stream in streams]

@@ -47,17 +47,31 @@ that rotation directly for a stack of streams, at O(n^2) memory per sample
 instead of 2^n x 2^n, for Haar draws and for brickwork circuits on a chain
 (every edge (i, i+1), so each local gate acts on Majoranas 2i+1..2i+4).  The
 Haar stack is one stacked QR and one stacked det (``haar_special_orthogonal``
-on a list of streams); a brickwork stack draws each local gate's factors
-stream by stream, builds the 4 x 4 rotations with ``rotate_by_exponentials``
-one factor position at a time over the stack, and applies them as one
-batched (B, 4, 4) @ (B, 4, 2n) product; ``check_rotation`` runs once over the
-stack.  Each row is the single draw of its stream bit for bit, and
-``sample_haar_rotation`` and ``sample_shallow_rotation`` are the stacks of
-one.  They consume each stream exactly as the dense ``sample_haar`` and
-``sample_shallow`` do, through the shared ``haar_special_orthogonal`` draw and
-the shared ``draw_factors`` helper, so both pictures see the same group
-element for the same stream; the dense samplers stay as the reference the
-tests compare against.
+on a list of streams); a brickwork stack lists the gate sites of all its
+layers, draws each stream's factors for up to ``SHALLOW_GATES_PER_DRAW``
+gates in one ``draw_factors`` call, builds each gate's 4 x 4 rotations with
+``rotate_by_exponentials`` one factor position at a time over the stack, and
+applies them as one batched (B, 4, 4) @ (B, 4, 2n) product;
+``check_rotation`` runs once over the stack.  Each row is the single draw of
+its stream bit for bit, and ``sample_haar_rotation`` and
+``sample_shallow_rotation`` are the stacks of one.  They consume each stream
+exactly as the dense ``sample_haar`` and ``sample_shallow`` do, through the
+shared ``haar_special_orthogonal`` draw and the shared ``draw_factors``
+helper, so both pictures see the same group element for the same stream;
+the dense samplers stay as the reference the tests compare against.
+
+Every product of exponentials takes its factors from ``draw_factors(choices,
+count, streams)``: (B, count) arrays of indices and angles, row b bit for bit
+the per-factor loop ``rng.integers(choices)``, ``2 pi rng.random()`` on
+stream b.  They are decoded from one ``random_raw`` call per stream, three
+Philox words per pair of factors: Lemire's (u32 * k) >> 32 on the low and
+high 32-bit halves of the first word gives the two indices, as numpy's
+buffered 32-bit draws do, and (w >> 11) 2^-53 of the other two words the
+two angles.  A stream that enters holding a buffered half, a k outside
+[2, 2^32), or a half that Lemire's method might reject puts the stream back
+to its entry state and through the loop, and the last factor (odd count) or
+last two (even count) are always drawn by the loop, so every stream ends
+where the loop leaves it.
 """
 
 from __future__ import annotations
@@ -84,6 +98,9 @@ GROUP_KINDS = (
 SYMPLECTIC_FORM_QUBIT = 1  # for n >= 2; n = 1 uses qubit 0
 SAMPLER_SELF_CHECK_TOL = 1e-8
 MATCHGATE_LOCAL_FACTORS = 12
+# local gates whose factors the rotation sampler draws per call, which bounds
+# its per-stream arrays at any depth
+SHALLOW_GATES_PER_DRAW = 64
 
 
 def _read_only(M: np.ndarray) -> np.ndarray:
@@ -762,26 +779,63 @@ def _local_matchgate_dense() -> tuple[np.ndarray, ...]:
     return tuple(_read_only(pauli.to_dense(pauli.from_text(g))) for g in _LOCAL_MATCHGATE_GENS)
 
 
-def draw_factors(choices: int, count: int, rng: np.random.Generator) -> list[tuple[int, float]]:
-    """count draws of (generator index, angle) for products of exp(i theta P).
+def draw_factors(choices: int, count: int, streams) -> tuple[np.ndarray, np.ndarray]:
+    """count draws of (generator index, angle) per stream for products of
+    exp(i theta P), as (len(streams), count) int64 indices and float64 angles.
 
     Every product-of-exponentials sampler, dense or rotation, takes its
-    factors from here, so the two pictures consume a stream identically.  The
-    angle 2 pi u is ``rng.uniform(0, 2 pi)`` bit for bit (numpy draws it as
-    0 + 2 pi u from the same double u) at a third of the cost.
+    factors from here, so the two pictures consume a stream identically.
+    Row b is what the per-factor loop ``g = rng.integers(choices)``,
+    ``theta = 2 pi rng.random()`` would draw from ``streams[b]``, bit for bit,
+    and each stream is left where that loop leaves it; the angle is
+    ``rng.uniform(0, 2 pi)`` bit for bit (numpy draws it as 0 + 2 pi u from
+    the same double u).
+
+    The loop's draws are decoded from raw Philox words instead, one
+    ``random_raw`` call per stream.  ``integers(k)`` for 2 <= k < 2^32 takes
+    a 32-bit half of a word by Lemire's method, ``(u32 * k) >> 32``, the low
+    half first and the high half from the generator's ``has_uint32`` buffer
+    on the next call; ``random()`` takes a whole word w as (w >> 11) 2^-53.
+    So each pair of factors reads three words: the first word's two halves
+    give both indices and the other two words both angles.  A stream is
+    drawn by the loop instead when it enters with a buffered half, when k is
+    outside [2, 2^32), or when some (u32 * k) mod 2^32 < k, the only case in
+    which Lemire's method may reject a half and draw again; such a stream is
+    first put back to the state it entered with.  The last factor (odd
+    count) or the last two (even count) are always drawn by the loop, so the
+    buffered half ends where the loop leaves it.
     """
-    out = []
-    for _ in range(count):
-        g = int(rng.integers(choices))
-        out.append((g, 2.0 * math.pi * rng.random()))
-    return out
+    g = np.empty((len(streams), count), dtype=np.int64)
+    theta = np.empty((len(streams), count), dtype=np.float64)
+    head = count - (count % 2 or min(count, 2))
+    decoded = set()
+    if head and 2 <= choices < 1 << 32:
+        states = [rng.bit_generator.state for rng in streams]
+        fresh = np.array([b for b, state in enumerate(states) if not state["has_uint32"]], dtype=np.int64)
+        if fresh.size:
+            words = np.array([streams[b].bit_generator.random_raw(3 * head // 2) for b in fresh])
+            words = words.reshape(fresh.size, head // 2, 3)
+            halves = np.stack((words[:, :, 0] & 0xFFFFFFFF, words[:, :, 0] >> 32), axis=-1)
+            m = halves * np.uint64(choices)
+            exact = np.all((m & 0xFFFFFFFF) >= choices, axis=(1, 2))
+            g[fresh[exact], :head] = (m[exact] >> 32).reshape(-1, head)
+            theta[fresh[exact], :head] = 2.0 * math.pi * ((words[exact, :, 1:] >> 11) * 2.0**-53).reshape(-1, head)
+            for b in fresh[~exact].tolist():
+                streams[b].bit_generator.state = states[b]
+            decoded = set(fresh[exact].tolist())
+    for b, rng in enumerate(streams):
+        for j in range(head if b in decoded else 0, count):
+            g[b, j] = rng.integers(choices)
+            theta[b, j] = 2.0 * math.pi * rng.random()
+    return g, theta
 
 
-def _matchgate_local(rng: np.random.Generator) -> np.ndarray:
+def _matchgate_local(g, theta) -> np.ndarray:
+    """The 4 x 4 local matchgate of one row of ``draw_factors`` indices and angles."""
     U = np.eye(4, dtype=np.complex128)
     eye, gens = _identity(4, np.float64), _local_matchgate_dense()
-    for g, theta in draw_factors(len(gens), MATCHGATE_LOCAL_FACTORS, rng):
-        U = U @ (math.cos(theta) * eye + 1j * math.sin(theta) * gens[g])
+    for k, t in zip(g.tolist(), theta.tolist()):
+        U = U @ (math.cos(t) * eye + 1j * math.sin(t) * gens[k])
     return U
 
 
@@ -793,8 +847,10 @@ def _layer_gates(kind: str, cls, n: int, streams) -> np.ndarray:
     orthogonalize every gate of the stack with one stacked QR.  A symplectic
     gate on the form qubit reads its 16 normals as the two complex columns of
     a canonical draw, one Gram-Schmidt over the stack per such pair, and an
-    orthogonal gate reads them as a 4 x 4 matrix.  Matchgate and Clifford
-    gates are made one stream at a time.
+    orthogonal gate reads them as a 4 x 4 matrix.  A matchgate layer draws
+    each stream's factors for the layer in one ``draw_factors`` call and
+    multiplies each gate's exponentials one gate at a time; Clifford gates
+    are drawn one stream at a time.
     """
     g = len(cls)
     if g == 0:
@@ -814,7 +870,14 @@ def _layer_gates(kind: str, cls, n: int, streams) -> np.ndarray:
                 gates[:, i] = local if pair.index(fq) == 0 else _swap_qubits(local, 0, 1, 2)
         return gates
     if kind == "matchgate":
-        return np.array([[_matchgate_local(rng) for _ in cls] for rng in streams])
+        k = MATCHGATE_LOCAL_FACTORS
+        gens, thetas = draw_factors(len(_LOCAL_MATCHGATE_GENS), k * g, streams)
+        return np.array(
+            [
+                [_matchgate_local(gen[k * j : k * j + k], theta[k * j : k * j + k]) for j in range(g)]
+                for gen, theta in zip(gens, thetas)
+            ]
+        )
     if kind == "clifford":
         table = enumerate_clifford(2)
         return np.array([[table[int(rng.integers(len(table)))] for _ in cls] for rng in streams])
@@ -887,26 +950,27 @@ def bilinear_plane(P: pauli.PauliString) -> tuple[int, int, int]:
     return K[0] - 1, K[1] - 1, 1 if k == 3 else -1
 
 
-def rotate_by_exponentials(planes, factors, m: int) -> np.ndarray:
+def rotate_by_exponentials(planes, g: np.ndarray, theta: np.ndarray, m: int) -> np.ndarray:
     """The m x m Majorana rotations of exp(i t_1 P_{g_1}) exp(i t_2 P_{g_2}) ...,
-    one per list of factors, stacked to shape (len(factors), m, m).
+    one per row of g and theta, stacked to shape (len(g), m, m).
 
-    ``factors`` holds one list of (g, t) per rotation, in operator-product
-    order and all of one length, and ``planes[g]`` is ``bilinear_plane(P_g)``.
-    The product's rotation is G_1 G_2 ... G_k, so rows are updated from the
-    right end, one factor position at a time over the whole stack: rows a and
-    b of every matrix are gathered, rotated and put back.  cos and sin are
-    taken from ``math`` per factor, and every entry takes the products and
-    the sum of the one-matrix row update, so each matrix is the same bits
-    whatever the stack.
+    Row r of the (B, k) arrays g (generator indices) and theta (angles) holds
+    one product's factors in operator-product order, and ``planes[g]`` is
+    ``bilinear_plane(P_g)``.  The product's rotation is G_1 G_2 ... G_k, so
+    rows are updated from the right end, one factor position at a time over
+    the whole stack: rows a and b of every matrix are gathered, rotated and
+    put back.  cos and sin are taken from ``math`` per factor (numpy's
+    vector cos may differ from libm in the last bit), and every entry takes
+    the products and the sum of the one-matrix row update, so each matrix is
+    the same bits whatever the stack.
     """
-    R = np.tile(np.eye(m), (len(factors), 1, 1))
+    R = np.tile(np.eye(m), (len(g), 1, 1))
     table = np.array(planes, dtype=np.int64)
-    g = np.array([[g for g, _ in f] for f in factors], dtype=np.int64)
     a, b, sigma = table[g, 0], table[g, 1], table[g, 2]
-    cos = np.array([[math.cos(2.0 * t) for _, t in f] for f in factors], dtype=np.float64)
-    sin = sigma * np.array([[math.sin(2.0 * t) for _, t in f] for f in factors], dtype=np.float64)
-    rows = np.arange(len(factors))
+    angles = (2.0 * theta).ravel().tolist()
+    cos = np.array(list(map(math.cos, angles)), dtype=np.float64).reshape(g.shape)
+    sin = sigma * np.array(list(map(math.sin, angles)), dtype=np.float64).reshape(g.shape)
+    rows = np.arange(len(g))
     for j in reversed(range(g.shape[1])):
         c, s = cos[:, j, None], sin[:, j, None]
         ra, rb = R[rows, a[:, j]], R[rows, b[:, j]]
@@ -953,9 +1017,12 @@ def sample_shallow_rotation_stack(G: GroupSpec, L: int, adjacency, streams) -> n
     per stream, stacked.
 
     Needs the matchgate group and an adjacency whose edges are all (i, i+1).
-    Each local gate is drawn for every stream, in the per-stream order of
-    the dense sampler, and applied to rows 2i..2i+3 as one batched
-    (B, 4, 4) @ (B, 4, 2n) product; the check runs once over the stack.
+    The gate sites of all L layers are listed first; then each stream's
+    factors for up to ``SHALLOW_GATES_PER_DRAW`` consecutive gates are drawn
+    in one ``draw_factors`` call, in the per-stream order of the dense
+    sampler; gate j of the batch reads columns 12j..12j+11, and its 4 x 4
+    rotations are applied to rows 2i..2i+3 as one batched
+    (B, 4, 4) @ (B, 4, 2n) product.  The check runs once over the stack.
     """
     if G.kind != "matchgate":
         raise ValidationError(f"Majorana rotations need the matchgate group, got {G.kind!r}")
@@ -963,14 +1030,17 @@ def sample_shallow_rotation_stack(G: GroupSpec, L: int, adjacency, streams) -> n
         raise ValidationError(f"negative depth {L}")
     adj = parse_adjacency(adjacency, G.n)
     check_matchgate_edges(adj)
-    planes = _local_matchgate_planes()
+    planes, k = _local_matchgate_planes(), MATCHGATE_LOCAL_FACTORS
+    classes = adj.layer_classes
+    sites = [i for layer in range(L) if classes for i, _ in classes[layer % len(classes)]]
     R = np.tile(np.eye(2 * G.n), (len(streams), 1, 1))
-    for layer_index in range(L):
-        cls = adj.layer_classes[layer_index % len(adj.layer_classes)] if adj.layer_classes else ()
-        for i, _ in cls:
-            factors = [draw_factors(len(planes), MATCHGATE_LOCAL_FACTORS, rng) for rng in streams]
+    for lo in range(0, len(sites), SHALLOW_GATES_PER_DRAW):
+        batch = sites[lo : lo + SHALLOW_GATES_PER_DRAW]
+        g, theta = draw_factors(len(planes), k * len(batch), streams)
+        for j, i in enumerate(batch):
+            gate = rotate_by_exponentials(planes, g[:, k * j : k * j + k], theta[:, k * j : k * j + k], 4)
             block = slice(2 * i, 2 * i + 4)
-            R[:, block] = rotate_by_exponentials(planes, factors, 4) @ R[:, block]
+            R[:, block] = gate @ R[:, block]
     check_rotation(R, f"shallow {G.kind}")
     return R
 

@@ -104,9 +104,9 @@ class TestExitCodes:
             # the draw, the conjugation, the partial trace d^2 and the square of the 2 x 2 reduction
             (["moments", "--quantity", "second-moment-trace", "--group", "orthogonal", "--n", "2",
               "--samples", "100000000"], "2.02e+12"),
-            # per vertex of the 35-vertex component one trace of d, a Python call of twice the fixed cost
+            # per vertex of the 35-vertex component one trace of d, a Python call of two thirds of the fixed cost
             (["moments", "--quantity", "spread-uniformity", "--group", "orthogonal", "--n", "3",
-              "--samples", "1000000000"], "1.42e+15"),
+              "--samples", "1000000000"], "4.88e+14"),
         ],
     )
     def test_costly_rotation_and_twirl_runs_are_refused_before_sampling(self, capsys, argv, cost):

@@ -315,7 +315,8 @@ class TestRotationEvaluation:
         S = groups.matchgate_full_set(n).generators
         planes = [groups.bilinear_plane(g) for g in S]
         for i in range(3):
-            U = experiments._gate_sequence_unitary(S, n, N, rng.sample_stream(5, i))
+            g, theta = groups.draw_factors(len(S), N, [rng.sample_stream(5, i)])
+            U = experiments._gate_sequence_unitary(S, n, g[0], theta[0])
             O, _ = adjoint_majorana_matrix(U, n)
             R = experiments._gate_sequence_rotation(planes, n, N, [rng.sample_stream(5, i)])[0]
             assert np.max(np.abs(R - O)) < 1e-12
@@ -409,14 +410,25 @@ class TestDenseMatchgateSide:
             experiments._depth_dense(config("matchgate", 11), chain)
         # other kinds draw one d x d matrix, not 28 lifts: 11 (1 + 5 + 8) products fit
         experiments._depth_dense(config("orthogonal", 11), chain)
-        # the gate count over a non-full set budgets its dense Haar side alone
-        monkeypatch.setattr(moments, "FS_COST_CAP", 10 * (28 * 16**3 + fixed))
+        # the gate count over a non-full set budgets its dense Haar side and
+        # its shallow side's N = 1 gate product per sample
+        monkeypatch.setattr(moments, "FS_COST_CAP", 10 * ((28 + 1) * 16**3 + fixed))
         standard = groups.matchgate_standard_set(4)
         experiments.run_gatecount_discrimination(experiments.gatecount_config(4, 10, 0, allowed=standard))
-        with pytest.raises(BudgetError):
+        with pytest.raises(BudgetError, match=r"gate products 4\.51e\+4,"):
             experiments.run_gatecount_discrimination(
                 experiments.gatecount_config(4, 11, 0, allowed=standard)
             )
+
+    def test_dense_gate_count_shallow_side_is_budgeted_before_sampling(self):
+        # 10^9 gate products of 16 x 16 per sample: refused before the first draw
+        config = experiments.gatecount_config(
+            4, 20, 0, gates=10**9, allowed=groups.matchgate_standard_set(4)
+        )
+        start = time.perf_counter()
+        with pytest.raises(BudgetError, match=r"dense gate-count experiment for matchgate n=4 .* gate products 8\.19e\+13,"):
+            experiments.run_gatecount_discrimination(config)
+        assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize(
         "kind,n,products",
@@ -605,8 +617,8 @@ class TestStackedRotation:
     def test_one_drifting_sample_in_a_chunk_stops_the_run(self, monkeypatch, experiment):
         real = groups.rotate_by_exponentials
 
-        def drifting(planes, factors, m):
-            R = real(planes, factors, m)
+        def drifting(*args):
+            R = real(*args)
             if len(R) > 5:
                 R[5] *= 1.0 + 1e-6
             return R

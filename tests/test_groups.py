@@ -12,6 +12,7 @@ from conftest import (
     adjoint_majorana_matrix,
     draw_factors_reference,
     enumerate_clifford_reference,
+    fresh_stream,
     gate_sequence_rotation_reference,
     haar_special_orthogonal_reference,
     haar_symplectic_mgs,
@@ -546,7 +547,7 @@ class TestMajoranaRotations:
                 O, resid = adjoint_majorana_matrix(U, n)
                 assert resid < 1e-12
                 R = np.eye(2 * n)
-                R[2 * i:2 * i + 4, 2 * i:2 * i + 4] = groups.rotate_by_exponentials(planes, [[(g, theta)]], 4)[0]
+                R[2 * i:2 * i + 4, 2 * i:2 * i + 4] = groups.rotate_by_exponentials(planes, np.array([[g]]), np.array([[theta]]), 4)[0]
                 assert np.max(np.abs(R - O)) < 1e-12, (n, i, word)
 
     @pytest.mark.parametrize("n", [2, 3, 4])
@@ -554,7 +555,7 @@ class TestMajoranaRotations:
         for j, P in enumerate(groups.matchgate_full_set(n).generators):
             theta = 0.29 + 0.23 * j
             O, _ = adjoint_majorana_matrix(_dense_exponential(pauli.to_text(P), theta), n)
-            R = groups.rotate_by_exponentials([groups.bilinear_plane(P)], [[(0, theta)]], 2 * n)[0]
+            R = groups.rotate_by_exponentials([groups.bilinear_plane(P)], np.array([[0]]), np.array([[theta]]), 2 * n)[0]
             assert np.max(np.abs(R - O)) < 1e-12, pauli.to_text(P)
 
     def test_factors_compose_in_operator_order(self):
@@ -566,7 +567,9 @@ class TestMajoranaRotations:
         for g, theta in factors:
             U = U @ _dense_exponential(pauli.to_text(S[g]), theta)
         O, _ = adjoint_majorana_matrix(U, n)
-        assert np.max(np.abs(groups.rotate_by_exponentials(planes, [factors], 2 * n)[0] - O)) < 1e-12
+        g, theta = zip(*factors)
+        R = groups.rotate_by_exponentials(planes, np.array([g]), np.array([theta]), 2 * n)[0]
+        assert np.max(np.abs(R - O)) < 1e-12
 
     def test_non_bilinear_rejected(self):
         with pytest.raises(ValidationError):
@@ -610,7 +613,8 @@ class TestStackedRotationSamplers:
                 assert int(a.integers(6)) == int(b.integers(6))
                 assert 2.0 * math.pi * a.random() == float(b.uniform(0.0, 2.0 * math.pi))
             assert repr(a.bit_generator.state) == repr(b.bit_generator.state)
-        assert groups.draw_factors(120, 40, stream(3)) == draw_factors_reference(120, 40, stream(3))
+        g, theta = groups.draw_factors(120, 40, [stream(3)])
+        assert list(zip(g[0].tolist(), theta[0].tolist())) == draw_factors_reference(120, 40, stream(3))
 
     @pytest.mark.parametrize("count", [1, 63, 64, 65, 130])
     @pytest.mark.parametrize("n", range(2, 9))
@@ -636,6 +640,17 @@ class TestStackedRotationSamplers:
             assert repr(s.bit_generator.state) == repr(alone.bit_generator.state)
         assert groups.sample_shallow_rotation(G, depth, "chain", stream(0)).tobytes() == R[0].tobytes()
 
+    def test_deep_circuits_draw_their_gates_in_several_calls(self):
+        # 70 gates at n = 3 take two draws of at most SHALLOW_GATES_PER_DRAW gates
+        G = groups.group_spec("matchgate", 3)
+        assert groups.SHALLOW_GATES_PER_DRAW < 70
+        stacked = self._streams(5)
+        R = groups.sample_shallow_rotation_stack(G, 70, "chain", stacked)
+        for i, s in enumerate(stacked):
+            alone = stream(i)
+            assert R[i].tobytes() == sample_shallow_rotation_reference(G, 70, "chain", alone).tobytes()
+            assert repr(s.bit_generator.state) == repr(alone.bit_generator.state)
+
     @pytest.mark.parametrize("N", range(4))
     @pytest.mark.parametrize("n", [2, 5, 8])
     def test_gate_sequences_match_the_list_rotation(self, n, N):
@@ -646,7 +661,9 @@ class TestStackedRotationSamplers:
         for i in range(65):
             assert R[i].tobytes() == gate_sequence_rotation_reference(planes, n, N, stream(i)).tobytes()
         factors = [draw_factors_reference(len(planes), N, stream(i)) for i in range(3)]
-        stack = groups.rotate_by_exponentials(planes, factors, 2 * n)
+        g = np.array([[k for k, _ in f] for f in factors], dtype=np.int64).reshape(3, N)
+        theta = np.array([[t for _, t in f] for f in factors], dtype=np.float64).reshape(3, N)
+        stack = groups.rotate_by_exponentials(planes, g, theta, 2 * n)
         for i in range(3):
             assert stack[i].tobytes() == rotate_by_exponentials_reference(planes, factors[i], 2 * n).tobytes()
 
@@ -656,6 +673,53 @@ class TestStackedRotationSamplers:
         R[37] *= 1.0 + 1e-6
         with pytest.raises(InvariantError, match="test rotation is not orthogonal"):
             groups.check_rotation(R, "test")
+
+
+class TestFactorDraws:
+    """draw_factors decodes raw Philox words; each row must be the per-factor loop, bit for bit."""
+
+    def test_numpy_integers_take_32_bit_halves_and_random_takes_whole_words(self):
+        # the consumption model that draw_factors decodes: a numpy that changes it fails here
+        k = 6
+        for index in range(50):
+            w = fresh_stream(9, index).bit_generator.random_raw(4).tolist()
+            lo, hi = w[0] & 0xFFFFFFFF, w[0] >> 32
+            assert (lo * k) % 2**32 >= k and (hi * k) % 2**32 >= k  # Lemire takes the first half
+            rng = fresh_stream(9, index)
+            assert int(rng.integers(k)) == (lo * k) >> 32
+            state = rng.bit_generator.state
+            assert (state["has_uint32"], state["uinteger"]) == (1, hi)
+            assert rng.random() == (w[1] >> 11) * 2.0**-53
+            assert rng.bit_generator.state["has_uint32"] == 1  # random() leaves the buffered half
+            assert int(rng.integers(k)) == (hi * k) >> 32
+            assert rng.bit_generator.state["has_uint32"] == 0
+            assert rng.random() == (w[2] >> 11) * 2.0**-53
+            assert rng.random() == (w[3] >> 11) * 2.0**-53
+
+    @pytest.mark.parametrize("buffered_half", [False, True])
+    @pytest.mark.parametrize("count", [0, 1, 2, 3, 12, 13, 24, 25])
+    @pytest.mark.parametrize("choices", [1, 2, 6, 28, 120, 2**27, 3 * 2**30, 2**32 - 1, 2**32, 2**33])
+    def test_rows_and_states_match_the_per_factor_loop(self, choices, count, buffered_half):
+        # with buffered_half, every other stream enters holding a 32-bit half;
+        # at 2^27 some of the streams and at 3 * 2^30 all of them meet a half
+        # that Lemire's method might reject, and are rolled back
+        def streams():
+            out = [fresh_stream(31, i) for i in range(40)]
+            for rng in out[1::2] if buffered_half else ():
+                rng.integers(6)
+            return out
+
+        stacked, alone = streams(), streams()
+        g, theta = groups.draw_factors(choices, count, stacked)
+        assert g.shape == theta.shape == (40, count)
+        assert g.dtype == np.int64 and theta.dtype == np.float64
+        for i, rng in enumerate(alone):
+            assert list(zip(g[i].tolist(), theta[i].tolist())) == draw_factors_reference(choices, count, rng)
+            assert repr(stacked[i].bit_generator.state) == repr(rng.bit_generator.state)
+
+    def test_no_streams(self):
+        g, theta = groups.draw_factors(6, 24, [])
+        assert g.shape == theta.shape == (0, 24)
 
 
 class TestMembership:
