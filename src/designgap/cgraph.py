@@ -198,10 +198,8 @@ def component(P: pauli.PauliString, S: GeneratorSet, radius: int | None = None) 
     return Component(S.n, pauli.hermitian_representative(P), tuple(levels))
 
 
-def r_fraction(
-    P: pauli.PauliString, S: GeneratorSet, region: tuple[int, ...]
-) -> tuple[Fraction, float]:
-    """Fraction of P's component supported inside the region, exactly."""
+def region_keys(P: pauli.PauliString, S: GeneratorSet, region: tuple[int, ...]) -> tuple[np.ndarray, int]:
+    """The sorted keys of P's component supported inside the region, and the component's size."""
     reg = set(region)
     if not reg.issuperset(pauli.support(P)):
         raise ValidationError("perturbation support must lie inside the region")
@@ -213,7 +211,15 @@ def r_fraction(
     keys = component(P, S).keys
     mask = (1 << S.n) - 1
     outside = ((keys >> S.n) | (keys & mask)) & ~region_bits
-    frac = Fraction(int(np.count_nonzero(outside == 0)), keys.size)
+    return keys[outside == 0], keys.size
+
+
+def r_fraction(
+    P: pauli.PauliString, S: GeneratorSet, region: tuple[int, ...]
+) -> tuple[Fraction, float]:
+    """Fraction of P's component supported inside the region, exactly."""
+    inside, size = region_keys(P, S, region)
+    frac = Fraction(inside.size, size)
     return frac, float(frac)
 
 

@@ -12,18 +12,16 @@ must retain probability 1 exactly; the runners assert that per sample rather
 than on average, so a miscoded ensemble fails loudly instead of washing out.
 
 Matchgate samples are evaluated on their Majorana rotation R in SO(2n)
-(U c_a U^dag = sum_b R[b, a] c_b) whenever the input allows it: in the depth
-experiment when every adjacency edge is (i, i+1) and the region is a prefix
-0..m-1, which holds exactly the Majoranas 1..2m; in the gate-count
-experiment when the generator set is the full bilinear set.  With K the
-Majorana indices of the perturbation, the retained probability is then
-det(R[in, K]^T R[in, K]) (Cauchy-Binet over the k x k minors that conjugation
-produces), and the N-ball mass is the sum of the t^0..t^N coefficients of
-prod_i (lambda_i + t (1 - lambda_i)) over the eigenvalues lambda_i of
-R[K, K]^T R[K, K].  Each costs O(n^3) per sample with no 2^n factor.  Every
-other input runs the dense two-copy evaluation, which also stays as the
-reference that the tests compare the rotation evaluation against, sample by
-sample on the same streams.
+(U c_a U^dag = sum_b R[b, a] c_b), with no 2^n factor; the other kinds run
+the dense two-copy evaluation.  Conjugating c_K, K the Majorana indices of
+the perturbation, gives sum_S det(R[S, K]) c_S over |S| = k, so the
+retained probability is sum_{S in T} det(R[S, K])^2 over a fixed set T of
+weight-k monomials: those of the perturbation's component inside the
+region (depth; one component search also gives the analytic ratio), or
+its N-ball (gate count).  A block is one stacked det of its (B, |T|, k, k)
+minors.  Two inputs keep a closed form, chosen from the input alone: a
+prefix region 0..m-1, which holds exactly the Majoranas 1..2m, and a ball
+of ``bounds.johnson_ball_size(n, N, k)`` monomials, the whole Johnson ball.
 
 Every evaluation is a pair of chunk evaluators (``Evaluators``), each
 mapping a block of streams to their probabilities, and one runner draws the
@@ -33,22 +31,23 @@ unitary) evaluate a whole block at once: ``groups.sample_shallow_stack`` or
 ``groups.sample_haar_stack`` draws it, and the two-copy evolution and the
 complement-Bell overlap run on the stack.  The rotation evaluators do the
 same on Majorana rotations: ``groups.sample_shallow_rotation_stack``, the
-stacked N-gate sequences or ``groups.sample_haar_rotation_stack`` draw a
-block, and one stacked det (depth) or eigvalsh (gate count) evaluates it.
-The dense gate-count evaluators, for generator sets other than the full
-bilinear set, take their streams one at a time.  Each pair declares the
-bytes that one sample holds in stacked intermediates at once, so a block
-stays within ``rng.STACK_BYTES``.  Each sample is then finalized on its own,
-in the per-sample closures of the runner: the shallow-exactness check, the
-clamp to [0, 1] and, in shot mode, the shot drawn from the sample's own
-stream after p.  Each stacked row is the single-sample value bit for bit, so
-the output bytes are those of a one-sample-at-a-time loop.  Before its first
+stacked N-gate sequences (drawn and applied a window of factors at a time)
+or ``groups.sample_haar_rotation_stack`` draws a block, and one stacked
+evaluation takes it.  Each pair declares the bytes that one sample
+holds in stacked intermediates at once, so a block stays within
+``rng.STACK_BYTES``.  Each sample is then finalized on its own, in the
+per-sample closures of the runner: the shallow-exactness check, the clamp
+to [0, 1] and, in shot mode, the shot drawn from the sample's own stream
+after p.  Each stacked row is the single-sample value bit for bit, so the
+output bytes are those of a one-sample-at-a-time loop.  Before its first
 draw a dense brickwork run estimates its cost in d x d products, and a
-rotation run in 2n x 2n products, and exits 2 above ``moments.FS_COST_CAP``.
+rotation run in 2n x 2n products plus k^3 per minor, and exits 2 above
+``moments.FS_COST_CAP``.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -64,7 +63,8 @@ SHALLOW_FAILURE_TOL = 1e-6
 # evaluation, as tracemalloc measures it: up to 5.6 d x d complex matrices on
 # the dense brickwork path (running and layer products, embedded gate, matmul
 # result, two-copy state), up to 6.8 2n x 2n real matrices on the rotation
-# path (Ginibre draw, its QR, the complex and real Q, the rotation stack)
+# path (Ginibre draw, its QR, the complex and real Q, the rotation stack),
+# to which the general rotation evaluator adds its minors
 DENSE_LIVE_STACKS = 6
 ROTATION_LIVE_STACKS = 7
 
@@ -285,12 +285,6 @@ def _depth_analytic(config: ExperimentConfig, conjugate: bool = False):
         if not single_z:
             return None, None
         return float(bounds.mixed_unitary_bound(d, d_L)), "depth-bound/mixed-unitary"
-    if G.kind == "matchgate":
-        try:
-            r, _ = cgraph.r_fraction(V, groups.matchgate_full_set(n), config.region)
-        except (ValidationError, BudgetError):
-            return None, None
-        return float(bounds.pauli_compatible_bound(r)), "region-ratio-bound/matchgate"
     if not single_z:
         return None, None
     if G.kind == "orthogonal":
@@ -339,19 +333,23 @@ def _check_brickwork_cost(config: ExperimentConfig, adj: groups.Adjacency, conju
     )
 
 
-def _check_rotation_cost(config: ExperimentConfig, experiment: str, gates: int) -> None:
+def _check_rotation_cost(config: ExperimentConfig, experiment: str, gates: int, minors: int = 0) -> None:
     """Raise BudgetError when a rotation-path run costs more than moments.FS_COST_CAP.
 
     Each sample pays, in 2n x 2n products of (2n)^3 multiply-adds: the QR of
-    its Haar draw, one product per shallow gate, and the det or eigvalsh of
-    both sides.  Checked before the first draw, in exact integers.
+    its Haar draw, one product per shallow gate, and the evaluation of both
+    sides.  The general evaluator adds k^3 per k x k minor det on each side,
+    ``minors`` of them.  Checked before the first draw, in exact integers.
     """
     m3 = (2 * config.n) ** 3
     products = {"Haar draws": 1, "shallow circuits": gates, "evaluations": 2}
+    costs = {name: k * m3 for name, k in products.items()}
+    if minors:
+        costs["minor dets"] = 2 * minors * pauli.majorana_count(config.perturbation) ** 3
     moments.check_cost(
         f"matchgate {experiment} experiment on Majorana rotations for n={config.n}",
         config.samples,
-        {name: k * m3 for name, k in products.items()},
+        costs,
     )
 
 
@@ -363,6 +361,84 @@ def _dense_row_bytes(n: int) -> int:
 def _rotation_row_bytes(n: int) -> int:
     """Bytes per sample of the rotation-path stacks alive at once."""
     return ROTATION_LIVE_STACKS * np.dtype(np.float64).itemsize * (2 * n) ** 2
+
+
+# ---------------------------------------------------------------------------
+# Majorana-rotation evaluation: sum_{S in T} det(R[S, K])^2
+
+
+def _majorana_indices(P: pauli.PauliString) -> np.ndarray:
+    """The 0-based Majorana indices K of P's monomial."""
+    return np.array(pauli.majorana_decomposition(P), dtype=np.int64) - 1
+
+
+def _minor_mass(R: np.ndarray, T: np.ndarray, K: np.ndarray) -> np.ndarray:
+    """sum over the rows S of T of det(R[S, K])^2 per rotation of a block: one
+    stacked det of the (B, |T|, k, k) minors, squares added left to right."""
+    dets = np.linalg.det(R[:, T[:, :, None], K])
+    mass = np.zeros(len(R))
+    for d in dets.T:
+        mass = mass + d * d
+    return mass
+
+
+def _prefix_mass(R: np.ndarray, inside: int, K: np.ndarray) -> np.ndarray:
+    """The minor mass over every monomial of the first ``inside`` Majoranas:
+    det(R[in, K]^T R[in, K]) by Cauchy-Binet."""
+    B = R[:, :inside, K]
+    return np.linalg.det(np.swapaxes(B, -1, -2) @ B)
+
+
+def _johnson_ball_mass(R: np.ndarray, K: np.ndarray, N: int) -> np.ndarray:
+    """The minor mass over the Johnson N-ball of K: every S with |S \\ K| <= N.
+
+    By Cauchy-Binet sum_S det(R[S, K])^2 t^{|S \\ K|} is det(M + t (I - M))
+    with M = R[K, K]^T R[K, K], so the ball mass is the t^0..t^N part of
+    prod_i (lambda_i + t (1 - lambda_i)).  The eigenvalues come from one
+    stacked eigvalsh, and the product and the sum of its coefficients run
+    over the block in the one-sample order.
+    """
+    A = R[:, K[:, None], K]
+    lams = np.linalg.eigvalsh(np.swapaxes(A, -1, -2) @ A)
+    coeffs = np.zeros((len(R), N + 1))  # t^0..t^N of the running product
+    coeffs[:, 0] = 1.0
+    for lam in lams.T[:, :, None]:
+        lower = np.zeros_like(coeffs)
+        lower[:, 1:] = coeffs[:, :-1]
+        coeffs = lam * coeffs + (1.0 - lam) * lower
+    mass = np.zeros(len(R))
+    for c in coeffs.T:  # left to right, as the per-sample reference adds them
+        mass = mass + c
+    return mass
+
+
+def _rotation_evaluators(
+    config: ExperimentConfig, experiment: str, gates: int, draw_shallow, closed_form, keys: np.ndarray, K: np.ndarray
+) -> Evaluators:
+    """Chunk evaluators of the minor mass on the Majorana rotations of a block.
+
+    ``closed_form`` (rotations to masses) serves when given; otherwise the
+    mass is summed over the monomials of ``keys``, whose minors the budget
+    and the row bytes count.
+    """
+    row_bytes = _rotation_row_bytes(config.n)
+    if closed_form is not None:
+        _check_rotation_cost(config, experiment, gates)
+        mass = closed_form
+    else:
+        _check_rotation_cost(config, experiment, gates, keys.size)
+        monomials = [pauli.majorana_decomposition(pauli.from_key(key, config.n)) for key in keys.tolist()]
+        T = np.array(monomials, dtype=np.int64).reshape(keys.size, K.size) - 1
+        row_bytes += np.dtype(np.float64).itemsize * keys.size * (K.size**2 + 1)  # the minors and their dets
+        mass = functools.partial(_minor_mass, T=T, K=K)
+
+    def shallow_p(streams):
+        return mass(draw_shallow(streams))
+
+    def haar_p(streams):
+        return mass(groups.sample_haar_rotation_stack(config.group, streams))
+
+    return Evaluators(shallow_p, haar_p, row_bytes)
 
 
 def _depth_dense(config: ExperimentConfig, adj: groups.Adjacency, conjugate: bool = False):
@@ -408,38 +484,30 @@ def _depth_dense(config: ExperimentConfig, adj: groups.Adjacency, conjugate: boo
     return Evaluators(shallow_p, haar_p, _dense_row_bytes(n))
 
 
-def _depth_uses_rotations(config: ExperimentConfig, adj: groups.Adjacency) -> bool:
-    return (
-        config.group.kind == "matchgate"
-        and adj.joins_line_neighbors
-        and config.region == tuple(range(len(config.region)))
-    )
+def _depth_rotation(config: ExperimentConfig, adj: groups.Adjacency):
+    """Chunk evaluators of the retained probability on Majorana rotations,
+    the analytic bound and its reference.
 
-
-def _depth_rotation(config: ExperimentConfig, adj: groups.Adjacency) -> Evaluators:
-    """Chunk evaluators of the retained probability on the Majorana rotations of a block.
-
-    Conjugating c_K gives sum_S det(R[S, K]) c_S over |S| = k; the mass on
-    monomials inside the prefix region is det(R[in, K]^T R[in, K]), taken
-    as one stacked det over the block.
+    One component search of the perturbation under the full bilinear set
+    gives both the monomials inside the region and the region ratio; a
+    prefix region keeps det(R[in, K]^T R[in, K]).
     """
-    G = config.group
-    K = [a - 1 for a in pauli.majorana_decomposition(config.perturbation)]
-    inside = 2 * len(config.region)
+    groups.check_matchgate_edges(adj)
+    K = _majorana_indices(config.perturbation)
+    inside, size = cgraph.region_keys(config.perturbation, groups.matchgate_full_set(config.n), config.region)
+    prefix = config.region == tuple(range(len(config.region)))
     depth = config.ensemble.depth
-    _check_rotation_cost(config, "depth", _brickwork_gates(adj, depth))
-
-    def retained(R):
-        B = R[:, :inside, K]
-        return np.linalg.det(np.swapaxes(B, -1, -2) @ B)
-
-    def shallow_p(streams):
-        return retained(groups.sample_shallow_rotation_stack(G, depth, adj, streams))
-
-    def haar_p(streams):
-        return retained(groups.sample_haar_rotation_stack(G, streams))
-
-    return Evaluators(shallow_p, haar_p, _rotation_row_bytes(config.n))
+    evaluators = _rotation_evaluators(
+        config,
+        "depth",
+        _brickwork_gates(adj, depth),
+        functools.partial(groups.sample_shallow_rotation_stack, config.group, depth, adj),
+        functools.partial(_prefix_mass, inside=2 * len(config.region), K=K) if prefix else None,
+        inside,
+        K,
+    )
+    analytic = float(bounds.pauli_compatible_bound(Fraction(inside.size, size)))
+    return evaluators, analytic, "region-ratio-bound/matchgate"
 
 
 def _brickwork(config: ExperimentConfig, conjugate: bool):
@@ -456,11 +524,11 @@ def _brickwork(config: ExperimentConfig, conjugate: bool):
     adj = groups.parse_adjacency(config.ensemble.adjacency, n)
     cone = groups.lightcone(pauli.support(config.perturbation), config.ensemble.depth, adj)
     confined = set(cone) <= set(config.region)
-    if not conjugate and _depth_uses_rotations(config, adj):
-        evaluators = _depth_rotation(config, adj)
+    if config.group.kind == "matchgate":
+        evaluators, analytic, ref = _depth_rotation(config, adj)
     else:
         evaluators = _depth_dense(config, adj, conjugate)
-    analytic, ref = _depth_analytic(config, conjugate)
+        analytic, ref = _depth_analytic(config, conjugate)
     return evaluators, confined, analytic, ref
 
 
@@ -471,8 +539,8 @@ def run_depth_discrimination(config: ExperimentConfig) -> ExperimentResult:
     unwound on the second copy, and the POVM keeps the Bell projector on the
     region complement.  For group members this equals
     Tr[M^dag M]/(d d_C) with M the complement-traced UVU^dag, which is the
-    cross-check route used by the tests.  Matchgate chains with a prefix
-    region evaluate the same probability on the Majorana rotation.
+    cross-check route used by the tests.  Matchgate runs evaluate the same
+    probability on the Majorana rotation.
     """
     if config.group.form is None:
         raise ValidationError(
@@ -514,121 +582,48 @@ def run_mixed_unitary_discrimination(config: ExperimentConfig) -> ExperimentResu
 # gate-count experiment
 
 
-def pauli_spread_mass(U: np.ndarray, P: pauli.PauliString, vertex_set) -> float:
-    """Squared coefficient mass of U P U^dag on the given canonical vertices.
-
-    Equals the Born probability of the projector onto span{(T x 1)|Phi>} for
-    T in the set, since those states are orthonormal for distinct Paulis.
-    """
-    n = P.n
-    if n > pauli.DENSE_QUBIT_CAP:
-        raise BudgetError(f"spread mass needs n <= {pauli.DENSE_QUBIT_CAP}")
-    d = 1 << n
-    A = U @ pauli.to_dense(pauli.hermitian_representative(P)) @ U.conj().T
-    total = 0.0
-    for v in vertex_set:
-        T = pauli.from_key(v, n) if isinstance(v, int) else pauli.hermitian_representative(v)
-        total += abs(pauli.trace_with(T, A) / d) ** 2
-    return total
-
-
-def _gate_sequence_unitary(S_words, n: int, g, theta) -> np.ndarray:
-    """The dense unitary of one row of ``groups.draw_factors`` gates, each multiplied on the left."""
-    d = 1 << n
-    U = np.eye(d, dtype=np.complex128)
-    for k, t in zip(g.tolist(), theta.tolist()):
-        P = pauli.to_dense(S_words[k])
-        U = (np.cos(t) * np.eye(d) + 1j * np.sin(t) * P) @ U
-    return U
-
-
 def _gate_sequence_rotation(planes, n: int, N: int, streams) -> np.ndarray:
-    """The Majorana rotations of N-gate sequences, one per stream, stacked."""
-    g, theta = groups.draw_factors(len(planes), N, streams)
-    # each drawn gate multiplies on the left, so the product runs in reverse draw order
-    return groups.rotate_by_exponentials(planes, g[:, ::-1], theta[:, ::-1], 2 * n)
+    """The checked Majorana rotations of N-gate sequences, one per stream, stacked.
 
-
-def _gatecount_dense(config: ExperimentConfig, S: cgraph.GeneratorSet, ball) -> Evaluators:
-    """Chunk evaluators of the ball mass on dense unitaries, one stream at a time.
-
-    Both sides are budgeted before the first draw, in d x d products per
-    sample: n(2n-1) lifts per matchgate Haar draw and N gate products per
-    shallow sequence.
+    The factors are drawn and applied a window of at most
+    ``SHALLOW_GATES_PER_DRAW * MATCHGATE_LOCAL_FACTORS`` at a time, so the
+    per-stream arrays stay bounded at any N; the rows are updated in the
+    order of one call over all N factors.
     """
-    G = config.group
-    n, N = config.n, config.ensemble.gates
-    d3 = G.dense_dimension**3
-    moments.check_cost(
-        f"dense gate-count experiment for {G.kind} n={n}",
-        config.samples,
-        {"Haar draws": moments.draw_products(G) * d3, "gate products": N * d3},
-    )
-    P = pauli.hermitian_representative(config.perturbation)
-    S_words = [pauli.hermitian_representative(g) for g in S.generators]
-
-    def shallow_p(streams):
-        gens, thetas = groups.draw_factors(len(S_words), N, streams)
-        return [pauli_spread_mass(_gate_sequence_unitary(S_words, n, g, t), P, ball) for g, t in zip(gens, thetas)]
-
-    def haar_p(streams):
-        return [pauli_spread_mass(groups.sample_haar(G, stream), P, ball) for stream in streams]
-
-    return Evaluators(shallow_p, haar_p, 0)
+    R = np.tile(np.eye(2 * n), (len(streams), 1, 1))
+    window = groups.SHALLOW_GATES_PER_DRAW * groups.MATCHGATE_LOCAL_FACTORS
+    for lo in range(0, N, window):
+        g, theta = groups.draw_factors(len(planes), min(window, N - lo), streams)
+        # each drawn gate multiplies on the left, so the product runs in reverse draw order
+        groups.rotate_by_exponentials(planes, g[:, ::-1], theta[:, ::-1], 2 * n, R)
+    groups.check_rotation(R, f"{N}-gate sequence")
+    return R
 
 
-def _gatecount_uses_rotations(config: ExperimentConfig, S: cgraph.GeneratorSet) -> bool:
-    if config.group.kind != "matchgate":
-        return False
-    full = groups.matchgate_full_set(config.n).generators
-    return {pauli.to_key(g) for g in S.generators} == {pauli.to_key(g) for g in full}
+def _gatecount_rotation(config: ExperimentConfig, S: cgraph.GeneratorSet, ball: np.ndarray) -> Evaluators:
+    """Chunk evaluators of the mass retained inside the N-ball, on Majorana rotations.
 
-
-def _gatecount_rotation(config: ExperimentConfig, S: cgraph.GeneratorSet, ball) -> Evaluators:
-    """Chunk evaluators of the ball mass on the Majorana rotations of a block.
-
-    Under the full bilinear set the N-ball of c_K is every c_S with |S| = k
-    and |S \\ K| <= N.  By Cauchy-Binet the mass sum_S det(R[S, K])^2
-    t^{|S \\ K|} is det(M + t (I - M)) with M = R[K, K]^T R[K, K], so the ball
-    mass is the t^0..t^N part of prod_i (lambda_i + t (1 - lambda_i)).  The
-    eigenvalues come from one stacked eigvalsh, and the product and the sum
-    of its coefficients run over the block in the one-sample order.
+    A bilinear step changes one Majorana index, so the N-ball of c_K lies
+    inside its Johnson N-ball: a ball of the Johnson size is all of it and
+    keeps the eigvalsh closed form, and a larger one is a broken invariant.
     """
-    G = config.group
     n, N = config.n, config.ensemble.gates
-    K = [a - 1 for a in pauli.majorana_decomposition(config.perturbation)]
-    k = len(K)
-    expected = bounds.johnson_ball_size(n, N, k)
-    if len(ball) != expected:
-        raise InvariantError(
-            f"the {N}-ball of a weight-{k} monomial has {len(ball)} vertices, not {expected}"
-        )
     planes = [groups.bilinear_plane(g) for g in S.generators]
-    rows, cols = np.ix_(K, K)
-
-    def ball_mass(R):
-        A = R[:, rows, cols]
-        lams = np.linalg.eigvalsh(np.swapaxes(A, -1, -2) @ A)
-        coeffs = np.zeros((len(R), N + 1))  # t^0..t^N of the running product
-        coeffs[:, 0] = 1.0
-        for lam in lams.T[:, :, None]:
-            lower = np.zeros_like(coeffs)
-            lower[:, 1:] = coeffs[:, :-1]
-            coeffs = lam * coeffs + (1.0 - lam) * lower
-        mass = np.zeros(len(R))
-        for c in coeffs.T:  # left to right, as sum() adds a list
-            mass = mass + c
-        return mass
-
-    def shallow_p(streams):
-        R = _gate_sequence_rotation(planes, n, N, streams)
-        groups.check_rotation(R, f"{N}-gate sequence")
-        return ball_mass(R)
-
-    def haar_p(streams):
-        return ball_mass(groups.sample_haar_rotation_stack(G, streams))
-
-    return Evaluators(shallow_p, haar_p, _rotation_row_bytes(n))
+    K = _majorana_indices(config.perturbation)
+    expected = bounds.johnson_ball_size(n, N, K.size)
+    if len(ball) > expected:
+        raise InvariantError(
+            f"the {N}-ball of a weight-{K.size} monomial has {len(ball)} vertices, more than {expected}"
+        )
+    return _rotation_evaluators(
+        config,
+        "gate-count",
+        N,
+        functools.partial(_gate_sequence_rotation, planes, n, N),
+        functools.partial(_johnson_ball_mass, K=K, N=N) if len(ball) == expected else None,
+        ball,
+        K,
+    )
 
 
 def run_gatecount_discrimination(config: ExperimentConfig) -> ExperimentResult:
@@ -636,25 +631,28 @@ def run_gatecount_discrimination(config: ExperimentConfig) -> ExperimentResult:
 
     Shallow circuits are random products of N generator exponentials, whose
     conjugation provably cannot leave the ball; Haar group elements spread the
-    Pauli uniformly over its whole component.  Matchgate runs over the full
-    bilinear set evaluate the mass on the Majorana rotation.
+    Pauli uniformly over its whole component.  The mass is evaluated on the
+    Majorana rotation, so the generators must be Majorana bilinears.
     """
     if config.ensemble.kind != "gate_count":
         raise ValidationError("gate-count experiment takes a gate_count ensemble")
     G = config.group
+    if G.kind != "matchgate":
+        raise ValidationError(f"the gate-count experiment runs on the matchgate group, got {G.kind!r}")
     S = config.ensemble.allowed or G.generator_set
     if S is None:
         raise ValidationError("gate-count experiment needs a generator set")
     if config.n > pauli.DENSE_QUBIT_CAP:
-        raise BudgetError(f"spread mass needs n <= {pauli.DENSE_QUBIT_CAP}")
-    rotations = _gatecount_uses_rotations(config, S)
-    if rotations:  # before the component search, whose C(2n, n) vertices dominate at large n
-        _check_rotation_cost(config, "gate-count", config.ensemble.gates)
-    P = pauli.hermitian_representative(config.perturbation)
-    comp = cgraph.component(P, S)
-    # the N-ball is the first N + 1 levels; ascending Python-int keys, as the dense mass sums them
-    ball = np.sort(np.concatenate(comp.levels[: config.ensemble.gates + 1])).tolist()
-    evaluators = (_gatecount_rotation if rotations else _gatecount_dense)(config, S, ball)
+        raise BudgetError(
+            f"the gate-count experiment searches the C(2n, k)-vertex component of its perturbation, "
+            f"so n <= {pauli.DENSE_QUBIT_CAP}; got n={config.n}"
+        )
+    N = config.ensemble.gates
+    # refused before the component search, whose C(2n, k) vertices dominate at large n
+    _check_rotation_cost(config, "gate-count", N)
+    comp = cgraph.component(pauli.hermitian_representative(config.perturbation), S)
+    ball = np.sort(np.concatenate(comp.levels[: N + 1]))  # the N-ball: the first N + 1 levels
+    evaluators = _gatecount_rotation(config, S, ball)
 
     def shallow_one(p, stream):
         return _shallow_row(p, stream, True, config.shot_mode)

@@ -23,42 +23,44 @@ n(2n-1)-element ``matchgate_full_set`` build groups only up to
 
 Shallow ensembles are brickwork circuits of 2-local group gates over a
 declared adjacency; the conjugation lightcone is computed conservatively as
-one adjacency expansion per layer.  Like the Haar samplers, the brickwork
-sampler has one body that takes a stack of streams: ``sample_shallow_stack``
-draws each stream's Gaussians for a layer in one call, in the order per-gate
-draws would take them, orthogonalizes every gate of the stack in one stacked
-QR (one Gram-Schmidt per symplectic form-qubit pair), places the gates with
-one stacked ``densesim.embed`` per pair and multiplies the layer products as
-batched matmuls in the per-sample operand order.  A stacked QR and a batched
-matmul are the per-matrix ones, so each row is the per-gate circuit bit for
-bit, and ``sample_shallow`` is the stack of one.  The
-constant matrices of the dense path (forms, the canonical J, qubit-swap
-indices, local matchgate generators, small Majorana bilinears) are cached
-read-only.  The finite Clifford group is enumerated by a breadth-first
-closure that multiplies a whole level by every generator in one stacked
-matmul and keys the products in one pass, in the order a one-at-a-time FIFO
-closure would find them.  Matchgates are 2-local only on Jordan-Wigner
-neighbors (i, i+1); brickwork on any other edge is rejected.
+one adjacency expansion per layer.  Like the Haar samplers, the dense
+brickwork sampler has one body that takes a stack of streams:
+``sample_shallow_stack`` draws each stream's Gaussians for a layer in one
+call, in the order per-gate draws would take them, orthogonalizes every gate
+of the stack in one stacked QR (one Gram-Schmidt per symplectic form-qubit
+pair), places the gates with one stacked ``densesim.embed`` per pair and
+multiplies the layer products as batched matmuls in the per-sample operand
+order.  A stacked QR and a batched matmul are the per-matrix ones, so each
+row is the per-gate circuit bit for bit, and ``sample_shallow`` is the stack
+of one.  It serves every kind but matchgate, whose brickwork circuits are
+sampled only as Majorana rotations (below).  The constant matrices of the
+dense path (forms, the canonical J, qubit-swap indices, small Majorana
+bilinears) are cached read-only.  The finite Clifford group is enumerated
+by a breadth-first closure that multiplies a whole level by every generator
+in one stacked matmul and keys the products in one pass, in the order a
+one-at-a-time FIFO closure would find them.  Matchgates are 2-local only on
+Jordan-Wigner neighbors (i, i+1); brickwork on any other edge is rejected.
 
 Matchgates also have a free-fermion picture: a matchgate U acts on the
 Majorana operators by a rotation R in SO(2n), U c_a U^dag = sum_b R[b, a] c_b.
 ``sample_haar_rotation_stack`` and ``sample_shallow_rotation_stack`` return
 that rotation directly for a stack of streams, at O(n^2) memory per sample
-instead of 2^n x 2^n, for Haar draws and for brickwork circuits on a chain
-(every edge (i, i+1), so each local gate acts on Majoranas 2i+1..2i+4).  The
-Haar stack is one stacked QR and one stacked det (``haar_special_orthogonal``
-on a list of streams); a brickwork stack lists the gate sites of all its
-layers, draws each stream's factors for up to ``SHALLOW_GATES_PER_DRAW``
-gates in one ``draw_factors`` call, builds each gate's 4 x 4 rotations with
-``rotate_by_exponentials`` one factor position at a time over the stack, and
-applies them as one batched (B, 4, 4) @ (B, 4, 2n) product;
-``check_rotation`` runs once over the stack.  Each row is the single draw of
-its stream bit for bit, and ``sample_haar_rotation`` and
-``sample_shallow_rotation`` are the stacks of one.  They consume each stream
-exactly as the dense ``sample_haar`` and ``sample_shallow`` do, through the
-shared ``haar_special_orthogonal`` draw and the shared ``draw_factors``
-helper, so both pictures see the same group element for the same stream;
-the dense samplers stay as the reference the tests compare against.
+instead of 2^n x 2^n, for Haar draws and for brickwork circuits on
+Jordan-Wigner edges (each local gate on (i, i+1) acts on Majoranas
+2i+1..2i+4).  The Haar stack is one stacked QR and one stacked det
+(``haar_special_orthogonal`` on a list of streams); a brickwork stack lists
+the gate sites of all its layers, draws each stream's factors for up to
+``SHALLOW_GATES_PER_DRAW`` gates in one ``draw_factors`` call, builds each
+gate's 4 x 4 rotations with ``rotate_by_exponentials`` one factor position
+at a time over the stack, and applies them as one batched
+(B, 4, 4) @ (B, 4, 2n) product; ``check_rotation`` runs once over the stack.
+Each row is the single draw of its stream bit for bit, and
+``sample_haar_rotation`` and ``sample_shallow_rotation`` are the stacks of
+one.  The Haar rotation is the SO(2n) draw that the dense ``sample_haar``
+lifts, through the shared ``haar_special_orthogonal``, so both pictures see
+the same group element for the same stream; the dense matchgate draw stays
+for the moment estimators, and the tests keep a dense per-gate brickwork
+reference that reads its factors as ``draw_factors`` does.
 
 Every product of exponentials takes its factors from ``draw_factors(choices,
 count, streams)``: (B, count) arrays of indices and angles, row b bit for bit
@@ -110,8 +112,8 @@ def _read_only(M: np.ndarray) -> np.ndarray:
 
 
 @functools.lru_cache(maxsize=None)
-def _identity(d: int, dtype=np.complex128) -> np.ndarray:
-    return _read_only(np.eye(d, dtype=dtype))
+def _identity(d: int) -> np.ndarray:
+    return _read_only(np.eye(d, dtype=np.complex128))
 
 
 # ---------------------------------------------------------------------------
@@ -279,11 +281,6 @@ class Adjacency:
     edges: tuple[tuple[int, int], ...]
     layer_classes: tuple[tuple[tuple[int, int], ...], ...]
     name: str = "custom"
-
-    @property
-    def joins_line_neighbors(self) -> bool:
-        """True when every edge is (i, i+1): a chain or a part of one."""
-        return all(b == a + 1 for a, b in self.edges)
 
     def neighbor_map(self) -> dict[int, tuple[int, ...]]:
         nbrs: dict[int, set[int]] = {q: set() for q in range(self.n)}
@@ -774,17 +771,11 @@ class ShallowCircuit:
 _LOCAL_MATCHGATE_GENS = ("ZI", "IZ", "XX", "XY", "YX", "YY")
 
 
-@functools.lru_cache(maxsize=None)
-def _local_matchgate_dense() -> tuple[np.ndarray, ...]:
-    return tuple(_read_only(pauli.to_dense(pauli.from_text(g))) for g in _LOCAL_MATCHGATE_GENS)
-
-
 def draw_factors(choices: int, count: int, streams) -> tuple[np.ndarray, np.ndarray]:
     """count draws of (generator index, angle) per stream for products of
     exp(i theta P), as (len(streams), count) int64 indices and float64 angles.
 
-    Every product-of-exponentials sampler, dense or rotation, takes its
-    factors from here, so the two pictures consume a stream identically.
+    Every product-of-exponentials sampler takes its factors from here.
     Row b is what the per-factor loop ``g = rng.integers(choices)``,
     ``theta = 2 pi rng.random()`` would draw from ``streams[b]``, bit for bit,
     and each stream is left where that loop leaves it; the angle is
@@ -830,15 +821,6 @@ def draw_factors(choices: int, count: int, streams) -> tuple[np.ndarray, np.ndar
     return g, theta
 
 
-def _matchgate_local(g, theta) -> np.ndarray:
-    """The 4 x 4 local matchgate of one row of ``draw_factors`` indices and angles."""
-    U = np.eye(4, dtype=np.complex128)
-    eye, gens = _identity(4, np.float64), _local_matchgate_dense()
-    for k, t in zip(g.tolist(), theta.tolist()):
-        U = U @ (math.cos(t) * eye + 1j * math.sin(t) * gens[k])
-    return U
-
-
 def _layer_gates(kind: str, cls, n: int, streams) -> np.ndarray:
     """The 2-local gates of one brickwork layer per stream, shape (len(streams), len(cls), 4, 4).
 
@@ -847,10 +829,8 @@ def _layer_gates(kind: str, cls, n: int, streams) -> np.ndarray:
     orthogonalize every gate of the stack with one stacked QR.  A symplectic
     gate on the form qubit reads its 16 normals as the two complex columns of
     a canonical draw, one Gram-Schmidt over the stack per such pair, and an
-    orthogonal gate reads them as a 4 x 4 matrix.  A matchgate layer draws
-    each stream's factors for the layer in one ``draw_factors`` call and
-    multiplies each gate's exponentials one gate at a time; Clifford gates
-    are drawn one stream at a time.
+    orthogonal gate reads them as a 4 x 4 matrix.  Clifford gates are drawn
+    one stream at a time.
     """
     g = len(cls)
     if g == 0:
@@ -869,15 +849,6 @@ def _layer_gates(kind: str, cls, n: int, streams) -> np.ndarray:
                 local = _symplectic_columns(Z[:, i].reshape(-1, 2, 2, 4))
                 gates[:, i] = local if pair.index(fq) == 0 else _swap_qubits(local, 0, 1, 2)
         return gates
-    if kind == "matchgate":
-        k = MATCHGATE_LOCAL_FACTORS
-        gens, thetas = draw_factors(len(_LOCAL_MATCHGATE_GENS), k * g, streams)
-        return np.array(
-            [
-                [_matchgate_local(gen[k * j : k * j + k], theta[k * j : k * j + k]) for j in range(g)]
-                for gen, theta in zip(gens, thetas)
-            ]
-        )
     if kind == "clifford":
         table = enumerate_clifford(2)
         return np.array([[table[int(rng.integers(len(table)))] for _ in cls] for rng in streams])
@@ -891,11 +862,13 @@ def _brickwork_stack(G: GroupSpec, L: int, adjacency, streams):
     then the layer onto the running product, as one batched matmul per step
     over the stack; the form self-check runs once over the stack.
     """
+    if G.kind == "matchgate":
+        raise ValidationError(
+            "matchgate brickwork circuits are sampled as Majorana rotations: use sample_shallow_rotation"
+        )
     if L < 0:
         raise ValidationError(f"negative depth {L}")
     adj = parse_adjacency(adjacency, G.n)
-    if G.kind == "matchgate":
-        check_matchgate_edges(adj)
     d = G.dense_dimension
     eyes = np.broadcast_to(_identity(d), (len(streams), d, d))
     U = eyes.copy()
@@ -950,9 +923,13 @@ def bilinear_plane(P: pauli.PauliString) -> tuple[int, int, int]:
     return K[0] - 1, K[1] - 1, 1 if k == 3 else -1
 
 
-def rotate_by_exponentials(planes, g: np.ndarray, theta: np.ndarray, m: int) -> np.ndarray:
+def rotate_by_exponentials(planes, g: np.ndarray, theta: np.ndarray, m: int, R: np.ndarray | None = None) -> np.ndarray:
     """The m x m Majorana rotations of exp(i t_1 P_{g_1}) exp(i t_2 P_{g_2}) ...,
     one per row of g and theta, stacked to shape (len(g), m, m).
+
+    Given a stack R, the rotations multiply it from the left in place and R
+    is returned, so a long product can be built a window of factors at a
+    time, its rows updated in the order of one call.
 
     Row r of the (B, k) arrays g (generator indices) and theta (angles) holds
     one product's factors in operator-product order, and ``planes[g]`` is
@@ -964,7 +941,8 @@ def rotate_by_exponentials(planes, g: np.ndarray, theta: np.ndarray, m: int) -> 
     the products and the sum of the one-matrix row update, so each matrix is
     the same bits whatever the stack.
     """
-    R = np.tile(np.eye(m), (len(g), 1, 1))
+    if R is None:
+        R = np.tile(np.eye(m), (len(g), 1, 1))
     table = np.array(planes, dtype=np.int64)
     a, b, sigma = table[g, 0], table[g, 1], table[g, 2]
     angles = (2.0 * theta).ravel().tolist()
@@ -1013,16 +991,18 @@ def sample_haar_rotation(G: GroupSpec, rng: np.random.Generator) -> np.ndarray:
 
 
 def sample_shallow_rotation_stack(G: GroupSpec, L: int, adjacency, streams) -> np.ndarray:
-    """The Majorana rotations of ``sample_shallow(G, L, adjacency, stream).unitary``
-    per stream, stacked.
+    """The Majorana rotations of one depth-L brickwork matchgate circuit per
+    stream, stacked.
 
     Needs the matchgate group and an adjacency whose edges are all (i, i+1).
-    The gate sites of all L layers are listed first; then each stream's
-    factors for up to ``SHALLOW_GATES_PER_DRAW`` consecutive gates are drawn
-    in one ``draw_factors`` call, in the per-stream order of the dense
-    sampler; gate j of the batch reads columns 12j..12j+11, and its 4 x 4
-    rotations are applied to rows 2i..2i+3 as one batched
-    (B, 4, 4) @ (B, 4, 2n) product.  The check runs once over the stack.
+    Each local gate is the product of ``MATCHGATE_LOCAL_FACTORS``
+    exponentials of the six local bilinears.  The gate sites of all L
+    layers are listed first; then each stream's factors for up to
+    ``SHALLOW_GATES_PER_DRAW`` consecutive gates are drawn in one
+    ``draw_factors`` call, in the per-gate order of a dense circuit; gate j
+    of the batch reads columns 12j..12j+11, and its 4 x 4 rotations are
+    applied to rows 2i..2i+3 as one batched (B, 4, 4) @ (B, 4, 2n) product.
+    The check runs once over the stack.
     """
     if G.kind != "matchgate":
         raise ValidationError(f"Majorana rotations need the matchgate group, got {G.kind!r}")
@@ -1048,6 +1028,6 @@ def sample_shallow_rotation_stack(G: GroupSpec, L: int, adjacency, streams) -> n
 def sample_shallow_rotation(
     G: GroupSpec, L: int, adjacency, rng: np.random.Generator
 ) -> np.ndarray:
-    """The Majorana rotation of ``sample_shallow(G, L, adjacency, rng).unitary``:
-    the stack of one of ``sample_shallow_rotation_stack``."""
+    """The Majorana rotation of one depth-L brickwork matchgate circuit: the
+    stack of one of ``sample_shallow_rotation_stack``."""
     return sample_shallow_rotation_stack(G, L, adjacency, [rng])[0]

@@ -9,17 +9,24 @@ probability against a materialized POVM element are the dense references that
 The sampler references are the straightforward forms of the library's cached
 and batched kernels: ``embed`` as a Kronecker product with the identity
 followed by a permutation gather, ``sample_shallow`` as a loop in which every
-gate draws its own Gaussians and takes its own QR (a matchgate gate its own
-product of Kronecker-built exponentials), and the symplectic Haar draw as
-modified Gram-Schmidt, one vector at a time.  ``brickwork_rows_reference`` is
-the per-sample form of the chunk-stacked dense brickwork runner: one stream,
-one draw and one single-state evolution at a time.
+gate draws its own Gaussians and takes its own QR (a matchgate gate, which
+the library samples only as a Majorana rotation, its own product of
+Kronecker-built exponentials), and the symplectic Haar draw as modified
+Gram-Schmidt, one vector at a time.  ``brickwork_rows_reference`` is the
+per-sample form of the chunk-stacked dense brickwork runner: one stream, one
+draw and one single-state evolution at a time.  The dense gate-count
+reference multiplies each sample's N gate exponentials as 2^n x 2^n
+matrices and sums the squared Pauli coefficients of U P U^dag over the
+N-ball (``pauli_spread_mass``).  The dense matchgate references are the
+oracles that the Majorana-rotation evaluation is checked against.
 
 The Majorana-rotation references are the per-sample forms of the stacked
 rotation samplers and evaluators: factors drawn with ``rng.uniform``, the
-exponentials applied to rows kept as Python lists, one SO(2n) draw and one
-det or eigvalsh per stream; ``rotation_rows_reference`` runs the depth and
-gate-count experiments on them, one sample at a time.
+exponentials applied to rows kept as Python lists, one SO(2n) draw and, per
+stream, one det or eigvalsh for the closed forms or one det per monomial of
+T, found by enumerating the k-subsets of the Majoranas or by a deque BFS;
+``rotation_rows_reference`` runs the depth and gate-count experiments on
+them, one sample at a time.
 
 The commutator-graph references are the per-vertex forms of the numpy
 closures: ``neighbors`` of one Pauli, a deque BFS over Python-int keys, and
@@ -340,20 +347,42 @@ def envelope_threshold(c, up_to: int) -> int:
     return holds_from
 
 
-def brickwork_rows_reference(config, conjugate: bool = False):
-    """Per-sample rows of the dense brickwork runner: (shallow rows, Haar values).
+def per_sample_rows(config, shallow_p, haar_p, confined: bool):
+    """The runner's rows one sample at a time: (shallow rows, Haar values).
 
-    One stream, one ``sample_shallow_reference`` or ``sample_haar`` draw and
-    one single-state evolution at a time, finalized on the sample's own
+    Each probability is evaluated on a fresh stream and finalized on that
     stream as the runner does: shallow samples on streams [0, M), Haar
     samples on [M, 2M).
     """
-    from designgap import densesim, experiments, groups, pauli
+    from designgap import experiments
 
-    G, n, M = config.group, config.n, config.samples
+    M = config.samples
+    shallow, haar = [], []
+    for i in range(M):
+        stream = fresh_stream(config.seed, i)
+        shallow.append(experiments._shallow_row(shallow_p(stream), stream, confined, config.shot_mode))
+        stream = fresh_stream(config.seed, M + i)
+        haar.append(experiments._finalize(haar_p(stream), stream, config.shot_mode))
+    return np.array(shallow), np.array(haar)
+
+
+def _confined(config) -> bool:
+    from designgap import groups, pauli
+
+    adj = groups.parse_adjacency(config.ensemble.adjacency, config.n)
+    cone = groups.lightcone(pauli.support(config.perturbation), config.ensemble.depth, adj)
+    return set(cone) <= set(config.region)
+
+
+def brickwork_probability_reference(config, conjugate: bool = False):
+    """Per-stream (shallow, Haar) retained probabilities of a brickwork run on
+    the dense two-copy state: one ``sample_shallow_reference`` or
+    ``sample_haar`` draw and one single-state evolution per stream."""
+    from designgap import densesim, groups, pauli
+
+    G, n = config.group, config.n
     adj = groups.parse_adjacency(config.ensemble.adjacency, n)
     L = config.ensemble.depth
-    confined = set(groups.lightcone(pauli.support(config.perturbation), L, adj)) <= set(config.region)
     eye = np.eye(1 << n, dtype=np.complex128)
     Vd = pauli.to_dense(pauli.hermitian_representative(config.perturbation))
     if conjugate:
@@ -372,14 +401,74 @@ def brickwork_rows_reference(config, conjugate: bool = False):
         T = densesim.complement_bell_overlap(evolve(U), config.region, n)
         return float(np.sum(np.abs(T) ** 2).real)
 
-    shallow, haar = [], []
-    for i in range(M):
-        stream = fresh_stream(config.seed, i)
-        p = born(sample_shallow_reference(G, L, adj, stream))
-        shallow.append(experiments._shallow_row(p, stream, confined, config.shot_mode))
-        stream = fresh_stream(config.seed, M + i)
-        haar.append(experiments._finalize(born(groups.sample_haar(G, stream)), stream, config.shot_mode))
-    return np.array(shallow), np.array(haar)
+    def shallow(stream):
+        return born(sample_shallow_reference(G, L, adj, stream))
+
+    def haar(stream):
+        return born(groups.sample_haar(G, stream))
+
+    return shallow, haar
+
+
+def brickwork_rows_reference(config, conjugate: bool = False):
+    """Per-sample rows of the dense brickwork runner: (shallow rows, Haar values)."""
+    shallow, haar = brickwork_probability_reference(config, conjugate)
+    return per_sample_rows(config, shallow, haar, _confined(config))
+
+
+def pauli_spread_mass(U: np.ndarray, P, vertex_set) -> float:
+    """Squared coefficient mass of U P U^dag on the given canonical vertices.
+
+    Equals the Born probability of the projector onto span{(T x 1)|Phi>} for
+    T in the set, since those states are orthonormal for distinct Paulis.
+    """
+    from designgap import pauli
+
+    n = P.n
+    d = 1 << n
+    A = U @ pauli.to_dense(pauli.hermitian_representative(P)) @ U.conj().T
+    total = 0.0
+    for v in vertex_set:
+        T = pauli.from_key(v, n) if isinstance(v, int) else pauli.hermitian_representative(v)
+        total += abs(pauli.trace_with(T, A) / d) ** 2
+    return total
+
+
+def gate_sequence_unitary_reference(words, n: int, factors) -> np.ndarray:
+    """The dense unitary of one (generator index, angle) list, each gate multiplied on the left."""
+    d = 1 << n
+    U = np.eye(d, dtype=np.complex128)
+    for g, theta in factors:
+        U = (math.cos(theta) * np.eye(d) + 1j * math.sin(theta) * dense_oracle(words[g])) @ U
+    return U
+
+
+def gatecount_probability_reference(config):
+    """Per-stream (shallow, Haar) N-ball masses of a gate-count run on dense
+    unitaries: the N-ball by a deque BFS, an N-gate product or a dense Haar
+    matchgate per stream, and ``pauli_spread_mass`` over the ball."""
+    from designgap import groups, pauli
+
+    G, n, N = config.group, config.n, config.ensemble.gates
+    S = config.ensemble.allowed or G.generator_set
+    P = pauli.hermitian_representative(config.perturbation)
+    ball = sorted(bfs_reference(pauli.to_key(P), S, max_dist=N))
+    words = [pauli.hermitian_representative(g) for g in S.generators]
+
+    def shallow(stream):
+        factors = draw_factors_reference(len(words), N, stream)
+        return pauli_spread_mass(gate_sequence_unitary_reference(words, n, factors), P, ball)
+
+    def haar(stream):
+        return pauli_spread_mass(groups.sample_haar(G, stream), P, ball)
+
+    return shallow, haar
+
+
+def gatecount_dense_rows_reference(config):
+    """Per-sample rows of a gate-count run on dense unitaries: (shallow rows, Haar values)."""
+    shallow, haar = gatecount_probability_reference(config)
+    return per_sample_rows(config, shallow, haar, True)
 
 
 def draw_factors_reference(choices: int, count: int, rng) -> list:
@@ -433,54 +522,105 @@ def gate_sequence_rotation_reference(planes, n: int, N: int, rng) -> np.ndarray:
     return rotate_by_exponentials_reference(planes, factors[::-1], 2 * n)
 
 
+def region_monomials(n: int, k: int, region) -> list:
+    """The 0-based index sets of the weight-k Majorana monomials whose Pauli
+    support lies inside the region, ascending by Pauli key."""
+    import itertools
+
+    from designgap import pauli
+
+    inside = [
+        S for S in itertools.combinations(range(2 * n), k)
+        if set(pauli.support(pauli.majorana_product([a + 1 for a in S], n))) <= set(region)
+    ]
+    return sorted(inside, key=lambda S: pauli.to_key(pauli.majorana_product([a + 1 for a in S], n)))
+
+
+def ball_monomials(P, S, N: int) -> list:
+    """The 0-based index sets of the monomials of P's N-ball under S, by a
+    deque BFS, ascending by Pauli key."""
+    from designgap import pauli
+
+    keys = sorted(bfs_reference(pauli.to_key(P), S, max_dist=N))
+    return [tuple(a - 1 for a in pauli.majorana_decomposition(pauli.from_key(key, P.n))) for key in keys]
+
+
+def minor_mass_reference(R: np.ndarray, T, K) -> float:
+    """sum over S in T of det(R[S, K])^2, one det per monomial, added left to right."""
+    total = 0.0
+    for S in T:
+        d = float(np.linalg.det(R[np.ix_(list(S), list(K))]))
+        total = total + d * d
+    return total
+
+
 def rotation_rows_reference(config):
     """Per-sample rows of the rotation evaluation: (shallow rows, Haar values).
 
-    The depth experiment (chain, prefix region) keeps det(R[in, K]^T R[in, K])
-    and the gate-count experiment (full bilinear set) the t^0..t^N part of
-    prod_i (lambda_i + t (1 - lambda_i)), one stream, one rotation and one
-    det or eigvalsh at a time, finalized on the sample's own stream as the
-    runner does: shallow samples on streams [0, M), Haar samples on [M, 2M).
+    The depth experiment keeps det(R[in, K]^T R[in, K]) on a prefix region
+    and the minor mass over the region's monomials on any other; the
+    gate-count experiment keeps the t^0..t^N part of
+    prod_i (lambda_i + t (1 - lambda_i)) on a ball of the Johnson size and
+    the minor mass over the ball on any other; one stream, one rotation and
+    one evaluation at a time, finalized as the runner does.
     """
-    from designgap import experiments, groups, pauli
+    from designgap import bounds, groups, pauli
 
-    G, n, M = config.group, config.n, config.samples
+    G, n = config.group, config.n
     K = [a - 1 for a in pauli.majorana_decomposition(config.perturbation)]
     if config.ensemble.kind == "brickwork":
         L = config.ensemble.depth
         adj = groups.parse_adjacency(config.ensemble.adjacency, n)
-        confined = set(groups.lightcone(pauli.support(config.perturbation), L, adj)) <= set(config.region)
-        inside = 2 * len(config.region)
+        confined = _confined(config)
 
         def shallow(stream):
             return sample_shallow_rotation_reference(G, L, adj, stream)
 
-        def value(R):
-            B = R[:inside, K]
-            return float(np.linalg.det(B.T @ B))
+        if config.region == tuple(range(len(config.region))):
+            inside = 2 * len(config.region)
+
+            def value(R):
+                B = R[:inside, K]
+                return float(np.linalg.det(B.T @ B))
+
+        else:
+            T = region_monomials(n, len(K), config.region)
+
+            def value(R):
+                return minor_mass_reference(R, T, K)
 
     else:
         N, confined = config.ensemble.gates, True
-        planes = [groups.bilinear_plane(g) for g in config.ensemble.allowed.generators]
+        S = config.ensemble.allowed
+        planes = [groups.bilinear_plane(g) for g in S.generators]
+        T = ball_monomials(pauli.hermitian_representative(config.perturbation), S, N)
 
         def shallow(stream):
             return gate_sequence_rotation_reference(planes, n, N, stream)
 
-        def value(R):
-            A = R[np.ix_(K, K)]
-            coeffs = [1.0] + [0.0] * N
-            for lam in np.linalg.eigvalsh(A.T @ A).tolist():
-                coeffs = [lam * c + (1.0 - lam) * c_lower for c, c_lower in zip(coeffs, [0.0] + coeffs)]
-            return sum(coeffs)
+        if len(T) == bounds.johnson_ball_size(n, N, len(K)):
 
-    rows, haar = [], []
-    for i in range(M):
-        stream = fresh_stream(config.seed, i)
-        rows.append(experiments._shallow_row(value(shallow(stream)), stream, confined, config.shot_mode))
-        stream = fresh_stream(config.seed, M + i)
-        p = value(haar_special_orthogonal_reference(2 * n, stream))
-        haar.append(experiments._finalize(p, stream, config.shot_mode))
-    return np.array(rows), np.array(haar)
+            def value(R):
+                A = R[np.ix_(K, K)]
+                coeffs = [1.0] + [0.0] * N
+                for lam in np.linalg.eigvalsh(A.T @ A).tolist():
+                    coeffs = [lam * c + (1.0 - lam) * c_lower for c, c_lower in zip(coeffs, [0.0] + coeffs)]
+                total = 0.0  # left to right: sum() compensates its float sums from Python 3.12 on
+                for c in coeffs:
+                    total = total + c
+                return total
+
+        else:
+
+            def value(R):
+                return minor_mass_reference(R, T, K)
+
+    return per_sample_rows(
+        config,
+        lambda stream: value(shallow(stream)),
+        lambda stream: value(haar_special_orthogonal_reference(2 * n, stream)),
+        confined,
+    )
 
 
 def _anticommutes(vx: int, vz: int, gx: int, gz: int) -> bool:

@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from designgap import cli, groups
+from designgap import cgraph, cli, groups, pauli
 
 
 def run_cli(capsys, argv):
@@ -55,17 +55,34 @@ class TestExitCodes:
         assert out == ""
         assert "budget" in err and "2.04e+11" in err
 
-    def test_costly_dense_matchgate_experiment_is_refused_before_sampling(self, capsys):
-        # a non-prefix region takes the dense path: 20000 draws of 120 lifts of 256 x 256
+    NON_PREFIX_REGION = [
+        "discriminate", "--experiment", "depth", "--group", "matchgate", "--n", "8",
+        "--region", "1,2,3", "--vertex", "IIXIIIII",
+    ]
+
+    def test_non_prefix_matchgate_region_runs_on_rotations(self, capsys):
+        code, out, _ = run_cli(capsys, [*self.NON_PREFIX_REGION, "--samples", "200"])
+        assert code == 0
+        (rec,) = records(out)
+        r, _ = cgraph.r_fraction(pauli.from_text("IIXIIIII"), groups.matchgate_full_set(8), (1, 2, 3))
+        assert abs(rec["p_haar"] - float(r)) <= 5 * rec["p_haar_stderr"]
+
+    def test_costly_non_prefix_matchgate_region_is_refused_before_sampling(self, capsys):
+        # per sample (2n)^3 = 4096 for the Haar QR, each of the 11 gates at depth 3 and each side's
+        # evaluation, 2 x 125 for the 5 x 5 minor det of each of the 20 monomials inside the region,
+        # and the fixed cost of 2e4
         start = time.perf_counter()
-        code, out, err = run_cli(capsys, [
-            "discriminate", "--experiment", "depth", "--group", "matchgate", "--n", "8",
-            "--region", "1,2,3", "--vertex", "IIXIIIII",
-        ])
+        code, out, err = run_cli(capsys, [*self.NON_PREFIX_REGION, "--samples", "1000000000"])
         assert time.perf_counter() - start < 1.0
         assert code == 2
         assert out == ""
-        assert "budget" in err and "4.03e+13" in err
+        assert "budget" in err and "costs about 8.23e+13 multiply-adds" in err and "minor dets 5.00e+12," in err
+
+    def test_gate_count_beyond_the_search_cap_is_refused(self, capsys):
+        code, out, err = run_cli(capsys, ["discriminate", "--experiment", "gate-count", "--n", "13", "--samples", "5"])
+        assert code == 2
+        assert out == ""
+        assert "C(2n, k)-vertex component" in err and "n <= 12" in err
 
     @pytest.mark.parametrize(
         "argv,cost",

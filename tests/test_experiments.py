@@ -1,20 +1,32 @@
 """Discrimination experiments: geometry defaults, exactness gates, bounds."""
 
+import re
 import time
+import tracemalloc
+from decimal import Decimal
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
 from conftest import (
     adjoint_majorana_matrix,
+    ball_monomials,
     bfs_reference,
+    brickwork_probability_reference,
     brickwork_rows_reference,
+    draw_factors_reference,
+    fresh_stream,
     gate_sequence_rotation_reference,
+    gate_sequence_unitary_reference,
+    gatecount_probability_reference,
     haar_special_orthogonal_reference,
+    pauli_spread_mass,
+    region_monomials,
     rotation_rows_reference,
     sample_shallow_rotation_reference,
 )
-from designgap import bounds, cgraph, densesim, experiments, groups, moments, pauli, rng
+from designgap import bounds, cgraph, experiments, groups, moments, pauli, rng
 from designgap.errors import BudgetError, InvariantError, ValidationError
 
 
@@ -217,12 +229,14 @@ class TestMixedUnitaryExperiment:
 
 
 class TestSpreadMass:
+    """The dense gate-count reference's ball mass."""
+
     def test_identity_keeps_all_mass_on_the_start(self):
         P = pauli.from_text("ZI")
         U = np.eye(4, dtype=np.complex128)
-        assert experiments.pauli_spread_mass(U, P, [pauli.to_key(P)]) == pytest.approx(1.0)
+        assert pauli_spread_mass(U, P, [pauli.to_key(P)]) == pytest.approx(1.0)
         other = pauli.from_text("XX")
-        assert experiments.pauli_spread_mass(U, P, [pauli.to_key(other)]) == pytest.approx(0.0)
+        assert pauli_spread_mass(U, P, [pauli.to_key(other)]) == pytest.approx(0.0)
 
     def test_group_samples_stay_on_the_component(self, rng):
         from designgap.rng import sample_stream
@@ -232,7 +246,7 @@ class TestSpreadMass:
         comp = cgraph.component(P, groups.matchgate_full_set(2))
         for k in range(5):
             U = groups.sample_haar(G, sample_stream(99, k))
-            mass = experiments.pauli_spread_mass(U, P, comp.keys.tolist())
+            mass = pauli_spread_mass(U, P, comp.keys.tolist())
             assert mass == pytest.approx(1.0, abs=1e-10)
 
 
@@ -261,29 +275,43 @@ class TestGatecountExperiment:
             experiments.run_gatecount_discrimination(cfg)
 
 
-def _max_gap(dense, rotation, shot_mode, M=4, seed=3):
-    """Largest per-sample difference between two (shallow, haar) pairs of
-    chunk evaluators, each evaluating one chunk of the runner's streams
-    (shallow [0, M), Haar [M, 2M)) and each sample then finalized as the
-    runner does.  Sample by sample, both must leave the stream at the same
-    position, so that they drew the same group element."""
+def _max_gap(reference, evaluators, shot_mode, M=4, seed=3):
+    """Largest per-sample difference between per-stream dense references
+    (shallow, haar) and a pair of chunk evaluators evaluating one chunk of
+    the runner's streams (shallow [0, M), Haar [M, 2M)), each sample then
+    finalized as the runner does.  Sample by sample, both must leave the
+    stream at the same position, so that they drew the same group element."""
     gap = 0.0
     for side, offset in ((0, 0), (1, M)):
-        finalized, states = [], []
-        for evaluate in (dense[side], rotation[side]):
-            streams = [rng.sample_stream(seed, offset + i) for i in range(M)]
-            values = np.asarray(evaluate(streams), dtype=np.float64)
-            assert values.shape == (M,)
-            states.append([repr(stream.bit_generator.state) for stream in streams])
-            finalized.append([experiments._finalize(p, s, shot_mode) for p, s in zip(values.tolist(), streams)])
-        for i in range(M):
-            assert states[0][i] == states[1][i]
-            gap = max(gap, abs(finalized[0][i] - finalized[1][i]))
+        streams = [rng.sample_stream(seed, offset + i) for i in range(M)]
+        values = np.asarray(evaluators[side](streams), dtype=np.float64)
+        assert values.shape == (M,)
+        for i, (p, stream) in enumerate(zip(values.tolist(), streams)):
+            alone = fresh_stream(seed, offset + i)
+            want = reference[side](alone)
+            assert repr(stream.bit_generator.state) == repr(alone.bit_generator.state)
+            got = experiments._finalize(p, stream, shot_mode)
+            gap = max(gap, abs(got - experiments._finalize(want, alone, shot_mode)))
     return gap
 
 
+def _index_array(monomials, k: int) -> np.ndarray:
+    return np.array(monomials, dtype=np.int64).reshape(len(monomials), k)
+
+
+# non-prefix regions, each with a perturbation inside it: the general minor evaluator
+NON_PREFIX = [
+    (3, (1, 2), "IXI"),
+    (4, (1, 2, 3), "IIXI"),
+    (4, (0, 2, 3), "IIXI"),
+    (4, (1, 3), "IXII"),
+    (5, (0, 1, 3, 4), "IIIXI"),
+    (6, (1, 2, 3, 4, 5), "IIXIII"),
+]
+
+
 class TestRotationEvaluation:
-    """The Majorana-rotation evaluation against the dense reference, per sample."""
+    """The Majorana-rotation evaluation against the dense references, per sample."""
 
     @pytest.mark.parametrize("shot_mode", [False, True])
     @pytest.mark.parametrize("geometry", ["default", "depth2", "identity"])
@@ -291,11 +319,19 @@ class TestRotationEvaluation:
     def test_depth_matches_dense(self, n, geometry, shot_mode):
         extra = {"depth2": {"depth": 2}, "identity": {"perturbation": pauli.identity(n)}}.get(geometry, {})
         cfg = experiments.depth_config("matchgate", n, samples=4, seed=3, **extra)
-        adj = groups.parse_adjacency("chain", n)
-        assert experiments._depth_uses_rotations(cfg, adj)
-        dense = experiments._depth_dense(cfg, adj)
-        rotation = experiments._depth_rotation(cfg, adj)
-        assert _max_gap(dense, rotation, shot_mode) < 1e-12
+        evaluators, _, _ = experiments._depth_rotation(cfg, groups.parse_adjacency("chain", n))
+        assert _max_gap(brickwork_probability_reference(cfg), evaluators, shot_mode) < 1e-12
+
+    @pytest.mark.parametrize("shot_mode", [False, True])
+    @pytest.mark.parametrize("depth", [0, 1, 2])
+    @pytest.mark.parametrize("n,region,vertex", NON_PREFIX)
+    def test_non_prefix_depth_matches_dense(self, n, region, vertex, depth, shot_mode):
+        cfg = experiments.depth_config(
+            "matchgate", n, samples=4, seed=3, depth=depth, region=region,
+            perturbation=pauli.from_text(vertex), shot_mode=shot_mode,
+        )
+        evaluators, _, _ = experiments._depth_rotation(cfg, groups.parse_adjacency("chain", n))
+        assert _max_gap(brickwork_probability_reference(cfg), evaluators, shot_mode) < 1e-12
 
     @pytest.mark.parametrize("shot_mode", [False, True])
     @pytest.mark.parametrize("gates", [0, 1, 2])
@@ -303,11 +339,36 @@ class TestRotationEvaluation:
     def test_gatecount_matches_dense(self, n, gates, shot_mode):
         cfg = experiments.gatecount_config(n, samples=6, seed=3, gates=gates)
         S = cfg.ensemble.allowed
-        assert experiments._gatecount_uses_rotations(cfg, S)
-        ball = cgraph.component(cfg.perturbation, S, radius=gates).keys.tolist()
-        dense = experiments._gatecount_dense(cfg, S, ball)
-        rotation = experiments._gatecount_rotation(cfg, S, ball)
-        assert _max_gap(dense, rotation, shot_mode, M=6) < 1e-12
+        ball = cgraph.component(cfg.perturbation, S, radius=gates).keys
+        evaluators = experiments._gatecount_rotation(cfg, S, ball)
+        assert _max_gap(gatecount_probability_reference(cfg), evaluators, shot_mode, M=6) < 1e-12
+
+    @pytest.mark.parametrize("shot_mode", [False, True])
+    @pytest.mark.parametrize("gates", range(4))
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_standard_set_gatecount_matches_dense(self, n, gates, shot_mode):
+        S = groups.matchgate_standard_set(n)
+        cfg = experiments.gatecount_config(n, samples=4, seed=3, gates=gates, allowed=S)
+        ball = cgraph.component(cfg.perturbation, S, radius=gates).keys
+        evaluators = experiments._gatecount_rotation(cfg, S, ball)
+        assert _max_gap(gatecount_probability_reference(cfg), evaluators, shot_mode) < 1e-12
+
+    @pytest.mark.parametrize("n", [3, 4, 5])
+    def test_general_evaluator_equals_the_closed_forms(self, n):
+        R = groups.sample_haar_rotation_stack(groups.group_spec("matchgate", n), [fresh_stream(6, i) for i in range(5)])
+        full = groups.matchgate_full_set(n)
+        for k in range(2 * n + 1):
+            # half of K on even and half on odd Majoranas, so every prefix region cuts it
+            K = np.array(sorted([*range(0, 2 * n, 2)][: k // 2] + [*range(1, 2 * n, 2)][: k - k // 2]), dtype=np.int64)
+            P = pauli.majorana_product([a + 1 for a in K], n)
+            for m in range(1, n):
+                general = experiments._minor_mass(R, _index_array(region_monomials(n, k, range(m)), k), K)
+                assert np.max(np.abs(general - experiments._prefix_mass(R, 2 * m, K))) < 1e-12
+            for N in range(4):
+                T = _index_array(ball_monomials(P, full, N), k)
+                assert len(T) == bounds.johnson_ball_size(n, N, k)
+                general = experiments._minor_mass(R, T, K)
+                assert np.max(np.abs(general - experiments._johnson_ball_mass(R, K, N))) < 1e-12
 
     def test_gate_sequence_rotation_is_the_adjoint_of_the_unitary(self):
         # p is 1 on the shallow side whatever the order, so check the product itself
@@ -315,28 +376,12 @@ class TestRotationEvaluation:
         S = groups.matchgate_full_set(n).generators
         planes = [groups.bilinear_plane(g) for g in S]
         for i in range(3):
-            g, theta = groups.draw_factors(len(S), N, [rng.sample_stream(5, i)])
-            U = experiments._gate_sequence_unitary(S, n, g[0], theta[0])
+            U = gate_sequence_unitary_reference(S, n, draw_factors_reference(len(S), N, rng.sample_stream(5, i)))
             O, _ = adjoint_majorana_matrix(U, n)
             R = experiments._gate_sequence_rotation(planes, n, N, [rng.sample_stream(5, i)])[0]
             assert np.max(np.abs(R - O)) < 1e-12
 
-    def test_path_follows_the_input(self):
-        n = 4
-        chain = groups.parse_adjacency("chain", n)
-        assert experiments._depth_uses_rotations(experiments.depth_config("matchgate", n, 1, 0), chain)
-        not_prefix = experiments.depth_config("matchgate", n, 1, 0, region=(1, 2, 3))
-        assert not experiments._depth_uses_rotations(not_prefix, chain)
-        grid = experiments.depth_config("matchgate", n, 1, 0, adjacency="grid 2x2")
-        assert not experiments._depth_uses_rotations(grid, groups.parse_adjacency("grid 2x2", n))
-        orth = experiments.depth_config("orthogonal", 3, 1, 0)
-        assert not experiments._depth_uses_rotations(orth, groups.parse_adjacency("chain", 3))
-        standard = groups.matchgate_standard_set(n)
-        assert not experiments._gatecount_uses_rotations(
-            experiments.gatecount_config(n, 1, 0, allowed=standard), standard
-        )
-
-    def test_dense_path_serves_a_non_prefix_region(self):
+    def test_non_prefix_region_retains_the_region_ratio(self):
         cfg = experiments.depth_config(
             "matchgate", 4, samples=150, seed=8, region=(1, 2, 3), perturbation=pauli.from_text("IIXI")
         )
@@ -345,6 +390,7 @@ class TestRotationEvaluation:
         assert res.lightcone_confined
         assert abs(res.p_shallow.mean - 1.0) < 1e-12
         assert abs(res.p_haar.mean - float(r)) <= 5 * res.p_haar.stderr
+        assert res.analytic_bound == float(bounds.pauli_compatible_bound(r))
 
     def test_drifting_rotation_is_an_invariant_error(self, monkeypatch):
         # the Haar side draws a block of rotations at once; its last one drifts
@@ -390,43 +436,35 @@ class TestRotationEvaluation:
         ball, comp = len(bfs_reference(key, S, max_dist=1)), len(bfs_reference(key, S))
         assert res.analytic_bound == float(bounds.neighborhood_ratio_bound(ball, comp))
 
+    @pytest.mark.parametrize("region", [(0, 1, 2), (1, 2, 3)])
+    def test_one_search_gives_region_monomials_and_ratio(self, monkeypatch, region):
+        real = cgraph._bfs
+        calls = []
+
+        def counted(*args, **kwargs):
+            calls.append(args[0])
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(cgraph, "_bfs", counted)
+        V = pauli.from_text("IIXI")
+        res = experiments.run_depth_discrimination(
+            experiments.depth_config("matchgate", 4, 4, 0, region=region, perturbation=V)
+        )
+        assert len(calls) == 1
+        inside = region_monomials(4, 5, region)
+        assert res.analytic_bound == float(bounds.pauli_compatible_bound(Fraction(len(inside), 56)))
+
 
 class TestDenseMatchgateSide:
-    def test_cost_budget_counts_lifts_per_draw(self, monkeypatch):
-        # per sample, in 16 x 16 products: a dense matchgate draw multiplies
-        # n(2n-1) = 28 lifts, the depth-1 shallow circuit 2 gates and 1 layer,
-        # and the two evolutions with the form unwound take 8; and the fixed cost
-        fixed = moments.SAMPLE_FIXED_COST
-        monkeypatch.setattr(moments, "FS_COST_CAP", 10 * ((28 + 3 + 8) * 16**3 + fixed))
-        chain = groups.parse_adjacency("chain", 4)
-
-        def config(kind, samples):
-            return experiments.depth_config(
-                kind, 4, samples=samples, seed=0, region=(1, 2, 3), perturbation=pauli.from_text("IIXI")
-            )
-
-        experiments._depth_dense(config("matchgate", 10), chain)
-        with pytest.raises(BudgetError, match=r"Haar draws 1\.26e\+6,"):
-            experiments._depth_dense(config("matchgate", 11), chain)
-        # other kinds draw one d x d matrix, not 28 lifts: 11 (1 + 5 + 8) products fit
-        experiments._depth_dense(config("orthogonal", 11), chain)
-        # the gate count over a non-full set budgets its dense Haar side and
-        # its shallow side's N = 1 gate product per sample
-        monkeypatch.setattr(moments, "FS_COST_CAP", 10 * ((28 + 1) * 16**3 + fixed))
-        standard = groups.matchgate_standard_set(4)
-        experiments.run_gatecount_discrimination(experiments.gatecount_config(4, 10, 0, allowed=standard))
-        with pytest.raises(BudgetError, match=r"gate products 4\.51e\+4,"):
-            experiments.run_gatecount_discrimination(
-                experiments.gatecount_config(4, 11, 0, allowed=standard)
-            )
-
-    def test_dense_gate_count_shallow_side_is_budgeted_before_sampling(self):
-        # 10^9 gate products of 16 x 16 per sample: refused before the first draw
+    def test_gate_count_shallow_side_is_budgeted_before_sampling(self):
+        # 10^9 gates of 8 x 8 rotation products per sample: refused before the first draw
         config = experiments.gatecount_config(
             4, 20, 0, gates=10**9, allowed=groups.matchgate_standard_set(4)
         )
         start = time.perf_counter()
-        with pytest.raises(BudgetError, match=r"dense gate-count experiment for matchgate n=4 .* gate products 8\.19e\+13,"):
+        with pytest.raises(
+            BudgetError, match=r"gate-count experiment on Majorana rotations for n=4 .* shallow circuits 1\.02e\+13,"
+        ):
             experiments.run_gatecount_discrimination(config)
         assert time.perf_counter() - start < 1.0
 
@@ -438,13 +476,10 @@ class TestDenseMatchgateSide:
             ("symplectic", 4, 1 + (3 + 2) + 8),
             # the conjugate copy has no form to unwind: two products per side
             ("mixed_unitary", 3, 1 + (1 + 1) + 4),
-            ("matchgate", 4, 28 + (2 + 1) + 8),
         ],
     )
     def test_brickwork_budget_is_exact_at_the_cap(self, monkeypatch, kind, n, products):
-        region = (1, 2, 3) if kind == "matchgate" else None
-        V = pauli.from_text("IIXI") if kind == "matchgate" else None
-        cfg = experiments.depth_config(kind, n, samples=7, seed=0, region=region, perturbation=V)
+        cfg = experiments.depth_config(kind, n, samples=7, seed=0)
         adj = groups.parse_adjacency("chain", n)
         conjugate = kind == "mixed_unitary"
         cap = 7 * (products * 8**n + moments.SAMPLE_FIXED_COST)
@@ -482,14 +517,21 @@ def _recorded_rows(monkeypatch, run, config):
     return result, got[0], got[1]
 
 
+def _declared_row_bytes(config, conjugate: bool) -> int:
+    """The row bytes that a brickwork run declares to rng.sample_rows."""
+    if config.group.kind == "matchgate":
+        return experiments._depth_rotation(config, groups.parse_adjacency("chain", config.n))[0].row_bytes
+    return experiments._dense_row_bytes(config.n)
+
+
 class TestStackedBrickwork:
-    """The chunk-stacked dense brickwork runner against its per-sample form, by bytes."""
+    """The chunk-stacked brickwork runner against its per-sample form, by bytes."""
 
     CASES = {
         "orthogonal": dict(kind="orthogonal", n=4),
         "symplectic": dict(kind="symplectic", n=4),
         "mixed_unitary": dict(kind="mixed_unitary", n=3),
-        # a non-prefix region sends matchgates down the dense path
+        # a non-prefix region: matchgates sum the squared minors of their Majorana rotations
         "matchgate": dict(kind="matchgate", n=4, region=(1, 2, 3), perturbation=pauli.from_text("IIXI")),
     }
 
@@ -499,15 +541,17 @@ class TestStackedBrickwork:
     def test_rows_match_the_per_sample_runner(self, monkeypatch, case, samples, shot_mode):
         spec = dict(self.CASES[case])
         kind, n = spec.pop("kind"), spec.pop("n")
+        conjugate = kind == "mixed_unitary"
+        cfg = experiments.depth_config(kind, n, 70 if samples == "split" else samples, 9, shot_mode=shot_mode, **spec)
         if samples == "split":
             # blocks of 3 streams: a 64-sample chunk splits into 22 blocks
-            monkeypatch.setattr(rng, "STACK_BYTES", 3 * experiments._dense_row_bytes(n))
-            samples = 70
-        cfg = experiments.depth_config(kind, n, samples, seed=9, shot_mode=shot_mode, **spec)
-        conjugate = kind == "mixed_unitary"
+            monkeypatch.setattr(rng, "STACK_BYTES", 3 * _declared_row_bytes(cfg, conjugate))
         run = experiments.run_mixed_unitary_discrimination if conjugate else experiments.run_depth_discrimination
         result, shallow, haar = _recorded_rows(monkeypatch, run, cfg)
-        want_shallow, want_haar = brickwork_rows_reference(cfg, conjugate)
+        if kind == "matchgate":
+            want_shallow, want_haar = rotation_rows_reference(cfg)
+        else:
+            want_shallow, want_haar = brickwork_rows_reference(cfg, conjugate)
         assert shallow.tobytes() == want_shallow.tobytes()
         assert haar.tobytes() == want_haar.tobytes()
         assert result.shallow_max_deviation == float(np.max(want_shallow[:, 1]))
@@ -574,7 +618,6 @@ class TestStackedRotation:
     @pytest.mark.parametrize("n", range(2, 9))
     def test_depth_rows_at_every_n_and_depth(self, monkeypatch, n, depth):
         config = _rotation_config("depth", n, 65, shot_mode=bool(depth % 2), depth=depth)
-        assert experiments._depth_uses_rotations(config, groups.parse_adjacency("chain", n))
         self._check_rows(monkeypatch, config, experiments.run_depth_discrimination)
 
     @pytest.mark.parametrize("gates", range(4))
@@ -588,14 +631,14 @@ class TestStackedRotation:
         config = _rotation_config(experiment, 6, 70, False, depth=3, gates=3)
         S = config.ensemble.allowed
         if experiment == "depth":
-            evaluators = experiments._depth_rotation(config, groups.parse_adjacency("chain", 6))
+            evaluators, _, _ = experiments._depth_rotation(config, groups.parse_adjacency("chain", 6))
             L = config.ensemble.depth
 
             def shallow_reference(stream):
                 sample_shallow_rotation_reference(config.group, L, "chain", stream)
 
         else:
-            ball = cgraph.component(config.perturbation, S, radius=3).keys.tolist()
+            ball = cgraph.component(config.perturbation, S, radius=3).keys
             evaluators = experiments._gatecount_rotation(config, S, ball)
             planes = [groups.bilinear_plane(g) for g in S.generators]
 
@@ -661,3 +704,61 @@ class TestStackedRotation:
         monkeypatch.setattr(moments, "FS_COST_CAP", cap - 1)
         with pytest.raises(BudgetError, match="on Majorana rotations for n=4 with 7 samples"):
             run(config)
+
+    @pytest.mark.parametrize(
+        "experiment,config,monomials",
+        [
+            # 5 x 5 minors over the weight-5 monomials inside qubits 1..3
+            ("depth", experiments.depth_config("matchgate", 4, 7, 0, region=(1, 2, 3), perturbation=pauli.from_text("IIXI")),
+             lambda: region_monomials(4, 5, (1, 2, 3))),
+            # 4 x 4 minors over the 2-ball of ZZII under the standard set
+            ("gate-count", experiments.gatecount_config(4, 7, 0, gates=2, allowed=groups.matchgate_standard_set(4)),
+             lambda: ball_monomials(pauli.from_text("ZZII"), groups.matchgate_standard_set(4), 2)),
+        ],
+        ids=["depth", "gate-count"],
+    )
+    def test_general_evaluator_budget_is_exact_at_the_cap(self, monkeypatch, experiment, config, monomials):
+        # per sample the QR, 2 gates and both evaluations in 8 x 8 products, and k^3 per minor det on each side
+        T = monomials()
+        minors = 2 * len(T) * len(T[0]) ** 3
+        cap = 7 * ((1 + 2 + 2) * 8**3 + minors + moments.SAMPLE_FIXED_COST)
+        monkeypatch.setattr(moments, "FS_COST_CAP", cap)
+        self.RUN[experiment](config)
+        monkeypatch.setattr(moments, "FS_COST_CAP", cap - 1)
+        parts = re.escape(f"minor dets {Decimal(7 * minors):.2e},")
+        with pytest.raises(BudgetError, match=rf"on Majorana rotations for n=4 with 7 samples .* {parts}"):
+            self.RUN[experiment](config)
+
+    @pytest.mark.parametrize("shot_mode", [False, True])
+    @pytest.mark.parametrize("n,region,vertex", NON_PREFIX)
+    def test_non_prefix_rows_match_the_per_sample_runner(self, monkeypatch, n, region, vertex, shot_mode):
+        config = experiments.depth_config(
+            "matchgate", n, 65, seed=4, depth=1, region=region, perturbation=pauli.from_text(vertex), shot_mode=shot_mode
+        )
+        self._check_rows(monkeypatch, config, experiments.run_depth_discrimination)
+
+    @pytest.mark.parametrize("gates", range(4))
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    def test_standard_set_rows_match_the_per_sample_runner(self, monkeypatch, n, gates):
+        S = groups.matchgate_standard_set(n)
+        config = experiments.gatecount_config(n, 65, seed=4, gates=gates, allowed=S, shot_mode=bool(gates % 2))
+        self._check_rows(monkeypatch, config, experiments.run_gatecount_discrimination)
+
+    @pytest.mark.parametrize("gates", [767, 768, 769, 1537])
+    def test_gate_sequence_windows_match_the_per_sample_runner(self, monkeypatch, gates):
+        # the factors are drawn and applied 768 at a time
+        assert groups.SHALLOW_GATES_PER_DRAW * groups.MATCHGATE_LOCAL_FACTORS == 768
+        self._check_rows(monkeypatch, experiments.gatecount_config(2, 3, 4, gates=gates), self.RUN["gate-count"])
+
+    def test_gate_sequence_draw_memory_is_bounded(self):
+        # one call over 10^5 factors of 2 streams would hold about 10 MB of indices, angles and planes
+        planes = [groups.bilinear_plane(g) for g in groups.matchgate_full_set(2).generators]
+        streams = [rng.sample_stream(0, i) for i in range(2)]
+        tracemalloc.start()
+        try:
+            R = experiments._gate_sequence_rotation(planes, 2, 10**5, streams)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        groups.check_rotation(R, "long gate sequence")
+        assert peak < 1_000_000

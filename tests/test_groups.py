@@ -386,15 +386,10 @@ class TestCachedKernels:
             groups._qubit_swap_index(0, 1, 3),
             groups._identity(4),
             groups._majorana_bilinear_dense(3, 1, 4),
-            *groups._local_matchgate_dense(),
         ]
         for M in cached:
             with pytest.raises(ValueError):
                 M[0] = 0
-
-    def test_local_matchgate_generators(self):
-        for M, word in zip(groups._local_matchgate_dense(), groups._LOCAL_MATCHGATE_GENS):
-            assert np.array_equal(M, kron_chain(word))
 
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_cached_lifts_equal_uncached_lifts(self, monkeypatch, n):
@@ -438,11 +433,19 @@ class TestAdjacency:
         assert full == set(range(6))
 
 
+def _shallow_stack(G, L: int, streams) -> np.ndarray:
+    """The library's stacked brickwork draw: Majorana rotations for matchgates, unitaries otherwise."""
+    if G.kind == "matchgate":
+        return groups.sample_shallow_rotation_stack(G, L, "chain", streams)
+    return groups.sample_shallow_stack(G, L, "chain", streams)
+
+
 class TestShallowCircuits:
     def test_depth_zero_is_identity(self):
-        G = groups.group_spec("matchgate", 3)
-        circ = groups.sample_shallow(G, 0, "chain", stream())
+        circ = groups.sample_shallow(groups.group_spec("orthogonal", 3), 0, "chain", stream())
         assert np.array_equal(circ.unitary, np.eye(8))
+        R = groups.sample_shallow_rotation(groups.group_spec("matchgate", 3), 0, "chain", stream())
+        assert np.array_equal(R, np.eye(6))
 
     @pytest.mark.parametrize(
         "kind,n", [("matchgate", 4), ("orthogonal", 3), ("symplectic", 3), ("unitary", 3)]
@@ -450,8 +453,19 @@ class TestShallowCircuits:
     def test_shallow_samples_stay_in_group(self, kind, n):
         G = groups.group_spec(kind, n)
         for i in range(4):
-            circ = groups.sample_shallow(G, 2, "chain", stream(i))
-            assert verify_group_membership(circ.unitary, G, tol=1e-8)
+            (sample,) = _shallow_stack(G, 2, [stream(i)])
+            if kind == "matchgate":  # a matchgate circuit is sampled as its rotation in SO(2n)
+                assert np.max(np.abs(sample.T @ sample - np.eye(2 * n))) < 1e-12
+                assert np.linalg.det(sample) == pytest.approx(1.0)
+            else:
+                assert verify_group_membership(sample, G, tol=1e-8)
+
+    def test_matchgate_brickwork_is_sampled_as_rotations(self):
+        G = groups.group_spec("matchgate", 3)
+        with pytest.raises(ValidationError, match="sample_shallow_rotation"):
+            groups.sample_shallow(G, 1, "chain", stream())
+        with pytest.raises(ValidationError, match="sample_shallow_rotation"):
+            groups.sample_shallow_stack(G, 1, "chain", [stream()])
 
     def test_shallow_clifford_membership(self):
         G = groups.group_spec("clifford", 2)
@@ -497,22 +511,33 @@ class TestSampleShallowStack:
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
     def test_rows_match_the_per_gate_reference(self, kind, n):
         # Clifford brickwork needs only 2-qubit gates; the group spec is capped at n = 2
+        # a matchgate stack holds Majorana rotations, checked against the adjoint action of the reference
         G = groups.GroupSpec("clifford", n) if kind == "clifford" else groups.group_spec(kind, n)
         for L in range(5):
             a = [stream(i) for i in range(3)]
             b = [stream(i) for i in range(3)]
-            got = groups.sample_shallow_stack(G, L, "chain", a)
-            assert got.shape == (3, 1 << n, 1 << n)
+            got = _shallow_stack(G, L, a)
+            assert got.shape[0] == 3
             for i in range(3):
-                assert np.array_equal(got[i], sample_shallow_reference(G, L, "chain", b[i])), (L, i)
+                want = sample_shallow_reference(G, L, "chain", b[i])
+                if kind == "matchgate":
+                    O, _ = adjoint_majorana_matrix(want, n)
+                    assert np.max(np.abs(got[i] - O)) < 1e-12, (L, i)
+                else:
+                    assert np.array_equal(got[i], want), (L, i)
                 assert a[i].random() == b[i].random()  # same stream position afterwards
 
     @pytest.mark.parametrize("kind", ["orthogonal", "symplectic", "matchgate"])
     def test_single_draw_is_the_stack_of_one(self, kind):
         G = groups.group_spec(kind, 4)
-        stack = groups.sample_shallow_stack(G, 3, "chain", [stream(i) for i in range(5)])
+        stack = _shallow_stack(G, 3, [stream(i) for i in range(5)])
+        if kind == "matchgate":
+            single = groups.sample_shallow_rotation
+        else:
+            def single(*args):
+                return groups.sample_shallow(*args).unitary
         for i in range(5):
-            assert stack[i].tobytes() == groups.sample_shallow(G, 3, "chain", stream(i)).unitary.tobytes()
+            assert stack[i].tobytes() == single(G, 3, "chain", stream(i)).tobytes()
 
     def test_form_self_check_covers_every_row(self, monkeypatch):
         # one drifted gate in the middle of a stack stops the whole draw
@@ -579,7 +604,7 @@ class TestMajoranaRotations:
     def test_samplers_match_the_dense_samplers_on_one_stream(self, n):
         G = groups.group_spec("matchgate", n)
         for i in range(3):
-            U = groups.sample_shallow(G, 2, "chain", stream(i)).unitary
+            U = sample_shallow_reference(G, 2, "chain", stream(i))
             O, _ = adjoint_majorana_matrix(U, n)
             R = groups.sample_shallow_rotation(G, 2, "chain", stream(i))
             assert np.max(np.abs(R - O)) < 1e-12
