@@ -422,9 +422,7 @@ def _cmd_moments(args) -> list[dict]:
         region = _parse_region(args.region, n)
         if region is None:
             region = experiments.default_region(n)
-        est = moments.mc_second_moment_trace(
-            G, V, moments.SwapRegionTag(region), args.samples, args.seed
-        )
+        est = moments.mc_second_moment_trace(G, V, region, args.samples, args.seed)
         analytic = None
         try:
             cfg = experiments.ExperimentConfig(

@@ -41,7 +41,8 @@ to [0, 1] and, in shot mode, the shot drawn from the sample's own stream
 after p.  Each stacked row is the single-sample value bit for bit, so the
 output bytes are those of a one-sample-at-a-time loop.  Before its first
 draw a dense brickwork run estimates its cost in d x d products, and a
-rotation run in 2n x 2n products plus k^3 per minor, and exits 2 above
+rotation run in 2n x 2n products plus k^3 per minor and the numpy dispatch
+of each factor position per block, and exits 2 above
 ``moments.FS_COST_CAP``.
 """
 
@@ -67,6 +68,11 @@ SHALLOW_FAILURE_TOL = 1e-6
 # to which the general rotation evaluator adds its minors
 DENSE_LIVE_STACKS = 6
 ROTATION_LIVE_STACKS = 7
+# numpy dispatch of one factor position of ``groups.rotate_by_exponentials``
+# over a block, in multiply-adds taking the same time (see
+# ``moments.SAMPLE_FIXED_COST``): 16.5 to 48 us per position for blocks of
+# 1 to 64 streams on a 2-core x86 machine
+FACTOR_DISPATCH_COST = 40_000
 
 
 @dataclass(frozen=True, eq=False)
@@ -339,17 +345,23 @@ def _check_rotation_cost(config: ExperimentConfig, experiment: str, gates: int, 
     Each sample pays, in 2n x 2n products of (2n)^3 multiply-adds: the QR of
     its Haar draw, one product per shallow gate, and the evaluation of both
     sides.  The general evaluator adds k^3 per k x k minor det on each side,
-    ``minors`` of them.  Checked before the first draw, in exact integers.
+    ``minors`` of them.  Each block of the shallow side, one per 64-sample
+    chunk, pays ``FACTOR_DISPATCH_COST`` per factor position: one per gate
+    of a gate sequence, ``MATCHGATE_LOCAL_FACTORS`` per brickwork gate.
+    Checked before the first draw, in exact integers.
     """
     m3 = (2 * config.n) ** 3
     products = {"Haar draws": 1, "shallow circuits": gates, "evaluations": 2}
     costs = {name: k * m3 for name, k in products.items()}
     if minors:
         costs["minor dets"] = 2 * minors * pauli.majorana_count(config.perturbation) ** 3
+    positions = gates * (groups.MATCHGATE_LOCAL_FACTORS if config.ensemble.kind == "brickwork" else 1)
+    blocks = -(-config.samples // rng.CHUNK_SIZE)
     moments.check_cost(
         f"matchgate {experiment} experiment on Majorana rotations for n={config.n}",
         config.samples,
         costs,
+        {"factor dispatch": blocks * positions * FACTOR_DISPATCH_COST},
     )
 
 

@@ -14,10 +14,13 @@ the matrix of all previous columns and their T-images in two block passes;
 and, for the matchgate group, a Haar SO(2n) rotation decomposed into Givens
 planes and lifted factor-by-factor through exp(theta/2 c_a c_b).  Lifts are
 unique only up to a global sign, which no estimated quantity is sensitive to.
-The unitary, orthogonal and symplectic samplers have one body that takes a
-stack of streams: ``sample_haar_stack`` draws each stream's normals as a
-single draw would and orthogonalizes the whole stack at once, and a single
-draw is the stack of one, so the two cannot diverge.  ``group_spec`` and the
+Every sampler has one body, and it takes a list of streams:
+``sample_haar_stack`` is the one kind dispatch.  It draws each stream's
+normals as a single draw would and orthogonalizes the whole stack at once
+(unitary, orthogonal, symplectic), lifts one SO(2n) draw per stream
+(matchgate) or indexes the enumerated group once per stream (Clifford), and
+checks the form once over the stack.  A single draw, ``sample_haar``, is the
+stack of one, so the two cannot diverge.  ``group_spec`` and the
 n(2n-1)-element ``matchgate_full_set`` build groups only up to
 ``cgraph.KEY_QUBIT_CAP`` qubits, the largest graph the BFS can key.
 
@@ -32,14 +35,15 @@ pair), places the gates with one stacked ``densesim.embed`` per pair and
 multiplies the layer products as batched matmuls in the per-sample operand
 order.  A stacked QR and a batched matmul are the per-matrix ones, so each
 row is the per-gate circuit bit for bit, and ``sample_shallow`` is the stack
-of one.  It serves every kind but matchgate, whose brickwork circuits are
-sampled only as Majorana rotations (below).  The constant matrices of the
-dense path (forms, the canonical J, qubit-swap indices, small Majorana
-bilinears) are cached read-only.  The finite Clifford group is enumerated
-by a breadth-first closure that multiplies a whole level by every generator
-in one stacked matmul and keys the products in one pass, in the order a
-one-at-a-time FIFO closure would find them.  Matchgates are 2-local only on
-Jordan-Wigner neighbors (i, i+1); brickwork on any other edge is rejected.
+of one, returning the d x d unitary.  It serves every kind but matchgate,
+whose brickwork circuits are sampled only as Majorana rotations (below).
+The constant matrices of the dense path (forms, the canonical J, qubit-swap
+indices, small Majorana bilinears) are cached read-only.  The finite
+Clifford group is enumerated by a breadth-first closure that multiplies a
+whole level by every generator in one stacked matmul and keys the products
+in one pass, in the order a one-at-a-time FIFO closure would find them.
+Matchgates are 2-local only on Jordan-Wigner neighbors (i, i+1); brickwork
+on any other edge is rejected.
 
 Matchgates also have a free-fermion picture: a matchgate U acts on the
 Majorana operators by a rotation R in SO(2n), U c_a U^dag = sum_b R[b, a] c_b.
@@ -54,13 +58,12 @@ the gate sites of all its layers, draws each stream's factors for up to
 gate's 4 x 4 rotations with ``rotate_by_exponentials`` one factor position
 at a time over the stack, and applies them as one batched
 (B, 4, 4) @ (B, 4, 2n) product; ``check_rotation`` runs once over the stack.
-Each row is the single draw of its stream bit for bit, and
-``sample_haar_rotation`` and ``sample_shallow_rotation`` are the stacks of
-one.  The Haar rotation is the SO(2n) draw that the dense ``sample_haar``
-lifts, through the shared ``haar_special_orthogonal``, so both pictures see
-the same group element for the same stream; the dense matchgate draw stays
-for the moment estimators, and the tests keep a dense per-gate brickwork
-reference that reads its factors as ``draw_factors`` does.
+Each row is the draw of its stream alone bit for bit.  The Haar
+rotation is the SO(2n) draw that the dense ``sample_haar`` lifts, through
+the shared ``haar_special_orthogonal``, so both pictures see the same group
+element for the same stream; the dense matchgate draw stays for the moment
+estimators, and the tests keep a dense per-gate brickwork reference that
+reads its factors as ``draw_factors`` does.
 
 Every product of exponentials takes its factors from ``draw_factors(choices,
 count, streams)``: (B, count) arrays of indices and angles, row b bit for bit
@@ -80,7 +83,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -483,37 +486,22 @@ def haar_unitary_stack(d: int, streams) -> np.ndarray:
     return _unitary_from_ginibre(Z[:, 0] + 1j * Z[:, 1])
 
 
-def haar_unitary(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar U(d) via QR of a complex Ginibre matrix with phase fix."""
-    return haar_unitary_stack(d, [rng])[0]
-
-
-def _haar_orthogonal_stack(d: int, streams) -> np.ndarray:
+def haar_orthogonal_stack(d: int, streams) -> np.ndarray:
+    """One Haar O(d) per stream, stacked: QR of real Ginibre matrices with sign fix."""
     return _orthogonal_from_ginibre(_normals(streams, (d, d)))
 
 
-def haar_orthogonal(d: int, rng: np.random.Generator) -> np.ndarray:
-    """Haar O(d) via QR of a real Ginibre matrix with sign fix."""
-    return _haar_orthogonal_stack(d, [rng])[0]
+def haar_special_orthogonal(d: int, streams) -> np.ndarray:
+    """One Haar SO(d) per stream, stacked: an O(d) draw with its last column
+    negated on negative det, from one QR and one det over the stack.
 
-
-def _haar_special_orthogonal_stack(d: int, streams) -> np.ndarray:
-    Q = _haar_orthogonal_stack(d, streams).real
+    ``sample_haar_rotation_stack`` draws its stacks here, and ``haar_matchgate``
+    lifts the stack of one.
+    """
+    Q = haar_orthogonal_stack(d, streams).real
     flip = np.linalg.det(Q) < 0
     Q[flip, :, -1] = -Q[flip, :, -1]
     return Q
-
-
-def haar_special_orthogonal(d: int, rng) -> np.ndarray:
-    """Haar SO(d): an O(d) draw with its last column negated on negative det.
-
-    ``rng`` is one stream, or a list of streams for one draw per stream,
-    stacked from one QR and one det; ``sample_haar_rotation_stack`` draws
-    its stacks here.
-    """
-    if isinstance(rng, np.random.Generator):
-        return _haar_special_orthogonal_stack(d, [rng])[0]
-    return _haar_special_orthogonal_stack(d, rng)
 
 
 @functools.lru_cache(maxsize=None)
@@ -569,21 +557,12 @@ def _swap_qubits(U: np.ndarray, a: int, b: int, n: int) -> np.ndarray:
     return U[..., s[:, None], s]
 
 
-def _haar_symplectic_stack(n: int, streams) -> np.ndarray:
+def haar_symplectic(n: int, streams) -> np.ndarray:
+    """One Haar element of the compact symplectic group for the shipped form
+    per stream, stacked; ``sample_haar_stack`` draws its symplectic stacks here."""
     U = _symplectic_columns(_normals(streams, (1 << (n - 1), 2, 1 << n)))
     fq = symplectic_form_qubit(n)
     return U if fq == 0 else _swap_qubits(U, 0, fq, n)
-
-
-def haar_symplectic(n: int, rng) -> np.ndarray:
-    """Haar element of the compact symplectic group for the shipped form.
-
-    ``rng`` is one stream, or a list of streams for one draw per stream,
-    stacked; ``sample_haar_stack`` draws its symplectic stacks here.
-    """
-    if isinstance(rng, np.random.Generator):
-        return _haar_symplectic_stack(n, [rng])[0]
-    return _haar_symplectic_stack(n, rng)
 
 
 @functools.lru_cache(maxsize=None)
@@ -642,7 +621,7 @@ def haar_matchgate(n: int, rng: np.random.Generator) -> np.ndarray:
     makes the adjoint action on Majorana coordinates reproduce R exactly, so
     Haar measure on SO(2n) pushes forward to the projective group.
     """
-    R = haar_special_orthogonal(2 * n, rng)
+    R = haar_special_orthogonal(2 * n, [rng])[0]
     U = np.eye(1 << n, dtype=np.complex128)
     for a, b, theta in givens_decompose(R):
         U = _lift_rotation(a + 1, b + 1, theta, n) @ U
@@ -705,25 +684,29 @@ def _check_dense_sampling(G: GroupSpec) -> None:
         raise BudgetError(f"dense sampling for n={G.n} exceeds cap {pauli.DENSE_QUBIT_CAP}")
 
 
-def sample_haar(G: GroupSpec, rng: np.random.Generator) -> np.ndarray:
-    """One Haar draw from the group, self-checked against its form.
+def sample_haar_stack(G: GroupSpec, streams) -> np.ndarray:
+    """One Haar draw per stream, stacked to shape (len(streams), d, d).
 
-    For the unitary, orthogonal and symplectic kinds this is the stack of one
-    of ``sample_haar_stack``.
+    Unitary, orthogonal and symplectic stacks take each stream's normals in
+    one call, orthogonalize the whole stack in one QR or one Gram-Schmidt;
+    a matchgate stack lifts one SO(2n) draw per stream (``haar_matchgate``)
+    and a Clifford stack indexes the enumerated group once per stream.  The
+    form self-check runs once over the stack.  Every row is what the stack
+    of one would give for its stream, bit for bit.
     """
     d = G.dense_dimension
     _check_dense_sampling(G)
     if G.kind in ("unitary", "mixed_unitary"):
-        return haar_unitary(d, rng)
+        return haar_unitary_stack(d, streams)
     if G.kind == "orthogonal":
-        return haar_orthogonal(d, rng)
-    if G.kind == "symplectic":
-        U = haar_symplectic(G.n, rng)
-    elif G.kind == "matchgate":
-        U = haar_matchgate(G.n, rng)
-    elif G.kind == "clifford":
+        return haar_orthogonal_stack(d, streams)
+    if G.kind == "clifford":
         table = enumerate_clifford(G.n)
-        return np.array(table[int(rng.integers(len(table)))])
+        return np.array([table[int(stream.integers(len(table)))] for stream in streams])
+    if G.kind == "symplectic":
+        U = haar_symplectic(G.n, streams)
+    elif G.kind == "matchgate":
+        U = np.stack([haar_matchgate(G.n, stream) for stream in streams])
     else:
         raise ValidationError(f"no Haar sampler for kind {G.kind!r}")
     if G.form is not None:
@@ -731,41 +714,13 @@ def sample_haar(G: GroupSpec, rng: np.random.Generator) -> np.ndarray:
     return U
 
 
-def sample_haar_stack(G: GroupSpec, streams) -> np.ndarray:
-    """One Haar draw per stream, stacked to shape (len(streams), d, d).
-
-    Unitary, orthogonal and symplectic stacks take each stream's normals in
-    the shape and order ``sample_haar`` takes them, orthogonalize the whole
-    stack in one QR or one Gram-Schmidt, and run the form self-check once
-    over the stack, so row i is ``sample_haar(G, streams[i])`` bit for bit.
-    Matchgate and Clifford draws are stacked single draws.
-    """
-    d = G.dense_dimension
-    _check_dense_sampling(G)
-    if G.kind in ("unitary", "mixed_unitary"):
-        return haar_unitary_stack(d, streams)
-    if G.kind == "orthogonal":
-        return _haar_orthogonal_stack(d, streams)
-    if G.kind != "symplectic":
-        return np.stack([sample_haar(G, stream) for stream in streams])
-    U = haar_symplectic(G.n, streams)
-    if G.form is not None:
-        _check_form(G, U, f"{G.kind} sampler")
-    return U
+def sample_haar(G: GroupSpec, rng: np.random.Generator) -> np.ndarray:
+    """One Haar draw from the group, self-checked: the stack of one of ``sample_haar_stack``."""
+    return sample_haar_stack(G, [rng])[0]
 
 
 # ---------------------------------------------------------------------------
 # shallow brickwork ensembles
-
-
-@dataclass(frozen=True, eq=False)
-class ShallowCircuit:
-    """A sampled brickwork circuit with enough layout to audit lightcones."""
-
-    unitary: np.ndarray
-    depth: int
-    adjacency: Adjacency
-    layers: tuple[tuple[tuple[tuple[int, int], np.ndarray], ...], ...] = field(repr=False)
 
 
 _LOCAL_MATCHGATE_GENS = ("ZI", "IZ", "XX", "XY", "YX", "YY")
@@ -855,16 +810,18 @@ def _layer_gates(kind: str, cls, n: int, streams) -> np.ndarray:
     raise ValidationError(f"no 2-local gate factory for kind {kind!r}")
 
 
-def _brickwork_stack(G: GroupSpec, L: int, adjacency, streams):
-    """The one brickwork body: (adjacency, unitaries (B, d, d), per layer (pairs, gates (B, g, 4, 4))).
+def sample_shallow_stack(G: GroupSpec, L: int, adjacency, streams) -> np.ndarray:
+    """One depth-L brickwork unitary per stream, stacked to shape (len(streams), d, d).
 
     Each layer multiplies the embedded gates onto an identity in pair order,
     then the layer onto the running product, as one batched matmul per step
-    over the stack; the form self-check runs once over the stack.
+    over the stack; the form self-check runs once over the stack.  Row i is
+    the stack of one of ``streams[i]`` bit for bit, and each stream is left
+    where that draw leaves it.
     """
     if G.kind == "matchgate":
         raise ValidationError(
-            "matchgate brickwork circuits are sampled as Majorana rotations: use sample_shallow_rotation"
+            "matchgate brickwork circuits are sampled as Majorana rotations: use sample_shallow_rotation_stack"
         )
     if L < 0:
         raise ValidationError(f"negative depth {L}")
@@ -872,35 +829,21 @@ def _brickwork_stack(G: GroupSpec, L: int, adjacency, streams):
     d = G.dense_dimension
     eyes = np.broadcast_to(_identity(d), (len(streams), d, d))
     U = eyes.copy()
-    layers = []
     for layer_index in range(L):
         cls = adj.layer_classes[layer_index % len(adj.layer_classes)] if adj.layer_classes else ()
         gates = _layer_gates(G.kind, cls, G.n, streams)
         layer_u = eyes
         for i, pair in enumerate(cls):
             layer_u = densesim.embed(gates[:, i], pair, G.n) @ layer_u
-        layers.append((cls, gates))
         U = layer_u @ U
     if G.form is not None and L > 0:
         _check_form(G, U, f"shallow {G.kind} circuit")
-    return adj, U, layers
+    return U
 
 
-def sample_shallow_stack(G: GroupSpec, L: int, adjacency, streams) -> np.ndarray:
-    """One depth-L brickwork unitary per stream, stacked to shape (len(streams), d, d).
-
-    Row i is ``sample_shallow(G, L, adjacency, streams[i]).unitary`` bit for
-    bit, and each stream is left where that draw leaves it.
-    """
-    return _brickwork_stack(G, L, adjacency, streams)[1]
-
-
-def sample_shallow(
-    G: GroupSpec, L: int, adjacency, rng: np.random.Generator
-) -> ShallowCircuit:
-    """A depth-L brickwork circuit of 2-local group gates: the stack of one of ``sample_shallow_stack``."""
-    adj, U, layers = _brickwork_stack(G, L, adjacency, [rng])
-    return ShallowCircuit(U[0], L, adj, tuple(tuple(zip(cls, gates[0])) for cls, gates in layers))
+def sample_shallow(G: GroupSpec, L: int, adjacency, rng: np.random.Generator) -> np.ndarray:
+    """A depth-L brickwork unitary of 2-local group gates: the stack of one of ``sample_shallow_stack``."""
+    return sample_shallow_stack(G, L, adjacency, [rng])[0]
 
 
 # ---------------------------------------------------------------------------
@@ -985,11 +928,6 @@ def sample_haar_rotation_stack(G: GroupSpec, streams) -> np.ndarray:
     return R
 
 
-def sample_haar_rotation(G: GroupSpec, rng: np.random.Generator) -> np.ndarray:
-    """The Majorana rotation of ``sample_haar(G, rng)``: the stack of one of ``sample_haar_rotation_stack``."""
-    return sample_haar_rotation_stack(G, [rng])[0]
-
-
 def sample_shallow_rotation_stack(G: GroupSpec, L: int, adjacency, streams) -> np.ndarray:
     """The Majorana rotations of one depth-L brickwork matchgate circuit per
     stream, stacked.
@@ -1023,11 +961,3 @@ def sample_shallow_rotation_stack(G: GroupSpec, L: int, adjacency, streams) -> n
             R[:, block] = gate @ R[:, block]
     check_rotation(R, f"shallow {G.kind}")
     return R
-
-
-def sample_shallow_rotation(
-    G: GroupSpec, L: int, adjacency, rng: np.random.Generator
-) -> np.ndarray:
-    """The Majorana rotation of one depth-L brickwork matchgate circuit: the
-    stack of one of ``sample_shallow_rotation_stack``."""
-    return sample_shallow_rotation_stack(G, L, adjacency, [rng])[0]

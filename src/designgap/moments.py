@@ -8,16 +8,17 @@ estimates reconstruct it entrywise.  Frobenius-Schur indicators and commutant
 dimensions distinguish real, complex, and quaternionic representation types.
 
 All estimators reduce the two-copy trace to d x d matrix products, so one
-sample costs a few dense multiplications at dimension 2^n.  The twirl, the
-regional-swap trace, the Frobenius-Schur indicators and the Haar commutant
-dimension evaluate one 64-sample chunk at a time: ``groups.sample_haar_stack``
-draws the chunk with one stacked QR or Gram-Schmidt, stacked products
-evaluate it, and ``rng`` sums it in sample order, so every value and every
-sum is byte-identical to a one-sample-at-a-time loop (the per-sample
-references live in ``tests/conftest.py``).  A stacked intermediate never
-exceeds ``rng.STACK_BYTES``: at n = 5 the twirl takes its 1024 x 1024
-Kronecker squares a few at a time.  The spread estimator stays per sample.
-The Clifford commutant takes the traces of the enumerated group in stacks of
+sample costs a few dense multiplications at dimension 2^n.  Every sampling
+estimator (the twirl, the regional-swap trace, the spread over a component,
+the Frobenius-Schur indicators and the Haar commutant dimension) evaluates
+one 64-sample chunk at a time: ``groups.sample_haar_stack`` draws the chunk,
+stacked products evaluate it, and ``rng`` sums it in sample order, so every
+value and every sum is byte-identical to a one-sample-at-a-time loop (the
+per-sample references live in ``tests/conftest.py``).  The spread estimator
+conjugates its chunk as a stack and takes each row's vertex traces on its
+own.  A stacked intermediate never exceeds ``rng.STACK_BYTES``: at n = 5 the
+twirl takes its 1024 x 1024 Kronecker squares a few at a time.  The
+Clifford commutant takes the traces of the enumerated group in stacks of
 ``TRACE_BLOCK``.  Every sampling estimator checks its cost against
 ``FS_COST_CAP`` before the first draw (``check_cost``), counting each
 sample's products and its fixed cost ``SAMPLE_FIXED_COST``.
@@ -57,13 +58,6 @@ class MomentEstimate:
     stderr: float
     samples: int
     seed: int | None
-
-
-@dataclass(frozen=True)
-class SwapRegionTag:
-    """Marks the observable swap-on-region, enabling the d x d shortcut."""
-
-    region: tuple[int, ...]
 
 
 def _estimate(values: np.ndarray, seed: int | None) -> MomentEstimate:
@@ -138,18 +132,21 @@ def second_moment_closed_form(kind: str, n: int) -> np.ndarray:
     return float(alpha) * eye2 + float(beta) * swap + float(gamma) * form_insertion_dense(form, n)
 
 
-def check_cost(what: str, M: int, costs: dict[str, int]) -> None:
+def check_cost(what: str, M: int, costs: dict[str, int], run_costs: dict[str, int] | None = None) -> None:
     """Raise BudgetError when M samples cost more than FS_COST_CAP multiply-adds.
 
     ``costs`` maps each part of one sample's work to its multiply-adds, to
-    which every sample adds ``SAMPLE_FIXED_COST``; the message names the
-    total and each part over the M samples.  The estimate is exact integer
-    arithmetic, so no size or sample count overflows it.
+    which every sample adds ``SAMPLE_FIXED_COST``; ``run_costs`` maps the
+    parts not paid per sample to their multiply-adds over the run.  The
+    message names the total and each part over the M samples.  The estimate
+    is exact integer arithmetic, so no size or sample count overflows it.
     """
-    costs = {**costs, "per-sample fixed cost": SAMPLE_FIXED_COST}
-    total = M * sum(costs.values())
+    totals = {name: M * k for name, k in costs.items()}
+    totals["per-sample fixed cost"] = M * SAMPLE_FIXED_COST
+    totals.update(run_costs or {})
+    total = sum(totals.values())
     if total > FS_COST_CAP:
-        parts = ", ".join(f"{name} {Decimal(M * k):.2e}" for name, k in costs.items())
+        parts = ", ".join(f"{name} {Decimal(k):.2e}" for name, k in totals.items())
         raise BudgetError(
             f"{what} with {M} samples costs about {Decimal(total):.2e} multiply-adds ({parts}), "
             f"cap is {FS_COST_CAP:.0e}"
@@ -207,45 +204,31 @@ def mc_second_moment_matrix(G: groups.GroupSpec, V, M: int, seed: int):
 # second-moment traces
 
 
-def mc_second_moment_trace(G: groups.GroupSpec, V, O, M: int, seed: int) -> MomentEstimate:
-    """Estimate E_U Tr[(U V U^dag)^{x2} O] from M Haar samples.
+def mc_second_moment_trace(G: groups.GroupSpec, V, region, M: int, seed: int) -> MomentEstimate:
+    """Estimate E_U Tr[(U V U^dag)^{x2} swap_region] from M Haar samples.
 
-    O may be a SwapRegionTag, in which case each sample reduces to the square
-    of the region-restricted partial trace, only d x d matrices appear, and a
-    chunk of draws is evaluated as one stack; a dense O of shape (d^2, d^2)
-    forces the explicit per-sample Kronecker route and is budget-capped.
-    Either route is budgeted by cost before the first draw.
+    Each sample reduces to the square of the region-restricted partial trace,
+    so only d x d matrices appear and a chunk of draws is evaluated as one
+    stack.  Budgeted by cost before the first draw.
     """
     n = G.n
     Vd = _as_dense_v(V, n)
     d = 1 << n
-    what = f"second-moment trace for {G.kind} n={n}"
-    sample = {"Haar draws": draw_products(G) * d**3, "conjugations": 2 * d**3}
-    if isinstance(O, SwapRegionTag):
-        region = tuple(sorted(O.region))
-        if not region or any(q < 0 or q >= n for q in region):
-            raise ValidationError(f"bad region {O.region} for n={n}")
-        d_K = 1 << len(set(region))
-        check_cost(what, M, {**sample, "partial traces and squares": d**2 + d_K**3})
+    qubits = tuple(sorted(region))
+    if not qubits or any(q < 0 or q >= n for q in qubits):
+        raise ValidationError(f"bad region {region} for n={n}")
+    d_K = 1 << len(set(qubits))
+    check_cost(
+        f"second-moment trace for {G.kind} n={n}",
+        M,
+        {"Haar draws": draw_products(G) * d**3, "conjugations": 2 * d**3, "partial traces and squares": d**2 + d_K**3},
+    )
 
-        def rows(streams):
-            Mred = densesim.partial_trace(_conjugated(G, Vd, streams), region, n)
-            return np.trace(Mred @ Mred, axis1=1, axis2=2).real
+    def rows(streams):
+        Mred = densesim.partial_trace(_conjugated(G, Vd, streams), qubits, n)
+        return np.trace(Mred @ Mred, axis1=1, axis2=2).real
 
-        return _estimate(rng.sample_rows(rows, M, seed, row_bytes=_matrix_row_bytes(d)), seed)
-
-    Od = np.asarray(O, dtype=np.complex128)
-    if Od.shape != (d * d, d * d):
-        raise ValidationError(f"observable shape {Od.shape}, expected {(d * d, d * d)}")
-    _check_two_copy_operator(n, "dense two-copy route")
-    check_cost(what, M, {**sample, "Kronecker squares and products with O": d**4 + d**6})
-
-    def one(stream):
-        U = groups.sample_haar(G, stream)
-        A = U @ Vd @ U.conj().T
-        return float(np.trace(np.kron(A, A) @ Od).real)
-
-    return _estimate(rng.sample_array(one, M, seed), seed)
+    return _estimate(rng.sample_rows(rows, M, seed, row_bytes=_matrix_row_bytes(d)), seed)
 
 
 # ---------------------------------------------------------------------------
@@ -271,7 +254,9 @@ def haar_spread_uniformity(
     """Sampled mass table over component(P) plus the leaked mass.
 
     The last accumulated column is 1 minus the in-component total, which
-    Parseval makes the exact off-component mass for unitary P.  Budgeted by
+    Parseval makes the exact off-component mass for unitary P.  A block of
+    draws is conjugated as one stack, and each row's vertex traces are then
+    taken as a single sample's would be.  Budgeted by
     cost before the first draw: each sample takes one trace per component
     vertex on a signed permutation built once per run, about 6 us whatever
     n is, two thirds of a sample's fixed cost.
@@ -295,14 +280,15 @@ def haar_spread_uniformity(
     P_dense = pauli.to_dense(pauli.hermitian_representative(P))
     basis = np.arange(d)
 
-    def one(stream):
-        U = groups.sample_haar(G, stream)
-        A = U @ P_dense @ U.conj().T
-        # pauli.trace_with(T, A) per vertex, on the prebuilt permutation
-        masses = np.array([abs(complex(np.sum(amp * A[basis, perm])) / d) ** 2 for perm, amp in perms])
-        return np.append(masses, 1.0 - masses.sum())
+    def block_rows(streams):
+        out = []
+        for A in _conjugated(G, P_dense, streams):
+            # pauli.trace_with(T, A) per vertex, on the prebuilt permutation
+            masses = np.array([abs(complex(np.sum(amp * A[basis, perm])) / d) ** 2 for perm, amp in perms])
+            out.append(np.append(masses, 1.0 - masses.sum()))
+        return out
 
-    rows = rng.sample_array(one, M, seed)
+    rows = rng.sample_rows(block_rows, M, seed, row_bytes=_matrix_row_bytes(d))
     ests = []
     for c in range(len(keys)):
         mean, err = rng.mean_and_stderr(rows[:, c])
@@ -334,18 +320,14 @@ def draw_products(G: groups.GroupSpec) -> int:
     return G.n * (2 * G.n - 1) if G.kind == "matchgate" else 1
 
 
-def check_draw_cost(G: groups.GroupSpec | int, M: int, what: str) -> None:
-    """Raise BudgetError when M dense Haar draws cost more than FS_COST_CAP.
+def check_draw_cost(G: groups.GroupSpec, M: int, what: str) -> None:
+    """Raise BudgetError when M dense Haar draws from G cost more than FS_COST_CAP.
 
-    G is a group, or the dimension d of a Haar unitary draw.  A draw costs
-    ``draw_products(G)`` d^3 complex multiply-adds, and ``check_cost`` adds
-    each sample's fixed cost.
+    A draw costs ``draw_products(G)`` d^3 complex multiply-adds, and
+    ``check_cost`` adds each sample's fixed cost.
     """
-    if isinstance(G, groups.GroupSpec):
-        d, lifts, name = G.dense_dimension, draw_products(G), f"{G.kind} n={G.n}"
-    else:
-        d, lifts, name = G, 1, f"U({G})"
-    check_cost(f"{what} for {name}", M, {"Haar draws": d**3 * lifts})
+    d = G.dense_dimension
+    check_cost(f"{what} for {G.kind} n={G.n}", M, {"Haar draws": draw_products(G) * d**3})
 
 
 def frobenius_schur(
@@ -374,11 +356,11 @@ def frobenius_schur(
 def mixed_unitary_fs(d: int, M: int, seed: int) -> MomentEstimate:
     """Estimate E |Tr U^2|^2 over Haar unitaries; the exact value is 2.
 
-    Budgeted by ``check_draw_cost`` before the first draw.
+    Budgeted by ``check_cost`` before the first draw.
     """
     if d < 2:
         raise ValidationError(f"need d >= 2, got {d}")
-    check_draw_cost(d, M, "mixed-unitary Frobenius-Schur estimate")
+    check_cost(f"mixed-unitary Frobenius-Schur estimate for U({d})", M, {"Haar draws": d**3})
 
     def rows(streams):
         U = groups.haar_unitary_stack(d, streams)
@@ -407,7 +389,7 @@ def mixed_unitary_commutant_dimension(
             raise ValidationError("haar_unitary source needs d, M, and seed")
         if d < 2:
             raise ValidationError(f"need d >= 2, got {d}")
-        check_draw_cost(d, M, "Haar commutant estimate")
+        check_cost(f"Haar commutant estimate for U({d})", M, {"Haar draws": d**3})
 
         def rows(streams):
             traces = np.trace(groups.haar_unitary_stack(d, streams), axis1=1, axis2=2)

@@ -8,12 +8,13 @@ loops 1.0-1.9x slower at two threads than at one on a 2-core machine.
 
 One loop walks the samples in fixed 64-sample chunks of streams.  A
 chunk-valued function maps a list of streams to one row per stream, so an
-estimator can draw and evaluate a whole chunk with stacked array operations;
-``sample_array`` takes a per-sample function and wraps it as a chunk-valued
-one, and an optional per-sample ``finalize`` step runs on each value after
-its block.  A caller that declares ``row_bytes``, the size of its largest
-per-sample intermediate, gets its chunks in blocks of at most ``STACK_BYTES``
-of such rows, so no stack grows with the chunk past that bound.
+estimator draws and evaluates a whole chunk with stacked array operations;
+``sample_rows`` stacks the rows, with an optional per-sample ``finalize``
+step on each value after its block, and ``accumulate_rows`` sums them;
+every sampling estimator and experiment runs on one of the two.  A caller
+that declares ``row_bytes``, the size of its largest per-sample
+intermediate, gets its chunks in blocks of at most ``STACK_BYTES`` of such
+rows, so no stack grows with the chunk past that bound.
 ``accumulate_rows`` sums each chunk on its own, in sample order, and adds the
 chunk sums in order, which fixes its output bits for every block size and
 keeps the partial sums of large matrices streaming.
@@ -116,14 +117,6 @@ def sample_rows(
     return np.concatenate(
         [block_rows(block) for blocks in _chunks(samples, seed, index_offset, row_bytes) for block in blocks]
     )
-
-
-def sample_array(fn, samples: int, seed: int, index_offset: int = 0) -> np.ndarray:
-    """values[i] = fn(stream_{offset+i}) for i in range(samples), stacked.
-
-    A scalar fn gives shape (samples,); a length-w vector fn gives (samples, w).
-    """
-    return sample_rows(lambda streams: [fn(stream) for stream in streams], samples, seed, index_offset)
 
 
 def _add_rows(acc: np.ndarray, rows: np.ndarray, fresh: bool) -> np.ndarray:

@@ -40,7 +40,9 @@ The moment references are the per-sample forms of the chunk-stacked
 estimators in ``moments``: one stream, one ``sample_haar`` draw and one
 evaluation at a time, with sums taken in the documented 64-sample chunk
 order; ``accumulate_moments`` is the per-sample form of
-``rng.accumulate_rows``.  The commutant basis built from commutator-graph
+``rng.accumulate_rows``.  The regional-swap trace also has a dense
+reference that squares (U V U^dag) by Kronecker product and traces it
+against the (d^2, d^2) observable.  The commutant basis built from commutator-graph
 components, with its Gram report and its Monte Carlo overlaps, the second
 matchgate form, the group-membership predicate and the gate-count envelope
 threshold scan live here because only the tests use them, as do the two-copy
@@ -493,7 +495,7 @@ def haar_special_orthogonal_reference(d: int, rng) -> np.ndarray:
     """One Haar SO(d) draw: one QR, one det, the last column negated on negative det."""
     from designgap import groups
 
-    Q = groups.haar_orthogonal(d, rng).real
+    Q = groups.haar_orthogonal_stack(d, [rng])[0].real
     if np.linalg.det(Q) < 0:
         Q = Q.copy()
         Q[:, -1] = -Q[:, -1]
@@ -786,6 +788,43 @@ def swap_trace_reference(G, V, region, M: int, seed: int):
     return _estimate(_stream_values(one, M, seed), seed)
 
 
+def second_moment_trace_dense_reference(G, V, O, M: int, seed: int):
+    """Per-sample E Tr[(U V U^dag)^{x2} O] for a dense (d^2, d^2) observable O,
+    by the explicit Kronecker square."""
+    from designgap import groups, moments
+
+    Vd = moments._as_dense_v(V, G.n)
+    Od = np.asarray(O, dtype=np.complex128)
+
+    def one(stream):
+        U = groups.sample_haar(G, stream)
+        A = U @ Vd @ U.conj().T
+        return float(np.trace(np.kron(A, A) @ Od).real)
+
+    return _estimate(_stream_values(one, M, seed), seed)
+
+
+def spread_uniformity_reference(G, P, M: int, seed: int):
+    """Per-sample spread report: one draw, one conjugation and one
+    ``pauli.trace_with`` per component vertex at a time."""
+    from designgap import cgraph, groups, moments, pauli, rng
+
+    d = 1 << G.n
+    keys = tuple(cgraph.component(P, G.generator_set).keys.tolist())
+    vertices = [pauli.from_key(k, G.n) for k in keys]
+    P_dense = pauli.to_dense(pauli.hermitian_representative(P))
+
+    def one(stream):
+        U = groups.sample_haar(G, stream)
+        A = U @ P_dense @ U.conj().T
+        masses = np.array([abs(pauli.trace_with(T, A) / d) ** 2 for T in vertices])
+        return np.append(masses, 1.0 - masses.sum())
+
+    rows = np.array([one(fresh_stream(seed, i)) for i in range(M)])
+    masses = tuple(moments.MomentEstimate(*rng.mean_and_stderr(rows[:, c]), M, seed) for c in range(len(keys)))
+    return moments.SpreadReport(keys, masses, float(np.max(np.abs(rows[:, -1]))), len(keys))
+
+
 def frobenius_schur_reference(G, Pi, M: int, seed: int):
     """Per-sample E Tr[Pi U^2]."""
     from designgap import groups
@@ -805,7 +844,7 @@ def mixed_unitary_fs_reference(d: int, M: int, seed: int):
     from designgap import groups
 
     def one(stream):
-        U = groups.haar_unitary(d, stream)
+        U = groups.haar_unitary_stack(d, [stream])[0]
         return abs(np.trace(U @ U)) ** 2
 
     return _estimate(_stream_values(one, M, seed), seed)
@@ -815,7 +854,7 @@ def haar_commutant_reference(d: int, M: int, seed: int):
     """Per-sample E |Tr U|^4 over Haar U(d)."""
     from designgap import groups
 
-    return _estimate(_stream_values(lambda s: abs(np.trace(groups.haar_unitary(d, s))) ** 4, M, seed), seed)
+    return _estimate(_stream_values(lambda s: abs(np.trace(groups.haar_unitary_stack(d, [s])[0])) ** 4, M, seed), seed)
 
 
 @dataclass(frozen=True, eq=False)

@@ -70,13 +70,13 @@ class TestExitCodes:
     def test_costly_non_prefix_matchgate_region_is_refused_before_sampling(self, capsys):
         # per sample (2n)^3 = 4096 for the Haar QR, each of the 11 gates at depth 3 and each side's
         # evaluation, 2 x 125 for the 5 x 5 minor det of each of the 20 monomials inside the region,
-        # and the fixed cost of 2e4
+        # and the fixed cost of 2e4; per 64-sample block 4e4 for each of the 132 factor positions
         start = time.perf_counter()
         code, out, err = run_cli(capsys, [*self.NON_PREFIX_REGION, "--samples", "1000000000"])
         assert time.perf_counter() - start < 1.0
         assert code == 2
         assert out == ""
-        assert "budget" in err and "costs about 8.23e+13 multiply-adds" in err and "minor dets 5.00e+12," in err
+        assert "budget" in err and "costs about 1.65e+14 multiply-adds" in err and "minor dets 5.00e+12," in err
 
     def test_gate_count_beyond_the_search_cap_is_refused(self, capsys):
         code, out, err = run_cli(capsys, ["discriminate", "--experiment", "gate-count", "--n", "13", "--samples", "5"])
@@ -105,13 +105,20 @@ class TestExitCodes:
         "argv,cost",
         [
             # per sample (2n)^3 = 512 for the Haar QR, each of the 2 gates at depth 1, and each side's det,
-            # plus the fixed cost of 2e4 of every sample
+            # plus the fixed cost of 2e4 of every sample; per 64-sample block 4e4 for each of the 24
+            # factor positions
             (["discriminate", "--experiment", "depth", "--group", "matchgate", "--n", "4", "--samples", "1000000000"],
-             "2.26e+13"),
-            # the QR, the default single gate, and each side's eigvalsh
-            (["discriminate", "--experiment", "gate-count", "--n", "4", "--samples", "1000000000"], "2.20e+13"),
+             "3.76e+13"),
+            # the QR, the default single gate, and each side's eigvalsh; one factor position per block
+            (["discriminate", "--experiment", "gate-count", "--n", "4", "--samples", "1000000000"], "2.27e+13"),
             # refused before the C(24, 12)-vertex component search
-            (["discriminate", "--experiment", "gate-count", "--n", "12", "--samples", "1000000000"], "7.53e+13"),
+            (["discriminate", "--experiment", "gate-count", "--n", "12", "--samples", "1000000000"], "7.59e+13"),
+            # one sample of 10^9 gates: 4e4 per factor position of its one block, before any factor is drawn
+            (["discriminate", "--experiment", "gate-count", "--n", "2", "--gates", "1000000000", "--samples", "1"],
+             "4.01e+13"),
+            # 10^9 layers of one gate, 12 factor positions each, before the gate sites are listed
+            (["discriminate", "--experiment", "depth", "--group", "matchgate", "--n", "2", "--depth", "1000000000",
+              "--samples", "1"], "4.80e+14"),
             # d^3 for the draw, 2 d^3 for the conjugation and 3 d^4 for the Kronecker square and its sums
             (["moments", "--quantity", "weingarten-check", "--group", "orthogonal", "--n", "3",
               "--samples", "1000000000"], "3.38e+13"),
@@ -224,7 +231,8 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "sampler,drifted,argv",
         [
-            ("haar_symplectic", lambda n, rng: 1j * np.eye(1 << n), ["--group", "symplectic", "--n", "2"]),
+            ("haar_symplectic", lambda n, streams: np.stack([1j * np.eye(1 << n)] * len(streams)),
+             ["--group", "symplectic", "--n", "2"]),
             # the matchgate Haar side draws its rotations a block of streams at a time
             ("haar_special_orthogonal", lambda d, streams: np.stack([1.01 * np.eye(d)] * len(streams)),
              ["--group", "matchgate", "--n", "4"]),

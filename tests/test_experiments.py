@@ -577,7 +577,7 @@ class TestStackedBrickwork:
         def leaky(G, L, adjacency, streams):
             U = real(G, L, adjacency, streams)
             if len(streams) > 2:
-                U[2] = groups.haar_orthogonal(U.shape[-1], rng.sample_stream(0, 0))
+                U[2] = groups.haar_orthogonal_stack(U.shape[-1], [rng.sample_stream(0, 0)])[0]
             return U
 
         monkeypatch.setattr(groups, "sample_shallow_stack", leaky)
@@ -697,8 +697,13 @@ class TestStackedRotation:
         ],
     )
     def test_rotation_budget_is_exact_at_the_cap(self, monkeypatch, config, products):
-        run = self.RUN["depth" if config.ensemble.kind == "brickwork" else "gate-count"]
-        cap = 7 * (products * 8**3 + moments.SAMPLE_FIXED_COST)
+        # the 7 samples are one block, which pays the dispatch of each factor position once:
+        # 12 per brickwork gate, one per gate of a sequence
+        brickwork = config.ensemble.kind == "brickwork"
+        run = self.RUN["depth" if brickwork else "gate-count"]
+        gates = products - 3  # the QR and the two evaluations are the other three
+        positions = gates * (groups.MATCHGATE_LOCAL_FACTORS if brickwork else 1)
+        cap = 7 * (products * 8**3 + moments.SAMPLE_FIXED_COST) + positions * experiments.FACTOR_DISPATCH_COST
         monkeypatch.setattr(moments, "FS_COST_CAP", cap)
         run(config)
         monkeypatch.setattr(moments, "FS_COST_CAP", cap - 1)
@@ -718,10 +723,12 @@ class TestStackedRotation:
         ids=["depth", "gate-count"],
     )
     def test_general_evaluator_budget_is_exact_at_the_cap(self, monkeypatch, experiment, config, monomials):
-        # per sample the QR, 2 gates and both evaluations in 8 x 8 products, and k^3 per minor det on each side
+        # per sample the QR, 2 gates and both evaluations in 8 x 8 products, and k^3 per minor det on each side;
+        # per block the dispatch of each factor position of the 2 gates
         T = monomials()
         minors = 2 * len(T) * len(T[0]) ** 3
-        cap = 7 * ((1 + 2 + 2) * 8**3 + minors + moments.SAMPLE_FIXED_COST)
+        positions = 2 * (groups.MATCHGATE_LOCAL_FACTORS if experiment == "depth" else 1)
+        cap = 7 * ((1 + 2 + 2) * 8**3 + minors + moments.SAMPLE_FIXED_COST) + positions * experiments.FACTOR_DISPATCH_COST
         monkeypatch.setattr(moments, "FS_COST_CAP", cap)
         self.RUN[experiment](config)
         monkeypatch.setattr(moments, "FS_COST_CAP", cap - 1)

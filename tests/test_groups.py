@@ -177,7 +177,7 @@ class TestGroupSpec:
 
 class TestHaarSamplers:
     def test_unitary_is_unitary(self):
-        U = groups.haar_unitary(8, stream())
+        U = groups.haar_unitary_stack(8, [stream()])[0]
         assert np.max(np.abs(U.conj().T @ U - np.eye(8))) < 1e-12
 
     def test_unitary_first_entry_distribution(self):
@@ -185,7 +185,7 @@ class TestHaarSamplers:
         # P(|U_00|^2 <= t) = 1 - (1-t)^(d-1).  Hand-rolled KS check.
         d, M = 4, 2000
         vals = np.sort(
-            [abs(groups.haar_unitary(d, stream(i))[0, 0]) ** 2 for i in range(M)]
+            [abs(groups.haar_unitary_stack(d, [stream(i)])[0][0, 0]) ** 2 for i in range(M)]
         )
         cdf = 1 - (1 - vals) ** (d - 1)
         emp_hi = np.arange(1, M + 1) / M
@@ -194,17 +194,17 @@ class TestHaarSamplers:
         assert D < 2.5 / math.sqrt(M)
 
     def test_orthogonal_is_real_orthogonal(self):
-        U = groups.haar_orthogonal(8, stream())
+        U = groups.haar_orthogonal_stack(8, [stream()])[0]
         assert np.max(np.abs(U.imag)) == 0
         assert np.max(np.abs(U.T @ U - np.eye(8))) < 1e-12
 
     def test_orthogonal_hits_both_determinant_signs(self):
-        dets = {round(float(np.linalg.det(groups.haar_orthogonal(4, stream(i)).real))) for i in range(40)}
+        dets = {round(float(np.linalg.det(groups.haar_orthogonal_stack(4, [stream(i)])[0].real))) for i in range(40)}
         assert dets == {-1, 1}
 
     def test_special_orthogonal_determinant(self):
         for i in range(10):
-            R = groups.haar_special_orthogonal(6, stream(i))
+            R = groups.haar_special_orthogonal(6, [stream(i)])[0]
             assert np.linalg.det(R) == pytest.approx(1.0)
 
     @pytest.mark.parametrize("n", [1, 2, 3])
@@ -212,13 +212,13 @@ class TestHaarSamplers:
         G = groups.group_spec("symplectic", n) if n >= 1 else None
         Om = groups.symplectic_form(n).dense()
         for i in range(8):
-            U = groups.haar_symplectic(n, stream(i))
+            U = groups.haar_symplectic(n, [stream(i)])[0]
             assert np.max(np.abs(U.conj().T @ U - np.eye(1 << n))) < 1e-10
             assert np.max(np.abs(U.T @ Om @ U - Om)) < 1e-8
 
     def test_givens_reconstruction(self):
         # factors compose right to left: R = G(t_k) ... G(t_1)
-        R = groups.haar_special_orthogonal(6, stream(3))
+        R = groups.haar_special_orthogonal(6, [stream(3)])[0]
         rebuilt = np.eye(6)
         for a, b, theta in groups.givens_decompose(R):
             G = np.eye(6)
@@ -247,7 +247,7 @@ class TestHaarSamplers:
         # the sampler is the lift of a Haar SO(2n) draw, not merely some
         # group element: the adjoint action must equal that draw exactly
         for i in range(4):
-            R = groups.haar_special_orthogonal(2 * n, stream(i))
+            R = groups.haar_special_orthogonal(2 * n, [stream(i)])[0]
             U = groups.haar_matchgate(n, stream(i))
             O, _ = adjoint_majorana_matrix(U, n)
             assert np.max(np.abs(O - R)) < 1e-9
@@ -305,9 +305,14 @@ class TestHaarSamplers:
 
 
 class TestSampleHaarStack:
-    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5])
-    @pytest.mark.parametrize("kind", ["unitary", "mixed_unitary", "orthogonal", "symplectic"])
+    @pytest.mark.parametrize(
+        "kind,n",
+        [(kind, n) for kind in ("unitary", "mixed_unitary", "orthogonal", "symplectic") for n in range(1, 6)]
+        + [("matchgate", n) for n in range(1, 5)]
+        + [("clifford", 1), ("clifford", 2)],
+    )
     def test_rows_are_the_single_draws(self, kind, n):
+        # sample_haar is the stack of one: every row of a 5-stream stack is its stream's single draw
         G = groups.group_spec(kind, n)
         streams = [dgrng.sample_stream(31, i) for i in range(5)]
         stack = groups.sample_haar_stack(G, streams)
@@ -318,27 +323,20 @@ class TestSampleHaarStack:
             # both consumed the same draws from the stream
             assert streams[i].random() == single.random()
 
-    @pytest.mark.parametrize("kind,n", [("matchgate", 2), ("clifford", 1)])
-    def test_other_kinds_stack_single_draws(self, kind, n):
-        G = groups.group_spec(kind, n)
-        stack = groups.sample_haar_stack(G, [dgrng.sample_stream(4, i) for i in range(3)])
-        for i in range(3):
-            assert np.array_equal(stack[i], groups.sample_haar(G, dgrng.sample_stream(4, i)))
-
     def test_unitary_stack_of_any_dimension(self):
         stack = groups.haar_unitary_stack(3, [stream(i) for i in range(4)])
         for i in range(4):
-            assert stack[i].tobytes() == groups.haar_unitary(3, stream(i)).tobytes()
+            assert stack[i].tobytes() == groups.haar_unitary_stack(3, [stream(i)])[0].tobytes()
 
     def test_self_check_covers_every_draw(self, monkeypatch):
-        real = groups._haar_symplectic_stack
+        real = groups.haar_symplectic
 
         def one_drifted(n, streams):
             U = real(n, streams)
             U[-1] *= 1j
             return U
 
-        monkeypatch.setattr(groups, "_haar_symplectic_stack", one_drifted)
+        monkeypatch.setattr(groups, "haar_symplectic", one_drifted)
         G = groups.group_spec("symplectic", 2)
         with pytest.raises(InvariantError, match="symplectic sampler drifted"):
             groups.sample_haar_stack(G, [stream(i) for i in range(3)])
@@ -374,7 +372,7 @@ class TestSymplecticSampler:
         P = swap_qubit_permutation(0, groups.symplectic_form_qubit(n), n)
         for i in range(4):
             canonical = symplectic_canonical(1 << n, stream(i))
-            assert np.array_equal(groups.haar_symplectic(n, stream(i)), P @ canonical @ P)
+            assert np.array_equal(groups.haar_symplectic(n, [stream(i)])[0], P @ canonical @ P)
 
 
 class TestCachedKernels:
@@ -442,9 +440,9 @@ def _shallow_stack(G, L: int, streams) -> np.ndarray:
 
 class TestShallowCircuits:
     def test_depth_zero_is_identity(self):
-        circ = groups.sample_shallow(groups.group_spec("orthogonal", 3), 0, "chain", stream())
-        assert np.array_equal(circ.unitary, np.eye(8))
-        R = groups.sample_shallow_rotation(groups.group_spec("matchgate", 3), 0, "chain", stream())
+        U = groups.sample_shallow(groups.group_spec("orthogonal", 3), 0, "chain", stream())
+        assert np.array_equal(U, np.eye(8))
+        R = groups.sample_shallow_rotation_stack(groups.group_spec("matchgate", 3), 0, "chain", [stream()])[0]
         assert np.array_equal(R, np.eye(6))
 
     @pytest.mark.parametrize(
@@ -469,19 +467,8 @@ class TestShallowCircuits:
 
     def test_shallow_clifford_membership(self):
         G = groups.group_spec("clifford", 2)
-        circ = groups.sample_shallow(G, 2, "chain", stream(2))
-        assert verify_group_membership(circ.unitary, G, tol=1e-8)
-
-    def test_layers_record_matches_unitary(self):
-        G = groups.group_spec("unitary", 3)
-        circ = groups.sample_shallow(G, 3, "chain", stream(5))
-        U = np.eye(8, dtype=np.complex128)
-        for layer in circ.layers:
-            layer_u = np.eye(8, dtype=np.complex128)
-            for pair, gate in layer:
-                layer_u = densesim.embed(gate, pair, 3) @ layer_u
-            U = layer_u @ U
-        assert np.array_equal(U, circ.unitary)
+        U = groups.sample_shallow(G, 2, "chain", stream(2))
+        assert verify_group_membership(U, G, tol=1e-8)
 
     @pytest.mark.parametrize("kind", ["orthogonal", "symplectic", "unitary", "mixed_unitary"])
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -492,7 +479,7 @@ class TestShallowCircuits:
         for L in range(5):
             for i in range(3):
                 a, b = stream(i), stream(i)
-                got = groups.sample_shallow(G, L, "chain", a).unitary
+                got = groups.sample_shallow(G, L, "chain", a)
                 assert np.array_equal(got, sample_shallow_reference(G, L, "chain", b)), (L, i)
                 assert a.random() == b.random()  # same stream position afterwards
 
@@ -531,13 +518,12 @@ class TestSampleShallowStack:
     def test_single_draw_is_the_stack_of_one(self, kind):
         G = groups.group_spec(kind, 4)
         stack = _shallow_stack(G, 3, [stream(i) for i in range(5)])
-        if kind == "matchgate":
-            single = groups.sample_shallow_rotation
-        else:
-            def single(*args):
-                return groups.sample_shallow(*args).unitary
         for i in range(5):
-            assert stack[i].tobytes() == single(G, 3, "chain", stream(i)).tobytes()
+            if kind == "matchgate":
+                alone = _shallow_stack(G, 3, [stream(i)])[0]
+            else:
+                alone = groups.sample_shallow(G, 3, "chain", stream(i))
+            assert stack[i].tobytes() == alone.tobytes()
 
     def test_form_self_check_covers_every_row(self, monkeypatch):
         # one drifted gate in the middle of a stack stops the whole draw
@@ -606,19 +592,19 @@ class TestMajoranaRotations:
         for i in range(3):
             U = sample_shallow_reference(G, 2, "chain", stream(i))
             O, _ = adjoint_majorana_matrix(U, n)
-            R = groups.sample_shallow_rotation(G, 2, "chain", stream(i))
+            R = groups.sample_shallow_rotation_stack(G, 2, "chain", [stream(i)])[0]
             assert np.max(np.abs(R - O)) < 1e-12
             O, _ = adjoint_majorana_matrix(groups.sample_haar(G, stream(i)), n)
-            assert np.max(np.abs(groups.sample_haar_rotation(G, stream(i)) - O)) < 1e-12
+            assert np.max(np.abs(groups.sample_haar_rotation_stack(G, [stream(i)])[0] - O)) < 1e-12
 
     def test_rotation_samplers_reject_other_inputs(self):
         with pytest.raises(ValidationError):
-            groups.sample_shallow_rotation(groups.group_spec("matchgate", 4), 1, "grid 2x2", stream())
+            groups.sample_shallow_rotation_stack(groups.group_spec("matchgate", 4), 1, "grid 2x2", [stream()])[0]
         with pytest.raises(ValidationError):
-            groups.sample_haar_rotation(groups.group_spec("orthogonal", 2), stream())
+            groups.sample_haar_rotation_stack(groups.group_spec("orthogonal", 2), [stream()])[0]
 
     def test_rotation_check_raises_invariant_error(self):
-        groups.check_rotation(groups.haar_special_orthogonal(6, stream()), "test")
+        groups.check_rotation(groups.haar_special_orthogonal(6, [stream()])[0], "test")
         with pytest.raises(InvariantError):
             groups.check_rotation(1.01 * np.eye(4), "test")
 
@@ -651,7 +637,7 @@ class TestStackedRotationSamplers:
             alone = stream(i)
             assert R[i].tobytes() == haar_special_orthogonal_reference(2 * n, alone).tobytes()
             assert repr(s.bit_generator.state) == repr(alone.bit_generator.state)
-        assert groups.sample_haar_rotation(G, stream(0)).tobytes() == R[0].tobytes()
+        assert groups.sample_haar_rotation_stack(G, [stream(0)])[0].tobytes() == R[0].tobytes()
 
     @pytest.mark.parametrize("depth", range(5))
     @pytest.mark.parametrize("n", range(2, 9))
@@ -663,7 +649,7 @@ class TestStackedRotationSamplers:
             alone = stream(i)
             assert R[i].tobytes() == sample_shallow_rotation_reference(G, depth, "chain", alone).tobytes()
             assert repr(s.bit_generator.state) == repr(alone.bit_generator.state)
-        assert groups.sample_shallow_rotation(G, depth, "chain", stream(0)).tobytes() == R[0].tobytes()
+        assert groups.sample_shallow_rotation_stack(G, depth, "chain", [stream(0)])[0].tobytes() == R[0].tobytes()
 
     def test_deep_circuits_draw_their_gates_in_several_calls(self):
         # 70 gates at n = 3 take two draws of at most SHALLOW_GATES_PER_DRAW gates
@@ -750,7 +736,7 @@ class TestFactorDraws:
 class TestMembership:
     def test_random_unitary_is_not_matchgate(self):
         G = groups.group_spec("matchgate", 3)
-        U = groups.haar_unitary(8, stream(9))
+        U = groups.haar_unitary_stack(8, [stream(9)])[0]
         assert membership_failure(U, G, tol=1e-8) is not None
 
     def test_non_unitary_detected(self):
@@ -759,24 +745,24 @@ class TestMembership:
 
     def test_complex_matrix_is_not_orthogonal(self):
         G = groups.group_spec("orthogonal", 2)
-        U = groups.haar_unitary(4, stream(1))
+        U = groups.haar_unitary_stack(4, [stream(1)])[0]
         msg = membership_failure(U, G, tol=1e-8)
         assert msg is not None
 
     def test_mixed_unitary_conjugate_pair_accepted(self):
         G = groups.group_spec("mixed_unitary", 2)
-        U = groups.haar_unitary(4, stream(3))
+        U = groups.haar_unitary_stack(4, [stream(3)])[0]
         W = np.kron(U, U.conj())
         assert verify_group_membership(W, G, tol=1e-8)
 
     def test_mixed_unitary_wrong_partner_rejected(self):
         G = groups.group_spec("mixed_unitary", 2)
-        U = groups.haar_unitary(4, stream(3))
-        V = groups.haar_unitary(4, stream(4))
+        U = groups.haar_unitary_stack(4, [stream(3)])[0]
+        V = groups.haar_unitary_stack(4, [stream(4)])[0]
         assert membership_failure(np.kron(U, V.conj()), G, tol=1e-8) is not None
 
     def test_form_violation_reported(self):
         G = groups.group_spec("symplectic", 2)
-        U = groups.haar_orthogonal(4, stream(5))
+        U = groups.haar_orthogonal_stack(4, [stream(5)])[0]
         msg = membership_failure(U, G, tol=1e-8)
         assert msg is not None and "form" in msg

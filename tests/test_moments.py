@@ -16,6 +16,8 @@ from conftest import (
     mixed_unitary_fs_reference,
     quadratic_symmetry_basis,
     second_moment_matrix_reference,
+    second_moment_trace_dense_reference,
+    spread_uniformity_reference,
     swap_trace_reference,
     symmetry_gram_report,
 )
@@ -112,8 +114,8 @@ class TestSecondMomentTrace:
         G = groups.group_spec("orthogonal", 2)
         V = pauli.PauliString(2, 0, 1)
         region = (0,)
-        tag = moments.mc_second_moment_trace(G, V, moments.SwapRegionTag(region), 500, 23)
-        dense = moments.mc_second_moment_trace(G, V, densesim.swap_region(region, 2), 500, 23)
+        tag = moments.mc_second_moment_trace(G, V, region, 500, 23)
+        dense = second_moment_trace_dense_reference(G, V, densesim.swap_region(region, 2), 500, 23)
         assert tag.mean == pytest.approx(dense.mean, abs=1e-10)
         assert tag.stderr == pytest.approx(dense.stderr, abs=1e-10)
 
@@ -123,7 +125,7 @@ class TestSecondMomentTrace:
         G = groups.group_spec("orthogonal", 3)
         V = pauli.PauliString(3, 0, 1)
         region = (0, 1)
-        est = moments.mc_second_moment_trace(G, V, moments.SwapRegionTag(region), 4000, 29)
+        est = moments.mc_second_moment_trace(G, V, region, 4000, 29)
         p = bounds.exact_haar_povm_probability("orthogonal", 8, 4)
         want = float(p) * 8 * 2  # p * d * d_C
         assert abs(est.mean - want) < 5 * est.stderr
@@ -220,6 +222,25 @@ class TestSpreadUniformity:
         total = sum(e.mean for e in report.masses)
         assert total == pytest.approx(1.0, abs=1e-9)
 
+    @pytest.mark.parametrize(
+        "G",
+        [
+            groups.GroupSpec("matchgate", 3, groups.matchgate_full_set(3), groups.matchgate_form_1(3)),
+            groups.group_spec("orthogonal", 2),
+        ],
+        ids=["matchgate-full-n3", "orthogonal-n2"],
+    )
+    def test_report_is_the_per_sample_report(self, G):
+        # 130 samples: two whole 64-sample chunks and a partial one
+        P = pauli.PauliString(G.n, 0, 1)
+        got = moments.haar_spread_uniformity(G, P, 130, 37)
+        want = spread_uniformity_reference(G, P, 130, 37)
+        assert got.vertex_keys == want.vertex_keys and got.component_size == want.component_size
+        for a, b in zip(got.masses, want.masses, strict=True):
+            assert np.array([a.mean, a.stderr]).tobytes() == np.array([b.mean, b.stderr]).tobytes()
+            assert (a.samples, a.seed) == (b.samples, b.seed)
+        assert np.float64(got.off_component_max).tobytes() == np.float64(want.off_component_max).tobytes()
+
 
 class TestIndicators:
     def test_even_parity_projector(self):
@@ -307,8 +328,7 @@ class TestStackedEstimators:
             V = pauli.PauliString(n, 0, 1)
             for M in self.COUNTS:
                 assert moments.frobenius_schur(G, None, M, 5) == frobenius_schur_reference(G, None, M, 5)
-                tag = moments.SwapRegionTag((0,))
-                assert moments.mc_second_moment_trace(G, V, tag, M, 7) == swap_trace_reference(G, V, (0,), M, 7)
+                assert moments.mc_second_moment_trace(G, V, (0,), M, 7) == swap_trace_reference(G, V, (0,), M, 7)
         Pi = moments.even_parity_projector(3)
         G = groups.group_spec("orthogonal", 3)
         assert moments.frobenius_schur(G, Pi, 65, 9) == frobenius_schur_reference(G, Pi, 65, 9)

@@ -8,12 +8,12 @@ from designgap import rng
 from designgap.errors import ValidationError
 
 
-def scalar_fn(stream):
-    return stream.normal()
+def scalar_rows(streams):
+    return [stream.normal() for stream in streams]
 
 
-def vector_fn(stream):
-    return stream.normal(size=3)
+def vector_rows(streams):
+    return [stream.normal(size=3) for stream in streams]
 
 
 class TestSampleStream:
@@ -145,28 +145,28 @@ class TestRecycling:
         assert got.tolist() == [fresh_stream(6, i).normal() for i in range(130)]
 
 
-class TestSampleArray:
+class TestSampleRows:
     def test_index_offset_shifts_streams(self):
-        base = rng.sample_array(scalar_fn, 20, 5)
-        shifted = rng.sample_array(scalar_fn, 10, 5, index_offset=10)
+        base = rng.sample_rows(scalar_rows, 20, 5)
+        shifted = rng.sample_rows(scalar_rows, 10, 5, index_offset=10)
         assert np.array_equal(base[10:], shifted)
 
     def test_sample_i_independent_of_total(self):
-        short = rng.sample_array(scalar_fn, 10, 5)
-        long = rng.sample_array(scalar_fn, 200, 5)
+        short = rng.sample_rows(scalar_rows, 10, 5)
+        long = rng.sample_rows(scalar_rows, 200, 5)
         assert np.array_equal(short, long[:10])
 
     def test_needs_positive_samples(self):
         with pytest.raises(ValidationError):
-            rng.sample_array(scalar_fn, 0, 5)
+            rng.sample_rows(scalar_rows, 0, 5)
 
 
 class TestSampleVectors:
     def test_shape(self):
-        assert rng.sample_array(vector_fn, 150, 9).shape == (150, 3)
+        assert rng.sample_rows(vector_rows, 150, 9).shape == (150, 3)
 
     def test_rows_match_scalar_streams(self):
-        rows = rng.sample_array(vector_fn, 5, 9)
+        rows = rng.sample_rows(vector_rows, 5, 9)
         for i in range(5):
             assert np.array_equal(rows[i], rng.sample_stream(9, i).normal(size=3))
 
@@ -243,7 +243,7 @@ class TestChunkLoop:
 
         values = rng.sample_rows(fn_chunk, 130, 2, row_bytes=100)
         assert max(sizes) == 5 and sum(sizes) == 130
-        assert np.array_equal(values, rng.sample_array(scalar_fn, 130, 2))
+        assert values.tolist() == [fresh_stream(2, i).normal() for i in range(130)]
 
     def test_one_stream_per_sample(self, monkeypatch):
         calls = []
@@ -269,7 +269,7 @@ class TestChunkLoop:
 
 class TestStatistics:
     def test_mean_and_stderr_against_numpy(self):
-        values = rng.sample_array(scalar_fn, 500, 2)
+        values = rng.sample_rows(scalar_rows, 500, 2)
         m, se = rng.mean_and_stderr(values)
         assert m == pytest.approx(values.mean())
         assert se == pytest.approx(values.std(ddof=1) / np.sqrt(500))
@@ -291,8 +291,8 @@ class TestStatistics:
 
     def test_stderr_shrinks_like_inverse_sqrt(self):
         # quadrupling the sample count should roughly halve the standard error
-        _, se_small = rng.mean_and_stderr(rng.sample_array(scalar_fn, 2000, 6))
-        _, se_big = rng.mean_and_stderr(rng.sample_array(scalar_fn, 8000, 6))
+        _, se_small = rng.mean_and_stderr(rng.sample_rows(scalar_rows, 2000, 6))
+        _, se_big = rng.mean_and_stderr(rng.sample_rows(scalar_rows, 8000, 6))
         assert se_big == pytest.approx(se_small / 2, rel=0.15)
 
     def test_constant_samples_have_zero_stderr(self):
