@@ -39,9 +39,11 @@ of one, returning the d x d unitary.  It serves every kind but matchgate,
 whose brickwork circuits are sampled only as Majorana rotations (below).
 The constant matrices of the dense path (forms, the canonical J, qubit-swap
 indices, small Majorana bilinears) are cached read-only.  The finite
-Clifford group is enumerated by a breadth-first closure that multiplies a
-whole level by every generator in one stacked matmul and keys the products
-in one pass, in the order a one-at-a-time FIFO closure would find them.
+Clifford group is enumerated by a breadth-first closure: each generator g
+multiplies a block of a level's elements as one product g @ [f_0 | f_1 |
+...], written in place into the level's (F, G, D, D) candidates, which are
+keyed in one pass, in the order a one-at-a-time FIFO closure would find
+them.  The products are those of the one-at-a-time closure, byte for byte.
 Matchgates are 2-local only on Jordan-Wigner neighbors (i, i+1); brickwork
 on any other edge is rejected.
 
@@ -106,6 +108,11 @@ MATCHGATE_LOCAL_FACTORS = 12
 # local gates whose factors the rotation sampler draws per call, which bounds
 # its per-stream arrays at any depth
 SHALLOW_GATES_PER_DRAW = 64
+# Clifford closure elements that each generator multiplies in one product.  A
+# 4 x 4096 operand stays in cache and on one OpenBLAS thread: on a 2-core
+# machine a 5000-element level took 2.2 ms in such blocks, 4.2 ms as one
+# product on one thread and up to 40 ms on two
+CLOSURE_BLOCK = 1024
 
 
 def _read_only(M: np.ndarray) -> np.ndarray:
@@ -648,18 +655,27 @@ def enumerate_clifford(n: int) -> tuple[np.ndarray, ...]:
         flat = stack.reshape(len(stack), -1)
         pivot = flat[np.arange(len(flat)), np.argmax(np.abs(flat) > 1e-8, axis=1)]
         normalized = stack / (pivot / np.abs(pivot))[:, None, None]
+        np.round(normalized, 8, out=normalized)
         # adding 0.0 collapses -0.0 to +0.0, which tobytes would distinguish
-        rounded = np.round(normalized, 8) + 0.0
-        return [M.tobytes() for M in rounded]
+        normalized += 0.0
+        return [M.tobytes() for M in normalized]
 
-    start = np.eye(1 << n, dtype=np.complex128)
+    D = 1 << n
+    start = np.eye(D, dtype=np.complex128)
     start.setflags(write=False)
     seen = set(canonical_keys(start[None]))
     order = [start]
     frontier = start[None]
     while len(frontier):
+        candidates = np.empty((len(frontier), len(gens), D, D), dtype=np.complex128)
+        for lo in range(0, len(frontier), CLOSURE_BLOCK):
+            block = frontier[lo : lo + CLOSURE_BLOCK]
+            # [f_0 | f_1 | ...]: each generator multiplies the block in one product
+            wide = block.transpose(1, 0, 2).reshape(D, len(block) * D)
+            for g, gen in enumerate(gens):
+                candidates[lo : lo + len(block), g] = (gen @ wide).reshape(D, len(block), D).transpose(1, 0, 2)
         # level by level, current-major and generator-minor: the FIFO order
-        candidates = (gens[None] @ frontier[:, None]).reshape(-1, *start.shape)
+        candidates = candidates.reshape(-1, D, D)
         fresh = []
         for i, key in enumerate(canonical_keys(candidates)):
             if key not in seen:

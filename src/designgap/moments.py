@@ -11,17 +11,22 @@ All estimators reduce the two-copy trace to d x d matrix products, so one
 sample costs a few dense multiplications at dimension 2^n.  Every sampling
 estimator (the twirl, the regional-swap trace, the spread over a component,
 the Frobenius-Schur indicators and the Haar commutant dimension) evaluates
-one 64-sample chunk at a time: ``groups.sample_haar_stack`` draws the chunk,
-stacked products evaluate it, and ``rng`` sums it in sample order, so every
-value and every sum is byte-identical to a one-sample-at-a-time loop (the
-per-sample references live in ``tests/conftest.py``).  The spread estimator
-conjugates its chunk as a stack and takes each row's vertex traces on its
-own.  A stacked intermediate never exceeds ``rng.STACK_BYTES``: at n = 5 the
-twirl takes its 1024 x 1024 Kronecker squares a few at a time.  The
-Clifford commutant takes the traces of the enumerated group in stacks of
-``TRACE_BLOCK``.  Every sampling estimator checks its cost against
-``FS_COST_CAP`` before the first draw (``check_cost``), counting each
-sample's products and its fixed cost ``SAMPLE_FIXED_COST``.
+one 64-sample chunk at a time: ``groups.sample_haar_stack`` draws the chunk
+and stacked products evaluate it.  The per-sample estimators stack one row
+per sample with ``rng.sample_rows``, so every value is byte-identical to a
+one-sample-at-a-time loop (the per-sample references live in
+``tests/conftest.py``), and no stacked intermediate exceeds
+``rng.STACK_BYTES``.  The spread estimator conjugates its chunk as a stack
+and takes each row's vertex traces on its own.  The twirl never builds a
+Kronecker square: a chunk's sums of A x A and of |A|^2 x |A|^2 are two
+Gram products of the flattened draws, added chunk by chunk with
+``rng.sum_chunks``, so its last digits differ from the per-sample
+``np.kron`` sums by rounding only; at n = 5 it holds two 1024 x 1024
+running sums and one chunk's two Gram products.  The Clifford commutant takes
+the traces of the enumerated group in stacks of ``TRACE_BLOCK``.  Every
+sampling estimator checks its cost against ``FS_COST_CAP`` before the first
+draw (``check_cost``), counting each sample's products and its fixed cost
+``SAMPLE_FIXED_COST``.
 """
 
 from __future__ import annotations
@@ -171,11 +176,15 @@ def _matrix_row_bytes(d: int) -> int:
 def mc_second_moment_matrix(G: groups.GroupSpec, V, M: int, seed: int):
     """Entrywise Monte Carlo mean and stderr of (U V U^dag)^{x2}.
 
-    Each block of draws builds its Kronecker squares A x A by broadcasting,
-    at most ``rng.STACK_BYTES`` of them at once.  Before the first draw the
-    run is budgeted by cost: per sample the Haar draw, the two products of
-    the conjugation, and the d^4 entries of the Kronecker square and of its
-    two running sums.
+    With X the chunk's conjugated draws A flattened to (B, d^2) rows, the
+    chunk's sum of A x A is the Gram product X^T X and its sum of
+    |A|^2 x |A|^2 is Y^T Y with Y = |X|^2, both read through the index map
+    (i d + j, k d + l) -> (i d + k, j d + l).  ``rng.sum_chunks`` adds the
+    two Gram products chunk by chunk, in Gram layout, and the mean and
+    stderr are permuted to Kronecker layout once, at the end.  Before the
+    first draw the run is budgeted by cost: per sample the Haar draw, the
+    two products of the conjugation and the d^4 of each Gram product, per
+    chunk the d^4 entries of each running sum.
     """
     n = G.n
     d = 1 << n
@@ -186,18 +195,24 @@ def mc_second_moment_matrix(G: groups.GroupSpec, V, M: int, seed: int):
         {
             "Haar draws": draw_products(G) * d**3,
             "conjugations": 2 * d**3,
-            "Kronecker squares and sums": 3 * d**4,
+            "Gram products of the draws and of their squared moduli": 2 * d**4,
         },
+        {"chunk sums": -(-M // rng.CHUNK_SIZE) * 2 * d**4},
     )
     Vd = _as_dense_v(V, n)
 
-    def rows(streams):
-        A = _conjugated(G, Vd, streams)
-        # kron(A, A)[i d + k, j d + l] = A[i, j] A[k, l]
-        return (A[:, :, None, :, None] * A[:, None, :, None, :]).reshape(len(A), d * d, d * d)
+    def grams(streams):
+        X = _conjugated(G, Vd, streams).reshape(len(streams), d * d)
+        Y = np.abs(X) ** 2
+        return X.T @ X, Y.T @ Y
 
-    total, total_sq = rng.accumulate_rows(rows, (d * d, d * d), M, seed, _matrix_row_bytes(d * d))
-    return rng.mean_and_stderr_from_sums(total, total_sq, M)
+    mean, stderr = rng.mean_and_stderr_from_sums(*rng.sum_chunks(grams, M, seed), M)
+
+    def kronecker_layout(gram):
+        # gram[i d + j, k d + l] = sum A[i, j] A[k, l] = kron(A, A)[i d + k, j d + l]
+        return gram.reshape(d, d, d, d).transpose(0, 2, 1, 3).reshape(d * d, d * d)
+
+    return kronecker_layout(mean), kronecker_layout(stderr)
 
 
 # ---------------------------------------------------------------------------
@@ -342,13 +357,14 @@ def frobenius_schur(
     """
     d = G.dense_dimension
     check_draw_cost(G, M, "Frobenius-Schur estimate")
-    Pi = np.eye(d, dtype=np.complex128) if subspace_projector is None else np.asarray(subspace_projector)
-    if Pi.shape != (d, d):
+    Pi = None if subspace_projector is None else np.asarray(subspace_projector)
+    if Pi is not None and Pi.shape != (d, d):
         raise ValidationError(f"projector shape {Pi.shape} does not match d={d}")
 
     def rows(streams):
         U = groups.sample_haar_stack(G, streams)
-        return np.trace(Pi @ U @ U, axis1=1, axis2=2).real
+        U2 = U @ U if Pi is None else Pi @ U @ U
+        return np.trace(U2, axis1=1, axis2=2).real
 
     return _estimate(rng.sample_rows(rows, M, seed, row_bytes=_matrix_row_bytes(d)), seed)
 

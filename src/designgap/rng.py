@@ -6,18 +6,18 @@ ran before it, and any single sample can be replayed in isolation.  Sampling
 is serial: the per-sample work holds the GIL, and a thread pool ran these
 loops 1.0-1.9x slower at two threads than at one on a 2-core machine.
 
-One loop walks the samples in fixed 64-sample chunks of streams.  A
-chunk-valued function maps a list of streams to one row per stream, so an
-estimator draws and evaluates a whole chunk with stacked array operations;
-``sample_rows`` stacks the rows, with an optional per-sample ``finalize``
-step on each value after its block, and ``accumulate_rows`` sums them;
-every sampling estimator and experiment runs on one of the two.  A caller
-that declares ``row_bytes``, the size of its largest per-sample
-intermediate, gets its chunks in blocks of at most ``STACK_BYTES`` of such
-rows, so no stack grows with the chunk past that bound.
-``accumulate_rows`` sums each chunk on its own, in sample order, and adds the
-chunk sums in order, which fixes its output bits for every block size and
-keeps the partial sums of large matrices streaming.
+One loop walks the samples in fixed 64-sample chunks of streams, and two
+consumers read it; every sampling estimator and experiment runs on one of
+them.  ``sample_rows`` takes a chunk-valued function that maps a list of
+streams to one row per stream, so an estimator draws and evaluates a whole
+chunk with stacked array operations, and stacks the rows, with an optional
+per-sample ``finalize`` step on each value after its block.  A caller that
+declares ``row_bytes``, the size of its largest per-sample intermediate,
+gets its chunks in blocks of at most ``STACK_BYTES`` of such rows, so no
+stack grows with the chunk past that bound.  ``sum_chunks`` takes a
+function that reduces a whole chunk to partial sums (the twirl's two Gram
+products) and adds them chunk by chunk, in order, so its output bits do not
+depend on ``STACK_BYTES``.
 
 Streams are recycled.  Once a chunk's consumer asks for the next chunk, the
 finished chunk's generators go on a spare list, and ``sample_stream`` re-keys
@@ -29,7 +29,7 @@ of the time of construction (1.3 us against 12-17 us on a 2-core Xeon), most
 of which goes to an OS-entropy ``SeedSequence`` that the explicit key then
 discards.  Only the first chunk of a process constructs generators.  The rule for a
 consumer is therefore: a chunk's streams are valid until the next chunk is
-requested.  ``sample_rows`` and ``accumulate_rows`` finish each chunk before
+requested.  ``sample_rows`` and ``sum_chunks`` finish each chunk before
 asking for the next, and a run nested inside a chunk function takes only
 spares that no running chunk holds.
 """
@@ -119,47 +119,26 @@ def sample_rows(
     )
 
 
-def _add_rows(acc: np.ndarray, rows: np.ndarray, fresh: bool) -> np.ndarray:
-    """acc + rows[0] + rows[1] + ..., added in that order.
+def sum_chunks(fn_chunk, samples: int, seed: int) -> tuple[np.ndarray, ...]:
+    """The sums of fn_chunk over the 64-sample chunks of streams, added in chunk order.
 
-    On a fresh (all-zero) accumulator with rows of more than one entry this
-    is one reduce over the leading axis: numpy adds the rows of a C-contiguous
-    stack in order, starting from zero, as the sequential loop does.  A
-    one-entry row would be summed pairwise, so it and any continued
-    accumulator are added row by row.
+    fn_chunk maps one whole chunk of streams to a tuple of arrays, its
+    partial sums; each is added to a running total that starts from zero.
+    A chunk is never split into blocks, so the result bits depend only on
+    the chunk size, not on ``STACK_BYTES``.
     """
-    if fresh and acc.size > 1:
-        return np.add.reduce(np.ascontiguousarray(rows), axis=0)
-    for row in rows:
-        acc += row
-    return acc
-
-
-def accumulate_rows(fn_chunk, shape, samples: int, seed: int, row_bytes: int = 0):
-    """Elementwise sum and sum of squared moduli of the rows of fn_chunk.
-
-    fn_chunk maps a list of streams to a stack of shape (len(streams),
-    *shape).  Returns (total, total_sq) where total is complex and total_sq
-    real.  Each 64-sample chunk is summed on its own in sample order and the
-    chunk sums are added in order, so the result bits do not depend on how
-    a chunk is split into blocks.
-    """
-    total = np.zeros(shape, dtype=np.complex128)
-    total_sq = np.zeros(shape, dtype=np.float64)
-    for blocks in _chunks(samples, seed, 0, row_bytes):
-        s = np.zeros(shape, dtype=np.complex128)
-        q = np.zeros(shape, dtype=np.float64)
-        for b, block in enumerate(blocks):
-            v = np.asarray(fn_chunk(block), dtype=np.complex128)
-            s = _add_rows(s, v, b == 0)
-            q = _add_rows(q, np.abs(v) ** 2, b == 0)
-        total += s
-        total_sq += q
-    return total, total_sq
+    totals = None
+    for (streams,) in _chunks(samples, seed, 0, 0):
+        parts = fn_chunk(streams)
+        if totals is None:
+            totals = tuple(np.zeros_like(part) for part in parts)
+        for total, part in zip(totals, parts):
+            total += part
+    return totals
 
 
 def mean_and_stderr_from_sums(total, total_sq, samples: int):
-    """Elementwise mean and standard error from accumulate_rows output."""
+    """Elementwise mean and standard error from a sum and a sum of squared moduli."""
     mean = total / samples
     if samples < 2:
         return mean, np.zeros_like(total_sq)

@@ -39,8 +39,10 @@ recycled generators, are checked against new ones.
 The moment references are the per-sample forms of the chunk-stacked
 estimators in ``moments``: one stream, one ``sample_haar`` draw and one
 evaluation at a time, with sums taken in the documented 64-sample chunk
-order; ``accumulate_moments`` is the per-sample form of
-``rng.accumulate_rows``.  The regional-swap trace also has a dense
+order.  ``accumulate_rows`` sums the rows of a chunk-valued function over
+the library's chunk loop, block by block; ``accumulate_moments`` is its
+per-sample form, and the twirl's reference squares each draw by
+``np.kron``.  The regional-swap trace also has a dense
 reference that squares (U V U^dag) by Kronecker product and traces it
 against the (d^2, d^2) observable.  The commutant basis built from commutator-graph
 components, with its Gram report and its Monte Carlo overlaps, the second
@@ -745,13 +747,53 @@ def accumulate_reference(fn, shape, M: int, seed: int):
     return total, total_sq
 
 
-def accumulate_moments(fn, shape, M: int, seed: int):
-    """Sum and sum of squared moduli of fn(stream_i) through rng.accumulate_rows,
-    with each block stacking at most rng.STACK_BYTES of values."""
+def _add_rows(acc: np.ndarray, rows: np.ndarray, fresh: bool) -> np.ndarray:
+    """acc + rows[0] + rows[1] + ..., added in that order.
+
+    On a fresh (all-zero) accumulator with rows of more than one entry this
+    is one reduce over the leading axis: numpy adds the rows of a C-contiguous
+    stack in order, starting from zero, as the sequential loop does.  A
+    one-entry row would be summed pairwise, so it and any continued
+    accumulator are added row by row.
+    """
+    if fresh and acc.size > 1:
+        return np.add.reduce(np.ascontiguousarray(rows), axis=0)
+    for row in rows:
+        acc += row
+    return acc
+
+
+def accumulate_rows(fn_chunk, shape, samples: int, seed: int, row_bytes: int = 0):
+    """Elementwise sum and sum of squared moduli of the rows of fn_chunk.
+
+    fn_chunk maps a list of streams to a stack of shape (len(streams),
+    *shape).  Returns (total, total_sq) where total is complex and total_sq
+    real.  The chunks come from the library's chunk loop, in blocks of at
+    most rng.STACK_BYTES of rows; each 64-sample chunk is summed on its own
+    in sample order and the chunk sums are added in order, so the result
+    bits do not depend on how a chunk is split into blocks.
+    """
     from designgap import rng
 
+    total = np.zeros(shape, dtype=np.complex128)
+    total_sq = np.zeros(shape, dtype=np.float64)
+    for blocks in rng._chunks(samples, seed, 0, row_bytes):
+        s = np.zeros(shape, dtype=np.complex128)
+        q = np.zeros(shape, dtype=np.float64)
+        for b, block in enumerate(blocks):
+            v = np.asarray(fn_chunk(block), dtype=np.complex128)
+            s = _add_rows(s, v, b == 0)
+            q = _add_rows(q, np.abs(v) ** 2, b == 0)
+        total += s
+        total_sq += q
+    return total, total_sq
+
+
+def accumulate_moments(fn, shape, M: int, seed: int):
+    """Sum and sum of squared moduli of fn(stream_i) through accumulate_rows,
+    with each block stacking at most rng.STACK_BYTES of values."""
     row_bytes = np.dtype(np.complex128).itemsize * int(np.prod(shape))
-    return rng.accumulate_rows(lambda streams: np.stack([fn(s) for s in streams]), shape, M, seed, row_bytes)
+    return accumulate_rows(lambda streams: np.stack([fn(s) for s in streams]), shape, M, seed, row_bytes)
 
 
 def second_moment_matrix_reference(G, V, M: int, seed: int):

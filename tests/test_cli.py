@@ -119,9 +119,10 @@ class TestExitCodes:
             # 10^9 layers of one gate, 12 factor positions each, before the gate sites are listed
             (["discriminate", "--experiment", "depth", "--group", "matchgate", "--n", "2", "--depth", "1000000000",
               "--samples", "1"], "4.80e+14"),
-            # d^3 for the draw, 2 d^3 for the conjugation and 3 d^4 for the Kronecker square and its sums
+            # d^3 for the draw, 2 d^3 for the conjugation and d^4 for each of the two Gram products; per chunk
+            # d^4 for each of the two running sums
             (["moments", "--quantity", "weingarten-check", "--group", "orthogonal", "--n", "3",
-              "--samples", "1000000000"], "3.38e+13"),
+              "--samples", "1000000000"], "2.99e+13"),
             # at n = 1 the fixed cost is nearly all of it
             (["moments", "--quantity", "weingarten-check", "--group", "orthogonal", "--n", "1",
               "--samples", "1000000000"], "2.01e+13"),

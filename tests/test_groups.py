@@ -264,9 +264,15 @@ class TestHaarSamplers:
         assert len(groups.enumerate_clifford(2)) == 11520
 
     @pytest.mark.parametrize("n", [1, 2])
-    def test_clifford_enumeration_matches_reference(self, n):
-        # same matrices, byte for byte, in the same order: samplers index by position
-        got = groups.enumerate_clifford(n)
+    @pytest.mark.parametrize("block", [None, 7])
+    def test_clifford_enumeration_matches_reference(self, monkeypatch, n, block):
+        # same matrices, byte for byte, in the same order: samplers index by position; with blocks
+        # of 7, every level of more than 7 elements is multiplied in several products
+        if block is None:
+            got = groups.enumerate_clifford(n)
+        else:
+            monkeypatch.setattr(groups, "CLOSURE_BLOCK", block)
+            got = groups.enumerate_clifford.__wrapped__(n)
         want = enumerate_clifford_reference(n)
         assert len(got) == len(want)
         for A, B in zip(got, want):

@@ -1,5 +1,6 @@
 """Moment estimators: closed-form twirls, commutant bases, indicators."""
 
+import tracemalloc
 from fractions import Fraction
 
 import numpy as np
@@ -89,22 +90,24 @@ class TestClosedFormTwirl:
             assert np.max(np.abs(S @ closed @ S - closed)) < 1e-12
 
     @pytest.mark.parametrize("kind", ["orthogonal", "symplectic"])
-    def test_monte_carlo_agrees_entrywise(self, kind):
-        # dual route: sampled average of (UZU+)^{x2} vs the closed form
-        G = groups.group_spec(kind, 2)
-        V = pauli.PauliString(2, 0, 1)
-        mean, stderr = moments.mc_second_moment_matrix(G, V, 4000, 17)
-        closed = moments.second_moment_closed_form(kind, 2)
+    @pytest.mark.parametrize("n, samples", [(2, 4000), (4, 2000)])
+    def test_monte_carlo_agrees_entrywise(self, kind, n, samples):
+        # dual route: sampled average of (UZU+)^{x2} vs the closed form, every one of the d^4 entries
+        G = groups.group_spec(kind, n)
+        V = pauli.PauliString(n, 0, 1)
+        mean, stderr = moments.mc_second_moment_matrix(G, V, samples, 17)
+        closed = moments.second_moment_closed_form(kind, n)
         dev = np.abs(mean - closed)
         assert bool((dev <= np.maximum(5 * stderr, 1e-12)).all())
 
     def test_twirl_budget_is_exact_at_the_cap(self, monkeypatch):
-        # per sample at d = 4: the draw d^3, the conjugation 2 d^3, the Kronecker square and its sums 3 d^4,
-        # and the fixed cost
+        # per sample at d = 4: the draw d^3, the conjugation 2 d^3, the two Gram products d^4 each and the
+        # fixed cost; per 64-sample chunk the two running sums of d^4 entries each
         G, V = groups.group_spec("orthogonal", 2), pauli.PauliString(2, 0, 1)
-        monkeypatch.setattr(moments, "FS_COST_CAP", 5 * (64 + 128 + 768 + moments.SAMPLE_FIXED_COST))
+        monkeypatch.setattr(moments, "FS_COST_CAP", 5 * (64 + 128 + 512 + moments.SAMPLE_FIXED_COST) + 512)
         moments.mc_second_moment_matrix(G, V, 5, 0)
-        with pytest.raises(BudgetError, match=r"Kronecker squares and sums 4\.61e\+3"):
+        parts = r"Gram products of the draws and of their squared moduli 3\.07e\+3, .*chunk sums 5\.12e\+2\)"
+        with pytest.raises(BudgetError, match=parts):
             moments.mc_second_moment_matrix(G, V, 6, 0)
 
 
@@ -307,22 +310,27 @@ class TestMixedCommutant:
 
 
 class TestStackedEstimators:
-    """Each chunk-stacked estimator equals its per-sample reference bit for bit."""
+    """Each chunk-stacked estimator equals its per-sample reference bit for bit; the twirl, whose
+    Gram products sum in another order than the per-sample Kronecker squares, to TWIRL_TOL."""
 
     COUNTS = (1, 63, 64, 65, 130)
+    # largest entry difference of the twirl's mean or stderr from the np.kron route: entries are
+    # at most 1 in modulus, and the two routes differ by rounding (2.2e-16 seen at n = 2, 3)
+    TWIRL_TOL = 64 * np.finfo(np.float64).eps
 
     @staticmethod
     def same(a, b):
         return a.tobytes() == b.tobytes()
 
     def check_all(self):
-        V = pauli.PauliString(2, 0, 1)
-        for kind in ("orthogonal", "symplectic"):
-            G = groups.group_spec(kind, 2)
+        for kind, n in (("orthogonal", 2), ("symplectic", 2), ("orthogonal", 3)):
+            G = groups.group_spec(kind, n)
+            V = pauli.PauliString(n, 0, 1)
             for M in self.COUNTS:
                 got = moments.mc_second_moment_matrix(G, V, M, 3)
                 want = second_moment_matrix_reference(G, V, M, 3)
-                assert self.same(got[0], want[0]) and self.same(got[1], want[1]), (kind, M)
+                for g, w in zip(got, want):
+                    assert g.shape == w.shape and np.max(np.abs(g - w)) <= self.TWIRL_TOL, (kind, n, M)
         for kind, n in (("orthogonal", 3), ("symplectic", 3), ("unitary", 2), ("matchgate", 2)):
             G = groups.group_spec(kind, n)
             V = pauli.PauliString(n, 0, 1)
@@ -351,20 +359,32 @@ class TestStackedEstimators:
         monkeypatch.setattr(moments.rng, "STACK_BYTES", 3 * 16 * 256)
         self.check_all()
 
-    def test_stack_bound_holds_at_five_qubits(self, monkeypatch):
-        # a (64, d^2, d^2) Kronecker stack at n = 5 would take 1 GiB
-        seen = []
-        real = moments.rng.accumulate_rows
+    def test_twirl_does_not_depend_on_the_stack_bound(self, monkeypatch):
+        # the twirl sums whole chunks, so no block size reaches its bytes
+        cases = [(kind, n, M) for kind, n in (("orthogonal", 2), ("symplectic", 3)) for M in (1, 65, 130)]
 
-        def spy(fn_chunk, shape, M, seed, row_bytes=0):
-            def checked(streams):
-                out = fn_chunk(streams)
-                seen.append(out.nbytes)
-                return out
+        def twirls():
+            out = []
+            for kind, n, M in cases:
+                G, V = groups.group_spec(kind, n), pauli.PauliString(n, 0, 1)
+                mean, stderr = moments.mc_second_moment_matrix(G, V, M, 3)
+                out.append(mean.tobytes() + stderr.tobytes())
+            return out
 
-            return real(checked, shape, M, seed, row_bytes)
+        want = twirls()
+        for stack_bytes in (1, 3 * 16 * 256):
+            monkeypatch.setattr(moments.rng, "STACK_BYTES", stack_bytes)
+            assert twirls() == want
 
-        monkeypatch.setattr(moments.rng, "accumulate_rows", spy)
+    def test_twirl_memory_is_bounded_at_five_qubits(self):
+        # 64 Kronecker squares at n = 5 would take 1 GiB, and one square at a time peaked at 80 MiB;
+        # the Gram route holds the two d^4 running sums, one chunk's two Gram products, and then
+        # the mean and stderr with their permuted copies: 64 MiB
         G = groups.group_spec("orthogonal", 5)
-        moments.mc_second_moment_matrix(G, pauli.PauliString(5, 0, 1), 3, 1)
-        assert seen and max(seen) <= moments.rng.STACK_BYTES
+        tracemalloc.start()
+        try:
+            moments.mc_second_moment_matrix(G, pauli.PauliString(5, 0, 1), 3, 1)
+            _, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert peak <= 72 * 2**20

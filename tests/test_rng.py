@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from conftest import accumulate_moments, fresh_stream
+from conftest import accumulate_moments, accumulate_rows, fresh_stream
 from designgap import rng
 from designgap.errors import ValidationError
 
@@ -226,7 +226,7 @@ class TestChunkLoop:
             row_bytes = 16 * int(np.prod(shape))
             monkeypatch.setattr(rng, "STACK_BYTES", per_block * row_bytes)
         fn_chunk = self.complex_rows(shape)
-        total, total_sq = rng.accumulate_rows(fn_chunk, shape, samples, 8, row_bytes)
+        total, total_sq = accumulate_rows(fn_chunk, shape, samples, 8, row_bytes)
         want, want_sq = accumulate_reference(lambda s: fn_chunk([s])[0], shape, samples, 8)
         assert total.tobytes() == want.tobytes()
         assert total_sq.tobytes() == want_sq.tobytes()
@@ -257,14 +257,60 @@ class TestChunkLoop:
         rng.sample_rows(lambda streams: [s.normal() for s in streams], 130, 1, index_offset=5)
         assert calls == list(range(5, 135))
         calls.clear()
-        rng.accumulate_rows(self.complex_rows((2,)), (2,), 70, 1, row_bytes=32)
+        accumulate_rows(self.complex_rows((2,)), (2,), 70, 1, row_bytes=32)
         assert calls == list(range(70))
 
     def test_needs_positive_samples(self):
         with pytest.raises(ValidationError):
             rng.sample_rows(lambda streams: [0.0] * len(streams), 0, 5)
         with pytest.raises(ValidationError):
-            rng.accumulate_rows(self.complex_rows((2,)), (2,), 0, 5)
+            accumulate_rows(self.complex_rows((2,)), (2,), 0, 5)
+
+
+class TestSumChunks:
+    @staticmethod
+    def chunk_sums(streams):
+        rows = np.stack([s.normal(size=3) + 1j * s.normal(size=3) for s in streams])
+        return rows.sum(axis=0), np.abs(rows).sum(axis=0)
+
+    @pytest.mark.parametrize("samples", [1, 63, 64, 65, 130])
+    def test_adds_each_chunk_in_order_from_zero(self, samples):
+        total, total_abs = rng.sum_chunks(self.chunk_sums, samples, 8)
+        want = np.zeros(3, dtype=np.complex128)
+        want_abs = np.zeros(3)
+        for lo in range(0, samples, rng.CHUNK_SIZE):
+            s, a = self.chunk_sums([fresh_stream(8, i) for i in range(lo, min(lo + rng.CHUNK_SIZE, samples))])
+            want += s
+            want_abs += a
+        assert total.tobytes() == want.tobytes()
+        assert total_abs.tobytes() == want_abs.tobytes()
+
+    def test_whole_chunks_whatever_the_stack_bound(self, monkeypatch):
+        monkeypatch.setattr(rng, "STACK_BYTES", 1)
+        sizes = []
+
+        def fn_chunk(streams):
+            sizes.append(len(streams))
+            return (np.zeros(2),)
+
+        rng.sum_chunks(fn_chunk, 130, 1)
+        assert sizes == [64, 64, 2]
+
+    def test_one_stream_per_sample(self, monkeypatch):
+        calls = []
+        real = rng.sample_stream
+
+        def counted(seed, index):
+            calls.append(index)
+            return real(seed, index)
+
+        monkeypatch.setattr(rng, "sample_stream", counted)
+        rng.sum_chunks(self.chunk_sums, 70, 1)
+        assert calls == list(range(70))
+
+    def test_needs_positive_samples(self):
+        with pytest.raises(ValidationError):
+            rng.sum_chunks(self.chunk_sums, 0, 5)
 
 
 class TestStatistics:
