@@ -1,17 +1,23 @@
 """Dense linear algebra for two-copy simulation at small qubit counts.
 
-Operators and states are plain numpy arrays (complex128): a dense operator on
-m qubits is a 2^m x 2^m matrix, a state a length-2^m vector.  Qubit 0 is the
-leftmost tensor factor (most significant basis bit).  Two-copy systems put
-copy 1 on qubits 0..n-1 and copy 2 on qubits n..2n-1; region bookkeeping is
-done by basis-index permutations, never by physically reordering amplitudes
-twice.
+Operators and states are plain numpy arrays, real (float64) or complex
+(complex128), and every function keeps its operands' field: a real operator
+stays real, so a real orthogonal circuit runs in real arithmetic.  A dense
+operator on m qubits is a 2^m x 2^m matrix, a state a length-2^m vector.
+Qubit 0 is the leftmost tensor factor (most significant basis bit).
+Two-copy systems put copy 1 on qubits 0..n-1 and copy 2 on qubits n..2n-1;
+region bookkeeping is done by basis-index permutations, never by physically
+reordering amplitudes twice, and the identity order moves nothing.
 
 The index maps are cached: ``basis_permutation`` is memoized per (order, n)
 and returned read-only, and ``embed`` places an operator's entries into the
 n-qubit matrix through scatter indices cached per (qubits, n), with no
 Kronecker product and no gather.  The placed entries are the operator's own,
-so the result equals the Kronecker-product-then-permute construction.
+so the result equals the Kronecker-product-then-permute construction.  A
+product with a phased permutation (a phased Pauli, a Bell state reshaped to
+a matrix) is no d^3 product: ``right_product`` turns such a factor into one
+column gather and one in-place scale, whose every entry is the matmul's one
+nonzero term, rounded as the matmul rounds it.
 
 ``embed``, ``permute_state``, ``apply_two_copy``, ``complement_bell_overlap``
 and ``partial_trace`` take operators and states with leading stack axes, so
@@ -109,9 +115,39 @@ def embed(op: np.ndarray, qubits: tuple[int, ...], n: int) -> np.ndarray:
     _require_qubits(n, pauli.DENSE_QUBIT_CAP, "dense embedding")
     idx = _embed_scatter(tuple(qubits), n)
     lead = op.shape[:-2]
-    out = np.zeros((*lead, 1 << (2 * n)), dtype=np.complex128)
+    out = np.zeros((*lead, 1 << (2 * n)), dtype=op.dtype)
     out[..., idx] = op[..., None]
     return out.reshape(*lead, 1 << n, 1 << n)
+
+
+def right_product(M: np.ndarray):
+    """The map A -> A @ M for a fixed d x d matrix M, for A with leading stack axes.
+
+    When every column j of M has one nonzero, M[src[j], j] = phase[j] (a
+    phased permutation), column j of A @ M is phase[j] times column src[j]
+    of A: one gather, scaled in place, in place of a d^3 product.  Each
+    entry is then the matmul's only nonzero term, so it rounds as the
+    matmul does; only the sign of an exact zero can differ.  Real phases
+    keep a real A real.  The identity returns A itself, and any other M is
+    multiplied.
+    """
+    nonzero = M != 0
+    if not np.all(np.count_nonzero(nonzero, axis=0) == 1):
+        return lambda A: A @ M
+    src = np.argmax(nonzero, axis=0)
+    phase = M[src, np.arange(M.shape[1])]
+    if np.iscomplexobj(phase) and not np.any(phase.imag):
+        phase = phase.real
+    if np.array_equal(src, np.arange(src.size)) and np.all(phase == 1):
+        return lambda A: A
+
+    def gathered(A: np.ndarray) -> np.ndarray:
+        # an index, not np.take, which would first copy a transposed A
+        out = A[..., src].astype(np.result_type(A, phase), copy=False)
+        out *= phase
+        return out
+
+    return gathered
 
 
 def partial_trace(A: np.ndarray, keep: tuple[int, ...], n: int) -> np.ndarray:
@@ -177,7 +213,8 @@ def complement_bell_overlap(
     reg = tuple(sorted(set(region)))
     comp = tuple(q for q in range(n) if q not in reg)
     order = reg + comp + tuple(n + q for q in reg) + tuple(n + q for q in comp)
-    chi = permute_state(psi, order, 2 * n)
+    # a prefix region (0..m-1) orders the qubits as they are
+    chi = psi if order == tuple(range(2 * n)) else permute_state(psi, order, 2 * n)
     dL, dC = 1 << len(reg), 1 << len(comp)
     T = np.einsum("...axbx->...ab", chi.reshape(*psi.shape[:-1], dL, dC, dL, dC))
     return T / np.sqrt(dC)

@@ -29,20 +29,25 @@ shallow side on streams [0, M) and the Haar side on [M, 2M) through
 ``rng.sample_rows``.  The dense brickwork experiments (depth and mixed
 unitary) evaluate a whole block at once: ``groups.sample_shallow_stack`` or
 ``groups.sample_haar_stack`` draws it, and the two-copy evolution and the
-complement-Bell overlap run on the stack.  The rotation evaluators do the
-same on Majorana rotations: ``groups.sample_shallow_rotation_stack``, the
-stacked N-gate sequences (drawn and applied a window of factors at a time)
-or ``groups.sample_haar_rotation_stack`` draws a block, and one stacked
-evaluation takes it.  Each pair declares the bytes that one sample
-holds in stacked intermediates at once, so a block stays within
-``rng.STACK_BYTES``.  Each sample is then finalized on its own, in the
-per-sample closures of the runner: the shallow-exactness check, the clamp
-to [0, 1] and, in shot mode, the shot drawn from the sample's own stream
-after p.  Each stacked row is the single-sample value bit for bit, so the
-output bytes are those of a one-sample-at-a-time loop.  Before its first
-draw a dense brickwork run estimates its cost in d x d products, and a
-rotation run in 2n x 2n products plus k^3 per minor and the numpy dispatch
-of each factor position per block, and exits 2 above
+complement-Bell overlap run on the stack.  They multiply only what needs
+multiplying: the two-copy state and the form's unwinding are phased
+permutations, applied as gathers, so the evolution is one d x d product per
+sample, and an orthogonal run is real from its gates to its overlap.  The
+rotation evaluators do the same on Majorana rotations:
+``groups.sample_shallow_rotation_stack``, the stacked N-gate sequences
+(drawn and applied a window of factors at a time) or
+``groups.sample_haar_rotation_stack`` draws a block, and one stacked
+evaluation takes it.  Each pair declares the bytes that one sample holds in
+stacked intermediates at once, so a block stays within ``rng.STACK_BYTES``.
+Each sample is then finalized on its own, in the per-sample closures of the
+runner: the shallow-exactness check, the clamp to [0, 1] and, in shot mode,
+the shot drawn from the sample's own stream after p.  Each stacked row is
+the single-sample value bit for bit, so the output bytes are those of a
+one-sample-at-a-time loop.  Before its first draw a dense brickwork run
+estimates its cost in the d x d products it makes (the Haar draw, gates - 1
+for the circuit, the form self-checks and one evolution product per side),
+and a rotation run in 2n x 2n products plus k^3 per minor and the numpy
+dispatch of each factor position per block, and exits 2 above
 ``moments.FS_COST_CAP``.
 """
 
@@ -61,9 +66,13 @@ from .errors import BudgetError, InvariantError, ValidationError
 SHALLOW_EXACTNESS_TOL = 1e-9
 SHALLOW_FAILURE_TOL = 1e-6
 # stacked intermediates alive at once per sample at the peak of a block's
-# evaluation, as tracemalloc measures it: up to 5.6 d x d complex matrices on
-# the dense brickwork path (running and layer products, embedded gate, matmul
-# result, two-copy state), up to 6.8 2n x 2n real matrices on the rotation
+# evaluation, as tracemalloc measures it: on the dense brickwork path up to
+# 5.6 d x d matrices of the kind's field (``groups.dense_field``: real for
+# orthogonal runs), reached by the unitary Haar draw (its normals, the
+# complex Ginibre matrix, its QR and the phase-fixed Q); the shallow circuit
+# (layer and running products, embedded gate) and the two-copy evolution
+# hold up to 4.2 real matrices for orthogonal and 4.5 complex ones for
+# symplectic runs, at n = 4 to 8.  Up to 6.8 2n x 2n real matrices on the rotation
 # path (Ginibre draw, its QR, the complex and real Q, the rotation stack),
 # to which the general rotation evaluator adds its minors
 DENSE_LIVE_STACKS = 6
@@ -315,22 +324,28 @@ def _brickwork_gates(adj: groups.Adjacency, L: int) -> int:
     return cycles * sum(map(len, classes)) + sum(map(len, classes[:rest]))
 
 
-def _check_brickwork_cost(config: ExperimentConfig, adj: groups.Adjacency, conjugate: bool) -> None:
+def _check_brickwork_cost(config: ExperimentConfig, adj: groups.Adjacency) -> None:
     """Raise BudgetError when a dense brickwork run costs more than moments.FS_COST_CAP.
 
-    Each sample pays, in d x d products of d^3 complex multiply-adds: its Haar
-    draw (``moments.draw_products``: n(2n-1) Givens lifts for a matchgate),
-    one product per shallow gate and one per layer, and the two-copy
-    evolutions of both sides (two products per side, and two more to unwind
-    a form).  The estimate is exact integer arithmetic, so no depth or sample
-    count overflows it, and it is checked before the first draw.
+    Each sample pays, in d x d products of d^3 multiply-adds, what it
+    multiplies: its Haar draw (``moments.draw_products``), gates - 1
+    products for its shallow circuit (each layer starts from its first gate
+    and the circuit from its first layer), one form self-check per side
+    that runs one (the shallow circuit of a group with a form; the
+    Gram-Schmidt symplectic Haar draw, but not the QR orthogonal one, which
+    is orthogonal by construction) and one two-copy evolution product per
+    side, U Psi_0 and the unwinding of the form being gathers.  The
+    estimate is exact integer arithmetic, so no depth or sample count
+    overflows it, and it is checked before the first draw.
     """
     G, L = config.group, config.ensemble.depth
     products = {
         "Haar draws": moments.draw_products(G),
-        "shallow circuits": _brickwork_gates(adj, L) + L,
-        "two-copy evolutions": 4 if conjugate else 8,
+        "shallow circuits": max(_brickwork_gates(adj, L) - 1, 0),
+        "two-copy evolutions": 2,
     }
+    if G.form is not None:
+        products["form self-checks"] = (L > 0) + (G.kind == "symplectic")
     d3 = G.dense_dimension**3
     moments.check_cost(
         f"dense brickwork experiment for {G.kind} n={G.n}",
@@ -365,9 +380,9 @@ def _check_rotation_cost(config: ExperimentConfig, experiment: str, gates: int, 
     )
 
 
-def _dense_row_bytes(n: int) -> int:
-    """Bytes per sample of the dense brickwork stacks alive at once."""
-    return DENSE_LIVE_STACKS * (np.dtype(np.complex128).itemsize << (2 * n))
+def _dense_row_bytes(n: int, kind: str) -> int:
+    """Bytes per sample of the dense brickwork stacks alive at once, in the kind's field."""
+    return DENSE_LIVE_STACKS * (np.dtype(groups.dense_field(kind)).itemsize << (2 * n))
 
 
 def _rotation_row_bytes(n: int) -> int:
@@ -461,30 +476,36 @@ def _depth_dense(config: ExperimentConfig, adj: groups.Adjacency, conjugate: boo
     stacked evolution and one stacked overlap.  With a form the state
     (V x Omega)|Phi> evolves under U x U and the form is unwound on the
     second copy; the conjugate-copy state (V x 1)|Phi> evolves under
-    U x conj(U), which leaves |Phi> itself invariant.
+    U x conj(U), which leaves |Phi> itself invariant.  As a d x d matrix
+    the state is Psi_0 = V Omega^T / sqrt(d) (V / sqrt(d) for the conjugate
+    copy), and U x W takes it to U Psi_0 W^T.  Psi_0 and the unwinding
+    Omega^-T are phased permutations, so U Psi_0 and the unwinding are
+    gathers (``densesim.right_product``) and W^T the one product per
+    sample; an orthogonal U stays real throughout.
     """
     G = config.group
     n = config.n
-    _check_brickwork_cost(config, adj, conjugate)
-    eye = np.eye(1 << n, dtype=np.complex128)
+    d = 1 << n
+    _check_brickwork_cost(config, adj)
     Vd = pauli.to_dense(pauli.hermitian_representative(config.perturbation))
     depth = config.ensemble.depth
     if conjugate:
-        psi0 = densesim.apply_two_copy(Vd, eye, densesim.bell_state(n))
+        eye = np.eye(d, dtype=np.complex128)
+        start = densesim.right_product(densesim.apply_two_copy(Vd, eye, densesim.bell_state(n)).reshape(d, d))
 
         def evolve(U):
-            return densesim.apply_two_copy(U, U.conj(), psi0)
+            return start(U) @ np.swapaxes(U.conj(), -1, -2)
 
     else:
-        Om, Om_inv = G.form.dense(), G.form.inverse_dense()
-        psi0 = densesim.apply_two_copy(Vd, Om, densesim.bell_state(n))
+        start = densesim.right_product(densesim.apply_two_copy(Vd, G.form.dense(), densesim.bell_state(n)).reshape(d, d))
+        unwind = densesim.right_product(G.form.inverse_dense().T)
 
         def evolve(U):
-            psi = densesim.apply_two_copy(U, U, psi0)
-            return densesim.apply_two_copy(eye, Om_inv, psi)
+            return unwind(start(U) @ np.swapaxes(U, -1, -2))
 
     def born(U):
-        T = densesim.complement_bell_overlap(evolve(U), config.region, n)
+        psi = evolve(U)
+        T = densesim.complement_bell_overlap(psi.reshape(*psi.shape[:-2], d * d), config.region, n)
         return np.sum(np.abs(T) ** 2, axis=(-2, -1))
 
     def shallow_p(streams):
@@ -493,7 +514,7 @@ def _depth_dense(config: ExperimentConfig, adj: groups.Adjacency, conjugate: boo
     def haar_p(streams):
         return born(groups.sample_haar_stack(G, streams))
 
-    return Evaluators(shallow_p, haar_p, _dense_row_bytes(n))
+    return Evaluators(shallow_p, haar_p, _dense_row_bytes(n, G.kind))
 
 
 def _depth_rotation(config: ExperimentConfig, adj: groups.Adjacency):

@@ -25,18 +25,26 @@ n(2n-1)-element ``matchgate_full_set`` build groups only up to
 ``cgraph.KEY_QUBIT_CAP`` qubits, the largest graph the BFS can key.
 
 Shallow ensembles are brickwork circuits of 2-local group gates over a
-declared adjacency; the conjugation lightcone is computed conservatively as
-one adjacency expansion per layer.  Like the Haar samplers, the dense
-brickwork sampler has one body that takes a stack of streams:
+declared adjacency; the conjugation lightcone follows the brickwork
+schedule, layer class by layer class, so a gate joins the cone only in the
+layers that apply it.  Like the Haar samplers, the dense brickwork sampler
+has one body that takes a stack of streams:
 ``sample_shallow_stack`` draws each stream's Gaussians for a layer in one
 call, in the order per-gate draws would take them, orthogonalizes every gate
 of the stack in one stacked QR (one Gram-Schmidt per symplectic form-qubit
 pair), places the gates with one stacked ``densesim.embed`` per pair and
-multiplies the layer products as batched matmuls in the per-sample operand
-order.  A stacked QR and a batched matmul are the per-matrix ones, so each
-row is the per-gate circuit bit for bit, and ``sample_shallow`` is the stack
-of one, returning the d x d unitary.  It serves every kind but matchgate,
-whose brickwork circuits are sampled only as Majorana rotations (below).
+multiplies them as batched matmuls in the per-sample operand order, with no
+product by an identity: a circuit of g gates takes g - 1 products.  Each
+draw is computed in its group's field (``dense_field``): Haar O(d) draws,
+orthogonal gates and orthogonal circuits are real, so they multiply in real
+arithmetic, and the other kinds are complex.  A stacked QR and a batched
+matmul are the per-matrix ones, so each row is the draw of its stream alone
+bit for bit, and ``sample_shallow`` is the stack of one, returning the
+d x d unitary.  Against a per-gate construction that starts each layer
+and the circuit from an identity, only the sign of an exact zero can
+differ.  It serves every kind but matchgate, whose brickwork circuits are
+sampled only as Majorana rotations (below).  The form self-check
+U^T Omega U = Omega takes U^T Omega as a gather (``BilinearForm.right_product``).
 The constant matrices of the dense path (forms, the canonical J, qubit-swap
 indices, small Majorana bilinears) are cached read-only.  The finite
 Clifford group is enumerated by a breadth-first closure: each generator g
@@ -156,6 +164,22 @@ class BilinearForm:
         if self.is_pauli:
             return _read_only(pauli.to_dense(self.representation))
         return _read_only(np.array(self.representation, dtype=np.complex128))
+
+    def field_dense(self) -> np.ndarray:
+        """The dense form as a real matrix when its entries are real (every
+        shipped form but the matchgate one), else as ``dense()``; read-only."""
+        return self._field_dense
+
+    @functools.cached_property
+    def _field_dense(self) -> np.ndarray:
+        M = self.dense()
+        return _read_only(M.real.copy()) if not np.any(M.imag) else M
+
+    @functools.cached_property
+    def right_product(self):
+        """A -> A @ Omega: a column gather and a scale for a phased Pauli
+        (``densesim.right_product``)."""
+        return densesim.right_product(self.field_dense())
 
     def inverse_dense(self) -> np.ndarray:
         if self.is_pauli:
@@ -292,13 +316,6 @@ class Adjacency:
     layer_classes: tuple[tuple[tuple[int, int], ...], ...]
     name: str = "custom"
 
-    def neighbor_map(self) -> dict[int, tuple[int, ...]]:
-        nbrs: dict[int, set[int]] = {q: set() for q in range(self.n)}
-        for a, b in self.edges:
-            nbrs[a].add(b)
-            nbrs[b].add(a)
-        return {q: tuple(sorted(v)) for q, v in nbrs.items()}
-
 
 def check_matchgate_edges(adj: Adjacency) -> None:
     """Raise unless every edge is a Jordan-Wigner neighbor pair (i, i+1).
@@ -380,19 +397,29 @@ def parse_adjacency(spec, n: int) -> Adjacency:
 
 
 def lightcone(V_support, L: int, adjacency: Adjacency) -> tuple[int, ...]:
-    """Qubits reachable from the support in at most L adjacency expansions."""
+    """The qubits that U V U^dag can act on, for U a depth-L brickwork circuit.
+
+    The layers act in the order ``sample_shallow_stack`` applies them, the
+    classes of ``adjacency.layer_classes`` in turn, and a layer's gate
+    joins both its qubits to the cone when it touches the cone.  A full
+    cycle of classes that adds no qubit ends the growth, so a depth of any
+    size costs at most n + 1 cycles.
+    """
     if L < 0:
         raise ValidationError(f"negative depth {L}")
-    reached = set(V_support)
-    nbrs = adjacency.neighbor_map()
-    for _ in range(L):
-        grown = set(reached)
-        for q in reached:
-            grown.update(nbrs.get(q, ()))
-        if grown == reached:
+    cone = set(V_support)
+    classes = adjacency.layer_classes
+    unchanged = 0  # layers in a row that added no qubit
+    for layer_index in range(L if classes else 0):
+        grown = False
+        for a, b in classes[layer_index % len(classes)]:
+            if (a in cone) != (b in cone):
+                cone.update((a, b))
+                grown = True
+        unchanged = 0 if grown else unchanged + 1
+        if unchanged == len(classes):
             break
-        reached = grown
-    return tuple(sorted(reached))
+    return tuple(sorted(cone))
 
 
 # ---------------------------------------------------------------------------
@@ -472,9 +499,9 @@ def _unitary_from_ginibre(Z: np.ndarray) -> np.ndarray:
 
 
 def _orthogonal_from_ginibre(Z: np.ndarray) -> np.ndarray:
-    """Q of real Z = QR with the sign fix Q diag(sign R_ii), per matrix of a stack."""
+    """Q of real Z = QR with the sign fix Q diag(sign R_ii), per matrix of a stack, real."""
     Q, R = np.linalg.qr(Z)
-    return (Q * np.sign(np.diagonal(R, axis1=-2, axis2=-1))[..., None, :]).astype(np.complex128)
+    return Q * np.sign(np.diagonal(R, axis1=-2, axis2=-1))[..., None, :]
 
 
 def _normals(streams, shape) -> np.ndarray:
@@ -494,7 +521,7 @@ def haar_unitary_stack(d: int, streams) -> np.ndarray:
 
 
 def haar_orthogonal_stack(d: int, streams) -> np.ndarray:
-    """One Haar O(d) per stream, stacked: QR of real Ginibre matrices with sign fix."""
+    """One Haar O(d) per stream, stacked and real: QR of real Ginibre matrices with sign fix."""
     return _orthogonal_from_ginibre(_normals(streams, (d, d)))
 
 
@@ -505,7 +532,7 @@ def haar_special_orthogonal(d: int, streams) -> np.ndarray:
     ``sample_haar_rotation_stack`` draws its stacks here, and ``haar_matchgate``
     lifts the stack of one.
     """
-    Q = haar_orthogonal_stack(d, streams).real
+    Q = haar_orthogonal_stack(d, streams)
     flip = np.linalg.det(Q) < 0
     Q[flip, :, -1] = -Q[flip, :, -1]
     return Q
@@ -688,11 +715,22 @@ def enumerate_clifford(n: int) -> tuple[np.ndarray, ...]:
 
 
 def _check_form(G: GroupSpec, U: np.ndarray, what: str) -> None:
-    """Raise InvariantError when a draw, or any draw of a stack, leaves the form."""
-    Om = G.form.dense()
-    drift = float(np.max(np.abs(np.swapaxes(U, -1, -2) @ Om @ U - Om)))
+    """Raise InvariantError when a draw, or any draw of a stack, leaves the form.
+
+    U^T Omega is a gather for a phased-Pauli form, so the check is one
+    product per draw, in the draws' own field.
+    """
+    D = G.form.right_product(np.swapaxes(U, -1, -2)) @ U
+    D -= G.form.field_dense()
+    drift = float(np.max(np.abs(D)))
     if drift > SAMPLER_SELF_CHECK_TOL:
         raise InvariantError(f"{what} drifted off the form by {drift:.2e}")
+
+
+def dense_field(kind: str) -> type:
+    """The dtype of a kind's dense draws and circuits: float64 for the
+    orthogonal group, whose QR draws are real, complex128 for every other."""
+    return np.float64 if kind == "orthogonal" else np.complex128
 
 
 def _check_dense_sampling(G: GroupSpec) -> None:
@@ -800,12 +838,11 @@ def _layer_gates(kind: str, cls, n: int, streams) -> np.ndarray:
     orthogonalize every gate of the stack with one stacked QR.  A symplectic
     gate on the form qubit reads its 16 normals as the two complex columns of
     a canonical draw, one Gram-Schmidt over the stack per such pair, and an
-    orthogonal gate reads them as a 4 x 4 matrix.  Clifford gates are drawn
-    one stream at a time.
+    orthogonal gate reads them as a 4 x 4 matrix.  Orthogonal gates are real;
+    a symplectic layer is complex when a form-qubit gate joins it and real
+    otherwise.  Clifford gates are drawn one stream at a time.
     """
     g = len(cls)
-    if g == 0:
-        return np.empty((len(streams), 0, 4, 4), dtype=np.complex128)
     if kind == "orthogonal":
         return _orthogonal_from_ginibre(_normals(streams, (g, 4, 4)))
     if kind in ("unitary", "mixed_unitary"):
@@ -815,6 +852,8 @@ def _layer_gates(kind: str, cls, n: int, streams) -> np.ndarray:
         Z = _normals(streams, (g, 4, 4))
         gates = _orthogonal_from_ginibre(Z)
         fq = symplectic_form_qubit(n)
+        if any(fq in pair for pair in cls):
+            gates = gates.astype(np.complex128)
         for i, pair in enumerate(cls):
             if fq in pair:
                 local = _symplectic_columns(Z[:, i].reshape(-1, 2, 2, 4))
@@ -829,11 +868,15 @@ def _layer_gates(kind: str, cls, n: int, streams) -> np.ndarray:
 def sample_shallow_stack(G: GroupSpec, L: int, adjacency, streams) -> np.ndarray:
     """One depth-L brickwork unitary per stream, stacked to shape (len(streams), d, d).
 
-    Each layer multiplies the embedded gates onto an identity in pair order,
-    then the layer onto the running product, as one batched matmul per step
-    over the stack; the form self-check runs once over the stack.  Row i is
-    the stack of one of ``streams[i]`` bit for bit, and each stream is left
-    where that draw leaves it.
+    Each layer starts from the embedding of its first gate and multiplies
+    the others onto it in pair order, and the running product starts from
+    the first layer, one batched matmul per step over the stack: g gates
+    take g - 1 products, and no product is by an identity.  Orthogonal
+    circuits are real, the others complex (a symplectic layer without a
+    form-qubit gate stays real until it joins the running product).  The
+    form self-check runs once over the stack.  Row i is the stack of one of
+    ``streams[i]`` bit for bit, and each stream is left where that draw
+    leaves it.
     """
     if G.kind == "matchgate":
         raise ValidationError(
@@ -842,16 +885,16 @@ def sample_shallow_stack(G: GroupSpec, L: int, adjacency, streams) -> np.ndarray
     if L < 0:
         raise ValidationError(f"negative depth {L}")
     adj = parse_adjacency(adjacency, G.n)
-    d = G.dense_dimension
-    eyes = np.broadcast_to(_identity(d), (len(streams), d, d))
-    U = eyes.copy()
-    for layer_index in range(L):
-        cls = adj.layer_classes[layer_index % len(adj.layer_classes)] if adj.layer_classes else ()
+    U = None
+    for layer_index in range(L if adj.layer_classes else 0):
+        cls = adj.layer_classes[layer_index % len(adj.layer_classes)]
         gates = _layer_gates(G.kind, cls, G.n, streams)
-        layer_u = eyes
-        for i, pair in enumerate(cls):
-            layer_u = densesim.embed(gates[:, i], pair, G.n) @ layer_u
-        U = layer_u @ U
+        layer_u = densesim.embed(gates[:, 0], cls[0], G.n)
+        for i in range(1, len(cls)):
+            layer_u = densesim.embed(gates[:, i], cls[i], G.n) @ layer_u
+        U = layer_u if U is None else layer_u @ U
+    if U is None:  # no gate: the identity
+        U = np.tile(np.eye(G.dense_dimension, dtype=dense_field(G.kind)), (len(streams), 1, 1))
     if G.form is not None and L > 0:
         _check_form(G, U, f"shallow {G.kind} circuit")
     return U

@@ -9,12 +9,17 @@ probability against a materialized POVM element are the dense references that
 The sampler references are the straightforward forms of the library's cached
 and batched kernels: ``embed`` as a Kronecker product with the identity
 followed by a permutation gather, ``sample_shallow`` as a loop in which every
-gate draws its own Gaussians and takes its own QR (a matchgate gate, which
-the library samples only as a Majorana rotation, its own product of
-Kronecker-built exponentials), and the symplectic Haar draw as modified
-Gram-Schmidt, one vector at a time.  ``brickwork_rows_reference`` is the
-per-sample form of the chunk-stacked dense brickwork runner: one stream, one
-draw and one single-state evolution at a time.  The dense gate-count
+gate draws its own Gaussians and takes its own QR and every layer and the
+circuit start from an identity (a matchgate gate, which the library samples
+only as a Majorana rotation, its own product of Kronecker-built
+exponentials), and the symplectic Haar draw as modified Gram-Schmidt, one
+vector at a time.  ``brickwork_rows_reference`` is the per-sample form of
+the chunk-stacked dense brickwork runner: one stream, one draw and one
+single-state evolution at a time, with every two-copy factor a matrix
+product.  The references compute in the library's field, so they can be
+compared by bytes: orthogonal gates, circuits and two-copy states are real,
+and the identities are real, so that each product takes the field of the
+matrices it multiplies.  The dense gate-count
 reference multiplies each sample's N gate exponentials as 2^n x 2^n
 matrices and sums the squared Pauli coefficients of U P U^dag over the
 N-ball (``pauli_spread_mass``).  The dense matchgate references are the
@@ -121,7 +126,7 @@ def embed_reference(op: np.ndarray, qubits, n: int) -> np.ndarray:
     from designgap import densesim
 
     sigma = densesim.basis_permutation(tuple(qubits), n)
-    big = np.kron(op, np.eye(1 << (n - len(qubits)), dtype=np.complex128))
+    big = np.kron(op, np.eye(1 << (n - len(qubits))))
     return big[np.ix_(sigma, sigma)]
 
 
@@ -191,7 +196,7 @@ def _local_gate_reference(kind: str, pair, n: int, rng) -> np.ndarray:
         return local
     if kind in ("orthogonal", "symplectic"):
         Q, R = np.linalg.qr(rng.normal(size=(4, 4)))
-        return (Q * np.sign(np.diagonal(R))).astype(np.complex128)
+        return Q * np.sign(np.diagonal(R))
     if kind in ("unitary", "mixed_unitary"):
         Z = rng.normal(size=(4, 4)) + 1j * rng.normal(size=(4, 4))
         Q, R = np.linalg.qr(Z)
@@ -201,17 +206,25 @@ def _local_gate_reference(kind: str, pair, n: int, rng) -> np.ndarray:
 
 
 def sample_shallow_reference(G, L: int, adjacency, rng) -> np.ndarray:
-    """Brickwork unitary with one draw and one QR per gate, kron-embedded."""
+    """Brickwork unitary with one draw and one QR per gate, kron-embedded.
+
+    A symplectic layer with a gate on the form qubit is complex, as the
+    library's is: its real orthogonal gates are cast before they are placed.
+    """
     from designgap import groups
 
     adj = groups.parse_adjacency(adjacency, G.n)
     d = 1 << G.n
-    U = np.eye(d, dtype=np.complex128)
+    fq = groups.symplectic_form_qubit(G.n)
+    U = np.eye(d)
     for layer_index in range(L):
         cls = adj.layer_classes[layer_index % len(adj.layer_classes)] if adj.layer_classes else ()
-        layer_u = np.eye(d, dtype=np.complex128)
+        complex_layer = G.kind == "symplectic" and any(fq in pair for pair in cls)
+        layer_u = np.eye(d)
         for pair in cls:
             gate = _local_gate_reference(G.kind, pair, G.n, rng)
+            if complex_layer:
+                gate = gate.astype(np.complex128)
             layer_u = embed_reference(gate, pair, G.n) @ layer_u
         U = layer_u @ U
     return U
@@ -378,6 +391,11 @@ def _confined(config) -> bool:
     return set(cone) <= set(config.region)
 
 
+def _in_field(A: np.ndarray) -> np.ndarray:
+    """A as a real array when its entries are real, as the library keeps real factors."""
+    return A.real.copy() if np.iscomplexobj(A) and not np.any(A.imag) else A
+
+
 def brickwork_probability_reference(config, conjugate: bool = False):
     """Per-stream (shallow, Haar) retained probabilities of a brickwork run on
     the dense two-copy state: one ``sample_shallow_reference`` or
@@ -387,7 +405,7 @@ def brickwork_probability_reference(config, conjugate: bool = False):
     G, n = config.group, config.n
     adj = groups.parse_adjacency(config.ensemble.adjacency, n)
     L = config.ensemble.depth
-    eye = np.eye(1 << n, dtype=np.complex128)
+    eye = np.eye(1 << n)
     Vd = pauli.to_dense(pauli.hermitian_representative(config.perturbation))
     if conjugate:
         psi0 = densesim.apply_two_copy(Vd, eye, densesim.bell_state(n))
@@ -396,10 +414,11 @@ def brickwork_probability_reference(config, conjugate: bool = False):
             return densesim.apply_two_copy(U, U.conj(), psi0)
 
     else:
-        psi0 = densesim.apply_two_copy(Vd, G.form.dense(), densesim.bell_state(n))
+        psi0 = _in_field(densesim.apply_two_copy(Vd, G.form.dense(), densesim.bell_state(n)))
+        inverse = _in_field(G.form.inverse_dense())
 
         def evolve(U):
-            return densesim.apply_two_copy(eye, G.form.inverse_dense(), densesim.apply_two_copy(U, U, psi0))
+            return densesim.apply_two_copy(eye, inverse, densesim.apply_two_copy(U, U, psi0))
 
     def born(U):
         T = densesim.complement_bell_overlap(evolve(U), config.region, n)
@@ -871,12 +890,9 @@ def frobenius_schur_reference(G, Pi, M: int, seed: int):
     """Per-sample E Tr[Pi U^2]."""
     from designgap import groups
 
-    d = 1 << G.n
-    Pi = np.eye(d, dtype=np.complex128) if Pi is None else np.asarray(Pi)
-
     def one(stream):
         U = groups.sample_haar(G, stream)
-        return float(np.trace(Pi @ U @ U).real)
+        return float(np.trace(U @ U if Pi is None else Pi @ U @ U).real)
 
     return _estimate(_stream_values(one, M, seed), seed)
 

@@ -87,9 +87,9 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv,cost",
         [
-            (["--experiment", "depth", "--group", "orthogonal", "--n", "8", "--samples", "1000000000"], "6.04e+17"),
-            (["--experiment", "depth", "--group", "symplectic", "--n", "7", "--depth", "10000000000"], "1.68e+21"),
-            (["--experiment", "mixed-unitary", "--n", "8", "--samples", "3000"], "1.61e+12"),
+            (["--experiment", "depth", "--group", "orthogonal", "--n", "8", "--samples", "1000000000"], "4.03e+17"),
+            (["--experiment", "depth", "--group", "symplectic", "--n", "7", "--depth", "10000000000"], "1.26e+21"),
+            (["--experiment", "mixed-unitary", "--n", "8", "--samples", "3000"], "1.16e+12"),
         ],
     )
     def test_costly_dense_brickwork_experiment_is_refused_before_sampling(self, capsys, argv, cost):

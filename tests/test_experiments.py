@@ -26,7 +26,7 @@ from conftest import (
     rotation_rows_reference,
     sample_shallow_rotation_reference,
 )
-from designgap import bounds, cgraph, experiments, groups, moments, pauli, rng
+from designgap import bounds, cgraph, densesim, experiments, groups, moments, pauli, rng
 from designgap.errors import BudgetError, InvariantError, ValidationError
 
 
@@ -167,10 +167,35 @@ class TestDepthExperiment:
         assert res.analytic_reference is None
 
     def test_deep_lightcone_spills_out(self):
-        cfg = experiments.depth_config("matchgate", 4, samples=40, seed=5, depth=2)
+        # X on qubit 1 reaches qubit 3 in the third layer, which applies (2, 3) again
+        cfg = experiments.depth_config("matchgate", 4, samples=40, seed=5, depth=3)
         res = experiments.run_depth_discrimination(cfg)
         assert not res.lightcone_confined
         assert res.p_shallow.mean < 1.0
+
+    @pytest.mark.parametrize("kind", ["matchgate", "orthogonal"])
+    def test_the_brickwork_schedule_confines_x_on_qubit_one_at_depth_two(self, monkeypatch, kind):
+        # the layers apply (0, 1), (2, 3) and then (1, 2): the cone of X on qubit 1 is (0, 1, 2),
+        # though two graph-distance expansions would reach qubit 3
+        cfg = experiments.depth_config(
+            kind, 4, samples=40, seed=5, depth=2, region=(0, 1, 2), perturbation=pauli.from_text("IXII")
+        )
+        res = experiments.run_depth_discrimination(cfg)
+        assert res.lightcone_confined
+        assert abs(res.p_shallow.mean - 1.0) <= experiments.SHALLOW_EXACTNESS_TOL
+        assert res.shallow_max_deviation <= experiments.SHALLOW_EXACTNESS_TOL
+        if kind == "orthogonal":
+            # the per-sample exactness check applies: a sample that leaks stops the run
+            real = groups.sample_shallow_stack
+
+            def leaky(G, L, adjacency, streams):
+                U = real(G, L, adjacency, streams)
+                U[0] = groups.haar_orthogonal_stack(U.shape[-1], [rng.sample_stream(0, 0)])[0]
+                return U
+
+            monkeypatch.setattr(groups, "sample_shallow_stack", leaky)
+            with pytest.raises(InvariantError, match="confined shallow sample"):
+                experiments.run_depth_discrimination(cfg)
 
     def test_shot_mode_agrees_with_exact_mode(self):
         exact = experiments.run_depth_discrimination(
@@ -471,11 +496,13 @@ class TestDenseMatchgateSide:
     @pytest.mark.parametrize(
         "kind,n,products",
         [
-            # Haar draw + (gates + layers) + evolutions; at n = 3 the default depth 1 has one gate
-            ("orthogonal", 3, 1 + (1 + 1) + 8),
-            ("symplectic", 4, 1 + (3 + 2) + 8),
-            # the conjugate copy has no form to unwind: two products per side
-            ("mixed_unitary", 3, 1 + (1 + 1) + 4),
+            # Haar draw + (gates - 1) + one evolution product per side + form self-checks; at n = 3
+            # the default depth 1 has one gate, and only the shallow side of the orthogonal group is
+            # checked: its QR Haar draw is orthogonal by construction
+            ("orthogonal", 3, 1 + 0 + 2 + 1),
+            ("symplectic", 4, 1 + 2 + 2 + 2),
+            # the unitary kinds have no form to check
+            ("mixed_unitary", 3, 1 + 0 + 2),
         ],
     )
     def test_brickwork_budget_is_exact_at_the_cap(self, monkeypatch, kind, n, products):
@@ -521,7 +548,7 @@ def _declared_row_bytes(config, conjugate: bool) -> int:
     """The row bytes that a brickwork run declares to rng.sample_rows."""
     if config.group.kind == "matchgate":
         return experiments._depth_rotation(config, groups.parse_adjacency("chain", config.n))[0].row_bytes
-    return experiments._dense_row_bytes(config.n)
+    return experiments._dense_row_bytes(config.n, config.group.kind)
 
 
 class TestStackedBrickwork:
@@ -557,6 +584,22 @@ class TestStackedBrickwork:
         assert result.shallow_max_deviation == float(np.max(want_shallow[:, 1]))
         assert result.p_haar.mean == rng.mean_and_stderr(want_haar)[0]
 
+    @pytest.mark.parametrize("kind,n", [("orthogonal", 5), ("symplectic", 4), ("mixed_unitary", 4)])
+    def test_declared_row_bytes_bound_a_block(self, kind, n):
+        # a 64-sample block of either side holds at most its declared bytes per sample at its peak
+        config = experiments.depth_config(kind, n, 64, 2)
+        evaluators = experiments._depth_dense(config, groups.parse_adjacency("chain", n), kind == "mixed_unitary")
+        for offset, side in ((0, evaluators.shallow), (64, evaluators.haar)):
+            side([fresh_stream(2, offset)])  # the cached kernels are built outside the measurement
+            streams = [fresh_stream(2, offset + i) for i in range(64)]
+            tracemalloc.start()
+            try:
+                side(streams)
+                _, peak = tracemalloc.get_traced_memory()
+            finally:
+                tracemalloc.stop()
+            assert peak <= 64 * evaluators.row_bytes
+
     def test_blocks_respect_the_stack_bound(self, monkeypatch):
         sizes = []
         real = groups.sample_shallow_stack
@@ -566,7 +609,7 @@ class TestStackedBrickwork:
             return real(G, L, adjacency, streams)
 
         monkeypatch.setattr(groups, "sample_shallow_stack", recording)
-        monkeypatch.setattr(rng, "STACK_BYTES", 5 * experiments._dense_row_bytes(3))
+        monkeypatch.setattr(rng, "STACK_BYTES", 5 * experiments._dense_row_bytes(3, "orthogonal"))
         experiments.run_depth_discrimination(experiments.depth_config("orthogonal", 3, 70, seed=1))
         assert sizes == [5] * 12 + [4] + [5, 1]
 
@@ -583,6 +626,58 @@ class TestStackedBrickwork:
         monkeypatch.setattr(groups, "sample_shallow_stack", leaky)
         with pytest.raises(InvariantError, match="confined shallow sample"):
             experiments.run_depth_discrimination(experiments.depth_config("orthogonal", 3, 10, seed=1))
+
+
+def _complex_shallow_stack(G, L: int, adj, streams) -> np.ndarray:
+    """The brickwork stack as complex products: each layer's gates cast to complex and
+    multiplied onto an identity, each layer onto the running product."""
+    d = G.dense_dimension
+    U = np.tile(np.eye(d, dtype=np.complex128), (len(streams), 1, 1))
+    for layer_index in range(L):
+        cls = adj.layer_classes[layer_index % len(adj.layer_classes)]
+        gates = groups._layer_gates(G.kind, cls, G.n, streams).astype(np.complex128)
+        layer_u = np.tile(np.eye(d, dtype=np.complex128), (len(streams), 1, 1))
+        for i, pair in enumerate(cls):
+            layer_u = densesim.embed(gates[:, i], pair, G.n) @ layer_u
+        U = layer_u @ U
+    return U
+
+
+def _complex_born(config, U: np.ndarray) -> np.ndarray:
+    """p of a stack of complex U through matrix products only: (U x U)(V x Omega)|Phi>,
+    then the form unwound by 1 x Omega^-1, then the complement-Bell overlap."""
+    G, n = config.group, config.n
+    eye = np.eye(1 << n, dtype=np.complex128)
+    Vd = pauli.to_dense(pauli.hermitian_representative(config.perturbation))
+    psi0 = densesim.apply_two_copy(Vd, G.form.dense(), densesim.bell_state(n))
+    psi = densesim.apply_two_copy(eye, G.form.inverse_dense(), densesim.apply_two_copy(U, U, psi0))
+    T = densesim.complement_bell_overlap(psi, config.region, n)
+    return np.sum(np.abs(T) ** 2, axis=(-2, -1))
+
+
+class TestRealOrthogonalPath:
+    """Orthogonal runs multiply in real arithmetic; the complex products give the same p to rounding."""
+
+    @pytest.mark.parametrize("n,adjacency", [(3, "chain"), (4, "chain"), (5, "chain"), (4, "grid 2x2")])
+    def test_each_sample_matches_the_complex_products(self, n, adjacency):
+        config = experiments.depth_config("orthogonal", n, 64, 21, adjacency=adjacency)
+        adj = groups.parse_adjacency(adjacency, n)
+        L = config.ensemble.depth
+        evaluators = experiments._depth_dense(config, adj)
+        for offset, side in ((0, evaluators.shallow), (64, evaluators.haar)):
+            p_real = side([fresh_stream(21, offset + i) for i in range(64)])
+            streams = [fresh_stream(21, offset + i) for i in range(64)]
+            if offset == 0:
+                U = groups.sample_shallow_stack(config.group, L, adj, streams)
+                assert U.dtype == np.float64
+                U_complex = _complex_shallow_stack(config.group, L, adj, [fresh_stream(21, i) for i in range(64)])
+            else:
+                U = groups.sample_haar_stack(config.group, streams)
+                assert U.dtype == np.float64
+                U_complex = U.astype(np.complex128)
+            assert np.max(np.abs(U_complex - U)) <= 64 * np.finfo(np.float64).eps
+            assert np.max(np.abs(p_real - _complex_born(config, U_complex))) <= 16 * np.finfo(np.float64).eps
+            assert np.max(np.abs(p_real - _complex_born(config, U.astype(np.complex128)))) <= 16 * np.finfo(np.float64).eps
 
 
 def _rotation_config(experiment, n, samples, shot_mode, depth=None, gates=None):

@@ -385,6 +385,7 @@ class TestCachedKernels:
     def test_cached_arrays_are_read_only(self):
         cached = [
             groups.symplectic_form(3).dense(),
+            groups.symplectic_form(3).field_dense(),
             groups.BilinearForm(np.eye(4, dtype=np.complex128), "symmetric").dense(),
             groups._canonical_symplectic_j(8),
             groups._qubit_swap_index(0, 1, 3),
@@ -429,12 +430,44 @@ class TestAdjacency:
         assert set(adj.edges) == {(0, 1), (1, 2)}
 
     def test_lightcone_growth_on_chain(self):
+        # the first layer applies the even pairs (0, 1), (2, 3), (4, 5), the second the odd ones
         adj = groups.chain_adjacency(6)
         assert groups.lightcone((2,), 0, adj) == (2,)
-        one = set(groups.lightcone((2,), 1, adj))
-        assert one == {1, 2, 3}
+        assert groups.lightcone((2,), 1, adj) == (2, 3)
+        assert groups.lightcone((2,), 2, adj) == (1, 2, 3, 4)
         full = set(groups.lightcone((2,), 10, adj))
         assert full == set(range(6))
+
+    def test_lightcone_follows_the_layer_schedule(self):
+        # X on qubit 1 of four: (0, 1) joins qubit 0, then (1, 2) qubit 2; (2, 3) acts only in layer 3
+        adj = groups.chain_adjacency(4)
+        assert groups.lightcone((1,), 2, adj) == (0, 1, 2)
+        assert groups.lightcone((1,), 3, adj) == (0, 1, 2, 3)
+
+    def test_a_cone_that_stops_growing_ends_the_loop(self):
+        grid = groups.parse_adjacency("grid 2x3", 6)
+        assert groups.lightcone((0,), 10**15, grid) == tuple(range(6))
+        # edges (0, 1) and (2, 3) only: qubit 4 is never reached
+        split = groups.parse_adjacency(((0, 1), (2, 3)), 5)
+        assert groups.lightcone((1,), 10**15, split) == (0, 1)
+        assert groups.lightcone((4,), 10**15, split) == (4,)
+
+    @pytest.mark.parametrize("adjacency,n", [("chain", 4), ("chain", 5), ("grid 2x2", 4), ("grid 2x3", 6)])
+    def test_lightcone_is_the_support_of_the_conjugated_perturbation(self, adjacency, n):
+        # Haar-random local unitaries spread Z_q over the whole cone, and never beyond it
+        G = groups.group_spec("unitary", n)
+        adj = groups.parse_adjacency(adjacency, n)
+
+        def support(A):
+            letters = [kron_chain("I" * p + c + "I" * (n - 1 - p)) for p in range(n) for c in "XZ"]
+            moved = [np.max(np.abs(A @ P - P @ A)) > 1e-10 for P in letters]
+            return tuple(p for p in range(n) if moved[2 * p] or moved[2 * p + 1])
+
+        for q in range(n):
+            V = kron_chain("I" * q + "Z" + "I" * (n - 1 - q))
+            for L in range(6):
+                U = groups.sample_shallow(G, L, adj, stream(10 * q + L))
+                assert support(U @ V @ U.conj().T) == groups.lightcone((q,), L, adj), (q, L)
 
 
 def _shallow_stack(G, L: int, streams) -> np.ndarray:
