@@ -150,6 +150,37 @@ class TestApplyTwoCopy:
         assert np.allclose(got, np.kron(A, B) @ psi)
 
 
+class TestRightProduct:
+    """A -> A @ M: a gather for phased permutations, whose entries are the matmul's bytes."""
+
+    @pytest.mark.parametrize("word", ["I", "Z", "XY", "YZX", "IYI"])
+    @pytest.mark.parametrize("phase", [1, 1j, -1, -1j])
+    def test_phased_paulis_gather_to_the_matmul(self, rng, word, phase):
+        n = len(word)
+        M = phase * kron_chain(word)
+        A = np.stack([random_op(rng, 1 << n) for _ in range(3)])
+        for X in (A, A.real.copy(), np.swapaxes(A, -1, -2)):
+            # equal values are equal bytes, but for the sign of an exact zero
+            assert np.array_equal(densesim.right_product(M)(X), X @ M)
+
+    def test_real_phases_keep_a_real_operand_real(self, rng):
+        M = kron_chain("XZ") / 2.0  # complex dtype, real entries
+        A = rng.normal(size=(2, 4, 4))
+        got = densesim.right_product(M)(A)
+        assert got.dtype == np.float64
+        assert got.tobytes() == (A @ M.real).tobytes()
+
+    def test_the_identity_returns_its_operand(self, rng):
+        A = random_op(rng, 8)
+        assert densesim.right_product(np.eye(8, dtype=np.complex128))(A) is A
+
+    def test_any_other_matrix_is_multiplied(self, rng):
+        M = random_op(rng, 4)
+        M[:, 0] = 0.0  # a column with no nonzero, and others with four
+        A = random_op(rng, 4)
+        assert densesim.right_product(M)(A).tobytes() == (A @ M).tobytes()
+
+
 class TestStackAxes:
     """Every stacked kernel gives each matrix or state of a stack its single result, bit for bit."""
 
