@@ -7,11 +7,16 @@ words plus a parity test; no edge lists are ever built.  Components, N-balls,
 diameters, and region fractions all run on these integer keys.
 
 The one breadth-first search behind them is level-synchronous over numpy
-int64 arrays: each step takes the parity of (vx & gz) ^ (vz & gx) for the
-whole frontier against every generator in one broadcast, XORs the
-anticommuting pairs, and dedupes the candidates by sorting.  The graph is
-undirected, so the next level is the candidates found in neither of the last
-two levels; no 4^n visited set is kept.  int64 keys hold n <= KEY_QUBIT_CAP.
+int64 arrays.  A vertex v anticommutes with g exactly when v & h_g has odd
+parity, where h_g = (z_g << n) | x_g is g's key with its two words swapped;
+so each generator set keeps one (256, |S|) bool parity table per byte of the
+2n-bit key, and a step gets the anticommutation mask of the whole frontier
+against every generator as ceil(2n/8) table gathers XORed together.  It
+XORs the anticommuting pairs and dedupes the candidates by sorting.  The
+graph is undirected, so the next level is the candidates found in neither of
+the last two levels, and a component or ball keeps no 4^n visited set; only
+the census, which covers all 4^n vertices anyway, drops visited candidates
+through its bitmap before the sort.  int64 keys hold n <= KEY_QUBIT_CAP.
 """
 
 from __future__ import annotations
@@ -84,15 +89,21 @@ class DiameterResult:
     mode: str  # "exact" or "lower-bound"
 
 
-def _gen_words(S: GeneratorSet) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Generator key, x and z words as int64 arrays."""
+def _gen_words(S: GeneratorSet) -> tuple[np.ndarray, list[np.ndarray]]:
+    """Generator keys as an int64 array, and one (256, |S|) bool table per
+    byte of the 2n-bit key: entry [c, j] is the parity of byte c against
+    that byte of generator j's swapped word (z << n) | x."""
     if S.n > KEY_QUBIT_CAP:
         raise BudgetError(
             f"commutator-graph vertices are 2n-bit int64 keys, so n <= {KEY_QUBIT_CAP}; got n={S.n}"
         )
-    words = [(pauli.to_key(g), g.x_bits, g.z_bits) for g in S.generators]
-    keys, xs, zs = np.array(words, dtype=np.int64).reshape(-1, 3).T
-    return keys, xs, zs
+    words = [(pauli.to_key(g), (g.z_bits << S.n) | g.x_bits) for g in S.generators]
+    keys, swapped = np.array(words, dtype=np.int64).reshape(-1, 2).T
+    byte = np.arange(256, dtype=np.int64)[:, None]
+    tables = [
+        _parity(byte & ((swapped >> shift) & 0xFF), 8).astype(bool) for shift in range(0, 2 * S.n, 8)
+    ]
+    return keys, tables
 
 
 def _parity(a: np.ndarray, n: int) -> np.ndarray:
@@ -119,24 +130,33 @@ def _sorted_unique(a: np.ndarray) -> np.ndarray:
     return a[keep]
 
 
-def _neighbor_keys(level: np.ndarray, words, n: int, cap: int) -> np.ndarray:
-    """Sorted distinct neighbors of the vertices in level.
+def _neighbor_keys(
+    level: np.ndarray, words, n: int, cap: int, visited: np.ndarray | None = None
+) -> np.ndarray:
+    """Sorted distinct neighbors of the vertices in level, less the visited ones.
 
     The level is expanded CANDIDATE_CHUNK vertex-generator pairs at a time.
     Once more than cap distinct keys are found it returns them early, so a
-    level past the size budget is never materialized in full.
+    level past the size budget is never materialized in full.  A candidate
+    marked in the visited bitmap is dropped before the dedupe sort.
     """
-    keys, xs, zs = words
-    mask = (1 << n) - 1
+    keys, tables = words
     rows = max(1, CANDIDATE_CHUNK // max(1, keys.size))
     found = np.empty(0, dtype=np.int64)
     pending: list[np.ndarray] = []
     pending_size = 0
     for lo in range(0, level.size, rows):
-        v = level[lo : lo + rows, None]
-        odd = _parity(((v >> n) & zs) ^ ((v & mask) & xs), n).astype(bool)
-        pending.append((v ^ keys)[odd])
-        pending_size += pending[-1].size
+        v = level[lo : lo + rows]
+        # np.take gathers whole table rows about three times faster than indexing
+        odd = np.take(tables[0], v & 0xFF, axis=0)
+        for b in range(1, len(tables)):
+            odd ^= np.take(tables[b], (v >> (8 * b)) & 0xFF, axis=0)
+        # np.compress takes a flat mask faster than boolean indexing does
+        candidates = np.compress(odd.ravel(), v[:, None] ^ keys)
+        if visited is not None:
+            candidates = np.compress(~visited[candidates], candidates)
+        pending.append(candidates)
+        pending_size += candidates.size
         if pending_size > max(found.size, CANDIDATE_CHUNK):
             found = _sorted_unique(np.concatenate([found, *pending]))
             pending, pending_size = [], 0
@@ -159,27 +179,34 @@ def _bfs(
     n: int,
     max_dist: int | None = None,
     max_size: int = COMPONENT_SIZE_CAP,
+    visited: np.ndarray | None = None,
 ) -> list[np.ndarray]:
     """BFS levels from start_key, optionally truncated at max_dist.
 
     Level d is the sorted int64 array of the keys at distance d.  A neighbor
     of level d lies in level d-1, d or d+1, so the next level is the
-    neighbors found in neither of the last two.  BudgetError is raised when
-    more than max_size vertices are reached.
+    neighbors found in neither of the last two.  Given a 4^n visited bitmap
+    instead, the next level is the unvisited neighbors, and each level is
+    marked in it as it is found.  BudgetError is raised when more than
+    max_size vertices are reached.
     """
     levels = [np.array([start_key], dtype=np.int64)]
+    if visited is not None:
+        visited[start_key] = True
     prev = np.empty(0, dtype=np.int64)
     size = 1
     while max_dist is None or len(levels) <= max_dist:
         cur = levels[-1]
         # more than this many neighbors leaves more than max_size - size new ones
-        found = _neighbor_keys(cur, words, n, max_size - size + cur.size + prev.size)
-        new = found[_absent(found, cur) & _absent(found, prev)]
+        found = _neighbor_keys(cur, words, n, max_size - size + cur.size + prev.size, visited)
+        new = found if visited is not None else found[_absent(found, cur) & _absent(found, prev)]
         if new.size == 0:
             break
         size += new.size
         if size > max_size:
             raise BudgetError(f"component exceeds {max_size} vertices")
+        if visited is not None:
+            visited[new] = True
         levels.append(new)
         prev = cur
     return levels
@@ -257,7 +284,11 @@ def diameter(C: Component, S: GeneratorSet, mode: str = "auto") -> DiameterResul
 
 
 def census(S: GeneratorSet) -> list[Component]:
-    """All components of the graph, in ascending order of their smallest key."""
+    """All components of the graph, in ascending order of their smallest key.
+
+    One 4^n bitmap marks every vertex found so far; each component's BFS
+    drops the marked candidates and marks its new levels.
+    """
     if S.n > CENSUS_QUBIT_CAP:
         raise BudgetError(f"census over 4^{S.n} Paulis exceeds cap n={CENSUS_QUBIT_CAP}")
     words = _gen_words(S)
@@ -265,9 +296,7 @@ def census(S: GeneratorSet) -> list[Component]:
     out = []
     key = 0
     while True:
-        levels = _bfs(key, words, S.n)
-        for level in levels:
-            visited[level] = True
+        levels = _bfs(key, words, S.n, visited=visited)
         out.append(Component(S.n, pauli.from_key(key, S.n), tuple(levels)))
         key += int(np.argmin(visited[key:]))
         if visited[key]:

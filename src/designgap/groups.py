@@ -18,11 +18,12 @@ Every sampler has one body, and it takes a list of streams:
 ``sample_haar_stack`` is the one kind dispatch.  It draws each stream's
 normals as a single draw would and orthogonalizes the whole stack at once
 (unitary, orthogonal, symplectic), lifts one SO(2n) draw per stream
-(matchgate) or indexes the enumerated group once per stream (Clifford), and
-checks the form once over the stack.  A single draw, ``sample_haar``, is the
-stack of one, so the two cannot diverge.  ``group_spec`` and the
-n(2n-1)-element ``matchgate_full_set`` build groups only up to
-``cgraph.KEY_QUBIT_CAP`` qubits, the largest graph the BFS can key.
+(matchgate) or draws one index per stream into the enumerated group
+(Clifford), and checks the form once over the stack.  A single draw,
+``sample_haar``, is the stack of one, so the two cannot diverge.
+``group_spec`` and the n(2n-1)-element ``matchgate_full_set`` build groups
+only up to ``cgraph.KEY_QUBIT_CAP`` qubits, the largest graph the BFS can
+key.
 
 Shallow ensembles are brickwork circuits of 2-local group gates over a
 declared adjacency; the conjugation lightcone follows the brickwork
@@ -49,9 +50,13 @@ The constant matrices of the dense path (forms, the canonical J, qubit-swap
 indices, small Majorana bilinears) are cached read-only.  The finite
 Clifford group is enumerated by a breadth-first closure: each generator g
 multiplies a block of a level's elements as one product g @ [f_0 | f_1 |
-...], written in place into the level's (F, G, D, D) candidates, which are
-keyed in one pass, in the order a one-at-a-time FIFO closure would find
-them.  The products are those of the one-at-a-time closure, byte for byte.
+...], written in place into the level's (F, G, D, D) candidates.  Each
+candidate is keyed by one exact integer, the signs of the real and imaginary
+parts of its entries after its pivot's phase is divided out, and a level
+keeps the first candidate of each new key, in the order a one-at-a-time
+FIFO closure would find them.  The products are those of the one-at-a-time
+closure, byte for byte, and the group is one read-only (N, D, D) array that
+the Clifford samplers index once per stack.
 Matchgates are 2-local only on Jordan-Wigner neighbors (i, i+1); brickwork
 on any other edge is rejected.
 
@@ -662,9 +667,37 @@ def haar_matchgate(n: int, rng: np.random.Generator) -> np.ndarray:
     return U
 
 
+def _clifford_keys(stack: np.ndarray) -> np.ndarray:
+    """One exact uint64 key per projective Clifford in a (N, D, D) stack, D <= 4.
+
+    A Clifford's nonzero entries share one magnitude and differ in phase by
+    powers of i, up to a global phase (Dehaene & De Moor, PRA 68, 042318).
+    Times the conjugate of its pivot, its first nonzero entry, each entry is
+    0 or a positive real times 1, i, -1 or -i, so the signs of its real and
+    imaginary parts, 2 bits each, fix it; 4 bits per entry, D^2 entries.
+    """
+    flat = stack.reshape(len(stack), -1)
+    pivot = flat[np.arange(len(flat)), np.argmax(np.abs(flat) > 1e-8, axis=1)]
+    normalized = flat * pivot.conj()[:, None]
+    codes = np.zeros(flat.shape, dtype=np.uint8)
+    for bit, part in enumerate((normalized.real, normalized.imag)):
+        codes |= (part > 1e-8).view(np.uint8) << (2 * bit)
+        codes |= (part < -1e-8).view(np.uint8) << (2 * bit + 1)
+    # entry k at bits 4k..4k+3 of a little-endian word
+    packed = np.zeros((len(flat), 8), dtype=np.uint8)
+    packed[:, : flat.shape[1] // 2] = codes[:, 0::2] | (codes[:, 1::2] << 4)
+    return packed.view("<u8").ravel()
+
+
 @functools.lru_cache(maxsize=2)
-def enumerate_clifford(n: int) -> tuple[np.ndarray, ...]:
-    """All projective n-qubit Cliffords (24 at n=1, 11520 at n=2) by closure."""
+def enumerate_clifford(n: int) -> np.ndarray:
+    """All projective n-qubit Cliffords (24 at n=1, 11520 at n=2) by closure,
+    as one read-only (N, 2^n, 2^n) array in the order a FIFO closure finds them.
+
+    Each level's candidates are keyed by ``_clifford_keys``; a stable argsort
+    keeps each key's first candidate, and a searchsorted against the sorted
+    keys seen so far drops the elements of earlier levels.
+    """
     if n not in (1, 2):
         raise BudgetError(f"clifford enumeration supports n=1,2 only, got {n}")
     H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
@@ -677,22 +710,10 @@ def enumerate_clifford(n: int) -> tuple[np.ndarray, ...]:
         gens.append(np.diag([1.0, 1.0, 1.0, -1.0]).astype(np.complex128))  # CZ
     gens = np.stack(gens)
 
-    def canonical_keys(stack: np.ndarray) -> list[bytes]:
-        """Per matrix: divide out the phase of the first nonzero entry, round."""
-        flat = stack.reshape(len(stack), -1)
-        pivot = flat[np.arange(len(flat)), np.argmax(np.abs(flat) > 1e-8, axis=1)]
-        normalized = stack / (pivot / np.abs(pivot))[:, None, None]
-        np.round(normalized, 8, out=normalized)
-        # adding 0.0 collapses -0.0 to +0.0, which tobytes would distinguish
-        normalized += 0.0
-        return [M.tobytes() for M in normalized]
-
     D = 1 << n
-    start = np.eye(D, dtype=np.complex128)
-    start.setflags(write=False)
-    seen = set(canonical_keys(start[None]))
-    order = [start]
-    frontier = start[None]
+    frontier = np.eye(D, dtype=np.complex128)[None]
+    seen = _clifford_keys(frontier)
+    levels = [frontier]
     while len(frontier):
         candidates = np.empty((len(frontier), len(gens), D, D), dtype=np.complex128)
         for lo in range(0, len(frontier), CLOSURE_BLOCK):
@@ -703,15 +724,19 @@ def enumerate_clifford(n: int) -> tuple[np.ndarray, ...]:
                 candidates[lo : lo + len(block), g] = (gen @ wide).reshape(D, len(block), D).transpose(1, 0, 2)
         # level by level, current-major and generator-minor: the FIFO order
         candidates = candidates.reshape(-1, D, D)
-        fresh = []
-        for i, key in enumerate(canonical_keys(candidates)):
-            if key not in seen:
-                seen.add(key)
-                fresh.append(i)
+        keys = _clifford_keys(candidates)
+        order = np.argsort(keys, kind="stable")
+        first = np.ones(order.size, dtype=bool)
+        np.not_equal(keys[order[1:]], keys[order[:-1]], out=first[1:])
+        first = order[first]
+        at = np.minimum(np.searchsorted(seen, keys[first]), seen.size - 1)
+        fresh = np.sort(first[seen[at] != keys[first]])
+        seen = np.sort(np.concatenate([seen, keys[fresh]]))
         frontier = candidates[fresh]
-        frontier.setflags(write=False)
-        order.extend(frontier)
-    return tuple(order)
+        levels.append(frontier)
+    table = np.concatenate(levels)
+    table.setflags(write=False)
+    return table
 
 
 def _check_form(G: GroupSpec, U: np.ndarray, what: str) -> None:
@@ -744,9 +769,10 @@ def sample_haar_stack(G: GroupSpec, streams) -> np.ndarray:
     Unitary, orthogonal and symplectic stacks take each stream's normals in
     one call, orthogonalize the whole stack in one QR or one Gram-Schmidt;
     a matchgate stack lifts one SO(2n) draw per stream (``haar_matchgate``)
-    and a Clifford stack indexes the enumerated group once per stream.  The
-    form self-check runs once over the stack.  Every row is what the stack
-    of one would give for its stream, bit for bit.
+    and a Clifford stack draws one index per stream and takes the rows from
+    the enumerated group in one fancy index.  The form self-check runs once
+    over the stack.  Every row is what the stack of one would give for its
+    stream, bit for bit.
     """
     d = G.dense_dimension
     _check_dense_sampling(G)
@@ -756,7 +782,7 @@ def sample_haar_stack(G: GroupSpec, streams) -> np.ndarray:
         return haar_orthogonal_stack(d, streams)
     if G.kind == "clifford":
         table = enumerate_clifford(G.n)
-        return np.array([table[int(stream.integers(len(table)))] for stream in streams])
+        return table[[int(stream.integers(len(table))) for stream in streams]]
     if G.kind == "symplectic":
         U = haar_symplectic(G.n, streams)
     elif G.kind == "matchgate":
@@ -840,7 +866,8 @@ def _layer_gates(kind: str, cls, n: int, streams) -> np.ndarray:
     a canonical draw, one Gram-Schmidt over the stack per such pair, and an
     orthogonal gate reads them as a 4 x 4 matrix.  Orthogonal gates are real;
     a symplectic layer is complex when a form-qubit gate joins it and real
-    otherwise.  Clifford gates are drawn one stream at a time.
+    otherwise.  Clifford gates draw their indices one stream at a time and
+    take the gates from the enumerated group in one fancy index.
     """
     g = len(cls)
     if kind == "orthogonal":
@@ -861,7 +888,8 @@ def _layer_gates(kind: str, cls, n: int, streams) -> np.ndarray:
         return gates
     if kind == "clifford":
         table = enumerate_clifford(2)
-        return np.array([[table[int(rng.integers(len(table)))] for _ in cls] for rng in streams])
+        index = [[int(rng.integers(len(table))) for _ in cls] for rng in streams]
+        return table[np.array(index, dtype=np.intp).reshape(len(streams), g)]
     raise ValidationError(f"no 2-local gate factory for kind {kind!r}")
 
 

@@ -23,10 +23,10 @@ Gram products of the flattened draws, added chunk by chunk with
 ``rng.sum_chunks``, so its last digits differ from the per-sample
 ``np.kron`` sums by rounding only; at n = 5 it holds two 1024 x 1024
 running sums and one chunk's two Gram products.  The Clifford commutant takes
-the traces of the enumerated group in stacks of ``TRACE_BLOCK``.  Every
-sampling estimator checks its cost against ``FS_COST_CAP`` before the first
-draw (``check_cost``), counting each sample's products and its fixed cost
-``SAMPLE_FIXED_COST``.
+the traces of the whole enumerated group, one (N, d, d) array, in one
+``np.trace``.  Every sampling estimator checks its cost against
+``FS_COST_CAP`` before the first draw (``check_cost``), counting each
+sample's products and its fixed cost ``SAMPLE_FIXED_COST``.
 """
 
 from __future__ import annotations
@@ -51,8 +51,6 @@ FS_COST_CAP = 1e11
 # machine, which at the ~2e9 multiply-adds per second that put the cap near
 # one minute is 2e4 multiply-adds
 SAMPLE_FIXED_COST = 20_000
-# enumerated group elements whose traces are taken as one stack
-TRACE_BLOCK = 512
 
 
 @dataclass(frozen=True)
@@ -415,10 +413,7 @@ def mixed_unitary_commutant_dimension(
     if source == "clifford_enumeration":
         if n is None:
             raise ValidationError("clifford_enumeration source needs n")
-        elements = groups.enumerate_clifford(n)
-        traces = []
-        for lo in range(0, len(elements), TRACE_BLOCK):
-            traces += np.trace(np.stack(elements[lo : lo + TRACE_BLOCK]), axis1=1, axis2=2).tolist()
+        traces = np.trace(groups.enumerate_clifford(n), axis1=1, axis2=2).tolist()
         # Python's complex abs: np.abs on the array can differ in the last bit
         values = np.array([abs(t) ** 4 for t in traces])
         return MomentEstimate(float(values.mean()), 0.0, values.size, None)

@@ -35,7 +35,8 @@ them, one sample at a time.
 
 The commutator-graph references are the per-vertex forms of the numpy
 closures: ``neighbors`` of one Pauli, a deque BFS over Python-int keys, and
-the Clifford closure that multiplies and keys one matrix at a time.
+the Clifford closure that multiplies and keys one matrix at a time (its
+table, stacked, is what the reference Clifford gates index).
 
 Every per-sample reference draws from ``fresh_stream``, a generator built
 straight from ``np.random.Philox``, so the library's runs, which re-key
@@ -58,6 +59,7 @@ each group, the full Pauli expansion of a dense operator and the adjoint
 Majorana matrix of a unitary.
 """
 
+import functools
 import math
 from collections import deque
 from dataclasses import dataclass
@@ -185,7 +187,7 @@ def _local_gate_reference(kind: str, pair, n: int, rng) -> np.ndarray:
             U = U @ (math.cos(theta) * np.eye(4) + 1j * math.sin(theta) * P)
         return U
     if kind == "clifford":
-        table = groups.enumerate_clifford(2)
+        table = clifford_table_reference(2)
         return np.array(table[int(rng.integers(len(table)))])
     fq = groups.symplectic_form_qubit(n)
     if kind == "symplectic" and fq in pair:
@@ -726,6 +728,14 @@ def enumerate_clifford_reference(n: int) -> tuple:
                 order.append(candidate)
                 queue.append(candidate)
     return tuple(order)
+
+
+@functools.lru_cache(maxsize=2)
+def clifford_table_reference(n: int) -> np.ndarray:
+    """The reference closure's elements stacked into one read-only (N, 2^n, 2^n) array."""
+    table = np.stack(enumerate_clifford_reference(n))
+    table.setflags(write=False)
+    return table
 
 
 def fresh_stream(seed: int, index: int) -> np.random.Generator:

@@ -351,3 +351,61 @@ class TestKeyWidth:
         P = pauli.PauliString(n, 1 << (n - 1), 0)
         sizes = _ball_sizes(cgraph.component(P, S, radius=1).levels)
         assert sizes == [1, 1 + 2 * n - 1]
+
+
+class TestParityTables:
+    """The per-byte anticommutation tables against the symplectic product."""
+
+    @pytest.mark.parametrize("n", [1, 4, 5, cgraph.KEY_QUBIT_CAP])
+    @pytest.mark.parametrize("which", ["standard", "full"])
+    def test_tables_match_commutes(self, n, which):
+        # at n = 5 the 10-bit keys end inside a byte; at n = 31 bit 61 reaches the top byte
+        S = standard_set(n) if which == "standard" else full_set(n)
+        keys, tables = cgraph._gen_words(S)
+        assert len(tables) == -(-2 * n // 8)
+        assert all(t.shape == (256, len(S.generators)) and t.dtype == bool for t in tables)
+        rng = np.random.default_rng(n)
+        v = rng.integers(0, 1 << (2 * n), size=24, dtype=np.int64)
+        if n == cgraph.KEY_QUBIT_CAP:
+            v[::2] |= 1 << 61
+        odd = np.zeros((v.size, keys.size), dtype=bool)
+        for b, table in enumerate(tables):
+            odd ^= table[(v >> (8 * b)) & 0xFF]
+        for row, key in zip(odd, v.tolist()):
+            P = pauli.from_key(key, n)
+            assert row.tolist() == [not pauli.commutes(P, g) for g in S.generators]
+
+    @pytest.mark.parametrize("n", [4, 5, cgraph.KEY_QUBIT_CAP])
+    def test_neighbor_keys_are_the_anticommuting_products(self, n):
+        S = full_set(n)
+        rng = np.random.default_rng(n + 100)
+        level = np.unique(rng.integers(0, 1 << (2 * n), size=5, dtype=np.int64))
+        got = cgraph._neighbor_keys(level, cgraph._gen_words(S), n, cgraph.COMPONENT_SIZE_CAP)
+        want = set()
+        for key in level.tolist():
+            P = pauli.from_key(key, n)
+            want |= {pauli.to_key(pauli.multiply(g, P)) for g in S.generators if not pauli.commutes(P, g)}
+        assert got.tolist() == sorted(want)
+
+
+class TestCensusBitmap:
+    """The census drops visited candidates through its bitmap; a component
+    drops the last two levels.  Both must give the same levels."""
+
+    @pytest.mark.parametrize("chunk", [None, 7])
+    @pytest.mark.parametrize(
+        "n,which", [(n, "standard") for n in range(2, 9)] + [(n, "full") for n in range(2, 7)]
+    )
+    def test_census_levels_equal_component_levels(self, monkeypatch, chunk, n, which):
+        # a chunk of 7 pairs splits every level into many passes and merges
+        if chunk is not None:
+            monkeypatch.setattr(cgraph, "CANDIDATE_CHUNK", chunk)
+        S = standard_set(n) if which == "standard" else full_set(n)
+        comps = cgraph.census(S)
+        assert sum(c.size for c in comps) == 4**n
+        for comp in comps:
+            alone = cgraph.component(comp.representative, S)
+            assert len(comp.levels) == len(alone.levels)
+            for a, b in zip(comp.levels, alone.levels):
+                assert a.dtype == b.dtype == np.int64
+                assert a.tobytes() == b.tobytes()

@@ -9,7 +9,9 @@ from designgap import cgraph, densesim, groups, pauli, rng as dgrng
 from designgap.errors import BudgetError, InvariantError, ValidationError
 
 from conftest import (
+    _local_gate_reference,
     adjoint_majorana_matrix,
+    clifford_table_reference,
     draw_factors_reference,
     enumerate_clifford_reference,
     fresh_stream,
@@ -273,12 +275,44 @@ class TestHaarSamplers:
         else:
             monkeypatch.setattr(groups, "CLOSURE_BLOCK", block)
             got = groups.enumerate_clifford.__wrapped__(n)
-        want = enumerate_clifford_reference(n)
-        assert len(got) == len(want)
-        for A, B in zip(got, want):
-            assert A.shape == B.shape
-            assert A.tobytes() == B.tobytes()
-            assert not A.flags.writeable
+        want = np.stack(enumerate_clifford_reference(n))
+        assert isinstance(got, np.ndarray)
+        assert got.shape == want.shape
+        assert got.dtype == want.dtype
+        assert got.tobytes() == want.tobytes()
+        assert not got.flags.writeable
+
+    @pytest.mark.parametrize("n", [1, 2])
+    def test_clifford_keys_tell_projective_classes_apart(self, n):
+        # one key per element; a phase times an element keeps its key
+        table = groups.enumerate_clifford(n)
+        keys = groups._clifford_keys(table)
+        assert keys.dtype == np.uint64
+        assert np.unique(keys).size == len(table)
+        for phase in (1j, -1, np.exp(0.3j), np.exp(1j * math.pi / 4)):
+            assert np.array_equal(groups._clifford_keys(table * phase), keys)
+
+    def test_clifford_samplers_index_like_the_per_stream_reference(self):
+        # the stacked Clifford branches take the same rows as one reference draw per stream
+        # and gate, and leave each stream where those draws leave it
+        for n in (1, 2):
+            G = groups.group_spec("clifford", n)
+            a = [fresh_stream(5, i) for i in range(6)]
+            b = [fresh_stream(5, i) for i in range(6)]
+            got = groups.sample_haar_stack(G, a)
+            ref = clifford_table_reference(n)
+            want = np.stack([ref[int(rng.integers(len(ref)))] for rng in b])
+            assert got.tobytes() == want.tobytes()
+            assert got.flags.writeable
+            assert [rng.random() for rng in a] == [rng.random() for rng in b]
+        for cls in (((0, 1),), ((0, 1), (2, 3)), ((1, 2), (3, 4), (5, 6))):
+            a = [fresh_stream(6, i) for i in range(4)]
+            b = [fresh_stream(6, i) for i in range(4)]
+            got = groups._layer_gates("clifford", cls, 7, a)
+            want = np.array([[_local_gate_reference("clifford", pair, 7, rng) for pair in cls] for rng in b])
+            assert got.shape == (4, len(cls), 4, 4)
+            assert got.tobytes() == want.tobytes()
+            assert [rng.random() for rng in a] == [rng.random() for rng in b]
 
     def test_clifford_elements_are_projectively_distinct(self):
         mats = groups.enumerate_clifford(1)
