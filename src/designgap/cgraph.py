@@ -12,7 +12,8 @@ parity, where h_g = (z_g << n) | x_g is g's key with its two words swapped;
 so each generator set keeps one (256, |S|) bool parity table per byte of the
 2n-bit key, and a step gets the anticommutation mask of the whole frontier
 against every generator as ceil(2n/8) table gathers XORed together.  It
-XORs the anticommuting pairs and dedupes the candidates by sorting.  The
+XORs the anticommuting pairs and dedupes the candidates by sorting, each
+chunk of a large level on its own, and merges the sorted runs.  The
 graph is undirected, so the next level is the candidates found in neither of
 the last two levels, and a component or ball keeps no 4^n visited set; only
 the census, which covers all 4^n vertices anyway, drops visited candidates
@@ -21,6 +22,7 @@ through its bitmap before the sort.  int64 keys hold n <= KEY_QUBIT_CAP.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass, field
 from fractions import Fraction
 
@@ -63,24 +65,28 @@ class Component:
     """A BFS component or ball: the keys at each distance from the root.
 
     levels[d] is the sorted int64 array of the keys at distance d from the
-    representative's key; keys is all of them, sorted.  Every array is
-    read-only, and no vertex is held as a Python object.
+    representative's key.  keys, all of them sorted, is built on first use
+    and kept; a census, which orders its components by their roots, never
+    builds it.  Every array is read-only, and no vertex is held as a Python
+    object.
     """
 
     n: int
     representative: pauli.PauliString
     levels: tuple[np.ndarray, ...]
     size: int = field(init=False)
-    keys: np.ndarray = field(init=False, repr=False)
 
     def __post_init__(self):
         for level in self.levels:
             level.flags.writeable = False
+        object.__setattr__(self, "size", sum(level.size for level in self.levels))
+
+    @functools.cached_property
+    def keys(self) -> np.ndarray:
         keys = np.concatenate(self.levels)
         keys.sort()
         keys.flags.writeable = False
-        object.__setattr__(self, "size", keys.size)
-        object.__setattr__(self, "keys", keys)
+        return keys
 
 
 @dataclass(frozen=True)
@@ -123,11 +129,26 @@ def _sorted_unique(a: np.ndarray) -> np.ndarray:
     numpy 2's np.unique hashes integer input, which on millions of these
     keys is over ten times slower than sorting.
     """
-    a = np.sort(a)
+    return _distinct_sorted(np.sort(a))
+
+
+def _distinct_sorted(a: np.ndarray) -> np.ndarray:
+    """The distinct entries of the sorted array a."""
     keep = np.empty(a.size, dtype=bool)
     keep[:1] = True
     np.not_equal(a[1:], a[:-1], out=keep[1:])
     return a[keep]
+
+
+def _merge_runs(runs: list[np.ndarray]) -> np.ndarray:
+    """The distinct entries of sorted arrays, ascending.
+
+    numpy's stable sort of int64 is a timsort, which finds the sorted runs
+    of the concatenation and merges them instead of sorting again.
+    """
+    a = np.concatenate(runs)
+    a.sort(kind="stable")
+    return _distinct_sorted(a)
 
 
 def _neighbor_keys(
@@ -136,33 +157,40 @@ def _neighbor_keys(
     """Sorted distinct neighbors of the vertices in level, less the visited ones.
 
     The level is expanded CANDIDATE_CHUNK vertex-generator pairs at a time.
-    Once more than cap distinct keys are found it returns them early, so a
-    level past the size budget is never materialized in full.  A candidate
-    marked in the visited bitmap is dropped before the dedupe sort.
+    A level of one chunk is deduped by one sort.  Otherwise each chunk's
+    candidates are deduped on their own and the sorted runs are merged,
+    never sorted again; once more than cap distinct keys are found it
+    returns them early, so a level past the size budget is never
+    materialized in full.  A candidate marked in the visited bitmap is
+    dropped before the dedupe sort.
     """
     keys, tables = words
     rows = max(1, CANDIDATE_CHUNK // max(1, keys.size))
-    found = np.empty(0, dtype=np.int64)
-    pending: list[np.ndarray] = []
-    pending_size = 0
-    for lo in range(0, level.size, rows):
-        v = level[lo : lo + rows]
+
+    def candidates(v: np.ndarray) -> np.ndarray:
         # np.take gathers whole table rows about three times faster than indexing
         odd = np.take(tables[0], v & 0xFF, axis=0)
         for b in range(1, len(tables)):
             odd ^= np.take(tables[b], (v >> (8 * b)) & 0xFF, axis=0)
         # np.compress takes a flat mask faster than boolean indexing does
-        candidates = np.compress(odd.ravel(), v[:, None] ^ keys)
-        if visited is not None:
-            candidates = np.compress(~visited[candidates], candidates)
-        pending.append(candidates)
-        pending_size += candidates.size
+        found = np.compress(odd.ravel(), v[:, None] ^ keys)
+        return found if visited is None else np.compress(~visited[found], found)
+
+    if level.size <= rows:
+        return _sorted_unique(candidates(level))
+    found = np.empty(0, dtype=np.int64)
+    pending: list[np.ndarray] = []
+    pending_size = 0
+    for lo in range(0, level.size, rows):
+        run = _sorted_unique(candidates(level[lo : lo + rows]))
+        pending.append(run)
+        pending_size += run.size
         if pending_size > max(found.size, CANDIDATE_CHUNK):
-            found = _sorted_unique(np.concatenate([found, *pending]))
+            found = _merge_runs([found, *pending])
             pending, pending_size = [], 0
             if found.size > cap:
                 return found
-    return _sorted_unique(np.concatenate([found, *pending]))
+    return _merge_runs([found, *pending])
 
 
 def _absent(keys: np.ndarray, level: np.ndarray) -> np.ndarray:
@@ -287,7 +315,9 @@ def census(S: GeneratorSet) -> list[Component]:
     """All components of the graph, in ascending order of their smallest key.
 
     One 4^n bitmap marks every vertex found so far; each component's BFS
-    drops the marked candidates and marks its new levels.
+    drops the marked candidates and marks its new levels.  Each BFS starts
+    from the smallest unmarked key, so a component's root, levels[0][0], is
+    its smallest key.
     """
     if S.n > CENSUS_QUBIT_CAP:
         raise BudgetError(f"census over 4^{S.n} Paulis exceeds cap n={CENSUS_QUBIT_CAP}")

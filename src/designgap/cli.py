@@ -208,7 +208,8 @@ def _cmd_graph(args) -> list[dict]:
     if args.census:
         did_something = True
         comps = cgraph.census(S)
-        comps = sorted(comps, key=lambda c: (pauli.majorana_count(c.representative), int(c.keys[0])))
+        # a census root is its component's smallest key
+        comps = sorted(comps, key=lambda c: (pauli.majorana_count(c.representative), int(c.levels[0][0])))
         for i, comp in enumerate(comps):
             records.append(
                 _record(

@@ -17,11 +17,16 @@ the dense two-copy evaluation.  Conjugating c_K, K the Majorana indices of
 the perturbation, gives sum_S det(R[S, K]) c_S over |S| = k, so the
 retained probability is sum_{S in T} det(R[S, K])^2 over a fixed set T of
 weight-k monomials: those of the perturbation's component inside the
-region (depth; one component search also gives the analytic ratio), or
-its N-ball (gate count).  A block is one stacked det of its (B, |T|, k, k)
-minors.  Two inputs keep a closed form, chosen from the input alone: a
-prefix region 0..m-1, which holds exactly the Majoranas 1..2m, and a ball
-of ``bounds.johnson_ball_size(n, N, k)`` monomials, the whole Johnson ball.
+region (depth), or its N-ball (gate count).  A block is one stacked det of
+its (B, |T|, k, k) minors.  Two inputs keep a closed form, chosen from the
+input alone, and need no commutator-graph search: a prefix region 0..m-1,
+which holds exactly the Majoranas 1..2m, so C(2m, k) of the component's
+C(2n, k) monomials; and a gate set whose planes cover all n(2n - 1)
+Majorana pairs, whose N-ball is the whole Johnson ball of
+``bounds.johnson_ball_size(n, N, k)`` monomials.  Any other region or set
+takes T and the analytic ratio from one component search; a gate set's
+search runs up to ``pauli.DENSE_QUBIT_CAP`` qubits, and a ball it finds of
+the Johnson size still takes the closed form.
 
 Every evaluation is a pair of chunk evaluators (``Evaluators``), each
 mapping a block of streams to their probabilities, and one runner draws the
@@ -54,6 +59,7 @@ dispatch of each factor position per block, and exits 2 above
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Callable, NamedTuple
@@ -440,13 +446,13 @@ def _johnson_ball_mass(R: np.ndarray, K: np.ndarray, N: int) -> np.ndarray:
 
 
 def _rotation_evaluators(
-    config: ExperimentConfig, experiment: str, gates: int, draw_shallow, closed_form, keys: np.ndarray, K: np.ndarray
+    config: ExperimentConfig, experiment: str, gates: int, draw_shallow, closed_form, keys=None, K=None
 ) -> Evaluators:
     """Chunk evaluators of the minor mass on the Majorana rotations of a block.
 
     ``closed_form`` (rotations to masses) serves when given; otherwise the
-    mass is summed over the monomials of ``keys``, whose minors the budget
-    and the row bytes count.
+    mass is summed over the monomials of ``keys``, whose minors of the
+    columns K the budget and the row bytes count.
     """
     row_bytes = _rotation_row_bytes(config.n)
     if closed_form is not None:
@@ -521,25 +527,29 @@ def _depth_rotation(config: ExperimentConfig, adj: groups.Adjacency):
     """Chunk evaluators of the retained probability on Majorana rotations,
     the analytic bound and its reference.
 
-    One component search of the perturbation under the full bilinear set
-    gives both the monomials inside the region and the region ratio; a
-    prefix region keeps det(R[in, K]^T R[in, K]).
+    The perturbation's component under the full bilinear set is every
+    weight-k monomial, C(2n, k) of them.  A prefix region 0..m-1 holds the
+    C(2m, k) monomials of Majoranas 1..2m and keeps det(R[in, K]^T R[in, K]),
+    with no search; any other region takes its monomials from one component
+    search.
     """
     groups.check_matchgate_edges(adj)
+    n, m, depth = config.n, len(config.region), config.ensemble.depth
     K = _majorana_indices(config.perturbation)
-    inside, size = cgraph.region_keys(config.perturbation, groups.matchgate_full_set(config.n), config.region)
-    prefix = config.region == tuple(range(len(config.region)))
-    depth = config.ensemble.depth
-    evaluators = _rotation_evaluators(
+    args = (
         config,
         "depth",
         _brickwork_gates(adj, depth),
         functools.partial(groups.sample_shallow_rotation_stack, config.group, depth, adj),
-        functools.partial(_prefix_mass, inside=2 * len(config.region), K=K) if prefix else None,
-        inside,
-        K,
     )
-    analytic = float(bounds.pauli_compatible_bound(Fraction(inside.size, size)))
+    if config.region == tuple(range(m)):
+        inside, size = math.comb(2 * m, K.size), math.comb(2 * n, K.size)
+        evaluators = _rotation_evaluators(*args, functools.partial(_prefix_mass, inside=2 * m, K=K))
+    else:
+        keys, size = cgraph.region_keys(config.perturbation, groups.matchgate_full_set(n), config.region)
+        inside = keys.size
+        evaluators = _rotation_evaluators(*args, None, keys, K)
+    analytic = float(bounds.pauli_compatible_bound(Fraction(inside, size)))
     return evaluators, analytic, "region-ratio-bound/matchgate"
 
 
@@ -633,30 +643,50 @@ def _gate_sequence_rotation(planes, n: int, N: int, streams) -> np.ndarray:
     return R
 
 
-def _gatecount_rotation(config: ExperimentConfig, S: cgraph.GeneratorSet, ball: np.ndarray) -> Evaluators:
-    """Chunk evaluators of the mass retained inside the N-ball, on Majorana rotations.
+def _gatecount_rotation(config: ExperimentConfig, S: cgraph.GeneratorSet):
+    """Chunk evaluators of the mass retained inside the N-ball, on Majorana
+    rotations, and the analytic bound.
 
     A bilinear step changes one Majorana index, so the N-ball of c_K lies
-    inside its Johnson N-ball: a ball of the Johnson size is all of it and
-    keeps the eigvalsh closed form, and a larger one is a broken invariant.
+    inside its Johnson N-ball.  When the planes of S cover all n(2n - 1)
+    Majorana pairs, the graph on weight-k monomials is the Johnson graph
+    J(2n, k): the ball is the whole Johnson ball and the component all
+    C(2n, k) monomials, with no search.  Otherwise one component search
+    gives both, and is refused above ``pauli.DENSE_QUBIT_CAP`` qubits; a ball
+    of the Johnson size keeps the eigvalsh closed form, and a larger one is
+    a broken invariant.  The budget is checked before the search, whose
+    C(2n, k) vertices dominate at large n.
     """
     n, N = config.n, config.ensemble.gates
     planes = [groups.bilinear_plane(g) for g in S.generators]
     K = _majorana_indices(config.perturbation)
     expected = bounds.johnson_ball_size(n, N, K.size)
-    if len(ball) > expected:
-        raise InvariantError(
-            f"the {N}-ball of a weight-{K.size} monomial has {len(ball)} vertices, more than {expected}"
-        )
-    return _rotation_evaluators(
+    if len({(a, b) for a, b, _ in planes}) == n * (2 * n - 1):
+        ball, ball_size, size = None, expected, math.comb(2 * n, K.size)
+    else:
+        if n > pauli.DENSE_QUBIT_CAP:
+            raise BudgetError(
+                f"a gate set that does not cover every Majorana pair searches the C(2n, k)-vertex "
+                f"component of its perturbation, so n <= {pauli.DENSE_QUBIT_CAP}; got n={n}"
+            )
+        _check_rotation_cost(config, "gate-count", N)
+        comp = cgraph.component(pauli.hermitian_representative(config.perturbation), S)
+        ball = np.sort(np.concatenate(comp.levels[: N + 1]))  # the N-ball: the first N + 1 levels
+        ball_size, size = ball.size, comp.size
+        if ball_size > expected:
+            raise InvariantError(
+                f"the {N}-ball of a weight-{K.size} monomial has {ball_size} vertices, more than {expected}"
+            )
+    evaluators = _rotation_evaluators(
         config,
         "gate-count",
         N,
         functools.partial(_gate_sequence_rotation, planes, n, N),
-        functools.partial(_johnson_ball_mass, K=K, N=N) if len(ball) == expected else None,
+        functools.partial(_johnson_ball_mass, K=K, N=N) if ball_size == expected else None,
         ball,
         K,
     )
+    return evaluators, float(bounds.neighborhood_ratio_bound(ball_size, size))
 
 
 def run_gatecount_discrimination(config: ExperimentConfig) -> ExperimentResult:
@@ -675,17 +705,7 @@ def run_gatecount_discrimination(config: ExperimentConfig) -> ExperimentResult:
     S = config.ensemble.allowed or G.generator_set
     if S is None:
         raise ValidationError("gate-count experiment needs a generator set")
-    if config.n > pauli.DENSE_QUBIT_CAP:
-        raise BudgetError(
-            f"the gate-count experiment searches the C(2n, k)-vertex component of its perturbation, "
-            f"so n <= {pauli.DENSE_QUBIT_CAP}; got n={config.n}"
-        )
-    N = config.ensemble.gates
-    # refused before the component search, whose C(2n, k) vertices dominate at large n
-    _check_rotation_cost(config, "gate-count", N)
-    comp = cgraph.component(pauli.hermitian_representative(config.perturbation), S)
-    ball = np.sort(np.concatenate(comp.levels[: N + 1]))  # the N-ball: the first N + 1 levels
-    evaluators = _gatecount_rotation(config, S, ball)
+    evaluators, analytic = _gatecount_rotation(config, S)
 
     def shallow_one(p, stream):
         return _shallow_row(p, stream, True, config.shot_mode)
@@ -693,7 +713,6 @@ def run_gatecount_discrimination(config: ExperimentConfig) -> ExperimentResult:
     def haar_one(p, stream):
         return _finalize(p, stream, config.shot_mode)
 
-    analytic = float(bounds.neighborhood_ratio_bound(len(ball), comp.size))
     return _run_two_sided(
         config, evaluators, shallow_one, haar_one, True, analytic, "gate-count-bound/ball-ratio"
     )

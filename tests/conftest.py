@@ -36,7 +36,10 @@ them, one sample at a time.
 The commutator-graph references are the per-vertex forms of the numpy
 closures: ``neighbors`` of one Pauli, a deque BFS over Python-int keys, and
 the Clifford closure that multiplies and keys one matrix at a time (its
-table, stacked, is what the reference Clifford gates index).
+table, stacked, is what the reference Clifford gates index).  The
+whole-level Clifford closure, which multiplies and keys all of a level's
+candidates before it keeps the fresh ones, is the oracle of the library's
+block-by-block closure into one preallocated table.
 
 Every per-sample reference draws from ``fresh_stream``, a generator built
 straight from ``np.random.Philox``, so the library's runs, which re-key
@@ -728,6 +731,50 @@ def enumerate_clifford_reference(n: int) -> tuple:
                 order.append(candidate)
                 queue.append(candidate)
     return tuple(order)
+
+
+def enumerate_clifford_by_levels(n: int) -> np.ndarray:
+    """All projective n-qubit Cliffords by a closure that holds each whole
+    level's candidates, keys them, and keeps the first of each new key.
+
+    Each generator multiplies ``groups.CLOSURE_BLOCK`` elements of a level in
+    one product, as the library does, so the products are the same bytes.
+    """
+    from designgap import densesim, groups
+
+    H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
+    S = np.diag([1.0, 1.0j]).astype(np.complex128)
+    gens = []
+    for q in range(n):
+        gens.append(densesim.embed(H, (q,), n))
+        gens.append(densesim.embed(S, (q,), n))
+    if n == 2:
+        gens.append(np.diag([1.0, 1.0, 1.0, -1.0]).astype(np.complex128))  # CZ
+    gens = np.stack(gens)
+
+    D = 1 << n
+    frontier = np.eye(D, dtype=np.complex128)[None]
+    seen = groups._clifford_keys(frontier)
+    levels = [frontier]
+    while len(frontier):
+        candidates = np.empty((len(frontier), len(gens), D, D), dtype=np.complex128)
+        for lo in range(0, len(frontier), groups.CLOSURE_BLOCK):
+            block = frontier[lo : lo + groups.CLOSURE_BLOCK]
+            wide = block.transpose(1, 0, 2).reshape(D, len(block) * D)
+            for g, gen in enumerate(gens):
+                candidates[lo : lo + len(block), g] = (gen @ wide).reshape(D, len(block), D).transpose(1, 0, 2)
+        candidates = candidates.reshape(-1, D, D)
+        keys = groups._clifford_keys(candidates)
+        order = np.argsort(keys, kind="stable")
+        first = np.ones(order.size, dtype=bool)
+        np.not_equal(keys[order[1:]], keys[order[:-1]], out=first[1:])
+        first = order[first]
+        at = np.minimum(np.searchsorted(seen, keys[first]), seen.size - 1)
+        fresh = np.sort(first[seen[at] != keys[first]])
+        seen = np.sort(np.concatenate([seen, keys[fresh]]))
+        frontier = candidates[fresh]
+        levels.append(frontier)
+    return np.concatenate(levels)
 
 
 @functools.lru_cache(maxsize=2)

@@ -103,6 +103,24 @@ class TestComponents:
         assert len(seen) == 4**n
         assert len(set(seen)) == 4**n
 
+    @pytest.mark.parametrize("radius", [None, 2])
+    def test_keys_are_built_on_first_use_read_only_and_sorted(self, radius):
+        comp = cgraph.component(pauli.from_text("XZYI"), groups.matchgate_full_set(4), radius=radius)
+        assert "keys" not in vars(comp)
+        assert comp.size == sum(level.size for level in comp.levels)
+        keys = comp.keys
+        assert keys is comp.keys
+        assert keys.dtype == np.int64 and not keys.flags.writeable
+        assert keys.tolist() == sorted(k for level in comp.levels for k in level.tolist())
+        assert comp.size == keys.size
+
+    @pytest.mark.parametrize("n,which", [(n, "standard") for n in (2, 3, 5)] + [(n, "full") for n in (2, 4)])
+    def test_census_root_is_the_smallest_key_and_keys_are_not_built(self, n, which):
+        S = standard_set(n) if which == "standard" else groups.matchgate_full_set(n)
+        for comp in cgraph.census(S):
+            assert "keys" not in vars(comp)
+            assert int(comp.levels[0][0]) == min(int(level.min()) for level in comp.levels)
+
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_matchgate_component_sizes_are_binomials(self, n):
         comps = cgraph.census(standard_set(n))

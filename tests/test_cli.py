@@ -10,7 +10,7 @@ import time
 import numpy as np
 import pytest
 
-from designgap import cgraph, cli, groups, pauli
+from designgap import cgraph, cli, experiments, groups, pauli
 
 
 def run_cli(capsys, argv):
@@ -78,11 +78,37 @@ class TestExitCodes:
         assert out == ""
         assert "budget" in err and "costs about 1.65e+14 multiply-adds" in err and "minor dets 5.00e+12," in err
 
-    def test_gate_count_beyond_the_search_cap_is_refused(self, capsys):
-        code, out, err = run_cli(capsys, ["discriminate", "--experiment", "gate-count", "--n", "13", "--samples", "5"])
+    GATE_COUNT_N13 = ["discriminate", "--experiment", "gate-count", "--n", "13", "--samples", "5"]
+
+    def test_full_set_gate_count_runs_beyond_the_search_cap(self, capsys):
+        # the full set's ball and component are Johnson counts, so no search caps n
+        code, out, _ = run_cli(capsys, self.GATE_COUNT_N13)
+        assert code == 0
+        (record,) = records(out)
+        assert record["p_shallow"] == 1
+
+    def test_custom_gate_count_set_beyond_the_search_cap_is_refused(self, capsys, monkeypatch):
+        # the standard set covers 2n - 1 of the n(2n - 1) Majorana pairs, so it needs the search
+        real = experiments.gatecount_config
+
+        def standard(n, *args, **kwargs):
+            return real(n, *args, allowed=groups.matchgate_standard_set(n), **kwargs)
+
+        monkeypatch.setattr(experiments, "gatecount_config", standard)
+        code, out, err = run_cli(capsys, self.GATE_COUNT_N13)
         assert code == 2
         assert out == ""
         assert "C(2n, k)-vertex component" in err and "n <= 12" in err
+
+    def test_costly_full_set_gate_count_is_refused_before_sampling(self, capsys):
+        start = time.perf_counter()
+        code, out, err = run_cli(
+            capsys, ["discriminate", "--experiment", "gate-count", "--n", "31", "--samples", "1000000000"]
+        )
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert "budget" in err and "Majorana rotations for n=31" in err
 
     @pytest.mark.parametrize(
         "argv,cost",
@@ -297,6 +323,22 @@ class TestRecordSchema:
         sizes = [r["size"] for r in recs]
         assert sizes == [1, 4, 6, 4, 1]
         assert [r["majorana_count"] for r in recs] == [0, 1, 2, 3, 4]
+
+    @pytest.mark.parametrize("n,which", [(4, "standard"), (3, "full")])
+    def test_census_builds_no_sorted_keys(self, capsys, monkeypatch, n, which):
+        # the records are ordered by Majorana count and root, as by smallest key
+        S = groups.matchgate_standard_set(n) if which == "standard" else groups.matchgate_full_set(n)
+        comps = sorted(cgraph.census(S), key=lambda c: (pauli.majorana_count(c.representative), int(c.keys[0])))
+        want = [(pauli.majorana_count(c.representative), c.size, pauli.to_text(c.representative)) for c in comps]
+
+        def refuse(self):
+            raise AssertionError("the census built a component's sorted keys")
+
+        monkeypatch.setattr(cgraph.Component, "keys", property(refuse))
+        argv = ["graph", "--group", "matchgate", "--n", str(n), "--generator-set", which, "--census"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert [(r["majorana_count"], r["size"], r["representative"]) for r in records(out)] == want
 
     def test_graph_needs_a_task(self, capsys):
         code, _, err = run_cli(capsys, ["graph", "--group", "matchgate", "--n", "2"])

@@ -1,5 +1,6 @@
 """Discrimination experiments: geometry defaults, exactness gates, bounds."""
 
+import math
 import re
 import time
 import tracemalloc
@@ -363,9 +364,7 @@ class TestRotationEvaluation:
     @pytest.mark.parametrize("n", [2, 3, 4])
     def test_gatecount_matches_dense(self, n, gates, shot_mode):
         cfg = experiments.gatecount_config(n, samples=6, seed=3, gates=gates)
-        S = cfg.ensemble.allowed
-        ball = cgraph.component(cfg.perturbation, S, radius=gates).keys
-        evaluators = experiments._gatecount_rotation(cfg, S, ball)
+        evaluators, _ = experiments._gatecount_rotation(cfg, cfg.ensemble.allowed)
         assert _max_gap(gatecount_probability_reference(cfg), evaluators, shot_mode, M=6) < 1e-12
 
     @pytest.mark.parametrize("shot_mode", [False, True])
@@ -374,8 +373,7 @@ class TestRotationEvaluation:
     def test_standard_set_gatecount_matches_dense(self, n, gates, shot_mode):
         S = groups.matchgate_standard_set(n)
         cfg = experiments.gatecount_config(n, samples=4, seed=3, gates=gates, allowed=S)
-        ball = cgraph.component(cfg.perturbation, S, radius=gates).keys
-        evaluators = experiments._gatecount_rotation(cfg, S, ball)
+        evaluators, _ = experiments._gatecount_rotation(cfg, S)
         assert _max_gap(gatecount_probability_reference(cfg), evaluators, shot_mode) < 1e-12
 
     @pytest.mark.parametrize("n", [3, 4, 5])
@@ -439,8 +437,10 @@ class TestRotationEvaluation:
             return cgraph.Component(c.n, c.representative, (np.concatenate(c.levels[:2]), *c.levels[2:]))
 
         monkeypatch.setattr(cgraph, "component", merged)
+        # one plane short of the full set, so the ball comes from the search
+        S = cgraph.GeneratorSet(3, groups.matchgate_full_set(3).generators[:-1])
         with pytest.raises(InvariantError):
-            experiments.run_gatecount_discrimination(experiments.gatecount_config(3, 2, 0, gates=1))
+            experiments.run_gatecount_discrimination(experiments.gatecount_config(3, 2, 0, gates=1, allowed=S))
 
     @pytest.mark.parametrize("allowed", [None, "standard"])
     def test_one_search_gives_ball_and_component(self, monkeypatch, allowed):
@@ -454,7 +454,8 @@ class TestRotationEvaluation:
         monkeypatch.setattr(cgraph, "_bfs", counted)
         S = groups.matchgate_standard_set(3) if allowed else None
         res = experiments.run_gatecount_discrimination(experiments.gatecount_config(3, 4, 0, gates=1, allowed=S))
-        assert len(calls) == 1
+        # the full set's ball and component are Johnson counts, with no search
+        assert len(calls) == (1 if allowed else 0)
         # the analytic ratio still divides the 1-ball by the whole component
         key = pauli.to_key(experiments.gatecount_perturbation(3))
         S = S or groups.matchgate_full_set(3)
@@ -475,9 +476,91 @@ class TestRotationEvaluation:
         res = experiments.run_depth_discrimination(
             experiments.depth_config("matchgate", 4, 4, 0, region=region, perturbation=V)
         )
-        assert len(calls) == 1
+        # a prefix region's monomials are counted by C(2m, k), with no search
+        assert len(calls) == (0 if region == (0, 1, 2) else 1)
         inside = region_monomials(4, 5, region)
         assert res.analytic_bound == float(bounds.pauli_compatible_bound(Fraction(len(inside), 56)))
+
+
+def _monomial(n: int, k: int) -> pauli.PauliString:
+    """c_1 c_2 ... c_k, up to phase: its support is qubits 0..(k - 1) // 2."""
+    return pauli.hermitian_representative(pauli.majorana_product(tuple(range(1, k + 1)), n))
+
+
+class TestClosedFormCounts:
+    """The counts the rotation path takes without a search, against the search."""
+
+    @pytest.mark.parametrize("n", range(2, 7))
+    def test_prefix_region_counts_equal_the_search(self, n):
+        full = groups.matchgate_full_set(n)
+        adj = groups.parse_adjacency("chain", n)
+        for k in range(2 * n + 1):
+            P = _monomial(n, k)
+            # every prefix that holds the support and leaves a nonempty complement
+            for m in range(max(1, (k + 1) // 2), n):
+                region = tuple(range(m))
+                keys, size = cgraph.region_keys(P, full, region)
+                assert (keys.size, size) == (math.comb(2 * m, k), math.comb(2 * n, k))
+                cfg = experiments.depth_config("matchgate", n, 1, 0, depth=0, region=region, perturbation=P)
+                _, analytic, _ = experiments._depth_rotation(cfg, adj)
+                assert analytic == float(bounds.pauli_compatible_bound(Fraction(keys.size, size)))
+
+    @pytest.mark.parametrize("n", range(1, 6))
+    def test_full_set_ball_counts_equal_the_search(self, n):
+        full = groups.matchgate_full_set(n)
+        for k in range(2 * n + 1):
+            P = _monomial(n, k)
+            comp = cgraph.component(P, full)
+            assert comp.size == math.comb(2 * n, k)
+            for N in range(4):
+                ball = sum(level.size for level in comp.levels[: N + 1])
+                assert ball == bounds.johnson_ball_size(n, N, k)
+                cfg = experiments.gatecount_config(n, 1, 0, gates=N, perturbation=P)
+                _, analytic = experiments._gatecount_rotation(cfg, full)
+                assert analytic == float(bounds.neighborhood_ratio_bound(ball, comp.size))
+
+
+class TestNoSearch:
+    """Prefix-region depth runs and full-set gate-count runs take closed forms."""
+
+    @pytest.fixture
+    def refuse_search(self, monkeypatch):
+        def refuse(*args, **kwargs):
+            raise AssertionError("the commutator-graph search ran")
+
+        monkeypatch.setattr(cgraph, "_bfs", refuse)
+        return refuse
+
+    @pytest.mark.parametrize(
+        "n,depth,region", [(4, None, None), (6, 2, (0, 1, 2, 3)), (8, 3, None), (8, 1, (0, 1, 2, 3, 4))]
+    )
+    def test_prefix_depth_runs_never_search(self, monkeypatch, refuse_search, n, depth, region):
+        monkeypatch.setattr(groups, "matchgate_full_set", refuse_search)
+        res = experiments.run_depth_discrimination(
+            experiments.depth_config("matchgate", n, 16, 1, depth=depth, region=region)
+        )
+        m = len(res.config.region)
+        r = Fraction(math.comb(2 * m, n - 1), math.comb(2 * n, n - 1))
+        assert res.analytic_bound == float(bounds.pauli_compatible_bound(r))
+
+    @pytest.mark.parametrize("n,gates", [(2, 0), (3, 2), (6, 1), (11, 3), (16, 1)])
+    def test_full_set_gate_count_runs_never_search(self, refuse_search, n, gates):
+        res = experiments.run_gatecount_discrimination(experiments.gatecount_config(n, 64, 2, gates=gates))
+        assert res.p_shallow.mean == 1.0
+        ball, comp = bounds.johnson_ball_size(n, gates, n), math.comb(2 * n, n)
+        assert res.analytic_bound == float(bounds.neighborhood_ratio_bound(ball, comp))
+        # the Haar side spreads the monomial uniformly over its component
+        assert abs(res.p_haar.mean - ball / comp) <= 5 * res.p_haar.stderr + 1e-12
+
+    def test_full_set_gate_count_is_budgeted_up_to_the_key_cap(self, refuse_search):
+        config = experiments.gatecount_config(31, 10**9, 0)
+        with pytest.raises(BudgetError, match=r"gate-count experiment on Majorana rotations for n=31"):
+            experiments.run_gatecount_discrimination(config)
+
+    def test_a_set_short_of_a_plane_still_searches_and_is_capped(self):
+        S = cgraph.GeneratorSet(13, groups.matchgate_full_set(13).generators[1:])
+        with pytest.raises(BudgetError, match=r"C\(2n, k\)-vertex component .* n <= 12"):
+            experiments.run_gatecount_discrimination(experiments.gatecount_config(13, 4, 0, allowed=S))
 
 
 class TestDenseMatchgateSide:
@@ -733,8 +816,7 @@ class TestStackedRotation:
                 sample_shallow_rotation_reference(config.group, L, "chain", stream)
 
         else:
-            ball = cgraph.component(config.perturbation, S, radius=3).keys
-            evaluators = experiments._gatecount_rotation(config, S, ball)
+            evaluators, _ = experiments._gatecount_rotation(config, S)
             planes = [groups.bilinear_plane(g) for g in S.generators]
 
             def shallow_reference(stream):

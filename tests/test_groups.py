@@ -13,6 +13,7 @@ from conftest import (
     adjoint_majorana_matrix,
     clifford_table_reference,
     draw_factors_reference,
+    enumerate_clifford_by_levels,
     enumerate_clifford_reference,
     fresh_stream,
     gate_sequence_rotation_reference,
@@ -281,6 +282,24 @@ class TestHaarSamplers:
         assert got.dtype == want.dtype
         assert got.tobytes() == want.tobytes()
         assert not got.flags.writeable
+
+    @pytest.mark.parametrize("n", [1, 2])
+    @pytest.mark.parametrize("block", [None, 7])
+    def test_clifford_enumeration_matches_the_whole_level_closure(self, monkeypatch, n, block):
+        # element by element, the table is what the closure holding each whole level finds
+        if block is not None:
+            monkeypatch.setattr(groups, "CLOSURE_BLOCK", block)
+        got = groups.enumerate_clifford.__wrapped__(n)
+        want = enumerate_clifford_by_levels(n)
+        assert len(got) == len(want) == groups.CLIFFORD_ORDERS[n]
+        for i, (a, b) in enumerate(zip(got, want)):
+            assert a.tobytes() == b.tobytes(), f"element {i}"
+
+    @pytest.mark.parametrize("n,order", [(1, 23), (1, 25), (2, 11519), (2, 11521)])
+    def test_clifford_closure_of_the_wrong_order_is_an_invariant_error(self, monkeypatch, n, order):
+        monkeypatch.setitem(groups.CLIFFORD_ORDERS, n, order)
+        with pytest.raises(InvariantError, match=f"{order}"):
+            groups.enumerate_clifford.__wrapped__(n)
 
     @pytest.mark.parametrize("n", [1, 2])
     def test_clifford_keys_tell_projective_classes_apart(self, n):
