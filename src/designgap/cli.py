@@ -813,12 +813,7 @@ def _add_experiment_flags(p: _Parser) -> None:
     p.add_argument("--shot-mode", action="store_true")
 
 
-def build_parser() -> _Parser:
-    parser = _Parser(prog="designgap", description=__doc__.splitlines()[0])
-    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
-    sub = parser.add_subparsers(dest="subcommand", required=True)
-
-    g = sub.add_parser("graph", parents=[], help="commutator-graph censuses, balls, diameters")
+def _graph_flags(g: _Parser) -> None:
     g.add_argument("--group", choices=CLI_GROUPS[:4], required=True)
     g.add_argument("--n", type=int, required=True)
     g.add_argument("--generator-set", choices=("standard", "full"), default="standard")
@@ -830,7 +825,8 @@ def build_parser() -> _Parser:
     _add_common(g)
     g.set_defaults(func=_cmd_graph)
 
-    b = sub.add_parser("bounds", help="closed-form bound calculators")
+
+def _bounds_flags(b: _Parser) -> None:
     b.add_argument("--formula", choices=bounds.available_formulas(), required=True)
     b.add_argument("--d", type=int, default=None)
     b.add_argument("--dL", type=int, default=None)
@@ -846,7 +842,8 @@ def build_parser() -> _Parser:
     _add_common(b)
     b.set_defaults(func=_cmd_bounds)
 
-    m = sub.add_parser("moments", help="Monte Carlo moment quantities")
+
+def _moments_flags(m: _Parser) -> None:
     m.add_argument(
         "--quantity",
         choices=(
@@ -874,7 +871,8 @@ def build_parser() -> _Parser:
     _add_common(m)
     m.set_defaults(func=_cmd_moments)
 
-    d = sub.add_parser("discriminate", help="two-copy discrimination experiments")
+
+def _discriminate_flags(d: _Parser) -> None:
     d.add_argument("--experiment", choices=("depth", "mixed-unitary", "gate-count"), required=True)
     d.add_argument("--group", choices=CLI_GROUPS, default="matchgate")
     d.add_argument("--gates", type=int, default=None)
@@ -882,7 +880,8 @@ def build_parser() -> _Parser:
     _add_common(d)
     d.set_defaults(func=_cmd_discriminate)
 
-    f = sub.add_parser("fs-indicator", help="Frobenius-Schur indicator of a group")
+
+def _fs_indicator_flags(f: _Parser) -> None:
     f.add_argument("--group", choices=CLI_GROUPS, required=True)
     f.add_argument("--n", type=int, required=True)
     f.add_argument("--samples", type=int, default=5000)
@@ -890,17 +889,45 @@ def build_parser() -> _Parser:
     _add_common(f)
     f.set_defaults(func=_run_fs)
 
-    x = sub.add_parser("mixed-unitary", help="conjugate-copy depth experiment")
+
+def _mixed_unitary_flags(x: _Parser) -> None:
     _add_experiment_flags(x)
     _add_common(x)
     x.set_defaults(
         func=_cmd_discriminate, experiment="mixed-unitary", group="mixed_unitary", gates=None
     )
 
-    r = sub.add_parser("reproduce", help="pre-configured desk-scale verification suites")
+
+def _reproduce_flags(r: _Parser) -> None:
     r.add_argument("--id", choices=REPRODUCE_IDS, required=True)
     _add_common(r, seed_default=None)
     r.set_defaults(func=_cmd_reproduce)
+
+
+# subcommand: (help, the function that adds its flags), in the order of the usage line
+SUBCOMMANDS = {
+    "graph": ("commutator-graph censuses, balls, diameters", _graph_flags),
+    "bounds": ("closed-form bound calculators", _bounds_flags),
+    "moments": ("Monte Carlo moment quantities", _moments_flags),
+    "discriminate": ("two-copy discrimination experiments", _discriminate_flags),
+    "fs-indicator": ("Frobenius-Schur indicator of a group", _fs_indicator_flags),
+    "mixed-unitary": ("conjugate-copy depth experiment", _mixed_unitary_flags),
+    "reproduce": ("pre-configured desk-scale verification suites", _reproduce_flags),
+}
+
+
+def build_parser(subcommand: str | None = None) -> _Parser:
+    """The CLI parser.  Every subcommand is registered with its help, so the
+    usage, ``--help`` and a bad subcommand read the same; given a
+    ``subcommand``, only that subparser gets its flags, since only it will
+    parse.  With none, every subparser gets its flags."""
+    parser = _Parser(prog="designgap", description=__doc__.splitlines()[0])
+    parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
+    sub = parser.add_subparsers(dest="subcommand", required=True)
+    for name, (help_text, add_flags) in SUBCOMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        if subcommand is None or subcommand == name:
+            add_flags(p)
     return parser
 
 
@@ -958,7 +985,7 @@ def _apply_config_file(parser: _Parser, argv: list[str]) -> None:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser()
+    parser = build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None)
     started = time.perf_counter()
     try:
         _apply_config_file(parser, argv)

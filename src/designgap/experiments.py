@@ -44,11 +44,14 @@ rotation evaluators do the same on Majorana rotations:
 ``groups.sample_haar_rotation_stack`` draws a block, and one stacked
 evaluation takes it.  Each pair declares the bytes that one sample holds in
 stacked intermediates at once, so a block stays within ``rng.STACK_BYTES``.
-Each sample is then finalized on its own, in the per-sample closures of the
-runner: the shallow-exactness check, the clamp to [0, 1] and, in shot mode,
-the shot drawn from the sample's own stream after p.  Each stacked row is
-the single-sample value bit for bit, so the output bytes are those of a
-one-sample-at-a-time loop.  Before its first draw a dense brickwork run
+Each block is then finalized at once, as array operations: the
+shallow-exactness check, the clamp to [0, 1] and, in shot mode, the shot
+each sample draws from its own stream after p, the streams taken in order.
+A non-finite p raises ``InvariantError`` rather than clamping to 0.  Each
+stacked row is the single-sample value bit for bit, so the output bytes are
+those of a one-sample-at-a-time loop.  Matchgate runs build no two-copy
+state, so only the dense kinds stop at ``densesim.STATE_QUBIT_CAP``.
+Before its first draw a dense brickwork run
 estimates its cost in the d x d products it makes (the Haar draw, gates - 1
 for the circuit, the form self-checks and one evolution product per side),
 and a rotation run in 2n x 2n products plus k^3 per minor and the numpy
@@ -233,29 +236,35 @@ def gatecount_config(
 # shared machinery
 
 
-def _finalize(p: float, stream, shot_mode: bool):
-    clamped = min(1.0, max(0.0, p))
+def _finalize(p: np.ndarray, streams, shot_mode: bool) -> np.ndarray:
+    """A block's retained probabilities clamped to [0, 1] or, in shot mode,
+    one shot each, drawn from the sample's own stream after p.
+
+    A non-finite probability is a broken invariant, not a value to clamp.
+    """
+    bad = ~np.isfinite(p)
+    if bad.any():
+        raise InvariantError(f"a sample retained probability {float(p[bad][0])!r}; the evaluation is broken")
+    # max(0.0, p) and then min(1.0, .) as the comparisons pick them, so -0.0 becomes 0.0
+    clamped = np.where(p > 0.0, p, 0.0)
+    clamped = np.where(clamped < 1.0, clamped, 1.0)
     if shot_mode:
-        return float(stream.random() < clamped)
+        return (np.array([stream.random() for stream in streams]) < clamped).astype(np.float64)
     return clamped
 
 
-def _check_shallow_exactness(p: float, confined: bool) -> float:
+def _check_shallow_exactness(p: np.ndarray, confined: bool) -> np.ndarray:
+    """The deviations |p - 1| of confined shallow samples (0 for unconfined ones)."""
+    p = np.asarray(p, dtype=np.float64)
     if not confined:
-        return 0.0
-    dev = abs(p - 1.0)
-    if dev > SHALLOW_FAILURE_TOL:
+        return np.zeros_like(p)
+    dev = np.abs(p - 1.0)
+    if np.any(dev > SHALLOW_FAILURE_TOL):
         raise InvariantError(
-            f"confined shallow sample retained probability {p!r}; "
+            f"confined shallow sample retained probability {float(p[dev > SHALLOW_FAILURE_TOL][0])!r}; "
             "the lightcone bookkeeping or the ensemble is wrong"
         )
     return dev
-
-
-def _shallow_row(p: float, stream, confined: bool, shot_mode: bool) -> np.ndarray:
-    """One shallow sample as (finalized p, deviation from exact retention)."""
-    dev = _check_shallow_exactness(p, confined)
-    return np.array([_finalize(p, stream, shot_mode), dev])
 
 
 class Evaluators(NamedTuple):
@@ -272,19 +281,27 @@ class Evaluators(NamedTuple):
     row_bytes: int
 
 
-def _run_two_sided(config, evaluators: Evaluators, shallow_one, haar_one, confined, analytic, ref) -> ExperimentResult:
+def _run_two_sided(config, evaluators: Evaluators, confined, analytic, ref) -> ExperimentResult:
     """Shallow samples use stream indices [0, M); Haar samples [M, 2M).
 
-    The evaluators map each block of streams to their probabilities;
-    shallow_one and haar_one then finalize each sample, p and its own
-    stream, one at a time.
+    The evaluators map each block of streams to their probabilities, and
+    each block is then finalized at once: a shallow row is the finalized p
+    and its deviation from exact retention, a Haar row the finalized p.
     """
-    M = config.samples
+    M, shot_mode = config.samples, config.shot_mode
     row_bytes = evaluators.row_bytes
-    rows = rng.sample_rows(evaluators.shallow, M, config.seed, 0, row_bytes, shallow_one)
+
+    def shallow_rows(p, streams):
+        dev = _check_shallow_exactness(p, confined)
+        return np.column_stack((_finalize(p, streams, shot_mode), dev))
+
+    def haar_rows(p, streams):
+        return _finalize(p, streams, shot_mode)
+
+    rows = rng.sample_rows(evaluators.shallow, M, config.seed, 0, row_bytes, shallow_rows)
     p_sh = moments.MomentEstimate(*rng.mean_and_stderr(rows[:, 0]), M, config.seed)
     max_dev = float(np.max(rows[:, 1]))
-    vals = rng.sample_rows(evaluators.haar, M, config.seed, M, row_bytes, haar_one)
+    vals = rng.sample_rows(evaluators.haar, M, config.seed, M, row_bytes, haar_rows)
     p_ha = moments.MomentEstimate(*rng.mean_and_stderr(vals), M, config.seed)
     mc = bounds.discrimination_bound(
         min(1.0, max(0.0, p_sh.mean)), min(1.0, max(0.0, p_ha.mean))
@@ -562,16 +579,17 @@ def _brickwork(config: ExperimentConfig, conjugate: bool):
     if config.ensemble.kind != "brickwork":
         raise ValidationError("brickwork experiments take a brickwork ensemble")
     n = config.n
-    if 2 * n > densesim.STATE_QUBIT_CAP:
+    dense = config.group.kind != "matchgate"  # matchgates run on Majorana rotations, with no state
+    if dense and 2 * n > densesim.STATE_QUBIT_CAP:
         raise BudgetError(f"two-copy states need 2n <= {densesim.STATE_QUBIT_CAP}")
     adj = groups.parse_adjacency(config.ensemble.adjacency, n)
     cone = groups.lightcone(pauli.support(config.perturbation), config.ensemble.depth, adj)
     confined = set(cone) <= set(config.region)
-    if config.group.kind == "matchgate":
-        evaluators, analytic, ref = _depth_rotation(config, adj)
-    else:
+    if dense:
         evaluators = _depth_dense(config, adj, conjugate)
         analytic, ref = _depth_analytic(config, conjugate)
+    else:
+        evaluators, analytic, ref = _depth_rotation(config, adj)
     return evaluators, confined, analytic, ref
 
 
@@ -591,13 +609,7 @@ def run_depth_discrimination(config: ExperimentConfig) -> ExperimentResult:
         )
     evaluators, confined, analytic, ref = _brickwork(config, conjugate=False)
 
-    def shallow_one(p, stream):
-        return _shallow_row(p, stream, confined, config.shot_mode)
-
-    def haar_one(p, stream):
-        return _finalize(p, stream, config.shot_mode)
-
-    return _run_two_sided(config, evaluators, shallow_one, haar_one, confined, analytic, ref)
+    return _run_two_sided(config, evaluators, confined, analytic, ref)
 
 
 def run_mixed_unitary_discrimination(config: ExperimentConfig) -> ExperimentResult:
@@ -612,13 +624,7 @@ def run_mixed_unitary_discrimination(config: ExperimentConfig) -> ExperimentResu
         raise ValidationError(f"mixed-unitary experiment needs a unitary-kind group, got {kind!r}")
     evaluators, confined, analytic, ref = _brickwork(config, conjugate=True)
 
-    def shallow_one(p, stream):
-        return _shallow_row(p, stream, confined, config.shot_mode)
-
-    def haar_one(p, stream):
-        return _finalize(p, stream, config.shot_mode)
-
-    return _run_two_sided(config, evaluators, shallow_one, haar_one, confined, analytic, ref)
+    return _run_two_sided(config, evaluators, confined, analytic, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -658,7 +664,10 @@ def _gatecount_rotation(config: ExperimentConfig, S: cgraph.GeneratorSet):
     C(2n, k) vertices dominate at large n.
     """
     n, N = config.n, config.ensemble.gates
-    planes = [groups.bilinear_plane(g) for g in S.generators]
+    if S.generators == groups.matchgate_full_set(n).generators:
+        planes = groups.matchgate_full_planes(n)
+    else:
+        planes = [groups.bilinear_plane(g) for g in S.generators]
     K = _majorana_indices(config.perturbation)
     expected = bounds.johnson_ball_size(n, N, K.size)
     if len({(a, b) for a, b, _ in planes}) == n * (2 * n - 1):
@@ -707,12 +716,4 @@ def run_gatecount_discrimination(config: ExperimentConfig) -> ExperimentResult:
         raise ValidationError("gate-count experiment needs a generator set")
     evaluators, analytic = _gatecount_rotation(config, S)
 
-    def shallow_one(p, stream):
-        return _shallow_row(p, stream, True, config.shot_mode)
-
-    def haar_one(p, stream):
-        return _finalize(p, stream, config.shot_mode)
-
-    return _run_two_sided(
-        config, evaluators, shallow_one, haar_one, True, analytic, "gate-count-bound/ball-ratio"
-    )
+    return _run_two_sided(config, evaluators, True, analytic, "gate-count-bound/ball-ratio")

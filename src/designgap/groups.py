@@ -70,10 +70,11 @@ Jordan-Wigner edges (each local gate on (i, i+1) acts on Majoranas
 2i+1..2i+4).  The Haar stack is one stacked QR and one stacked det
 (``haar_special_orthogonal`` on a list of streams); a brickwork stack lists
 the gate sites of all its layers, draws each stream's factors for up to
-``SHALLOW_GATES_PER_DRAW`` gates in one ``draw_factors`` call, builds each
-gate's 4 x 4 rotations with ``rotate_by_exponentials`` one factor position
-at a time over the stack, and applies them as one batched
-(B, 4, 4) @ (B, 4, 2n) product; ``check_rotation`` runs once over the stack.
+``SHALLOW_GATES_PER_DRAW`` gates in one ``draw_factors`` call, builds all
+their 4 x 4 rotations in one ``rotate_by_exponentials`` call, one factor
+position at a time over the stack, and applies each run of gates on
+disjoint qubits (a layer) as one batched (B, s, 4, 4) @ (B, s, 4, 2n)
+product; ``check_rotation`` runs once over the stack.
 Each row is the draw of its stream alone bit for bit.  The Haar
 rotation is the SO(2n) draw that the dense ``sample_haar`` lifts, through
 the shared ``haar_special_orthogonal``, so both pictures see the same group
@@ -98,6 +99,7 @@ where the loop leaves it.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 from dataclasses import dataclass
 
@@ -266,14 +268,32 @@ def matchgate_standard_set(n: int) -> cgraph.GeneratorSet:
     return cgraph.GeneratorSet(n, tuple(gens))
 
 
+@functools.lru_cache(maxsize=None)
 def matchgate_full_set(n: int) -> cgraph.GeneratorSet:
-    """All n(2n-1) Majorana bilinears c_a c_b with a < b."""
+    """All n(2n-1) Majorana bilinears c_a c_b with a < b, ordered by (a, b).
+
+    The word of c_a c_b is the XOR of the words of c_a and c_b, taken with
+    phase 0.
+    """
     check_group_qubits(n)
-    gens = []
-    for a in range(1, 2 * n + 1):
-        for b in range(a + 1, 2 * n + 1):
-            gens.append(pauli.hermitian_representative(pauli.majorana_product((a, b), n)))
+    words = [(c.x_bits, c.z_bits) for c in (pauli.majorana(a, n) for a in range(1, 2 * n + 1))]
+    gens = (pauli.PauliString(n, xa ^ xb, za ^ zb) for (xa, za), (xb, zb) in itertools.combinations(words, 2))
     return cgraph.GeneratorSet(n, tuple(gens))
+
+
+@functools.lru_cache(maxsize=None)
+def matchgate_full_planes(n: int) -> tuple[tuple[int, int, int], ...]:
+    """``bilinear_plane`` of each generator of ``matchgate_full_set(n)``, in
+    its order, in closed form.
+
+    With 0-based a < b, c_{a+1} c_{b+1} is X Y = i Z on one qubit when a is
+    even and b = a + 1.  Otherwise the Z strings below a's qubit cancel and
+    a's letter meets the Z of b's string on its own qubit: X Z = -i Y for
+    even a, Y Z = i X for odd a.  So sigma = +1 exactly when a is even and
+    b > a + 1.
+    """
+    check_group_qubits(n)
+    return tuple((a, b, 1 if a % 2 == 0 and b > a + 1 else -1) for a, b in itertools.combinations(range(2 * n), 2))
 
 
 def _chain_local_paulis(n: int) -> list[pauli.PauliString]:
@@ -1040,9 +1060,15 @@ def sample_shallow_rotation_stack(G: GroupSpec, L: int, adjacency, streams) -> n
     layers are listed first; then each stream's factors for up to
     ``SHALLOW_GATES_PER_DRAW`` consecutive gates are drawn in one
     ``draw_factors`` call, in the per-gate order of a dense circuit; gate j
-    of the batch reads columns 12j..12j+11, and its 4 x 4 rotations are
-    applied to rows 2i..2i+3 as one batched (B, 4, 4) @ (B, 4, 2n) product.
-    The check runs once over the stack.
+    of the window reads columns 12j..12j+11.  All 4 x 4 rotations of a
+    window are built in one ``rotate_by_exponentials`` call over the
+    (B * w, 12) factors.  A gate on (i, i+1) acts on rows 2i..2i+3, so the
+    gates of a layer touch disjoint rows and commute: each run of
+    consecutive gates on disjoint qubits (a layer, or the part of one in a
+    window) is applied as one row gather, one batched
+    (B, s, 4, 4) @ (B, s, 4, 2n) product and one scatter.  Each 4 x 4 block
+    takes the one-gate product, so the rows are those of one gate at a
+    time.  The check runs once over the stack.
     """
     if G.kind != "matchgate":
         raise ValidationError(f"Majorana rotations need the matchgate group, got {G.kind!r}")
@@ -1053,13 +1079,27 @@ def sample_shallow_rotation_stack(G: GroupSpec, L: int, adjacency, streams) -> n
     planes, k = _local_matchgate_planes(), MATCHGATE_LOCAL_FACTORS
     classes = adj.layer_classes
     sites = [i for layer in range(L) if classes for i, _ in classes[layer % len(classes)]]
-    R = np.tile(np.eye(2 * G.n), (len(streams), 1, 1))
+    B = len(streams)
+    R = np.tile(np.eye(2 * G.n), (B, 1, 1))
     for lo in range(0, len(sites), SHALLOW_GATES_PER_DRAW):
-        batch = sites[lo : lo + SHALLOW_GATES_PER_DRAW]
-        g, theta = draw_factors(len(planes), k * len(batch), streams)
-        for j, i in enumerate(batch):
-            gate = rotate_by_exponentials(planes, g[:, k * j : k * j + k], theta[:, k * j : k * j + k], 4)
-            block = slice(2 * i, 2 * i + 4)
-            R[:, block] = gate @ R[:, block]
+        window = sites[lo : lo + SHALLOW_GATES_PER_DRAW]
+        w = len(window)
+        g, theta = draw_factors(len(planes), k * w, streams)
+        gates = rotate_by_exponentials(planes, g.reshape(B * w, k), theta.reshape(B * w, k), 4).reshape(B, w, 4, 4)
+        for start, stop in _disjoint_runs(window):
+            rows = 2 * np.array(window[start:stop])[:, None] + np.arange(4)
+            R[:, rows] = gates[:, start:stop] @ R[:, rows]
     check_rotation(R, f"shallow {G.kind}")
     return R
+
+
+def _disjoint_runs(sites) -> list[tuple[int, int]]:
+    """(start, stop) of the maximal runs of consecutive gates on (i, i+1), i in
+    sites, that share no qubit."""
+    runs, start, used = [], 0, set()
+    for j, i in enumerate(sites):
+        if i in used or i + 1 in used:
+            runs.append((start, j))
+            start, used = j, set()
+        used.update((i, i + 1))
+    return runs + [(start, len(sites))]

@@ -369,6 +369,31 @@ def envelope_threshold(c, up_to: int) -> int:
     return holds_from
 
 
+def finalize_reference(p: float, stream, shot_mode: bool) -> float:
+    """One sample's retained probability clamped to [0, 1] or, in shot mode,
+    one shot drawn from its own stream; a non-finite p is an InvariantError."""
+    from designgap.errors import InvariantError
+
+    if not math.isfinite(p):
+        raise InvariantError(f"a sample retained probability {p!r}")
+    clamped = min(1.0, max(0.0, p))
+    if shot_mode:
+        return float(stream.random() < clamped)
+    return clamped
+
+
+def shallow_row_reference(p: float, stream, confined: bool, shot_mode: bool) -> np.ndarray:
+    """One shallow sample as (finalized p, deviation from exact retention),
+    the deviation checked against ``SHALLOW_FAILURE_TOL`` when confined."""
+    from designgap import experiments
+    from designgap.errors import InvariantError
+
+    dev = abs(p - 1.0) if confined else 0.0
+    if dev > experiments.SHALLOW_FAILURE_TOL:
+        raise InvariantError(f"confined shallow sample retained probability {p!r}")
+    return np.array([finalize_reference(p, stream, shot_mode), dev])
+
+
 def per_sample_rows(config, shallow_p, haar_p, confined: bool):
     """The runner's rows one sample at a time: (shallow rows, Haar values).
 
@@ -376,15 +401,13 @@ def per_sample_rows(config, shallow_p, haar_p, confined: bool):
     stream as the runner does: shallow samples on streams [0, M), Haar
     samples on [M, 2M).
     """
-    from designgap import experiments
-
     M = config.samples
     shallow, haar = [], []
     for i in range(M):
         stream = fresh_stream(config.seed, i)
-        shallow.append(experiments._shallow_row(shallow_p(stream), stream, confined, config.shot_mode))
+        shallow.append(shallow_row_reference(shallow_p(stream), stream, confined, config.shot_mode))
         stream = fresh_stream(config.seed, M + i)
-        haar.append(experiments._finalize(haar_p(stream), stream, config.shot_mode))
+        haar.append(finalize_reference(haar_p(stream), stream, config.shot_mode))
     return np.array(shallow), np.array(haar)
 
 

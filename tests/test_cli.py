@@ -1,11 +1,14 @@
 """Command-line contract: exit codes, record schema, config, determinism."""
 
 import csv
+import importlib.util
 import io
 import json
+import math
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -45,6 +48,26 @@ class TestExitCodes:
         code, _, err = run_cli(capsys, ["graph", "--group", "matchgate", "--n", "14", "--census"])
         assert code == 2
         assert "budget" in err
+
+    @pytest.mark.parametrize("n", [10, 16])
+    def test_matchgate_depth_runs_past_the_two_copy_state_cap(self, capsys, n):
+        # Majorana rotations build no 2^(2n) state, so only dense kinds stop at 2n <= 16
+        argv = ["discriminate", "--experiment", "depth", "--group", "matchgate", "--n", str(n), "--samples", "640"]
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        rec = records(out)[0]
+        assert rec["params"]["lightcone_confined"]
+        assert abs(rec["p_shallow"] - 1.0) <= 1e-9
+        # the default region 0..n-2 keeps C(2n - 2, n - 1) of the C(2n, n - 1) monomials
+        p = math.comb(2 * n - 2, n - 1) / math.comb(2 * n, n - 1)
+        assert abs(rec["p_haar"] - p) <= 5 * rec["p_haar_stderr"]
+
+    def test_dense_depth_runs_keep_the_two_copy_state_cap(self, capsys):
+        argv = ["discriminate", "--experiment", "depth", "--group", "orthogonal", "--n", "9", "--samples", "4"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 2
+        assert out == ""
+        assert "two-copy states need 2n <= 16" in err
 
     def test_costly_fs_indicator_is_refused_before_sampling(self, capsys):
         # one dense matchgate draw at n=10 multiplies 190 lifts of 1024 x 1024
@@ -444,6 +467,51 @@ class TestConfigFile:
         cfg.write_text("{not json")
         code, _, err = run_cli(capsys, ["bounds", "--config", str(cfg)])
         assert code == 1
+
+
+def _benchmark_argvs() -> list[list[str]]:
+    """The argv of every command of every benchmark workload, at two benchmark seeds."""
+    path = Path(__file__).resolve().parents[1] / "perfbench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("perfbench_workloads", path)
+    workloads = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = workloads  # dataclasses look their module up
+    try:
+        spec.loader.exec_module(workloads)
+    finally:
+        del sys.modules[spec.name]
+    return [list(c.argv) for w in workloads.WORKLOADS for seed in (0, 7) for c in workloads.commands(w, seed)]
+
+
+class TestParserPerSubcommand:
+    """``main`` builds only the invoked subcommand's flags; the parse is the same."""
+
+    @pytest.mark.parametrize("argv", _benchmark_argvs(), ids=" ".join)
+    def test_one_subparser_parses_as_the_full_parser(self, argv):
+        assert cli.build_parser(argv[0]).parse_args(argv) == cli.build_parser().parse_args(argv)
+
+    @pytest.mark.parametrize("name", list(cli.SUBCOMMANDS))
+    def test_every_subcommand_keeps_its_name_and_help(self, name):
+        full, one = cli.build_parser(), cli.build_parser(name)
+        assert one.format_help() == full.format_help()
+        assert one.format_usage() == full.format_usage()
+        (full_sub,) = full._subparsers._group_actions
+        (one_sub,) = one._subparsers._group_actions
+        assert list(one_sub.choices) == list(full_sub.choices)
+        assert one_sub.choices[name].format_help() == full_sub.choices[name].format_help()
+
+    def test_config_applies_to_the_one_subparser(self, capsys, tmp_path):
+        cfg = tmp_path / "cfg.json"
+        cfg.write_text(json.dumps({"n": 4, "samples": 7, "shot_mode": True}))
+        argv = ["discriminate", "--experiment", "depth", "--group", "matchgate", "--config", str(cfg)]
+        parsed = []
+        for parser in (cli.build_parser("discriminate"), cli.build_parser()):
+            cli._apply_config_file(parser, argv)
+            parsed.append(parser.parse_args(argv))
+        assert parsed[0] == parsed[1]
+        assert (parsed[0].n, parsed[0].samples, parsed[0].shot_mode) == (4, 7, True)
+        code, out, _ = run_cli(capsys, argv)
+        assert code == 0
+        assert records(out)[0]["params"]["samples"] == 7
 
 
 class TestDeterminism:

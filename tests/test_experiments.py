@@ -17,6 +17,7 @@ from conftest import (
     brickwork_probability_reference,
     brickwork_rows_reference,
     draw_factors_reference,
+    finalize_reference,
     fresh_stream,
     gate_sequence_rotation_reference,
     gate_sequence_unitary_reference,
@@ -316,8 +317,8 @@ def _max_gap(reference, evaluators, shot_mode, M=4, seed=3):
             alone = fresh_stream(seed, offset + i)
             want = reference[side](alone)
             assert repr(stream.bit_generator.state) == repr(alone.bit_generator.state)
-            got = experiments._finalize(p, stream, shot_mode)
-            gap = max(gap, abs(got - experiments._finalize(want, alone, shot_mode)))
+            got = finalize_reference(p, stream, shot_mode)
+            gap = max(gap, abs(got - finalize_reference(want, alone, shot_mode)))
     return gap
 
 
@@ -520,6 +521,42 @@ class TestClosedFormCounts:
                 assert analytic == float(bounds.neighborhood_ratio_bound(ball, comp.size))
 
 
+class TestNonFiniteProbability:
+    """A NaN retained probability is a broken invariant, never a clamped 0."""
+
+    @pytest.mark.parametrize("shot_mode", [False, True])
+    @pytest.mark.parametrize("side", ["shallow", "haar"])
+    @pytest.mark.parametrize("experiment", ["depth", "gate-count"])
+    def test_one_nan_in_a_chunk_stops_the_run(self, monkeypatch, experiment, side, shot_mode):
+        real = experiments._rotation_evaluators
+
+        def one_nan(*args, **kwargs):
+            evaluators = real(*args, **kwargs)
+            evaluate = getattr(evaluators, side)
+
+            def patched(streams):
+                p = np.array(evaluate(streams))
+                p[17] = np.nan
+                return p
+
+            return evaluators._replace(**{side: patched})
+
+        monkeypatch.setattr(experiments, "_rotation_evaluators", one_nan)
+        run = experiments.run_depth_discrimination if experiment == "depth" else experiments.run_gatecount_discrimination
+        with pytest.raises(InvariantError, match="retained probability nan"):
+            run(_rotation_config(experiment, 4, 64, shot_mode, gates=2))
+
+    def test_a_nan_exits_three(self, monkeypatch, capsys):
+        from designgap import cli
+
+        monkeypatch.setattr(experiments, "_prefix_mass", lambda R, inside, K: np.full(len(R), np.nan))
+        code = cli.main(["discriminate", "--experiment", "depth", "--group", "matchgate", "--n", "4", "--samples", "64"])
+        captured = capsys.readouterr()
+        assert code == 3
+        assert captured.out == ""
+        assert "invariant violated" in captured.err and "nan" in captured.err
+
+
 class TestNoSearch:
     """Prefix-region depth runs and full-set gate-count runs take closed forms."""
 
@@ -556,6 +593,15 @@ class TestNoSearch:
         config = experiments.gatecount_config(31, 10**9, 0)
         with pytest.raises(BudgetError, match=r"gate-count experiment on Majorana rotations for n=31"):
             experiments.run_gatecount_discrimination(config)
+
+    @pytest.mark.parametrize("n", [2, 6, 31])
+    def test_full_set_planes_take_the_closed_form(self, monkeypatch, n):
+        def refuse(P):
+            raise AssertionError("bilinear_plane ran on a full-set generator")
+
+        monkeypatch.setattr(groups, "bilinear_plane", refuse)
+        res = experiments.run_gatecount_discrimination(experiments.gatecount_config(n, 8, 3, gates=1))
+        assert res.p_shallow.mean == 1.0
 
     def test_a_set_short_of_a_plane_still_searches_and_is_capped(self):
         S = cgraph.GeneratorSet(13, groups.matchgate_full_set(13).generators[1:])
@@ -837,10 +883,13 @@ class TestStackedRotation:
     def test_one_drifting_sample_in_a_chunk_stops_the_run(self, monkeypatch, experiment):
         real = groups.rotate_by_exponentials
 
-        def drifting(*args):
-            R = real(*args)
-            if len(R) > 5:
-                R[5] *= 1.0 + 1e-6
+        def drifting(planes, g, theta, m, R=None):
+            R = real(planes, g, theta, m, R)
+            # the shallow sampler builds the (B * 2, 4, 4) gates of a depth-1 n = 4 chain in one
+            # call, two per stream; a gate sequence is one (B, 8, 8) rotation per stream
+            row = 5 * (2 if m == 4 else 1)
+            if len(R) > row:
+                R[row] *= 1.0 + 1e-6
             return R
 
         monkeypatch.setattr(groups, "rotate_by_exponentials", drifting)

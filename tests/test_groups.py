@@ -661,6 +661,17 @@ class TestMajoranaRotations:
             R = groups.rotate_by_exponentials([groups.bilinear_plane(P)], np.array([[0]]), np.array([[theta]]), 2 * n)[0]
             assert np.max(np.abs(R - O)) < 1e-12, pauli.to_text(P)
 
+    @pytest.mark.parametrize("n", range(1, 13))
+    def test_full_set_in_closed_form(self, n):
+        S = groups.matchgate_full_set(n)
+        words = tuple(
+            pauli.hermitian_representative(pauli.majorana_product((a, b), n))
+            for a in range(1, 2 * n + 1)
+            for b in range(a + 1, 2 * n + 1)
+        )
+        assert S.generators == words
+        assert groups.matchgate_full_planes(n) == tuple(groups.bilinear_plane(P) for P in words)
+
     def test_factors_compose_in_operator_order(self):
         n = 3
         S = groups.matchgate_full_set(n).generators
@@ -753,6 +764,42 @@ class TestStackedRotationSamplers:
             alone = stream(i)
             assert R[i].tobytes() == sample_shallow_rotation_reference(G, 70, "chain", alone).tobytes()
             assert repr(s.bit_generator.state) == repr(alone.bit_generator.state)
+
+    @pytest.mark.parametrize("per_draw", [1, 3])
+    @pytest.mark.parametrize("n,depth", [(5, 3), (6, 4), (8, 3)])
+    def test_windows_that_split_a_layer(self, monkeypatch, n, depth, per_draw):
+        # windows of one or three gates split the two- to four-gate layers across draws
+        monkeypatch.setattr(groups, "SHALLOW_GATES_PER_DRAW", per_draw)
+        G = groups.group_spec("matchgate", n)
+        stacked = self._streams(65)
+        R = groups.sample_shallow_rotation_stack(G, depth, "chain", stacked)
+        for i, s in enumerate(stacked):
+            alone = stream(i)
+            assert R[i].tobytes() == sample_shallow_rotation_reference(G, depth, "chain", alone).tobytes()
+            assert repr(s.bit_generator.state) == repr(alone.bit_generator.state)
+
+    @pytest.mark.parametrize(
+        "adjacency",
+        [
+            [(0, 1), (4, 5), (1, 2), (5, 6)],
+            [(2, 3), (0, 1), (5, 6), (3, 4), (1, 2)],
+            # one class whose gates share qubits: each is applied after the one before it
+            groups.Adjacency(7, ((0, 1), (1, 2), (2, 3), (5, 6)), (((0, 1), (1, 2), (5, 6)), ((2, 3),))),
+        ],
+    )
+    def test_custom_edges_match_the_per_gate_draw(self, adjacency):
+        G = groups.group_spec("matchgate", 7)
+        stacked = self._streams(65)
+        R = groups.sample_shallow_rotation_stack(G, 5, adjacency, stacked)
+        for i, s in enumerate(stacked):
+            alone = stream(i)
+            assert R[i].tobytes() == sample_shallow_rotation_reference(G, 5, adjacency, alone).tobytes()
+            assert repr(s.bit_generator.state) == repr(alone.bit_generator.state)
+
+    def test_runs_hold_consecutive_gates_on_disjoint_qubits(self):
+        assert groups._disjoint_runs([0, 2, 4, 1, 3, 0]) == [(0, 3), (3, 5), (5, 6)]
+        assert groups._disjoint_runs([0, 1, 2]) == [(0, 1), (1, 2), (2, 3)]
+        assert groups._disjoint_runs([5, 0, 2, 3]) == [(0, 3), (3, 4)]
 
     @pytest.mark.parametrize("N", range(4))
     @pytest.mark.parametrize("n", [2, 5, 8])
