@@ -919,14 +919,15 @@ SUBCOMMANDS = {
 def build_parser(subcommand: str | None = None) -> _Parser:
     """The CLI parser.  Every subcommand is registered with its help, so the
     usage, ``--help`` and a bad subcommand read the same; given a
-    ``subcommand``, only that subparser gets its flags, since only it will
-    parse.  With none, every subparser gets its flags."""
+    ``subcommand``, only that subparser gets its flags (``-h`` too), since
+    only it will parse.  With none, every subparser gets its flags."""
     parser = _Parser(prog="designgap", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
     for name, (help_text, add_flags) in SUBCOMMANDS.items():
-        p = sub.add_parser(name, help=help_text)
-        if subcommand is None or subcommand == name:
+        parses = subcommand is None or subcommand == name
+        p = sub.add_parser(name, help=help_text, add_help=parses)
+        if parses:
             add_flags(p)
     return parser
 

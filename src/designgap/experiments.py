@@ -51,12 +51,11 @@ A non-finite p raises ``InvariantError`` rather than clamping to 0.  Each
 stacked row is the single-sample value bit for bit, so the output bytes are
 those of a one-sample-at-a-time loop.  Matchgate runs build no two-copy
 state, so only the dense kinds stop at ``densesim.STATE_QUBIT_CAP``.
-Before its first draw a dense brickwork run
-estimates its cost in the d x d products it makes (the Haar draw, gates - 1
-for the circuit, the form self-checks and one evolution product per side),
-and a rotation run in 2n x 2n products plus k^3 per minor and the numpy
-dispatch of each factor position per block, and exits 2 above
-``moments.FS_COST_CAP``.
+Before its first draw a dense brickwork run estimates its cost in the
+d x d products it makes (the Haar draw, gates - 1 for the circuit, the form
+self-checks and one evolution product per side), and a rotation run in
+2n x 2n products plus k^3 per minor and the numpy dispatch of each factor
+position per block, and exits 2 above ``moments.FS_COST_CAP``.
 """
 
 from __future__ import annotations

@@ -1001,24 +1001,29 @@ def rotate_by_exponentials(planes, g: np.ndarray, theta: np.ndarray, m: int, R: 
     ``bilinear_plane(P_g)``.  The product's rotation is G_1 G_2 ... G_k, so
     rows are updated from the right end, one factor position at a time over
     the whole stack: rows a and b of every matrix are gathered, rotated and
-    put back.  cos and sin are taken from ``math`` per factor (numpy's
-    vector cos may differ from libm in the last bit), and every entry takes
-    the products and the sum of the one-matrix row update, so each matrix is
-    the same bits whatever the stack.
+    put back, addressed as rows of the (B m, m) view of the stack.  cos and
+    sin are taken from ``math`` per factor (numpy's vector cos may differ
+    from libm in the last bit), and every entry takes the products and the
+    sum of the one-matrix row update, so each matrix is the same bits
+    whatever the stack.
     """
     if R is None:
         R = np.tile(np.eye(m), (len(g), 1, 1))
+    if not R.flags.c_contiguous:
+        raise ValidationError("rotations are updated in place, so the stack must be C-contiguous")
+    rows = R.reshape(len(g) * m, m)  # a view: every matrix's rows
     table = np.array(planes, dtype=np.int64)
-    a, b, sigma = table[g, 0], table[g, 1], table[g, 2]
+    first = np.arange(0, len(g) * m, m)[:, None]
+    a, b = (first + table[g, 0]).T.copy(), (first + table[g, 1]).T.copy()
     angles = (2.0 * theta).ravel().tolist()
-    cos = np.array(list(map(math.cos, angles)), dtype=np.float64).reshape(g.shape)
-    sin = sigma * np.array(list(map(math.sin, angles)), dtype=np.float64).reshape(g.shape)
-    rows = np.arange(len(g))
+    cos = np.fromiter(map(math.cos, angles), dtype=np.float64, count=len(angles)).reshape(g.shape)
+    sin = table[g, 2] * np.fromiter(map(math.sin, angles), dtype=np.float64, count=len(angles)).reshape(g.shape)
+    cos, sin = cos.T[:, :, None], sin.T[:, :, None]
     for j in reversed(range(g.shape[1])):
-        c, s = cos[:, j, None], sin[:, j, None]
-        ra, rb = R[rows, a[:, j]], R[rows, b[:, j]]
-        R[rows, a[:, j]] = c * ra - s * rb
-        R[rows, b[:, j]] = s * ra + c * rb
+        c, s = cos[j], sin[j]
+        ra, rb = rows[a[j]], rows[b[j]]
+        rows[a[j]] = c * ra - s * rb
+        rows[b[j]] = s * ra + c * rb
     return R
 
 

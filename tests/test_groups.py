@@ -685,6 +685,11 @@ class TestMajoranaRotations:
         R = groups.rotate_by_exponentials(planes, np.array([g]), np.array([theta]), 2 * n)[0]
         assert np.max(np.abs(R - O)) < 1e-12
 
+    def test_a_stack_updated_in_place_must_be_contiguous(self):
+        R = np.tile(np.eye(4), (2, 1, 1)).transpose(0, 2, 1)
+        with pytest.raises(ValidationError, match="C-contiguous"):
+            groups.rotate_by_exponentials(groups._local_matchgate_planes(), np.zeros((2, 1), dtype=np.int64), np.ones((2, 1)), 4, R)
+
     def test_non_bilinear_rejected(self):
         with pytest.raises(ValidationError):
             groups.bilinear_plane(pauli.from_text("XI"))
