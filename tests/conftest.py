@@ -31,7 +31,9 @@ exponentials applied to rows kept as Python lists, one SO(2n) draw and, per
 stream, one det or eigvalsh for the closed forms or one det per monomial of
 T, found by enumerating the k-subsets of the Majoranas or by a deque BFS;
 ``rotation_rows_reference`` runs the depth and gate-count experiments on
-them, one sample at a time.
+them, one sample at a time, and ``per_sample_rows`` finalizes each sample
+on its own stream with ``shallow_row_reference`` and ``finalize_reference``,
+the per-sample forms of the runner's block finalize.
 
 The commutator-graph references are the per-vertex forms of the numpy
 closures: ``neighbors`` of one Pauli, a deque BFS over Python-int keys, and
