@@ -919,8 +919,9 @@ SUBCOMMANDS = {
 def build_parser(subcommand: str | None = None) -> _Parser:
     """The CLI parser.  Every subcommand is registered with its help, so the
     usage, ``--help`` and a bad subcommand read the same; given a
-    ``subcommand``, only that subparser gets its flags (``-h`` too), since
-    only it will parse.  With none, every subparser gets its flags."""
+    ``subcommand``, only the subparser of that name, if there is one, gets
+    its flags (``-h`` too), since only it will parse.  With none, every
+    subparser gets its flags."""
     parser = _Parser(prog="designgap", description=__doc__.splitlines()[0])
     parser.add_argument("--version", action="version", version=f"%(prog)s {__version__}")
     sub = parser.add_subparsers(dest="subcommand", required=True)
@@ -986,7 +987,7 @@ def _apply_config_file(parser: _Parser, argv: list[str]) -> None:
 
 def main(argv=None) -> int:
     argv = list(sys.argv[1:] if argv is None else argv)
-    parser = build_parser(argv[0] if argv and argv[0] in SUBCOMMANDS else None)
+    parser = build_parser(argv[0] if argv else None)
     started = time.perf_counter()
     try:
         _apply_config_file(parser, argv)

@@ -44,13 +44,16 @@ rotation evaluators do the same on Majorana rotations:
 ``groups.sample_haar_rotation_stack`` draws a block, and one stacked
 evaluation takes it.  Each pair declares the bytes that one sample holds in
 stacked intermediates at once, so a block stays within ``rng.STACK_BYTES``.
-Each block is then finalized at once, as array operations: the
-shallow-exactness check, the clamp to [0, 1] and, in shot mode, the shot
-each sample draws from its own stream after p, the streams taken in order.
-A non-finite p raises ``InvariantError`` rather than clamping to 0.  Each
-stacked row is the single-sample value bit for bit, so the output bytes are
-those of a one-sample-at-a-time loop.  Matchgate runs build no two-copy
-state, so only the dense kinds stop at ``densesim.STATE_QUBIT_CAP``.
+Each block's probabilities are then finalized at once, as array
+operations: the shallow-exactness check and the clamp to [0, 1]; a
+non-finite p raises ``InvariantError`` rather than clamping to 0.  Only the
+shot of shot mode, which each sample draws from its own stream after p,
+runs one sample at a time, in per-side closures of each experiment that
+``rng.sample_rows`` calls in stream order.  Each stacked row is the
+single-sample value bit for bit, so the output bytes are those of a
+one-sample-at-a-time loop.  Matchgate runs build no two-copy state, so only
+the dense kinds stop at ``densesim.STATE_QUBIT_CAP``; a matchgate region
+that is not a prefix stops at ``REGION_SEARCH_QUBIT_CAP`` for its search.
 Before its first draw a dense brickwork run estimates its cost in the
 d x d products it makes (the Haar draw, gates - 1 for the circuit, the form
 self-checks and one evolution product per side), and a rotation run in
@@ -90,6 +93,11 @@ ROTATION_LIVE_STACKS = 7
 # ``moments.SAMPLE_FIXED_COST``): 16.5 to 48 us per position for blocks of
 # 1 to 64 streams on a 2-core x86 machine
 FACTOR_DISPATCH_COST = 40_000
+# a depth region that is not a prefix takes its monomials from a component
+# search and lists them in Python: at most C(16, 8) = 12870 at n = 8, the
+# bound these runs had when they built two-copy states; at n = 12 the default
+# perturbation's component alone has 2.5e6 vertices
+REGION_SEARCH_QUBIT_CAP = 8
 
 
 @dataclass(frozen=True, eq=False)
@@ -235,9 +243,8 @@ def gatecount_config(
 # shared machinery
 
 
-def _finalize(p: np.ndarray, streams, shot_mode: bool) -> np.ndarray:
-    """A block's retained probabilities clamped to [0, 1] or, in shot mode,
-    one shot each, drawn from the sample's own stream after p.
+def _finalize(p: np.ndarray) -> np.ndarray:
+    """A block's retained probabilities clamped to [0, 1].
 
     A non-finite probability is a broken invariant, not a value to clamp.
     """
@@ -246,10 +253,19 @@ def _finalize(p: np.ndarray, streams, shot_mode: bool) -> np.ndarray:
         raise InvariantError(f"a sample retained probability {float(p[bad][0])!r}; the evaluation is broken")
     # max(0.0, p) and then min(1.0, .) as the comparisons pick them, so -0.0 becomes 0.0
     clamped = np.where(p > 0.0, p, 0.0)
-    clamped = np.where(clamped < 1.0, clamped, 1.0)
-    if shot_mode:
-        return (np.array([stream.random() for stream in streams]) < clamped).astype(np.float64)
-    return clamped
+    return np.where(clamped < 1.0, clamped, 1.0)
+
+
+def _observe(p: float, stream, shot_mode: bool) -> float:
+    """What one sample reports: its finalized p or, in shot mode, one shot
+    drawn from the sample's own stream after p."""
+    return float(stream.random() < p) if shot_mode else p
+
+
+def _shallow_row(row, stream, shot_mode: bool) -> tuple[float, float]:
+    """One shallow sample's (finalized p, deviation) as (observed p, deviation)."""
+    p, dev = row
+    return _observe(p, stream, shot_mode), dev
 
 
 def _check_shallow_exactness(p: np.ndarray, confined: bool) -> np.ndarray:
@@ -280,27 +296,31 @@ class Evaluators(NamedTuple):
     row_bytes: int
 
 
-def _run_two_sided(config, evaluators: Evaluators, confined, analytic, ref) -> ExperimentResult:
+def _run_two_sided(config, evaluators: Evaluators, shallow_one, haar_one, confined, analytic, ref) -> ExperimentResult:
     """Shallow samples use stream indices [0, M); Haar samples [M, 2M).
 
-    The evaluators map each block of streams to their probabilities, and
-    each block is then finalized at once: a shallow row is the finalized p
-    and its deviation from exact retention, a Haar row the finalized p.
+    The evaluators map each block of streams to their probabilities, which
+    are checked and clamped a block at once: a shallow row is the finalized
+    p and its deviation from exact retention, a Haar row the finalized p.
+    shallow_one and haar_one, closures of the calling experiment, then take
+    each row and the sample's own stream, one sample at a time, for the
+    shot of shot mode (``_shallow_row``, ``_observe``).
     """
-    M, shot_mode = config.samples, config.shot_mode
+    M = config.samples
     row_bytes = evaluators.row_bytes
 
-    def shallow_rows(p, streams):
+    def shallow_rows(streams):
+        p = np.asarray(evaluators.shallow(streams), dtype=np.float64)
         dev = _check_shallow_exactness(p, confined)
-        return np.column_stack((_finalize(p, streams, shot_mode), dev))
+        return np.column_stack((_finalize(p), dev))
 
-    def haar_rows(p, streams):
-        return _finalize(p, streams, shot_mode)
+    def haar_rows(streams):
+        return _finalize(np.asarray(evaluators.haar(streams), dtype=np.float64))
 
-    rows = rng.sample_rows(evaluators.shallow, M, config.seed, 0, row_bytes, shallow_rows)
+    rows = rng.sample_rows(shallow_rows, M, config.seed, 0, row_bytes, shallow_one)
     p_sh = moments.MomentEstimate(*rng.mean_and_stderr(rows[:, 0]), M, config.seed)
     max_dev = float(np.max(rows[:, 1]))
-    vals = rng.sample_rows(evaluators.haar, M, config.seed, M, row_bytes, haar_rows)
+    vals = rng.sample_rows(haar_rows, M, config.seed, M, row_bytes, haar_one)
     p_ha = moments.MomentEstimate(*rng.mean_and_stderr(vals), M, config.seed)
     mc = bounds.discrimination_bound(
         min(1.0, max(0.0, p_sh.mean)), min(1.0, max(0.0, p_ha.mean))
@@ -547,7 +567,7 @@ def _depth_rotation(config: ExperimentConfig, adj: groups.Adjacency):
     weight-k monomial, C(2n, k) of them.  A prefix region 0..m-1 holds the
     C(2m, k) monomials of Majoranas 1..2m and keeps det(R[in, K]^T R[in, K]),
     with no search; any other region takes its monomials from one component
-    search.
+    search, refused above ``REGION_SEARCH_QUBIT_CAP`` qubits.
     """
     groups.check_matchgate_edges(adj)
     n, m, depth = config.n, len(config.region), config.ensemble.depth
@@ -562,6 +582,11 @@ def _depth_rotation(config: ExperimentConfig, adj: groups.Adjacency):
         inside, size = math.comb(2 * m, K.size), math.comb(2 * n, K.size)
         evaluators = _rotation_evaluators(*args, functools.partial(_prefix_mass, inside=2 * m, K=K))
     else:
+        if n > REGION_SEARCH_QUBIT_CAP:
+            raise BudgetError(
+                f"a region that is not a prefix 0..m-1 searches the C(2n, k)-vertex component of its "
+                f"perturbation, so n <= {REGION_SEARCH_QUBIT_CAP}; got n={n}"
+            )
         keys, size = cgraph.region_keys(config.perturbation, groups.matchgate_full_set(n), config.region)
         inside = keys.size
         evaluators = _rotation_evaluators(*args, None, keys, K)
@@ -608,7 +633,13 @@ def run_depth_discrimination(config: ExperimentConfig) -> ExperimentResult:
         )
     evaluators, confined, analytic, ref = _brickwork(config, conjugate=False)
 
-    return _run_two_sided(config, evaluators, confined, analytic, ref)
+    def shallow_one(row, stream):
+        return _shallow_row(row, stream, config.shot_mode)
+
+    def haar_one(p, stream):
+        return _observe(p, stream, config.shot_mode)
+
+    return _run_two_sided(config, evaluators, shallow_one, haar_one, confined, analytic, ref)
 
 
 def run_mixed_unitary_discrimination(config: ExperimentConfig) -> ExperimentResult:
@@ -623,7 +654,13 @@ def run_mixed_unitary_discrimination(config: ExperimentConfig) -> ExperimentResu
         raise ValidationError(f"mixed-unitary experiment needs a unitary-kind group, got {kind!r}")
     evaluators, confined, analytic, ref = _brickwork(config, conjugate=True)
 
-    return _run_two_sided(config, evaluators, confined, analytic, ref)
+    def shallow_one(row, stream):
+        return _shallow_row(row, stream, config.shot_mode)
+
+    def haar_one(p, stream):
+        return _observe(p, stream, config.shot_mode)
+
+    return _run_two_sided(config, evaluators, shallow_one, haar_one, confined, analytic, ref)
 
 
 # ---------------------------------------------------------------------------
@@ -663,10 +700,7 @@ def _gatecount_rotation(config: ExperimentConfig, S: cgraph.GeneratorSet):
     C(2n, k) vertices dominate at large n.
     """
     n, N = config.n, config.ensemble.gates
-    if S.generators == groups.matchgate_full_set(n).generators:
-        planes = groups.matchgate_full_planes(n)
-    else:
-        planes = [groups.bilinear_plane(g) for g in S.generators]
+    planes = [groups.bilinear_plane(g) for g in S.generators]
     K = _majorana_indices(config.perturbation)
     expected = bounds.johnson_ball_size(n, N, K.size)
     if len({(a, b) for a, b, _ in planes}) == n * (2 * n - 1):
@@ -715,4 +749,12 @@ def run_gatecount_discrimination(config: ExperimentConfig) -> ExperimentResult:
         raise ValidationError("gate-count experiment needs a generator set")
     evaluators, analytic = _gatecount_rotation(config, S)
 
-    return _run_two_sided(config, evaluators, True, analytic, "gate-count-bound/ball-ratio")
+    def shallow_one(row, stream):
+        return _shallow_row(row, stream, config.shot_mode)
+
+    def haar_one(p, stream):
+        return _observe(p, stream, config.shot_mode)
+
+    return _run_two_sided(
+        config, evaluators, shallow_one, haar_one, True, analytic, "gate-count-bound/ball-ratio"
+    )

@@ -268,7 +268,6 @@ def matchgate_standard_set(n: int) -> cgraph.GeneratorSet:
     return cgraph.GeneratorSet(n, tuple(gens))
 
 
-@functools.lru_cache(maxsize=None)
 def matchgate_full_set(n: int) -> cgraph.GeneratorSet:
     """All n(2n-1) Majorana bilinears c_a c_b with a < b, ordered by (a, b).
 
@@ -279,21 +278,6 @@ def matchgate_full_set(n: int) -> cgraph.GeneratorSet:
     words = [(c.x_bits, c.z_bits) for c in (pauli.majorana(a, n) for a in range(1, 2 * n + 1))]
     gens = (pauli.PauliString(n, xa ^ xb, za ^ zb) for (xa, za), (xb, zb) in itertools.combinations(words, 2))
     return cgraph.GeneratorSet(n, tuple(gens))
-
-
-@functools.lru_cache(maxsize=None)
-def matchgate_full_planes(n: int) -> tuple[tuple[int, int, int], ...]:
-    """``bilinear_plane`` of each generator of ``matchgate_full_set(n)``, in
-    its order, in closed form.
-
-    With 0-based a < b, c_{a+1} c_{b+1} is X Y = i Z on one qubit when a is
-    even and b = a + 1.  Otherwise the Z strings below a's qubit cancel and
-    a's letter meets the Z of b's string on its own qubit: X Z = -i Y for
-    even a, Y Z = i X for odd a.  So sigma = +1 exactly when a is even and
-    b > a + 1.
-    """
-    check_group_qubits(n)
-    return tuple((a, b, 1 if a % 2 == 0 and b > a + 1 else -1) for a, b in itertools.combinations(range(2 * n), 2))
 
 
 def _chain_local_paulis(n: int) -> list[pauli.PauliString]:
@@ -979,13 +963,26 @@ def bilinear_plane(P: pauli.PauliString) -> tuple[int, int, int]:
     Then exp(i theta P) = exp(-sigma theta c_{a+1} c_{b+1}), whose conjugation
     rotates the Majoranas by G(a, b, -2 sigma theta) in the convention of
     ``givens_decompose``.
+
+    Read from the letters by the Jordan-Wigner rule.  c_{a+1} c_{b+1} is
+    X Y = i Z on one qubit q when a = 2q and b = a + 1.  Otherwise, with q < r
+    the qubits of a and b, the Z strings below q cancel, Z fills q < j < r,
+    r carries b's letter (X for even b, Y for odd), and a's letter meets the
+    Z of b's string on q: X Z = -i Y for even a, Y Z = i X for odd a.  So
+    sigma = +1 exactly when the word runs from a Y on q to r.
     """
-    K = pauli.majorana_decomposition(P)
-    if len(K) != 2:
-        raise ValidationError(f"{pauli.to_text(P)} is not a Majorana bilinear")
-    # c_a c_b = i^k W with k odd, so W = i^{-k} c_a c_b
-    k = pauli.majorana_product(K, P.n).phase_exp
-    return K[0] - 1, K[1] - 1, 1 if k == 3 else -1
+    x, z = P.x_bits, P.z_bits
+    support = x | z
+    if support:
+        q, r = (support & -support).bit_length() - 1, support.bit_length() - 1
+        x_q, z_q, x_r, z_r = x >> q & 1, z >> q & 1, x >> r & 1, z >> r & 1
+        if q == r and (x_q, z_q) == (0, 1):
+            return 2 * q, 2 * q + 1, -1
+        inner = (1 << r) - (2 << q)  # the qubits strictly between q and r
+        if q < r and x_q and x_r and x & inner == 0 and z & inner == inner:
+            # Y on q (z_q = 1): even a; X: odd a.  X on r (z_r = 0): even b; Y: odd b
+            return 2 * q + 1 - z_q, 2 * r + z_r, 1 if z_q else -1
+    raise ValidationError(f"{pauli.to_text(P)} is not a Majorana bilinear")
 
 
 def rotate_by_exponentials(planes, g: np.ndarray, theta: np.ndarray, m: int, R: np.ndarray | None = None) -> np.ndarray:

@@ -11,10 +11,10 @@ consumers read it; every sampling estimator and experiment runs on one of
 them.  ``sample_rows`` takes a chunk-valued function that maps a list of
 streams to one row per stream, so an estimator draws and evaluates a whole
 chunk with stacked array operations, and stacks the rows, with an optional
-``finalize`` step that maps each block's values and streams to its rows.
-A caller that declares ``row_bytes``, the size of its largest per-sample
-intermediate, gets its chunks in blocks of at most ``STACK_BYTES`` of such
-rows, so no stack grows with the chunk past that bound.  ``sum_chunks`` takes a
+per-sample ``finalize`` step on each value after its block.  A caller that
+declares ``row_bytes``, the size of its largest per-sample intermediate,
+gets its chunks in blocks of at most ``STACK_BYTES`` of such rows, so no
+stack grows with the chunk past that bound.  ``sum_chunks`` takes a
 function that reduces a whole chunk to partial sums (the twirl's two Gram
 products) and adds them chunk by chunk, in order, so its output bits do not
 depend on ``STACK_BYTES``.
@@ -103,15 +103,16 @@ def sample_rows(
 
     fn_chunk maps a list of streams to one scalar or one length-w vector per
     stream, giving shape (samples,) or (samples, w).  With ``finalize``, a
-    block's values, as a float64 array, and its streams are then mapped to
-    the block's rows by finalize(values, block), so a step on the whole
-    block (a check, a draw off each sample's own stream) follows the stacked
-    evaluation.
+    block's scalars are then mapped one sample at a time, row i becoming
+    finalize(value_i, stream_i), so a per-sample step (a check, a draw off
+    the sample's own stream) follows the stacked evaluation.
     """
 
     def block_rows(block):
-        values = np.asarray(fn_chunk(block), dtype=np.float64)
-        return values if finalize is None else np.asarray(finalize(values, block), dtype=np.float64)
+        values = fn_chunk(block)
+        if finalize is not None:
+            values = [finalize(v, stream) for v, stream in zip(np.asarray(values, dtype=np.float64).tolist(), block)]
+        return np.asarray(values, dtype=np.float64)
 
     return np.concatenate(
         [block_rows(block) for blocks in _chunks(samples, seed, index_offset, row_bytes) for block in blocks]

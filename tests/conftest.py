@@ -26,14 +26,17 @@ N-ball (``pauli_spread_mass``).  The dense matchgate references are the
 oracles that the Majorana-rotation evaluation is checked against.
 
 The Majorana-rotation references are the per-sample forms of the stacked
-rotation samplers and evaluators: factors drawn with ``rng.uniform``, the
-exponentials applied to rows kept as Python lists, one SO(2n) draw and, per
+rotation samplers and evaluators: factors drawn with ``rng.uniform``, each
+generator's plane read from the phase of its Majorana product
+(``bilinear_plane_reference``), the exponentials applied to rows kept as
+Python lists, one SO(2n) draw and, per
 stream, one det or eigvalsh for the closed forms or one det per monomial of
 T, found by enumerating the k-subsets of the Majoranas or by a deque BFS;
 ``rotation_rows_reference`` runs the depth and gate-count experiments on
 them, one sample at a time, and ``per_sample_rows`` finalizes each sample
 on its own stream with ``shallow_row_reference`` and ``finalize_reference``,
-the per-sample forms of the runner's block finalize.
+which take one sample through the runner's block checks and clamp and its
+per-sample shot.
 
 The commutator-graph references are the per-vertex forms of the numpy
 closures: ``neighbors`` of one Pauli, a deque BFS over Python-int keys, and
@@ -522,6 +525,19 @@ def gatecount_dense_rows_reference(config):
     """Per-sample rows of a gate-count run on dense unitaries: (shallow rows, Haar values)."""
     shallow, haar = gatecount_probability_reference(config)
     return per_sample_rows(config, shallow, haar, True)
+
+
+def bilinear_plane_reference(P) -> tuple[int, int, int]:
+    """``groups.bilinear_plane`` through the Majorana decomposition and the
+    phase of the ordered product c_{a+1} c_{b+1} = i^k W."""
+    from designgap import pauli
+    from designgap.errors import ValidationError
+
+    K = pauli.majorana_decomposition(P)
+    if len(K) != 2:
+        raise ValidationError(f"{pauli.to_text(P)} is not a Majorana bilinear")
+    k = pauli.majorana_product(K, P.n).phase_exp
+    return K[0] - 1, K[1] - 1, 1 if k == 3 else -1
 
 
 def draw_factors_reference(choices: int, count: int, rng) -> list:

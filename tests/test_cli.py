@@ -101,6 +101,21 @@ class TestExitCodes:
         assert out == ""
         assert "budget" in err and "costs about 1.65e+14 multiply-adds" in err and "minor dets 5.00e+12," in err
 
+    def test_non_prefix_region_past_the_search_cap_is_refused_up_front(self, capsys, monkeypatch):
+        # at n = 12 the perturbation is an 11-Majorana monomial of a 2.5e6-vertex component
+        def refuse(*args):
+            raise AssertionError("the component search ran")
+
+        monkeypatch.setattr(cgraph, "region_keys", refuse)
+        argv = ["discriminate", "--experiment", "depth", "--group", "matchgate", "--n", "12",
+                "--region", "1,2,3,4,5,6,7,8,9,10", "--samples", "1000000000"]
+        start = time.perf_counter()
+        code, out, err = run_cli(capsys, argv)
+        assert time.perf_counter() - start < 1.0
+        assert code == 2
+        assert out == ""
+        assert "not a prefix 0..m-1 searches the C(2n, k)-vertex component of its perturbation, so n <= 8" in err
+
     GATE_COUNT_N13 = ["discriminate", "--experiment", "gate-count", "--n", "13", "--samples", "5"]
 
     def test_full_set_gate_count_runs_beyond_the_search_cap(self, capsys):
@@ -498,6 +513,15 @@ class TestParserPerSubcommand:
         (one_sub,) = one._subparsers._group_actions
         assert list(one_sub.choices) == list(full_sub.choices)
         assert one_sub.choices[name].format_help() == full_sub.choices[name].format_help()
+
+    @pytest.mark.parametrize("argv", [[], ["--help"], ["--version"], ["nope", "--n", "4"], ["disc"], ["-x"]])
+    def test_an_argv_that_names_no_subcommand_reads_as_with_the_full_parser(self, capsys, argv):
+        outputs = []
+        for parser in (cli.build_parser(argv[0] if argv else None), cli.build_parser()):
+            with pytest.raises(SystemExit) as exc:
+                parser.parse_args(argv)
+            outputs.append((exc.value.code, *capsys.readouterr()))
+        assert outputs[0] == outputs[1]
 
     def test_config_applies_to_the_one_subparser(self, capsys, tmp_path):
         cfg = tmp_path / "cfg.json"

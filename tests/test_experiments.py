@@ -594,15 +594,6 @@ class TestNoSearch:
         with pytest.raises(BudgetError, match=r"gate-count experiment on Majorana rotations for n=31"):
             experiments.run_gatecount_discrimination(config)
 
-    @pytest.mark.parametrize("n", [2, 6, 31])
-    def test_full_set_planes_take_the_closed_form(self, monkeypatch, n):
-        def refuse(P):
-            raise AssertionError("bilinear_plane ran on a full-set generator")
-
-        monkeypatch.setattr(groups, "bilinear_plane", refuse)
-        res = experiments.run_gatecount_discrimination(experiments.gatecount_config(n, 8, 3, gates=1))
-        assert res.p_shallow.mean == 1.0
-
     def test_a_set_short_of_a_plane_still_searches_and_is_capped(self):
         S = cgraph.GeneratorSet(13, groups.matchgate_full_set(13).generators[1:])
         with pytest.raises(BudgetError, match=r"C\(2n, k\)-vertex component .* n <= 12"):

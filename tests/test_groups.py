@@ -11,6 +11,7 @@ from designgap.errors import BudgetError, InvariantError, ValidationError
 from conftest import (
     _local_gate_reference,
     adjoint_majorana_matrix,
+    bilinear_plane_reference,
     clifford_table_reference,
     draw_factors_reference,
     enumerate_clifford_by_levels,
@@ -670,7 +671,38 @@ class TestMajoranaRotations:
             for b in range(a + 1, 2 * n + 1)
         )
         assert S.generators == words
-        assert groups.matchgate_full_planes(n) == tuple(groups.bilinear_plane(P) for P in words)
+        assert [groups.bilinear_plane(P) for P in words] == [bilinear_plane_reference(P) for P in words]
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4])
+    def test_planes_read_from_the_letters_on_every_pauli(self, n):
+        # every word and phase: the closed form agrees with the Majorana product, or both refuse
+        for x in range(1 << n):
+            for z in range(1 << n):
+                P = pauli.PauliString(n, x, z, (x + 3 * z) % 4)
+                try:
+                    want = bilinear_plane_reference(P)
+                except ValidationError:
+                    with pytest.raises(ValidationError, match="not a Majorana bilinear"):
+                        groups.bilinear_plane(P)
+                else:
+                    assert groups.bilinear_plane(P) == want
+
+    def test_planes_of_random_words_at_twelve_qubits(self):
+        rng = np.random.default_rng(5)
+        S = groups.matchgate_full_set(12).generators
+        # bilinears times a random Z or X on one qubit, so most are not bilinears
+        for g in rng.integers(len(S), size=300).tolist():
+            P = S[g]
+            q = int(rng.integers(12))
+            Q = pauli.PauliString(12, P.x_bits ^ (int(rng.integers(2)) << q), P.z_bits ^ (1 << q))
+            for word in (P, Q):
+                try:
+                    want = bilinear_plane_reference(word)
+                except ValidationError:
+                    with pytest.raises(ValidationError):
+                        groups.bilinear_plane(word)
+                else:
+                    assert groups.bilinear_plane(word) == want
 
     def test_factors_compose_in_operator_order(self):
         n = 3

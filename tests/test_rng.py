@@ -245,23 +245,6 @@ class TestChunkLoop:
         assert max(sizes) == 5 and sum(sizes) == 130
         assert values.tolist() == [fresh_stream(2, i).normal() for i in range(130)]
 
-    def test_finalize_takes_each_block_at_once(self, monkeypatch):
-        monkeypatch.setattr(rng, "STACK_BYTES", 5 * 100)
-        blocks = []
-
-        def finalize(values, streams):
-            assert values.dtype == np.float64 and len(values) == len(streams)
-            blocks.append(len(streams))
-            return np.column_stack((values, [s.random() for s in streams]))
-
-        rows = rng.sample_rows(lambda streams: [s.normal() for s in streams], 130, 2, 0, 100, finalize)
-        assert blocks == ([5] * 12 + [4]) * 2 + [2]  # 64-sample chunks in blocks of at most five
-        want = []
-        for i in range(130):
-            alone = fresh_stream(2, i)
-            want.append([alone.normal(), alone.random()])
-        assert rows.tolist() == want
-
     def test_one_stream_per_sample(self, monkeypatch):
         calls = []
         real = rng.sample_stream
