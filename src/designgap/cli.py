@@ -167,28 +167,15 @@ def _parse_vertex(text: str | None, n: int):
     return P
 
 
-def _generator_set(group: str, n: int, which: str) -> cgraph.GeneratorSet:
+def _flag_generator_set(group: str, n: int, which: str | None) -> cgraph.GeneratorSet:
+    """The generator set that --generator-set names; None is the full set for
+    matchgates and the standard set for the other groups."""
     groups.check_group_qubits(n)
-    if which == "full":
-        if group != "matchgate":
-            raise ValidationError("--generator-set full applies to the matchgate group only")
-        return groups.matchgate_full_set(n)
-    if group == "matchgate":
-        return groups.matchgate_standard_set(n)
-    if group == "orthogonal":
-        return groups.orthogonal_local_set(n)
-    if group == "symplectic":
-        return groups.symplectic_local_set(n)
-    if group == "unitary":
-        return groups.unitary_local_set(n)
-    raise ValidationError(f"group {group!r} has no commutator-graph generator set")
-
-
-def _group_for_sampling(group: str, n: int, which: str) -> groups.GroupSpec:
-    G = groups.group_spec(group, n)
-    if which == "full" and group == "matchgate":
-        return groups.GroupSpec("matchgate", n, groups.matchgate_full_set(n), G.form)
-    return G
+    if which is None:
+        which = "full" if group == "matchgate" else "standard"
+    elif which == "full" and group != "matchgate":
+        raise ValidationError("--generator-set full applies to the matchgate group only")
+    return groups.generator_set(group, n, which)
 
 
 def _tolerance(stderr, k: float = 5.0):
@@ -202,7 +189,7 @@ def _tolerance(stderr, k: float = 5.0):
 
 def _cmd_graph(args) -> list[dict]:
     n = args.n
-    S = _generator_set(args.group, n, args.generator_set)
+    S = _flag_generator_set(args.group, n, args.generator_set)
     records: list[dict] = []
     did_something = False
     if args.census:
@@ -246,7 +233,10 @@ def _cmd_graph(args) -> list[dict]:
     if args.r_region is not None:
         did_something = True
         region = _parse_region(args.r_region, n, "--r-region")
-        exact, approx = cgraph.r_fraction(vertex, S, region)
+        try:
+            exact, approx = cgraph.r_fraction(vertex, S, region)
+        except ValidationError as exc:
+            raise ValidationError(f"--vertex {pauli.to_text(vertex)} and --r-region {args.r_region!r}: {exc}") from exc
         records.append(
             _record(
                 type="region-ratio",
@@ -418,7 +408,7 @@ def _cmd_moments(args) -> list[dict]:
         return _run_fs(args)
     if q == "second-moment-trace":
         n = args.n
-        G = _group_for_sampling(args.group, n, "standard")
+        G = groups.group_spec(args.group, n)
         V = _parse_vertex(args.vertex, n) or experiments.default_perturbation(args.group, n)
         region = _parse_region(args.region, n)
         if region is None:
@@ -491,9 +481,10 @@ def _cmd_moments(args) -> list[dict]:
         ]
     if q == "spread-uniformity":
         n = args.n
-        G = _group_for_sampling(args.group, n, args.generator_set)
+        G = groups.group_spec(args.group, n)
+        S = _flag_generator_set(args.group, n, args.generator_set)
         P = _parse_vertex(args.vertex, n) or pauli.PauliString(n, 0, 1)
-        report = moments.haar_spread_uniformity(G, P, args.samples, args.seed)
+        report = moments.haar_spread_uniformity(G, S, P, args.samples, args.seed)
         expected = 1.0 / report.component_size
         records = [
             _record(
@@ -698,8 +689,8 @@ def _rep_thm2(seed):
                experiments.SHALLOW_EXACTNESS_TOL, reference=ref),
         _check(target, "gate-count-p-haar", 0.5, result.p_haar.mean, _tolerance(se), se, ref),
     ]
-    G = groups.GroupSpec("matchgate", 3, groups.matchgate_full_set(3), groups.matchgate_form_1(3))
-    report = moments.haar_spread_uniformity(G, pauli.PauliString(3, 0, 1), 2000, seed + 1)
+    G, S = groups.group_spec("matchgate", 3), groups.generator_set("matchgate", 3, "full")
+    report = moments.haar_spread_uniformity(G, S, pauli.PauliString(3, 0, 1), 2000, seed + 1)
     worst = max(abs(e.mean - 1.0 / report.component_size) for e in report.masses)
     worst_se = max(e.stderr for e in report.masses)
     ref = "component-spread"
@@ -861,7 +852,12 @@ def _moments_flags(m: _Parser) -> None:
     m.add_argument("--samples", type=int, default=5000)
     m.add_argument("--vertex", default=None)
     m.add_argument("--region", default=None)
-    m.add_argument("--generator-set", choices=("standard", "full"), default="full")
+    m.add_argument(
+        "--generator-set",
+        choices=("standard", "full"),
+        default=None,
+        help="spread-uniformity set; default full for matchgate, standard for the other groups",
+    )
     m.add_argument("--parity-sector", choices=("full", "even"), default="full")
     m.add_argument(
         "--source",

@@ -26,7 +26,11 @@ Majorana pairs, whose N-ball is the whole Johnson ball of
 ``bounds.johnson_ball_size(n, N, k)`` monomials.  Any other region or set
 takes T and the analytic ratio from one component search; a gate set's
 search runs up to ``pauli.DENSE_QUBIT_CAP`` qubits, and a ball it finds of
-the Johnson size still takes the closed form.
+the Johnson size still takes the closed form.  The Majorana indices of T's
+monomials are read from the vertex keys' bits at once, Jordan-Wigner
+inverted in closed form (``pauli.majorana_bits``).  The gate-count
+experiment draws its gates from the ensemble's ``allowed`` generator set,
+which ``gatecount_config`` fills with the full bilinear set by default.
 
 Every evaluation is a pair of chunk evaluators (``Evaluators``), each
 mapping a block of streams to their probabilities, and one runner draws the
@@ -57,8 +61,10 @@ that is not a prefix stops at ``REGION_SEARCH_QUBIT_CAP`` for its search.
 Before its first draw a dense brickwork run estimates its cost in the
 d x d products it makes (the Haar draw, gates - 1 for the circuit, the form
 self-checks and one evolution product per side), and a rotation run in
-2n x 2n products plus k^3 per minor and the numpy dispatch of each factor
-position per block, and exits 2 above ``moments.FS_COST_CAP``.
+2n x 2n products plus k^3 per minor, the per-stream work of each brickwork
+factor, and per block the numpy dispatch of each factor position and of
+each run of disjoint brickwork gates, and exits 2 above
+``moments.FS_COST_CAP``.
 """
 
 from __future__ import annotations
@@ -91,8 +97,14 @@ ROTATION_LIVE_STACKS = 7
 # numpy dispatch of one factor position of ``groups.rotate_by_exponentials``
 # over a block, in multiply-adds taking the same time (see
 # ``moments.SAMPLE_FIXED_COST``): 16.5 to 48 us per position for blocks of
-# 1 to 64 streams on a 2-core x86 machine
+# 1 to 64 streams on a 2-core x86 machine; a gather, 4 x 4 product and
+# scatter of a run of brickwork gates costs about as much (17.5 us for a
+# block of 64 streams at n = 4)
 FACTOR_DISPATCH_COST = 40_000
+# one factor of a brickwork gate for one stream, inside a window's call:
+# its math.cos and math.sin and its 4-wide row update, 0.22 us on that
+# machine (a 12-position call over 64 streams x 64 gates took 10.8 ms)
+LOCAL_FACTOR_COST = 500
 # a depth region that is not a prefix takes its monomials from a component
 # search and lists them in Python: at most C(16, 8) = 12870 at n = 8, the
 # bound these runs had when they built two-copy states; at n = 12 the default
@@ -233,7 +245,7 @@ def gatecount_config(
 ) -> ExperimentConfig:
     """Matchgate gate-count configuration over the full bilinear generator set."""
     S = allowed if allowed is not None else groups.matchgate_full_set(n)
-    G = groups.GroupSpec("matchgate", n, S, groups.matchgate_form_1(n))
+    G = groups.group_spec("matchgate", n)
     V = perturbation if perturbation is not None else gatecount_perturbation(n)
     region = tuple(range(n))  # the gate-count POVM does not use a region
     return ExperimentConfig(G, n, V, region, gate_count(gates, S), samples, seed, shot_mode)
@@ -403,16 +415,27 @@ def _check_rotation_cost(config: ExperimentConfig, experiment: str, gates: int, 
     its Haar draw, one product per shallow gate, and the evaluation of both
     sides.  The general evaluator adds k^3 per k x k minor det on each side,
     ``minors`` of them.  Each block of the shallow side, one per 64-sample
-    chunk, pays ``FACTOR_DISPATCH_COST`` per factor position: one per gate
-    of a gate sequence, ``MATCHGATE_LOCAL_FACTORS`` per brickwork gate.
-    Checked before the first draw, in exact integers.
+    chunk, pays ``FACTOR_DISPATCH_COST`` per numpy dispatch.  A gate
+    sequence dispatches one factor position per gate.  A brickwork circuit
+    dispatches ``MATCHGATE_LOCAL_FACTORS`` positions per window of up to
+    ``SHALLOW_GATES_PER_DRAW`` gates, and one gather, product and scatter
+    per run of gates on disjoint qubits; a layer's gates are disjoint, so a
+    run ends only where a window or a layer does, and a circuit of L layers
+    has at most windows + L - 1 runs.  Its samples also pay
+    ``LOCAL_FACTOR_COST`` per factor of each gate.  Checked before the first
+    draw, in exact integers, with no listing of the gates.
     """
     m3 = (2 * config.n) ** 3
     products = {"Haar draws": 1, "shallow circuits": gates, "evaluations": 2}
     costs = {name: k * m3 for name, k in products.items()}
     if minors:
         costs["minor dets"] = 2 * minors * pauli.majorana_count(config.perturbation) ** 3
-    positions = gates * (groups.MATCHGATE_LOCAL_FACTORS if config.ensemble.kind == "brickwork" else 1)
+    positions = gates
+    if config.ensemble.kind == "brickwork":
+        costs["local gate factors"] = gates * groups.MATCHGATE_LOCAL_FACTORS * LOCAL_FACTOR_COST
+        windows = -(-gates // groups.SHALLOW_GATES_PER_DRAW)
+        runs = windows + config.ensemble.depth - 1 if gates else 0
+        positions = windows * groups.MATCHGATE_LOCAL_FACTORS + runs
     blocks = -(-config.samples // rng.CHUNK_SIZE)
     moments.check_cost(
         f"matchgate {experiment} experiment on Majorana rotations for n={config.n}",
@@ -439,6 +462,18 @@ def _rotation_row_bytes(n: int) -> int:
 def _majorana_indices(P: pauli.PauliString) -> np.ndarray:
     """The 0-based Majorana indices K of P's monomial."""
     return np.array(pauli.majorana_decomposition(P), dtype=np.int64) - 1
+
+
+def _monomial_table(keys: np.ndarray, n: int, k: int) -> np.ndarray:
+    """The (|keys|, k) table of the sorted 0-based Majorana indices of each
+    key's monomial, read from the key bits by ``pauli.majorana_bits``: bit q
+    of a is index 2q and bit q of b index 2q + 1."""
+    a, b = pauli.majorana_bits(keys >> n, keys & ((1 << n) - 1), n)
+    bits = (np.stack((a, b), axis=-1)[:, None, :] >> np.arange(n)[:, None]) & 1
+    rows, cols = np.nonzero(bits.reshape(keys.size, 2 * n))
+    if np.any(np.bincount(rows, minlength=keys.size) != k):
+        raise InvariantError(f"a monomial of the evaluated set does not have Majorana weight {k}")
+    return cols.reshape(keys.size, k)
 
 
 def _minor_mass(R: np.ndarray, T: np.ndarray, K: np.ndarray) -> np.ndarray:
@@ -496,8 +531,7 @@ def _rotation_evaluators(
         mass = closed_form
     else:
         _check_rotation_cost(config, experiment, gates, keys.size)
-        monomials = [pauli.majorana_decomposition(pauli.from_key(key, config.n)) for key in keys.tolist()]
-        T = np.array(monomials, dtype=np.int64).reshape(keys.size, K.size) - 1
+        T = _monomial_table(keys, config.n, K.size)
         row_bytes += np.dtype(np.float64).itemsize * keys.size * (K.size**2 + 1)  # the minors and their dets
         mass = functools.partial(_minor_mass, T=T, K=K)
 
@@ -734,20 +768,20 @@ def _gatecount_rotation(config: ExperimentConfig, S: cgraph.GeneratorSet):
 def run_gatecount_discrimination(config: ExperimentConfig) -> ExperimentResult:
     """Gate-budget experiment: mass retained inside the N-ball of the start.
 
-    Shallow circuits are random products of N generator exponentials, whose
-    conjugation provably cannot leave the ball; Haar group elements spread the
-    Pauli uniformly over its whole component.  The mass is evaluated on the
-    Majorana rotation, so the generators must be Majorana bilinears.
+    Shallow circuits are random products of N exponentials of the
+    ensemble's ``allowed`` generators, whose conjugation provably cannot
+    leave the ball; Haar group elements spread the Pauli uniformly over its
+    whole component.  The mass is evaluated on the Majorana rotation, so the
+    generators must be Majorana bilinears.
     """
     if config.ensemble.kind != "gate_count":
         raise ValidationError("gate-count experiment takes a gate_count ensemble")
     G = config.group
     if G.kind != "matchgate":
         raise ValidationError(f"the gate-count experiment runs on the matchgate group, got {G.kind!r}")
-    S = config.ensemble.allowed or G.generator_set
-    if S is None:
-        raise ValidationError("gate-count experiment needs a generator set")
-    evaluators, analytic = _gatecount_rotation(config, S)
+    if config.ensemble.allowed is None:
+        raise ValidationError("gate-count experiment needs the ensemble's allowed generator set")
+    evaluators, analytic = _gatecount_rotation(config, config.ensemble.allowed)
 
     def shallow_one(row, stream):
         return _shallow_row(row, stream, config.shot_mode)

@@ -1,10 +1,12 @@
-"""Group specifications: generator sets, invariant forms, and samplers.
+"""Group specifications: invariant forms, generator sets, and samplers.
 
-Supported kinds: matchgate, orthogonal, symplectic, unitary, mixed_unitary,
-clifford, and custom Pauli-compatible groups given by explicit generator
-sets.  Each form-bearing kind carries an invariant bilinear form Omega with
+Supported kinds: matchgate, orthogonal, symplectic, unitary, mixed_unitary
+and clifford.  A group is its kind, its qubit count and, for the
+form-bearing kinds, an invariant bilinear form Omega, a phased Pauli, with
 U^T Omega U = Omega for every group element; the form certifies the two-copy
-invariant state (1 x Omega)|Phi>.
+invariant state (1 x Omega)|Phi>.  Pauli generator sets, which only the
+commutator graphs, the spread estimator and the gate-count experiment read,
+are built where they are read, by ``generator_set``.
 
 Haar samplers: QR of Ginibre ensembles, with the Mezzadri phase fix
 (math-ph/0609050), for the unitary and orthogonal groups; a Gram-Schmidt
@@ -21,9 +23,6 @@ normals as a single draw would and orthogonalizes the whole stack at once
 (matchgate) or draws one index per stream into the enumerated group
 (Clifford), and checks the form once over the stack.  A single draw,
 ``sample_haar``, is the stack of one, so the two cannot diverge.
-``group_spec`` and the n(2n-1)-element ``matchgate_full_set`` build groups
-only up to ``cgraph.KEY_QUBIT_CAP`` qubits, the largest graph the BFS can
-key.
 
 Shallow ensembles are brickwork circuits of 2-local group gates over a
 declared adjacency; the conjugation lightcone follows the brickwork
@@ -115,7 +114,6 @@ GROUP_KINDS = (
     "unitary",
     "mixed_unitary",
     "clifford",
-    "custom_pauli_compatible",
 )
 
 SYMPLECTIC_FORM_QUBIT = 1  # for n >= 2; n = 1 uses qubit 0
@@ -150,20 +148,14 @@ def _identity(d: int) -> np.ndarray:
 
 @dataclass(frozen=True, eq=False)
 class BilinearForm:
-    """An invariant bilinear form, as a phased Pauli or a dense matrix."""
+    """An invariant bilinear form, a phased Pauli."""
 
-    representation: pauli.PauliString | np.ndarray
+    representation: pauli.PauliString
     symmetry: str  # "symmetric" | "antisymmetric"
 
     @property
-    def is_pauli(self) -> bool:
-        return isinstance(self.representation, pauli.PauliString)
-
-    @property
     def n(self) -> int:
-        if self.is_pauli:
-            return self.representation.n
-        return self.representation.shape[0].bit_length() - 1
+        return self.representation.n
 
     def dense(self) -> np.ndarray:
         """The form as a dense matrix, built once and read-only."""
@@ -171,9 +163,7 @@ class BilinearForm:
 
     @functools.cached_property
     def _dense(self) -> np.ndarray:
-        if self.is_pauli:
-            return _read_only(pauli.to_dense(self.representation))
-        return _read_only(np.array(self.representation, dtype=np.complex128))
+        return _read_only(pauli.to_dense(self.representation))
 
     def field_dense(self) -> np.ndarray:
         """The dense form as a real matrix when its entries are real (every
@@ -192,24 +182,15 @@ class BilinearForm:
         return densesim.right_product(self.field_dense())
 
     def inverse_dense(self) -> np.ndarray:
-        if self.is_pauli:
-            return self.dense().conj().T  # phased Paulis are unitary
-        return np.linalg.inv(self.dense())
+        return self.dense().conj().T  # phased Paulis are unitary
 
 
-def bilinear_form(representation) -> BilinearForm:
-    """Wrap a Pauli or dense matrix, deriving its transposition symmetry."""
-    if isinstance(representation, pauli.PauliString):
-        sign = pauli.transpose_sign(representation)
-        return BilinearForm(representation, "symmetric" if sign == 1 else "antisymmetric")
-    M = np.asarray(representation, dtype=np.complex128)
-    if M.ndim != 2 or M.shape[0] != M.shape[1]:
-        raise ValidationError("dense form must be a square matrix")
-    if np.allclose(M.T, M, atol=1e-10):
-        return BilinearForm(M, "symmetric")
-    if np.allclose(M.T, -M, atol=1e-10):
-        return BilinearForm(M, "antisymmetric")
-    raise ValidationError("form is neither symmetric nor antisymmetric")
+def bilinear_form(representation: pauli.PauliString) -> BilinearForm:
+    """Wrap a phased Pauli, deriving its transposition symmetry."""
+    if not isinstance(representation, pauli.PauliString):
+        raise ValidationError(f"a bilinear form is a phased Pauli, got {type(representation).__name__}")
+    sign = pauli.transpose_sign(representation)
+    return BilinearForm(representation, "symmetric" if sign == 1 else "antisymmetric")
 
 
 def matchgate_form_1(n: int) -> BilinearForm:
@@ -240,21 +221,6 @@ def pauli_form_condition(P: pauli.PauliString, form_pauli: pauli.PauliString) ->
     """
     comm = pauli.commutes(P, form_pauli)
     return comm if pauli.y_count(P) % 2 == 1 else not comm
-
-
-def invariant_form_check(form: BilinearForm, S: cgraph.GeneratorSet) -> bool:
-    """Every generator P satisfies P^T Omega + Omega P = 0."""
-    if form.n != S.n:
-        raise ValidationError(f"form on {form.n} qubits, generators on {S.n}")
-    if form.is_pauli:
-        word = pauli.hermitian_representative(form.representation)
-        return all(pauli_form_condition(g, word) for g in S.generators)
-    Om = form.dense()
-    for g in S.generators:
-        G = pauli.to_dense(g)
-        if not np.allclose(G.T @ Om + Om @ G, 0.0, atol=1e-10):
-            return False
-    return True
 
 
 # ---------------------------------------------------------------------------
@@ -297,21 +263,32 @@ def _chain_local_paulis(n: int) -> list[pauli.PauliString]:
     return out
 
 
-def unitary_local_set(n: int) -> cgraph.GeneratorSet:
-    """All 1- and 2-local chain Paulis; generates the full unitary algebra."""
-    return cgraph.GeneratorSet(n, tuple(_chain_local_paulis(n)))
+def generator_set(kind: str, n: int, which: str = "standard") -> cgraph.GeneratorSet:
+    """The Pauli generator set ``which`` of a group kind, in the order that
+    gate-count draws index by position.
 
-
-def orthogonal_local_set(n: int) -> cgraph.GeneratorSet:
-    """Chain-local Paulis with odd Y count; exp(i theta P) is then real."""
-    gens = [g for g in _chain_local_paulis(n) if pauli.y_count(g) % 2 == 1]
-    return cgraph.GeneratorSet(n, tuple(gens))
-
-
-def symplectic_local_set(n: int) -> cgraph.GeneratorSet:
-    """Chain-local Paulis satisfying the form condition for i Y_fq."""
-    word = pauli.hermitian_representative(symplectic_form(n).representation)
-    gens = [g for g in _chain_local_paulis(n) if pauli_form_condition(g, word)]
+    ``standard``: for matchgates single-qubit Z plus nearest-neighbor XX;
+    for the other kinds the 1- and 2-local chain Paulis that generate their
+    algebra: all of them for unitary and mixed_unitary, those with odd Y
+    count (exp(i theta P) is then real) for orthogonal, and those satisfying
+    the form condition for i Y_fq for symplectic.  ``full``: the matchgate
+    group's n(2n-1) Majorana bilinears.
+    """
+    check_group_qubits(n)
+    if which not in ("standard", "full"):
+        raise ValidationError(f"unknown generator set {which!r}")
+    if kind == "matchgate":
+        return matchgate_full_set(n) if which == "full" else matchgate_standard_set(n)
+    if which == "full":
+        raise ValidationError(f"the full generator set applies to the matchgate group only, got {kind!r}")
+    if kind not in ("orthogonal", "symplectic", "unitary", "mixed_unitary"):
+        raise ValidationError(f"group {kind!r} has no commutator-graph generator set")
+    gens = _chain_local_paulis(n)
+    if kind == "orthogonal":
+        gens = [g for g in gens if pauli.y_count(g) % 2 == 1]
+    elif kind == "symplectic":
+        word = pauli.hermitian_representative(symplectic_form(n).representation)
+        gens = [g for g in gens if pauli_form_condition(g, word)]
     return cgraph.GeneratorSet(n, tuple(gens))
 
 
@@ -440,11 +417,10 @@ def lightcone(V_support, L: int, adjacency: Adjacency) -> tuple[int, ...]:
 
 @dataclass(frozen=True, eq=False)
 class GroupSpec:
-    """A named group with its generator set and optional invariant form."""
+    """A named group on n qubits with its optional invariant form."""
 
     kind: str
     n: int
-    generator_set: cgraph.GeneratorSet | None = None
     form: BilinearForm | None = None
 
     @property
@@ -456,46 +432,42 @@ class GroupSpec:
             raise ValidationError(f"unknown group kind {self.kind!r}")
         if self.n < 1:
             raise ValidationError(f"need n >= 1, got {self.n}")
-        if self.form is not None and self.generator_set is not None:
-            if not invariant_form_check(self.form, self.generator_set):
-                raise ValidationError(f"{self.kind} generators do not preserve the form")
 
 
 def check_group_qubits(n: int) -> None:
-    """Refuse n outside 1..KEY_QUBIT_CAP before any Pauli of a group is built.
+    """Refuse n outside 1..KEY_QUBIT_CAP before a group or its generators are built.
 
-    Every use of a shipped group needs at most that many qubits: commutator
-    graphs key their vertices in int64, and dense and brickwork evaluations
-    stop far below.  A generator set at n = 10^6 would take hours and
-    hundreds of GB to build.
+    No group needs a Pauli word of more than n bits, but some runs do work
+    that grows with n before their cost budget is checked: at n = 10^6 a
+    matchgate depth run spends over 20 s on its lightcone and the Majorana
+    indices of its perturbation, and an ``fs-indicator`` run of the
+    mixed-unitary group fails in its budget's d^3.  Until every run budgets
+    its set-up, groups stop at the commutator graphs' int64 keys.
     """
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")
     if n > cgraph.KEY_QUBIT_CAP:
         raise BudgetError(
-            f"groups are built on commutator-graph keys of 2n bits in an int64, so n <= {cgraph.KEY_QUBIT_CAP}; got n={n}"
+            f"groups are built up to n <= {cgraph.KEY_QUBIT_CAP} qubits, since some runs do set-up work "
+            f"that grows with n before their cost budget; got n={n}"
         )
 
 
-def group_spec(kind: str, n: int, generator_set=None, form=None) -> GroupSpec:
-    """Construct a GroupSpec with the shipped defaults for each kind."""
+def group_spec(kind: str, n: int) -> GroupSpec:
+    """Construct a GroupSpec with the shipped form of each kind."""
     check_group_qubits(n)
     if kind == "matchgate":
-        return GroupSpec(kind, n, generator_set or matchgate_standard_set(n), form or matchgate_form_1(n))
+        return GroupSpec(kind, n, matchgate_form_1(n))
     if kind == "orthogonal":
-        return GroupSpec(kind, n, generator_set or orthogonal_local_set(n), form or orthogonal_form(n))
+        return GroupSpec(kind, n, orthogonal_form(n))
     if kind == "symplectic":
-        return GroupSpec(kind, n, generator_set or symplectic_local_set(n), form or symplectic_form(n))
+        return GroupSpec(kind, n, symplectic_form(n))
     if kind in ("unitary", "mixed_unitary"):
-        return GroupSpec(kind, n, generator_set or unitary_local_set(n), form)
+        return GroupSpec(kind, n)
     if kind == "clifford":
         if n > 2:
             raise BudgetError(f"clifford enumeration capped at n=2, got n={n}")
-        return GroupSpec(kind, n, None, None)
-    if kind == "custom_pauli_compatible":
-        if generator_set is None:
-            raise ValidationError("custom groups need an explicit generator set")
-        return GroupSpec(kind, n, generator_set, form)
+        return GroupSpec(kind, n)
     raise ValidationError(f"unknown group kind {kind!r}")
 
 

@@ -262,9 +262,10 @@ class SpreadReport:
 
 
 def haar_spread_uniformity(
-    G: groups.GroupSpec, P: pauli.PauliString, M: int, seed: int
+    G: groups.GroupSpec, S: cgraph.GeneratorSet, P: pauli.PauliString, M: int, seed: int
 ) -> SpreadReport:
-    """Sampled mass table over component(P) plus the leaked mass.
+    """Sampled mass table over P's component under the generator set S
+    (``groups.generator_set``) plus the leaked mass.
 
     The last accumulated column is 1 minus the in-component total, which
     Parseval makes the exact off-component mass for unitary P.  A block of
@@ -274,11 +275,11 @@ def haar_spread_uniformity(
     vertex on a signed permutation built once per run, about 6 us whatever
     n is, two thirds of a sample's fixed cost.
     """
-    if G.generator_set is None:
-        raise ValidationError(f"kind {G.kind!r} has no generator set to spread over")
     n = G.n
     d = 1 << n
-    keys = tuple(cgraph.component(P, G.generator_set).keys.tolist())
+    if S.n != n:
+        raise ValidationError(f"generator set on {S.n} qubits, group on {n}")
+    keys = tuple(cgraph.component(P, S).keys.tolist())
     check_cost(
         f"spread estimate for {G.kind} n={n}",
         M,

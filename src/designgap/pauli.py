@@ -20,7 +20,8 @@ Majorana operators follow the Jordan-Wigner convention
 
 with 1-based indices 1..2n.  Their images under the encoding form a basis of
 F_2^{2n}, so every Pauli decomposes uniquely (up to phase) as a product of
-distinct Majoranas; the decomposition is a cached F_2 linear solve.
+distinct Majoranas; the decomposition inverts Jordan-Wigner in closed form,
+a suffix XOR of the X word (``majorana_bits``).
 """
 
 from __future__ import annotations
@@ -236,42 +237,27 @@ def majorana_product(indices, n: int) -> PauliString:
     return out
 
 
-@functools.lru_cache(maxsize=None)
-def _majorana_solver(n: int) -> tuple[int, ...]:
-    """Rows of the inverse, over F_2, of the Majorana bit-vector matrix.
+def majorana_bits(x, z, n: int):
+    """The words (a, b) of the Majorana monomial proportional to the Pauli
+    with words (x, z): bit q of a marks c_{2q+1} and bit q of b c_{2q+2}.
 
-    Column a (0-based) of the forward matrix is the 2n-bit word
-    x_bits | (z_bits << n) of c_{a+1}; the columns form an F_2 basis, so the
-    inverse exists.  Row masks are returned so that membership bit a of a
-    Pauli with word v is parity(rows[a] AND v).
+    Jordan-Wigner inverted in closed form: the monomial has X on qubit q
+    iff a_q + b_q is odd, and Z-strings from every later qubit, so
+    b_q = z_q + sum_{j > q} x_j (mod 2).  x and z are Python ints or int64
+    arrays of words.
     """
-    m = 2 * n
-    cols = []
-    for a in range(1, m + 1):
-        c = majorana(a, n)
-        cols.append(c.x_bits | (c.z_bits << n))
-    # rows[i] holds bit j = entry (i, j) of the forward matrix, augmented with
-    # the identity in the high m bits.
-    rows = []
-    for i in range(m):
-        forward = sum(((cols[j] >> i) & 1) << j for j in range(m))
-        rows.append(forward | (1 << (m + i)))
-    for col in range(m):
-        pivot = next(r for r in range(col, m) if (rows[r] >> col) & 1)
-        rows[col], rows[pivot] = rows[pivot], rows[col]
-        for r in range(m):
-            if r != col and (rows[r] >> col) & 1:
-                rows[r] ^= rows[col]
-    return tuple(row >> m for row in rows)
+    y, s = x, 1  # y_q becomes the suffix XOR of x from q on
+    while s < n:
+        y = y ^ (y >> s)
+        s <<= 1
+    b = z ^ (y >> 1)
+    return x ^ b, b
 
 
 def majorana_decomposition(P: PauliString) -> tuple[int, ...]:
     """Sorted 1-based indices a_1 < ... < a_k with P proportional to c_{a_1}...c_{a_k}."""
-    rows = _majorana_solver(P.n)
-    v = P.x_bits | (P.z_bits << P.n)
-    indices = tuple(
-        a + 1 for a in range(2 * P.n) if (rows[a] & v).bit_count() % 2
-    )
+    a, b = majorana_bits(P.x_bits, P.z_bits, P.n)
+    indices = tuple(2 * q + 1 + odd for q in range(P.n) for odd, w in enumerate((a, b)) if w >> q & 1)
     if not same_projective(majorana_product(indices, P.n), P):
         raise ValidationError(f"inconsistent Pauli {P!r} has no Majorana monomial")
     return indices

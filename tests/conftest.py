@@ -64,7 +64,13 @@ matchgate form, the group-membership predicate and the gate-count envelope
 threshold scan live here because only the tests use them, as do the two-copy
 invariant state (1 x Omega)|Phi> of a form, the membership conditions of
 each group, the full Pauli expansion of a dense operator and the adjoint
-Majorana matrix of a unitary.
+Majorana matrix of a unitary.  So do the form check of a generator set
+(``invariant_form_check``), the per-kind generator sets as they were built
+before ``groups.generator_set`` (``generator_set_reference``), and the
+Majorana decomposition by Gaussian elimination over F_2
+(``majorana_decomposition_reference``), the oracle of the library's
+closed-form Jordan-Wigner inversion; the Majorana-rotation references read
+their monomials through it.
 """
 
 import functools
@@ -245,6 +251,84 @@ def matchgate_form_2(n: int):
     from designgap import groups, pauli
 
     return groups.bilinear_form(pauli.from_text("YX" * (n // 2) + "Y" * (n % 2)))
+
+
+def invariant_form_check(form, S) -> bool:
+    """Every generator P of S satisfies P^T Omega + Omega P = 0 for the Pauli form Omega."""
+    from designgap import groups, pauli
+    from designgap.errors import ValidationError
+
+    if form.n != S.n:
+        raise ValidationError(f"form on {form.n} qubits, generators on {S.n}")
+    word = pauli.hermitian_representative(form.representation)
+    return all(groups.pauli_form_condition(g, word) for g in S.generators)
+
+
+def generator_set_reference(kind: str, n: int, which: str = "standard"):
+    """The shipped generator sets as the per-kind builders listed them: the
+    matchgate Z_i then X_i X_{i+1}, or all n(2n-1) bilinears c_a c_b by (a, b);
+    the other kinds' 1-local chain Paulis (letter Z, X, Y, then site) and
+    2-local ones (first letter, second letter, then site), filtered to odd Y
+    count (orthogonal) or to the symplectic form condition."""
+    from designgap import cgraph, groups, pauli
+
+    letters = ((0, 1), (1, 0), (1, 1))  # Z, X, Y as (x, z)
+    if kind == "matchgate":
+        if which == "full":
+            gens = [pauli.hermitian_representative(pauli.multiply(pauli.majorana(a, n), pauli.majorana(b, n)))
+                    for a in range(1, 2 * n + 1) for b in range(a + 1, 2 * n + 1)]
+        else:
+            gens = [pauli.PauliString(n, 0, 1 << i) for i in range(n)]
+            gens += [pauli.PauliString(n, 3 << i, 0) for i in range(n - 1)]
+        return cgraph.GeneratorSet(n, tuple(gens))
+    gens = [pauli.PauliString(n, x << i, z << i) for x, z in letters for i in range(n)]
+    gens += [
+        pauli.PauliString(n, (xa << i) | (xb << (i + 1)), (za << i) | (zb << (i + 1)))
+        for xa, za in letters for xb, zb in letters for i in range(n - 1)
+    ]
+    if kind == "orthogonal":
+        gens = [g for g in gens if pauli.y_count(g) % 2 == 1]
+    elif kind == "symplectic":
+        word = pauli.hermitian_representative(groups.symplectic_form(n).representation)
+        gens = [g for g in gens if groups.pauli_form_condition(g, word)]
+    return cgraph.GeneratorSet(n, tuple(gens))
+
+
+@functools.lru_cache(maxsize=None)
+def _majorana_solver(n: int) -> tuple:
+    """Rows of the inverse, over F_2, of the Majorana bit-vector matrix.
+
+    Column a (0-based) of the forward matrix is the 2n-bit word
+    x_bits | (z_bits << n) of c_{a+1}; the columns form an F_2 basis, so the
+    inverse exists.  Membership bit a of a Pauli with word v is
+    parity(rows[a] AND v).
+    """
+    from designgap import pauli
+
+    m = 2 * n
+    cols = [c.x_bits | (c.z_bits << n) for c in (pauli.majorana(a, n) for a in range(1, m + 1))]
+    # rows[i] holds bit j = entry (i, j) of the forward matrix, augmented with
+    # the identity in the high m bits
+    rows = [sum(((cols[j] >> i) & 1) << j for j in range(m)) | (1 << (m + i)) for i in range(m)]
+    for col in range(m):
+        pivot = next(r for r in range(col, m) if (rows[r] >> col) & 1)
+        rows[col], rows[pivot] = rows[pivot], rows[col]
+        for r in range(m):
+            if r != col and (rows[r] >> col) & 1:
+                rows[r] ^= rows[col]
+    return tuple(row >> m for row in rows)
+
+
+def majorana_decomposition_reference(P) -> tuple:
+    """Sorted 1-based Majorana indices of P's monomial by an F_2 linear solve,
+    checked against the forward product."""
+    from designgap import pauli
+
+    rows = _majorana_solver(P.n)
+    v = P.x_bits | (P.z_bits << P.n)
+    indices = tuple(a + 1 for a in range(2 * P.n) if (rows[a] & v).bit_count() % 2)
+    assert pauli.same_projective(pauli.majorana_product(indices, P.n), P)
+    return indices
 
 
 def invariant_state(form, n: int) -> np.ndarray:
@@ -506,7 +590,7 @@ def gatecount_probability_reference(config):
     from designgap import groups, pauli
 
     G, n, N = config.group, config.n, config.ensemble.gates
-    S = config.ensemble.allowed or G.generator_set
+    S = config.ensemble.allowed
     P = pauli.hermitian_representative(config.perturbation)
     ball = sorted(bfs_reference(pauli.to_key(P), S, max_dist=N))
     words = [pauli.hermitian_representative(g) for g in S.generators]
@@ -533,7 +617,7 @@ def bilinear_plane_reference(P) -> tuple[int, int, int]:
     from designgap import pauli
     from designgap.errors import ValidationError
 
-    K = pauli.majorana_decomposition(P)
+    K = majorana_decomposition_reference(P)
     if len(K) != 2:
         raise ValidationError(f"{pauli.to_text(P)} is not a Majorana bilinear")
     k = pauli.majorana_product(K, P.n).phase_exp
@@ -611,7 +695,7 @@ def ball_monomials(P, S, N: int) -> list:
     from designgap import pauli
 
     keys = sorted(bfs_reference(pauli.to_key(P), S, max_dist=N))
-    return [tuple(a - 1 for a in pauli.majorana_decomposition(pauli.from_key(key, P.n))) for key in keys]
+    return [tuple(a - 1 for a in majorana_decomposition_reference(pauli.from_key(key, P.n))) for key in keys]
 
 
 def minor_mass_reference(R: np.ndarray, T, K) -> float:
@@ -636,7 +720,7 @@ def rotation_rows_reference(config):
     from designgap import bounds, groups, pauli
 
     G, n = config.group, config.n
-    K = [a - 1 for a in pauli.majorana_decomposition(config.perturbation)]
+    K = [a - 1 for a in majorana_decomposition_reference(config.perturbation)]
     if config.ensemble.kind == "brickwork":
         L = config.ensemble.depth
         adj = groups.parse_adjacency(config.ensemble.adjacency, n)
@@ -963,13 +1047,13 @@ def second_moment_trace_dense_reference(G, V, O, M: int, seed: int):
     return _estimate(_stream_values(one, M, seed), seed)
 
 
-def spread_uniformity_reference(G, P, M: int, seed: int):
-    """Per-sample spread report: one draw, one conjugation and one
-    ``pauli.trace_with`` per component vertex at a time."""
+def spread_uniformity_reference(G, S, P, M: int, seed: int):
+    """Per-sample spread report over P's component under S: one draw, one
+    conjugation and one ``pauli.trace_with`` per component vertex at a time."""
     from designgap import cgraph, groups, moments, pauli, rng
 
     d = 1 << G.n
-    keys = tuple(cgraph.component(P, G.generator_set).keys.tolist())
+    keys = tuple(cgraph.component(P, S).keys.tolist())
     vertices = [pauli.from_key(k, G.n) for k in keys]
     P_dense = pauli.to_dense(pauli.hermitian_representative(P))
 

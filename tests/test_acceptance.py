@@ -24,7 +24,7 @@ from designgap import (
 )
 from designgap.rng import sample_stream
 
-from conftest import envelope_threshold, invariant_state, matchgate_form_2
+from conftest import envelope_threshold, invariant_form_check, invariant_state, matchgate_form_2
 
 
 def _ok(k, msg):
@@ -122,7 +122,8 @@ def test_criterion_06_theorem_two_experiment():
     assert abs(res.p_shallow.mean - 1.0) < 1e-9
     assert _within(res.p_haar.mean, 0.5, res.p_haar.stderr)
     G = groups.group_spec("matchgate", 3)
-    spread = moments.haar_spread_uniformity(G, pauli.PauliString(3, 0, 1), 3000, seed=2)
+    S = groups.generator_set("matchgate", 3)
+    spread = moments.haar_spread_uniformity(G, S, pauli.PauliString(3, 0, 1), 3000, seed=2)
     assert spread.component_size == 15
     for est in spread.masses:
         assert _within(est.mean, 1 / 15, est.stderr)
@@ -184,8 +185,8 @@ def test_criterion_09_frobenius_schur_indicators():
 def test_criterion_10_invariant_form_suite():
     for n in range(2, 9):
         for form in (groups.matchgate_form_1(n), matchgate_form_2(n)):
-            assert groups.invariant_form_check(form, groups.matchgate_standard_set(n))
-            assert groups.invariant_form_check(form, groups.matchgate_full_set(n))
+            assert invariant_form_check(form, groups.matchgate_standard_set(n))
+            assert invariant_form_check(form, groups.matchgate_full_set(n))
     worst = 0.0
     for n in (2, 3):
         checks = [

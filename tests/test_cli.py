@@ -93,13 +93,14 @@ class TestExitCodes:
     def test_costly_non_prefix_matchgate_region_is_refused_before_sampling(self, capsys):
         # per sample (2n)^3 = 4096 for the Haar QR, each of the 11 gates at depth 3 and each side's
         # evaluation, 2 x 125 for the 5 x 5 minor det of each of the 20 monomials inside the region,
-        # and the fixed cost of 2e4; per 64-sample block 4e4 for each of the 132 factor positions
+        # 500 for each of the 132 gate factors, and the fixed cost of 2e4; per 64-sample block 4e4 for
+        # each of the window's 12 factor positions and each of the 3 runs of disjoint gates
         start = time.perf_counter()
         code, out, err = run_cli(capsys, [*self.NON_PREFIX_REGION, "--samples", "1000000000"])
         assert time.perf_counter() - start < 1.0
         assert code == 2
         assert out == ""
-        assert "budget" in err and "costs about 1.65e+14 multiply-adds" in err and "minor dets 5.00e+12," in err
+        assert "budget" in err and "costs about 1.58e+14 multiply-adds" in err and "minor dets 5.00e+12," in err
 
     def test_non_prefix_region_past_the_search_cap_is_refused_up_front(self, capsys, monkeypatch):
         # at n = 12 the perturbation is an 11-Majorana monomial of a 2.5e6-vertex component
@@ -169,10 +170,10 @@ class TestExitCodes:
         "argv,cost",
         [
             # per sample (2n)^3 = 512 for the Haar QR, each of the 2 gates at depth 1, and each side's det,
-            # plus the fixed cost of 2e4 of every sample; per 64-sample block 4e4 for each of the 24
-            # factor positions
+            # 500 for each of the 24 gate factors, plus the fixed cost of 2e4 of every sample; per 64-sample
+            # block 4e4 for each of the window's 12 factor positions and its one run of disjoint gates
             (["discriminate", "--experiment", "depth", "--group", "matchgate", "--n", "4", "--samples", "1000000000"],
-             "3.76e+13"),
+             "4.27e+13"),
             # the QR, the default single gate, and each side's eigvalsh; one factor position per block
             (["discriminate", "--experiment", "gate-count", "--n", "4", "--samples", "1000000000"], "2.27e+13"),
             # refused before the C(24, 12)-vertex component search
@@ -180,9 +181,10 @@ class TestExitCodes:
             # one sample of 10^9 gates: 4e4 per factor position of its one block, before any factor is drawn
             (["discriminate", "--experiment", "gate-count", "--n", "2", "--gates", "1000000000", "--samples", "1"],
              "4.01e+13"),
-            # 10^9 layers of one gate, 12 factor positions each, before the gate sites are listed
+            # 10^9 layers of one gate, 500 for each of its 12 factors, and per window of 64 gates 12 factor
+            # positions, with one run of disjoint gates per layer, before the gate sites are listed
             (["discriminate", "--experiment", "depth", "--group", "matchgate", "--n", "2", "--depth", "1000000000",
-              "--samples", "1"], "4.80e+14"),
+              "--samples", "1"], "5.42e+13"),
             # d^3 for the draw, 2 d^3 for the conjugation and d^4 for each of the two Gram products; per chunk
             # d^4 for each of the two running sums
             (["moments", "--quantity", "weingarten-check", "--group", "orthogonal", "--n", "3",
@@ -292,6 +294,34 @@ class TestExitCodes:
         assert out == ""
         assert flag in err
         assert "Traceback" not in err
+
+    def test_region_ratio_support_error_names_its_flags(self, capsys):
+        argv = ["graph", "--group", "matchgate", "--n", "4", "--r-region", "0,1", "--vertex", "XXXX"]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert "--vertex XXXX" in err and "--r-region '0,1'" in err and "inside the region" in err
+
+    @pytest.mark.parametrize("subcommand", ["graph --census", "moments --quantity spread-uniformity --samples 5"])
+    @pytest.mark.parametrize("group", ["orthogonal", "symplectic", "unitary"])
+    def test_full_generator_set_is_refused_off_matchgates(self, capsys, subcommand, group):
+        name, *flags = subcommand.split()
+        argv = [name, "--group", group, "--n", "2", "--generator-set", "full", *flags]
+        code, out, err = run_cli(capsys, argv)
+        assert code == 1
+        assert out == ""
+        assert "--generator-set full applies to the matchgate group only" in err
+
+    @pytest.mark.parametrize(
+        "group,default", [("matchgate", "full"), ("orthogonal", "standard"), ("unitary", "standard")]
+    )
+    def test_spread_generator_set_default_depends_on_the_group(self, capsys, group, default):
+        argv = ["moments", "--quantity", "spread-uniformity", "--group", group, "--n", "2", "--samples", "70"]
+        code, implicit, _ = run_cli(capsys, argv)
+        assert code == 0
+        code, explicit, _ = run_cli(capsys, [*argv, "--generator-set", default])
+        assert code == 0
+        assert implicit == explicit
 
     @pytest.mark.parametrize(
         "sampler,drifted,argv",

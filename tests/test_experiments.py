@@ -23,6 +23,7 @@ from conftest import (
     gate_sequence_unitary_reference,
     gatecount_probability_reference,
     haar_special_orthogonal_reference,
+    majorana_decomposition_reference,
     pauli_spread_mass,
     region_monomials,
     rotation_rows_reference,
@@ -904,23 +905,33 @@ class TestStackedRotation:
         assert sizes == [64, 64, 2]
 
     @pytest.mark.parametrize(
-        "config,products",
+        "config,gates,runs",
         [
-            # per sample, in 8 x 8 products: the Haar QR, 2 gates at depth 1, and both dets
-            (experiments.depth_config("matchgate", 4, 7, 0), 1 + 2 + 2),
-            (experiments.depth_config("matchgate", 4, 7, 0, depth=3), 1 + 5 + 2),
-            # the QR, 2 gates and both eigvalsh
-            (experiments.gatecount_config(4, 7, 0, gates=2), 1 + 2 + 2),
+            # 2 gates at depth 1, one layer of disjoint gates
+            (experiments.depth_config("matchgate", 4, 7, 0), 2, 1),
+            # 5 gates in 3 layers
+            (experiments.depth_config("matchgate", 4, 7, 0, depth=3), 5, 3),
+            # 75 gates in 50 layers, drawn in two windows of up to 64: gate 64 starts the second window
+            # inside layer 43, whose two gates are then two runs
+            (experiments.depth_config("matchgate", 4, 7, 0, depth=50), 75, 51),
+            # a sequence of 2 gates
+            (experiments.gatecount_config(4, 7, 0, gates=2), 2, None),
         ],
+        ids=["depth-1", "depth-3", "depth-50", "gate-count"],
     )
-    def test_rotation_budget_is_exact_at_the_cap(self, monkeypatch, config, products):
-        # the 7 samples are one block, which pays the dispatch of each factor position once:
-        # 12 per brickwork gate, one per gate of a sequence
+    def test_rotation_budget_is_exact_at_the_cap(self, monkeypatch, config, gates, runs):
+        # per sample, in 8 x 8 products: the Haar QR, one per gate and both evaluations (dets or
+        # eigvalsh).  The 7 samples are one block, which pays the dispatch once: a sequence one factor
+        # position per gate; a brickwork circuit 12 positions per window of up to 64 gates and one
+        # gather, product and scatter per run of disjoint gates, and each of its samples each factor
         brickwork = config.ensemble.kind == "brickwork"
         run = self.RUN["depth" if brickwork else "gate-count"]
-        gates = products - 3  # the QR and the two evaluations are the other three
-        positions = gates * (groups.MATCHGATE_LOCAL_FACTORS if brickwork else 1)
-        cap = 7 * (products * 8**3 + moments.SAMPLE_FIXED_COST) + positions * experiments.FACTOR_DISPATCH_COST
+        per_sample = (1 + gates + 2) * 8**3 + moments.SAMPLE_FIXED_COST
+        positions = gates
+        if brickwork:
+            per_sample += gates * 12 * experiments.LOCAL_FACTOR_COST
+            positions = 12 * -(-gates // 64) + runs
+        cap = 7 * per_sample + positions * experiments.FACTOR_DISPATCH_COST
         monkeypatch.setattr(moments, "FS_COST_CAP", cap)
         run(config)
         monkeypatch.setattr(moments, "FS_COST_CAP", cap - 1)
@@ -941,17 +952,49 @@ class TestStackedRotation:
     )
     def test_general_evaluator_budget_is_exact_at_the_cap(self, monkeypatch, experiment, config, monomials):
         # per sample the QR, 2 gates and both evaluations in 8 x 8 products, and k^3 per minor det on each side;
-        # per block the dispatch of each factor position of the 2 gates
+        # per block the dispatch of the 2 gates: at depth 1 one window's 12 factor positions and one run of
+        # disjoint gates, whose 24 factors each sample also pays; a sequence's 2 factor positions
         T = monomials()
         minors = 2 * len(T) * len(T[0]) ** 3
-        positions = 2 * (groups.MATCHGATE_LOCAL_FACTORS if experiment == "depth" else 1)
-        cap = 7 * ((1 + 2 + 2) * 8**3 + minors + moments.SAMPLE_FIXED_COST) + positions * experiments.FACTOR_DISPATCH_COST
+        per_sample = (1 + 2 + 2) * 8**3 + minors + moments.SAMPLE_FIXED_COST
+        positions = 2
+        if experiment == "depth":
+            per_sample += 2 * 12 * experiments.LOCAL_FACTOR_COST
+            positions = 12 + 1
+        cap = 7 * per_sample + positions * experiments.FACTOR_DISPATCH_COST
         monkeypatch.setattr(moments, "FS_COST_CAP", cap)
         self.RUN[experiment](config)
         monkeypatch.setattr(moments, "FS_COST_CAP", cap - 1)
         parts = re.escape(f"minor dets {Decimal(7 * minors):.2e},")
         with pytest.raises(BudgetError, match=rf"on Majorana rotations for n=4 with 7 samples .* {parts}"):
             self.RUN[experiment](config)
+
+    @pytest.mark.parametrize("n,region,vertex", [*NON_PREFIX, (8, (1, 2, 3, 4, 5, 6, 7), "IIIXIIII")])
+    def test_monomial_table_is_the_per_key_decomposition(self, n, region, vertex):
+        P = pauli.from_text(vertex)
+        keys, _ = cgraph.region_keys(P, groups.matchgate_full_set(n), region)
+        k = len(majorana_decomposition_reference(P))
+        want = [[a - 1 for a in majorana_decomposition_reference(pauli.from_key(key, n))] for key in keys.tolist()]
+        got = experiments._monomial_table(keys, n, k)
+        assert got.dtype == np.int64 and got.tolist() == want
+        with pytest.raises(InvariantError, match=f"Majorana weight {k + 1}"):
+            experiments._monomial_table(keys, n, k + 1)
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5, 8])
+    def test_run_bound_covers_the_sampler_runs(self, n):
+        # the budget charges windows + L - 1 runs of disjoint gates; the sampler's runs never exceed it,
+        # on the chain and on edge lists whose greedy classes a run can cross
+        W = groups.SHALLOW_GATES_PER_DRAW
+        draw = np.random.default_rng(n)
+        edge_lists = ["chain"] + [[(i, i + 1) for i in draw.permutation(n - 1)[: max(1, n // 2)]] for _ in range(4)]
+        for spec in edge_lists:
+            adj = groups.parse_adjacency(spec, n)
+            for L in (*range(12), 63, 64, 65, 130):
+                sites = [i for layer in range(L) for i, _ in adj.layer_classes[layer % len(adj.layer_classes)]]
+                runs = sum(len(groups._disjoint_runs(sites[lo : lo + W])) for lo in range(0, len(sites), W))
+                windows = -(-len(sites) // W)
+                assert len(sites) == experiments._brickwork_gates(adj, L)
+                assert runs <= (windows + L - 1 if sites else 0), (spec, L)
 
     @pytest.mark.parametrize("shot_mode", [False, True])
     @pytest.mark.parametrize("n,region,vertex", NON_PREFIX)

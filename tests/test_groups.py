@@ -1,5 +1,6 @@
 """Group specifications, invariant forms, Haar samplers, shallow circuits."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -18,8 +19,10 @@ from conftest import (
     enumerate_clifford_reference,
     fresh_stream,
     gate_sequence_rotation_reference,
+    generator_set_reference,
     haar_special_orthogonal_reference,
     haar_symplectic_mgs,
+    invariant_form_check,
     invariant_state,
     kron_chain,
     matchgate_form_2,
@@ -65,12 +68,9 @@ class TestBilinearForms:
         Om = groups.matchgate_form_1(3).dense()
         assert np.allclose(Om, kron_chain("XYX"))
 
-    def test_ndarray_form_accepted(self, rng):
-        A = rng.normal(size=(4, 4))
-        sym = groups.bilinear_form(A + A.T)
-        assert sym.symmetry == "symmetric"
-        anti = groups.bilinear_form(A - A.T)
-        assert anti.symmetry == "antisymmetric"
+    def test_only_pauli_forms_are_accepted(self):
+        with pytest.raises(ValidationError, match="phased Pauli, got ndarray"):
+            groups.bilinear_form(np.eye(4))
 
     def test_inverse_dense(self):
         for form in (groups.matchgate_form_1(2), groups.symplectic_form(2)):
@@ -96,16 +96,16 @@ class TestFormInvariance:
             (groups.matchgate_form_1(n), groups.matchgate_standard_set(n)),
             (groups.matchgate_form_1(n), groups.matchgate_full_set(n)),
             (matchgate_form_2(n), groups.matchgate_standard_set(n)),
-            (groups.orthogonal_form(n), groups.orthogonal_local_set(n)),
-            (groups.symplectic_form(n), groups.symplectic_local_set(n)),
+            (groups.orthogonal_form(n), groups.generator_set("orthogonal", n)),
+            (groups.symplectic_form(n), groups.generator_set("symplectic", n)),
         ]
         for form, S in pairs:
-            assert groups.invariant_form_check(form, S)
+            assert invariant_form_check(form, S)
 
     def test_violating_generator_detected(self):
         # a plain X generator does not preserve the identity form
         S = cgraph.GeneratorSet(2, (pauli.from_text("XI"),))
-        assert not groups.invariant_form_check(groups.orthogonal_form(2), S)
+        assert not invariant_form_check(groups.orthogonal_form(2), S)
 
     def test_invariant_state_is_fixed_by_samples(self):
         for kind, n in [("matchgate", 2), ("matchgate", 3), ("orthogonal", 2), ("symplectic", 2)]:
@@ -119,24 +119,44 @@ class TestFormInvariance:
 
 
 class TestGeneratorFactories:
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6, 31])
+    @pytest.mark.parametrize(
+        "kind,which",
+        [("matchgate", "standard"), ("matchgate", "full"), ("orthogonal", "standard"),
+         ("symplectic", "standard"), ("unitary", "standard"), ("mixed_unitary", "standard")],
+    )
+    def test_generator_set_keeps_the_per_kind_order(self, kind, which, n):
+        # gate-count draws index the generators by position, so the order is part of the output
+        got = groups.generator_set(kind, n, which)
+        assert got.n == n
+        assert got.generators == generator_set_reference(kind, n, which).generators
+
+    def test_generator_set_refusals(self):
+        with pytest.raises(ValidationError, match="matchgate group only"):
+            groups.generator_set("unitary", 2, "full")
+        with pytest.raises(ValidationError, match="no commutator-graph generator set"):
+            groups.generator_set("clifford", 2)
+        with pytest.raises(BudgetError, match=f"n <= {cgraph.KEY_QUBIT_CAP}"):
+            groups.generator_set("orthogonal", cgraph.KEY_QUBIT_CAP + 1)
+
     def test_orthogonal_generators_have_odd_y_count(self):
-        S = groups.orthogonal_local_set(3)
+        S = groups.generator_set("orthogonal", 3)
         assert all(pauli.y_count(g) % 2 == 1 for g in S.generators)
         assert len(S.generators) > 0
 
     def test_symplectic_generators_satisfy_form_condition(self):
         n = 3
         word = groups.symplectic_form(n).representation
-        S = groups.symplectic_local_set(n)
+        S = groups.generator_set("symplectic", n)
         assert all(groups.pauli_form_condition(g, word) for g in S.generators)
 
     def test_unitary_set_is_all_chain_local(self):
-        S = groups.unitary_local_set(3)
+        S = groups.generator_set("unitary", 3)
         # 1-local on 3 qubits plus 2-local on 2 adjacent pairs
         assert len(S.generators) == 3 * 3 + 2 * 9
 
     def test_generators_act_locally_on_the_chain(self):
-        for S in (groups.orthogonal_local_set(4), groups.symplectic_local_set(4)):
+        for S in (groups.generator_set("orthogonal", 4), groups.generator_set("symplectic", 4)):
             for g in S.generators:
                 sup = pauli.support(g)
                 assert len(sup) <= 2
@@ -147,8 +167,25 @@ class TestGeneratorFactories:
 class TestGroupSpec:
     def test_defaults_are_wired(self):
         G = groups.group_spec("matchgate", 3)
-        assert G.form is not None and G.generator_set is not None
+        assert [f.name for f in dataclasses.fields(G)] == ["kind", "n", "form"]
+        assert (G.kind, G.n, pauli.to_text(G.form.representation)) == ("matchgate", 3, "XYX")
         assert G.dense_dimension == 8
+        assert groups.group_spec("unitary", 3).form is None
+        assert "custom_pauli_compatible" not in groups.GROUP_KINDS
+
+    @pytest.mark.parametrize("kind", ["matchgate", "orthogonal", "symplectic", "unitary", "mixed_unitary"])
+    def test_group_spec_builds_no_generator(self, monkeypatch, kind):
+        # only the form's Pauli is built: no generator set, however many qubits
+        def refuse(*args):
+            raise AssertionError("a generator set was built")
+
+        for name in ("matchgate_standard_set", "matchgate_full_set", "_chain_local_paulis", "generator_set"):
+            monkeypatch.setattr(groups, name, refuse)
+        built = []
+        monkeypatch.setattr(pauli.PauliString, "__post_init__", lambda P: built.append(P))
+        G = groups.group_spec(kind, cgraph.KEY_QUBIT_CAP)
+        assert G.n == cgraph.KEY_QUBIT_CAP
+        assert len(built) == (G.form is not None)
 
     def test_unknown_kind_rejected(self):
         with pytest.raises(ValidationError):
@@ -168,15 +205,6 @@ class TestGroupSpec:
         assert groups.group_spec(kind, cgraph.KEY_QUBIT_CAP).n == cgraph.KEY_QUBIT_CAP
         with pytest.raises(BudgetError):
             groups.matchgate_full_set(10**6)
-
-    def test_custom_needs_generators(self):
-        with pytest.raises(ValidationError):
-            groups.group_spec("custom_pauli_compatible", 2)
-
-    def test_mismatched_form_rejected(self):
-        S = cgraph.GeneratorSet(2, (pauli.from_text("XI"),))
-        with pytest.raises(ValidationError):
-            groups.GroupSpec("custom_pauli_compatible", 2, S, groups.orthogonal_form(2))
 
 
 class TestHaarSamplers:
@@ -440,7 +468,7 @@ class TestCachedKernels:
         cached = [
             groups.symplectic_form(3).dense(),
             groups.symplectic_form(3).field_dense(),
-            groups.BilinearForm(np.eye(4, dtype=np.complex128), "symmetric").dense(),
+            groups.orthogonal_form(2).dense(),
             groups._canonical_symplectic_j(8),
             groups._qubit_swap_index(0, 1, 3),
             groups._identity(4),

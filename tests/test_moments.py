@@ -207,37 +207,33 @@ class TestQuadraticSymmetries:
 
 class TestSpreadUniformity:
     def test_matchgate_component_spread(self):
-        G = groups.GroupSpec(
-            "matchgate", 2, groups.matchgate_full_set(2), groups.matchgate_form_1(2)
-        )
+        G = groups.GroupSpec("matchgate", 2, groups.matchgate_form_1(2))
         P = pauli.from_text("ZI")
-        report = moments.haar_spread_uniformity(G, P, 1500, 31)
+        report = moments.haar_spread_uniformity(G, groups.matchgate_full_set(2), P, 1500, 31)
         assert report.component_size == 6
         assert report.off_component_max < 1e-9
         for est in report.masses:
             assert abs(est.mean - 1 / 6) <= 5 * max(est.stderr, 1e-12)
 
     def test_masses_sum_to_one(self):
-        G = groups.GroupSpec(
-            "matchgate", 2, groups.matchgate_full_set(2), groups.matchgate_form_1(2)
-        )
-        report = moments.haar_spread_uniformity(G, pauli.from_text("ZI"), 400, 33)
+        G = groups.GroupSpec("matchgate", 2, groups.matchgate_form_1(2))
+        report = moments.haar_spread_uniformity(G, groups.matchgate_full_set(2), pauli.from_text("ZI"), 400, 33)
         total = sum(e.mean for e in report.masses)
         assert total == pytest.approx(1.0, abs=1e-9)
 
     @pytest.mark.parametrize(
-        "G",
+        "G,S",
         [
-            groups.GroupSpec("matchgate", 3, groups.matchgate_full_set(3), groups.matchgate_form_1(3)),
-            groups.group_spec("orthogonal", 2),
+            (groups.GroupSpec("matchgate", 3, groups.matchgate_form_1(3)), groups.matchgate_full_set(3)),
+            (groups.group_spec("orthogonal", 2), groups.generator_set("orthogonal", 2)),
         ],
         ids=["matchgate-full-n3", "orthogonal-n2"],
     )
-    def test_report_is_the_per_sample_report(self, G):
+    def test_report_is_the_per_sample_report(self, G, S):
         # 130 samples: two whole 64-sample chunks and a partial one
         P = pauli.PauliString(G.n, 0, 1)
-        got = moments.haar_spread_uniformity(G, P, 130, 37)
-        want = spread_uniformity_reference(G, P, 130, 37)
+        got = moments.haar_spread_uniformity(G, S, P, 130, 37)
+        want = spread_uniformity_reference(G, S, P, 130, 37)
         assert got.vertex_keys == want.vertex_keys and got.component_size == want.component_size
         for a, b in zip(got.masses, want.masses, strict=True):
             assert np.array([a.mean, a.stderr]).tobytes() == np.array([b.mean, b.stderr]).tobytes()

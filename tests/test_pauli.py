@@ -1,6 +1,7 @@
 """Bit-packed Pauli algebra against an independent Kronecker-chain oracle."""
 
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -10,7 +11,7 @@ from hypothesis import strategies as st
 from designgap import pauli
 from designgap.errors import ValidationError
 
-from conftest import dense_oracle, kron_chain
+from conftest import dense_oracle, kron_chain, majorana_decomposition_reference
 
 
 def all_paulis(n, phases=(0,)):
@@ -218,6 +219,31 @@ class TestMajoranas:
             seen.add(idx)
         # the monomial map is a bijection onto subsets of {1..2n}
         assert len(seen) == 1 << (2 * n)
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
+    def test_closed_form_is_the_linear_solve_on_every_pauli(self, n):
+        for key in range(4**n):
+            P = pauli.from_key(key, n)
+            assert pauli.majorana_decomposition(P) == majorana_decomposition_reference(P)
+
+    @pytest.mark.parametrize("n", [31, 64, 200])
+    def test_closed_form_is_the_linear_solve_at_large_n(self, n):
+        draw = random.Random(n)
+        for _ in range(200):
+            P = pauli.PauliString(n, draw.getrandbits(n), draw.getrandbits(n), draw.randrange(4))
+            assert pauli.majorana_decomposition(P) == majorana_decomposition_reference(P)
+
+    def test_majorana_bits_run_on_key_arrays(self):
+        # the same code on int64 word arrays gives each word's Python-int answer, and leaves the input alone
+        n = 5
+        keys = np.arange(4**n, dtype=np.int64)
+        x, z = keys >> n, keys & ((1 << n) - 1)
+        x_before = x.copy()
+        a, b = pauli.majorana_bits(x, z, n)
+        assert np.array_equal(x, x_before)
+        assert [(int(u), int(v)) for u, v in zip(a, b)] == [
+            pauli.majorana_bits(int(u), int(v), n) for u, v in zip(x, z)
+        ]
 
     def test_monomial_counts(self):
         # X on 0-based qubit q needs the 2q+1 lowest Majoranas
