@@ -439,10 +439,11 @@ def check_group_qubits(n: int) -> None:
 
     No group needs a Pauli word of more than n bits, but some runs do work
     that grows with n before their cost budget is checked: at n = 10^6 a
-    matchgate depth run spends over 20 s on its lightcone and the Majorana
-    indices of its perturbation, and an ``fs-indicator`` run of the
-    mixed-unitary group fails in its budget's d^3.  Until every run budgets
-    its set-up, groups stop at the commutator graphs' int64 keys.
+    matchgate depth run, which takes its lightcone and the Majorana indices
+    of its perturbation before its budget, was still setting up after 25 s,
+    and an ``fs-indicator`` run of the mixed-unitary group raised a
+    ValueError converting its budget's d^3 to text.  Until every run
+    budgets its set-up, groups stop at the commutator graphs' int64 keys.
     """
     if n < 1:
         raise ValidationError(f"need n >= 1, got {n}")

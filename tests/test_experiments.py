@@ -255,6 +255,13 @@ class TestMixedUnitaryExperiment:
         with pytest.raises(ValidationError):
             experiments.run_mixed_unitary_discrimination(cfg)
 
+    def test_gate_count_needs_an_allowed_set(self):
+        # a group carries no generator set, so the ensemble must name the gates it draws
+        G = groups.group_spec("matchgate", 2)
+        cfg = experiments.ExperimentConfig(G, 2, pauli.from_text("ZZ"), (0, 1), experiments.gate_count(1), 2, 0)
+        with pytest.raises(ValidationError, match="allowed generator set"):
+            experiments.run_gatecount_discrimination(cfg)
+
 
 class TestSpreadMass:
     """The dense gate-count reference's ball mass."""
