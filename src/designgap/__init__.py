@@ -14,7 +14,7 @@ __version__ = "0.1.0"
 from .errors import BudgetError, InvariantError, ValidationError
 from .pauli import PauliString, from_text, identity, majorana, to_text
 from .cgraph import Component, GeneratorSet, census, component, diameter, r_fraction
-from .groups import GroupSpec, bilinear_form, group_spec, sample_haar, sample_shallow
+from .groups import GroupSpec, bilinear_form, group_spec, sample_haar
 from .bounds import bound_report, discrimination_bound
 from .experiments import (
     depth_config,
@@ -44,7 +44,6 @@ __all__ = [
     "bilinear_form",
     "group_spec",
     "sample_haar",
-    "sample_shallow",
     "bound_report",
     "discrimination_bound",
     "depth_config",

@@ -12,17 +12,18 @@ must retain probability 1 exactly; the runners assert that per sample rather
 than on average, so a miscoded ensemble fails loudly instead of washing out.
 
 Matchgate samples are evaluated on their Majorana rotation R in SO(2n)
-(U c_a U^dag = sum_b R[b, a] c_b), with no 2^n factor; the other kinds run
-the dense two-copy evaluation.  Conjugating c_K, K the Majorana indices of
-the perturbation, gives sum_S det(R[S, K]) c_S over |S| = k, so the
-retained probability is sum_{S in T} det(R[S, K])^2 over a fixed set T of
-weight-k monomials: those of the perturbation's component inside the
+(U c_a U^dag = sum_b R[b, a] c_b), with no 2^n factor.  The other kinds
+evaluate the shallow side on the perturbation's lightcone and the Haar side
+on the dense two-copy state (below).  Conjugating c_K, K the Majorana
+indices of the perturbation, gives sum_S det(R[S, K]) c_S over |S| = k, so
+the retained probability is sum_{S in T} det(R[S, K])^2 over a fixed set T
+of weight-k monomials: those of the perturbation's component inside the
 region (depth), or its N-ball (gate count).  A block is one stacked det of
 its (B, |T|, k, k) minors.  Two inputs keep a closed form, chosen from the
 input alone, and need no commutator-graph search: a prefix region 0..m-1,
 which holds exactly the Majoranas 1..2m, so C(2m, k) of the component's
-C(2n, k) monomials; and a gate set whose planes cover all n(2n - 1)
-Majorana pairs, whose N-ball is the whole Johnson ball of
+C(2n, k) monomials; and a gate set whose planes cover all n(2n - 1) Majorana
+pairs, whose N-ball is the whole Johnson ball of
 ``bounds.johnson_ball_size(n, N, k)`` monomials.  Any other region or set
 takes T and the analytic ratio from one component search; a gate set's
 search runs up to ``pauli.DENSE_QUBIT_CAP`` qubits, and a ball it finds of
@@ -36,15 +37,22 @@ Every evaluation is a pair of chunk evaluators (``Evaluators``), each
 mapping a block of streams to their probabilities, and one runner draws the
 shallow side on streams [0, M) and the Haar side on [M, 2M) through
 ``rng.sample_rows``.  The dense brickwork experiments (depth and mixed
-unitary) evaluate a whole block at once: ``groups.sample_shallow_stack`` or
-``groups.sample_haar_stack`` draws it, and the two-copy evolution and the
-complement-Bell overlap run on the stack.  They multiply only what needs
-multiplying: the two-copy state and the form's unwinding are phased
-permutations, applied as gathers, so the evolution is one d x d product per
-sample, and an orthogonal run is real from its gates to its overlap.  The
-rotation evaluators do the same on Majorana rotations:
-``groups.sample_shallow_rotation_stack``, the stacked N-gate sequences
-(drawn and applied a window of factors at a time) or
+unitary) evaluate a whole block at once.  A depth-L brickwork U conjugates
+V only inside its schedule-aware lightcone C, U V U^dag =
+(U_C V U_C^dag) x I, so the retained probability, sum_{Q in region}
+|c_Q|^2 over the Pauli coefficients of U V U^dag, depends only on the
+|C|-qubit circuit.  The shallow side draws every layer's gates for the
+block, as a full circuit would, checks each gate against the form's letters
+on its pair, and applies only the gates that touch the growing cone, as
+A <- g A g^dag on the 2^|C| x 2^|C| restriction of V, with no d x d
+product.  The Haar side draws a stack with ``groups.sample_haar_stack``,
+and the two-copy evolution and the complement-Bell overlap run on the
+stack.  It multiplies only what needs multiplying: the two-copy state and
+the form's unwinding are phased permutations, applied as gathers, so the
+evolution is one d x d product per sample, and an orthogonal run is real
+from its gates to its overlap.  The rotation evaluators stack Majorana
+rotations: ``groups.sample_shallow_rotation_stack``, the stacked N-gate
+sequences (drawn and applied a window of factors at a time) or
 ``groups.sample_haar_rotation_stack`` draws a block, and one stacked
 evaluation takes it.  Each pair declares the bytes that one sample holds in
 stacked intermediates at once, so a block stays within ``rng.STACK_BYTES``.
@@ -58,12 +66,14 @@ single-sample value bit for bit, so the output bytes are those of a
 one-sample-at-a-time loop.  Matchgate runs build no two-copy state, so only
 the dense kinds stop at ``densesim.STATE_QUBIT_CAP``; a matchgate region
 that is not a prefix stops at ``REGION_SEARCH_QUBIT_CAP`` for its search.
-Before its first draw a dense brickwork run estimates its cost in the
-d x d products it makes (the Haar draw, gates - 1 for the circuit, the form
-self-checks and one evolution product per side), and a rotation run in
-2n x 2n products plus k^3 per minor, the per-stream work of each brickwork
-factor, and per block the numpy dispatch of each factor position and of
-each run of disjoint brickwork gates, and exits 2 above
+Before its first draw a dense brickwork run estimates its cost: the d x d
+products of its Haar side (the draw, its form self-check and one evolution
+product, real ones at a measured share of a complex one), and on the
+shallow side each gate drawn and checked and each cone update; a rotation
+run estimates it in 2n x 2n products (a brickwork gate in one 4 x 2n block
+product) plus k^3 per minor, the per-stream work of each brickwork factor,
+and per block the numpy dispatch of each factor position and of each run
+of disjoint brickwork gates.  Either exits 2 above
 ``moments.FS_COST_CAP``.
 """
 
@@ -86,10 +96,10 @@ SHALLOW_FAILURE_TOL = 1e-6
 # evaluation, as tracemalloc measures it: on the dense brickwork path up to
 # 5.6 d x d matrices of the kind's field (``groups.dense_field``: real for
 # orthogonal runs), reached by the unitary Haar draw (its normals, the
-# complex Ginibre matrix, its QR and the phase-fixed Q); the shallow circuit
-# (layer and running products, embedded gate) and the two-copy evolution
-# hold up to 4.2 real matrices for orthogonal and 4.5 complex ones for
-# symplectic runs, at n = 4 to 8.  Up to 6.8 2n x 2n real matrices on the rotation
+# complex Ginibre matrix, its QR and the phase-fixed Q); the orthogonal and
+# symplectic Haar sides hold up to 4.6 and 4.5, and the shallow side, whose
+# cone operators are 2^|C| x 2^|C| with |C| <= n, up to 1.1 (a cone of
+# n - 1 qubits), at n = 4 to 8.  Up to 6.8 2n x 2n real matrices on the rotation
 # path (Ginibre draw, its QR, the complex and real Q, the rotation stack),
 # to which the general rotation evaluator adds its minors
 DENSE_LIVE_STACKS = 6
@@ -105,6 +115,25 @@ FACTOR_DISPATCH_COST = 40_000
 # its math.cos and math.sin and its 4-wide row update, 0.22 us on that
 # machine (a 12-position call over 64 streams x 64 gates took 10.8 ms)
 LOCAL_FACTOR_COST = 500
+# a real d x d product or QR is charged 1 / REAL_PRODUCT_RATIO of a complex
+# one: on one OpenBLAS thread of a 2-core x86 machine a stacked float64
+# product took 1/6.2 to 1/2.3 of the complex128 one's time at d = 8 to 256,
+# and a float64 QR 1/2.7 to 1/1.4 (the larger shares at d <= 16, where the
+# per-sample fixed cost dominates a draw)
+REAL_PRODUCT_RATIO = 2
+# one brickwork gate of the cone evaluator for one stream, besides its cone
+# update: its normals, its share of the layer's stacked QR (or symplectic
+# Gram-Schmidt) and form check, and the numpy dispatch of its update.  On
+# that machine, at depth 200 in blocks of 64 streams, this took 3.8 us per
+# gate (orthogonal, n = 2) to 15.5 us (symplectic, n = 4; 27 us in blocks
+# of 8), or 10 us at the cap's rate of 2e9 multiply-adds per second
+LOCAL_GATE_COST = 20_000
+# a cone update, A <- g A g^dag on 2^|C| x 2^|C|, is two (4 x 4) @
+# (4 x 4^|C| / 4) products, 8 4^|C| multiply-adds, and the copies that move
+# the gate's axes to the front; at |C| = 8 in blocks of 8 streams a complex
+# update took 531 us per stream, the time of 16 4^|C| multiply-adds at the
+# cap's rate, and a real one 258 us
+CONE_UPDATE_COST = 16
 # a depth region that is not a prefix takes its monomials from a component
 # search and lists them in Python: at most C(16, 8) = 12870 at n = 8, the
 # bound these runs had when they built two-copy states; at n = 12 the default
@@ -378,60 +407,113 @@ def _brickwork_gates(adj: groups.Adjacency, L: int) -> int:
     return cycles * sum(map(len, classes)) + sum(map(len, classes[:rest]))
 
 
-def _check_brickwork_cost(config: ExperimentConfig, adj: groups.Adjacency) -> None:
+def _cone_schedule(support, L: int, adj: groups.Adjacency):
+    """The gates that the cone evaluator applies: those of L brickwork layers
+    that touch the growing lightcone of ``support``, as indices into each
+    layer's class.
+
+    Returns (growing, final): ``growing[layer]`` for the first layers, and
+    ``final[c]`` for every later layer of class c.  Once a full cycle of
+    classes adds no qubit the cone is final and each class applies the same
+    gates from then on, so ``growing`` spans at most n + 1 cycles, at any
+    depth.
+    """
+    classes, cone = adj.layer_classes, set(support)
+    growing, unchanged = [], 0
+    for layer in range(L if classes else 0):
+        if unchanged == len(classes):
+            break
+        before = len(cone)
+        applied = []
+        for k, (a, b) in enumerate(classes[layer % len(classes)]):
+            if a in cone or b in cone:
+                cone.update((a, b))
+                applied.append(k)
+        growing.append(tuple(applied))
+        unchanged = 0 if len(cone) > before else unchanged + 1
+    final = [tuple(k for k, (a, b) in enumerate(cls) if a in cone or b in cone) for cls in classes]
+    return growing, final
+
+
+def _cone_gates(support, L: int, adj: groups.Adjacency) -> int:
+    """The number of gates the cone evaluator applies, the layers after the
+    cone is final counted in closed form."""
+    growing, final = _cone_schedule(support, L, adj)
+    if not final:
+        return 0
+    start = len(growing)
+    cycles, rest = divmod(L - start, len(final))
+    return (
+        sum(map(len, growing))
+        + cycles * sum(map(len, final))
+        + sum(len(final[(start + k) % len(final)]) for k in range(rest))
+    )
+
+
+def _check_brickwork_cost(config: ExperimentConfig, adj: groups.Adjacency, cone: tuple[int, ...]) -> None:
     """Raise BudgetError when a dense brickwork run costs more than moments.FS_COST_CAP.
 
-    Each sample pays, in d x d products of d^3 multiply-adds, what it
-    multiplies: its Haar draw (``moments.draw_products``), gates - 1
-    products for its shallow circuit (each layer starts from its first gate
-    and the circuit from its first layer), one form self-check per side
-    that runs one (the shallow circuit of a group with a form; the
-    Gram-Schmidt symplectic Haar draw, but not the QR orthogonal one, which
-    is orthogonal by construction) and one two-copy evolution product per
-    side, U Psi_0 and the unwinding of the form being gathers.  The
-    estimate is exact integer arithmetic, so no depth or sample count
-    overflows it, and it is checked before the first draw.
+    The Haar side pays, in d x d products of d^3 multiply-adds, its draw
+    (``moments.draw_products``), the form self-check of a symplectic
+    Gram-Schmidt draw (a QR orthogonal draw is orthogonal by construction)
+    and one two-copy evolution product, U Psi_0 and the unwinding of the
+    form being gathers; an orthogonal run's products are real, and are
+    charged 1 / ``REAL_PRODUCT_RATIO`` = 1/2 of a complex one (on one
+    OpenBLAS thread a real d x d product took 1/6.2 to 1/2.3 of a complex
+    one's time at d = 8 to 256, and a real QR 1/2.7 to 1/1.4).  The shallow
+    side pays ``LOCAL_GATE_COST`` for each gate it draws and checks, and for
+    each gate that touches the lightcone ``cone`` ``CONE_UPDATE_COST``
+    4^|C|, halved like a real product for an orthogonal run.  It pays no
+    d x d product: no circuit is built.  The estimate is exact integer
+    arithmetic, so no depth or sample count overflows it, and it is checked
+    before the first draw.
     """
     G, L = config.group, config.ensemble.depth
-    products = {
-        "Haar draws": moments.draw_products(G),
-        "shallow circuits": max(_brickwork_gates(adj, L) - 1, 0),
-        "two-copy evolutions": 2,
-    }
-    if G.form is not None:
-        products["form self-checks"] = (L > 0) + (G.kind == "symplectic")
     d3 = G.dense_dimension**3
-    moments.check_cost(
-        f"dense brickwork experiment for {G.kind} n={G.n}",
-        config.samples,
-        {name: k * d3 for name, k in products.items()},
-    )
+    product, update = d3, CONE_UPDATE_COST * 4 ** len(cone)
+    if groups.dense_field(G.kind) is np.float64:
+        product, update = product // REAL_PRODUCT_RATIO, update // REAL_PRODUCT_RATIO
+    costs = {
+        "Haar draws": moments.draw_products(G) * product,
+        "two-copy evolutions": product,
+        "shallow circuits": _brickwork_gates(adj, L) * LOCAL_GATE_COST,
+        "cone updates": _cone_gates(pauli.support(config.perturbation), L, adj) * update,
+    }
+    if G.kind == "symplectic":
+        costs["form self-checks"] = d3
+    moments.check_cost(f"dense brickwork experiment for {G.kind} n={G.n}", config.samples, costs)
 
 
 def _check_rotation_cost(config: ExperimentConfig, experiment: str, gates: int, minors: int = 0) -> None:
     """Raise BudgetError when a rotation-path run costs more than moments.FS_COST_CAP.
 
     Each sample pays, in 2n x 2n products of (2n)^3 multiply-adds: the QR of
-    its Haar draw, one product per shallow gate, and the evaluation of both
-    sides.  The general evaluator adds k^3 per k x k minor det on each side,
-    ``minors`` of them.  Each block of the shallow side, one per 64-sample
-    chunk, pays ``FACTOR_DISPATCH_COST`` per numpy dispatch.  A gate
-    sequence dispatches one factor position per gate.  A brickwork circuit
-    dispatches ``MATCHGATE_LOCAL_FACTORS`` positions per window of up to
-    ``SHALLOW_GATES_PER_DRAW`` gates, and one gather, product and scatter
-    per run of gates on disjoint qubits; a layer's gates are disjoint, so a
-    run ends only where a window or a layer does, and a circuit of L layers
-    has at most windows + L - 1 runs.  Its samples also pay
-    ``LOCAL_FACTOR_COST`` per factor of each gate.  Checked before the first
-    draw, in exact integers, with no listing of the gates.
+    its Haar draw, one product per gate of a gate sequence, and the
+    evaluation of both sides.  A brickwork gate is no 2n x 2n product but
+    its 4 rows of R times its 4 x 4 rotation, (4 x 4) @ (4 x 2n), 32n
+    multiply-adds.  The general evaluator adds k^3 per k x k minor det on
+    each side, ``minors`` of them.  Each block of the shallow side, one per
+    64-sample chunk, pays ``FACTOR_DISPATCH_COST`` per numpy dispatch.  A
+    gate sequence dispatches one factor position per gate.  A brickwork
+    circuit dispatches ``MATCHGATE_LOCAL_FACTORS`` positions per window of
+    up to ``SHALLOW_GATES_PER_DRAW`` gates, and one gather, product and
+    scatter per run of gates on disjoint qubits; a layer's gates are
+    disjoint, so a run ends only where a window or a layer does, and a
+    circuit of L layers has at most windows + L - 1 runs.  Its samples also
+    pay ``LOCAL_FACTOR_COST`` per factor of each gate.  Checked before the
+    first draw, in exact integers, with no listing of the gates.
     """
     m3 = (2 * config.n) ** 3
-    products = {"Haar draws": 1, "shallow circuits": gates, "evaluations": 2}
-    costs = {name: k * m3 for name, k in products.items()}
+    brickwork = config.ensemble.kind == "brickwork"
+    costs = {
+        "Haar draws": m3,
+        "shallow circuits": gates * (32 * config.n if brickwork else m3),
+        "evaluations": 2 * m3,
+    }
     if minors:
         costs["minor dets"] = 2 * minors * pauli.majorana_count(config.perturbation) ** 3
     positions = gates
-    if config.ensemble.kind == "brickwork":
+    if brickwork:
         costs["local gate factors"] = gates * groups.MATCHGATE_LOCAL_FACTORS * LOCAL_FACTOR_COST
         windows = -(-gates // groups.SHALLOW_GATES_PER_DRAW)
         runs = windows + config.ensemble.depth - 1 if gates else 0
@@ -544,12 +626,89 @@ def _rotation_evaluators(
     return Evaluators(shallow_p, haar_p, row_bytes)
 
 
-def _depth_dense(config: ExperimentConfig, adj: groups.Adjacency, conjugate: bool = False):
-    """Chunk evaluators (shallow, haar) of the retained probability on the dense two-copy state.
+def _cone_operator(V: pauli.PauliString, order) -> np.ndarray:
+    """V on the cone qubits ``order``, the first the left factor, as a dense
+    matrix, real when its entries are."""
+    x = sum((V.x_bits >> q & 1) << k for k, q in enumerate(order))
+    z = sum((V.z_bits >> q & 1) << k for k, q in enumerate(order))
+    A = pauli.to_dense(pauli.PauliString(len(order), x, z))
+    return A if np.any(A.imag) else A.real.copy()
 
-    Each maps a block of streams to their probabilities: one stacked draw
-    (``groups.sample_shallow_stack`` or ``groups.sample_haar_stack``), one
-    stacked evolution and one stacked overlap.  With a form the state
+
+@functools.lru_cache(maxsize=None)
+def _front_axes(ndim: int, a: int, b: int) -> tuple[tuple[int, ...], tuple[int, ...]]:
+    """The transposition of an ndim-axis array that moves axes a and b to
+    positions 1 and 2, the rest in order, and its inverse."""
+    order = (0, a, b, *(k for k in range(1, ndim) if k not in (a, b)))
+    return order, tuple(np.argsort(order).tolist())
+
+
+def _conjugate_on_axes(A: np.ndarray, g: np.ndarray, i: int, j: int) -> np.ndarray:
+    """g A g^dag for a stack A of operators on c qubits, shaped (B, 2, ..., 2)
+    with axes 1..c its rows and c+1..2c its columns, and a (B, 4, 4) stack g
+    on qubit axes i and j (i the left factor).
+
+    Each side moves its two axes to the front and takes one batched
+    (4 x 4) @ (4 x 4^c / 4) product: g on the rows, conj(g) on the columns.
+    """
+    c = (A.ndim - 1) // 2
+    for a, b, op in ((1 + i, 1 + j, g), (1 + c + i, 1 + c + j, g.conj() if np.iscomplexobj(g) else g)):
+        order, inverse = _front_axes(A.ndim, a, b)
+        moved = A.transpose(order)
+        A = (op @ moved.reshape(len(A), 4, -1)).reshape(moved.shape).transpose(inverse)
+    return A
+
+
+def _shallow_cone(config: ExperimentConfig, adj: groups.Adjacency, cone: tuple[int, ...]):
+    """The chunk evaluator of the shallow side on the lightcone ``cone``.
+
+    A depth-L brickwork U conjugates V only inside its schedule-aware cone
+    C, so U V U^dag = (U_C V U_C^dag) x I, and the retained probability,
+    sum_{Q in region} |c_Q|^2 over the Pauli coefficients, depends only on
+    A = U_C V U_C^dag.  Every layer's gates are drawn for the block with
+    ``groups._layer_gates``, as a full circuit would draw them, so each
+    stream ends where that draw leaves it, and each gate is checked against
+    the form's letters on its pair, one stacked product per layer.  Only the
+    gates that touch the growing cone (``_cone_schedule``) are applied, as
+    A <- g A g^dag on the 2^|C| x 2^|C| restriction of V
+    (``_conjugate_on_axes``), in the run's field.  The cone's axes put the
+    region's qubits first, so that p = ||Tr_{C \\ R} A||^2 /
+    (d_{C in R} d_{C \\ R}^2) takes a reshape and one trace.  Each row is
+    the block of one bit for bit.
+    """
+    G, n, L, V = config.group, config.n, config.ensemble.depth, config.perturbation
+    inside = [q for q in cone if q in config.region]
+    order = inside + [q for q in cone if q not in config.region]
+    axis = {q: k for k, q in enumerate(order)}
+    d_in, d_out = 1 << len(inside), 1 << (len(order) - len(inside))
+    A0 = _cone_operator(V, order).reshape((2,) * (2 * len(order)))
+    classes = adj.layer_classes
+    forms = [groups.local_forms(G.form, cls) for cls in classes] if G.form is not None else None
+    growing, final = _cone_schedule(pauli.support(V), L, adj)
+
+    def shallow_p(streams):
+        A = np.broadcast_to(A0, (len(streams), *A0.shape))
+        for layer in range(L if classes else 0):
+            c = layer % len(classes)
+            gates = groups._layer_gates(G.kind, classes[c], n, streams)
+            if forms is not None:
+                groups.check_local_forms(gates, forms[c], f"shallow {G.kind} gate")
+            for k in growing[layer] if layer < len(growing) else final[c]:
+                a, b = classes[c][k]
+                A = _conjugate_on_axes(A, gates[:, k], axis[a], axis[b])
+        M = np.einsum("bixjx->bij", A.reshape(len(streams), d_in, d_out, d_in, d_out))
+        return np.sum(np.abs(M) ** 2, axis=(-2, -1)) / (d_in * d_out * d_out)
+
+    return shallow_p
+
+
+def _depth_dense(config: ExperimentConfig, adj: groups.Adjacency, conjugate: bool = False):
+    """Chunk evaluators (shallow, haar) of the retained probability of a dense brickwork run.
+
+    The shallow side runs on the perturbation's lightcone
+    (``_shallow_cone``).  The Haar side maps a block of streams to their
+    probabilities on the dense two-copy state: one stacked draw (``groups.sample_haar_stack``),
+    one stacked evolution and one stacked overlap.  With a form the state
     (V x Omega)|Phi> evolves under U x U and the form is unwound on the
     second copy; the conjugate-copy state (V x 1)|Phi> evolves under
     U x conj(U), which leaves |Phi> itself invariant.  As a d x d matrix
@@ -557,14 +716,15 @@ def _depth_dense(config: ExperimentConfig, adj: groups.Adjacency, conjugate: boo
     copy), and U x W takes it to U Psi_0 W^T.  Psi_0 and the unwinding
     Omega^-T are phased permutations, so U Psi_0 and the unwinding are
     gathers (``densesim.right_product``) and W^T the one product per
-    sample; an orthogonal U stays real throughout.
+    sample; an orthogonal U stays real throughout.  Both sides compute
+    sum_{Q in region} |c_Q|^2 of U V U^dag.
     """
     G = config.group
     n = config.n
     d = 1 << n
-    _check_brickwork_cost(config, adj)
+    cone = groups.lightcone(pauli.support(config.perturbation), config.ensemble.depth, adj)
+    _check_brickwork_cost(config, adj, cone)
     Vd = pauli.to_dense(pauli.hermitian_representative(config.perturbation))
-    depth = config.ensemble.depth
     if conjugate:
         eye = np.eye(d, dtype=np.complex128)
         start = densesim.right_product(densesim.apply_two_copy(Vd, eye, densesim.bell_state(n)).reshape(d, d))
@@ -579,18 +739,12 @@ def _depth_dense(config: ExperimentConfig, adj: groups.Adjacency, conjugate: boo
         def evolve(U):
             return unwind(start(U) @ np.swapaxes(U, -1, -2))
 
-    def born(U):
-        psi = evolve(U)
+    def haar_p(streams):
+        psi = evolve(groups.sample_haar_stack(G, streams))
         T = densesim.complement_bell_overlap(psi.reshape(*psi.shape[:-2], d * d), config.region, n)
         return np.sum(np.abs(T) ** 2, axis=(-2, -1))
 
-    def shallow_p(streams):
-        return born(groups.sample_shallow_stack(G, depth, adj, streams))
-
-    def haar_p(streams):
-        return born(groups.sample_haar_stack(G, streams))
-
-    return Evaluators(shallow_p, haar_p, _dense_row_bytes(n, G.kind))
+    return Evaluators(_shallow_cone(config, adj, cone), haar_p, _dense_row_bytes(n, G.kind))
 
 
 def _depth_rotation(config: ExperimentConfig, adj: groups.Adjacency):

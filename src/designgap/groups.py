@@ -27,24 +27,21 @@ normals as a single draw would and orthogonalizes the whole stack at once
 Shallow ensembles are brickwork circuits of 2-local group gates over a
 declared adjacency; the conjugation lightcone follows the brickwork
 schedule, layer class by layer class, so a gate joins the cone only in the
-layers that apply it.  Like the Haar samplers, the dense brickwork sampler
-has one body that takes a stack of streams:
-``sample_shallow_stack`` draws each stream's Gaussians for a layer in one
-call, in the order per-gate draws would take them, orthogonalizes every gate
-of the stack in one stacked QR (one Gram-Schmidt per symplectic form-qubit
-pair), places the gates with one stacked ``densesim.embed`` per pair and
-multiplies them as batched matmuls in the per-sample operand order, with no
-product by an identity: a circuit of g gates takes g - 1 products.  Each
-draw is computed in its group's field (``dense_field``): Haar O(d) draws,
-orthogonal gates and orthogonal circuits are real, so they multiply in real
-arithmetic, and the other kinds are complex.  A stacked QR and a batched
-matmul are the per-matrix ones, so each row is the draw of its stream alone
-bit for bit, and ``sample_shallow`` is the stack of one, returning the
-d x d unitary.  Against a per-gate construction that starts each layer
-and the circuit from an identity, only the sign of an exact zero can
-differ.  It serves every kind but matchgate, whose brickwork circuits are
-sampled only as Majorana rotations (below).  The form self-check
-U^T Omega U = Omega takes U^T Omega as a gather (``BilinearForm.right_product``).
+layers that apply it.  The dense kinds draw one layer's gates for a stack of
+streams with ``_layer_gates``: each stream's Gaussians for the layer in one
+call, in the order per-gate draws would take them, and every gate of the
+stack orthogonalized in one stacked QR (one Gram-Schmidt per symplectic
+form-qubit pair), in the group's field (``dense_field``): orthogonal gates
+are real, and a symplectic layer is complex only when a form-qubit gate
+joins it.  No d x d brickwork circuit is built: the depth experiments apply
+only the gates that touch the perturbation's lightcone, on the cone's qubits
+(``experiments``).  The form is a tensor product of letters up to a phase,
+so a gate keeps it exactly when it keeps the letters on its own pair
+(``local_forms``); ``check_local_forms`` checks every gate of a layer
+against them in one stacked product.  Matchgate brickwork is sampled only as
+Majorana rotations (below).  The form self-check of a Haar draw,
+U^T Omega U = Omega, takes U^T Omega as a gather
+(``BilinearForm.right_product``).
 The constant matrices of the dense path (forms, the canonical J, qubit-swap
 indices, small Majorana bilinears) are cached read-only.  The finite
 Clifford group is enumerated by a breadth-first closure: each generator g
@@ -388,7 +385,7 @@ def parse_adjacency(spec, n: int) -> Adjacency:
 def lightcone(V_support, L: int, adjacency: Adjacency) -> tuple[int, ...]:
     """The qubits that U V U^dag can act on, for U a depth-L brickwork circuit.
 
-    The layers act in the order ``sample_shallow_stack`` applies them, the
+    The layers act in the order the brickwork samplers draw them, the
     classes of ``adjacency.layer_classes`` in turn, and a layer's gate
     joins both its qubits to the cone when it touches the cone.  A full
     cycle of classes that adds no qubit ends the growth, so a depth of any
@@ -885,44 +882,44 @@ def _layer_gates(kind: str, cls, n: int, streams) -> np.ndarray:
     raise ValidationError(f"no 2-local gate factory for kind {kind!r}")
 
 
-def sample_shallow_stack(G: GroupSpec, L: int, adjacency, streams) -> np.ndarray:
-    """One depth-L brickwork unitary per stream, stacked to shape (len(streams), d, d).
+# the real 2 x 2 letters of a form: I, X, Z and i Y, indexed by (x bit, z bit)
+_REAL_LETTERS = {
+    (0, 0): np.eye(2),
+    (1, 0): np.array([[0.0, 1.0], [1.0, 0.0]]),
+    (0, 1): np.array([[1.0, 0.0], [0.0, -1.0]]),
+    (1, 1): np.array([[0.0, 1.0], [-1.0, 0.0]]),
+}
 
-    Each layer starts from the embedding of its first gate and multiplies
-    the others onto it in pair order, and the running product starts from
-    the first layer, one batched matmul per step over the stack: g gates
-    take g - 1 products, and no product is by an identity.  Orthogonal
-    circuits are real, the others complex (a symplectic layer without a
-    form-qubit gate stays real until it joins the running product).  The
-    form self-check runs once over the stack.  Row i is the stack of one of
-    ``streams[i]`` bit for bit, and each stream is left where that draw
-    leaves it.
+
+_EYE4 = _read_only(np.eye(4))
+
+
+def local_forms(form: BilinearForm, pairs) -> np.ndarray | None:
+    """The form's letters on each pair (a, b) as a real (len(pairs), 4, 4)
+    stack, a's letter the left factor, or None when every letter is I.
+
+    A phased-Pauli form is a phase times the tensor product of its letters,
+    and with i Y for Y every letter is real, so a gate g on (a, b) keeps the
+    whole form exactly when g^T F g = F for its pair's F; None stands for
+    identities, whose check needs no product by F.
     """
-    if G.kind == "matchgate":
-        raise ValidationError(
-            "matchgate brickwork circuits are sampled as Majorana rotations: use sample_shallow_rotation_stack"
-        )
-    if L < 0:
-        raise ValidationError(f"negative depth {L}")
-    adj = parse_adjacency(adjacency, G.n)
-    U = None
-    for layer_index in range(L if adj.layer_classes else 0):
-        cls = adj.layer_classes[layer_index % len(adj.layer_classes)]
-        gates = _layer_gates(G.kind, cls, G.n, streams)
-        layer_u = densesim.embed(gates[:, 0], cls[0], G.n)
-        for i in range(1, len(cls)):
-            layer_u = densesim.embed(gates[:, i], cls[i], G.n) @ layer_u
-        U = layer_u if U is None else layer_u @ U
-    if U is None:  # no gate: the identity
-        U = np.tile(np.eye(G.dense_dimension, dtype=dense_field(G.kind)), (len(streams), 1, 1))
-    if G.form is not None and L > 0:
-        _check_form(G, U, f"shallow {G.kind} circuit")
-    return U
+    x, z = form.representation.x_bits, form.representation.z_bits
+    letters = [[(x >> q & 1, z >> q & 1) for q in pair] for pair in pairs]
+    if not any(any(letter) for pair in letters for letter in pair):
+        return None
+    return np.stack([np.kron(_REAL_LETTERS[a], _REAL_LETTERS[b]) for a, b in letters])
 
 
-def sample_shallow(G: GroupSpec, L: int, adjacency, rng: np.random.Generator) -> np.ndarray:
-    """A depth-L brickwork unitary of 2-local group gates: the stack of one of ``sample_shallow_stack``."""
-    return sample_shallow_stack(G, L, adjacency, [rng])[0]
+def check_local_forms(gates: np.ndarray, forms: np.ndarray | None, what: str) -> None:
+    """Raise InvariantError when any gate of a (B, g, 4, 4) stack leaves the
+    form of its pair: max |g^T F g - F| > SAMPLER_SELF_CHECK_TOL, with the
+    (g, 4, 4) ``forms`` of ``local_forms`` (None for identities)."""
+    FG = gates if forms is None else forms @ gates
+    D = np.swapaxes(gates, -1, -2) @ FG
+    D -= _EYE4 if forms is None else forms
+    drift = float(np.max(np.abs(D))) if D.size else 0.0
+    if drift > SAMPLER_SELF_CHECK_TOL:
+        raise InvariantError(f"{what} drifted off the form by {drift:.2e}")
 
 
 # ---------------------------------------------------------------------------

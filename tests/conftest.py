@@ -8,12 +8,17 @@ probability against a materialized POVM element are the dense references that
 
 The sampler references are the straightforward forms of the library's cached
 and batched kernels: ``embed`` as a Kronecker product with the identity
-followed by a permutation gather, ``sample_shallow`` as a loop in which every
-gate draws its own Gaussians and takes its own QR and every layer and the
-circuit start from an identity (a matchgate gate, which the library samples
-only as a Majorana rotation, its own product of Kronecker-built
-exponentials), and the symplectic Haar draw as modified Gram-Schmidt, one
-vector at a time.  ``brickwork_rows_reference`` is the per-sample form of
+followed by a permutation gather, ``sample_shallow_reference`` as a loop in
+which every gate draws its own Gaussians and takes its own QR and every
+layer and the circuit start from an identity (a matchgate gate, which the
+library samples only as a Majorana rotation, its own product of
+Kronecker-built exponentials), and the symplectic Haar draw as modified
+Gram-Schmidt, one vector at a time.  The dense brickwork sampler that the
+library's cone evaluator replaced lives here as that evaluator's oracle:
+``sample_shallow_stack`` builds each stream's d x d circuit from the
+library's layer draws, ``sample_shallow`` is its stack of one, and
+``two_copy_shallow_p`` evaluates the retained probability of its draws on
+the dense two-copy state.  ``brickwork_rows_reference`` is the per-sample form of
 the chunk-stacked dense brickwork runner: one stream, one draw and one
 single-state evolution at a time, with every two-copy factor a matrix
 product.  The references compute in the library's field, so they can be
@@ -244,6 +249,66 @@ def sample_shallow_reference(G, L: int, adjacency, rng) -> np.ndarray:
             layer_u = embed_reference(gate, pair, G.n) @ layer_u
         U = layer_u @ U
     return U
+
+
+def sample_shallow_stack(G, L: int, adjacency, streams) -> np.ndarray:
+    """One dense depth-L brickwork unitary per stream, stacked to (len(streams), d, d).
+
+    The library's dense brickwork sampler before the cone evaluator replaced
+    it, kept as that evaluator's oracle.  Each layer's gates are drawn with
+    ``groups._layer_gates``, the stream order of the cone evaluator; each
+    layer starts from the embedding of its first gate and multiplies the
+    others onto it in pair order, the running product starts from the first
+    layer, and the form self-check runs once over the stack.  Row i is the
+    stack of one of ``streams[i]`` bit for bit.
+    """
+    from designgap import densesim, groups
+    from designgap.errors import ValidationError
+
+    if G.kind == "matchgate":
+        raise ValidationError(
+            "matchgate brickwork circuits are sampled as Majorana rotations: use sample_shallow_rotation_stack"
+        )
+    if L < 0:
+        raise ValidationError(f"negative depth {L}")
+    adj = groups.parse_adjacency(adjacency, G.n)
+    U = None
+    for layer_index in range(L if adj.layer_classes else 0):
+        cls = adj.layer_classes[layer_index % len(adj.layer_classes)]
+        gates = groups._layer_gates(G.kind, cls, G.n, streams)
+        layer_u = densesim.embed(gates[:, 0], cls[0], G.n)
+        for i in range(1, len(cls)):
+            layer_u = densesim.embed(gates[:, i], cls[i], G.n) @ layer_u
+        U = layer_u if U is None else layer_u @ U
+    if U is None:  # no gate: the identity
+        U = np.tile(np.eye(G.dense_dimension, dtype=groups.dense_field(G.kind)), (len(streams), 1, 1))
+    if G.form is not None and L > 0:
+        groups._check_form(G, U, f"shallow {G.kind} circuit")
+    return U
+
+
+def sample_shallow(G, L: int, adjacency, rng) -> np.ndarray:
+    """A dense depth-L brickwork unitary: the stack of one of ``sample_shallow_stack``."""
+    return sample_shallow_stack(G, L, adjacency, [rng])[0]
+
+
+def two_copy_shallow_p(config, streams, conjugate: bool = False) -> np.ndarray:
+    """The shallow side's retained probabilities on the dense two-copy state
+    of ``sample_shallow_stack`` draws, one per stream: the route that the
+    cone evaluator replaced, with the form unwound by a d x d product."""
+    from designgap import densesim, groups, pauli
+
+    G, n = config.group, config.n
+    U = sample_shallow_stack(G, config.ensemble.depth, config.ensemble.adjacency, streams).astype(np.complex128)
+    eye = np.eye(1 << n)
+    Vd = pauli.to_dense(pauli.hermitian_representative(config.perturbation))
+    if conjugate:
+        psi = densesim.apply_two_copy(U, U.conj(), densesim.apply_two_copy(Vd, eye, densesim.bell_state(n)))
+    else:
+        psi0 = densesim.apply_two_copy(Vd, G.form.dense(), densesim.bell_state(n))
+        psi = densesim.apply_two_copy(eye, G.form.inverse_dense(), densesim.apply_two_copy(U, U, psi0))
+    T = densesim.complement_bell_overlap(psi, config.region, n)
+    return np.sum(np.abs(T) ** 2, axis=(-2, -1))
 
 
 def matchgate_form_2(n: int):

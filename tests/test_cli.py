@@ -91,8 +91,9 @@ class TestExitCodes:
         assert abs(rec["p_haar"] - float(r)) <= 5 * rec["p_haar_stderr"]
 
     def test_costly_non_prefix_matchgate_region_is_refused_before_sampling(self, capsys):
-        # per sample (2n)^3 = 4096 for the Haar QR, each of the 11 gates at depth 3 and each side's
-        # evaluation, 2 x 125 for the 5 x 5 minor det of each of the 20 monomials inside the region,
+        # per sample (2n)^3 = 4096 for the Haar QR and each side's evaluation, 32 n = 256 for the
+        # (4 x 4) @ (4 x 16) product of each of the 11 gates at depth 3, 2 x 125 for the 5 x 5 minor
+        # det of each of the 20 monomials inside the region,
         # 500 for each of the 132 gate factors, and the fixed cost of 2e4; per 64-sample block 4e4 for
         # each of the window's 12 factor positions and each of the 3 runs of disjoint gates
         start = time.perf_counter()
@@ -100,7 +101,7 @@ class TestExitCodes:
         assert time.perf_counter() - start < 1.0
         assert code == 2
         assert out == ""
-        assert "budget" in err and "costs about 1.58e+14 multiply-adds" in err and "minor dets 5.00e+12," in err
+        assert "budget" in err and "costs about 1.15e+14 multiply-adds" in err and "minor dets 5.00e+12," in err
 
     def test_non_prefix_region_past_the_search_cap_is_refused_up_front(self, capsys, monkeypatch):
         # at n = 12 the perturbation is an 11-Majorana monomial of a 2.5e6-vertex component
@@ -152,9 +153,9 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv,cost",
         [
-            (["--experiment", "depth", "--group", "orthogonal", "--n", "8", "--samples", "1000000000"], "4.03e+17"),
-            (["--experiment", "depth", "--group", "symplectic", "--n", "7", "--depth", "10000000000"], "1.26e+21"),
-            (["--experiment", "mixed-unitary", "--n", "8", "--samples", "3000"], "1.16e+12"),
+            (["--experiment", "depth", "--group", "orthogonal", "--n", "8", "--samples", "1000000000"], "1.88e+16"),
+            (["--experiment", "depth", "--group", "symplectic", "--n", "7", "--depth", "10000000000"], "1.69e+20"),
+            (["--experiment", "mixed-unitary", "--n", "8", "--samples", "3000"], "1.11e+11"),
         ],
     )
     def test_costly_dense_brickwork_experiment_is_refused_before_sampling(self, capsys, argv, cost):
@@ -169,11 +170,12 @@ class TestExitCodes:
     @pytest.mark.parametrize(
         "argv,cost",
         [
-            # per sample (2n)^3 = 512 for the Haar QR, each of the 2 gates at depth 1, and each side's det,
-            # 500 for each of the 24 gate factors, plus the fixed cost of 2e4 of every sample; per 64-sample
-            # block 4e4 for each of the window's 12 factor positions and its one run of disjoint gates
+            # per sample (2n)^3 = 512 for the Haar QR and each side's det, 32 n = 128 for each of the 2
+            # gates at depth 1, 500 for each of the 24 gate factors, plus the fixed cost of 2e4 of every
+            # sample; per 64-sample block 4e4 for each of the window's 12 factor positions and its one run
+            # of disjoint gates
             (["discriminate", "--experiment", "depth", "--group", "matchgate", "--n", "4", "--samples", "1000000000"],
-             "4.27e+13"),
+             "4.19e+13"),
             # the QR, the default single gate, and each side's eigvalsh; one factor position per block
             (["discriminate", "--experiment", "gate-count", "--n", "4", "--samples", "1000000000"], "2.27e+13"),
             # refused before the C(24, 12)-vertex component search
@@ -210,7 +212,7 @@ class TestExitCodes:
         assert "Traceback" not in err
 
     def test_dense_brickwork_experiment_under_the_budget_runs(self, capsys):
-        # n = 8 with 30 samples costs 1.3e10 multiply-adds, under the 1e11 cap
+        # n = 8 with 30 samples costs 5.6e8 multiply-adds, under the 1e11 cap
         code, out, _ = run_cli(
             capsys, ["discriminate", "--experiment", "depth", "--group", "orthogonal", "--n", "8", "--samples", "30"]
         )

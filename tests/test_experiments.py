@@ -11,6 +11,7 @@ import numpy as np
 import pytest
 
 from conftest import (
+    _confined,
     adjoint_majorana_matrix,
     ball_monomials,
     bfs_reference,
@@ -25,9 +26,12 @@ from conftest import (
     haar_special_orthogonal_reference,
     majorana_decomposition_reference,
     pauli_spread_mass,
+    per_sample_rows,
     region_monomials,
     rotation_rows_reference,
     sample_shallow_rotation_reference,
+    sample_shallow_stack,
+    two_copy_shallow_p,
 )
 from designgap import bounds, cgraph, densesim, experiments, groups, moments, pauli, rng
 from designgap.errors import BudgetError, InvariantError, ValidationError
@@ -124,6 +128,19 @@ class TestShallowExactnessGate:
             experiments._check_shallow_exactness(0.9, True)
 
 
+def _leaky_update(real, row: int):
+    """A cone update that loses a tenth of the norm of sample ``row`` of each block that holds it."""
+
+    def leaky(A, g, i, j):
+        A = real(A, g, i, j)
+        if len(A) > row:
+            A = A.copy()
+            A[row] *= 0.9
+        return A
+
+    return leaky
+
+
 class TestDepthExperiment:
     def test_matchgate_defaults_converge(self):
         cfg = experiments.depth_config("matchgate", 2, samples=400, seed=7)
@@ -188,15 +205,8 @@ class TestDepthExperiment:
         assert abs(res.p_shallow.mean - 1.0) <= experiments.SHALLOW_EXACTNESS_TOL
         assert res.shallow_max_deviation <= experiments.SHALLOW_EXACTNESS_TOL
         if kind == "orthogonal":
-            # the per-sample exactness check applies: a sample that leaks stops the run
-            real = groups.sample_shallow_stack
-
-            def leaky(G, L, adjacency, streams):
-                U = real(G, L, adjacency, streams)
-                U[0] = groups.haar_orthogonal_stack(U.shape[-1], [rng.sample_stream(0, 0)])[0]
-                return U
-
-            monkeypatch.setattr(groups, "sample_shallow_stack", leaky)
+            # the per-sample exactness check applies: a sample whose cone update leaks stops the run
+            monkeypatch.setattr(experiments, "_conjugate_on_axes", _leaky_update(experiments._conjugate_on_axes, 0))
             with pytest.raises(InvariantError, match="confined shallow sample"):
                 experiments.run_depth_discrimination(cfg)
 
@@ -622,22 +632,26 @@ class TestDenseMatchgateSide:
         assert time.perf_counter() - start < 1.0
 
     @pytest.mark.parametrize(
-        "kind,n,products",
+        "kind,n,per_sample",
         [
-            # Haar draw + (gates - 1) + one evolution product per side + form self-checks; at n = 3
-            # the default depth 1 has one gate, and only the shallow side of the orthogonal group is
-            # checked: its QR Haar draw is orthogonal by construction
-            ("orthogonal", 3, 1 + 0 + 2 + 1),
-            ("symplectic", 4, 1 + 2 + 2 + 2),
+            # the Haar side: its draw and one evolution product, real and so charged d^3 / 2 for the
+            # orthogonal group, whose QR draw needs no form self-check; the shallow side: each gate drawn
+            # and checked, and each gate on the cone 16 4^|C|, also halved when real.  At n = 3 the
+            # default depth 1 has one gate, (0, 1), the cone of Z0
+            ("orthogonal", 3, (2 * 8**3) // 2 + experiments.LOCAL_GATE_COST + (16 * 4**2) // 2),
+            # depth 2 draws (0, 1), (2, 3) and (1, 2); the cone of Z0 takes (0, 1) and (1, 2), so it
+            # is qubits 0..2; the Gram-Schmidt Haar draw is checked against the form
+            ("symplectic", 4, 3 * 16**3 + 3 * experiments.LOCAL_GATE_COST + 2 * 16 * 4**3),
             # the unitary kinds have no form to check
-            ("mixed_unitary", 3, 1 + 0 + 2),
+            ("mixed_unitary", 3, 2 * 8**3 + experiments.LOCAL_GATE_COST + 16 * 4**2),
         ],
+        ids=["orthogonal", "symplectic", "mixed_unitary"],
     )
-    def test_brickwork_budget_is_exact_at_the_cap(self, monkeypatch, kind, n, products):
+    def test_brickwork_budget_is_exact_at_the_cap(self, monkeypatch, kind, n, per_sample):
         cfg = experiments.depth_config(kind, n, samples=7, seed=0)
         adj = groups.parse_adjacency("chain", n)
         conjugate = kind == "mixed_unitary"
-        cap = 7 * (products * 8**n + moments.SAMPLE_FIXED_COST)
+        cap = 7 * (per_sample + moments.SAMPLE_FIXED_COST)
         monkeypatch.setattr(moments, "FS_COST_CAP", cap)
         experiments._depth_dense(cfg, adj, conjugate)
         monkeypatch.setattr(moments, "FS_COST_CAP", cap - 1)
@@ -680,7 +694,8 @@ def _declared_row_bytes(config, conjugate: bool) -> int:
 
 
 class TestStackedBrickwork:
-    """The chunk-stacked brickwork runner against its per-sample form, by bytes."""
+    """The chunk-stacked brickwork runner against its per-sample form: by bytes, and the
+    dense shallow side also to 1e-12 against the two-copy oracle."""
 
     CASES = {
         "orthogonal": dict(kind="orthogonal", n=4),
@@ -706,7 +721,13 @@ class TestStackedBrickwork:
         if kind == "matchgate":
             want_shallow, want_haar = rotation_rows_reference(cfg)
         else:
-            want_shallow, want_haar = brickwork_rows_reference(cfg, conjugate)
+            oracle_shallow, want_haar = brickwork_rows_reference(cfg, conjugate)
+            # the shallow side runs on the lightcone: by bytes against its block of one per stream,
+            # and to 1e-12 against the dense two-copy oracle
+            evaluators = experiments._depth_dense(cfg, groups.parse_adjacency("chain", n), conjugate)
+            one = lambda s: float(evaluators.shallow([s])[0])  # noqa: E731
+            want_shallow, _ = per_sample_rows(cfg, one, lambda s: 0.0, _confined(cfg))
+            assert np.max(np.abs(want_shallow - oracle_shallow)) <= 1e-12
         assert shallow.tobytes() == want_shallow.tobytes()
         assert haar.tobytes() == want_haar.tobytes()
         assert result.shallow_max_deviation == float(np.max(want_shallow[:, 1]))
@@ -729,31 +750,26 @@ class TestStackedBrickwork:
             assert peak <= 64 * evaluators.row_bytes
 
     def test_blocks_respect_the_stack_bound(self, monkeypatch):
+        # the default depth 1 draws one layer per block of the shallow side
         sizes = []
-        real = groups.sample_shallow_stack
+        real = groups._layer_gates
 
-        def recording(G, L, adjacency, streams):
+        def recording(kind, cls, n, streams):
             sizes.append(len(streams))
-            return real(G, L, adjacency, streams)
+            return real(kind, cls, n, streams)
 
-        monkeypatch.setattr(groups, "sample_shallow_stack", recording)
+        monkeypatch.setattr(groups, "_layer_gates", recording)
         monkeypatch.setattr(rng, "STACK_BYTES", 5 * experiments._dense_row_bytes(3, "orthogonal"))
         experiments.run_depth_discrimination(experiments.depth_config("orthogonal", 3, 70, seed=1))
         assert sizes == [5] * 12 + [4] + [5, 1]
 
     def test_a_confined_sample_that_leaks_fails_on_its_own(self, monkeypatch):
         # one sample of a chunk retains less than 1: the per-sample exactness check stops the run
-        real = groups.sample_shallow_stack
-
-        def leaky(G, L, adjacency, streams):
-            U = real(G, L, adjacency, streams)
-            if len(streams) > 2:
-                U[2] = groups.haar_orthogonal_stack(U.shape[-1], [rng.sample_stream(0, 0)])[0]
-            return U
-
-        monkeypatch.setattr(groups, "sample_shallow_stack", leaky)
+        monkeypatch.setattr(experiments, "_conjugate_on_axes", _leaky_update(experiments._conjugate_on_axes, 2))
         with pytest.raises(InvariantError, match="confined shallow sample"):
             experiments.run_depth_discrimination(experiments.depth_config("orthogonal", 3, 10, seed=1))
+        # a block of two streams holds no leaking sample
+        experiments.run_depth_discrimination(experiments.depth_config("orthogonal", 3, 2, seed=1))
 
 
 def _complex_shallow_stack(G, L: int, adj, streams) -> np.ndarray:
@@ -784,28 +800,190 @@ def _complex_born(config, U: np.ndarray) -> np.ndarray:
 
 
 class TestRealOrthogonalPath:
-    """Orthogonal runs multiply in real arithmetic; the complex products give the same p to rounding."""
+    """Orthogonal runs multiply in real arithmetic; complex arithmetic gives the same p to rounding."""
 
     @pytest.mark.parametrize("n,adjacency", [(3, "chain"), (4, "chain"), (5, "chain"), (4, "grid 2x2")])
-    def test_each_sample_matches_the_complex_products(self, n, adjacency):
+    def test_each_sample_matches_the_complex_products(self, monkeypatch, n, adjacency):
         config = experiments.depth_config("orthogonal", n, 64, 21, adjacency=adjacency)
         adj = groups.parse_adjacency(adjacency, n)
         L = config.ensemble.depth
         evaluators = experiments._depth_dense(config, adj)
-        for offset, side in ((0, evaluators.shallow), (64, evaluators.haar)):
-            p_real = side([fresh_stream(21, offset + i) for i in range(64)])
-            streams = [fresh_stream(21, offset + i) for i in range(64)]
-            if offset == 0:
-                U = groups.sample_shallow_stack(config.group, L, adj, streams)
-                assert U.dtype == np.float64
-                U_complex = _complex_shallow_stack(config.group, L, adj, [fresh_stream(21, i) for i in range(64)])
-            else:
-                U = groups.sample_haar_stack(config.group, streams)
-                assert U.dtype == np.float64
-                U_complex = U.astype(np.complex128)
-            assert np.max(np.abs(U_complex - U)) <= 64 * np.finfo(np.float64).eps
-            assert np.max(np.abs(p_real - _complex_born(config, U_complex))) <= 16 * np.finfo(np.float64).eps
-            assert np.max(np.abs(p_real - _complex_born(config, U.astype(np.complex128)))) <= 16 * np.finfo(np.float64).eps
+
+        def streams(offset):
+            return [fresh_stream(21, offset + i) for i in range(64)]
+
+        # the shallow side: every cone update is real
+        fields, update = [], experiments._conjugate_on_axes
+
+        def recording(A, g, i, j):
+            A = update(A, g, i, j)
+            fields.append(A.dtype)
+            return A
+
+        monkeypatch.setattr(experiments, "_conjugate_on_axes", recording)
+        p_real = evaluators.shallow(streams(0))
+        assert fields and set(fields) == {np.dtype(np.float64)}
+        # the same updates of complex gates, and the oracle's complex circuit products
+        U_complex = _complex_shallow_stack(config.group, L, adj, streams(0))
+        layer_gates = groups._layer_gates
+        monkeypatch.setattr(groups, "_layer_gates", lambda *args: layer_gates(*args).astype(np.complex128))
+        p_complex = evaluators.shallow(streams(0))
+        assert np.max(np.abs(p_real - p_complex)) <= 16 * np.finfo(np.float64).eps
+        assert np.max(np.abs(p_real - _complex_born(config, U_complex))) <= 1e-12
+        # the Haar side: a real draw and evolution against the complex products
+        p_real = evaluators.haar(streams(64))
+        U = groups.sample_haar_stack(config.group, streams(64))
+        assert U.dtype == np.float64
+        assert np.max(np.abs(p_real - _complex_born(config, U.astype(np.complex128)))) <= 16 * np.finfo(np.float64).eps
+
+
+def _small_paulis(n: int):
+    """Every Pauli on n qubits supported on one or two qubits, as text."""
+    words = []
+    for a in range(n):
+        for la in "XYZ":
+            words.append("I" * a + la + "I" * (n - 1 - a))
+            for b in range(a + 1, n):
+                for lb in "XYZ":
+                    words.append("I" * a + la + "I" * (b - a - 1) + lb + "I" * (n - 1 - b))
+    return words
+
+
+def _regions(support, n: int):
+    """The prefix 0..max(support) and a region that is not a prefix, each holding the
+    support and leaving a qubit out, where such regions exist."""
+    candidates = (tuple(range(max(support) + 1)), tuple(support), tuple(sorted({*support, n - 1})))
+    out = []
+    for region in candidates:
+        if len(region) < n and region not in out:
+            out.append(region)
+    return out
+
+
+def _cone_p(config, streams) -> np.ndarray:
+    """The library's shallow side of a dense brickwork run on a block of streams."""
+    return experiments._depth_dense(config, groups.parse_adjacency(config.ensemble.adjacency, config.n),
+                                    config.group.kind == "mixed_unitary").shallow(streams)
+
+
+class TestConeEvaluator:
+    """The shallow side on the lightcone against the dense two-copy oracle, per sample."""
+
+    KINDS = ["orthogonal", "symplectic", "mixed_unitary"]
+
+    def _check_all(self, kind, n, adjacency):
+        compared, prefix, other = 0, 0, 0
+        for word in _small_paulis(n):
+            V = pauli.from_text(word)
+            for region in _regions(pauli.support(V), n):
+                prefix += region == tuple(range(len(region)))
+                other += region != tuple(range(len(region)))
+                for L in range(5):
+                    config = experiments.depth_config(
+                        kind, n, 2, 0, depth=L, region=region, perturbation=V, adjacency=adjacency
+                    )
+                    got = _cone_p(config, [fresh_stream(L, i) for i in range(2)])
+                    want = two_copy_shallow_p(config, [fresh_stream(L, i) for i in range(2)], kind == "mixed_unitary")
+                    assert np.max(np.abs(got - want)) <= 1e-12, (word, region, L)
+                    compared += 1
+        assert prefix and other
+        return compared
+
+    @pytest.mark.parametrize("n", [2, 3, 4, 5])
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_each_sample_matches_the_two_copy_oracle(self, kind, n):
+        assert self._check_all(kind, n, "chain")
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_each_sample_matches_the_two_copy_oracle_on_a_grid(self, kind):
+        assert self._check_all(kind, 4, "grid 2x2")
+
+    @pytest.mark.parametrize(
+        "word,depth,holds_form_qubit", [("ZIIII", 2, True), ("IIIIZ", 2, False), ("IIIYX", 3, True)]
+    )
+    def test_symplectic_form_qubit_inside_and_outside_the_cone(self, word, depth, holds_form_qubit):
+        # the form qubit 1 of n = 5: its gates are complex symplectic ones, the others real orthogonal
+        V = pauli.from_text(word)
+        adj = groups.chain_adjacency(5)
+        cone = groups.lightcone(pauli.support(V), depth, adj)
+        assert (groups.symplectic_form_qubit(5) in cone) == holds_form_qubit
+        config = experiments.depth_config("symplectic", 5, 8, 0, depth=depth, region=(0, 1, 3, 4), perturbation=V)
+        got = _cone_p(config, [fresh_stream(0, i) for i in range(8)])
+        want = two_copy_shallow_p(config, [fresh_stream(0, i) for i in range(8)])
+        assert np.max(np.abs(got - want)) <= 1e-12
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_every_stream_ends_where_the_dense_draw_leaves_it(self, kind):
+        # the cone evaluator draws every layer, on the cone or not, so shot mode draws the same shot
+        config = experiments.depth_config(kind, 5, 6, 3, depth=3, region=(3, 4), perturbation=pauli.from_text("IIIIZ"))
+        a = [fresh_stream(3, i) for i in range(6)]
+        b = [fresh_stream(3, i) for i in range(6)]
+        _cone_p(config, a)
+        sample_shallow_stack(config.group, 3, "chain", b)
+        for x, y in zip(a, b):
+            assert repr(x.bit_generator.state) == repr(y.bit_generator.state)
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_each_row_is_the_block_of_one(self, kind):
+        V = pauli.from_text("IIYXI")
+        config = experiments.depth_config(kind, 5, 7, 4, depth=4, region=(0, 2, 3), perturbation=V)
+        block = _cone_p(config, [fresh_stream(4, i) for i in range(7)])
+        for i in range(7):
+            assert block[i].tobytes() == _cone_p(config, [fresh_stream(4, i)])[0].tobytes()
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_results_do_not_depend_on_the_stack_bound(self, monkeypatch, kind):
+        config = experiments.depth_config(kind, 4, 70, 5, depth=3, region=(1, 2), perturbation=pauli.from_text("IXZI"))
+        conjugate = kind == "mixed_unitary"
+        run = experiments.run_mixed_unitary_discrimination if conjugate else experiments.run_depth_discrimination
+        results = []
+        for rows in (None, 1, 3):
+            if rows is not None:
+                monkeypatch.setattr(rng, "STACK_BYTES", rows * _declared_row_bytes(config, conjugate))
+            r = run(config)
+            results.append((r.p_shallow, r.p_haar, r.mc_bound, r.shallow_max_deviation))
+        assert results[0] == results[1] == results[2]
+
+    @pytest.mark.parametrize(
+        "adjacency,n", [("chain", 5), ("chain", 6), ("grid 2x3", 6), (((0, 1), (2, 3), (1, 4)), 5)]
+    )
+    def test_the_budget_counts_the_cone_updates_the_evaluator_makes(self, monkeypatch, adjacency, n):
+        # the count runs the layers until the cone stops growing and takes the rest in closed form
+        calls, update = [], experiments._conjugate_on_axes
+
+        def counting(A, g, i, j):
+            calls.append(1)
+            return update(A, g, i, j)
+
+        monkeypatch.setattr(experiments, "_conjugate_on_axes", counting)
+        adj = groups.parse_adjacency(adjacency, n)
+        for q in range(n):
+            V = pauli.PauliString(n, 0, 1 << q)
+            region = tuple(p for p in range(n) if p != (q + 1) % n)
+            for L in (0, 1, 2, 3, 5, 8, 13):
+                calls.clear()
+                config = experiments.depth_config(
+                    "orthogonal", n, 1, 0, depth=L, region=region, perturbation=V, adjacency=adj
+                )
+                _cone_p(config, [fresh_stream(0, 0)])
+                assert experiments._cone_gates((q,), L, adj) == len(calls), (q, L)
+
+    @pytest.mark.parametrize("kind", ["orthogonal", "symplectic"])
+    def test_a_drifted_gate_outside_the_cone_is_an_invariant_error(self, monkeypatch, kind):
+        # Z0 at depth 1 has the cone (0, 1); the layer's second gate, on (2, 3), is never applied
+        config = experiments.depth_config(kind, 5, 4, 0, depth=1)
+        assert groups.lightcone((0,), 1, groups.chain_adjacency(5)) == (0, 1)
+        real = groups._orthogonal_from_ginibre
+
+        def drifted(Z):
+            Q = real(Z)
+            if Q.ndim == 4:
+                Q[:, 1] *= 1.01
+            return Q
+
+        monkeypatch.setattr(groups, "_orthogonal_from_ginibre", drifted)
+        with pytest.raises(InvariantError, match=f"shallow {kind} gate drifted off the form"):
+            _cone_p(config, [fresh_stream(0, i) for i in range(4)])
 
 
 def _rotation_config(experiment, n, samples, shot_mode, depth=None, gates=None):
@@ -927,13 +1105,14 @@ class TestStackedRotation:
         ids=["depth-1", "depth-3", "depth-50", "gate-count"],
     )
     def test_rotation_budget_is_exact_at_the_cap(self, monkeypatch, config, gates, runs):
-        # per sample, in 8 x 8 products: the Haar QR, one per gate and both evaluations (dets or
-        # eigvalsh).  The 7 samples are one block, which pays the dispatch once: a sequence one factor
-        # position per gate; a brickwork circuit 12 positions per window of up to 64 gates and one
-        # gather, product and scatter per run of disjoint gates, and each of its samples each factor
+        # per sample, in 8 x 8 products: the Haar QR, one per gate of a sequence and both evaluations
+        # (dets or eigvalsh); a brickwork gate is one (4 x 4) @ (4 x 8) product, 32 n.  The 7 samples
+        # are one block, which pays the dispatch once: a sequence one factor position per gate; a
+        # brickwork circuit 12 positions per window of up to 64 gates and one gather, product and
+        # scatter per run of disjoint gates, and each of its samples each factor
         brickwork = config.ensemble.kind == "brickwork"
         run = self.RUN["depth" if brickwork else "gate-count"]
-        per_sample = (1 + gates + 2) * 8**3 + moments.SAMPLE_FIXED_COST
+        per_sample = (1 + 2) * 8**3 + gates * (32 * 4 if brickwork else 8**3) + moments.SAMPLE_FIXED_COST
         positions = gates
         if brickwork:
             per_sample += gates * 12 * experiments.LOCAL_FACTOR_COST
@@ -958,16 +1137,19 @@ class TestStackedRotation:
         ids=["depth", "gate-count"],
     )
     def test_general_evaluator_budget_is_exact_at_the_cap(self, monkeypatch, experiment, config, monomials):
-        # per sample the QR, 2 gates and both evaluations in 8 x 8 products, and k^3 per minor det on each side;
-        # per block the dispatch of the 2 gates: at depth 1 one window's 12 factor positions and one run of
-        # disjoint gates, whose 24 factors each sample also pays; a sequence's 2 factor positions
+        # per sample the QR and both evaluations in 8 x 8 products, 2 gates (8 x 8 products in a sequence,
+        # (4 x 4) @ (4 x 8) products at depth 1), and k^3 per minor det on each side; per block the dispatch
+        # of the 2 gates: at depth 1 one window's 12 factor positions and one run of disjoint gates, whose
+        # 24 factors each sample also pays; a sequence's 2 factor positions
         T = monomials()
         minors = 2 * len(T) * len(T[0]) ** 3
-        per_sample = (1 + 2 + 2) * 8**3 + minors + moments.SAMPLE_FIXED_COST
+        per_sample = (1 + 2) * 8**3 + minors + moments.SAMPLE_FIXED_COST
         positions = 2
         if experiment == "depth":
-            per_sample += 2 * 12 * experiments.LOCAL_FACTOR_COST
+            per_sample += 2 * 32 * 4 + 2 * 12 * experiments.LOCAL_FACTOR_COST
             positions = 12 + 1
+        else:
+            per_sample += 2 * 8**3
         cap = 7 * per_sample + positions * experiments.FACTOR_DISPATCH_COST
         monkeypatch.setattr(moments, "FS_COST_CAP", cap)
         self.RUN[experiment](config)

@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from designgap import cgraph, densesim, groups, pauli, rng as dgrng
+from designgap import cgraph, densesim, experiments, groups, pauli, rng as dgrng
 from designgap.errors import BudgetError, InvariantError, ValidationError
 
 from conftest import (
@@ -29,8 +29,10 @@ from conftest import (
     membership_failure,
     pauli_coefficients,
     rotate_by_exponentials_reference,
+    sample_shallow,
     sample_shallow_reference,
     sample_shallow_rotation_reference,
+    sample_shallow_stack,
     swap_qubit_permutation,
     symplectic_canonical,
     verify_group_membership,
@@ -548,7 +550,7 @@ class TestAdjacency:
         for q in range(n):
             V = kron_chain("I" * q + "Z" + "I" * (n - 1 - q))
             for L in range(6):
-                U = groups.sample_shallow(G, L, adj, stream(10 * q + L))
+                U = sample_shallow(G, L, adj, stream(10 * q + L))
                 assert support(U @ V @ U.conj().T) == groups.lightcone((q,), L, adj), (q, L)
 
 
@@ -556,12 +558,12 @@ def _shallow_stack(G, L: int, streams) -> np.ndarray:
     """The library's stacked brickwork draw: Majorana rotations for matchgates, unitaries otherwise."""
     if G.kind == "matchgate":
         return groups.sample_shallow_rotation_stack(G, L, "chain", streams)
-    return groups.sample_shallow_stack(G, L, "chain", streams)
+    return sample_shallow_stack(G, L, "chain", streams)
 
 
 class TestShallowCircuits:
     def test_depth_zero_is_identity(self):
-        U = groups.sample_shallow(groups.group_spec("orthogonal", 3), 0, "chain", stream())
+        U = sample_shallow(groups.group_spec("orthogonal", 3), 0, "chain", stream())
         assert np.array_equal(U, np.eye(8))
         R = groups.sample_shallow_rotation_stack(groups.group_spec("matchgate", 3), 0, "chain", [stream()])[0]
         assert np.array_equal(R, np.eye(6))
@@ -580,15 +582,16 @@ class TestShallowCircuits:
                 assert verify_group_membership(sample, G, tol=1e-8)
 
     def test_matchgate_brickwork_is_sampled_as_rotations(self):
+        # the library draws no dense matchgate gate; the oracle refuses a dense matchgate circuit
+        with pytest.raises(ValidationError, match="no 2-local gate factory for kind 'matchgate'"):
+            groups._layer_gates("matchgate", ((0, 1),), 3, [stream()])
         G = groups.group_spec("matchgate", 3)
         with pytest.raises(ValidationError, match="sample_shallow_rotation"):
-            groups.sample_shallow(G, 1, "chain", stream())
-        with pytest.raises(ValidationError, match="sample_shallow_rotation"):
-            groups.sample_shallow_stack(G, 1, "chain", [stream()])
+            sample_shallow_stack(G, 1, "chain", [stream()])
 
     def test_shallow_clifford_membership(self):
         G = groups.group_spec("clifford", 2)
-        U = groups.sample_shallow(G, 2, "chain", stream(2))
+        U = sample_shallow(G, 2, "chain", stream(2))
         assert verify_group_membership(U, G, tol=1e-8)
 
     @pytest.mark.parametrize("kind", ["orthogonal", "symplectic", "unitary", "mixed_unitary"])
@@ -600,20 +603,22 @@ class TestShallowCircuits:
         for L in range(5):
             for i in range(3):
                 a, b = stream(i), stream(i)
-                got = groups.sample_shallow(G, L, "chain", a)
+                got = sample_shallow(G, L, "chain", a)
                 assert np.array_equal(got, sample_shallow_reference(G, L, "chain", b)), (L, i)
                 assert a.random() == b.random()  # same stream position afterwards
 
     def test_negative_depth_rejected(self):
-        G = groups.group_spec("unitary", 2)
         with pytest.raises(ValidationError):
-            groups.sample_shallow(G, -1, "chain", stream())
+            experiments.brickwork(-1)
         with pytest.raises(ValidationError):
-            groups.sample_shallow_stack(G, -1, "chain", [stream()])
+            groups.lightcone((0,), -1, groups.chain_adjacency(2))
+        with pytest.raises(ValidationError):
+            groups.sample_shallow_rotation_stack(groups.group_spec("matchgate", 2), -1, "chain", [stream()])
 
 
 class TestSampleShallowStack:
-    """The stacked brickwork sampler against the per-gate reference, row by row."""
+    """The stacked brickwork draws against the per-gate reference, row by row: the
+    library's Majorana rotations, and the oracle's dense circuits of the library's layer draws."""
 
     @pytest.mark.parametrize("kind", ["orthogonal", "symplectic", "unitary", "mixed_unitary", "matchgate", "clifford"])
     @pytest.mark.parametrize("n", [2, 3, 4, 5])
@@ -643,11 +648,11 @@ class TestSampleShallowStack:
             if kind == "matchgate":
                 alone = _shallow_stack(G, 3, [stream(i)])[0]
             else:
-                alone = groups.sample_shallow(G, 3, "chain", stream(i))
+                alone = sample_shallow(G, 3, "chain", stream(i))
             assert stack[i].tobytes() == alone.tobytes()
 
     def test_form_self_check_covers_every_row(self, monkeypatch):
-        # one drifted gate in the middle of a stack stops the whole draw
+        # one drifted gate in the middle of a stack stops the cone evaluator's block
         real = groups._orthogonal_from_ginibre
 
         def drifted(Z):
@@ -657,10 +662,11 @@ class TestSampleShallowStack:
             return Q
 
         monkeypatch.setattr(groups, "_orthogonal_from_ginibre", drifted)
-        G = groups.group_spec("orthogonal", 3)
-        with pytest.raises(InvariantError, match="shallow orthogonal circuit"):
-            groups.sample_shallow_stack(G, 1, "chain", [stream(i) for i in range(3)])
-        groups.sample_shallow_stack(G, 1, "chain", [stream(0)])
+        config = experiments.depth_config("orthogonal", 3, 3, 0, depth=1)
+        shallow = experiments._depth_dense(config, groups.parse_adjacency("chain", 3)).shallow
+        with pytest.raises(InvariantError, match="shallow orthogonal gate drifted off the form"):
+            shallow([stream(i) for i in range(3)])
+        shallow([stream(0)])
 
 
 def _dense_exponential(letters: str, theta: float) -> np.ndarray:
