@@ -2,11 +2,13 @@
 
 The package has three layers.  `pauli`, `cgraph`, and `densesim` supply the
 bit-packed Pauli algebra, the implicit commutator graph over it, and small
-dense references.  `groups` and `moments` add Haar samplers for the matchgate,
+dense operator kernels (embeddings, phased-permutation gathers, partial
+traces).  `groups` and `moments` add Haar samplers for the matchgate,
 orthogonal, symplectic, unitary, and Clifford families together with moment
 estimators and closed-form twirls.  `bounds`, `experiments`, and `cli` turn
 those pieces into exact distinguishability bounds and reproducible two-copy
-discrimination experiments.
+discrimination experiments, whose Born probabilities are read from the
+partial trace of U V U^dag rather than from a two-copy state.
 """
 
 __version__ = "0.1.0"

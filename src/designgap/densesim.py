@@ -1,33 +1,32 @@
-"""Dense linear algebra for two-copy simulation at small qubit counts.
+"""Dense linear algebra for small qubit counts.
 
-Operators and states are plain numpy arrays, real (float64) or complex
-(complex128), and every function keeps its operands' field: a real operator
-stays real, so a real orthogonal circuit runs in real arithmetic.  A dense
-operator on m qubits is a 2^m x 2^m matrix, a state a length-2^m vector.
-Qubit 0 is the leftmost tensor factor (most significant basis bit).
-Two-copy systems put copy 1 on qubits 0..n-1 and copy 2 on qubits n..2n-1;
-region bookkeeping is done by basis-index permutations, never by physically
-reordering amplitudes twice, and the identity order moves nothing.
+Operators are plain numpy arrays, real (float64) or complex (complex128),
+and every function keeps its operands' field: a real operator stays real,
+so a real orthogonal circuit runs in real arithmetic.  A dense operator on
+m qubits is a 2^m x 2^m matrix.  Qubit 0 is the leftmost tensor factor
+(most significant basis bit).  Region bookkeeping is done by basis-index
+permutations, and the identity order moves nothing.  The one two-copy
+operator here, ``swap_region``, puts copy 1 on qubits 0..n-1 and copy 2 on
+qubits n..2n-1.
 
 The index maps are cached: ``basis_permutation`` is memoized per (order, n)
 and returned read-only, and ``embed`` places an operator's entries into the
 n-qubit matrix through scatter indices cached per (qubits, n), with no
 Kronecker product and no gather.  The placed entries are the operator's own,
 so the result equals the Kronecker-product-then-permute construction.  A
-product with a phased permutation (a phased Pauli, a Bell state reshaped to
-a matrix) is no d^3 product: ``right_product`` turns such a factor into one
-column gather and one in-place scale, whose every entry is the matmul's one
-nonzero term, rounded as the matmul rounds it.
+product with a phased permutation (a phased Pauli) is no d^3 product:
+``right_product`` turns such a factor into one column gather and one
+in-place scale, whose every entry is the matmul's one nonzero term, rounded
+as the matmul rounds it.
 
-``embed``, ``permute_state``, ``apply_two_copy``, ``complement_bell_overlap``
-and ``partial_trace`` take operators and states with leading stack axes, so
+``embed`` and ``partial_trace`` take operators with leading stack axes, so
 one body serves a single sample and a stacked chunk of samples.  Each matrix
 of a stack goes through the same index maps and the same per-matrix products
 as it would alone, so a stacked result is the single result bit for bit.
 
-Budgets: state vectors up to 2^16 amplitudes, dense two-copy operators only up
-to n = 5 per copy.  Above that, callers must use the partial-inner-product
-shortcuts (``complement_bell_overlap``) instead of materialized projectors.
+Budgets: dense two-copy operators only up to n = 5 per copy.  The
+experiments never build one: the Born probability of the complement Bell
+measurement is read from the partial trace of U V U^dag (``experiments``).
 """
 
 from __future__ import annotations
@@ -39,7 +38,6 @@ import numpy as np
 from . import pauli
 from .errors import BudgetError, ValidationError
 
-STATE_QUBIT_CAP = 16  # total qubits in any state vector
 TWO_COPY_OPERATOR_CAP = 5  # per-copy qubits for materialized two-copy operators
 PAULI_EXPANSION_CAP = 6
 
@@ -74,17 +72,6 @@ def basis_permutation(order: tuple[int, ...], n: int) -> np.ndarray:
         sigma |= ((cols >> (n - 1 - q)) & 1) << (n - 1 - pos)
     sigma.setflags(write=False)
     return sigma
-
-
-def permute_state(psi: np.ndarray, order: tuple[int, ...], n: int) -> np.ndarray:
-    """State in the basis where ``order`` lists the leading qubits.
-
-    psi may carry leading stack axes; each state is permuted on its own.
-    """
-    sigma = basis_permutation(order, n)
-    out = np.empty_like(psi)
-    out[..., sigma] = psi
-    return out
 
 
 @functools.lru_cache(maxsize=None)
@@ -155,30 +142,16 @@ def partial_trace(A: np.ndarray, keep: tuple[int, ...], n: int) -> np.ndarray:
 
     A may carry leading stack axes; each matrix is reduced on its own.
     """
-    sigma = basis_permutation(tuple(keep), n)
-    inv = np.empty_like(sigma)
-    inv[sigma] = np.arange(sigma.size)
-    dK = 1 << len(keep)
+    lead, dK = A.shape[:-2], 1 << len(keep)
     dR = (1 << n) // dK
-    B = A[..., inv[:, None], inv].reshape(*A.shape[:-2], dK, dR, dK, dR)
-    return np.einsum("...arbr->...ab", B)
-
-
-def bell_state(m: int) -> np.ndarray:
-    """Maximally entangled state of two m-qubit registers."""
-    _require_qubits(2 * m, STATE_QUBIT_CAP, "Bell state")
-    d = 1 << m
-    return (np.eye(d, dtype=np.complex128) / np.sqrt(d)).reshape(-1)
-
-
-def apply_two_copy(A: np.ndarray, B: np.ndarray, psi: np.ndarray) -> np.ndarray:
-    """(A tensor B) applied to a two-copy state, via one reshape.
-
-    A, B and psi may carry leading stack axes, which broadcast.
-    """
-    d = A.shape[-1]
-    out = A @ psi.reshape(*psi.shape[:-1], d, d) @ np.swapaxes(B, -1, -2)
-    return out.reshape(*out.shape[:-2], d * d)
+    if tuple(keep) != tuple(range(len(keep))):  # a prefix keeps the order as it is
+        sigma = basis_permutation(tuple(keep), n)
+        inv = np.empty_like(sigma)
+        inv[sigma] = np.arange(sigma.size)
+        # one flat np.take keeps each matrix's entries together, so a stacked
+        # matrix is reduced in the memory order of a single one
+        A = np.take(A.reshape(*lead, -1), (inv[:, None] << n | inv).reshape(-1), axis=-1)
+    return np.einsum("...arbr->...ab", A.reshape(*lead, dK, dR, dK, dR))
 
 
 def swap_region(region: tuple[int, ...], n: int) -> np.ndarray:
@@ -196,25 +169,3 @@ def swap_region(region: tuple[int, ...], n: int) -> np.ndarray:
     M = np.zeros((d * d, d * d), dtype=np.complex128)
     M[new, idx] = 1.0
     return M
-
-
-def complement_bell_overlap(
-    psi: np.ndarray, region: tuple[int, ...], n: int
-) -> np.ndarray:
-    """Partial inner product of a two-copy state with the complement Bell pair.
-
-    Returns the matrix T (indexed by the two region factors) such that the
-    Born probability of the projector that is the identity on both region
-    factors and the Bell projector on the two complements is ||T||_F^2.  This
-    avoids materializing the projector and works up to the state-vector cap.
-    psi may carry leading stack axes, giving one T per state.
-    """
-    _require_qubits(2 * n, STATE_QUBIT_CAP, "two-copy state")
-    reg = tuple(sorted(set(region)))
-    comp = tuple(q for q in range(n) if q not in reg)
-    order = reg + comp + tuple(n + q for q in reg) + tuple(n + q for q in comp)
-    # a prefix region (0..m-1) orders the qubits as they are
-    chi = psi if order == tuple(range(2 * n)) else permute_state(psi, order, 2 * n)
-    dL, dC = 1 << len(reg), 1 << len(comp)
-    T = np.einsum("...axbx->...ab", chi.reshape(*psi.shape[:-1], dL, dC, dL, dC))
-    return T / np.sqrt(dC)

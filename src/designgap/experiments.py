@@ -14,8 +14,8 @@ than on average, so a miscoded ensemble fails loudly instead of washing out.
 Matchgate samples are evaluated on their Majorana rotation R in SO(2n)
 (U c_a U^dag = sum_b R[b, a] c_b), with no 2^n factor.  The other kinds
 evaluate the shallow side on the perturbation's lightcone and the Haar side
-on the dense two-copy state (below).  Conjugating c_K, K the Majorana
-indices of the perturbation, gives sum_S det(R[S, K]) c_S over |S| = k, so
+on d x d draws (below).  Conjugating c_K, K the Majorana indices of the
+perturbation, gives sum_S det(R[S, K]) c_S over |S| = k, so
 the retained probability is sum_{S in T} det(R[S, K])^2 over a fixed set T
 of weight-k monomials: those of the perturbation's component inside the
 region (depth), or its N-ball (gate count).  A block is one stacked det of
@@ -45,12 +45,13 @@ V only inside its schedule-aware lightcone C, U V U^dag =
 block, as a full circuit would, checks each gate against the form's letters
 on its pair, and applies only the gates that touch the growing cone, as
 A <- g A g^dag on the 2^|C| x 2^|C| restriction of V, with no d x d
-product.  The Haar side draws a stack with ``groups.sample_haar_stack``,
-and the two-copy evolution and the complement-Bell overlap run on the
-stack.  It multiplies only what needs multiplying: the two-copy state and
-the form's unwinding are phased permutations, applied as gathers, so the
-evolution is one d x d product per sample, and an orthogonal run is real
-from its gates to its overlap.  The rotation evaluators stack Majorana
+product.  Both sides read the Born probability of the complement Bell
+measurement on the evolved invariant state, which for every group member
+is p = ||Tr_{R^c}(U V U^dag)||^2 / (d_R d_{R^c}^2).  The Haar side draws
+a stack with ``groups.sample_haar_stack`` and takes U V as a gather of V's
+phased permutation, one d x d product by U^dag per sample and the partial
+trace over the region's complement; an orthogonal run is real from its
+draws to p.  The rotation evaluators stack Majorana
 rotations: ``groups.sample_shallow_rotation_stack``, the stacked N-gate
 sequences (drawn and applied a window of factors at a time) or
 ``groups.sample_haar_rotation_stack`` draws a block, and one stacked
@@ -63,17 +64,18 @@ shot of shot mode, which each sample draws from its own stream after p,
 runs one sample at a time, in per-side closures of each experiment that
 ``rng.sample_rows`` calls in stream order.  Each stacked row is the
 single-sample value bit for bit, so the output bytes are those of a
-one-sample-at-a-time loop.  Matchgate runs build no two-copy state, so only
-the dense kinds stop at ``densesim.STATE_QUBIT_CAP``; a matchgate region
-that is not a prefix stops at ``REGION_SEARCH_QUBIT_CAP`` for its search.
+one-sample-at-a-time loop.  Matchgate runs draw no d x d matrix, so only
+the dense kinds stop at ``DENSE_HAAR_QUBIT_CAP``; a matchgate region that
+is not a prefix stops at ``REGION_SEARCH_QUBIT_CAP`` for its search.
 Before its first draw a dense brickwork run estimates its cost: the d x d
-products of its Haar side (the draw, its form self-check and one evolution
+products of its Haar side (the draw, its form self-check and one conjugation
 product, real ones at a measured share of a complex one), and on the
 shallow side each gate drawn and checked and each cone update; a rotation
-run estimates it in 2n x 2n products (a brickwork gate in one 4 x 2n block
-product) plus k^3 per minor, the per-stream work of each brickwork factor,
-and per block the numpy dispatch of each factor position and of each run
-of disjoint brickwork gates.  Either exits 2 above
+run estimates it in 2n x 2n products (a gate of a sequence in one two-row
+rotation, a brickwork gate in one 4 x 2n block product) plus k^3 per
+minor, the per-stream work of each factor, and per block the numpy
+dispatch of each factor position and of each run of disjoint brickwork
+gates.  Either exits 2 above
 ``moments.FS_COST_CAP``.
 """
 
@@ -97,7 +99,8 @@ SHALLOW_FAILURE_TOL = 1e-6
 # 5.6 d x d matrices of the kind's field (``groups.dense_field``: real for
 # orthogonal runs), reached by the unitary Haar draw (its normals, the
 # complex Ginibre matrix, its QR and the phase-fixed Q); the orthogonal and
-# symplectic Haar sides hold up to 4.6 and 4.5, and the shallow side, whose
+# symplectic Haar sides hold up to 4.6 and 4.5 (their conjugation and partial
+# trace, after the draw, at most 3), and the shallow side, whose
 # cone operators are 2^|C| x 2^|C| with |C| <= n, up to 1.1 (a cone of
 # n - 1 qubits), at n = 4 to 8.  Up to 6.8 2n x 2n real matrices on the rotation
 # path (Ginibre draw, its QR, the complex and real Q, the rotation stack),
@@ -113,7 +116,11 @@ ROTATION_LIVE_STACKS = 7
 FACTOR_DISPATCH_COST = 40_000
 # one factor of a brickwork gate for one stream, inside a window's call:
 # its math.cos and math.sin and its 4-wide row update, 0.22 us on that
-# machine (a 12-position call over 64 streams x 64 gates took 10.8 ms)
+# machine (a 12-position call over 64 streams x 64 gates took 10.8 ms).  A
+# gate of a gate-count sequence is one such factor on two rows of R and is
+# charged it plus 8n: 192-gate sequences took 0.36, 0.53 and 0.87 us per
+# gate and stream at n = 4, 16 and 30 beyond their 9-10 us per position
+# and block, which ``FACTOR_DISPATCH_COST`` charges at twice that
 LOCAL_FACTOR_COST = 500
 # a real d x d product or QR is charged 1 / REAL_PRODUCT_RATIO of a complex
 # one: on one OpenBLAS thread of a 2-core x86 machine a stacked float64
@@ -134,6 +141,10 @@ LOCAL_GATE_COST = 20_000
 # update took 531 us per stream, the time of 16 4^|C| multiply-adds at the
 # cap's rate, and a real one 258 us
 CONE_UPDATE_COST = 16
+# the Haar side of a dense brickwork run draws and conjugates d x d stacks;
+# it keeps the n <= 8 that the two-copy state of 2n qubits had, until that
+# side is an exact count
+DENSE_HAAR_QUBIT_CAP = 8
 # a depth region that is not a prefix takes its monomials from a component
 # search and lists them in Python: at most C(16, 8) = 12870 at n = 8, the
 # bound these runs had when they built two-copy states; at n = 12 the default
@@ -456,8 +467,8 @@ def _check_brickwork_cost(config: ExperimentConfig, adj: groups.Adjacency, cone:
     The Haar side pays, in d x d products of d^3 multiply-adds, its draw
     (``moments.draw_products``), the form self-check of a symplectic
     Gram-Schmidt draw (a QR orthogonal draw is orthogonal by construction)
-    and one two-copy evolution product, U Psi_0 and the unwinding of the
-    form being gathers; an orthogonal run's products are real, and are
+    and the one product of its conjugation (U V) U^dag, U V being a
+    gather; an orthogonal run's products are real, and are
     charged 1 / ``REAL_PRODUCT_RATIO`` = 1/2 of a complex one (on one
     OpenBLAS thread a real d x d product took 1/6.2 to 1/2.3 of a complex
     one's time at d = 8 to 256, and a real QR 1/2.7 to 1/1.4).  The shallow
@@ -475,7 +486,7 @@ def _check_brickwork_cost(config: ExperimentConfig, adj: groups.Adjacency, cone:
         product, update = product // REAL_PRODUCT_RATIO, update // REAL_PRODUCT_RATIO
     costs = {
         "Haar draws": moments.draw_products(G) * product,
-        "two-copy evolutions": product,
+        "conjugations": product,
         "shallow circuits": _brickwork_gates(adj, L) * LOCAL_GATE_COST,
         "cone updates": _cone_gates(pauli.support(config.perturbation), L, adj) * update,
     }
@@ -487,27 +498,28 @@ def _check_brickwork_cost(config: ExperimentConfig, adj: groups.Adjacency, cone:
 def _check_rotation_cost(config: ExperimentConfig, experiment: str, gates: int, minors: int = 0) -> None:
     """Raise BudgetError when a rotation-path run costs more than moments.FS_COST_CAP.
 
-    Each sample pays, in 2n x 2n products of (2n)^3 multiply-adds: the QR of
-    its Haar draw, one product per gate of a gate sequence, and the
-    evaluation of both sides.  A brickwork gate is no 2n x 2n product but
-    its 4 rows of R times its 4 x 4 rotation, (4 x 4) @ (4 x 2n), 32n
-    multiply-adds.  The general evaluator adds k^3 per k x k minor det on
-    each side, ``minors`` of them.  Each block of the shallow side, one per
-    64-sample chunk, pays ``FACTOR_DISPATCH_COST`` per numpy dispatch.  A
-    gate sequence dispatches one factor position per gate.  A brickwork
-    circuit dispatches ``MATCHGATE_LOCAL_FACTORS`` positions per window of
-    up to ``SHALLOW_GATES_PER_DRAW`` gates, and one gather, product and
-    scatter per run of gates on disjoint qubits; a layer's gates are
-    disjoint, so a run ends only where a window or a layer does, and a
-    circuit of L layers has at most windows + L - 1 runs.  Its samples also
-    pay ``LOCAL_FACTOR_COST`` per factor of each gate.  Checked before the
+    Each sample pays, in 2n x 2n products of (2n)^3 multiply-adds, the QR of
+    its Haar draw and the evaluation of both sides.  No gate is a 2n x 2n
+    product.  A gate of a gate sequence is one two-row rotation of R, 8n
+    multiply-adds, plus ``LOCAL_FACTOR_COST`` for its cos and sin.  A
+    brickwork gate is its 4 rows of R times its 4 x 4 rotation,
+    (4 x 4) @ (4 x 2n), 32n multiply-adds.  The general evaluator adds k^3
+    per k x k minor det on each side, ``minors`` of them.  Each block of the
+    shallow side, one per 64-sample chunk, pays ``FACTOR_DISPATCH_COST`` per
+    numpy dispatch.  A gate sequence dispatches one factor position per
+    gate.  A brickwork circuit dispatches ``MATCHGATE_LOCAL_FACTORS``
+    positions per window of up to ``SHALLOW_GATES_PER_DRAW`` gates, and one
+    gather, product and scatter per run of gates on disjoint qubits; a
+    layer's gates are disjoint, so a run ends only where a window or a layer
+    does, and a circuit of L layers has at most windows + L - 1 runs.  Its
+    samples also pay ``LOCAL_FACTOR_COST`` per factor of each gate.  Checked before the
     first draw, in exact integers, with no listing of the gates.
     """
     m3 = (2 * config.n) ** 3
     brickwork = config.ensemble.kind == "brickwork"
     costs = {
         "Haar draws": m3,
-        "shallow circuits": gates * (32 * config.n if brickwork else m3),
+        "shallow circuits": gates * (32 * config.n if brickwork else 8 * config.n + LOCAL_FACTOR_COST),
         "evaluations": 2 * m3,
     }
     if minors:
@@ -659,6 +671,12 @@ def _conjugate_on_axes(A: np.ndarray, g: np.ndarray, i: int, j: int) -> np.ndarr
     return A
 
 
+def _retained(M: np.ndarray, d_in: int, d_out: int) -> np.ndarray:
+    """The retained probabilities ||M||^2 / (d_in d_out^2) of a block of
+    reductions M = Tr_out A, d_in and d_out the dimensions kept and traced."""
+    return np.sum(np.abs(M) ** 2, axis=(-2, -1)) / (d_in * d_out * d_out)
+
+
 def _shallow_cone(config: ExperimentConfig, adj: groups.Adjacency, cone: tuple[int, ...]):
     """The chunk evaluator of the shallow side on the lightcone ``cone``.
 
@@ -696,53 +714,37 @@ def _shallow_cone(config: ExperimentConfig, adj: groups.Adjacency, cone: tuple[i
             for k in growing[layer] if layer < len(growing) else final[c]:
                 a, b = classes[c][k]
                 A = _conjugate_on_axes(A, gates[:, k], axis[a], axis[b])
-        M = np.einsum("bixjx->bij", A.reshape(len(streams), d_in, d_out, d_in, d_out))
-        return np.sum(np.abs(M) ** 2, axis=(-2, -1)) / (d_in * d_out * d_out)
+        return _retained(np.einsum("bixjx->bij", A.reshape(len(streams), d_in, d_out, d_in, d_out)), d_in, d_out)
 
     return shallow_p
 
 
-def _depth_dense(config: ExperimentConfig, adj: groups.Adjacency, conjugate: bool = False):
+def _depth_dense(config: ExperimentConfig, adj: groups.Adjacency, cone: tuple[int, ...]):
     """Chunk evaluators (shallow, haar) of the retained probability of a dense brickwork run.
 
-    The shallow side runs on the perturbation's lightcone
-    (``_shallow_cone``).  The Haar side maps a block of streams to their
-    probabilities on the dense two-copy state: one stacked draw (``groups.sample_haar_stack``),
-    one stacked evolution and one stacked overlap.  With a form the state
-    (V x Omega)|Phi> evolves under U x U and the form is unwound on the
-    second copy; the conjugate-copy state (V x 1)|Phi> evolves under
-    U x conj(U), which leaves |Phi> itself invariant.  As a d x d matrix
-    the state is Psi_0 = V Omega^T / sqrt(d) (V / sqrt(d) for the conjugate
-    copy), and U x W takes it to U Psi_0 W^T.  Psi_0 and the unwinding
-    Omega^-T are phased permutations, so U Psi_0 and the unwinding are
-    gathers (``densesim.right_product``) and W^T the one product per
-    sample; an orthogonal U stays real throughout.  Both sides compute
-    sum_{Q in region} |c_Q|^2 of U V U^dag.
+    The shallow side runs on the perturbation's lightcone ``cone``
+    (``_shallow_cone``).  The Haar side reads the Born probability of the
+    complement Bell measurement, p = ||Tr_{R^c}(U V U^dag)||^2 /
+    (d_R d_{R^c}^2), from each draw of one ``groups.sample_haar_stack``:
+    U V is a gather (``densesim.right_product`` of V's phased permutation),
+    (U V) U^dag the one d x d product per sample, and the complement is
+    traced out by ``densesim.partial_trace``.  This is the probability of
+    the evolved invariant state of either experiment: (V x Omega)|Phi>
+    under U x U, the form unwound on the second copy, is (U V U^dag x 1)|Phi>
+    when U^T Omega U = Omega, which an orthogonal QR draw meets by
+    construction and the symplectic sampler's form self-check holds every
+    draw to; and (V x 1)|Phi> under U x conj(U) is the same state.  An
+    orthogonal draw stays real throughout.
     """
-    G = config.group
-    n = config.n
-    d = 1 << n
-    cone = groups.lightcone(pauli.support(config.perturbation), config.ensemble.depth, adj)
+    G, n = config.group, config.n
     _check_brickwork_cost(config, adj, cone)
-    Vd = pauli.to_dense(pauli.hermitian_representative(config.perturbation))
-    if conjugate:
-        eye = np.eye(d, dtype=np.complex128)
-        start = densesim.right_product(densesim.apply_two_copy(Vd, eye, densesim.bell_state(n)).reshape(d, d))
-
-        def evolve(U):
-            return start(U) @ np.swapaxes(U.conj(), -1, -2)
-
-    else:
-        start = densesim.right_product(densesim.apply_two_copy(Vd, G.form.dense(), densesim.bell_state(n)).reshape(d, d))
-        unwind = densesim.right_product(G.form.inverse_dense().T)
-
-        def evolve(U):
-            return unwind(start(U) @ np.swapaxes(U, -1, -2))
+    times_v = densesim.right_product(pauli.to_dense(pauli.hermitian_representative(config.perturbation)))
+    d_in, d_out = 1 << len(config.region), 1 << (n - len(config.region))
 
     def haar_p(streams):
-        psi = evolve(groups.sample_haar_stack(G, streams))
-        T = densesim.complement_bell_overlap(psi.reshape(*psi.shape[:-2], d * d), config.region, n)
-        return np.sum(np.abs(T) ** 2, axis=(-2, -1))
+        U = groups.sample_haar_stack(G, streams)
+        A = times_v(U) @ np.swapaxes(U.conj(), -1, -2)  # the conj of a real U is U itself
+        return _retained(densesim.partial_trace(A, config.region, n), d_in, d_out)
 
     return Evaluators(_shallow_cone(config, adj, cone), haar_p, _dense_row_bytes(n, G.kind))
 
@@ -791,14 +793,14 @@ def _brickwork(config: ExperimentConfig, conjugate: bool):
     if config.ensemble.kind != "brickwork":
         raise ValidationError("brickwork experiments take a brickwork ensemble")
     n = config.n
-    dense = config.group.kind != "matchgate"  # matchgates run on Majorana rotations, with no state
-    if dense and 2 * n > densesim.STATE_QUBIT_CAP:
-        raise BudgetError(f"two-copy states need 2n <= {densesim.STATE_QUBIT_CAP}")
+    dense = config.group.kind != "matchgate"  # matchgates run on Majorana rotations, with no d x d draw
+    if dense and n > DENSE_HAAR_QUBIT_CAP:
+        raise BudgetError(f"the dense Haar side draws and conjugates d x d stacks, d = 2^n, so n <= {DENSE_HAAR_QUBIT_CAP}")
     adj = groups.parse_adjacency(config.ensemble.adjacency, n)
     cone = groups.lightcone(pauli.support(config.perturbation), config.ensemble.depth, adj)
     confined = set(cone) <= set(config.region)
     if dense:
-        evaluators = _depth_dense(config, adj, conjugate)
+        evaluators = _depth_dense(config, adj, cone)
         analytic, ref = _depth_analytic(config, conjugate)
     else:
         evaluators, analytic, ref = _depth_rotation(config, adj)
@@ -810,10 +812,10 @@ def run_depth_discrimination(config: ExperimentConfig) -> ExperimentResult:
 
     Per sample the state (V x Omega)|Phi> evolves under U x U, the form is
     unwound on the second copy, and the POVM keeps the Bell projector on the
-    region complement.  For group members this equals
-    Tr[M^dag M]/(d d_C) with M the complement-traced UVU^dag, which is the
-    cross-check route used by the tests.  Matchgate runs evaluate the same
-    probability on the Majorana rotation.
+    region complement.  For group members this equals Tr[M^dag M]/(d d_C)
+    with M the complement-traced U V U^dag, which is how the dense kinds
+    evaluate it; the two-copy route is the tests' oracle.  Matchgate runs
+    evaluate the same probability on the Majorana rotation.
     """
     if config.group.form is None:
         raise ValidationError(

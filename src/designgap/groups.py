@@ -178,9 +178,6 @@ class BilinearForm:
         (``densesim.right_product``)."""
         return densesim.right_product(self.field_dense())
 
-    def inverse_dense(self) -> np.ndarray:
-        return self.dense().conj().T  # phased Paulis are unitary
-
 
 def bilinear_form(representation: pauli.PauliString) -> BilinearForm:
     """Wrap a phased Pauli, deriving its transposition symmetry."""

@@ -113,10 +113,10 @@ def form_insertion_dense(form: groups.BilinearForm, n: int) -> np.ndarray:
     formula across kinds.
     """
     d = 1 << n
-    bell = densesim.bell_state(n)
     Om = form.dense()
-    w = densesim.apply_two_copy(np.eye(d, dtype=np.complex128), Om, bell)
-    u = densesim.apply_two_copy(np.eye(d, dtype=np.complex128), Om.T, bell)
+    # (1 x Omega)|Phi> = vec(Omega^T) / sqrt(d) and (1 x Omega^T)|Phi> = vec(Omega) / sqrt(d)
+    w = Om.T.reshape(-1) / np.sqrt(d)
+    u = Om.reshape(-1) / np.sqrt(d)
     return d * np.outer(w, u)
 
 

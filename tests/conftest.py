@@ -2,9 +2,12 @@
 
 The dense oracle builds Pauli matrices by explicit Kronecker chains with its
 own phase bookkeeping, independent of the bit-packed implementation, so the
-two can check each other.  The complement Bell projector and the Born
-probability against a materialized POVM element are the dense references that
-``densesim.complement_bell_overlap`` is checked against.
+two can check each other.  The two-copy oracle (``bell_state``,
+``apply_two_copy``, ``permute_state``, ``complement_bell_overlap``) evolves
+the two-copy state and takes its complement-Bell overlap, the route that the
+library's dense Haar side, which traces U V U^dag, is checked against; the
+complement Bell projector and the Born probability against a materialized
+POVM element are the dense references that the overlap is checked against.
 
 The sampler references are the straightforward forms of the library's cached
 and batched kernels: ``embed`` as a Kronecker product with the identity
@@ -107,6 +110,56 @@ def dense_oracle(P) -> np.ndarray:
     from designgap import pauli
 
     return (1j ** P.phase_exp) * kron_chain(pauli.to_text(pauli.PauliString(P.n, P.x_bits, P.z_bits)))
+
+
+# ---------------------------------------------------------------------------
+# the two-copy oracle: states of two n-qubit copies, copy 1 on qubits 0..n-1
+
+
+def bell_state(m: int) -> np.ndarray:
+    """Maximally entangled state of two m-qubit registers."""
+    d = 1 << m
+    return (np.eye(d, dtype=np.complex128) / np.sqrt(d)).reshape(-1)
+
+
+def apply_two_copy(A: np.ndarray, B: np.ndarray, psi: np.ndarray) -> np.ndarray:
+    """(A tensor B) applied to a two-copy state, via one reshape.
+
+    A, B and psi may carry leading stack axes, which broadcast.
+    """
+    d = A.shape[-1]
+    out = A @ psi.reshape(*psi.shape[:-1], d, d) @ np.swapaxes(B, -1, -2)
+    return out.reshape(*out.shape[:-2], d * d)
+
+
+def permute_state(psi: np.ndarray, order: tuple[int, ...], n: int) -> np.ndarray:
+    """State in the basis where ``order`` lists the leading qubits.
+
+    psi may carry leading stack axes; each state is permuted on its own.
+    """
+    from designgap import densesim
+
+    out = np.empty_like(psi)
+    out[..., densesim.basis_permutation(order, n)] = psi
+    return out
+
+
+def complement_bell_overlap(psi: np.ndarray, region: tuple[int, ...], n: int) -> np.ndarray:
+    """Partial inner product of a two-copy state with the complement Bell pair.
+
+    Returns the matrix T (indexed by the two region factors) such that the
+    Born probability of the projector that is the identity on both region
+    factors and the Bell projector on the two complements is ||T||_F^2,
+    with no projector materialized.  psi may carry leading stack axes,
+    giving one T per state.
+    """
+    reg = tuple(sorted(set(region)))
+    comp = tuple(q for q in range(n) if q not in reg)
+    order = reg + comp + tuple(n + q for q in reg) + tuple(n + q for q in comp)
+    chi = permute_state(psi, order, 2 * n)
+    dL, dC = 1 << len(reg), 1 << len(comp)
+    T = np.einsum("...axbx->...ab", chi.reshape(*psi.shape[:-1], dL, dC, dL, dC))
+    return T / np.sqrt(dC)
 
 
 def bell_projector_on_complement(region: tuple[int, ...], n: int) -> np.ndarray:
@@ -296,18 +349,18 @@ def two_copy_shallow_p(config, streams, conjugate: bool = False) -> np.ndarray:
     """The shallow side's retained probabilities on the dense two-copy state
     of ``sample_shallow_stack`` draws, one per stream: the route that the
     cone evaluator replaced, with the form unwound by a d x d product."""
-    from designgap import densesim, groups, pauli
+    from designgap import pauli
 
     G, n = config.group, config.n
     U = sample_shallow_stack(G, config.ensemble.depth, config.ensemble.adjacency, streams).astype(np.complex128)
     eye = np.eye(1 << n)
     Vd = pauli.to_dense(pauli.hermitian_representative(config.perturbation))
     if conjugate:
-        psi = densesim.apply_two_copy(U, U.conj(), densesim.apply_two_copy(Vd, eye, densesim.bell_state(n)))
+        psi = apply_two_copy(U, U.conj(), apply_two_copy(Vd, eye, bell_state(n)))
     else:
-        psi0 = densesim.apply_two_copy(Vd, G.form.dense(), densesim.bell_state(n))
-        psi = densesim.apply_two_copy(eye, G.form.inverse_dense(), densesim.apply_two_copy(U, U, psi0))
-    T = densesim.complement_bell_overlap(psi, config.region, n)
+        psi0 = apply_two_copy(Vd, G.form.dense(), bell_state(n))
+        psi = apply_two_copy(eye, G.form.dense().conj().T, apply_two_copy(U, U, psi0))
+    T = complement_bell_overlap(psi, config.region, n)
     return np.sum(np.abs(T) ** 2, axis=(-2, -1))
 
 
@@ -398,13 +451,12 @@ def majorana_decomposition_reference(P) -> tuple:
 
 def invariant_state(form, n: int) -> np.ndarray:
     """The unit-norm two-copy state (1 x Omega)|Phi>."""
-    from designgap import densesim
     from designgap.errors import ValidationError
 
     if form.n != n:
         raise ValidationError(f"form on {form.n} qubits, requested n={n}")
-    psi = densesim.apply_two_copy(
-        np.eye(1 << n, dtype=np.complex128), form.dense(), densesim.bell_state(n)
+    psi = apply_two_copy(
+        np.eye(1 << n, dtype=np.complex128), form.dense(), bell_state(n)
     )
     norm = float(np.linalg.norm(psi))
     if abs(norm - 1.0) > 1e-10:
@@ -582,7 +634,7 @@ def brickwork_probability_reference(config, conjugate: bool = False):
     """Per-stream (shallow, Haar) retained probabilities of a brickwork run on
     the dense two-copy state: one ``sample_shallow_reference`` or
     ``sample_haar`` draw and one single-state evolution per stream."""
-    from designgap import densesim, groups, pauli
+    from designgap import groups, pauli
 
     G, n = config.group, config.n
     adj = groups.parse_adjacency(config.ensemble.adjacency, n)
@@ -590,20 +642,20 @@ def brickwork_probability_reference(config, conjugate: bool = False):
     eye = np.eye(1 << n)
     Vd = pauli.to_dense(pauli.hermitian_representative(config.perturbation))
     if conjugate:
-        psi0 = densesim.apply_two_copy(Vd, eye, densesim.bell_state(n))
+        psi0 = apply_two_copy(Vd, eye, bell_state(n))
 
         def evolve(U):
-            return densesim.apply_two_copy(U, U.conj(), psi0)
+            return apply_two_copy(U, U.conj(), psi0)
 
     else:
-        psi0 = _in_field(densesim.apply_two_copy(Vd, G.form.dense(), densesim.bell_state(n)))
-        inverse = _in_field(G.form.inverse_dense())
+        psi0 = _in_field(apply_two_copy(Vd, G.form.dense(), bell_state(n)))
+        inverse = _in_field(G.form.dense().conj().T)
 
         def evolve(U):
-            return densesim.apply_two_copy(eye, inverse, densesim.apply_two_copy(U, U, psi0))
+            return apply_two_copy(eye, inverse, apply_two_copy(U, U, psi0))
 
     def born(U):
-        T = densesim.complement_bell_overlap(evolve(U), config.region, n)
+        T = complement_bell_overlap(evolve(U), config.region, n)
         return float(np.sum(np.abs(T) ** 2).real)
 
     def shallow(stream):

@@ -16,7 +16,6 @@ from designgap import (
     bounds,
     cgraph,
     cli,
-    densesim,
     experiments,
     groups,
     moments,
@@ -24,7 +23,15 @@ from designgap import (
 )
 from designgap.rng import sample_stream
 
-from conftest import envelope_threshold, invariant_form_check, invariant_state, matchgate_form_2
+from conftest import (
+    apply_two_copy,
+    brickwork_probability_reference,
+    envelope_threshold,
+    fresh_stream,
+    invariant_form_check,
+    invariant_state,
+    matchgate_form_2,
+)
 
 
 def _ok(k, msg):
@@ -33,6 +40,22 @@ def _ok(k, msg):
 
 def _within(value, target, stderr, factor=5, floor=1e-12):
     return abs(value - target) <= factor * max(stderr, floor)
+
+
+def _haar_side_matches_the_oracle(cfg, conjugate: bool = False, count: int = 64) -> float:
+    """The first ``count`` Haar samples of a dense run: each the block of one of its stream by
+    bytes, and within 1e-12 of the two-copy oracle; returns the largest gap."""
+    adj = groups.parse_adjacency(cfg.ensemble.adjacency, cfg.n)
+    cone = groups.lightcone(pauli.support(cfg.perturbation), cfg.ensemble.depth, adj)
+    haar = experiments._depth_dense(cfg, adj, cone).haar
+    _, oracle = brickwork_probability_reference(cfg, conjugate)
+    block = haar([fresh_stream(cfg.seed, cfg.samples + i) for i in range(count)])
+    worst = 0.0
+    for i in range(count):
+        assert block[i].tobytes() == haar([fresh_stream(cfg.seed, cfg.samples + i)])[0].tobytes()
+        worst = max(worst, abs(float(block[i]) - oracle(fresh_stream(cfg.seed, cfg.samples + i))))
+    assert worst <= 1e-12
+    return worst
 
 
 def test_criterion_01_matchgate_depth_experiment():
@@ -60,7 +83,9 @@ def test_criterion_02_orthogonal_experiment():
     p = bounds.exact_haar_povm_probability("orthogonal", 8, 4)
     assert p == Fraction(9, 35)
     assert bounds.discrimination_bound(1, p) == bounds.orthogonal_bound(8, 4)
-    _ok(2, f"p_haar {res.p_haar.mean:.5f} ~ 9/35, bound 52/35 exact identity holds")
+    gap = _haar_side_matches_the_oracle(cfg)
+    _ok(2, f"p_haar {res.p_haar.mean:.5f} ~ 9/35, bound 52/35 exact identity holds; "
+           f"Haar samples within {gap:.1e} of the two-copy oracle")
 
 
 def test_criterion_03_symplectic_experiment_and_weingarten():
@@ -69,6 +94,7 @@ def test_criterion_03_symplectic_experiment_and_weingarten():
     assert _within(res.p_haar.mean, 5 / 27, res.p_haar.stderr)
     assert res.analytic_bound == float(Fraction(44, 27))
     assert bounds.exact_haar_povm_probability("symplectic", 8, 4) == Fraction(5, 27)
+    gap = _haar_side_matches_the_oracle(cfg)
     worst = {}
     for kind in ("orthogonal", "symplectic"):
         for n, M in ((2, 3000), (3, 1200)):
@@ -80,8 +106,8 @@ def test_criterion_03_symplectic_experiment_and_weingarten():
             allowed = 5 * np.maximum(err, 1e-12)
             assert np.all(dev <= allowed), f"{kind} d={1 << n} entrywise mismatch"
             worst[(kind, 1 << n)] = float((dev / allowed).max())
-    _ok(3, f"p_haar {res.p_haar.mean:.5f} ~ 5/27; weingarten entrywise ok, "
-           f"worst dev/allowed {max(worst.values()):.2f}")
+    _ok(3, f"p_haar {res.p_haar.mean:.5f} ~ 5/27, Haar samples within {gap:.1e} of the two-copy oracle; "
+           f"weingarten entrywise ok, worst dev/allowed {max(worst.values()):.2f}")
 
 
 def test_criterion_04_commutator_graph_census():
@@ -163,10 +189,11 @@ def test_criterion_08_mixed_unitary():
     )
     res = experiments.run_mixed_unitary_discrimination(cfg)
     assert _within(res.p_haar.mean, 0.2, res.p_haar.stderr)
+    gap = _haar_side_matches_the_oracle(cfg, conjugate=True)
     fourth = moments.mixed_unitary_fs(4, 3000, seed=8)
     assert _within(fourth.mean, 2.0, fourth.stderr)
-    _ok(8, f"commutant dims {haar.mean:.3f}/2/4, k=1 p_haar {res.p_haar.mean:.4f} ~ 0.2, "
-           f"E|TrU^2|^2 {fourth.mean:.3f} ~ 2")
+    _ok(8, f"commutant dims {haar.mean:.3f}/2/4, k=1 p_haar {res.p_haar.mean:.4f} ~ 0.2 "
+           f"(Haar samples within {gap:.1e} of the two-copy oracle), E|TrU^2|^2 {fourth.mean:.3f} ~ 2")
 
 
 def test_criterion_09_frobenius_schur_indicators():
@@ -200,7 +227,7 @@ def test_criterion_10_invariant_form_suite():
             psi = invariant_state(form, n)
             for k in range(100):
                 U = groups.sample_haar(G, sample_stream(1000 + n, k))
-                moved = densesim.apply_two_copy(U, U, psi)
+                moved = apply_two_copy(U, U, psi)
                 worst = max(worst, float(np.max(np.abs(moved - psi))))
     assert worst < 1e-10
     _ok(10, f"forms invariant for n=2..8; state deviation max {worst:.1e} over 100-sample runs")

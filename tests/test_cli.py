@@ -50,8 +50,8 @@ class TestExitCodes:
         assert "budget" in err
 
     @pytest.mark.parametrize("n", [10, 16])
-    def test_matchgate_depth_runs_past_the_two_copy_state_cap(self, capsys, n):
-        # Majorana rotations build no 2^(2n) state, so only dense kinds stop at 2n <= 16
+    def test_matchgate_depth_runs_past_the_dense_cap(self, capsys, n):
+        # Majorana rotations draw no 2^n x 2^n matrix, so only dense kinds stop at n <= 8
         argv = ["discriminate", "--experiment", "depth", "--group", "matchgate", "--n", str(n), "--samples", "640"]
         code, out, _ = run_cli(capsys, argv)
         assert code == 0
@@ -62,12 +62,12 @@ class TestExitCodes:
         p = math.comb(2 * n - 2, n - 1) / math.comb(2 * n, n - 1)
         assert abs(rec["p_haar"] - p) <= 5 * rec["p_haar_stderr"]
 
-    def test_dense_depth_runs_keep_the_two_copy_state_cap(self, capsys):
+    def test_dense_depth_runs_keep_the_dense_cap(self, capsys):
         argv = ["discriminate", "--experiment", "depth", "--group", "orthogonal", "--n", "9", "--samples", "4"]
         code, out, err = run_cli(capsys, argv)
         assert code == 2
         assert out == ""
-        assert "two-copy states need 2n <= 16" in err
+        assert "the dense Haar side draws and conjugates d x d stacks, d = 2^n, so n <= 8" in err
 
     def test_costly_fs_indicator_is_refused_before_sampling(self, capsys):
         # one dense matchgate draw at n=10 multiplies 190 lifts of 1024 x 1024
@@ -176,13 +176,15 @@ class TestExitCodes:
             # of disjoint gates
             (["discriminate", "--experiment", "depth", "--group", "matchgate", "--n", "4", "--samples", "1000000000"],
              "4.19e+13"),
-            # the QR, the default single gate, and each side's eigvalsh; one factor position per block
+            # the QR and each side's eigvalsh, (2n)^3 each, and the default single gate, a two-row rotation
+            # of 8n and its factor's 500; one factor position per block
             (["discriminate", "--experiment", "gate-count", "--n", "4", "--samples", "1000000000"], "2.27e+13"),
             # refused before the C(24, 12)-vertex component search
-            (["discriminate", "--experiment", "gate-count", "--n", "12", "--samples", "1000000000"], "7.59e+13"),
-            # one sample of 10^9 gates: 4e4 per factor position of its one block, before any factor is drawn
+            (["discriminate", "--experiment", "gate-count", "--n", "12", "--samples", "1000000000"], "6.27e+13"),
+            # one sample of 10^9 gates: 16 + 500 per gate and 4e4 per factor position of its one block,
+            # before any factor is drawn
             (["discriminate", "--experiment", "gate-count", "--n", "2", "--gates", "1000000000", "--samples", "1"],
-             "4.01e+13"),
+             "4.05e+13"),
             # 10^9 layers of one gate, 500 for each of its 12 factors, and per window of 64 gates 12 factor
             # positions, with one run of disjoint gates per layer, before the gate sites are listed
             (["discriminate", "--experiment", "depth", "--group", "matchgate", "--n", "2", "--depth", "1000000000",

@@ -1,4 +1,4 @@
-"""Dense two-copy helpers checked against direct Kronecker constructions."""
+"""Dense helpers and the two-copy oracle checked against direct Kronecker constructions."""
 
 import numpy as np
 import pytest
@@ -7,10 +7,14 @@ from designgap import densesim, pauli
 from designgap.errors import BudgetError, ValidationError
 
 from conftest import (
+    apply_two_copy,
     bell_projector_on_complement,
+    bell_state,
+    complement_bell_overlap,
     embed_reference,
     kron_chain,
     pauli_coefficients,
+    permute_state,
     povm_probability,
 )
 
@@ -34,12 +38,12 @@ class TestPermutations:
         a = random_state(rng, 2)
         b = random_state(rng, 2)
         psi = np.kron(a, b)
-        out = densesim.permute_state(psi, (1, 0), 2)
+        out = permute_state(psi, (1, 0), 2)
         assert np.allclose(out, np.kron(b, a))
 
     def test_permutation_preserves_norm(self, rng):
         psi = random_state(rng, 16)
-        out = densesim.permute_state(psi, (2, 0, 3, 1), 4)
+        out = permute_state(psi, (2, 0, 3, 1), 4)
         assert np.linalg.norm(out) == pytest.approx(1.0)
 
     def test_bad_order_rejected(self):
@@ -122,23 +126,23 @@ class TestPartialTrace:
 
 class TestBellState:
     def test_normalization(self):
-        psi = densesim.bell_state(2)
+        psi = bell_state(2)
         assert np.linalg.norm(psi) == pytest.approx(1.0)
 
     def test_transpose_trick(self, rng):
         # (A x 1)|Phi> = (1 x A^T)|Phi>
         A = random_op(rng, 4)
-        phi = densesim.bell_state(2)
+        phi = bell_state(2)
         eye = np.eye(4)
-        left = densesim.apply_two_copy(A, eye, phi)
-        right = densesim.apply_two_copy(eye, A.T, phi)
+        left = apply_two_copy(A, eye, phi)
+        right = apply_two_copy(eye, A.T, phi)
         assert np.allclose(left, right)
 
     def test_operator_overlap_is_normalized_trace(self, rng):
         # <Phi|A x B|Phi> = Tr[A B^T]/d
         A, B = random_op(rng, 4), random_op(rng, 4)
-        phi = densesim.bell_state(2)
-        got = np.vdot(phi, densesim.apply_two_copy(A, B, phi))
+        phi = bell_state(2)
+        got = np.vdot(phi, apply_two_copy(A, B, phi))
         assert got == pytest.approx(np.trace(A @ B.T) / 4)
 
 
@@ -146,7 +150,7 @@ class TestApplyTwoCopy:
     def test_matches_kronecker(self, rng):
         A, B = random_op(rng, 4), random_op(rng, 4)
         psi = random_state(rng, 16)
-        got = densesim.apply_two_copy(A, B, psi)
+        got = apply_two_copy(A, B, psi)
         assert np.allclose(got, np.kron(A, B) @ psi)
 
 
@@ -191,19 +195,30 @@ class TestStackAxes:
         C = np.stack([random_op(rng, d) for _ in range(B)])
         psi = np.stack([random_state(rng, d * d) for _ in range(B)])
         fixed = random_op(rng, d)
-        stacked = densesim.apply_two_copy(A, C, psi)
-        shared = densesim.apply_two_copy(A, C, psi[0])  # one state under a stack of operators
-        mixed = densesim.apply_two_copy(fixed, C, psi)  # one operator over a stack
+        stacked = apply_two_copy(A, C, psi)
+        shared = apply_two_copy(A, C, psi[0])  # one state under a stack of operators
+        mixed = apply_two_copy(fixed, C, psi)  # one operator over a stack
         for b in range(B):
-            assert stacked[b].tobytes() == densesim.apply_two_copy(A[b], C[b], psi[b]).tobytes()
-            assert shared[b].tobytes() == densesim.apply_two_copy(A[b], C[b], psi[0]).tobytes()
-            assert mixed[b].tobytes() == densesim.apply_two_copy(fixed, C[b], psi[b]).tobytes()
+            assert stacked[b].tobytes() == apply_two_copy(A[b], C[b], psi[b]).tobytes()
+            assert shared[b].tobytes() == apply_two_copy(A[b], C[b], psi[0]).tobytes()
+            assert mixed[b].tobytes() == apply_two_copy(fixed, C[b], psi[b]).tobytes()
         for region in [(0,), tuple(range(n - 1)), (n - 1,)]:
-            T = densesim.complement_bell_overlap(stacked, region, n)
+            T = complement_bell_overlap(stacked, region, n)
             for b in range(B):
-                one = densesim.complement_bell_overlap(stacked[b], region, n)
+                one = complement_bell_overlap(stacked[b], region, n)
                 assert T[b].tobytes() == one.tobytes()
                 assert np.sum(np.abs(T) ** 2, axis=(-2, -1))[b] == np.sum(np.abs(one) ** 2)
+
+    @pytest.mark.parametrize("keep", [(0, 1, 2), (0, 2, 3), (3, 1, 0)])
+    def test_partial_trace(self, rng, keep):
+        # each reduction of a stack, and its squared norm, are those of its matrix alone
+        A = np.stack([random_op(rng, 16) for _ in range(64)])
+        M = densesim.partial_trace(A, keep, 4)
+        norms = np.sum(np.abs(M) ** 2, axis=(-2, -1))
+        for b in range(64):
+            one = densesim.partial_trace(A[b], keep, 4)
+            assert M[b].tobytes() == one.tobytes()
+            assert norms[b] == np.sum(np.abs(one) ** 2)
 
     def test_embed_and_permute(self, rng):
         ops = np.stack([random_op(rng, 4) for _ in range(3)]).reshape(3, 1, 4, 4)
@@ -213,9 +228,9 @@ class TestStackAxes:
             assert got.shape == (3, 1, 16, 16)
             for b in range(3):
                 assert np.array_equal(got[b, 0], embed_reference(ops[b, 0], qubits, 4))
-            moved = densesim.permute_state(psi, qubits, 4)
+            moved = permute_state(psi, qubits, 4)
             for b in range(3):
-                assert np.array_equal(moved[b], densesim.permute_state(psi[b], qubits, 4))
+                assert np.array_equal(moved[b], permute_state(psi[b], qubits, 4))
 
 
 class TestSwapRegion:
@@ -267,23 +282,51 @@ class TestComplementBellProjector:
             Pi = bell_projector_on_complement(region, n)
             for _ in range(3):
                 psi = random_state(rng, 1 << (2 * n))
-                T = densesim.complement_bell_overlap(psi, region, n)
+                T = complement_bell_overlap(psi, region, n)
                 born = float(np.real(np.vdot(psi, Pi @ psi)))
                 assert np.linalg.norm(T) ** 2 == pytest.approx(born)
+
+    @pytest.mark.parametrize("n", [1, 2, 3])
+    def test_a_depth_two_circuit_measures_the_complement_bell_pairs(self, rng, n):
+        # the single-shot measurement is constant depth: a CNOT from each complement qubit q of copy 1
+        # to its twin n + q, then an H on q, takes the Bell pair of (q, n + q) to |00>, so reading 00 on
+        # every pair is the complement Bell projector, at any n
+        H = np.array([[1, 1], [1, -1]], dtype=np.complex128) / np.sqrt(2)
+        CNOT = np.eye(4, dtype=np.complex128)[[0, 1, 3, 2]]
+        for mask in range((1 << n) - 1):
+            region = tuple(q for q in range(n) if mask >> q & 1)
+            comp = [q for q in range(n) if q not in region]
+            layers = [[(CNOT, (q, n + q)) for q in comp], [(H, (q,)) for q in comp]]
+            circuit = np.eye(1 << (2 * n), dtype=np.complex128)
+            for layer in layers:
+                touched = [q for _, qubits in layer for q in qubits]
+                assert len(touched) == len(set(touched))  # one layer of disjoint gates
+                for gate, qubits in layer:
+                    circuit = densesim.embed(gate, qubits, 2 * n) @ circuit
+            reads_00 = np.ones(1 << (2 * n), dtype=bool)
+            for q in comp:
+                for wire in (q, n + q):
+                    reads_00 &= (np.arange(1 << (2 * n)) >> (2 * n - 1 - wire) & 1) == 0
+            Pi = bell_projector_on_complement(region, n)
+            for _ in range(4):
+                psi = random_state(rng, 1 << (2 * n))
+                shot = float(np.sum(np.abs((circuit @ psi)[reads_00]) ** 2))
+                assert shot == pytest.approx(np.linalg.norm(complement_bell_overlap(psi, region, n)) ** 2, abs=1e-12)
+                assert shot == pytest.approx(povm_probability(psi, Pi), abs=1e-12)
 
     def test_bell_state_has_unit_probability(self):
         # the two-copy Bell state contains the complement Bell pair exactly
         n = 2
-        psi = densesim.bell_state(n)
+        psi = bell_state(n)
         for region in [(0,), (1,)]:
-            T = densesim.complement_bell_overlap(psi, region, n)
+            T = complement_bell_overlap(psi, region, n)
             assert np.linalg.norm(T) ** 2 == pytest.approx(1.0)
 
     def test_orthogonal_state_has_zero_probability(self):
         # |01> x |10> has no complement Bell component on qubit 1
         psi = np.zeros(16, dtype=np.complex128)
         psi[0b0110] = 1.0
-        T = densesim.complement_bell_overlap(psi, (0,), 2)
+        T = complement_bell_overlap(psi, (0,), 2)
         assert np.linalg.norm(T) ** 2 == pytest.approx(0.0)
 
 

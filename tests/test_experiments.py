@@ -13,10 +13,13 @@ import pytest
 from conftest import (
     _confined,
     adjoint_majorana_matrix,
+    apply_two_copy,
     ball_monomials,
+    bell_state,
     bfs_reference,
     brickwork_probability_reference,
     brickwork_rows_reference,
+    complement_bell_overlap,
     draw_factors_reference,
     finalize_reference,
     fresh_stream,
@@ -620,13 +623,14 @@ class TestNoSearch:
 
 class TestDenseMatchgateSide:
     def test_gate_count_shallow_side_is_budgeted_before_sampling(self):
-        # 10^9 gates of 8 x 8 rotation products per sample: refused before the first draw
+        # 10^9 gates per sample, each a two-row rotation of 8 n = 32 and its factor's cos and sin:
+        # refused before the first draw
         config = experiments.gatecount_config(
             4, 20, 0, gates=10**9, allowed=groups.matchgate_standard_set(4)
         )
         start = time.perf_counter()
         with pytest.raises(
-            BudgetError, match=r"gate-count experiment on Majorana rotations for n=4 .* shallow circuits 1\.02e\+13,"
+            BudgetError, match=r"gate-count experiment on Majorana rotations for n=4 .* shallow circuits 1\.06e\+13,"
         ):
             experiments.run_gatecount_discrimination(config)
         assert time.perf_counter() - start < 1.0
@@ -649,14 +653,12 @@ class TestDenseMatchgateSide:
     )
     def test_brickwork_budget_is_exact_at_the_cap(self, monkeypatch, kind, n, per_sample):
         cfg = experiments.depth_config(kind, n, samples=7, seed=0)
-        adj = groups.parse_adjacency("chain", n)
-        conjugate = kind == "mixed_unitary"
         cap = 7 * (per_sample + moments.SAMPLE_FIXED_COST)
         monkeypatch.setattr(moments, "FS_COST_CAP", cap)
-        experiments._depth_dense(cfg, adj, conjugate)
+        _dense_evaluators(cfg)
         monkeypatch.setattr(moments, "FS_COST_CAP", cap - 1)
         with pytest.raises(BudgetError, match=f"dense brickwork experiment for {kind} n={n} with 7 samples"):
-            experiments._depth_dense(cfg, adj, conjugate)
+            _dense_evaluators(cfg)
 
     def test_deep_circuits_are_budgeted_without_looping_over_layers(self):
         start = time.perf_counter()
@@ -686,6 +688,13 @@ def _recorded_rows(monkeypatch, run, config):
     return result, got[0], got[1]
 
 
+def _dense_evaluators(config):
+    """The evaluators of a dense brickwork run, on the lightcone that the runner computes."""
+    adj = groups.parse_adjacency(config.ensemble.adjacency, config.n)
+    cone = groups.lightcone(pauli.support(config.perturbation), config.ensemble.depth, adj)
+    return experiments._depth_dense(config, adj, cone)
+
+
 def _declared_row_bytes(config, conjugate: bool) -> int:
     """The row bytes that a brickwork run declares to rng.sample_rows."""
     if config.group.kind == "matchgate":
@@ -695,12 +704,16 @@ def _declared_row_bytes(config, conjugate: bool) -> int:
 
 class TestStackedBrickwork:
     """The chunk-stacked brickwork runner against its per-sample form: by bytes, and the
-    dense shallow side also to 1e-12 against the two-copy oracle."""
+    dense sides also to 1e-12 against the two-copy oracle."""
 
     CASES = {
         "orthogonal": dict(kind="orthogonal", n=4),
         "symplectic": dict(kind="symplectic", n=4),
         "mixed_unitary": dict(kind="mixed_unitary", n=3),
+        # regions that are not a prefix; the symplectic one leaves out the form qubit 1
+        "orthogonal-region": dict(kind="orthogonal", n=4, region=(0, 2, 3), perturbation=pauli.from_text("ZIXI")),
+        "symplectic-region": dict(kind="symplectic", n=4, region=(0, 2, 3)),
+        "mixed_unitary-region": dict(kind="mixed_unitary", n=3, region=(0, 2), perturbation=pauli.from_text("YIZ")),
         # a non-prefix region: matchgates sum the squared minors of their Majorana rotations
         "matchgate": dict(kind="matchgate", n=4, region=(1, 2, 3), perturbation=pauli.from_text("IIXI")),
     }
@@ -721,13 +734,19 @@ class TestStackedBrickwork:
         if kind == "matchgate":
             want_shallow, want_haar = rotation_rows_reference(cfg)
         else:
-            oracle_shallow, want_haar = brickwork_rows_reference(cfg, conjugate)
-            # the shallow side runs on the lightcone: by bytes against its block of one per stream,
-            # and to 1e-12 against the dense two-copy oracle
-            evaluators = experiments._depth_dense(cfg, groups.parse_adjacency("chain", n), conjugate)
-            one = lambda s: float(evaluators.shallow([s])[0])  # noqa: E731
-            want_shallow, _ = per_sample_rows(cfg, one, lambda s: 0.0, _confined(cfg))
+            # both sides by bytes against their blocks of one per stream, and to 1e-12 against the
+            # dense two-copy oracle: the shallow side runs on the lightcone, the Haar side traces
+            # U V U^dag rather than evolving the two-copy state
+            oracle_shallow, oracle_haar = brickwork_rows_reference(cfg, conjugate)
+            evaluators = _dense_evaluators(cfg)
+            want_shallow, want_haar = per_sample_rows(
+                cfg,
+                lambda s: float(evaluators.shallow([s])[0]),
+                lambda s: float(evaluators.haar([s])[0]),
+                _confined(cfg),
+            )
             assert np.max(np.abs(want_shallow - oracle_shallow)) <= 1e-12
+            assert np.max(np.abs(want_haar - oracle_haar)) <= 1e-12
         assert shallow.tobytes() == want_shallow.tobytes()
         assert haar.tobytes() == want_haar.tobytes()
         assert result.shallow_max_deviation == float(np.max(want_shallow[:, 1]))
@@ -737,7 +756,7 @@ class TestStackedBrickwork:
     def test_declared_row_bytes_bound_a_block(self, kind, n):
         # a 64-sample block of either side holds at most its declared bytes per sample at its peak
         config = experiments.depth_config(kind, n, 64, 2)
-        evaluators = experiments._depth_dense(config, groups.parse_adjacency("chain", n), kind == "mixed_unitary")
+        evaluators = _dense_evaluators(config)
         for offset, side in ((0, evaluators.shallow), (64, evaluators.haar)):
             side([fresh_stream(2, offset)])  # the cached kernels are built outside the measurement
             streams = [fresh_stream(2, offset + i) for i in range(64)]
@@ -793,9 +812,9 @@ def _complex_born(config, U: np.ndarray) -> np.ndarray:
     G, n = config.group, config.n
     eye = np.eye(1 << n, dtype=np.complex128)
     Vd = pauli.to_dense(pauli.hermitian_representative(config.perturbation))
-    psi0 = densesim.apply_two_copy(Vd, G.form.dense(), densesim.bell_state(n))
-    psi = densesim.apply_two_copy(eye, G.form.inverse_dense(), densesim.apply_two_copy(U, U, psi0))
-    T = densesim.complement_bell_overlap(psi, config.region, n)
+    psi0 = apply_two_copy(Vd, G.form.dense(), bell_state(n))
+    psi = apply_two_copy(eye, G.form.dense().conj().T, apply_two_copy(U, U, psi0))
+    T = complement_bell_overlap(psi, config.region, n)
     return np.sum(np.abs(T) ** 2, axis=(-2, -1))
 
 
@@ -807,7 +826,7 @@ class TestRealOrthogonalPath:
         config = experiments.depth_config("orthogonal", n, 64, 21, adjacency=adjacency)
         adj = groups.parse_adjacency(adjacency, n)
         L = config.ensemble.depth
-        evaluators = experiments._depth_dense(config, adj)
+        evaluators = _dense_evaluators(config)
 
         def streams(offset):
             return [fresh_stream(21, offset + i) for i in range(64)]
@@ -862,8 +881,7 @@ def _regions(support, n: int):
 
 def _cone_p(config, streams) -> np.ndarray:
     """The library's shallow side of a dense brickwork run on a block of streams."""
-    return experiments._depth_dense(config, groups.parse_adjacency(config.ensemble.adjacency, config.n),
-                                    config.group.kind == "mixed_unitary").shallow(streams)
+    return _dense_evaluators(config).shallow(streams)
 
 
 class TestConeEvaluator:
@@ -1105,14 +1123,16 @@ class TestStackedRotation:
         ids=["depth-1", "depth-3", "depth-50", "gate-count"],
     )
     def test_rotation_budget_is_exact_at_the_cap(self, monkeypatch, config, gates, runs):
-        # per sample, in 8 x 8 products: the Haar QR, one per gate of a sequence and both evaluations
-        # (dets or eigvalsh); a brickwork gate is one (4 x 4) @ (4 x 8) product, 32 n.  The 7 samples
+        # per sample, in 8 x 8 products: the Haar QR and both evaluations (dets or eigvalsh); a gate of
+        # a sequence is one two-row rotation, 8 n, and its factor's cos and sin; a brickwork gate is one
+        # (4 x 4) @ (4 x 8) product, 32 n.  The 7 samples
         # are one block, which pays the dispatch once: a sequence one factor position per gate; a
         # brickwork circuit 12 positions per window of up to 64 gates and one gather, product and
         # scatter per run of disjoint gates, and each of its samples each factor
         brickwork = config.ensemble.kind == "brickwork"
         run = self.RUN["depth" if brickwork else "gate-count"]
-        per_sample = (1 + 2) * 8**3 + gates * (32 * 4 if brickwork else 8**3) + moments.SAMPLE_FIXED_COST
+        per_sample = (1 + 2) * 8**3 + moments.SAMPLE_FIXED_COST
+        per_sample += gates * (32 * 4 if brickwork else 8 * 4 + experiments.LOCAL_FACTOR_COST)
         positions = gates
         if brickwork:
             per_sample += gates * 12 * experiments.LOCAL_FACTOR_COST
@@ -1137,8 +1157,9 @@ class TestStackedRotation:
         ids=["depth", "gate-count"],
     )
     def test_general_evaluator_budget_is_exact_at_the_cap(self, monkeypatch, experiment, config, monomials):
-        # per sample the QR and both evaluations in 8 x 8 products, 2 gates (8 x 8 products in a sequence,
-        # (4 x 4) @ (4 x 8) products at depth 1), and k^3 per minor det on each side; per block the dispatch
+        # per sample the QR and both evaluations in 8 x 8 products, 2 gates (two-row rotations of 8 n and
+        # their factors' cos and sin in a sequence, (4 x 4) @ (4 x 8) products at depth 1), and k^3 per
+        # minor det on each side; per block the dispatch
         # of the 2 gates: at depth 1 one window's 12 factor positions and one run of disjoint gates, whose
         # 24 factors each sample also pays; a sequence's 2 factor positions
         T = monomials()
@@ -1149,7 +1170,7 @@ class TestStackedRotation:
             per_sample += 2 * 32 * 4 + 2 * 12 * experiments.LOCAL_FACTOR_COST
             positions = 12 + 1
         else:
-            per_sample += 2 * 8**3
+            per_sample += 2 * (8 * 4 + experiments.LOCAL_FACTOR_COST)
         cap = 7 * per_sample + positions * experiments.FACTOR_DISPATCH_COST
         monkeypatch.setattr(moments, "FS_COST_CAP", cap)
         self.RUN[experiment](config)

@@ -6,12 +6,13 @@ import math
 import numpy as np
 import pytest
 
-from designgap import cgraph, densesim, experiments, groups, pauli, rng as dgrng
+from designgap import cgraph, experiments, groups, pauli, rng as dgrng
 from designgap.errors import BudgetError, InvariantError, ValidationError
 
 from conftest import (
     _local_gate_reference,
     adjoint_majorana_matrix,
+    apply_two_copy,
     bilinear_plane_reference,
     clifford_table_reference,
     draw_factors_reference,
@@ -74,10 +75,11 @@ class TestBilinearForms:
         with pytest.raises(ValidationError, match="phased Pauli, got ndarray"):
             groups.bilinear_form(np.eye(4))
 
-    def test_inverse_dense(self):
-        for form in (groups.matchgate_form_1(2), groups.symplectic_form(2)):
+    def test_dense_forms_are_unitary(self):
+        # a phased Pauli's inverse is its adjoint, which the two-copy oracle unwinds the form by
+        for form in (groups.matchgate_form_1(2), groups.symplectic_form(2), groups.orthogonal_form(2)):
             Om = form.dense()
-            assert np.allclose(form.inverse_dense() @ Om, np.eye(4))
+            assert np.allclose(Om.conj().T @ Om, np.eye(4))
 
 
 class TestFormInvariance:
@@ -116,7 +118,7 @@ class TestFormInvariance:
             assert np.linalg.norm(psi) == pytest.approx(1.0)
             for i in range(5):
                 U = groups.sample_haar(G, stream(i))
-                moved = densesim.apply_two_copy(U, U, psi)
+                moved = apply_two_copy(U, U, psi)
                 assert np.max(np.abs(moved - psi)) < 1e-10
 
 
@@ -663,7 +665,8 @@ class TestSampleShallowStack:
 
         monkeypatch.setattr(groups, "_orthogonal_from_ginibre", drifted)
         config = experiments.depth_config("orthogonal", 3, 3, 0, depth=1)
-        shallow = experiments._depth_dense(config, groups.parse_adjacency("chain", 3)).shallow
+        adj = groups.parse_adjacency("chain", 3)
+        shallow = experiments._depth_dense(config, adj, groups.lightcone((0,), 1, adj)).shallow
         with pytest.raises(InvariantError, match="shallow orthogonal gate drifted off the form"):
             shallow([stream(i) for i in range(3)])
         shallow([stream(0)])
